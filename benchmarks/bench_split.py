@@ -40,7 +40,7 @@ def bench_best_split():
         first = next(iter(results.values()))
         assert all(r == first for r in results.values()), "backends disagree"
         speedup = (
-            times["python"] / times["cython"] if {"python", "cython"} <= set(times) else 0.0
+            times["python"] / times["c"] if {"python", "c"} <= set(times) else 0.0
         )
         print(
             f"{n:>8} {p:>3}",

@@ -43,6 +43,7 @@ from paydev.ingest import (
     read_canonical,
     write_canonical,
 )
+from paydev.ml import kernels
 
 
 def _atomic_write(path, writer) -> None:
@@ -96,6 +97,7 @@ def _build_config(args) -> Config:
             overrides[key] = getattr(args, key)
     cfg = validate(apply_overrides(cfg, **overrides))
     print(f"# config: {cfg.echo()}", file=sys.stderr)
+    print(f"# kernel: {kernels.BACKEND}", file=sys.stderr)
     return cfg
 
 
@@ -395,6 +397,9 @@ def cmd_predict(args) -> int:
         else:
             features_by_id = feat.compute_features(identities, records_by_sha)
             X, row_ids, columns = feat.feature_matrix(features_by_id, mode="all")
+            # score with the model's own columns (e.g. a no_volume model)
+            keep = [i for i, c in enumerate(columns) if c in model.columns]
+            X, columns = X[:, keep], [columns[i] for i in keep]
     probabilities = ml.predict_proba(model, X, columns=columns)
 
     def writer(f):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
@@ -224,7 +224,6 @@ def write_canonical(records, fileobj) -> None:
         fileobj.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(CommitRecord)}
 _INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
 
 

@@ -1,4 +1,4 @@
-"""Pure-numpy split-search kernel (fallback twin of _split_cy).
+"""Pure-numpy split-search kernel (fallback twin of _split.c).
 
 Both backends must return bit-identical results. The score of a candidate
 split is defined as an exact function of integer class counts,
@@ -7,7 +7,7 @@ split is defined as an exact function of integer class counts,
 
 (i.e. sum over children of n_child * gini_child), evaluated with int64
 numerators so the float value does not depend on how the counts were
-accumulated. Keep the expression in sync with _split_cy.pyx.
+accumulated. Keep the expression in sync with _split.c.
 """
 
 import numpy as np

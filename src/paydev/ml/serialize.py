@@ -28,13 +28,38 @@ def _node_to_obj(node: TreeNode):
     return obj
 
 
-def _node_from_obj(obj) -> TreeNode:
-    node = TreeNode(n=obj["n"], pos=obj["pos"])
-    if "feature" in obj:
-        node.feature = obj["feature"]
-        node.threshold = obj["threshold"]
-        node.left = _node_from_obj(obj["left"])
-        node.right = _node_from_obj(obj["right"])
+_MISSING = object()
+
+
+def _get(obj, key, types):
+    """obj[key] if it has one of `types`; a bool counts only as a bool."""
+    value = obj.get(key, _MISSING) if isinstance(obj, dict) else _MISSING
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise SchemaError(f"model file: {key!r} missing or mistyped")
+    return value
+
+
+def _floats(obj, key, size=None):
+    """obj[key] as a float64 array; size=None accepts any length."""
+    values = _get(obj, key, list)
+    if size not in (None, len(values)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise SchemaError(f"model file: {key!r} is not a list of numbers of the right length")
+    return np.array(values, dtype=np.float64)
+
+
+def _node_from_obj(obj, p) -> TreeNode:
+    node = TreeNode(n=_get(obj, "n", int), pos=_get(obj, "pos", int))
+    if not 0 <= node.pos <= node.n or node.n == 0:
+        raise SchemaError("model file: tree node counts out of range")
+    if len(obj) > 2:  # an inner node must carry all four split keys
+        node.feature = _get(obj, "feature", int)
+        if not 0 <= node.feature < p:
+            raise SchemaError("model file: tree node feature out of range")
+        node.threshold = _get(obj, "threshold", (int, float))
+        node.left = _node_from_obj(_get(obj, "left", dict), p)
+        node.right = _node_from_obj(_get(obj, "right", dict), p)
     return node
 
 
@@ -100,40 +125,47 @@ def load_model(fileobj):
     if not isinstance(obj, dict) or obj.get("magic") != MAGIC:
         raise SchemaError(f"not a {MAGIC} model file")
     kind = obj.get("kind")
-    columns = obj.get("columns")
-    params = obj.get("params", {})
-    payload = obj.get("payload", {})
+    columns = _get(obj, "columns", list)
+    if not all(isinstance(c, str) for c in columns):
+        raise SchemaError("model file: 'columns' must be a list of names")
+    p = len(columns)
+    params = _get(obj, "params", dict)
+    payload = _get(obj, "payload", dict)
+    num = (int, float)
     if kind == "logit":
         return LogitModel(
-            coef=np.array(payload["coef"], dtype=np.float64),
-            intercept=payload["intercept"],
-            mean=np.array(payload["mean"], dtype=np.float64),
-            scale=np.array(payload["scale"], dtype=np.float64),
+            coef=_floats(payload, "coef", p),
+            intercept=_get(payload, "intercept", num),
+            mean=_floats(payload, "mean", p),
+            scale=_floats(payload, "scale", p),
             columns=columns,
-            impute=np.array(payload["impute"], dtype=np.float64),
-            converged=payload["converged"],
-            n_iter=payload["n_iter"],
-            loss_history=list(payload.get("loss_history", [])),
+            impute=_floats(payload, "impute", p),
+            converged=_get(payload, "converged", bool),
+            n_iter=_get(payload, "n_iter", int),
+            loss_history=_floats(payload, "loss_history").tolist(),
         )
     if kind == "tree":
         return TreeModel(
-            root=_node_from_obj(payload["root"]),
+            root=_node_from_obj(_get(payload, "root", dict), p),
             columns=columns,
-            impute=np.array(payload["impute"], dtype=np.float64),
-            minsplit=params["minsplit"],
-            cp=params["cp"],
-            maxdepth=params["maxdepth"],
-            importance=np.array(payload["importance"], dtype=np.float64),
+            impute=_floats(payload, "impute", p),
+            minsplit=_get(params, "minsplit", int),
+            cp=_get(params, "cp", num),
+            maxdepth=_get(params, "maxdepth", (int, type(None))),
+            importance=_floats(payload, "importance", p),
         )
     if kind == "forest":
+        trees = _get(payload, "trees", list)
+        if not trees or len(trees) != _get(params, "n_trees", int):
+            raise SchemaError("model file: 'trees' does not hold n_trees trees")
         return ForestModel(
-            trees=[_node_from_obj(t) for t in payload["trees"]],
+            trees=[_node_from_obj(t, p) for t in trees],
             columns=columns,
-            impute=np.array(payload["impute"], dtype=np.float64),
-            n_trees=params["n_trees"],
-            mtry=params["mtry"],
-            seed=params["seed"],
-            bootstrap=params["bootstrap"],
-            importance=np.array(payload["importance"], dtype=np.float64),
+            impute=_floats(payload, "impute", p),
+            n_trees=len(trees),
+            mtry=_get(params, "mtry", int),
+            seed=_get(params, "seed", int),
+            bootstrap=_get(params, "bootstrap", bool),
+            importance=_floats(payload, "importance", p),
         )
     raise SchemaError(f"unknown model kind {kind!r}")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paydev.cli import main
 
@@ -219,6 +221,75 @@ class TestTrainPredict:
                        "--out", str(preds)) == 0
         assert len(preds.read_text().splitlines()) == 25
 
+    def test_predict_from_records_uses_model_columns(self, corpus, tmp_path):
+        records, labels = corpus
+        slim = tmp_path / "f12.csv"
+        run_cli("features", str(records), "--mode", "no_volume", "--out", str(slim))
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", str(slim), "--labels", str(labels),
+                       "--classifier", "logit", "--out", str(model_path)) == 0
+        from_records, from_csv = tmp_path / "r.csv", tmp_path / "c.csv"
+        assert run_cli("predict", str(model_path), "--records", str(records),
+                       "--out", str(from_records)) == 0
+        assert run_cli("predict", str(model_path), "--features", str(slim),
+                       "--out", str(from_csv)) == 0
+        assert from_records.read_bytes() == from_csv.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """A features CSV and one saved model of each kind."""
+    d = tmp_path_factory.mktemp("models")
+    records, labels, features = d / "records.jsonl", d / "labels.csv", d / "f.csv"
+    assert run_cli("synth", "--out", str(records), "--labels-out", str(labels),
+                   "--seed", "7", "--devs", "24", "--commits-low", "30",
+                   "--commits-high", "60") == 0
+    assert run_cli("features", str(records), "--out", str(features)) == 0
+    models = {}
+    for classifier in ("logit", "rpart", "randomforest"):
+        path = d / f"{classifier}.json"
+        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                       classifier, "--forest-trees", "3", "--out", str(path)) == 0
+        models[classifier] = json.loads(path.read_text())
+    return d, features, models
+
+
+def _key_paths(obj, path=()):
+    """Every (path to a dict, key) pair in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path, key
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, path + (i,))
+
+
+class TestModelFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_model_file_exit_3(self, model_files, data):
+        d, features, models = model_files
+        doc = json.loads(json.dumps(models[data.draw(st.sampled_from(sorted(models)))]))
+        damage = data.draw(st.sampled_from(["truncate", "delete", "mistype"]))
+        if damage == "truncate":
+            text = json.dumps(doc)
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            path, key = data.draw(st.sampled_from(list(_key_paths(doc))))
+            parent = doc
+            for step in path:
+                parent = parent[step]
+            if damage == "delete":
+                del parent[key]
+            else:
+                parent[key] = data.draw(st.sampled_from(
+                    [v for v in ("x", [], {}, True) if type(v) is not type(parent[key])]
+                ))
+            text = json.dumps(doc)
+        damaged = d / "damaged.json"
+        damaged.write_text(text)
+        assert run_cli("predict", str(damaged), "--features", str(features)) == 3
 
 class TestCommits:
     def test_per_commit_reports(self, corpus, tmp_path):

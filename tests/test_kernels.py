@@ -1,10 +1,18 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracle_split import exhaustive_best_split
 from paydev.ml import kernels
-from paydev.ml._split_py import best_split as py_best_split
 from paydev.ml.kernels import available_backends
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 def _random_problem(rng, n=None, p=None, duplicates=False):
@@ -19,8 +27,9 @@ def _random_problem(rng, n=None, p=None, duplicates=False):
     return X, y
 
 
-def test_cython_backend_available():
-    assert "cython" in available_backends(), "compiled kernel should be built"
+@needs_cc
+def test_compiled_backend_available():
+    assert "c" in available_backends(), "compiled kernel should be built"
 
 
 class TestOracle:
@@ -69,8 +78,13 @@ class TestBackendEquivalence:
             pytest.skip("compiled kernel not built")
         for trial in range(120):
             X, y = _random_problem(rng, duplicates=trial % 3 == 0)
-            idx = np.arange(len(y), dtype=np.int64)
-            feats = np.arange(X.shape[1], dtype=np.int64)
+            n, p = X.shape
+            idx = np.arange(n, dtype=np.int64)
+            feats = np.arange(p, dtype=np.int64)
+            if trial % 2:  # a bootstrap sample and a feature subset, as in a forest
+                idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
+                feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)),
+                                           replace=False)).astype(np.int64)
             results = {name: fn(X, y, idx, feats) for name, fn in backends.items()}
             py = results["python"]
             for name, res in results.items():
@@ -102,8 +116,74 @@ class TestBackendEquivalence:
             assert (f, t) == (0, 0.5)
 
 
-def test_python_fallback_selected_with_env(monkeypatch):
-    monkeypatch.setenv("PAYDEV_KERNEL", "python")
-    name, fn = kernels._select()
-    assert name == "python"
-    assert fn is py_best_split
+@needs_cc
+@pytest.mark.parametrize("X", [
+    np.asfortranarray(np.ones((4, 2))),
+    np.ones((4, 4))[:, ::2],
+    np.ones((4, 2), dtype=np.float32),
+])
+def test_c_kernel_rejects_bad_arrays(X):
+    c_best_split = available_backends()["c"]
+    y = np.zeros(4, dtype=np.int8)
+    with pytest.raises(TypeError):
+        c_best_split(X, y, np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64))
+
+
+@needs_cc
+@pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([-1, 0], [0]), ([0, 1], [2])])
+def test_c_kernel_rejects_out_of_range_indices(idx, feats):
+    c_best_split = available_backends()["c"]
+    X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
+    with pytest.raises(IndexError):
+        c_best_split(X, y, np.array(idx, dtype=np.int64), np.array(feats, dtype=np.int64))
+
+
+def _python(args, home, path, cwd):
+    """Run a fresh interpreter with HOME and PATH replaced."""
+    env = dict(os.environ, HOME=str(home), PATH=path, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=300)
+
+
+PRINT_BACKEND = ["-c", "from paydev.ml import kernels; print(kernels.BACKEND)"]
+
+
+@needs_cc
+def test_built_kernel_reused_without_compiler(tmp_path):
+    home, no_cc = tmp_path / "home", tmp_path / "empty-bin"
+    no_cc.mkdir()
+    first = _python(PRINT_BACKEND, home, os.environ["PATH"], tmp_path)
+    assert first.stdout.strip() == "c", first.stderr
+    assert len(list((home / ".cache" / "paydev").glob("split-*.so"))) == 1
+    second = _python(PRINT_BACKEND, home, str(no_cc), tmp_path)
+    assert second.stdout.strip() == "c", second.stderr
+
+
+@needs_cc
+def test_python_fallback_without_compiler_gives_same_bytes(tmp_path):
+    no_cc = tmp_path / "empty-bin"
+    no_cc.mkdir()
+    assert _python(PRINT_BACKEND, tmp_path / "h0", str(no_cc), tmp_path).stdout == "python\n"
+    cli = ["-m", "paydev.cli"]
+    synth = ["synth", "--out", "records.jsonl", "--labels-out", "labels.csv", "--seed", "7",
+             "--devs", "24", "--commits-low", "30", "--commits-high", "60"]
+    assert _python(cli + synth, tmp_path / "h0", str(no_cc), tmp_path).returncode == 0
+    assert _python(cli + ["features", "records.jsonl", "--out", "f.csv"],
+                   tmp_path / "h0", str(no_cc), tmp_path).returncode == 0
+    outputs = {}
+    for backend, path in (("python", str(no_cc)), ("c", os.environ["PATH"])):
+        home = tmp_path / f"home-{backend}"
+        runs = [
+            ["evaluate", "records.jsonl", "--labels", "labels.csv", "--min-commits", "20",
+             "--folds", "3", "--repeats", "1", "--forest-trees", "10", "--out",
+             f"report-{backend}.json"],
+            ["train", "f.csv", "--labels", "labels.csv", "--classifier", "randomforest",
+             "--forest-trees", "10", "--out", f"model-{backend}.json"],
+        ]
+        for argv in runs:
+            r = _python(cli + argv, home, path, tmp_path)
+            assert r.returncode == 0, r.stderr
+            assert f"# kernel: {backend}\n" in r.stderr
+        outputs[backend] = [(tmp_path / f"{kind}-{backend}.json").read_bytes()
+                            for kind in ("report", "model")]
+    assert outputs["python"] == outputs["c"]
