@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -36,7 +37,7 @@ from paydev import identity as ident_mod
 from paydev import labels as lab
 from paydev import linkage, ml, synth
 from paydev.config import Config, apply_overrides, load_config, validate
-from paydev.errors import InputFileError, PaydevError, SchemaError
+from paydev.errors import InputFileError, PaydevError, SchemaError, UnlabeledIdentityError
 from paydev.ingest import (
     GIT_EXPORT_COMMAND,
     parse_git_log,
@@ -91,7 +92,6 @@ def _build_config(args) -> Config:
         "email_domains",
         "products",
         "forest_trees",
-        "jobs",
     ):
         if hasattr(args, key):
             overrides[key] = getattr(args, key)
@@ -197,6 +197,22 @@ def _labeled_dataset(identities, records, label_set, cfg):
     return data, commits_by_id, kept
 
 
+def _labeled_features(path, label_set):
+    """The features CSV's rows with a direct status. Dated hired periods
+    resolve only against commits, so a row that has them is rejected."""
+    with _open_input(path) as f:
+        X, ids, columns = feat.read_features_csv(f)
+    dated = [ident_id for ident_id in ids if ident_id in label_set.periods]
+    if dated:
+        raise UnlabeledIdentityError(
+            f"identity {dated[0]!r} has dated hired periods, which a features CSV "
+            "cannot resolve; run `paydev evaluate <records>` instead"
+        )
+    rows = [i for i, ident_id in enumerate(ids) if ident_id in label_set.entries]
+    y = [1 if label_set.entries[ids[i]] == lab.HIRED else 0 for i in rows]
+    return ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
+
+
 def _classifier_specs(cfg: Config) -> dict[str, ev.ClassifierSpec]:
     mtry = cfg.forest_mtry if cfg.forest_mtry > 0 else None
     return {
@@ -210,7 +226,7 @@ def _classifier_specs(cfg: Config) -> dict[str, ev.ClassifierSpec]:
         ),
         "randomforest": ev.ClassifierSpec(
             "forest",
-            {"n_trees": cfg.forest_trees, "mtry": mtry, "n_jobs": cfg.jobs},
+            {"n_trees": cfg.forest_trees, "mtry": mtry},
         ),
     }
 
@@ -251,12 +267,8 @@ def _write_report(obj, args) -> None:
 def cmd_ingest(args) -> int:
     _build_config(args)
     if os.path.isdir(args.source):
-        proc = subprocess.run(
-            ["git", "-C", args.source, "log", "--all", "--no-merges", "--date-order",
-             "--pretty=format:%x1e%H%x1f%an%x1f%ae%x1f%at%x1f%ad",
-             "--date=format:%Y-%m-%d %H:%M:%S %z", "--numstat"],
-            capture_output=True,
-        )
+        git, *rest = GIT_EXPORT_COMMAND
+        proc = subprocess.run([git, "-C", args.source, *rest], capture_output=True)
         if proc.returncode != 0:
             raise InputFileError(
                 f"git log failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
@@ -315,15 +327,7 @@ def cmd_evaluate(args) -> int:
     if args.features:
         # Features-only mode: the baselines need raw commits, so they are
         # skipped and only the three classifiers run.
-        with _open_input(args.features) as f:
-            X, ids, columns = feat.read_features_csv(f)
-        rows, y = [], []
-        for i, ident_id in enumerate(ids):
-            status = label_set.entries.get(ident_id)
-            if status is not None:
-                rows.append(i)
-                y.append(1 if status == lab.HIRED else 0)
-        data = ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
+        data = _labeled_features(args.features, label_set)
         print("# baselines skipped (no canonical records given)", file=sys.stderr)
     else:
         if not args.records:
@@ -350,22 +354,7 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
-    with _open_input(args.features) as f:
-        X, ids, columns = feat.read_features_csv(f)
-    if label_set.periods:
-        print(
-            "# note: dated periods in the labels file need --records to resolve; "
-            "direct statuses only",
-            file=sys.stderr,
-        )
-    rows, y = [], []
-    for i, ident_id in enumerate(ids):
-        status = label_set.entries.get(ident_id)
-        if status is None:
-            continue
-        rows.append(i)
-        y.append(1 if status == lab.HIRED else 0)
-    data = ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
+    data = _labeled_features(args.features, label_set)
     spec = _classifier_specs(cfg)[args.classifier]
     model = ev.fit_classifier(spec, data, seed_parts=(cfg.seed, 0, 0))
     _emit(args.out, lambda f: ml.save_model(model, f))
@@ -481,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parse a git-log export (or run git on a repo) into canonical JSONL",
         description=(
             "Parse the output of the documented export command into the canonical "
-            f"JSON-lines commit format. Export command:\n\n  {GIT_EXPORT_COMMAND}"
+            f"JSON-lines commit format. Export command:\n\n  {shlex.join(GIT_EXPORT_COMMAND)}"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -519,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int)
     p.add_argument("--repeats", type=int)
     p.add_argument("--forest-trees", dest="forest_trees", type=int)
-    p.add_argument("--jobs", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -535,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score developers (or commits) with a model")
-    p.add_argument("model", help="PAYDEVMODEL/1 file")
+    p.add_argument("model", help="PAYDEVMODEL/2 model file")
     p.add_argument("--features", help="features CSV")
     p.add_argument("--records", help="canonical JSONL (alternative to --features)")
     p.add_argument("--identities", help="identity map JSONL")
@@ -553,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-commits", dest="min_commits", type=int)
     p.add_argument("--coverage", type=float)
     p.add_argument("--forest-trees", dest="forest_trees", type=int)
-    p.add_argument("--jobs", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_commits)
 

@@ -25,7 +25,6 @@ class Config:
     tree_maxdepth: int = 30
     forest_trees: int = 500
     forest_mtry: int = 0  # 0 means floor(sqrt(p))
-    jobs: int = 1
 
     def echo(self) -> str:
         parts = []
@@ -57,7 +56,6 @@ _POSITIVE_FIELDS = {
     "tree_minsplit",
     "tree_maxdepth",
     "forest_trees",
-    "jobs",
 }
 
 

@@ -18,9 +18,9 @@ from paydev.errors import DuplicateShaError, ParseError, SchemaError
 
 # Record sentinel 0x1E starts each commit; 0x1F separates header fields.
 GIT_EXPORT_COMMAND = (
-    "git log --all --no-merges --date-order "
-    "--pretty=format:'%x1e%H%x1f%an%x1f%ae%x1f%at%x1f%ad' "
-    "--date=format:'%Y-%m-%d %H:%M:%S %z' --numstat"
+    "git", "log", "--all", "--no-merges", "--date-order",
+    "--pretty=format:%x1e%H%x1f%an%x1f%ae%x1f%at%x1f%ad",
+    "--date=format:%Y-%m-%d %H:%M:%S %z", "--numstat",
 )
 
 _SHA_RE = re.compile(rb"^[0-9a-f]{40}$")

@@ -113,24 +113,3 @@ def commit_labels(identity_id, commits, labels: LabelSet) -> list[str]:
     if status is None:
         raise UnlabeledIdentityError(f"identity {identity_id!r} has no label")
     return [status] * len(commits)
-
-
-@dataclass(frozen=True)
-class LabelReport:
-    hired: int
-    volunteer: int
-    unlabeled: int
-
-
-def label_report(identities, commits_by_id, labels: LabelSet) -> LabelReport:
-    """Counts of resolved hired / volunteer / unlabeled identities."""
-    hired = volunteer = unlabeled = 0
-    for ident in identities:
-        status = resolve_status(ident.id, commits_by_id[ident.id], labels)
-        if status == HIRED:
-            hired += 1
-        elif status == VOLUNTEER:
-            volunteer += 1
-        else:
-            unlabeled += 1
-    return LabelReport(hired=hired, volunteer=volunteer, unlabeled=unlabeled)

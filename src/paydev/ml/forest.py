@@ -2,25 +2,23 @@
 sampling.
 
 Every random draw comes from a per-tree generator seeded by (seed, tree
-index), so the fitted model is a pure function of (seed, data) no matter
-how many worker threads fit the trees.
+index), so the fitted model is a pure function of (seed, data).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
-from paydev.ml.tree import TreeNode, grow_tree, tree_proba
+from paydev.ml.tree import Tree, grow_tree, tree_proba
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     columns: list[str]
     impute: np.ndarray
     n_trees: int
@@ -40,7 +38,6 @@ def fit_forest(
     mtry=None,
     seed=0,
     bootstrap=True,
-    n_jobs=1,
 ) -> ForestModel:
     check_training(data)
     if n_trees < 1:
@@ -54,25 +51,17 @@ def fit_forest(
     if not 1 <= mtry <= p:
         raise ValueError(f"mtry must be in [1, {p}]")
 
-    def build(t):
+    trees, importance = [], np.zeros(p)
+    for t in range(n_trees):
         rng = _tree_rng(seed, t)
         if bootstrap:
             idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
         else:
             idx = np.arange(n, dtype=np.int64)
-        return grow_tree(
+        tree, imp = grow_tree(
             X, y, idx, minsplit=2, cp=0.0, maxdepth=None, mtry=mtry, rng=rng
         )
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            grown = list(pool.map(build, range(n_trees)))
-    else:
-        grown = [build(t) for t in range(n_trees)]
-
-    trees = [root for root, _ in grown]
-    importance = np.zeros(p)
-    for _, imp in grown:
+        trees.append(tree)
         importance += imp
     importance /= n_trees
 
@@ -92,6 +81,6 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     """Mean of the trees' leaf probabilities, accumulated in tree order."""
     X = fill_missing(np.asarray(X, dtype=np.float64), model.impute)
     total = np.zeros(len(X), dtype=np.float64)
-    for root in model.trees:
-        total += tree_proba(root, X)
+    for tree in model.trees:
+        total += tree_proba(tree, X)
     return total / model.n_trees

@@ -8,36 +8,41 @@ decrease in Gini.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from paydev.ml.forest import ForestModel
 from paydev.ml.logit import LogitModel
-from paydev.ml.tree import TreeModel, TreeNode
+from paydev.ml.tree import Tree, TreeModel
 
 
-def _tree_lines(node: TreeNode, columns, n_root, depth, lines):
-    indent = "  " * depth
-    volunteer_ratio = (node.n - node.pos) / node.n
-    share = 100.0 * node.n / n_root
-    if node.is_leaf:
-        label = "hired" if node.proba_hired() >= 0.5 else "volunteer"
+def _tree_lines(tree: Tree, columns, lines):
+    """One line per node in preorder, indented by depth."""
+    feature, threshold, left, right, n, pos = (getattr(tree, f.name).tolist() for f in fields(tree))
+    stack = [(0, 1)]
+    while stack:
+        i, depth = stack.pop()
+        indent = "  " * depth
+        volunteer_ratio = (n[i] - pos[i]) / n[i]
+        share = 100.0 * n[i] / n[0]
+        if feature[i] < 0:
+            label = "hired" if pos[i] / n[i] >= 0.5 else "volunteer"
+            lines.append(
+                f"{indent}leaf: {label} (volunteer {volunteer_ratio:.3f}, {share:.1f}%)"
+            )
+            continue
         lines.append(
-            f"{indent}leaf: {label} (volunteer {volunteer_ratio:.3f}, {share:.1f}%)"
+            f"{indent}split: {columns[feature[i]]} <= {threshold[i]:.6g} "
+            f"(volunteer {volunteer_ratio:.3f}, {share:.1f}%)"
         )
-        return
-    lines.append(
-        f"{indent}split: {columns[node.feature]} <= {node.threshold:.6g} "
-        f"(volunteer {volunteer_ratio:.3f}, {share:.1f}%)"
-    )
-    _tree_lines(node.left, columns, n_root, depth + 1, lines)
-    _tree_lines(node.right, columns, n_root, depth + 1, lines)
+        stack += ((right[i], depth + 1), (left[i], depth + 1))
 
 
 def root_split_feature(model: TreeModel) -> str | None:
     """Name of the first splitting feature, None for a single-leaf tree."""
-    if model.root.is_leaf:
-        return None
-    return model.columns[model.root.feature]
+    f = int(model.root.feature[0])
+    return None if f < 0 else model.columns[f]
 
 
 def introspect(model) -> str:
@@ -49,7 +54,7 @@ def introspect(model) -> str:
         return "\n".join(lines)
     if isinstance(model, TreeModel):
         lines = ["decision tree:"]
-        _tree_lines(model.root, model.columns, model.root.n, 1, lines)
+        _tree_lines(model.root, model.columns, lines)
         return "\n".join(lines)
     if isinstance(model, ForestModel):
         order = np.argsort(-model.importance)

@@ -1,31 +1,28 @@
 """Versioned model files.
 
 A model file is one JSON object starting with the magic string
-PAYDEVMODEL/1; floats serialize via repr so save/load round-trips exactly.
+PAYDEVMODEL/2; floats serialize via repr so save/load round-trips exactly.
+Each tree is an object of six equal-length node arrays (see tree.Tree).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from paydev.errors import SchemaError
 from paydev.ml.forest import ForestModel
 from paydev.ml.logit import LogitModel
-from paydev.ml.tree import TreeModel, TreeNode
+from paydev.ml.tree import Tree, TreeModel
 
-MAGIC = "PAYDEVMODEL/1"
+MAGIC = "PAYDEVMODEL/2"
+TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 
-def _node_to_obj(node: TreeNode):
-    obj = {"n": node.n, "pos": node.pos}
-    if not node.is_leaf:
-        obj["feature"] = node.feature
-        obj["threshold"] = node.threshold
-        obj["left"] = _node_to_obj(node.left)
-        obj["right"] = _node_to_obj(node.right)
-    return obj
+def _tree_to_obj(tree: Tree):
+    return {key: getattr(tree, key).tolist() for key in TREE_ARRAYS}
 
 
 _MISSING = object()
@@ -39,28 +36,58 @@ def _get(obj, key, types):
     return value
 
 
+def _is_number(v):
+    """A JSON number that float64 holds exactly (integers up to 2**53)."""
+    return type(v) is float or (type(v) is int and abs(v) <= 2**53)
+
+
+def _number(obj, key):
+    value = _get(obj, key, (int, float))
+    if not _is_number(value):
+        raise SchemaError(f"model file: {key!r} out of range")
+    return value
+
+
 def _floats(obj, key, size=None):
     """obj[key] as a float64 array; size=None accepts any length."""
     values = _get(obj, key, list)
-    if size not in (None, len(values)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if size not in (None, len(values)) or not all(_is_number(v) for v in values):
         raise SchemaError(f"model file: {key!r} is not a list of numbers of the right length")
     return np.array(values, dtype=np.float64)
 
 
-def _node_from_obj(obj, p) -> TreeNode:
-    node = TreeNode(n=_get(obj, "n", int), pos=_get(obj, "pos", int))
-    if not 0 <= node.pos <= node.n or node.n == 0:
-        raise SchemaError("model file: tree node counts out of range")
-    if len(obj) > 2:  # an inner node must carry all four split keys
-        node.feature = _get(obj, "feature", int)
-        if not 0 <= node.feature < p:
-            raise SchemaError("model file: tree node feature out of range")
-        node.threshold = _get(obj, "threshold", (int, float))
-        node.left = _node_from_obj(_get(obj, "left", dict), p)
-        node.right = _node_from_obj(_get(obj, "right", dict), p)
-    return node
+def _ints_in(values, lo, hi):
+    return all(type(v) is int and lo <= v < hi for v in values)
+
+
+def _tree_from_obj(obj, p) -> Tree:
+    """Checks every element before any numpy conversion: types and ranges,
+    and that the inner nodes' children are each node 1..m-1 exactly once,
+    at a larger index than their parent, so the arrays form one tree."""
+    arrays = {key: _get(obj, key, list) for key in TREE_ARRAYS}
+    feature, threshold, left, right, n, pos = arrays.values()
+    m = len(n)
+    if m == 0 or any(len(a) != m for a in arrays.values()):
+        raise SchemaError("model file: tree arrays are empty or of unequal length")
+    if not (
+        _ints_in(feature, -1, p) and _ints_in(left, -1, m) and _ints_in(right, -1, m)
+        and _ints_in(n, 1, 2**53) and all(_is_number(v) for v in threshold)
+        and all(type(k) is int and 0 <= k <= c for k, c in zip(pos, n))
+    ):
+        raise SchemaError("model file: tree array element mistyped or out of range")
+    children = []
+    for i, (f, lo, hi) in enumerate(zip(feature, left, right)):
+        if f < 0 and lo == hi == -1:
+            continue
+        if f < 0 or lo <= i or hi <= i:
+            raise SchemaError(f"model file: tree node {i} has bad children")
+        children += (lo, hi)
+    if sorted(children) != list(range(1, m)):
+        raise SchemaError("model file: tree nodes do not form one tree")
+    return Tree(**{
+        key: np.array(a, dtype=np.float64 if key == "threshold" else np.int64)
+        for key, a in arrays.items()
+    })
 
 
 def model_kind(model) -> str:
@@ -90,7 +117,7 @@ def save_model(model, fileobj) -> None:
     elif kind == "tree":
         params = {"minsplit": model.minsplit, "cp": model.cp, "maxdepth": model.maxdepth}
         payload = {
-            "root": _node_to_obj(model.root),
+            "root": _tree_to_obj(model.root),
             "impute": list(model.impute),
             "importance": list(model.importance),
         }
@@ -102,7 +129,7 @@ def save_model(model, fileobj) -> None:
             "bootstrap": model.bootstrap,
         }
         payload = {
-            "trees": [_node_to_obj(t) for t in model.trees],
+            "trees": [_tree_to_obj(t) for t in model.trees],
             "impute": list(model.impute),
             "importance": list(model.importance),
         }
@@ -120,9 +147,12 @@ def save_model(model, fileobj) -> None:
 def load_model(fileobj):
     try:
         obj = json.load(fileobj)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file is not valid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict) or obj.get("magic") != MAGIC:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+        raise SchemaError(f"model file is not valid JSON: {exc}") from None
+    magic = obj.get("magic") if isinstance(obj, dict) else None
+    if magic == "PAYDEVMODEL/1":
+        raise SchemaError("PAYDEVMODEL/1 model files are no longer read; retrain the model")
+    if magic != MAGIC:
         raise SchemaError(f"not a {MAGIC} model file")
     kind = obj.get("kind")
     columns = _get(obj, "columns", list)
@@ -131,11 +161,10 @@ def load_model(fileobj):
     p = len(columns)
     params = _get(obj, "params", dict)
     payload = _get(obj, "payload", dict)
-    num = (int, float)
     if kind == "logit":
         return LogitModel(
             coef=_floats(payload, "coef", p),
-            intercept=_get(payload, "intercept", num),
+            intercept=_number(payload, "intercept"),
             mean=_floats(payload, "mean", p),
             scale=_floats(payload, "scale", p),
             columns=columns,
@@ -146,11 +175,11 @@ def load_model(fileobj):
         )
     if kind == "tree":
         return TreeModel(
-            root=_node_from_obj(_get(payload, "root", dict), p),
+            root=_tree_from_obj(_get(payload, "root", dict), p),
             columns=columns,
             impute=_floats(payload, "impute", p),
             minsplit=_get(params, "minsplit", int),
-            cp=_get(params, "cp", num),
+            cp=_number(params, "cp"),
             maxdepth=_get(params, "maxdepth", (int, type(None))),
             importance=_floats(payload, "importance", p),
         )
@@ -159,7 +188,7 @@ def load_model(fileobj):
         if not trees or len(trees) != _get(params, "n_trees", int):
             raise SchemaError("model file: 'trees' does not hold n_trees trees")
         return ForestModel(
-            trees=[_node_from_obj(t, p) for t in trees],
+            trees=[_tree_from_obj(t, p) for t in trees],
             columns=columns,
             impute=_floats(payload, "impute", p),
             n_trees=len(trees),

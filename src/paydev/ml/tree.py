@@ -17,25 +17,22 @@ from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_medi
 
 
 @dataclass
-class TreeNode:
-    n: int
-    pos: int
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+class Tree:
+    """One fitted tree as parallel node arrays. Node 0 is the root and every
+    child index is greater than its parent's; leaves have feature, left and
+    right -1. n and pos count the node's training rows and hired rows."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-    def proba_hired(self) -> float:
-        return self.pos / self.n
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n: np.ndarray
+    pos: np.ndarray
 
 
 @dataclass
 class TreeModel:
-    root: TreeNode
+    root: Tree
     columns: list[str]
     impute: np.ndarray
     minsplit: int
@@ -45,11 +42,12 @@ class TreeModel:
 
 
 def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
-    """Grow one tree over rows `idx`; returns (root, importance).
+    """Grow one tree over rows `idx`; returns (Tree, importance).
 
     mtry, when set, samples that many candidate features (without
     replacement, from rng) at every node. Iterative preorder so depth is
-    not bounded by the interpreter recursion limit.
+    not bounded by the interpreter recursion limit; a split node's children
+    are appended as the next two node rows.
     """
     p = X.shape[1]
     all_feats = np.arange(p, dtype=np.int64)
@@ -58,12 +56,13 @@ def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
     root_err = n_root - max(pos_root, n_root - pos_root)
     importance = np.zeros(p)
 
-    root = TreeNode(n=n_root, pos=pos_root)
-    stack = [(root, idx, 0)]
+    ns, poss = [n_root], [pos_root]
+    splits = []  # (node, feature, threshold) in split order
+    stack = [(0, idx, 0)]
     while stack:
         node, node_idx, depth = stack.pop()
-        n = node.n
-        pos = node.pos
+        n = ns[node]
+        pos = poss[node]
         if pos == 0 or pos == n or n < minsplit:
             continue
         if maxdepth is not None and depth >= maxdepth:
@@ -92,13 +91,24 @@ def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
             continue
 
         importance[f] += kernels.node_score(n, pos) - child_score
-        node.feature = int(f)
-        node.threshold = float(thr)
-        node.left = TreeNode(n=len(left_idx), pos=pos_l)
-        node.right = TreeNode(n=len(right_idx), pos=pos_r)
-        stack.append((node.right, right_idx, depth + 1))
-        stack.append((node.left, left_idx, depth + 1))
-    return root, importance
+        child = len(ns)
+        splits.append((node, f, thr))
+        ns += (len(left_idx), len(right_idx))
+        poss += (pos_l, pos_r)
+        stack.append((child + 1, right_idx, depth + 1))
+        stack.append((child, left_idx, depth + 1))
+
+    m = len(ns)
+    inner = np.array([s[0] for s in splits], dtype=np.int64)
+    feature, left, right = (np.full(m, -1, dtype=np.int64) for _ in range(3))
+    threshold = np.zeros(m)
+    feature[inner] = [s[1] for s in splits]
+    threshold[inner] = [s[2] for s in splits]
+    # children were appended in split order, two rows per split
+    left[inner] = np.arange(1, m, 2)
+    right[inner] = np.arange(2, m, 2)
+    n, pos = np.array(ns, dtype=np.int64), np.array(poss, dtype=np.int64)
+    return Tree(feature, threshold, left, right, n, pos), importance
 
 
 def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
@@ -119,20 +129,20 @@ def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
     )
 
 
-def tree_proba(root: TreeNode, X) -> np.ndarray:
-    """P(hired) per row of X."""
+def tree_proba(tree: Tree, X) -> np.ndarray:
+    """P(hired) per row of X: every row still at an inner node moves one
+    level down per step."""
     out = np.empty(len(X), dtype=np.float64)
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.proba_hired()
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.right, idx[~mask]))
-        stack.append((node.left, idx[mask]))
+    proba = tree.pos / tree.n
+    rows = np.arange(len(X))
+    nodes = np.zeros(len(X), dtype=np.int64)
+    while rows.size:
+        f = tree.feature[nodes]
+        inner = f >= 0
+        out[rows[~inner]] = proba[nodes[~inner]]
+        rows, nodes, f = rows[inner], nodes[inner], f[inner]
+        go_left = X[rows, f] <= tree.threshold[nodes]
+        nodes = np.where(go_left, tree.left[nodes], tree.right[nodes])
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -86,6 +87,21 @@ class TestSynthAndIngest:
         out = capsys.readouterr().out
         assert "git log --all --no-merges --date-order" in out
         assert "--numstat" in out
+
+    def test_help_command_is_the_one_ingest_runs(self, tmp_path, capsys, monkeypatch):
+        with pytest.raises(SystemExit):
+            run_cli("ingest", "--help")
+        help_lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        git, *rest = shlex.split(next(line for line in help_lines if line.startswith("git ")))
+        ran = []
+
+        def fake_run(argv, **kwargs):
+            ran.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout=b"", stderr=b"")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        assert run_cli("ingest", str(tmp_path), "--out", str(tmp_path / "c.jsonl")) == 0
+        assert ran == [[git, "-C", str(tmp_path), *rest]]
 
     def test_ingest_missing_file_exit_2(self, tmp_path):
         assert run_cli("ingest", str(tmp_path / "nope.log")) == 2
@@ -179,6 +195,35 @@ class TestEvaluate:
         }
 
 
+    def test_stderr_label_counts(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        rows = labels.read_text().splitlines()
+        kept = rows[:-3]  # three identities lose their label
+        trimmed = tmp_path / "trimmed.csv"
+        trimmed.write_text("\n".join(kept) + "\n")
+        hired = sum(row.split(",")[1] == "hired" for row in kept[1:])
+        capsys.readouterr()
+        assert run_cli("evaluate", str(records), "--labels", str(trimmed), "--seed", "1",
+                       *SMALL_EVAL, "--out", str(tmp_path / "r.json")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("# labels:")] == [
+            f"# labels: hired={hired} volunteer={len(kept) - 1 - hired} unlabeled=3"
+        ]
+
+    def test_features_with_dated_periods_exit_5(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        ident = csv_path.read_text().splitlines()[1].split(",")[0]
+        dated = tmp_path / "dated.csv"
+        dated.write_text(labels.read_text() + f"{ident},hired,2017-01-01,\n")
+        assert run_cli("evaluate", "--features", str(csv_path), "--labels", str(dated),
+                       *SMALL_EVAL) == 5
+        assert "evaluate <records>" in capsys.readouterr().err
+        assert run_cli("evaluate", str(records), "--labels", str(dated), *SMALL_EVAL,
+                       "--out", str(tmp_path / "r.json")) == 0
+
+
 class TestTrainPredict:
     def test_train_predict_flow(self, corpus, tmp_path):
         records, labels = corpus
@@ -188,7 +233,7 @@ class TestTrainPredict:
         assert run_cli("train", str(csv_path), "--labels", str(labels),
                        "--classifier", "randomforest", "--forest-trees", "20",
                        "--seed", "5", "--out", str(model_path)) == 0
-        assert model_path.read_text().startswith('{"magic": "PAYDEVMODEL/1"')
+        assert model_path.read_text().startswith('{"magic": "PAYDEVMODEL/2"')
 
         preds = tmp_path / "preds.csv"
         assert run_cli("predict", str(model_path), "--features", str(csv_path),
@@ -197,6 +242,41 @@ class TestTrainPredict:
         assert lines[0] == "id,probability,class"
         assert len(lines) == 25  # 24 developers + header
         assert all(line.split(",")[2] in ("hired", "volunteer") for line in lines[1:])
+
+    def test_train_with_dated_periods_exit_5(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        ident = csv_path.read_text().splitlines()[-1].split(",")[0]
+        dated = tmp_path / "dated.csv"
+        dated.write_text(labels.read_text() + f"{ident},hired,2017-01-01,2017-06-30\n")
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", str(csv_path), "--labels", str(dated), "--classifier",
+                       "logit", "--out", str(model_path)) == 5
+        assert "evaluate <records>" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_deep_tree_train_predict_introspect(self, tmp_path, capsys):
+        # labels alternate along one feature: a ~3,000-level CART
+        n = 3000
+        features, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+        features.write_text("identity,commits\n" + "".join(f"d{i},{i}\n" for i in range(n)))
+        classes = ["hired" if i % 2 else "volunteer" for i in range(n)]
+        labels.write_text("identity,status,hired_from,hired_to\n"
+                          + "".join(f"d{i},{c},,\n" for i, c in enumerate(classes)))
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("tree_minsplit=2\ntree_cp=0\ntree_maxdepth=100000\n")
+        model_path, preds = tmp_path / "model.json", tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                       "rpart", "--config", str(cfg), "--introspect",
+                       "--out", str(model_path)) == 0
+        report = capsys.readouterr().err.split("decision tree:\n", 1)[1].splitlines()
+        nodes = len(json.loads(model_path.read_text())["payload"]["root"]["n"])
+        assert nodes > n and len(report) == nodes
+        assert run_cli("predict", str(model_path), "--features", str(features),
+                       "--out", str(preds)) == 0
+        assert [line.split(",")[2] for line in preds.read_text().splitlines()[1:]] == classes
 
     def test_column_mismatch_exit_4(self, corpus, tmp_path):
         records, labels = corpus
@@ -290,6 +370,72 @@ class TestModelFiles:
         damaged = d / "damaged.json"
         damaged.write_text(text)
         assert run_cli("predict", str(damaged), "--features", str(features)) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_damaged_tree_element_exit_3(self, model_files, data):
+        d, features, models = model_files
+        kind = data.draw(st.sampled_from(["rpart", "randomforest"]))
+        doc = json.loads(json.dumps(models[kind]))
+        trees = [doc["payload"]["root"]] if kind == "rpart" else doc["payload"]["trees"]
+        tree = data.draw(st.sampled_from(trees))
+        m = len(tree["n"])
+        inner = [i for i in range(m) if tree["feature"][i] >= 0]
+        node = data.draw(st.integers(0, m - 1))
+        int_key = data.draw(st.sampled_from(["feature", "left", "right", "n", "pos"]))
+        damage = data.draw(st.sampled_from(
+            ["child", "twin", "feature", "huge", "mistyped", "n", "pos", "length", "magic"]
+        ))
+        if damage == "child":  # a child at its own node or an earlier one
+            node = data.draw(st.sampled_from(inner))
+            side = data.draw(st.sampled_from(["left", "right"]))
+            tree[side][node] = data.draw(st.integers(0, node))
+        elif damage == "twin":  # both children the same later node
+            node = data.draw(st.sampled_from(inner))
+            tree["right"][node] = tree["left"][node]
+        elif damage == "feature":
+            tree["feature"][node] = len(doc["columns"])
+        elif damage == "huge":
+            tree[int_key][node] = 2**70
+        elif damage == "mistyped":
+            tree[int_key][node] = data.draw(st.sampled_from([True, 1.5]))
+        elif damage == "n":
+            tree["n"][node] = 0
+        elif damage == "pos":
+            tree["pos"][node] = tree["n"][node] + data.draw(st.integers(1, 3))
+        elif damage == "length":
+            key = data.draw(st.sampled_from(sorted(tree)))
+            tree[key] = tree[key][:-1] if data.draw(st.booleans()) else tree[key] + [0]
+        else:
+            doc["magic"] = "PAYDEVMODEL/1"
+        damaged = d / "damaged.json"
+        damaged.write_text(json.dumps(doc))
+        assert run_cli("predict", str(damaged), "--features", str(features)) == 3
+
+    # nested past the JSON parser's recursion limit; not UTF-8
+    @pytest.mark.parametrize("data", [b"[" * 100_000, b"\xff\xfe{}"])
+    def test_unparsable_model_bytes_exit_3(self, model_files, data):
+        d, features, _ = model_files
+        damaged = d / "damaged.json"
+        damaged.write_bytes(data)
+        assert run_cli("predict", str(damaged), "--features", str(features)) == 3
+
+    @pytest.mark.parametrize("key", ["intercept", "coef"])
+    def test_int_beyond_float64_exit_3(self, model_files, key):
+        d, features, models = model_files
+        doc = json.loads(json.dumps(models["logit"]))
+        payload = doc["payload"]
+        payload[key] = 10**400 if key == "intercept" else [10**400] * len(payload[key])
+        damaged = d / "damaged.json"
+        damaged.write_text(json.dumps(doc))
+        assert run_cli("predict", str(damaged), "--features", str(features)) == 3
+
+    def test_v1_model_file_asks_to_retrain(self, model_files, capsys):
+        d, features, models = model_files
+        old = d / "old.json"
+        old.write_text(json.dumps(dict(models["logit"], magic="PAYDEVMODEL/1")))
+        assert run_cli("predict", str(old), "--features", str(features)) == 3
+        assert "retrain" in capsys.readouterr().err
 
 class TestCommits:
     def test_per_commit_reports(self, corpus, tmp_path):

@@ -9,7 +9,6 @@ from paydev.identity import Identity
 from paydev.labels import (
     LabelSet,
     commit_labels,
-    label_report,
     load_labels,
     resolve_status,
     study_filter,
@@ -159,19 +158,3 @@ class TestCommitLabels:
         ts = (date(2017, 6, 30) - date(1970, 1, 1)).days * 86400 + 23 * 3600
         rec = make_record(timestamp_utc=ts, tz_offset_minutes=120)
         assert commit_labels("a@x", [rec], labels) == ["volunteer"]
-
-
-class TestReport:
-    def test_counts_sum(self):
-        labels = load_labels(
-            io.StringIO(HEADER + "a@x,hired,,\nb@x,volunteer,,\n")
-        )
-        idents = [
-            Identity(id="a@x", emails={"a@x"}, commit_shas={sha_of(0)}),
-            Identity(id="b@x", emails={"b@x"}, commit_shas={sha_of(1)}),
-            Identity(id="c@x", emails={"c@x"}, commit_shas={sha_of(2)}),
-        ]
-        commits = {i.id: [_commit_on("2017-01-01", k)] for k, i in enumerate(idents)}
-        report = label_report(idents, commits, labels)
-        assert (report.hired, report.volunteer, report.unlabeled) == (1, 1, 1)
-        assert report.hired + report.volunteer + report.unlabeled == len(idents)

@@ -53,14 +53,6 @@ class TestFit:
         b = predict_proba(fit_forest(data, n_trees=20, seed=12), Xt)
         assert not np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_model(self, rng):
-        X, y = _separable(rng, 300)
-        data = _dataset(X, y)
-        Xt = rng.normal(size=(80, 2))
-        serial = predict_proba(fit_forest(data, n_trees=24, seed=5, n_jobs=1), Xt)
-        threaded = predict_proba(fit_forest(data, n_trees=24, seed=5, n_jobs=8), Xt)
-        assert np.array_equal(serial, threaded)
-
     def test_holdout_auc_on_separable_data(self, rng):
         from paydev.evaluation import roc_auc
 

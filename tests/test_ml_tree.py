@@ -1,4 +1,5 @@
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ def _dataset(X, y, columns=None):
     return make_dataset(X, y, columns, [str(i) for i in range(len(y))])
 
 
-def _collect_nodes(root):
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not node.is_leaf:
-            stack.extend([node.left, node.right])
-    return out
+def _inner(tree):
+    """Indices of the tree's inner (split) nodes."""
+    return np.flatnonzero(tree.feature >= 0)
+
+
+def _depths(tree):
+    """Depth of every node; parents precede their children in the arrays."""
+    depth = np.zeros(len(tree.n), dtype=np.int64)
+    for i in _inner(tree):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth
 
 
 class TestFit:
@@ -46,8 +50,8 @@ class TestFit:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]] * 4)
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1] * 4)
         model = fit_tree(_dataset(X, y), minsplit=2)
-        assert model.root.feature == 0
-        assert model.root.threshold == 6.5
+        assert model.root.feature[0] == 0
+        assert model.root.threshold[0] == 6.5
         p = predict_proba(model, np.array([[1.0], [12.5]]))
         assert p[0] == 0.0 and p[1] == 1.0
 
@@ -62,51 +66,62 @@ class TestFit:
             model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0, maxdepth=1)
             exp_f, exp_t, _ = exhaustive_best_split(X, y)
             if exp_f < 0:
-                assert model.root.is_leaf
+                assert len(model.root.n) == 1 and model.root.feature[0] == -1
             else:
-                assert model.root.feature == exp_f
-                assert model.root.threshold == exp_t
+                assert model.root.feature[0] == exp_f
+                assert model.root.threshold[0] == exp_t
 
     def test_children_sum_to_parent(self, rng):
         X = rng.normal(size=(150, 5))
         y = (X[:, 2] > 0.2).astype(int)
         model = fit_tree(_dataset(X, y), minsplit=5, cp=0.0)
-        for node in _collect_nodes(model.root):
-            if not node.is_leaf:
-                assert node.left.n + node.right.n == node.n
-                assert node.left.pos + node.right.pos == node.pos
+        t = model.root
+        assert len(_inner(t)) > 0
+        for i in _inner(t):
+            assert t.n[t.left[i]] + t.n[t.right[i]] == t.n[i]
+            assert t.pos[t.left[i]] + t.pos[t.right[i]] == t.pos[i]
+
+    def test_node_arrays_form_one_tree(self, rng):
+        X = rng.normal(size=(150, 5))
+        y = (rng.random(150) < 0.5).astype(int)
+        t = fit_tree(_dataset(X, y), minsplit=2, cp=0.0).root
+        m = len(t.n)
+        assert all(len(a) == m for a in (t.feature, t.threshold, t.left, t.right, t.pos))
+        inner = _inner(t)
+        leaves = np.flatnonzero(t.feature < 0)
+        assert (t.left[leaves] == -1).all() and (t.right[leaves] == -1).all()
+        assert (t.left[inner] > inner).all() and (t.right[inner] > inner).all()
+        children = np.sort(np.concatenate([t.left[inner], t.right[inner]]))
+        assert np.array_equal(children, np.arange(1, m))
 
     def test_every_split_strictly_reduces_gini(self, rng):
         X = rng.normal(size=(120, 4))
         y = (rng.random(120) < 0.5).astype(int)
         model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0)
-        for node in _collect_nodes(model.root):
-            if not node.is_leaf:
-                parent = node_score(node.n, node.pos)
-                child = node_score(node.left.n, node.left.pos) + node_score(
-                    node.right.n, node.right.pos
-                )
-                assert child < parent
+        t = model.root
+        assert len(_inner(t)) > 0
+        for i in _inner(t):
+            left, right = t.left[i], t.right[i]
+            parent = node_score(int(t.n[i]), int(t.pos[i]))
+            child = node_score(int(t.n[left]), int(t.pos[left])) + node_score(
+                int(t.n[right]), int(t.pos[right])
+            )
+            assert child < parent
 
     def test_minsplit_respected(self, rng):
         X = rng.normal(size=(100, 3))
         y = (rng.random(100) < 0.5).astype(int)
         model = fit_tree(_dataset(X, y), minsplit=25, cp=0.0)
-        for node in _collect_nodes(model.root):
-            if not node.is_leaf:
-                assert node.n >= 25
+        t = model.root
+        assert len(_inner(t)) > 0
+        for i in _inner(t):
+            assert t.n[i] >= 25
 
     def test_maxdepth_respected(self, rng):
         X = rng.normal(size=(200, 3))
         y = (rng.random(200) < 0.5).astype(int)
         model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0, maxdepth=2)
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(model.root) <= 2
+        assert _depths(model.root).max() <= 2
 
     def test_cp_prunes_useless_splits(self, rng):
         # pure-noise labels: no split cuts misclassification by 1% of root
@@ -114,8 +129,8 @@ class TestFit:
         y = np.array([0, 1] * 100)
         model = fit_tree(_dataset(X, y), minsplit=2, cp=0.01)
         full = fit_tree(_dataset(X, y), minsplit=2, cp=0.0)
-        n_pruned = len(_collect_nodes(model.root))
-        n_full = len(_collect_nodes(full.root))
+        n_pruned = len(model.root.n)
+        n_full = len(full.root.n)
         assert n_pruned < n_full
 
     def test_scaling_feature_preserves_predictions(self, rng):
@@ -137,7 +152,7 @@ class TestPredict:
         X = rng.normal(size=(10, 2))
         y = np.array([1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
         model = fit_tree(_dataset(X, y), minsplit=50)
-        assert model.root.is_leaf
+        assert len(model.root.n) == 1 and model.root.feature[0] == -1
         p = predict_proba(model, rng.normal(size=(7, 2)))
         assert np.allclose(p, 0.8)
 
@@ -185,3 +200,20 @@ class TestSerialize:
         assert buf.getvalue() == again.getvalue()
         Xt = rng.normal(size=(30, 4))
         assert np.array_equal(predict_proba(model, Xt), predict_proba(loaded, Xt))
+
+
+class TestDeepTree:
+    def test_deep_tree_round_trips_predicts_and_introspects(self):
+        # labels alternate along one feature, so every split peels off one
+        # row: the tree is ~3,000 levels deep, past the recursion limit
+        n = 3000
+        X = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        y = np.arange(n) % 2
+        model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0, maxdepth=None)
+        assert _depths(model.root).max() > sys.getrecursionlimit()
+        buf = io.StringIO()
+        save_model(model, buf)
+        loaded = load_model(io.StringIO(buf.getvalue()))
+        assert np.array_equal(predict_proba(loaded, X), y)
+        lines = introspect(loaded).splitlines()
+        assert len(lines) == 1 + len(model.root.n)
