@@ -168,14 +168,17 @@ def read_identity_map(fileobj):
     return identities
 
 
+def _commits_by_id(identities, records):
+    """Each identity's commit records, keyed by identity id."""
+    by_sha = {r.sha: r for r in records}
+    return {i.id: [by_sha[sha] for sha in i.commit_shas] for i in identities}
+
+
 def _labeled_dataset(identities, records, label_set, cfg):
     """Join features with resolved labels; returns (dataset, commits_by_id,
     kept identities)."""
-    records_by_sha = {r.sha: r for r in records}
     filtered = lab.study_filter(identities, cfg.min_commits)
-    commits_by_id = {
-        i.id: [records_by_sha[sha] for sha in i.commit_shas] for i in filtered
-    }
+    commits_by_id = _commits_by_id(filtered, records)
     kept, ys = [], {}
     unlabeled = 0
     for ident in filtered:
@@ -190,7 +193,7 @@ def _labeled_dataset(identities, records, label_set, cfg):
         f"volunteer={len(kept) - sum(ys.values())} unlabeled={unlabeled}",
         file=sys.stderr,
     )
-    features_by_id = feat.compute_features(kept, records_by_sha)
+    features_by_id = feat.compute_features({i.id: commits_by_id[i.id] for i in kept})
     X, ids, columns = feat.feature_matrix(features_by_id, cfg.feature_mode)
     y = [ys[i] for i in ids]
     data = ml.make_dataset(X, y, columns, ids)
@@ -313,8 +316,7 @@ def cmd_features(args) -> int:
     records = _read_records(args.records)
     records = _apply_product_filter(records, args, cfg)
     identities = _load_identities(args, records)
-    records_by_sha = {r.sha: r for r in records}
-    features_by_id = feat.compute_features(identities, records_by_sha)
+    features_by_id = feat.compute_features(_commits_by_id(identities, records))
     _emit(args.out, lambda f: feat.write_features_csv(features_by_id, f, mode=args.mode))
     return 0
 
@@ -372,19 +374,17 @@ def cmd_predict(args) -> int:
             X, row_ids, columns = feat.read_features_csv(f)
     else:
         records = _read_records(args.records)
-        identities = _load_identities(args, records)
-        records_by_sha = {r.sha: r for r in records}
+        commits_by_id = _commits_by_id(_load_identities(args, records), records)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
             xs, row_ids = [], []
-            for ident in identities:
-                commits = [records_by_sha[sha] for sha in ident.commit_shas]
+            for commits in commits_by_id.values():
                 aggregates = feat.developer_features(commits)
                 X_dev, shas, columns = feat.commit_features(commits, aggregates)
                 xs.append(X_dev)
                 row_ids.extend(shas)
             X = np.vstack(xs)
         else:
-            features_by_id = feat.compute_features(identities, records_by_sha)
+            features_by_id = feat.compute_features(commits_by_id)
             X, row_ids, columns = feat.feature_matrix(features_by_id, mode="all")
             # score with the model's own columns (e.g. a no_volume model)
             keep = [i for i, c in enumerate(columns) if c in model.columns]
@@ -407,15 +407,10 @@ def cmd_commits(args) -> int:
         label_set = lab.load_labels(f)
     records = _read_records(args.records)
     records = _apply_product_filter(records, args, cfg)
-    identities = _load_identities(args, records)
-    records_by_sha = {r.sha: r for r in records}
-    filtered = lab.study_filter(identities, cfg.min_commits)
-    commits_by_id = {
-        i.id: [records_by_sha[sha] for sha in i.commit_shas] for i in filtered
-    }
+    filtered = lab.study_filter(_load_identities(args, records), cfg.min_commits)
     all_report, rest_report = ev.per_commit_experiment(
         filtered,
-        commits_by_id,
+        _commits_by_id(filtered, records),
         label_set,
         _classifier_specs(cfg),
         coverage=cfg.coverage,

@@ -9,6 +9,7 @@ a master seed through numpy's PCG64 so repeated runs are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -240,18 +241,17 @@ class BaselineSpec:
 OFFICE_START, OFFICE_END = 9, 17  # weekday window of the office-hours rule
 
 
-def _office_share(commits) -> float:
-    hits = 0
-    for c in commits:
-        lt = to_local(c.timestamp_utc, c.tz_offset_minutes)
-        if not lt.is_weekend and OFFICE_START <= lt.hour < OFFICE_END:
-            hits += 1
-    return hits / len(commits)
+def _office_flags(commits):
+    """Per commit, whether it falls on a weekday between OFFICE_START and
+    OFFICE_END in its local time."""
+    local = to_local([c.timestamp_utc for c in commits], [c.tz_offset_minutes for c in commits])
+    return (local.weekday < 5) & (OFFICE_START <= local.hour) & (local.hour < OFFICE_END)
 
 
-def _email_share(commits, domains) -> float:
-    hits = sum(1 for c in commits if c.author_email.rsplit("@", 1)[-1] in domains)
-    return hits / len(commits)
+def _email_flags(commits, domains):
+    """Per commit, whether its author address is at one of the domains."""
+    domains = set(domains)
+    return np.array([c.author_email.rsplit("@", 1)[-1] in domains for c in commits], dtype=bool)
 
 
 def baseline_predict(spec: BaselineSpec, commits_by_id, ids):
@@ -261,26 +261,17 @@ def baseline_predict(spec: BaselineSpec, commits_by_id, ids):
     listed domain and predicts hired when at least one exists; officehours
     scores the weekday 9-17 share and thresholds it.
     """
-    scores = np.zeros(len(ids))
-    predictions = np.zeros(len(ids), dtype=np.int8)
-    for i, ident_id in enumerate(ids):
-        commits = commits_by_id[ident_id]
-        if spec.kind == "allhired":
-            scores[i] = 1.0
-            predictions[i] = 1
-        elif spec.kind == "email":
-            share = _email_share(commits, set(spec.domains))
-            scores[i] = share
-            predictions[i] = 1 if share > 0 else 0
-        elif spec.kind == "officehours":
-            if not 0 < spec.threshold < 1:
-                raise ValueError("officehours threshold must be in (0,1)")
-            share = _office_share(commits)
-            scores[i] = share
-            predictions[i] = 1 if share >= spec.threshold else 0
-        else:
-            raise ValueError(f"unknown baseline kind {spec.kind!r}")
-    return scores, predictions
+    if spec.kind == "allhired":
+        return np.ones(len(ids)), np.ones(len(ids), dtype=np.int8)
+    if spec.kind == "email":
+        scores = np.array([_email_flags(commits_by_id[i], spec.domains).mean() for i in ids])
+        return scores, (scores > 0).astype(np.int8)
+    if spec.kind == "officehours":
+        if not 0 < spec.threshold < 1:
+            raise ValueError("officehours threshold must be in (0,1)")
+        scores = np.array([_office_flags(commits_by_id[i]).mean() for i in ids])
+        return scores, (scores >= spec.threshold).astype(np.int8)
+    raise ValueError(f"unknown baseline kind {spec.kind!r}")
 
 
 def baseline_cell(spec: BaselineSpec, commits_by_id, ids, truth) -> Cell:
@@ -310,14 +301,6 @@ def default_baselines(domains=("mozilla.com",)):
         BaselineSpec(kind="officehours", threshold=0.5),
         BaselineSpec(kind="officehours", threshold=0.95),
     ]
-
-
-def _commit_office_flags(commits):
-    out = np.zeros(len(commits), dtype=np.int8)
-    for i, c in enumerate(commits):
-        lt = to_local(c.timestamp_utc, c.tz_offset_minutes)
-        out[i] = 1 if (not lt.is_weekend and OFFICE_START <= lt.hour < OFFICE_END) else 0
-    return out
 
 
 def per_commit_experiment(
@@ -354,21 +337,20 @@ def per_commit_experiment(
             break
     held_out = labeled[len(train_devs):]
 
-    def build(devs):
-        xs, ys, shas, commit_lists = [], [], [], []
-        for ident in devs:
-            commits = commits_by_id[ident.id]
-            aggregates = feat.developer_features(commits)
-            X, dev_shas, _ = feat.commit_features(commits, aggregates)
-            statuses = lab.commit_labels(ident.id, commits, label_set)
-            xs.append(X)
-            ys.extend(1 if s == lab.HIRED else 0 for s in statuses)
-            shas.extend(dev_shas)
-            commit_lists.extend(sorted(commits, key=lambda c: (c.timestamp_utc, c.sha)))
-        X = np.vstack(xs)
-        return ml.make_dataset(X, ys, feat.COMMIT_FEATURE_COLUMNS, shas), commit_lists
+    per_dev = {}  # identity id -> (X, y, shas, commits sorted by (timestamp, sha))
+    for ident in labeled:
+        commits = sorted(commits_by_id[ident.id], key=lambda c: (c.timestamp_utc, c.sha))
+        X, shas, _ = feat.commit_features(commits, feat.developer_features(commits))
+        statuses = lab.commit_labels(ident.id, commits, label_set)
+        per_dev[ident.id] = (X, [1 if s == lab.HIRED else 0 for s in statuses], shas, commits)
 
-    train_data, train_commits = build(train_devs)
+    def build(devs):
+        X, ys, shas, commits = zip(*(per_dev[ident.id] for ident in devs))
+        data = ml.make_dataset(np.vstack(X), list(chain(*ys)), feat.COMMIT_FEATURE_COLUMNS,
+                               list(chain(*shas)))
+        return data, list(chain(*commits))
+
+    train_data, _ = build(train_devs)
     if len(np.unique(train_data.y)) < 2:
         raise SingleClassError("training developers carry a single class")
     all_data, all_commits = build(labeled)
@@ -393,14 +375,8 @@ def per_commit_experiment(
             truth = data.y
             allpaid = np.ones(len(truth))
             cells.append(_cell_from_scores("allpaid", 0, 0, allpaid, truth))
-            email_scores = np.array(
-                [
-                    1.0 if c.author_email.rsplit("@", 1)[-1] in set(domains) else 0.0
-                    for c in commits
-                ]
-            )
-            cells.append(_cell_from_scores("email", 0, 0, email_scores, truth))
-            office_scores = _commit_office_flags(commits).astype(np.float64)
-            cells.append(_cell_from_scores("officehours", 0, 0, office_scores, truth))
+            for name, flags in (("email", _email_flags(commits, domains)),
+                                ("officehours", _office_flags(commits))):
+                cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), truth))
         reports.append(EvalReport(cells=cells, config=dict(config or {})))
     return reports[0], reports[1]

@@ -8,9 +8,7 @@ percentiles of weekday commit hours.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -79,73 +77,69 @@ class DeveloperFeatures:
         return [float(getattr(self, name)) for name in FEATURE_COLUMNS]
 
 
-def _sorted_commits(commits):
-    return sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
+def _calendar(commits):
+    """The commits sorted by (timestamp, sha), their UTC timestamps, their
+    local calendar and their changed lines (NaN for binary-only commits)."""
+    commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
+    ts = np.array([c.timestamp_utc for c in commits], dtype=np.int64)
+    local = to_local(ts, [c.tz_offset_minutes for c in commits])
+    added = np.array([c.lines_added for c in commits], dtype=np.float64)
+    deleted = np.array([c.lines_deleted for c in commits], dtype=np.float64)
+    lines = np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan)
+    return commits, ts, local, lines
+
+
+def _median(values) -> float:
+    s = np.sort(values)
+    return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
 
 
 def _nearest_rank(sorted_values, pct):
     k = max(1, -(-len(sorted_values) * pct // 100))  # ceil
-    return sorted_values[k - 1]
+    return int(sorted_values[k - 1])
+
+
+def _share(mask) -> float:
+    return np.count_nonzero(mask) / len(mask)
 
 
 def developer_features(commits) -> DeveloperFeatures:
     """The 16 activity metrics for one identity's commits."""
-    commits = _sorted_commits(commits)
+    commits, ts, local, lines = _calendar(commits)
     if not commits:
         raise ValueError("developer_features requires at least one commit")
-    locals_ = [to_local(c.timestamp_utc, c.tz_offset_minutes) for c in commits]
-    n = len(commits)
-
-    dates = [lt.date for lt in locals_]
-    hours = [lt.hour for lt in locals_]
-
-    deltas = [
-        (b.timestamp_utc - a.timestamp_utc) / 86400.0 for a, b in zip(commits, commits[1:])
-    ]
-    locs = [
-        c.lines_added + c.lines_deleted
-        for c in commits
-        if c.lines_added >= 0 and c.lines_deleted >= 0
-    ]
-
-    weekday_hours = sorted(
-        lt.hour for lt in locals_ if not lt.is_weekend
-    )
-    if weekday_hours:
+    hour, weekend = local.hour, local.weekday >= 5
+    deltas = np.diff(ts) / 86400.0
+    locs = lines[~np.isnan(lines)]
+    weekday_hours = np.sort(hour[~weekend])
+    if len(weekday_hours):
         beginning = _nearest_rank(weekday_hours, 10)
         end = _nearest_rank(weekday_hours, 90)
     else:
         beginning = end = 0
-
-    hour_counts = Counter(hours)
-    most_active = max(range(24), key=lambda h: (hour_counts.get(h, 0), -h))
-
     return DeveloperFeatures(
-        period=(max(dates) - min(dates)).days,
-        days=len(set(dates)),
-        weeks=len({(lt.iso_year, lt.iso_week) for lt in locals_}),
-        timediff=float(median(deltas)) if deltas else 0.0,
-        commits=n,
-        loc_per_commit=float(median(locs)) if locs else 0.0,
-        weekend=sum(lt.is_weekend for lt in locals_) / n,
-        night=sum(0 <= h < 6 for h in hours) / n,
-        morning=sum(6 <= h < 12 for h in hours) / n,
-        afternoon=sum(12 <= h < 18 for h in hours) / n,
-        evening=sum(18 <= h < 24 for h in hours) / n,
-        office=sum(8 <= h < 17 for h in hours) / n,
-        most_active_hour=most_active,
+        period=int(local.day.max() - local.day.min()),
+        days=len(np.unique(local.day)),
+        weeks=len(np.unique(local.iso_year * 100 + local.iso_week)),
+        timediff=_median(deltas) if len(deltas) else 0.0,
+        commits=len(commits),
+        loc_per_commit=_median(locs) if len(locs) else 0.0,
+        weekend=_share(weekend),
+        night=_share(hour < 6),
+        morning=_share((6 <= hour) & (hour < 12)),
+        afternoon=_share((12 <= hour) & (hour < 18)),
+        evening=_share(18 <= hour),
+        office=_share((8 <= hour) & (hour < 17)),
+        most_active_hour=int(np.bincount(hour, minlength=24).argmax()),
         beginning_regular=beginning,
         length_regular=end - beginning,
         end_regular=end,
     )
 
 
-def compute_features(identities, records_by_sha) -> dict[str, DeveloperFeatures]:
-    """DeveloperFeatures per identity id."""
-    return {
-        ident.id: developer_features([records_by_sha[sha] for sha in ident.commit_shas])
-        for ident in identities
-    }
+def compute_features(commits_by_id) -> dict[str, DeveloperFeatures]:
+    """DeveloperFeatures per identity id, from each identity's commits."""
+    return {ident_id: developer_features(c) for ident_id, c in commits_by_id.items()}
 
 
 def matrix_columns(mode: str) -> list[str]:
@@ -171,41 +165,23 @@ def feature_matrix(features_by_id, mode="all"):
 def commit_features(commits, aggregates: DeveloperFeatures):
     """Per-commit vectors for one identity, aligned with the commits sorted
     by (timestamp, sha). Returns (X, shas, column names)."""
-    commits = _sorted_commits(commits)
-    rows = []
-    prev_ts = None
-    for c in commits:
-        lt = to_local(c.timestamp_utc, c.tz_offset_minutes)
-        h = lt.hour
-        if c.lines_added >= 0 and c.lines_deleted >= 0:
-            loc = float(c.lines_added + c.lines_deleted)
-        else:
-            loc = aggregates.loc_per_commit
-        if prev_ts is None:
-            since = aggregates.timediff
-        else:
-            since = (c.timestamp_utc - prev_ts) / 86400.0
-        prev_ts = c.timestamp_utc
-        rows.append(
-            [
-                float(lt.is_weekend),
-                float(h),
-                float(0 <= h < 6),
-                float(6 <= h < 12),
-                float(12 <= h < 18),
-                float(18 <= h < 24),
-                float(8 <= h < 17),
-                loc,
-                since,
-                aggregates.weekend,
-                aggregates.night,
-                aggregates.morning,
-                aggregates.afternoon,
-                aggregates.evening,
-                aggregates.office,
-            ]
-        )
-    X = np.array(rows, dtype=np.float64).reshape(len(commits), len(COMMIT_FEATURE_COLUMNS))
+    commits, ts, local, lines = _calendar(commits)
+    hour = local.hour
+    since = np.concatenate([[aggregates.timediff], np.diff(ts) / 86400.0])[: len(ts)]
+    shares = [aggregates.weekend, aggregates.night, aggregates.morning,
+              aggregates.afternoon, aggregates.evening, aggregates.office]
+    X = np.column_stack([
+        local.weekday >= 5,
+        hour,
+        hour < 6,
+        (6 <= hour) & (hour < 12),
+        (12 <= hour) & (hour < 18),
+        18 <= hour,
+        (8 <= hour) & (hour < 17),
+        np.where(np.isnan(lines), aggregates.loc_per_commit, lines),
+        since,
+        np.broadcast_to(shares, (len(ts), len(shares))),
+    ]).astype(np.float64)
     return X, [c.sha for c in commits], list(COMMIT_FEATURE_COLUMNS)
 
 

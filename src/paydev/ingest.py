@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from typing import NamedTuple
+
+import numpy as np
 
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
 
@@ -39,6 +41,10 @@ CANONICAL_FIELDS = (
     "message",
 )
 
+# Local instants (ts_utc + 60 * offset) must fall in years 1-9999:
+# 0001-01-01T00:00:00 .. 9999-12-31T23:59:59.
+LOCAL_MIN, LOCAL_MAX = -62135596800, 253402300799
+
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -55,36 +61,35 @@ class CommitRecord:
     message: str
 
 
-@dataclass(frozen=True)
-class LocalTime:
-    """Civil time of an instant under a fixed minutes-east-of-UTC offset."""
+class LocalCalendar(NamedTuple):
+    """Civil calendar of instants under fixed minutes-east-of-UTC offsets,
+    one int64 array per field."""
 
-    date: date
-    hour: int
-    minute: int
-    weekday: int  # Monday=0 .. Sunday=6
-    iso_year: int
-    iso_week: int
-
-    @property
-    def is_weekend(self) -> bool:
-        return self.weekday >= 5
+    day: np.ndarray  # days since 1970-01-01
+    hour: np.ndarray
+    weekday: np.ndarray  # Monday=0 .. Sunday=6
+    iso_year: np.ndarray
+    iso_week: np.ndarray
 
 
-def to_local(ts_utc: int, offset_minutes: int) -> LocalTime:
-    """Civil decomposition of ts_utc shifted by offset_minutes."""
-    if not -1440 <= offset_minutes <= 1440:
-        raise ValueError(f"tz offset out of range: {offset_minutes}")
-    dt = datetime.fromtimestamp(ts_utc + 60 * offset_minutes, tz=timezone.utc)
-    iso_year, iso_week, _ = dt.isocalendar()
-    return LocalTime(
-        date=dt.date(),
-        hour=dt.hour,
-        minute=dt.minute,
-        weekday=dt.weekday(),
-        iso_year=iso_year,
-        iso_week=iso_week,
-    )
+def to_local(ts_utc, offset_minutes) -> LocalCalendar:
+    """Civil decomposition of each ts_utc shifted by its offset_minutes.
+
+    Every local instant must fall in years 1-9999 (see LOCAL_MIN/LOCAL_MAX);
+    the readers reject records outside them.
+    """
+    offset = np.asarray(offset_minutes, dtype=np.int64)
+    if np.any(np.abs(offset) > 1440):
+        raise ValueError("tz offset out of range")
+    local = np.asarray(ts_utc, dtype=np.int64) + 60 * offset
+    if np.any(local < LOCAL_MIN) or np.any(local > LOCAL_MAX):
+        raise ValueError("local time outside years 1-9999")
+    day, secs = np.divmod(local, 86400)
+    weekday = (day + 3) % 7
+    thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
+    iso_year = thursday.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
+    jan1 = iso_year.astype("datetime64[Y]").astype("datetime64[D]").astype(np.int64)
+    return LocalCalendar(day, secs // 3600, weekday, iso_year + 1970, (thursday - jan1) // 7 + 1)
 
 
 def _decode(raw: bytes) -> str:
@@ -131,6 +136,12 @@ def _parse_header(header: bytes, offset: int, index: int):
     if not ad_tokens or not ad_tokens[-1]:
         raise ParseError("missing timezone offset", byte_offset=offset, record_index=index)
     tz = _parse_offset(ad_tokens[-1], offset, index)
+    if not LOCAL_MIN <= ts + 60 * tz <= LOCAL_MAX:
+        raise ParseError(
+            f"timestamp {ts} with offset {tz} is outside years 1-9999",
+            byte_offset=offset,
+            record_index=index,
+        )
     return sha_raw.decode("ascii"), _decode(name_raw), _decode(email_raw).lower(), ts, tz
 
 
@@ -261,6 +272,8 @@ def read_canonical(fileobj) -> list[CommitRecord]:
         seen.add(obj["sha"])
         if not -1440 <= obj["tz_offset_minutes"] <= 1440:
             raise SchemaError("tz_offset_minutes out of range", line=lineno)
+        if not LOCAL_MIN <= obj["timestamp_utc"] + 60 * obj["tz_offset_minutes"] <= LOCAL_MAX:
+            raise SchemaError("local time outside years 1-9999", line=lineno)
         if obj["author_email"] != obj["author_email"].lower():
             raise SchemaError("author_email must be lowercase", line=lineno)
         if obj["lines_added"] < -1 or obj["lines_deleted"] < -1:

@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass, field
 from datetime import date
 
+import numpy as np
+
 from paydev.errors import SchemaError, UnlabeledIdentityError
 from paydev.ingest import to_local
 
@@ -85,12 +87,16 @@ def study_filter(identities, min_commits: int = 100):
     return [i for i in identities if len(i.commit_shas) > min_commits]
 
 
-def _commit_hired(record, intervals) -> bool:
-    local_date = to_local(record.timestamp_utc, record.tz_offset_minutes).date
-    return any(
-        start <= local_date and (stop is None or local_date <= stop)
-        for start, stop in intervals
-    )
+_EPOCH = date(1970, 1, 1).toordinal()
+
+
+def _hired(commits, intervals):
+    """Per commit, whether its local date falls inside a hired period."""
+    day = to_local([c.timestamp_utc for c in commits],
+                   [c.tz_offset_minutes for c in commits]).day[:, None]
+    start = np.array([a.toordinal() - _EPOCH for a, _ in intervals])
+    stop = np.array([(b or date.max).toordinal() - _EPOCH for _, b in intervals])
+    return ((start <= day) & (day <= stop)).any(axis=1)
 
 
 def resolve_status(identity_id, commits, labels: LabelSet) -> str | None:
@@ -98,17 +104,17 @@ def resolve_status(identity_id, commits, labels: LabelSet) -> str | None:
     exist, the direct status otherwise, None when unlabeled."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        hired = sum(_commit_hired(c, intervals) for c in commits)
+        hired = np.count_nonzero(_hired(commits, intervals))
         return HIRED if hired / len(commits) >= 0.5 else VOLUNTEER
     return labels.entries.get(identity_id)
 
 
 def commit_labels(identity_id, commits, labels: LabelSet) -> list[str]:
     """Per-commit statuses aligned with commits sorted by (timestamp, sha)."""
-    commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
     intervals = labels.periods.get(identity_id)
     if intervals:
-        return [HIRED if _commit_hired(c, intervals) else VOLUNTEER for c in commits]
+        commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
+        return np.where(_hired(commits, intervals), HIRED, VOLUNTEER).tolist()
     status = labels.entries.get(identity_id)
     if status is None:
         raise UnlabeledIdentityError(f"identity {identity_id!r} has no label")

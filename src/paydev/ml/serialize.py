@@ -8,6 +8,7 @@ Each tree is an object of six equal-length node arrays (see tree.Tree).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -41,19 +42,30 @@ def _is_number(v):
     return type(v) is float or (type(v) is int and abs(v) <= 2**53)
 
 
+def _is_finite(v):
+    return _is_number(v) and math.isfinite(v)
+
+
 def _number(obj, key):
+    """obj[key] as a finite number."""
     value = _get(obj, key, (int, float))
-    if not _is_number(value):
+    if not _is_finite(value):
         raise SchemaError(f"model file: {key!r} out of range")
     return value
 
 
-def _floats(obj, key, size=None):
-    """obj[key] as a float64 array; size=None accepts any length."""
+def _floats(obj, key, size=None, allowed=_is_number):
+    """obj[key] as a float64 array; size=None accepts any length, and every
+    element must pass `allowed`."""
     values = _get(obj, key, list)
-    if size not in (None, len(values)) or not all(_is_number(v) for v in values):
-        raise SchemaError(f"model file: {key!r} is not a list of numbers of the right length")
+    if size not in (None, len(values)) or not all(allowed(v) for v in values):
+        raise SchemaError(f"model file: {key!r} is not a list of valid numbers of the right length")
     return np.array(values, dtype=np.float64)
+
+
+def _impute(obj, p):
+    """NaN stands for a column with no training value; ±inf is never valid."""
+    return _floats(obj, "impute", p, lambda v: _is_number(v) and not math.isinf(v))
 
 
 def _ints_in(values, lo, hi):
@@ -71,7 +83,7 @@ def _tree_from_obj(obj, p) -> Tree:
         raise SchemaError("model file: tree arrays are empty or of unequal length")
     if not (
         _ints_in(feature, -1, p) and _ints_in(left, -1, m) and _ints_in(right, -1, m)
-        and _ints_in(n, 1, 2**53) and all(_is_number(v) for v in threshold)
+        and _ints_in(n, 1, 2**53) and all(_is_finite(v) for v in threshold)
         and all(type(k) is int and 0 <= k <= c for k, c in zip(pos, n))
     ):
         raise SchemaError("model file: tree array element mistyped or out of range")
@@ -163,12 +175,12 @@ def load_model(fileobj):
     payload = _get(obj, "payload", dict)
     if kind == "logit":
         return LogitModel(
-            coef=_floats(payload, "coef", p),
+            coef=_floats(payload, "coef", p, _is_finite),
             intercept=_number(payload, "intercept"),
-            mean=_floats(payload, "mean", p),
-            scale=_floats(payload, "scale", p),
+            mean=_floats(payload, "mean", p, _is_finite),
+            scale=_floats(payload, "scale", p, lambda v: _is_finite(v) and v > 0),
             columns=columns,
-            impute=_floats(payload, "impute", p),
+            impute=_impute(payload, p),
             converged=_get(payload, "converged", bool),
             n_iter=_get(payload, "n_iter", int),
             loss_history=_floats(payload, "loss_history").tolist(),
@@ -177,11 +189,11 @@ def load_model(fileobj):
         return TreeModel(
             root=_tree_from_obj(_get(payload, "root", dict), p),
             columns=columns,
-            impute=_floats(payload, "impute", p),
+            impute=_impute(payload, p),
             minsplit=_get(params, "minsplit", int),
             cp=_number(params, "cp"),
             maxdepth=_get(params, "maxdepth", (int, type(None))),
-            importance=_floats(payload, "importance", p),
+            importance=_floats(payload, "importance", p, _is_finite),
         )
     if kind == "forest":
         trees = _get(payload, "trees", list)
@@ -190,11 +202,11 @@ def load_model(fileobj):
         return ForestModel(
             trees=[_tree_from_obj(t, p) for t in trees],
             columns=columns,
-            impute=_floats(payload, "impute", p),
+            impute=_impute(payload, p),
             n_trees=len(trees),
             mtry=_get(params, "mtry", int),
             seed=_get(params, "seed", int),
             bootstrap=_get(params, "bootstrap", bool),
-            importance=_floats(payload, "importance", p),
+            importance=_floats(payload, "importance", p, _is_finite),
         )
     raise SchemaError(f"unknown model kind {kind!r}")

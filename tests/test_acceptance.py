@@ -338,7 +338,8 @@ def test_criterion_10_introspection():
     from paydev.identity import merge_identities
 
     identities = merge_identities(records)
-    feats = compute_features(identities, {r.sha: r for r in records})
+    by_sha = {r.sha: r for r in records}
+    feats = compute_features({i.id: [by_sha[s] for s in i.commit_shas] for i in identities})
     X, ids, columns = feature_matrix(feats, "all")
     y = [1 if labels[i] == "hired" else 0 for i in ids]
     model = fit_tree(make_dataset(X, y, columns, ids))

@@ -112,6 +112,22 @@ class TestSynthAndIngest:
         assert run_cli("ingest", str(bad)) == 3
 
 
+    def test_local_time_outside_years_1_to_9999_exit_3(self, tmp_path, capsys):
+        export = tmp_path / "export.log"
+        export.write_bytes(b"\x1e" + b"a" * 40 + b"\x1fA\x1fa@x.org\x1f99999999999999"
+                           b"\x1f2017-01-02 14:00:00 +0000\n1\t0\ta.c\n")
+        assert run_cli("ingest", str(export)) == 3
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({
+            "sha": "a" * 40, "author_name": "A", "author_email": "a@x.org",
+            "timestamp_utc": 10**12, "tz_offset_minutes": 0, "lines_added": 1,
+            "lines_deleted": 0, "message": "",
+        }) + "\n")
+        assert run_cli("features", str(records)) == 3
+        err = capsys.readouterr().err
+        assert err.count("years 1-9999") == 2 and "internal error" not in err
+
+
 class TestIdentitiesAndFeatures:
     def test_identity_map_and_features(self, corpus, tmp_path):
         records, _ = corpus
@@ -345,16 +361,38 @@ def _key_paths(obj, path=()):
             yield from _key_paths(value, path + (i,))
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+# numbers load_model rejects: per model kind, (section, key) -> bad values
+BAD_NUMBERS = {
+    "logit": {("payload", "coef"): NONFINITE, ("payload", "intercept"): NONFINITE,
+              ("payload", "mean"): NONFINITE, ("payload", "scale"): NONFINITE + [0.0, -1.0],
+              ("payload", "impute"): NONFINITE[1:]},
+    "tree": {("payload", "importance"): NONFINITE, ("params", "cp"): NONFINITE,
+             ("payload", "impute"): NONFINITE[1:]},
+    "forest": {("payload", "importance"): NONFINITE, ("payload", "impute"): NONFINITE[1:]},
+}
+
+
 class TestModelFiles:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_damaged_model_file_exit_3(self, model_files, data):
         d, features, models = model_files
         doc = json.loads(json.dumps(models[data.draw(st.sampled_from(sorted(models)))]))
-        damage = data.draw(st.sampled_from(["truncate", "delete", "mistype"]))
+        damage = data.draw(st.sampled_from(["truncate", "delete", "mistype", "number"]))
         if damage == "truncate":
             text = json.dumps(doc)
             text = text[: data.draw(st.integers(0, len(text) - 1))]
+        elif damage == "number":
+            bad = BAD_NUMBERS[doc["kind"]]
+            section, key = data.draw(st.sampled_from(sorted(bad)))
+            value = data.draw(st.sampled_from(bad[section, key]))
+            target = doc[section]
+            if isinstance(target[key], list):
+                target[key][data.draw(st.integers(0, len(target[key]) - 1))] = value
+            else:
+                target[key] = value
+            text = json.dumps(doc)
         else:
             path, key = data.draw(st.sampled_from(list(_key_paths(doc))))
             parent = doc
@@ -384,7 +422,8 @@ class TestModelFiles:
         node = data.draw(st.integers(0, m - 1))
         int_key = data.draw(st.sampled_from(["feature", "left", "right", "n", "pos"]))
         damage = data.draw(st.sampled_from(
-            ["child", "twin", "feature", "huge", "mistyped", "n", "pos", "length", "magic"]
+            ["child", "twin", "feature", "huge", "mistyped", "n", "pos", "length", "threshold",
+             "magic"]
         ))
         if damage == "child":  # a child at its own node or an earlier one
             node = data.draw(st.sampled_from(inner))
@@ -403,6 +442,8 @@ class TestModelFiles:
             tree["n"][node] = 0
         elif damage == "pos":
             tree["pos"][node] = tree["n"][node] + data.draw(st.integers(1, 3))
+        elif damage == "threshold":
+            tree["threshold"][node] = data.draw(st.sampled_from(NONFINITE))
         elif damage == "length":
             key = data.draw(st.sampled_from(sorted(tree)))
             tree[key] = tree[key][:-1] if data.draw(st.booleans()) else tree[key] + [0]
@@ -429,6 +470,15 @@ class TestModelFiles:
         damaged = d / "damaged.json"
         damaged.write_text(json.dumps(doc))
         assert run_cli("predict", str(damaged), "--features", str(features)) == 3
+
+    def test_nan_impute_is_accepted(self, model_files, tmp_path):
+        """NaN imputes a column that had no training value; only ±inf is invalid."""
+        d, features, models = model_files
+        doc = json.loads(json.dumps(models["logit"]))
+        doc["payload"]["impute"][0] = float("nan")
+        model = tmp_path / "nan-impute.json"
+        model.write_text(json.dumps(doc))
+        assert run_cli("predict", str(model), "--features", str(features)) == 0
 
     def test_v1_model_file_asks_to_retrain(self, model_files, capsys):
         d, features, models = model_files

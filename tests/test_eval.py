@@ -25,6 +25,8 @@ from paydev.ml import make_dataset
 
 
 from oracle_auc import pairwise_auc
+from oracle_calendar import local_civil
+from paydev import evaluation
 
 
 class TestRocAuc:
@@ -254,6 +256,27 @@ class TestBaselines:
         )
         assert p05.tolist() == [1, 1]  # everybody hired
         assert p95.tolist() == [0, 0]  # nobody hired
+
+
+def test_office_flags_match_calendar_oracle(rng):
+    """Per commit and per developer, on a multi-timezone corpus spanning
+    years 1-9999: weekday and 9 <= local hour < 17."""
+    commits = [
+        make_record(sha=sha_of(i), timestamp_utc=int(ts), tz_offset_minutes=int(off))
+        for i, (ts, off) in enumerate(zip(
+            np.concatenate([rng.integers(-6.2e10, 2.5e11, 400),
+                            rng.integers(1.4e9, 1.6e9, 400)]),
+            rng.integers(-1440, 1441, 800),
+        ))
+    ]
+    expected = []
+    for c in commits:
+        *_, hour, _, weekday, _, _ = local_civil(c.timestamp_utc, c.tz_offset_minutes)
+        expected.append(weekday < 5 and 9 <= hour < 17)
+    assert evaluation._office_flags(commits).tolist() == expected
+    by_dev = {f"d{k}": commits[k::7] for k in range(7)}
+    scores, _ = baseline_predict(BaselineSpec(kind="officehours"), by_dev, sorted(by_dev))
+    assert scores.tolist() == [np.mean(expected[k::7]) for k in range(7)]
 
 
 class TestPerCommitExperiment:

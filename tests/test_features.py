@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, sha_of
+from oracle_calendar import local_civil
 from oracle_features import brute_force_features
 from paydev.features import (
     COMMIT_FEATURE_COLUMNS,
@@ -223,3 +224,38 @@ class TestCommitFeatures:
         aggregates = developer_features(recs)
         X, _, columns = commit_features(recs, aggregates)
         assert X[1][columns.index("loc")] == aggregates.loc_per_commit == 8.0
+
+    def test_columns_match_calendar_oracle(self, rng):
+        """Row by row on a multi-timezone history spanning years 1-9999."""
+        commits = [
+            make_record(
+                sha=sha_of(i),
+                timestamp_utc=int(ts),
+                tz_offset_minutes=int(off),
+                lines_added=int(rng.integers(-1, 50)),
+            )
+            for i, (ts, off) in enumerate(zip(
+                np.concatenate([rng.integers(-6.2e10, 2.5e11, 300),
+                                rng.integers(1.4e9, 1.6e9, 300)]),
+                rng.integers(-1440, 1441, 600),
+            ))
+        ]
+        aggregates = developer_features(commits)
+        X, shas, columns = commit_features(commits, aggregates)
+        by_sha = {c.sha: c for c in commits}
+        col = {c: i for i, c in enumerate(columns)}
+        assert len(shas) == len(commits)
+        for row, sha in zip(X, shas):
+            c = by_sha[sha]
+            *_, hour, _, weekday, _, _ = local_civil(c.timestamp_utc, c.tz_offset_minutes)
+            expected = {
+                "weekend_flag": weekday >= 5,
+                "hour": hour,
+                "night_flag": hour < 6,
+                "morning_flag": 6 <= hour < 12,
+                "afternoon_flag": 12 <= hour < 18,
+                "evening_flag": 18 <= hour,
+                "office_flag": 8 <= hour < 17,
+            }
+            assert {k: row[col[k]] for k in expected} == {
+                k: float(v) for k, v in expected.items()}

@@ -1,14 +1,18 @@
 import io
 import json
+from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, sha_of
-from oracle_calendar import local_civil
+from oracle_calendar import days_from_civil, local_civil
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
 from paydev.ingest import (
+    LOCAL_MAX,
+    LOCAL_MIN,
     CommitRecord,
     parse_git_log,
     read_canonical,
@@ -90,6 +94,26 @@ class TestParseGitLog:
         with pytest.raises(ParseError):
             parse_git_log(record_bytes(SHA_A, ad="2017-01-02 14:00:00 +2500"))
 
+    @pytest.mark.parametrize("at, ad_offset, ok", [
+        (99999999999999, "+0000", False),
+        (LOCAL_MAX, "+0000", True),
+        (LOCAL_MAX + 1, "+0000", False),
+        (LOCAL_MAX - 60, "+0001", True),
+        (LOCAL_MAX - 59, "+0001", False),
+        (LOCAL_MIN, "+0000", True),
+        (LOCAL_MIN, "-0001", False),
+        (-(10**30), "+0000", False),
+    ])
+    def test_local_time_outside_years_1_to_9999(self, at, ad_offset, ok):
+        data = record_bytes(SHA_A) + b"\n" + record_bytes(
+            SHA_B, at=at, ad=f"2017-01-02 14:00:00 {ad_offset}")
+        if ok:
+            assert parse_git_log(data)[1].timestamp_utc == at
+        else:
+            with pytest.raises(ParseError) as exc:
+                parse_git_log(data)
+            assert "record 1" in str(exc.value) and "years 1-9999" in str(exc.value)
+
     def test_garbage_before_first_sentinel(self):
         with pytest.raises(ParseError):
             parse_git_log(b"junk" + record_bytes(SHA_A))
@@ -117,45 +141,93 @@ class TestParseGitLog:
         assert isinstance(result, list)
 
 
+def _one(ts, off):
+    """to_local of a single instant, as a dict of Python ints."""
+    return {k: int(v[0]) for k, v in to_local([ts], [off])._asdict().items()}
+
+
+def _day(y, m, d):
+    return (date(y, m, d) - date(1970, 1, 1)).days
+
+
+# (local instant, offset) pairs over the whole accepted range, years 1-9999
+_local_instants = st.lists(
+    st.tuples(st.integers(LOCAL_MIN, LOCAL_MAX), st.integers(-1440, 1440)),
+    min_size=1, max_size=300,
+)
+
+
 class TestToLocal:
     def test_positive_offset(self):
-        lt = to_local(1483255800, 120)  # 2017-01-01T07:30:00Z
-        assert (lt.date.isoformat(), lt.hour, lt.weekday) == ("2017-01-01", 9, 6)
+        lt = _one(1483255800, 120)  # 2017-01-01T07:30:00Z
+        assert (lt["day"], lt["hour"], lt["weekday"]) == (_day(2017, 1, 1), 9, 6)
 
     def test_zero_offset_is_utc(self):
-        lt = to_local(1483255800, 0)
-        assert (lt.hour, lt.minute) == (7, 30)
+        lt = _one(1483255800, 0)
+        assert (lt["day"], lt["hour"]) == (_day(2017, 1, 1), 7)
 
     def test_negative_offset_crosses_midnight(self):
-        lt = to_local(1483315200, -60)  # 2017-01-02T00:00:00Z
-        assert lt.date.isoformat() == "2017-01-01"
-        assert lt.hour == 23
-        assert lt.weekday == 6  # Sunday
-        assert (lt.iso_year, lt.iso_week) == (2016, 52)
+        lt = _one(1483315200, -60)  # 2017-01-02T00:00:00Z
+        assert lt["day"] == _day(2017, 1, 1)
+        assert lt["hour"] == 23
+        assert lt["weekday"] == 6  # Sunday
+        assert (lt["iso_year"], lt["iso_week"]) == (2016, 52)
 
     def test_offset_range_enforced(self):
         with pytest.raises(ValueError):
             to_local(0, 1441)
+        with pytest.raises(ValueError):
+            to_local([0, 0], [0, -1441])
 
-    @given(
-        st.integers(min_value=-2_000_000_000, max_value=4_000_000_000),
-        st.integers(min_value=-1440, max_value=1440),
-    )
-    @settings(max_examples=1500, deadline=None)
-    def test_matches_calendar_oracle(self, ts, off):
+    def test_local_range_enforced(self):
+        with pytest.raises(ValueError):
+            to_local([LOCAL_MAX + 1], [0])
+        with pytest.raises(ValueError):
+            to_local([LOCAL_MIN], [-1])
+        assert _one(LOCAL_MAX + 60, -1)["hour"] == 23
+
+    def test_int64_arrays_without_minute(self):
+        lt = to_local(np.array([0, 86400]), np.array([0, 30]))
+        assert lt._fields == ("day", "hour", "weekday", "iso_year", "iso_week")
+        assert all(a.dtype == np.int64 and a.shape == (2,) for a in lt)
+        empty = to_local([], [])
+        assert all(a.dtype == np.int64 and a.shape == (0,) for a in empty)
+
+    @pytest.mark.parametrize("y, m, d, weekday, iso", [
+        (1, 1, 1, 0, (1, 1)),
+        (2020, 12, 31, 3, (2020, 53)),
+        (2021, 1, 3, 6, (2020, 53)),
+        (2021, 1, 4, 0, (2021, 1)),
+        (9999, 12, 31, 4, (9999, 52)),
+    ])
+    def test_iso_boundaries(self, y, m, d, weekday, iso):
+        midnight = 86400 * _day(y, m, d)
+        for ts, off, hour in ((midnight, 0, 0), (midnight + 86399, 0, 23),
+                              (midnight + 60 * 1440, -1440, 0),
+                              (midnight - 60 * 1440 + 86399, 1440, 23)):
+            lt = _one(ts, off)
+            assert lt == {"day": _day(y, m, d), "hour": hour, "weekday": weekday,
+                          "iso_year": iso[0], "iso_week": iso[1]}
+            assert date(y, m, d).isocalendar()[:2] == iso
+
+    @given(_local_instants)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_calendar_oracle(self, pairs):
+        off = np.array([o for _, o in pairs])
+        ts = np.array([local for local, _ in pairs]) - 60 * off
         lt = to_local(ts, off)
-        y, m, d, hour, minute, weekday, iso_year, iso_week = local_civil(ts, off)
-        assert (lt.date.year, lt.date.month, lt.date.day) == (y, m, d)
-        assert (lt.hour, lt.minute, lt.weekday) == (hour, minute, weekday)
-        assert (lt.iso_year, lt.iso_week) == (iso_year, iso_week)
+        for i, (t, o) in enumerate(zip(ts.tolist(), off.tolist())):
+            y, m, d, hour, _, weekday, iso_year, iso_week = local_civil(t, o)
+            assert (lt.day[i], lt.hour[i], lt.weekday[i]) == (
+                days_from_civil(y, m, d), hour, weekday)
+            assert (lt.iso_year[i], lt.iso_week[i]) == (iso_year, iso_week)
 
-    @given(
-        st.integers(min_value=-2_000_000_000, max_value=4_000_000_000),
-        st.integers(min_value=-1440, max_value=1440),
-    )
-    @settings(max_examples=500, deadline=None)
-    def test_hour_equals_shifted_utc(self, ts, off):
-        assert to_local(ts, off).hour == to_local(ts + 60 * off, 0).hour
+    @given(_local_instants)
+    @settings(max_examples=50, deadline=None)
+    def test_hour_equals_shifted_utc(self, pairs):
+        off = np.array([o for _, o in pairs])
+        ts = np.array([local for local, _ in pairs]) - 60 * off
+        assert (to_local(ts, off).hour == to_local(ts + 60 * off, 0 * off).hour).all()
 
 
 _record_strategy = st.builds(
@@ -216,6 +288,29 @@ class TestCanonical:
         with pytest.raises(SchemaError) as exc:
             read_canonical(io.StringIO(bad))
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize("ts, off, ok", [
+        (10**12, 0, False),
+        (LOCAL_MAX, 0, True),
+        (LOCAL_MAX + 1, 0, False),
+        (LOCAL_MAX - 60, 1, True),
+        (LOCAL_MAX - 59, 1, False),
+        (LOCAL_MIN, 0, True),
+        (LOCAL_MIN + 60, -1, True),
+        (LOCAL_MIN + 59, -1, False),
+        (-(10**30), 0, False),
+    ])
+    def test_local_time_outside_years_1_to_9999(self, ts, off, ok):
+        buf = io.StringIO()
+        write_canonical([make_record(), make_record(sha=sha_of(1), timestamp_utc=ts,
+                                                    tz_offset_minutes=off)], buf)
+        buf.seek(0)
+        if ok:
+            assert read_canonical(buf)[1].timestamp_utc == ts
+        else:
+            with pytest.raises(SchemaError) as exc:
+                read_canonical(buf)
+            assert "line 2" in str(exc.value) and "years 1-9999" in str(exc.value)
 
     def test_uppercase_email_rejected(self):
         buf = io.StringIO()

@@ -17,8 +17,8 @@ def _small_spec(**kw):
 
 def _dataset(records, labels, mode="all"):
     identities = merge_identities(records)
-    records_by_sha = {r.sha: r for r in records}
-    feats = compute_features(identities, records_by_sha)
+    by_sha = {r.sha: r for r in records}
+    feats = compute_features({i.id: [by_sha[s] for s in i.commit_shas] for i in identities})
     X, ids, columns = feature_matrix(feats, mode)
     y = [1 if labels[i] == "hired" else 0 for i in ids]
     return ml.make_dataset(X, y, columns, ids)
