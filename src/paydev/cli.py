@@ -28,6 +28,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -123,15 +124,38 @@ def _apply_product_filter(records, args, cfg):
     return kept
 
 
-def _load_identities(args, records):
+def _load_identities(args, records, kept=None):
+    """Identities over the `kept` records (default: all of them): the
+    --identities map, whose every sha must be in `records` and which loses
+    the commits not kept and then the identities left with none, or else
+    identities merged afresh from `kept`."""
+    kept = records if kept is None else kept
     if getattr(args, "identities", None):
         with _open_input(args.identities) as f:
-            return read_identity_map(f)
+            identities = read_identity_map(f)
+        known = {r.sha for r in records}
+        for ident in identities:
+            missing = ident.commit_shas - known
+            if missing:
+                raise SchemaError(f"identity {ident.id!r} names commit {min(missing)}, "
+                                  "which no record has")
+        if kept is not records:
+            kept_shas = {r.sha for r in kept}
+            identities = [replace(i, commit_shas=i.commit_shas & kept_shas) for i in identities]
+            identities = [i for i in identities if i.commit_shas]
+        return identities
     overrides = []
     if getattr(args, "overrides", None):
         with _open_input(args.overrides) as f:
             overrides = ident_mod.parse_overrides(f)
-    return ident_mod.merge_identities(records, overrides)
+    return ident_mod.merge_identities(kept, overrides)
+
+
+def _study_records(args, cfg):
+    """The records the product filter keeps, and their identities."""
+    records = _read_records(args.records)
+    kept = _apply_product_filter(records, args, cfg)
+    return kept, _load_identities(args, records, kept)
 
 
 def write_identity_map(identities, fileobj) -> None:
@@ -313,9 +337,7 @@ def cmd_identities(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _build_config(args)
-    records = _read_records(args.records)
-    records = _apply_product_filter(records, args, cfg)
-    identities = _load_identities(args, records)
+    records, identities = _study_records(args, cfg)
     features_by_id = feat.compute_features(_commits_by_id(identities, records))
     _emit(args.out, lambda f: feat.write_features_csv(features_by_id, f, mode=args.mode))
     return 0
@@ -334,9 +356,7 @@ def cmd_evaluate(args) -> int:
     else:
         if not args.records:
             raise InputFileError("evaluate needs canonical records or --features")
-        records = _read_records(args.records)
-        records = _apply_product_filter(records, args, cfg)
-        identities = _load_identities(args, records)
+        records, identities = _study_records(args, cfg)
         data, commits_by_id, _ = _labeled_dataset(identities, records, label_set, cfg)
     ml.check_training(data)
 
@@ -405,9 +425,8 @@ def cmd_commits(args) -> int:
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
-    records = _read_records(args.records)
-    records = _apply_product_filter(records, args, cfg)
-    filtered = lab.study_filter(_load_identities(args, records), cfg.min_commits)
+    records, identities = _study_records(args, cfg)
+    filtered = lab.study_filter(identities, cfg.min_commits)
     all_report, rest_report = ev.per_commit_experiment(
         filtered,
         _commits_by_id(filtered, records),

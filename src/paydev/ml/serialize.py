@@ -63,11 +63,6 @@ def _floats(obj, key, size=None, allowed=_is_number):
     return np.array(values, dtype=np.float64)
 
 
-def _impute(obj, p):
-    """NaN stands for a column with no training value; ±inf is never valid."""
-    return _floats(obj, "impute", p, lambda v: _is_number(v) and not math.isinf(v))
-
-
 def _ints_in(values, lo, hi):
     return all(type(v) is int and lo <= v < hi for v in values)
 
@@ -180,7 +175,7 @@ def load_model(fileobj):
             mean=_floats(payload, "mean", p, _is_finite),
             scale=_floats(payload, "scale", p, lambda v: _is_finite(v) and v > 0),
             columns=columns,
-            impute=_impute(payload, p),
+            impute=_floats(payload, "impute", p, _is_finite),
             converged=_get(payload, "converged", bool),
             n_iter=_get(payload, "n_iter", int),
             loss_history=_floats(payload, "loss_history").tolist(),
@@ -189,7 +184,7 @@ def load_model(fileobj):
         return TreeModel(
             root=_tree_from_obj(_get(payload, "root", dict), p),
             columns=columns,
-            impute=_impute(payload, p),
+            impute=_floats(payload, "impute", p, _is_finite),
             minsplit=_get(params, "minsplit", int),
             cp=_number(params, "cp"),
             maxdepth=_get(params, "maxdepth", (int, type(None))),
@@ -202,7 +197,7 @@ def load_model(fileobj):
         return ForestModel(
             trees=[_tree_from_obj(t, p) for t in trees],
             columns=columns,
-            impute=_impute(payload, p),
+            impute=_floats(payload, "impute", p, _is_finite),
             n_trees=len(trees),
             mtry=_get(params, "mtry", int),
             seed=_get(params, "seed", int),

@@ -44,10 +44,29 @@ class TreeModel:
 def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
     """Grow one tree over rows `idx`; returns (Tree, importance).
 
-    mtry, when set, samples that many candidate features (without
-    replacement, from rng) at every node. Iterative preorder so depth is
-    not bounded by the interpreter recursion limit; a split node's children
-    are appended as the next two node rows.
+    mtry, when set below the feature count, samples that many candidate
+    features at every node with rng.choice(p, mtry, replace=False). The
+    compiled grower makes the same draws from rng's bit generator, except
+    where numpy shuffles a whole range instead (p > 10,000 and
+    mtry > p // 50): there, and without a compiled grower, the tree grows
+    in Python.
+    """
+    p = X.shape[1]
+    if mtry is None or mtry >= p:
+        mtry, rng = p, None
+    compiled = kernels.grower()
+    if compiled is None or (rng is not None and p > 10_000 and mtry > p // 50):
+        return _grow_tree_py(X, y, idx, minsplit=minsplit, cp=cp, maxdepth=maxdepth,
+                             mtry=mtry, rng=rng)
+    arrays, importance = compiled(X, y, idx, minsplit, cp, maxdepth, mtry, rng)
+    return Tree(*arrays), importance
+
+
+def _grow_tree_py(X, y, idx, *, minsplit, cp, maxdepth, mtry, rng):
+    """The Python twin of the compiled grower (_split.c), node by node.
+
+    Iterative preorder so depth is not bounded by the interpreter recursion
+    limit; a split node's children are appended as the next two node rows.
     """
     p = X.shape[1]
     all_feats = np.arange(p, dtype=np.int64)
@@ -67,7 +86,7 @@ def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
             continue
         if maxdepth is not None and depth >= maxdepth:
             continue
-        if mtry is not None and mtry < p:
+        if rng is not None:
             feats = np.sort(rng.choice(p, size=mtry, replace=False)).astype(np.int64)
         else:
             feats = all_feats

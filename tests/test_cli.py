@@ -366,10 +366,10 @@ NONFINITE = [float("nan"), float("inf"), float("-inf")]
 BAD_NUMBERS = {
     "logit": {("payload", "coef"): NONFINITE, ("payload", "intercept"): NONFINITE,
               ("payload", "mean"): NONFINITE, ("payload", "scale"): NONFINITE + [0.0, -1.0],
-              ("payload", "impute"): NONFINITE[1:]},
+              ("payload", "impute"): NONFINITE},
     "tree": {("payload", "importance"): NONFINITE, ("params", "cp"): NONFINITE,
-             ("payload", "impute"): NONFINITE[1:]},
-    "forest": {("payload", "importance"): NONFINITE, ("payload", "impute"): NONFINITE[1:]},
+             ("payload", "impute"): NONFINITE},
+    "forest": {("payload", "importance"): NONFINITE, ("payload", "impute"): NONFINITE},
 }
 
 
@@ -471,14 +471,18 @@ class TestModelFiles:
         damaged.write_text(json.dumps(doc))
         assert run_cli("predict", str(damaged), "--features", str(features)) == 3
 
-    def test_nan_impute_is_accepted(self, model_files, tmp_path):
-        """NaN imputes a column that had no training value; only ±inf is invalid."""
+    def test_nan_impute_exit_3(self, model_files, tmp_path, capsys):
+        """Training never writes a NaN impute (an all-missing column gets
+        0.0), so a file with one is damaged, even where predict would not
+        need it."""
         d, features, models = model_files
-        doc = json.loads(json.dumps(models["logit"]))
-        doc["payload"]["impute"][0] = float("nan")
-        model = tmp_path / "nan-impute.json"
-        model.write_text(json.dumps(doc))
-        assert run_cli("predict", str(model), "--features", str(features)) == 0
+        for kind in sorted(models):
+            doc = json.loads(json.dumps(models[kind]))
+            doc["payload"]["impute"][0] = float("nan")
+            model = tmp_path / f"nan-impute-{kind}.json"
+            model.write_text(json.dumps(doc))
+            assert run_cli("predict", str(model), "--features", str(features)) == 3
+            assert "'impute'" in capsys.readouterr().err
 
     def test_v1_model_file_asks_to_retrain(self, model_files, capsys):
         d, features, models = model_files
@@ -574,3 +578,48 @@ class TestProductFilter:
         lines = out.read_text().splitlines()
         assert len(lines) == 2  # header + one identity
         assert lines[1].split(",")[5] == "2"  # commits column: 2 kept
+
+    @pytest.fixture
+    def filtered_corpus(self, corpus, tmp_path):
+        """The synth corpus, its identity map, and a product map that keeps
+        the commits whose bug number is even."""
+        records, labels = corpus
+        ident_map = tmp_path / "identities.jsonl"
+        assert run_cli("identities", str(records), "--out", str(ident_map)) == 0
+        issues = [int(json.loads(line)["message"].split()[1])
+                  for line in records.read_text().splitlines()]
+        pm = tmp_path / "products.csv"
+        pm.write_text("issue_id,product\n" + "".join(
+            f"{i},{'Firefox' if i % 2 == 0 else 'Other'}\n" for i in issues))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("products=Firefox\n")
+        return records, labels, ident_map, ["--product-map", str(pm), "--config", str(cfg)]
+
+    @pytest.mark.parametrize("argv", [
+        ["features"],
+        ["evaluate", "--labels", "{labels}", "--min-commits", "10", "--folds", "3",
+         "--repeats", "1", "--forest-trees", "5"],
+        ["commits", "--labels", "{labels}", "--min-commits", "10", "--forest-trees", "5"],
+    ])
+    def test_identity_map_with_product_map(self, filtered_corpus, tmp_path, capsys, argv):
+        records, labels, ident_map, product_args = filtered_corpus
+        argv = [a.format(labels=labels) for a in argv]
+        outputs = []
+        for extra in ([], ["--identities", str(ident_map)]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run_cli(argv[0], str(records), *argv[1:], *product_args, *extra,
+                           "--out", str(out)) == 0, capsys.readouterr().err
+            outputs.append(out.read_bytes())
+        assert "kept=" in capsys.readouterr().err
+        assert outputs[0] == outputs[1]
+
+    def test_identity_map_naming_unknown_commit_exit_3(self, filtered_corpus, tmp_path, capsys):
+        records, _, ident_map, product_args = filtered_corpus
+        rows = [json.loads(line) for line in ident_map.read_text().splitlines()]
+        rows[1]["commit_shas"].append("f" * 40)
+        bad_map = tmp_path / "bad.jsonl"
+        bad_map.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        for extra in ([], product_args):
+            assert run_cli("features", str(records), "--identities", str(bad_map),
+                           *extra, "--out", str(tmp_path / "f.csv")) == 3
+            assert "f" * 40 in capsys.readouterr().err

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from oracle_split import exhaustive_best_split
-from paydev.ml import kernels
+from paydev.ml import kernels, tree
 from paydev.ml.kernels import available_backends
+from paydev.ml.serialize import TREE_ARRAYS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+needs_grower = pytest.mark.skipif(kernels.grower() is None, reason="compiled grower not in use")
 
 
 def _random_problem(rng, n=None, p=None, duplicates=False):
@@ -30,6 +32,7 @@ def _random_problem(rng, n=None, p=None, duplicates=False):
 @needs_cc
 def test_compiled_backend_available():
     assert "c" in available_backends(), "compiled kernel should be built"
+    assert kernels.grower() is not None, "the C feature draw should match numpy's"
 
 
 class TestOracle:
@@ -114,6 +117,121 @@ class TestBackendEquivalence:
         for fn in available_backends().values():
             f, t, _ = fn(X, y, np.arange(4, dtype=np.int64), np.arange(1, dtype=np.int64))
             assert (f, t) == (0, 0.5)
+
+
+def _grow_both(monkeypatch, X, y, idx, seed, **params):
+    """grow_tree with the compiled grower and with the Python one, each with
+    a fresh Generator from `seed` (None: no Generator); returns both results
+    and, per grower, the Generator's next draw after the tree."""
+    results, next_draws = [], []
+    for grower in (kernels.grower(), None):
+        monkeypatch.setattr(kernels, "grower", lambda: grower)
+        rng = None if seed is None else np.random.default_rng(seed)
+        results.append(tree.grow_tree(X, y, idx, rng=rng, **params))
+        next_draws.append(None if rng is None else rng.integers(2**62))
+    return results, next_draws
+
+
+def _assert_same_tree(a, b):
+    """Bit-identical node arrays and importances."""
+    (tree_a, imp_a), (tree_b, imp_b) = a, b
+    for key in TREE_ARRAYS:
+        x, y = getattr(tree_a, key), getattr(tree_b, key)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+    assert imp_a.tobytes() == imp_b.tobytes()
+
+
+@needs_grower
+class TestGrowerEquivalence:
+    def test_forest_trees_bit_identical(self, rng, monkeypatch):
+        for trial in range(150):
+            X, y = _random_problem(rng, duplicates=trial % 3 == 0)
+            n, p = X.shape
+            if trial % 5 == 0:
+                y[:] = trial % 2  # single-class root
+            idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
+            for mtry in range(1, p + 1):
+                results, draws = _grow_both(monkeypatch, X, y, idx, seed=trial, minsplit=2,
+                                            cp=0.0, maxdepth=None, mtry=mtry)
+                _assert_same_tree(*results)
+                assert draws[0] == draws[1], (trial, mtry)
+
+    def test_cart_trees_bit_identical(self, rng, monkeypatch):
+        for trial in range(150):
+            X, y = _random_problem(rng, duplicates=trial % 2 == 0, p=1 if trial % 7 == 0 else None)
+            idx = np.arange(len(y), dtype=np.int64)
+            params = dict(minsplit=int(rng.integers(1, 30)),
+                          cp=float(rng.choice([0.0, 0.001, 0.01, 0.05, 0.2])),
+                          maxdepth=[None, 0, 1, 2, 5, 30][trial % 6])
+            results, _ = _grow_both(monkeypatch, X, y, idx, seed=None, **params)
+            _assert_same_tree(*results)
+
+    def test_many_rows_and_features(self, rng, monkeypatch):
+        X, y = _random_problem(rng, n=3000, p=40, duplicates=True)
+        idx = np.sort(rng.integers(0, 3000, size=3000)).astype(np.int64)
+        results, draws = _grow_both(monkeypatch, X, y, idx, seed=9, minsplit=2, cp=0.0,
+                                    maxdepth=None, mtry=6)
+        _assert_same_tree(*results)
+        assert draws[0] == draws[1]
+
+    def test_empty_and_one_row(self, monkeypatch):
+        X, y = np.ones((3, 2)), np.array([0, 1, 0], dtype=np.int8)
+        for idx in ([], [1]):
+            results, _ = _grow_both(monkeypatch, X, y, np.array(idx, dtype=np.int64), seed=1,
+                                    minsplit=2, cp=0.0, maxdepth=None, mtry=1)
+            _assert_same_tree(*results)
+            assert len(results[0][0].n) == 1
+
+    def test_out_of_range_rows_rejected(self):
+        X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
+        with pytest.raises(IndexError):
+            kernels._c_grow_tree(X, y, np.array([0, 4], dtype=np.int64), 2, 0.0, None, 2, None)
+
+    @pytest.mark.parametrize("bad", ["X", "y", "idx"])
+    def test_bad_arrays_rejected(self, bad):
+        args = {"X": np.ones((4, 2)), "y": np.zeros(4, dtype=np.int8),
+                "idx": np.arange(4, dtype=np.int64)}
+        args[bad] = args[bad].astype(np.float32)
+        with pytest.raises(TypeError):
+            kernels._c_grow_tree(args["X"], args["y"], args["idx"], 2, 0.0, None, 2, None)
+
+
+@needs_cc
+def test_c_choice_matches_generator_choice():
+    draws = [(1, 1), (2, 1), (2, 2), (5, 5), (10_000, 10_000), (10_001, 200), (60_000, 1_000)]
+    draws += [(p, k) for p in range(1, 41) for k in range(0, p + 1)]
+    for seed, (p, k) in enumerate(draws):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kernels._c_choice(a, p, k)
+        assert got.tolist() == b.choice(p, k, replace=False).tolist(), (p, k)
+        assert a.integers(2**62) == b.integers(2**62), (p, k)
+
+
+@needs_cc
+def test_c_choice_differs_where_numpy_shuffles_a_range():
+    """p > 10,000 and k > p // 50: numpy shuffles a whole range, which the C
+    draw does not repeat, so grow_tree keeps such forests in Python."""
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    assert kernels._c_choice(a, 10_001, 201).tolist() != b.choice(10_001, 201,
+                                                                replace=False).tolist()
+
+
+@needs_grower
+def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
+    compiled = kernels.grower()
+    monkeypatch.setattr(kernels, "_c_choice", lambda g, p, k: np.arange(k, dtype=np.int64))
+    monkeypatch.setattr(kernels, "grower", kernels.grower.__wrapped__)  # check afresh
+    assert kernels.grower() is None
+    calls = []
+    monkeypatch.setattr(kernels, "best_split",
+                        lambda *a: calls.append(a) or kernels._c_best_split(*a))
+    X, y = _random_problem(rng, n=60, p=5)
+    idx = np.arange(60, dtype=np.int64)
+    params = dict(minsplit=2, cp=0.0, maxdepth=None, mtry=2)
+    fallback = tree.grow_tree(X, y, idx, rng=np.random.default_rng(4), **params)
+    assert calls  # the Python grower searches node by node
+    monkeypatch.setattr(kernels, "grower", lambda: compiled)
+    _assert_same_tree(fallback, tree.grow_tree(X, y, idx, rng=np.random.default_rng(4), **params))
 
 
 @needs_cc

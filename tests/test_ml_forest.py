@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paydev.errors import ColumnMismatchError
+from paydev.ml import kernels
 from paydev.ml import (
     classify,
     fit_forest,
@@ -14,6 +15,7 @@ from paydev.ml import (
     predict_proba,
     save_model,
 )
+from paydev.ml.serialize import TREE_ARRAYS
 
 
 def _dataset(X, y, columns=None):
@@ -97,6 +99,46 @@ class TestFit:
         a = predict_proba(fit_forest(data, n_trees=15, seed=2), Xt)
         b = predict_proba(fit_forest(other, n_trees=15, seed=2), Xt_scaled)
         assert np.array_equal(a, b)
+
+
+needs_grower = pytest.mark.skipif(kernels.grower() is None,
+                                  reason="compiled grower not in use")
+
+
+def _same_forest(a, b):
+    assert a.importance.tobytes() == b.importance.tobytes()
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        for key in TREE_ARRAYS:
+            assert getattr(ta, key).tobytes() == getattr(tb, key).tobytes(), key
+
+
+class TestCompiledGrower:
+    @needs_grower
+    def test_one_compiled_call_per_tree(self, rng, monkeypatch):
+        X, y = _separable(rng, n=300)
+        calls, grower = [], kernels.grower()
+        monkeypatch.setattr(kernels, "grower", lambda: lambda *a: calls.append(a) or grower(*a))
+        monkeypatch.setattr(kernels, "best_split", None)  # no per-node Python search
+        model = fit_forest(_dataset(X, y), n_trees=7, seed=2)
+        assert len(calls) == 7
+        monkeypatch.undo()
+        monkeypatch.setattr(kernels, "grower", lambda: None)
+        _same_forest(model, fit_forest(_dataset(X, y), n_trees=7, seed=2))
+
+    @needs_grower
+    @pytest.mark.parametrize("mtry, compiled", [(200, True), (300, False)])
+    def test_wide_forest_matches_python_grower(self, rng, monkeypatch, mtry, compiled):
+        """p = 10,001: numpy's choice uses Floyd's algorithm up to mtry
+        p // 50 = 200, which the compiled grower repeats; above that numpy
+        shuffles a range and the tree grows in Python."""
+        X = rng.normal(size=(8, 10_001))
+        y = np.array([0, 1] * 4)
+        calls, grower = [], kernels.grower()
+        monkeypatch.setattr(kernels, "grower", lambda: lambda *a: calls.append(a) or grower(*a))
+        model = fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5)
+        assert len(calls) == (3 if compiled else 0)
+        monkeypatch.setattr(kernels, "grower", lambda: None)
+        _same_forest(model, fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5))
 
 
 class TestPredictContract:

@@ -14,6 +14,7 @@ from paydev.ml import (
     root_split_feature,
     save_model,
 )
+from paydev.ml import kernels
 from paydev.ml.kernels import node_score
 
 
@@ -217,3 +218,16 @@ class TestDeepTree:
         assert np.array_equal(predict_proba(loaded, X), y)
         lines = introspect(loaded).splitlines()
         assert len(lines) == 1 + len(model.root.n)
+
+    @pytest.mark.skipif(kernels.grower() is None, reason="compiled grower not in use")
+    def test_deep_tree_grows_in_one_compiled_call(self, monkeypatch):
+        n = 3000
+        X = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        y = np.arange(n) % 2
+        calls, grower = [], kernels.grower()
+        monkeypatch.setattr(kernels, "grower", lambda: lambda *a: calls.append(a) or grower(*a))
+        monkeypatch.setattr(kernels, "best_split", None)  # no per-node Python search
+        model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0, maxdepth=None)
+        assert len(calls) == 1
+        assert len(model.root.n) == 2 * n - 1
+        assert _depths(model.root).max() == n - 1
