@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the split-search kernels and full forest training.
+"""Benchmark forest training with the compiled tree grower and the Python one.
 
-Compares the compiled split kernel against the numpy fallback, and the
-compiled tree grower against the Python one, on identical inputs,
-asserting along the way that both return the same splits and trees. Run:
+Fits the same forest with both growers on identical inputs and asserts
+that they grow the same trees. Run:
 
     python benchmarks/bench_split.py
 """
@@ -13,7 +12,6 @@ import time
 import numpy as np
 
 from paydev.ml import fit_forest, kernels, make_dataset
-from paydev.ml.kernels import available_backends
 from paydev.ml.serialize import TREE_ARRAYS
 
 
@@ -26,40 +24,15 @@ def time_it(fn, repeats=5):
     return best
 
 
-def bench_best_split():
-    rng = np.random.default_rng(0)
-    backends = available_backends()
-    print(f"{'n':>8} {'p':>3}", *(f"{name:>12}" for name in backends), f"{'speedup':>9}")
-    for n, p in [(1_000, 16), (10_000, 16), (100_000, 16)]:
-        X = np.ascontiguousarray(rng.normal(size=(n, p)))
-        y = (rng.random(n) < 0.5).astype(np.int8)
-        idx = np.arange(n, dtype=np.int64)
-        feats = np.arange(p, dtype=np.int64)
-        times, results = {}, {}
-        for name, fn in backends.items():
-            times[name] = time_it(lambda fn=fn: fn(X, y, idx, feats))
-            results[name] = fn(X, y, idx, feats)
-        first = next(iter(results.values()))
-        assert all(r == first for r in results.values()), "backends disagree"
-        speedup = (
-            times["python"] / times["c"] if {"python", "c"} <= set(times) else 0.0
-        )
-        print(
-            f"{n:>8} {p:>3}",
-            *(f"{times[name] * 1e3:>10.2f}ms" for name in backends),
-            f"{speedup:>8.1f}x",
-        )
-
-
 def bench_forest():
     """The compiled grower against the Python one (tree._grow_tree_py, which
-    runs the active best_split node by node); both must grow the same trees."""
+    runs the numpy best_split node by node); both must grow the same trees."""
     rng = np.random.default_rng(1)
     n, p = 2_000, 16
     X = rng.normal(size=(n, p))
     y = (X[:, 0] + rng.normal(scale=0.7, size=n) > 0).astype(int)
     data = make_dataset(X, y, [f"f{i}" for i in range(p)], [str(i) for i in range(n)])
-    print(f"\nfit_forest (n={n}, p={p}, 25 trees, fully grown):")
+    print(f"fit_forest (n={n}, p={p}, 25 trees, fully grown):")
     growers = {"python": None}
     if kernels.grower() is not None:
         growers["c"] = kernels.grower()
@@ -81,6 +54,5 @@ def bench_forest():
 
 
 if __name__ == "__main__":
-    print(f"active backend: {kernels.BACKEND}\n\nbest_split on one node:")
-    bench_best_split()
+    print(f"active backend: {kernels.BACKEND}\n")
     bench_forest()

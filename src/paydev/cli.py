@@ -28,7 +28,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -82,20 +82,8 @@ def _build_config(args) -> Config:
     if getattr(args, "config", None):
         with _open_input(args.config) as f:
             cfg = load_config(f)
-    overrides = {}
-    for key in (
-        "seed",
-        "min_commits",
-        "feature_mode",
-        "folds",
-        "repeats",
-        "coverage",
-        "email_domains",
-        "products",
-        "forest_trees",
-    ):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
+    # every Config field the command has a flag for
+    overrides = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
     cfg = validate(apply_overrides(cfg, **overrides))
     print(f"# config: {cfg.echo()}", file=sys.stderr)
     print(f"# kernel: {kernels.BACKEND}", file=sys.stderr)
@@ -170,7 +158,10 @@ def write_identity_map(identities, fileobj) -> None:
 
 
 def read_identity_map(fileobj):
-    identities = []
+    """Identities from identity-map JSONL: one object per line with a string
+    id and lists of strings names, emails and commit_shas (at least one
+    sha). No id may repeat and no sha may belong to two identities."""
+    identities, ids, owner_of = [], set(), {}
     for lineno, line in enumerate(fileobj, start=1):
         if not line.strip():
             continue
@@ -178,12 +169,30 @@ def read_identity_map(fileobj):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        if not isinstance(obj, dict):
+            raise SchemaError("expected a JSON object", line=lineno)
         for key in ("id", "names", "emails", "commit_shas"):
             if key not in obj:
                 raise SchemaError(f"missing field {key!r}", line=lineno)
+        ident_id = obj["id"]
+        if not isinstance(ident_id, str):
+            raise SchemaError("field 'id' must be a string", line=lineno)
+        for key in ("names", "emails", "commit_shas"):
+            if not (isinstance(obj[key], list) and all(isinstance(v, str) for v in obj[key])):
+                raise SchemaError(f"field {key!r} must be a list of strings", line=lineno)
+        if not obj["commit_shas"]:
+            raise SchemaError(f"identity {ident_id!r} has no commits", line=lineno)
+        if ident_id in ids:
+            raise SchemaError(f"identity {ident_id!r} repeated", line=lineno)
+        ids.add(ident_id)
+        for sha in obj["commit_shas"]:
+            owner = owner_of.setdefault(sha, ident_id)
+            if owner != ident_id:
+                raise SchemaError(f"commit {sha} is under identities {owner!r} and "
+                                  f"{ident_id!r}", line=lineno)
         identities.append(
             ident_mod.Identity(
-                id=obj["id"],
+                id=ident_id,
                 names=set(obj["names"]),
                 emails=set(obj["emails"]),
                 commit_shas=set(obj["commit_shas"]),
@@ -199,8 +208,7 @@ def _commits_by_id(identities, records):
 
 
 def _labeled_dataset(identities, records, label_set, cfg):
-    """Join features with resolved labels; returns (dataset, commits_by_id,
-    kept identities)."""
+    """Join features with resolved labels; returns (dataset, commits_by_id)."""
     filtered = lab.study_filter(identities, cfg.min_commits)
     commits_by_id = _commits_by_id(filtered, records)
     kept, ys = [], {}
@@ -221,7 +229,7 @@ def _labeled_dataset(identities, records, label_set, cfg):
     X, ids, columns = feat.feature_matrix(features_by_id, cfg.feature_mode)
     y = [ys[i] for i in ids]
     data = ml.make_dataset(X, y, columns, ids)
-    return data, commits_by_id, kept
+    return data, commits_by_id
 
 
 def _labeled_features(path, label_set):
@@ -316,12 +324,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_identities(args) -> int:
     _build_config(args)
-    records = _read_records(args.records)
-    overrides = []
-    if args.overrides:
-        with _open_input(args.overrides) as f:
-            overrides = ident_mod.parse_overrides(f)
-    identities = ident_mod.merge_identities(records, overrides)
+    identities = _load_identities(args, _read_records(args.records))
     report = ident_mod.identity_report(identities)
     if args.out:
         _atomic_write(args.out, lambda f: write_identity_map(identities, f))
@@ -357,7 +360,7 @@ def cmd_evaluate(args) -> int:
         if not args.records:
             raise InputFileError("evaluate needs canonical records or --features")
         records, identities = _study_records(args, cfg)
-        data, commits_by_id, _ = _labeled_dataset(identities, records, label_set, cfg)
+        data, commits_by_id = _labeled_dataset(identities, records, label_set, cfg)
     ml.check_training(data)
 
     folds = ev.stratified_kfold(len(data.y), data.y, k=cfg.folds, repeats=cfg.repeats,

@@ -8,7 +8,7 @@ a master seed through numpy's PCG64 so repeated runs are identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -115,20 +115,6 @@ class Cell:
     tn: int
     fn: int
 
-    def as_dict(self):
-        return {
-            "classifier": self.classifier,
-            "repeat": self.repeat,
-            "fold": self.fold,
-            "auc": self.auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -173,13 +159,15 @@ class EvalReport:
     def as_dict(self):
         return {
             "config": self.config,
-            "cells": [c.as_dict() for c in self.cells],
+            "cells": [asdict(c) for c in self.cells],
             "aggregate": self.aggregate(),
         }
 
 
-def _cell_from_scores(name, repeat, fold, scores, truth) -> Cell:
-    predictions = (np.asarray(scores) >= 0.5).astype(np.int8)
+def _cell_from_scores(name, repeat, fold, scores, truth, predictions=None) -> Cell:
+    """One report row; predictions default to scores >= 0.5."""
+    if predictions is None:
+        predictions = (np.asarray(scores) >= 0.5).astype(np.int8)
     tp, fp, tn, fn = confusion(predictions, truth)
     precision, recall = precision_recall(predictions, truth)
     return Cell(
@@ -277,20 +265,7 @@ def baseline_predict(spec: BaselineSpec, commits_by_id, ids):
 def baseline_cell(spec: BaselineSpec, commits_by_id, ids, truth) -> Cell:
     """One full-dataset evaluation row for a baseline."""
     scores, predictions = baseline_predict(spec, commits_by_id, ids)
-    tp, fp, tn, fn = confusion(predictions, truth)
-    precision, recall = precision_recall(predictions, truth)
-    return Cell(
-        classifier=spec.name(),
-        repeat=0,
-        fold=0,
-        auc=roc_auc(scores, truth),
-        precision=precision,
-        recall=recall,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+    return _cell_from_scores(spec.name(), 0, 0, scores, truth, predictions)
 
 
 def default_baselines(domains=("mozilla.com",)):

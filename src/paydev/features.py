@@ -8,6 +8,7 @@ percentiles of weekday commit hours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +219,11 @@ def read_features_csv(fileobj):
             raise SchemaError("wrong number of columns", line=lineno)
         ids.append(row[0])
         try:
-            rows.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError:
             raise SchemaError("non-numeric feature value", line=lineno) from None
+        if any(math.isinf(v) for v in values):  # nan means missing and is imputed
+            raise SchemaError("infinite feature value", line=lineno)
+        rows.append(values)
     X = np.array(rows, dtype=np.float64).reshape(len(ids), len(columns))
     return X, ids, columns

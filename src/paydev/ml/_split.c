@@ -1,9 +1,9 @@
-/* Compiled tree kernels: best_split, the C twin of _split_py.best_split, and
- * grow_tree, the C twin of tree._grow_tree_py, which grows a whole tree in
- * one call. Both keep the Python twins' order of work and int64 score
- * expression, so their results are bit-identical (build without FMA
+/* Compiled tree kernel: grow_tree, the C twin of tree._grow_tree_py, which
+ * grows a whole tree in one call, and choice, its feature draw. split_rows
+ * keeps the numpy search's (kernels.best_split) order of work and int64
+ * score expression, so the trees are bit-identical (build without FMA
  * contraction or fast-math). Functions return 0 (grow_tree: the node count),
- * -1 when out of memory, -2 when a row or feature index is out of range. */
+ * -1 when out of memory, -2 when a row index is out of range. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -51,7 +51,8 @@ static double node_score(int64_t n, int64_t pos)
     return (double)(n * n - pos * pos - neg * neg) / (double)n;
 }
 
-/* best_split over n valid rows holding pos positives; buf holds 2n ValY */
+/* kernels.best_split over n valid rows holding pos positives; buf holds
+ * 2n ValY */
 static void split_rows(const double *X, int64_t p, const int8_t *y, const int64_t *idx,
                        int64_t n, int64_t pos, const int64_t *feats, int64_t n_feats,
                        ValY *buf, int64_t *out_f, double *out_thr, double *out_score)
@@ -80,31 +81,6 @@ static void split_rows(const double *X, int64_t p, const int8_t *y, const int64_
     *out_f = best_f;
     *out_thr = best_thr;
     *out_score = best_score;
-}
-
-static int64_t all_in_range(const int64_t *idx, int64_t n, int64_t n_rows)
-{
-    for (int64_t i = 0; i < n; i++)
-        if (idx[i] < 0 || idx[i] >= n_rows)
-            return 0;
-    return 1;
-}
-
-int best_split(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
-               const int64_t *idx, int64_t n, const int64_t *feats, int64_t n_feats,
-               int64_t *out_f, double *out_thr, double *out_score)
-{
-    if (!all_in_range(idx, n, n_rows) || !all_in_range(feats, n_feats, p))
-        return -2;
-    int64_t pos = 0;
-    for (int64_t i = 0; i < n; i++)
-        pos += y[idx[i]];
-    ValY *buf = malloc(2 * (n > 0 ? n : 1) * sizeof(ValY));
-    if (buf == NULL)
-        return -1;
-    split_rows(X, p, y, idx, n, pos, feats, n_feats, buf, out_f, out_thr, out_score);
-    free(buf);
-    return 0;
 }
 
 /* numpy's random_bounded_uint64(rng, 0, max, 0, 0) for max < 2**32 - 1:
@@ -162,20 +138,25 @@ static int cmp_int64(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Grows one tree over rows idx[0..n) into node arrays of capacity 2n - 1
- * (at least 1), accumulating split gains into importance[0..p). maxdepth < 0
- * means unbounded. rng NULL (or mtry >= p) searches every feature at every
+/* Grows one tree over rows idx[0..n) into node arrays of capacity
+ * c = max(2n - 1, 1): threshold[0..c) and the int64 block ints[0..5c), which
+ * holds the rows feature, left, right, count and npos one after another.
+ * Split gains accumulate into importance[0..p). maxdepth < 0 means
+ * unbounded. rng NULL (or mtry >= p) searches every feature at every
  * node; otherwise each node draws mtry features from rng, as
  * np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS with the
  * left child first; a split node's children are the next two node rows. */
 int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
                   const int64_t *idx, int64_t n, int64_t minsplit, double cp,
-                  int64_t maxdepth, int64_t mtry, bitgen_t *rng,
-                  int64_t *feature, double *threshold, int64_t *left, int64_t *right,
-                  int64_t *count, int64_t *npos, double *importance)
+                  int64_t maxdepth, int64_t mtry, bitgen_t *rng, int64_t *ints,
+                  double *threshold, double *importance)
 {
-    if (!all_in_range(idx, n, n_rows))
-        return -2;
+    for (int64_t i = 0; i < n; i++)
+        if (idx[i] < 0 || idx[i] >= n_rows)
+            return -2;
+    int64_t c = n > 0 ? 2 * n - 1 : 1;
+    int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c, *count = ints + 3 * c,
+            *npos = ints + 4 * c;
     if (rng == NULL || mtry >= p) {
         rng = NULL;
         mtry = p;

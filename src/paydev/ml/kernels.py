@@ -1,11 +1,11 @@
-"""Tree-kernel backend selection.
+"""The tree kernels: one split search per platform.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
-through ctypes; delete that file to rebuild. It holds best_split and
-grow_tree, which grows a whole tree in one call. Without a compiler the
-contractually bit-identical numpy twin _split_py.best_split runs, and
-trees grow in Python (tree._grow_tree_py).
+through ctypes; delete that file to rebuild. Its grow_tree grows a whole
+tree in one call, searching splits in C. Without a compiler, trees grow in
+Python (tree._grow_tree_py), which calls the numpy best_split below node by
+node; both give bit-identical trees.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -25,10 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paydev.ml import _split_py
-from paydev.ml._split_py import node_score  # noqa: F401  (shared definition)
-
-# no -march/-ffast-math: the kernels must match their Python twins bit for bit
+# no -march/-ffast-math: the compiled grower must match the Python one bit for bit
 _FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off"]
 
 
@@ -45,12 +42,10 @@ def _load():
         os.replace(tmp, lib)
     lib = ctypes.CDLL(str(lib))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.best_split.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr]
-    lib.best_split.restype = ctypes.c_int
     lib.choice.argtypes = [ptr, i64, i64, ptr]
     lib.choice.restype = ctypes.c_int
     lib.grow_tree.argtypes = [ptr, i64, i64, ptr, ptr, i64, i64, f64, i64, i64, ptr,
-                              ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+                              ptr, ptr, ptr]
     lib.grow_tree.restype = i64
     return lib
 
@@ -63,29 +58,71 @@ except (OSError, RuntimeError, subprocess.CalledProcessError):
 _F64, _I8, _I64 = np.dtype(np.float64), np.dtype(np.int8), np.dtype(np.int64)
 
 
-def _check(name, X, y, *index_arrays):
-    dtypes = (_F64, _I8) + (_I64,) * len(index_arrays)
-    for a, dtype in zip((X, y, *index_arrays), dtypes):
+def _check(X, y, idx):
+    for a, dtype in ((X, _F64), (y, _I8), (idx, _I64)):
         if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
-            raise TypeError(f"{name} needs C-contiguous {dtype} arrays")
-    if X.ndim != 2 or y.shape != X.shape[:1] or any(a.ndim != 1 for a in index_arrays):
-        raise ValueError(f"{name} needs X (n, p), y (n,) and 1-d index arrays")
+            raise TypeError(f"grow_tree needs C-contiguous {dtype} arrays")
+    if X.ndim != 2 or y.shape != X.shape[:1] or idx.ndim != 1:
+        raise ValueError("grow_tree needs X (n, p), y (n,) and a 1-d idx")
 
 
-def _raise_for(rc, name):
-    raise MemoryError() if rc == -1 else IndexError(f"{name} index out of range")
+def node_score(n: int, pos: int) -> float:
+    """n * gini of a node with n samples of which pos are positive."""
+    neg = n - pos
+    return (n * n - pos * pos - neg * neg) / n
 
 
-def _c_best_split(X, y, idx, feats):
-    """See _split_py.best_split for the contract."""
-    _check("best_split", X, y, idx, feats)
-    f, thr, score = ctypes.c_int64(), ctypes.c_double(), ctypes.c_double()
-    rc = _lib.best_split(X.ctypes.data, X.shape[0], X.shape[1], y.ctypes.data,
-                         idx.ctypes.data, len(idx), feats.ctypes.data, len(feats),
-                         ctypes.byref(f), ctypes.byref(thr), ctypes.byref(score))
-    if rc:
-        _raise_for(rc, "best_split")
-    return f.value, thr.value, score.value
+def best_split(X, y, idx, feats):
+    """Best (feature, threshold) for the node made of rows `idx`.
+
+    X: (n_total, p) float64 C-contiguous, y: (n_total,) int8 in {0, 1},
+    idx: int64 row indices, feats: int64 candidate features sorted
+    ascending. Candidate thresholds are midpoints between consecutive
+    distinct sorted values; ties break to the lowest feature then lowest
+    threshold. Returns (feature, threshold, child_score); feature is -1
+    when no candidate strictly improves on the parent score.
+
+    The score of a candidate split is an exact function of integer class
+    counts,
+
+        score = (nl^2 - pl^2 - ql^2)/nl + (nr^2 - pr^2 - qr^2)/nr
+
+    (the sum over children of n_child * gini_child), evaluated with int64
+    numerators so the float value does not depend on how the counts were
+    accumulated. Keep the expression in sync with split_rows in _split.c.
+    """
+    y_node = y[idx]
+    n = len(idx)
+    pos = int(y_node.sum())
+    neg = n - pos
+    best_f = -1
+    best_thr = 0.0
+    best_score = node_score(n, pos)
+
+    for f in feats:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cand = np.nonzero(sv[:-1] != sv[1:])[0]
+        if cand.size == 0:
+            continue
+        cum_pos = np.cumsum(y_node[order], dtype=np.int64)
+
+        nl = cand.astype(np.int64) + 1
+        pl = cum_pos[cand]
+        ql = nl - pl
+        nr = n - nl
+        pr = pos - pl
+        qr = neg - ql
+        score = (nl * nl - pl * pl - ql * ql) / nl + (nr * nr - pr * pr - qr * qr) / nr
+
+        j = int(np.argmin(score))  # first minimum = lowest threshold
+        if score[j] < best_score:
+            best_f = int(f)
+            best_thr = float((sv[cand[j]] + sv[cand[j] + 1]) / 2.0)
+            best_score = float(score[j])
+
+    return best_f, best_thr, best_score
 
 
 def _c_choice(rng, p, k):
@@ -103,7 +140,7 @@ def _c_grow_tree(X, y, idx, minsplit, cp, maxdepth, mtry, rng):
     """tree._grow_tree_py in one compiled call. Returns the six node arrays
     (feature, threshold, left, right, n, pos) and the importance vector;
     maxdepth None is unbounded, rng None searches every feature."""
-    _check("grow_tree", X, y, idx)
+    _check(X, y, idx)
     n, p = len(idx), X.shape[1]
     cap = max(2 * n - 1, 1)
     ints = np.empty((5, cap), dtype=np.int64)  # feature, left, right, n, pos
@@ -113,11 +150,10 @@ def _c_grow_tree(X, y, idx, minsplit, cp, maxdepth, mtry, rng):
         m = _lib.grow_tree(X.ctypes.data, X.shape[0], p, y.ctypes.data, idx.ctypes.data, n,
                            minsplit, cp, -1 if maxdepth is None else maxdepth, mtry,
                            None if rng is None else rng.bit_generator.ctypes.bit_generator,
-                           ints[0].ctypes.data, threshold.ctypes.data,
-                           *(row.ctypes.data for row in ints[1:]), importance.ctypes.data)
+                           ints.ctypes.data, threshold.ctypes.data, importance.ctypes.data)
     if m < 0:
-        _raise_for(m, "grow_tree")
-    feature, left, right, count, pos = (row[:m].copy() for row in ints)
+        raise MemoryError() if m == -1 else IndexError("grow_tree row index out of range")
+    feature, left, right, count, pos = ints[:, :m].copy()
     return (feature, threshold[:m].copy(), left, right, count, pos), importance
 
 
@@ -135,15 +171,10 @@ def grower():
     return _c_grow_tree if same else None
 
 
-if _lib is not None:
-    BACKEND, best_split = "c", _c_best_split
-else:
-    BACKEND, best_split = "python", _split_py.best_split
+BACKEND = "python" if _lib is None else "c"
 
 
 def available_backends():
-    """name -> best_split implementation, for benchmarks and tests."""
-    out = {"python": _split_py.best_split}
-    if _lib is not None:
-        out["c"] = _c_best_split
-    return out
+    """name -> split search, for benchmarks; the numpy search is the only one
+    (the compiled grower searches inside grow_tree)."""
+    return {"python": best_split}

@@ -272,6 +272,22 @@ class TestTrainPredict:
         assert "evaluate <records>" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("value, code", [("inf", 3), ("-inf", 3), ("nan", 0)])
+    def test_infinite_feature_exit_3(self, corpus, tmp_path, capsys, value, code):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        lines = csv_path.read_text().splitlines()
+        row = lines[3].split(",")
+        lines[3] = ",".join([row[0], value, *row[2:]])  # nan means missing: imputed
+        csv_path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
+                       "logit", "--out", str(model_path)) == code
+        if code:
+            assert "infinite feature value (line 4)" in capsys.readouterr().err
+            assert not model_path.exists()
+
     def test_deep_tree_train_predict_introspect(self, tmp_path, capsys):
         # labels alternate along one feature: a ~3,000-level CART
         n = 3000
@@ -623,3 +639,14 @@ class TestProductFilter:
             assert run_cli("features", str(records), "--identities", str(bad_map),
                            *extra, "--out", str(tmp_path / "f.csv")) == 3
             assert "f" * 40 in capsys.readouterr().err
+        # a malformed second line, or one that contradicts the first
+        first, second = (json.loads(line) for line in ident_map.read_text().splitlines()[:2])
+        for bad in (5, {"id": 1}, {"names": 5}, {"commit_shas": [[1]]},
+                    {"commit_shas": [1, "a"]}, {"commit_shas": []},
+                    {"commit_shas": second["commit_shas"] + first["commit_shas"][:1]},
+                    {"id": first["id"]}):
+            line = {**second, **bad} if isinstance(bad, dict) else bad
+            bad_map.write_text(json.dumps(first) + "\n" + json.dumps(line) + "\n")
+            assert run_cli("features", str(records), "--identities", str(bad_map),
+                           "--out", str(tmp_path / "f.csv")) == 3, bad
+            assert "(line 2)" in capsys.readouterr().err, bad

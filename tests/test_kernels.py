@@ -9,7 +9,6 @@ import pytest
 
 from oracle_split import exhaustive_best_split
 from paydev.ml import kernels, tree
-from paydev.ml.kernels import available_backends
 from paydev.ml.serialize import TREE_ARRAYS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,7 +30,7 @@ def _random_problem(rng, n=None, p=None, duplicates=False):
 
 @needs_cc
 def test_compiled_backend_available():
-    assert "c" in available_backends(), "compiled kernel should be built"
+    assert kernels.BACKEND == "c", "compiled kernel should be built"
     assert kernels.grower() is not None, "the C feature draw should match numpy's"
 
 
@@ -75,48 +74,31 @@ class TestOracle:
 
 
 class TestBackendEquivalence:
-    def test_bit_identical_results(self, rng):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled kernel not built")
-        for trial in range(120):
-            X, y = _random_problem(rng, duplicates=trial % 3 == 0)
-            n, p = X.shape
-            idx = np.arange(n, dtype=np.int64)
-            feats = np.arange(p, dtype=np.int64)
-            if trial % 2:  # a bootstrap sample and a feature subset, as in a forest
-                idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
-                feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)),
-                                           replace=False)).astype(np.int64)
-            results = {name: fn(X, y, idx, feats) for name, fn in backends.items()}
-            py = results["python"]
-            for name, res in results.items():
-                assert res[0] == py[0], f"feature differs in {name}"
-                # bit-exact float agreement, not approximate
-                assert np.float64(res[1]).tobytes() == np.float64(py[1]).tobytes(), name
-                assert np.float64(res[2]).tobytes() == np.float64(py[2]).tobytes(), name
-
     def test_node_score_shared(self):
         assert kernels.node_score(10, 5) == 5.0  # 10 * gini(0.5) = 10 * 0.5
         assert kernels.node_score(7, 0) == 0.0
+
+    @staticmethod
+    def _root_splits(X, y):
+        """(feature, threshold) at the root from the numpy search and from a
+        depth-1 CART grown by the active grower (the compiled one with cc)."""
+        idx, feats = np.arange(len(y), dtype=np.int64), np.arange(X.shape[1], dtype=np.int64)
+        f, t, _ = kernels.best_split(X, y, idx, feats)
+        root, _ = tree.grow_tree(X, y, idx, minsplit=2, cp=0.0, maxdepth=1)
+        return [(f, t), (root.feature[0], root.threshold[0])]
 
     def test_tiebreak_lowest_feature_and_threshold(self):
         # two identical columns: both give the same score, feature 0 must win
         col = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.ascontiguousarray(np.column_stack([col, col]))
         y = np.array([0, 0, 1, 1], dtype=np.int8)
-        for fn in available_backends().values():
-            f, t, _ = fn(X, y, np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64))
-            assert f == 0
-            assert t == 1.5
+        assert self._root_splits(X, y) == [(0, 1.5)] * 2
 
     def test_symmetric_ties_take_lowest_threshold(self):
         # y = 1,0,0,1 on x = 0,1,2,3: splits at 0.5 and 2.5 score equally
         X = np.ascontiguousarray([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 0, 0, 1], dtype=np.int8)
-        for fn in available_backends().values():
-            f, t, _ = fn(X, y, np.arange(4, dtype=np.int64), np.arange(1, dtype=np.int64))
-            assert (f, t) == (0, 0.5)
+        assert self._root_splits(X, y) == [(0, 0.5)] * 2
 
 
 def _grow_both(monkeypatch, X, y, idx, seed, **params):
@@ -184,14 +166,20 @@ class TestGrowerEquivalence:
 
     def test_out_of_range_rows_rejected(self):
         X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
-        with pytest.raises(IndexError):
-            kernels._c_grow_tree(X, y, np.array([0, 4], dtype=np.int64), 2, 0.0, None, 2, None)
+        for idx in ([0, 4], [-1, 0]):
+            with pytest.raises(IndexError):
+                kernels._c_grow_tree(X, y, np.array(idx, dtype=np.int64), 2, 0.0, None, 2, None)
 
-    @pytest.mark.parametrize("bad", ["X", "y", "idx"])
-    def test_bad_arrays_rejected(self, bad):
+    @pytest.mark.parametrize("bad, array", [
+        pytest.param("X", np.ones((4, 2), dtype=np.float32), id="X"),
+        pytest.param("y", np.zeros(4, dtype=np.float32), id="y"),
+        pytest.param("idx", np.arange(4, dtype=np.float32), id="idx"),
+        pytest.param("X", np.asfortranarray(np.ones((4, 2))), id="X-fortran"),
+        pytest.param("X", np.ones((4, 4))[:, ::2], id="X-strided"),
+    ])
+    def test_bad_arrays_rejected(self, bad, array):
         args = {"X": np.ones((4, 2)), "y": np.zeros(4, dtype=np.int8),
-                "idx": np.arange(4, dtype=np.int64)}
-        args[bad] = args[bad].astype(np.float32)
+                "idx": np.arange(4, dtype=np.int64), bad: array}
         with pytest.raises(TypeError):
             kernels._c_grow_tree(args["X"], args["y"], args["idx"], 2, 0.0, None, 2, None)
 
@@ -222,9 +210,8 @@ def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
     monkeypatch.setattr(kernels, "_c_choice", lambda g, p, k: np.arange(k, dtype=np.int64))
     monkeypatch.setattr(kernels, "grower", kernels.grower.__wrapped__)  # check afresh
     assert kernels.grower() is None
-    calls = []
-    monkeypatch.setattr(kernels, "best_split",
-                        lambda *a: calls.append(a) or kernels._c_best_split(*a))
+    calls, search = [], kernels.best_split
+    monkeypatch.setattr(kernels, "best_split", lambda *a: calls.append(a) or search(*a))
     X, y = _random_problem(rng, n=60, p=5)
     idx = np.arange(60, dtype=np.int64)
     params = dict(minsplit=2, cp=0.0, maxdepth=None, mtry=2)
@@ -232,28 +219,6 @@ def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
     assert calls  # the Python grower searches node by node
     monkeypatch.setattr(kernels, "grower", lambda: compiled)
     _assert_same_tree(fallback, tree.grow_tree(X, y, idx, rng=np.random.default_rng(4), **params))
-
-
-@needs_cc
-@pytest.mark.parametrize("X", [
-    np.asfortranarray(np.ones((4, 2))),
-    np.ones((4, 4))[:, ::2],
-    np.ones((4, 2), dtype=np.float32),
-])
-def test_c_kernel_rejects_bad_arrays(X):
-    c_best_split = available_backends()["c"]
-    y = np.zeros(4, dtype=np.int8)
-    with pytest.raises(TypeError):
-        c_best_split(X, y, np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64))
-
-
-@needs_cc
-@pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([-1, 0], [0]), ([0, 1], [2])])
-def test_c_kernel_rejects_out_of_range_indices(idx, feats):
-    c_best_split = available_backends()["c"]
-    X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
-    with pytest.raises(IndexError):
-        c_best_split(X, y, np.array(idx, dtype=np.int64), np.array(feats, dtype=np.int64))
 
 
 def _python(args, home, path, cwd):
