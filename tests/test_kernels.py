@@ -166,22 +166,38 @@ class TestGrowerEquivalence:
 
     def test_out_of_range_rows_rejected(self):
         X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
-        for idx in ([0, 4], [-1, 0]):
-            with pytest.raises(IndexError):
-                kernels._c_grow_tree(X, y, np.array(idx, dtype=np.int64), 2, 0.0, None, 2, None)
+        with pytest.raises(IndexError):
+            kernels._c_grow_tree(X, y, np.array([0, 4], dtype=np.int64), 2, 0.0, None, 2, None)
 
-    @pytest.mark.parametrize("bad, array", [
-        pytest.param("X", np.ones((4, 2), dtype=np.float32), id="X"),
-        pytest.param("y", np.zeros(4, dtype=np.float32), id="y"),
-        pytest.param("idx", np.arange(4, dtype=np.float32), id="idx"),
-        pytest.param("X", np.asfortranarray(np.ones((4, 2))), id="X-fortran"),
-        pytest.param("X", np.ones((4, 4))[:, ::2], id="X-strided"),
-    ])
-    def test_bad_arrays_rejected(self, bad, array):
+    @pytest.mark.parametrize("bad", ["X", "y", "idx"])
+    def test_bad_arrays_rejected(self, bad):
         args = {"X": np.ones((4, 2)), "y": np.zeros(4, dtype=np.int8),
-                "idx": np.arange(4, dtype=np.int64), bad: array}
+                "idx": np.arange(4, dtype=np.int64)}
+        args[bad] = args[bad].astype(np.float32)
         with pytest.raises(TypeError):
             kernels._c_grow_tree(args["X"], args["y"], args["idx"], 2, 0.0, None, 2, None)
+
+
+@needs_grower
+@pytest.mark.parametrize("X", [
+    np.asfortranarray(np.ones((4, 2))),
+    np.ones((4, 4))[:, ::2],
+    np.ones((4, 2), dtype=np.float32),
+])
+def test_c_kernel_rejects_bad_arrays(X):
+    y = np.zeros(4, dtype=np.int8)
+    with pytest.raises(TypeError):
+        kernels._c_grow_tree(X, y, np.arange(4, dtype=np.int64), 2, 0.0, None, 2, None)
+
+
+@needs_grower
+@pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([-1, 0], [0])])
+def test_c_kernel_rejects_out_of_range_indices(idx, feats):
+    """A row index past either end is refused, whatever columns X keeps."""
+    X = np.ascontiguousarray(np.ones((4, 2))[:, feats])
+    y = np.zeros(4, dtype=np.int8)
+    with pytest.raises(IndexError):
+        kernels._c_grow_tree(X, y, np.array(idx, dtype=np.int64), 2, 0.0, None, 1, None)
 
 
 @needs_cc
