@@ -22,6 +22,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import shlex
@@ -201,20 +202,27 @@ def read_identity_map(fileobj):
     return identities
 
 
-def _commits_by_id(identities, records):
-    """Each identity's commit records, keyed by identity id."""
+def _histories(identities, records):
+    """Each identity's commit History, keyed by identity id."""
     by_sha = {r.sha: r for r in records}
-    return {i.id: [by_sha[sha] for sha in i.commit_shas] for i in identities}
+    return {i.id: feat.history([by_sha[sha] for sha in i.commit_shas]) for i in identities}
+
+
+def _studied(identities, cfg):
+    """The identities the study filter keeps; echoes both counts."""
+    studied = lab.study_filter(identities, cfg.min_commits)
+    print(f"# identities: total={len(identities)} studied={len(studied)}", file=sys.stderr)
+    return studied
 
 
 def _labeled_dataset(identities, records, label_set, cfg):
-    """Join features with resolved labels; returns (dataset, commits_by_id)."""
-    filtered = lab.study_filter(identities, cfg.min_commits)
-    commits_by_id = _commits_by_id(filtered, records)
+    """Join features with resolved labels; returns (dataset, histories)."""
+    filtered = _studied(identities, cfg)
+    histories = _histories(filtered, records)
     kept, ys = [], {}
     unlabeled = 0
     for ident in filtered:
-        status = lab.resolve_status(ident.id, commits_by_id[ident.id], label_set)
+        status = lab.resolve_status(ident.id, histories[ident.id], label_set)
         if status is None:
             unlabeled += 1
             continue
@@ -225,11 +233,11 @@ def _labeled_dataset(identities, records, label_set, cfg):
         f"volunteer={len(kept) - sum(ys.values())} unlabeled={unlabeled}",
         file=sys.stderr,
     )
-    features_by_id = feat.compute_features({i.id: commits_by_id[i.id] for i in kept})
+    features_by_id = feat.compute_features({i.id: histories[i.id] for i in kept})
     X, ids, columns = feat.feature_matrix(features_by_id, cfg.feature_mode)
     y = [ys[i] for i in ids]
     data = ml.make_dataset(X, y, columns, ids)
-    return data, commits_by_id
+    return data, histories
 
 
 def _labeled_features(path, label_set):
@@ -341,7 +349,7 @@ def cmd_identities(args) -> int:
 def cmd_features(args) -> int:
     cfg = _build_config(args)
     records, identities = _study_records(args, cfg)
-    features_by_id = feat.compute_features(_commits_by_id(identities, records))
+    features_by_id = feat.compute_features(_histories(identities, records))
     _emit(args.out, lambda f: feat.write_features_csv(features_by_id, f, mode=args.mode))
     return 0
 
@@ -350,7 +358,7 @@ def cmd_evaluate(args) -> int:
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
-    commits_by_id = None
+    histories = None
     if args.features:
         # Features-only mode: the baselines need raw commits, so they are
         # skipped and only the three classifiers run.
@@ -360,7 +368,7 @@ def cmd_evaluate(args) -> int:
         if not args.records:
             raise InputFileError("evaluate needs canonical records or --features")
         records, identities = _study_records(args, cfg)
-        data, commits_by_id = _labeled_dataset(identities, records, label_set, cfg)
+        data, histories = _labeled_dataset(identities, records, label_set, cfg)
     ml.check_training(data)
 
     folds = ev.stratified_kfold(len(data.y), data.y, k=cfg.folds, repeats=cfg.repeats,
@@ -368,9 +376,9 @@ def cmd_evaluate(args) -> int:
     report = ev.cross_validate(
         data, _classifier_specs(cfg), folds, seed=cfg.seed, config=cfg.as_dict()
     )
-    if commits_by_id is not None:
+    if histories is not None:
         for spec in ev.default_baselines(cfg.email_domains):
-            report.cells.append(ev.baseline_cell(spec, commits_by_id, data.ids, data.y))
+            report.cells.append(ev.baseline_cell(spec, histories, data.ids, data.y))
     _write_report(report, args)
     return 0
 
@@ -397,17 +405,13 @@ def cmd_predict(args) -> int:
             X, row_ids, columns = feat.read_features_csv(f)
     else:
         records = _read_records(args.records)
-        commits_by_id = _commits_by_id(_load_identities(args, records), records)
+        histories = _histories(_load_identities(args, records), records)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
-            xs, row_ids = [], []
-            for commits in commits_by_id.values():
-                aggregates = feat.developer_features(commits)
-                X_dev, shas, columns = feat.commit_features(commits, aggregates)
-                xs.append(X_dev)
-                row_ids.extend(shas)
-            X = np.vstack(xs)
+            X = np.vstack([feat.commit_features(h)[0] for h in histories.values()])
+            row_ids = [sha for h in histories.values() for sha in h.sha]
+            columns = feat.COMMIT_FEATURE_COLUMNS
         else:
-            features_by_id = feat.compute_features(commits_by_id)
+            features_by_id = feat.compute_features(histories)
             X, row_ids, columns = feat.feature_matrix(features_by_id, mode="all")
             # score with the model's own columns (e.g. a no_volume model)
             keep = [i for i, c in enumerate(columns) if c in model.columns]
@@ -415,10 +419,10 @@ def cmd_predict(args) -> int:
     probabilities = ml.predict_proba(model, X, columns=columns)
 
     def writer(f):
-        f.write("id,probability,class\n")
+        out = csv.writer(f, lineterminator="\n")  # quotes an id with a comma or quote
+        out.writerow(["id", "probability", "class"])
         for row_id, p in zip(row_ids, probabilities):
-            label = lab.HIRED if p >= 0.5 else lab.VOLUNTEER
-            f.write(f"{row_id},{p:.6f},{label}\n")
+            out.writerow([row_id, f"{p:.6f}", lab.HIRED if p >= 0.5 else lab.VOLUNTEER])
 
     _emit(args.out, writer)
     return 0
@@ -429,10 +433,8 @@ def cmd_commits(args) -> int:
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
     records, identities = _study_records(args, cfg)
-    filtered = lab.study_filter(identities, cfg.min_commits)
     all_report, rest_report = ev.per_commit_experiment(
-        filtered,
-        _commits_by_id(filtered, records),
+        _histories(_studied(identities, cfg), records),
         label_set,
         _classifier_specs(cfg),
         coverage=cfg.coverage,

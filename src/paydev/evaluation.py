@@ -17,7 +17,7 @@ from paydev import features as feat
 from paydev import labels as lab
 from paydev import ml
 from paydev.errors import SingleClassError, StratificationError
-from paydev.ingest import to_local
+from paydev.ingest import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 
 
 def roc_auc(scores, labels) -> float:
@@ -229,21 +229,22 @@ class BaselineSpec:
 OFFICE_START, OFFICE_END = 9, 17  # weekday window of the office-hours rule
 
 
-def _office_flags(commits):
-    """Per commit, whether it falls on a weekday between OFFICE_START and
-    OFFICE_END in its local time."""
-    local = to_local([c.timestamp_utc for c in commits], [c.tz_offset_minutes for c in commits])
+def _office_flags(h):
+    """Per commit of History h, whether it falls on a weekday between
+    OFFICE_START and OFFICE_END in its local time."""
+    local = h.local
     return (local.weekday < 5) & (OFFICE_START <= local.hour) & (local.hour < OFFICE_END)
 
 
-def _email_flags(commits, domains):
-    """Per commit, whether its author address is at one of the domains."""
+def _email_flags(h, domains):
+    """Per commit of History h, whether its author address is at one of the
+    domains."""
     domains = set(domains)
-    return np.array([c.author_email.rsplit("@", 1)[-1] in domains for c in commits], dtype=bool)
+    return np.array([e.rsplit("@", 1)[-1] in domains for e in h.email], dtype=bool)
 
 
-def baseline_predict(spec: BaselineSpec, commits_by_id, ids):
-    """(scores, predictions) aligned with ids.
+def baseline_predict(spec: BaselineSpec, histories, ids):
+    """(scores, predictions) aligned with ids, from each id's History.
 
     allhired scores 1 everywhere; email scores the share of commits from a
     listed domain and predicts hired when at least one exists; officehours
@@ -252,19 +253,19 @@ def baseline_predict(spec: BaselineSpec, commits_by_id, ids):
     if spec.kind == "allhired":
         return np.ones(len(ids)), np.ones(len(ids), dtype=np.int8)
     if spec.kind == "email":
-        scores = np.array([_email_flags(commits_by_id[i], spec.domains).mean() for i in ids])
+        scores = np.array([_email_flags(histories[i], spec.domains).mean() for i in ids])
         return scores, (scores > 0).astype(np.int8)
     if spec.kind == "officehours":
         if not 0 < spec.threshold < 1:
             raise ValueError("officehours threshold must be in (0,1)")
-        scores = np.array([_office_flags(commits_by_id[i]).mean() for i in ids])
+        scores = np.array([_office_flags(histories[i]).mean() for i in ids])
         return scores, (scores >= spec.threshold).astype(np.int8)
     raise ValueError(f"unknown baseline kind {spec.kind!r}")
 
 
-def baseline_cell(spec: BaselineSpec, commits_by_id, ids, truth) -> Cell:
+def baseline_cell(spec: BaselineSpec, histories, ids, truth) -> Cell:
     """One full-dataset evaluation row for a baseline."""
-    scores, predictions = baseline_predict(spec, commits_by_id, ids)
+    scores, predictions = baseline_predict(spec, histories, ids)
     return _cell_from_scores(spec.name(), 0, 0, scores, truth, predictions)
 
 
@@ -279,8 +280,7 @@ def default_baselines(domains=("mozilla.com",)):
 
 
 def per_commit_experiment(
-    identities,
-    commits_by_id,
+    histories,
     label_set,
     specs,
     coverage=0.5,
@@ -290,50 +290,46 @@ def per_commit_experiment(
 ):
     """Train on the most active developers' commits, test per commit.
 
-    The training set is the smallest prefix of developers (by commit count
-    descending, id ascending) whose commits reach `coverage` of the total.
-    Returns (report over all commits, report over held-out developers'
-    commits); both include the allpaid/email/officehours commit baselines.
+    histories maps each studied identity id to its History. The training
+    set is the smallest prefix of developers (by commit count descending, id
+    ascending) whose commits reach `coverage` of the total. Returns (report
+    over all commits, report over held-out developers' commits); both
+    include the allpaid/email/officehours commit baselines.
     """
-    labeled = []
-    for ident in identities:
-        status = lab.resolve_status(ident.id, commits_by_id[ident.id], label_set)
-        if status is not None:
-            labeled.append(ident)
+    labeled = [i for i, h in histories.items() if lab.resolve_status(i, h, label_set) is not None]
     if not labeled:
         raise SingleClassError("no labeled developers")
-    labeled.sort(key=lambda i: (-len(i.commit_shas), i.id))
-    total = sum(len(i.commit_shas) for i in labeled)
+    labeled.sort(key=lambda i: (-len(histories[i].ts), i))
+    total = sum(len(histories[i].ts) for i in labeled)
     train_devs, cum = [], 0
-    for ident in labeled:
-        train_devs.append(ident)
-        cum += len(ident.commit_shas)
+    for ident_id in labeled:
+        train_devs.append(ident_id)
+        cum += len(histories[ident_id].ts)
         if cum >= coverage * total:
             break
     held_out = labeled[len(train_devs):]
 
-    per_dev = {}  # identity id -> (X, y, shas, commits sorted by (timestamp, sha))
-    for ident in labeled:
-        commits = sorted(commits_by_id[ident.id], key=lambda c: (c.timestamp_utc, c.sha))
-        X, shas, _ = feat.commit_features(commits, feat.developer_features(commits))
-        statuses = lab.commit_labels(ident.id, commits, label_set)
-        per_dev[ident.id] = (X, [1 if s == lab.HIRED else 0 for s in statuses], shas, commits)
+    per_dev = {}  # identity id -> (X, y, shas, email flags, office-hours flags)
+    for ident_id in labeled:
+        h = histories[ident_id]
+        X, shas, _ = feat.commit_features(h)
+        statuses = lab.commit_labels(ident_id, h, label_set)
+        per_dev[ident_id] = (X, [1 if s == lab.HIRED else 0 for s in statuses], shas,
+                             _email_flags(h, domains), _office_flags(h))
 
     def build(devs):
-        X, ys, shas, commits = zip(*(per_dev[ident.id] for ident in devs))
+        X, ys, shas, email, office = zip(*(per_dev[i] for i in devs))
         data = ml.make_dataset(np.vstack(X), list(chain(*ys)), feat.COMMIT_FEATURE_COLUMNS,
                                list(chain(*shas)))
-        return data, list(chain(*commits))
+        return data, {"email": np.concatenate(email), "officehours": np.concatenate(office)}
 
     train_data, _ = build(train_devs)
     if len(np.unique(train_data.y)) < 2:
         raise SingleClassError("training developers carry a single class")
-    all_data, all_commits = build(labeled)
     reports = []
-    eval_sets = [("all", all_data, all_commits)]
+    eval_sets = [("all", *build(labeled))]
     if held_out:
-        rest_data, rest_commits = build(held_out)
-        eval_sets.append(("least_active", rest_data, rest_commits))
+        eval_sets.append(("least_active", *build(held_out)))
     else:
         eval_sets.append(("least_active", None, None))
 
@@ -341,7 +337,7 @@ def per_commit_experiment(
     for name, spec in specs.items():
         models[name] = fit_classifier(spec, train_data, seed_parts=(seed, 0, 0))
 
-    for label, data, commits in eval_sets:
+    for label, data, baselines in eval_sets:
         cells = []
         if data is not None:
             for name in specs:
@@ -350,8 +346,7 @@ def per_commit_experiment(
             truth = data.y
             allpaid = np.ones(len(truth))
             cells.append(_cell_from_scores("allpaid", 0, 0, allpaid, truth))
-            for name, flags in (("email", _email_flags(commits, domains)),
-                                ("officehours", _office_flags(commits))):
+            for name, flags in baselines.items():
                 cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), truth))
         reports.append(EvalReport(cells=cells, config=dict(config or {})))
     return reports[0], reports[1]

@@ -8,31 +8,38 @@ percentiles of weekday commit hours.
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from paydev.ingest import to_local
+from paydev.errors import SchemaError
+from paydev.ingest import LocalCalendar, to_local
 
-FEATURE_COLUMNS = [
-    "period",
-    "days",
-    "weeks",
-    "timediff",
-    "commits",
-    "loc_per_commit",
-    "weekend",
-    "night",
-    "morning",
-    "afternoon",
-    "evening",
-    "office",
-    "most_active_hour",
-    "beginning_regular",
-    "length_regular",
-    "end_regular",
-]
+
+@dataclass(frozen=True)
+class DeveloperFeatures:
+    period: int
+    days: int
+    weeks: int
+    timediff: float
+    commits: int
+    loc_per_commit: float
+    weekend: float
+    night: float
+    morning: float
+    afternoon: float
+    evening: float
+    office: float
+    most_active_hour: int
+    beginning_regular: int
+    length_regular: int
+    end_regular: int
+
+
+FEATURE_COLUMNS = [f.name for f in fields(DeveloperFeatures)]
 
 VOLUME_COLUMNS = {"commits", "days", "weeks", "period"}
 
@@ -55,39 +62,31 @@ COMMIT_FEATURE_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class DeveloperFeatures:
-    period: int
-    days: int
-    weeks: int
-    timediff: float
-    commits: int
-    loc_per_commit: float
-    weekend: float
-    night: float
-    morning: float
-    afternoon: float
-    evening: float
-    office: float
-    most_active_hour: int
-    beginning_regular: int
-    length_regular: int
-    end_regular: int
+class History(NamedTuple):
+    """One identity's commits sorted by (timestamp, sha): their shas, author
+    addresses, UTC timestamps, local calendar and changed lines (NaN for
+    binary-only commits). Features, labels and baselines all read it."""
 
-    def as_row(self) -> list[float]:
-        return [float(getattr(self, name)) for name in FEATURE_COLUMNS]
+    sha: list[str]
+    email: list[str]
+    ts: np.ndarray
+    local: LocalCalendar
+    lines: np.ndarray
 
 
-def _calendar(commits):
-    """The commits sorted by (timestamp, sha), their UTC timestamps, their
-    local calendar and their changed lines (NaN for binary-only commits)."""
+def history(commits) -> History:
+    """The History of one identity's commit records, in any order."""
     commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
     ts = np.array([c.timestamp_utc for c in commits], dtype=np.int64)
-    local = to_local(ts, [c.tz_offset_minutes for c in commits])
     added = np.array([c.lines_added for c in commits], dtype=np.float64)
     deleted = np.array([c.lines_deleted for c in commits], dtype=np.float64)
-    lines = np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan)
-    return commits, ts, local, lines
+    return History(
+        sha=[c.sha for c in commits],
+        email=[c.author_email for c in commits],
+        ts=ts,
+        local=to_local(ts, [c.tz_offset_minutes for c in commits]),
+        lines=np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan),
+    )
 
 
 def _median(values) -> float:
@@ -104,14 +103,14 @@ def _share(mask) -> float:
     return np.count_nonzero(mask) / len(mask)
 
 
-def developer_features(commits) -> DeveloperFeatures:
-    """The 16 activity metrics for one identity's commits."""
-    commits, ts, local, lines = _calendar(commits)
-    if not commits:
+def developer_features(h: History) -> DeveloperFeatures:
+    """The 16 activity metrics of one identity's History."""
+    if not len(h.ts):
         raise ValueError("developer_features requires at least one commit")
+    local = h.local
     hour, weekend = local.hour, local.weekday >= 5
-    deltas = np.diff(ts) / 86400.0
-    locs = lines[~np.isnan(lines)]
+    deltas = np.diff(h.ts) / 86400.0
+    locs = h.lines[~np.isnan(h.lines)]
     weekday_hours = np.sort(hour[~weekend])
     if len(weekday_hours):
         beginning = _nearest_rank(weekday_hours, 10)
@@ -123,7 +122,7 @@ def developer_features(commits) -> DeveloperFeatures:
         days=len(np.unique(local.day)),
         weeks=len(np.unique(local.iso_year * 100 + local.iso_week)),
         timediff=_median(deltas) if len(deltas) else 0.0,
-        commits=len(commits),
+        commits=len(h.ts),
         loc_per_commit=_median(locs) if len(locs) else 0.0,
         weekend=_share(weekend),
         night=_share(hour < 6),
@@ -138,9 +137,9 @@ def developer_features(commits) -> DeveloperFeatures:
     )
 
 
-def compute_features(commits_by_id) -> dict[str, DeveloperFeatures]:
-    """DeveloperFeatures per identity id, from each identity's commits."""
-    return {ident_id: developer_features(c) for ident_id, c in commits_by_id.items()}
+def compute_features(histories) -> dict[str, DeveloperFeatures]:
+    """DeveloperFeatures per identity id, from each identity's History."""
+    return {ident_id: developer_features(h) for ident_id, h in histories.items()}
 
 
 def matrix_columns(mode: str) -> list[str]:
@@ -163,10 +162,11 @@ def feature_matrix(features_by_id, mode="all"):
     return X, ids, columns
 
 
-def commit_features(commits, aggregates: DeveloperFeatures):
-    """Per-commit vectors for one identity, aligned with the commits sorted
-    by (timestamp, sha). Returns (X, shas, column names)."""
-    commits, ts, local, lines = _calendar(commits)
+def commit_features(h: History):
+    """Per-commit vectors for one identity, aligned with h.sha, next to the
+    identity's own aggregates. Returns (X, shas, column names)."""
+    aggregates = developer_features(h)
+    local, ts, lines = h.local, h.ts, h.lines
     hour = local.hour
     since = np.concatenate([[aggregates.timediff], np.diff(ts) / 86400.0])[: len(ts)]
     shares = [aggregates.weekend, aggregates.night, aggregates.morning,
@@ -183,40 +183,40 @@ def commit_features(commits, aggregates: DeveloperFeatures):
         since,
         np.broadcast_to(shares, (len(ts), len(shares))),
     ]).astype(np.float64)
-    return X, [c.sha for c in commits], list(COMMIT_FEATURE_COLUMNS)
+    return X, list(h.sha), list(COMMIT_FEATURE_COLUMNS)
 
 
 def write_features_csv(features_by_id, fileobj, mode="all") -> None:
     """The features CSV: identity column plus the metrics, floats with
-    6 decimal digits."""
+    6 decimal digits. An id holding a comma, quote or newline is quoted."""
     columns = matrix_columns(mode)
-    fileobj.write("identity," + ",".join(columns) + "\n")
+    out = csv.writer(fileobj, lineterminator="\n")
+    out.writerow(["identity", *columns])
     for ident_id in sorted(features_by_id):
         feats = features_by_id[ident_id]
         cells = []
         for name in columns:
             value = getattr(feats, name)
             cells.append(str(value) if isinstance(value, int) else f"{value:.6f}")
-        fileobj.write(ident_id + "," + ",".join(cells) + "\n")
+        out.writerow([ident_id, *cells])
 
 
 def read_features_csv(fileobj):
-    """Read a features CSV back into (X, ids, columns)."""
-    import csv
-
-    from paydev.errors import SchemaError
-
+    """Read a features CSV back into (X, ids, columns); no id may repeat."""
     reader = csv.reader(fileobj)
     header = next(reader, None)
     if not header or header[0] != "identity":
         raise SchemaError("features CSV must start with an 'identity' column", line=1)
     columns = header[1:]
-    ids, rows = [], []
+    ids, rows, seen = [], [], set()
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(columns) + 1:
             raise SchemaError("wrong number of columns", line=lineno)
+        if row[0] in seen:
+            raise SchemaError(f"identity {row[0]!r} repeated", line=lineno)
+        seen.add(row[0])
         ids.append(row[0])
         try:
             values = [float(v) for v in row[1:]]

@@ -15,7 +15,7 @@ from datetime import date
 import numpy as np
 
 from paydev.errors import SchemaError, UnlabeledIdentityError
-from paydev.ingest import to_local
+from paydev.ingest import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 
 HIRED = "hired"
 VOLUNTEER = "volunteer"
@@ -90,32 +90,31 @@ def study_filter(identities, min_commits: int = 100):
 _EPOCH = date(1970, 1, 1).toordinal()
 
 
-def _hired(commits, intervals):
-    """Per commit, whether its local date falls inside a hired period."""
-    day = to_local([c.timestamp_utc for c in commits],
-                   [c.tz_offset_minutes for c in commits]).day[:, None]
+def _hired(h, intervals):
+    """Per commit of h, whether its local date falls in a hired period."""
+    day = h.local.day[:, None]
     start = np.array([a.toordinal() - _EPOCH for a, _ in intervals])
     stop = np.array([(b or date.max).toordinal() - _EPOCH for _, b in intervals])
     return ((start <= day) & (day <= stop)).any(axis=1)
 
 
-def resolve_status(identity_id, commits, labels: LabelSet) -> str | None:
-    """One status per identity: commit-majority over periods when periods
-    exist, the direct status otherwise, None when unlabeled."""
+def resolve_status(identity_id, h, labels: LabelSet) -> str | None:
+    """One status per identity, from its History h: commit-majority over
+    periods when periods exist, the direct status otherwise, None when
+    unlabeled."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        hired = np.count_nonzero(_hired(commits, intervals))
-        return HIRED if hired / len(commits) >= 0.5 else VOLUNTEER
+        hired = np.count_nonzero(_hired(h, intervals))
+        return HIRED if hired / len(h.ts) >= 0.5 else VOLUNTEER
     return labels.entries.get(identity_id)
 
 
-def commit_labels(identity_id, commits, labels: LabelSet) -> list[str]:
-    """Per-commit statuses aligned with commits sorted by (timestamp, sha)."""
+def commit_labels(identity_id, h, labels: LabelSet) -> list[str]:
+    """Per-commit statuses aligned with the History's h.sha."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
-        return np.where(_hired(commits, intervals), HIRED, VOLUNTEER).tolist()
+        return np.where(_hired(h, intervals), HIRED, VOLUNTEER).tolist()
     status = labels.entries.get(identity_id)
     if status is None:
         raise UnlabeledIdentityError(f"identity {identity_id!r} has no label")
-    return [status] * len(commits)
+    return [status] * len(h.ts)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shlex
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paydev import evaluation, features
+from paydev import labels as labels_mod
 from paydev.cli import main
 
 
@@ -30,6 +34,23 @@ def corpus(tmp_path):
 
 SMALL_EVAL = ["--min-commits", "20", "--folds", "3", "--repeats", "2",
               "--forest-trees", "20"]
+
+
+def _identity_sizes(records, tmp_path):
+    """Commit count per merged identity of the records."""
+    idmap = tmp_path / "sizes.jsonl"
+    assert run_cli("identities", str(records), "--out", str(idmap)) == 0
+    return [len(json.loads(line)["commit_shas"]) for line in idmap.read_text().splitlines()]
+
+
+def _dated_labels(labels, tmp_path):
+    """The labels with every third developer on one dated hired period."""
+    rows = labels.read_text().splitlines()
+    dated = tmp_path / "dated.csv"
+    dated.write_text("\n".join(
+        [rows[0]] + [f"{row.split(',')[0]},hired,2016-03-01,2016-07-31" if i % 3 == 0 else row
+                     for i, row in enumerate(rows[1:])]) + "\n")
+    return dated
 
 
 class TestSynthAndIngest:
@@ -226,6 +247,21 @@ class TestEvaluate:
             f"# labels: hired={hired} volunteer={len(kept) - 1 - hired} unlabeled=3"
         ]
 
+    def test_stderr_identity_counts(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        sizes = _identity_sizes(records, tmp_path)
+        expected = f"# identities: total={len(sizes)} studied={sum(n > 40 for n in sizes)}"
+        capsys.readouterr()
+        assert run_cli("evaluate", str(records), "--labels", str(labels), *SMALL_EVAL,
+                       "--min-commits", "40", "--out", str(tmp_path / "r.json")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("# identities:")] == [expected]
+        assert err[err.index(expected) + 1].startswith("# labels:")
+        assert run_cli("commits", str(records), "--labels", str(labels), "--min-commits", "40",
+                       "--forest-trees", "10", "--out", str(tmp_path / "c.json")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("# identities:")] == [expected]
+
     def test_features_with_dated_periods_exit_5(self, corpus, tmp_path, capsys):
         records, labels = corpus
         csv_path = tmp_path / "f.csv"
@@ -287,6 +323,54 @@ class TestTrainPredict:
         if code:
             assert "infinite feature value (line 4)" in capsys.readouterr().err
             assert not model_path.exists()
+
+    def test_repeated_identity_exit_3(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
+                       "logit", "--out", str(model_path)) == 0
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        message = f"identity {lines[1].split(',')[0]!r} repeated (line {len(lines) + 1})"
+        for argv in (
+            ["train", str(csv_path), "--labels", str(labels), "--classifier", "logit",
+             "--out", str(tmp_path / "again.json")],
+            ["predict", str(model_path), "--features", str(csv_path)],
+            ["evaluate", "--features", str(csv_path), "--labels", str(labels), *SMALL_EVAL],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 3
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "again.json").exists()
+
+    def test_ids_with_comma_and_quote_round_trip(self, corpus, tmp_path):
+        records, labels = corpus
+        idmap = tmp_path / "id.jsonl"
+        assert run_cli("identities", str(records), "--out", str(idmap)) == 0
+        objs = [json.loads(line) for line in idmap.read_text().splitlines()]
+        renamed = {objs[0]["id"]: "Doe, Jane", objs[1]["id"]: 'Roe "R" Rick'}
+        for obj in objs:
+            obj["id"] = renamed.get(obj["id"], obj["id"])
+        idmap.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        relabeled = tmp_path / "renamed.csv"
+        with open(relabeled, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [renamed.get(row[0], row[0]), *row[1:]]
+                for row in csv.reader(io.StringIO(labels.read_text())))
+        csv_path, model_path = tmp_path / "f.csv", tmp_path / "model.json"
+        assert run_cli("features", str(records), "--identities", str(idmap),
+                       "--out", str(csv_path)) == 0
+        assert run_cli("train", str(csv_path), "--labels", str(relabeled), "--classifier",
+                       "logit", "--out", str(model_path)) == 0
+        for source in (["--features", str(csv_path)],
+                       ["--records", str(records), "--identities", str(idmap)]):
+            preds = tmp_path / "p.csv"
+            assert run_cli("predict", str(model_path), *source, "--out", str(preds)) == 0
+            ids = [row[0] for row in csv.reader(io.StringIO(preds.read_text()))][1:]
+            assert sorted(ids) == sorted(obj["id"] for obj in objs)
+            assert {"Doe, Jane", 'Roe "R" Rick'} <= set(ids)
 
     def test_deep_tree_train_predict_introspect(self, tmp_path, capsys):
         # labels alternate along one feature: a ~3,000-level CART
@@ -520,6 +604,33 @@ class TestCommits:
         names = {c["classifier"] for c in report["all_commits"]["cells"]}
         assert {"logit", "rpart", "randomforest", "allpaid", "email",
                 "officehours"} == names
+
+
+class TestLocalTimeOnce:
+    """Each studied identity's commits are calendared once, in
+    features.history; labels and baselines read that History."""
+
+    def test_one_to_local_per_studied_identity(self, corpus, tmp_path, monkeypatch):
+        records, labels = corpus
+        studied = sum(n > 40 for n in _identity_sizes(records, tmp_path))
+        calls = []
+        real = features.to_local
+        monkeypatch.setattr(features, "to_local", lambda *a: calls.append(1) or real(*a))
+
+        def elsewhere(*args):
+            raise AssertionError("to_local called outside features.history")
+
+        monkeypatch.setattr(labels_mod, "to_local", elsewhere)
+        monkeypatch.setattr(evaluation, "to_local", elsewhere)
+        for argv in (
+            ["commits", str(records), "--labels", str(_dated_labels(labels, tmp_path)),
+             "--min-commits", "40", "--forest-trees", "10", "--out", str(tmp_path / "c.json")],
+            ["evaluate", str(records), "--labels", str(labels), *SMALL_EVAL,
+             "--min-commits", "40", "--out", str(tmp_path / "r.json")],
+        ):
+            calls.clear()
+            assert run_cli(*argv) == 0
+            assert len(calls) == studied
 
 
 class TestConfigFile:

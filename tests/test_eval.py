@@ -19,7 +19,7 @@ from paydev.evaluation import (
     roc_auc,
     stratified_kfold,
 )
-from paydev.identity import Identity
+from paydev.features import history
 from paydev.labels import LabelSet
 from paydev.ml import make_dataset
 
@@ -213,7 +213,7 @@ class TestBaselines:
             _office_commit(11, weekday_hour=22,
                            email="dev2@mozilla.com"),
         ]
-        return {"dev1": dev1, "dev2": dev2}
+        return {"dev1": history(dev1), "dev2": history(dev2)}
 
     def test_officehours_thresholds(self):
         commits = self._commits_by_id()
@@ -261,27 +261,27 @@ class TestBaselines:
 def test_office_flags_match_calendar_oracle(rng):
     """Per commit and per developer, on a multi-timezone corpus spanning
     years 1-9999: weekday and 9 <= local hour < 17."""
-    commits = [
+    commits = sorted((  # in History order, which the flags follow
         make_record(sha=sha_of(i), timestamp_utc=int(ts), tz_offset_minutes=int(off))
         for i, (ts, off) in enumerate(zip(
             np.concatenate([rng.integers(-6.2e10, 2.5e11, 400),
                             rng.integers(1.4e9, 1.6e9, 400)]),
             rng.integers(-1440, 1441, 800),
         ))
-    ]
+    ), key=lambda c: (c.timestamp_utc, c.sha))
     expected = []
     for c in commits:
         *_, hour, _, weekday, _, _ = local_civil(c.timestamp_utc, c.tz_offset_minutes)
         expected.append(weekday < 5 and 9 <= hour < 17)
-    assert evaluation._office_flags(commits).tolist() == expected
-    by_dev = {f"d{k}": commits[k::7] for k in range(7)}
+    assert evaluation._office_flags(history(commits)).tolist() == expected
+    by_dev = {f"d{k}": history(commits[k::7]) for k in range(7)}
     scores, _ = baseline_predict(BaselineSpec(kind="officehours"), by_dev, sorted(by_dev))
     assert scores.tolist() == [np.mean(expected[k::7]) for k in range(7)]
 
 
 class TestPerCommitExperiment:
     def _setup(self, rng, n_devs=8, per_dev=30):
-        identities, commits_by_id = [], {}
+        commits_by_id = {}
         label_set = LabelSet()
         sha = 0
         for d in range(n_devs):
@@ -296,18 +296,19 @@ class TestPerCommitExperiment:
                         rng.integers(5)) * 86400 * 7
                 commits.append(make_record(sha=sha_of(sha), timestamp_utc=ts))
                 sha += 1
-            ident = Identity(id=f"dev{d}", emails={f"dev{d}@x"},
-                             commit_shas={c.sha for c in commits})
-            identities.append(ident)
-            commits_by_id[ident.id] = commits
-            label_set.entries[ident.id] = "hired" if hired else "volunteer"
-        return identities, commits_by_id, label_set
+            commits_by_id[f"dev{d}"] = commits
+            label_set.entries[f"dev{d}"] = "hired" if hired else "volunteer"
+        return commits_by_id, label_set
+
+    @staticmethod
+    def _histories(commits_by_id):
+        return {ident_id: history(c) for ident_id, c in commits_by_id.items()}
 
     def test_training_prefix_and_reports(self, rng):
-        identities, commits_by_id, label_set = self._setup(rng)
+        commits_by_id, label_set = self._setup(rng)
         specs = {"rpart": ClassifierSpec("tree", {"minsplit": 5})}
         all_report, rest_report = per_commit_experiment(
-            identities, commits_by_id, label_set, specs, coverage=0.5, seed=1
+            self._histories(commits_by_id), label_set, specs, coverage=0.5, seed=1
         )
         names = all_report.classifiers()
         assert names == ["rpart", "allpaid", "email", "officehours"]
@@ -317,20 +318,20 @@ class TestPerCommitExperiment:
         assert allpaid.tp + allpaid.fp == total  # evaluated on every commit
 
     def test_coverage_one_trains_on_everyone(self, rng):
-        identities, commits_by_id, label_set = self._setup(rng, n_devs=4)
+        commits_by_id, label_set = self._setup(rng, n_devs=4)
         specs = {"rpart": ClassifierSpec("tree", {"minsplit": 5})}
         all_report, rest_report = per_commit_experiment(
-            identities, commits_by_id, label_set, specs, coverage=1.0, seed=1
+            self._histories(commits_by_id), label_set, specs, coverage=1.0, seed=1
         )
         assert rest_report.cells == []
 
     def test_single_class_training_rejected(self, rng):
-        identities, commits_by_id, label_set = self._setup(rng, n_devs=4)
-        for ident in identities:
-            label_set.entries[ident.id] = "hired"
+        commits_by_id, label_set = self._setup(rng, n_devs=4)
+        for ident_id in commits_by_id:
+            label_set.entries[ident_id] = "hired"
         with pytest.raises(SingleClassError):
             per_commit_experiment(
-                identities, commits_by_id, label_set,
+                self._histories(commits_by_id), label_set,
                 {"rpart": ClassifierSpec("tree", {})}, coverage=0.5, seed=1
             )
 

@@ -1,4 +1,5 @@
 import io
+from datetime import date
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from conftest import make_record, sha_of
 from oracle_calendar import local_civil
 from oracle_features import brute_force_features
+from paydev.labels import commit_labels, load_labels
 from paydev.features import (
     COMMIT_FEATURE_COLUMNS,
     FEATURE_COLUMNS,
     commit_features,
     developer_features,
     feature_matrix,
+    history,
     read_features_csv,
     write_features_csv,
 )
@@ -39,7 +42,7 @@ FIXTURE_EXPECTED = {
 
 class TestDeveloperFeatures:
     def test_fixture_exact(self, fixture_commits):
-        feats = developer_features(fixture_commits)
+        feats = developer_features(history(fixture_commits))
         for name, expected in FIXTURE_EXPECTED.items():
             got = getattr(feats, name)
             if name == "timediff":
@@ -48,7 +51,7 @@ class TestDeveloperFeatures:
                 assert got == expected, name
 
     def test_fixture_matches_oracle(self, fixture_commits):
-        feats = developer_features(fixture_commits)
+        feats = developer_features(history(fixture_commits))
         oracle = brute_force_features(
             [
                 (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added, c.lines_deleted)
@@ -60,7 +63,7 @@ class TestDeveloperFeatures:
 
     def test_single_commit(self):
         rec = make_record(timestamp_utc=1483347600 + 3600)  # Mon 10:00
-        feats = developer_features([rec])
+        feats = developer_features(history([rec]))
         assert feats.period == 0
         assert feats.days == 1
         assert feats.weeks == 1
@@ -74,31 +77,31 @@ class TestDeveloperFeatures:
 
     def test_identical_timestamps(self):
         recs = [make_record(sha=sha_of(i)) for i in range(2)]
-        feats = developer_features(recs)
+        feats = developer_features(history(recs))
         assert feats.timediff == 0.0
         assert feats.commits == 2
 
     def test_zero_commits_rejected(self):
         with pytest.raises(ValueError):
-            developer_features([])
+            developer_features(history([]))
 
     def test_unknown_loc_excluded(self):
         recs = [
             make_record(sha=sha_of(0), lines_added=-1, lines_deleted=-1),
             make_record(sha=sha_of(1), lines_added=10, lines_deleted=5),
         ]
-        assert developer_features(recs).loc_per_commit == 15.0
+        assert developer_features(history(recs)).loc_per_commit == 15.0
 
     def test_all_unknown_loc_falls_back_to_zero(self):
         recs = [make_record(lines_added=-1, lines_deleted=-1)]
-        assert developer_features(recs).loc_per_commit == 0.0
+        assert developer_features(history(recs)).loc_per_commit == 0.0
 
     def test_permutation_invariant(self, fixture_commits, rng):
-        base = developer_features(fixture_commits)
+        base = developer_features(history(fixture_commits))
         for _ in range(5):
             shuffled = list(fixture_commits)
             rng.shuffle(shuffled)
-            assert developer_features(shuffled) == base
+            assert developer_features(history(shuffled)) == base
 
     def test_matches_oracle_on_random_histories(self, rng):
         for _ in range(40):
@@ -113,7 +116,7 @@ class TestDeveloperFeatures:
                 )
                 for i in range(n)
             ]
-            feats = developer_features(commits)
+            feats = developer_features(history(commits))
             oracle = brute_force_features(
                 [
                     (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added,
@@ -131,7 +134,7 @@ class TestDeveloperFeatures:
                 make_record(sha=sha_of(i), timestamp_utc=int(rng.integers(1.4e9, 1.6e9)))
                 for i in range(n)
             ]
-            f = developer_features(commits)
+            f = developer_features(history(commits))
             assert abs(f.night + f.morning + f.afternoon + f.evening - 1.0) < 1e-12
             assert 0 <= f.weekend <= 1 and 0 <= f.office <= 1
             assert f.days <= f.period + 1
@@ -154,7 +157,7 @@ class TestMedians:
 
 class TestMatrix:
     def _features(self, fixture_commits):
-        return {"dev": developer_features(fixture_commits)}
+        return {"dev": developer_features(history(fixture_commits))}
 
     def test_all_mode_16_columns(self, fixture_commits):
         X, ids, columns = feature_matrix(self._features(fixture_commits), "all")
@@ -170,7 +173,7 @@ class TestMatrix:
         assert X.shape == (1, 12)
 
     def test_rows_sorted_by_id(self, fixture_commits):
-        feats = developer_features(fixture_commits)
+        feats = developer_features(history(fixture_commits))
         X, ids, _ = feature_matrix({"b": feats, "a": feats}, "all")
         assert ids == ["a", "b"]
 
@@ -187,8 +190,8 @@ class TestMatrix:
 
 class TestCommitFeatures:
     def test_flags(self, fixture_commits):
-        aggregates = developer_features(fixture_commits)
-        X, shas, columns = commit_features(fixture_commits, aggregates)
+        aggregates = developer_features(history(fixture_commits))
+        X, shas, columns = commit_features(history(fixture_commits))
         assert columns == COMMIT_FEATURE_COLUMNS
         assert X.shape == (4, len(columns))
         sat = X[2]  # Sat 22:00
@@ -202,13 +205,13 @@ class TestCommitFeatures:
         assert (tod.sum(axis=1) == 1).all()
 
     def test_first_commit_uses_aggregate_timediff(self, fixture_commits):
-        aggregates = developer_features(fixture_commits)
-        X, _, columns = commit_features(fixture_commits, aggregates)
+        aggregates = developer_features(history(fixture_commits))
+        X, _, columns = commit_features(history(fixture_commits))
         assert X[0][columns.index("time_since_prev")] == pytest.approx(aggregates.timediff)
 
     def test_flag_sums_match_aggregate_shares(self, fixture_commits):
-        aggregates = developer_features(fixture_commits)
-        X, _, columns = commit_features(fixture_commits, aggregates)
+        aggregates = developer_features(history(fixture_commits))
+        X, _, columns = commit_features(history(fixture_commits))
         col = {c: i for i, c in enumerate(columns)}
         n = len(X)
         assert X[:, col["weekend_flag"]].sum() == aggregates.weekend * n
@@ -221,8 +224,8 @@ class TestCommitFeatures:
             make_record(sha=sha_of(1), timestamp_utc=1483347600 + 60,
                         lines_added=-1, lines_deleted=-1),
         ]
-        aggregates = developer_features(recs)
-        X, _, columns = commit_features(recs, aggregates)
+        aggregates = developer_features(history(recs))
+        X, _, columns = commit_features(history(recs))
         assert X[1][columns.index("loc")] == aggregates.loc_per_commit == 8.0
 
     def test_columns_match_calendar_oracle(self, rng):
@@ -240,8 +243,8 @@ class TestCommitFeatures:
                 rng.integers(-1440, 1441, 600),
             ))
         ]
-        aggregates = developer_features(commits)
-        X, shas, columns = commit_features(commits, aggregates)
+        aggregates = developer_features(history(commits))
+        X, shas, columns = commit_features(history(commits))
         by_sha = {c.sha: c for c in commits}
         col = {c: i for i, c in enumerate(columns)}
         assert len(shas) == len(commits)
@@ -259,3 +262,52 @@ class TestCommitFeatures:
             }
             assert {k: row[col[k]] for k in expected} == {
                 k: float(v) for k, v in expected.items()}
+
+
+def _tied_commits(rng, n=60):
+    """Commits on a few shared instants, so (timestamp, sha) order needs the
+    sha tie-break; random shas, offsets and binary-only commits."""
+    return [
+        make_record(
+            sha=sha_of(int(k)),
+            author_email=f"a{k % 3}@example.org",
+            timestamp_utc=1483347600 + int(rng.integers(0, 6)) * 40000,
+            tz_offset_minutes=int(rng.integers(-720, 721)),
+            lines_added=int(rng.integers(-1, 30)),
+        )
+        for k in rng.permutation(10 * n)[:n]
+    ]
+
+
+class TestHistory:
+    def test_order_of_commits_does_not_matter(self, rng):
+        commits = _tied_commits(rng)
+        base = history(sorted(commits, key=lambda c: (c.timestamp_utc, c.sha)))
+        for _ in range(5):
+            rng.shuffle(commits)
+            h = history(commits)
+            assert h.sha == base.sha
+            assert h.email == base.email
+            assert np.array_equal(h.ts, base.ts)
+            assert np.array_equal(h.lines, base.lines, equal_nan=True)
+            for got, want in zip(h.local, base.local):
+                assert np.array_equal(got, want)
+
+    def test_rows_align_with_sha(self, rng):
+        commits = _tied_commits(rng)
+        h = history(commits)
+        by_sha = {c.sha: c for c in commits}
+        assert h.sha == [c.sha for c in sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))]
+        X, shas, columns = commit_features(h)
+        assert shas == h.sha
+        hours = [local_civil(by_sha[sha].timestamp_utc, by_sha[sha].tz_offset_minutes)[3]
+                 for sha in h.sha]
+        assert X[:, columns.index("hour")].tolist() == hours
+        labels = load_labels(io.StringIO("identity,status,hired_from,hired_to\n"
+                                         "a,hired,2017-01-03,2017-01-05\n"))
+        local_dates = [date(*local_civil(by_sha[sha].timestamp_utc,
+                                         by_sha[sha].tz_offset_minutes)[:3]) for sha in h.sha]
+        assert commit_labels("a", h, labels) == [
+            "hired" if date(2017, 1, 3) <= d <= date(2017, 1, 5) else "volunteer"
+            for d in local_dates
+        ]

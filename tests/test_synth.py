@@ -4,7 +4,7 @@ import pytest
 from paydev import labels as lab
 from paydev import ml
 from paydev.evaluation import ClassifierSpec, cross_validate, roc_auc, stratified_kfold
-from paydev.features import compute_features, feature_matrix
+from paydev.features import compute_features, feature_matrix, history
 from paydev.identity import merge_identities
 from paydev.synth import SynthSpec, generate_synthetic_corpus, spec_with_profiles
 
@@ -18,7 +18,8 @@ def _small_spec(**kw):
 def _dataset(records, labels, mode="all"):
     identities = merge_identities(records)
     by_sha = {r.sha: r for r in records}
-    feats = compute_features({i.id: [by_sha[s] for s in i.commit_shas] for i in identities})
+    feats = compute_features({i.id: history([by_sha[s] for s in i.commit_shas])
+                              for i in identities})
     X, ids, columns = feature_matrix(feats, mode)
     y = [1 if labels[i] == "hired" else 0 for i in ids]
     return ml.make_dataset(X, y, columns, ids)
