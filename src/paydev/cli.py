@@ -505,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="compute per-developer metrics CSV")
     p.add_argument("records", help="canonical JSONL file")
-    p.add_argument("--identities", help="identity map JSONL (default: recompute)")
-    p.add_argument("--overrides", help="identity override rules")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--identities", help="identity map JSONL (default: recompute)")
+    group.add_argument("--overrides", help="identity override rules")
     p.add_argument("--mode", choices=["all", "no_volume"], default="all")
     p.add_argument("--product-map", help="issue_id,product CSV for product filtering")
     _add_common(p)
@@ -518,8 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("records", nargs="?", help="canonical JSONL file")
     p.add_argument("--features", help="features CSV (classifiers only, no baselines)")
     p.add_argument("--labels", required=True, help="labels CSV")
-    p.add_argument("--identities", help="identity map JSONL (default: recompute)")
-    p.add_argument("--overrides", help="identity override rules")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--identities", help="identity map JSONL (default: recompute)")
+    group.add_argument("--overrides", help="identity override rules")
     p.add_argument("--product-map", help="issue_id,product CSV for product filtering")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--min-commits", dest="min_commits", type=int)

@@ -106,11 +106,5 @@ def load_config(fileobj, base: Config | None = None) -> Config:
 
 def apply_overrides(cfg: Config, **overrides) -> Config:
     """Non-None keyword overrides win over the config file."""
-    updates = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in _TUPLE_FIELDS and isinstance(value, str):
-            value = tuple(v.strip() for v in value.split(",") if v.strip())
-        updates[key] = value
+    updates = {key: value for key, value in overrides.items() if value is not None}
     return replace(cfg, **updates) if updates else cfg

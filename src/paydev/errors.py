@@ -51,6 +51,10 @@ class OverrideConflictError(SchemaError):
     """A key appears in conflicting identity override rules."""
 
 
+class IdentityClashError(SchemaError):
+    """Two merged identities would share one id."""
+
+
 class ColumnMismatchError(PaydevError):
     """Feature columns do not match the columns a model was trained on."""
 

@@ -3,9 +3,12 @@
 Grouping is transitive over shared names or shared emails: the alias graph
 has one node per distinct name and per distinct email and one edge per
 observed (name, email) pair; connected components are identities. Manual
-override rules adjust the automatic result — splits are applied first and
-take the listed keys (with their commits) out of the graph, merges union
-components afterwards.
+override rules adjust the automatic result. A key of either kind matches the
+aliases whose normalized name equals the normalized key or whose email equals
+the key. Splits are applied first: each alias a split key matches leaves the
+graph, with its commits, for the identity of the first rule matching its name,
+else of the first matching its email. Merges union the components containing
+their keys afterwards. No two identities may share an id.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from paydev.errors import OverrideConflictError, SchemaError
+from paydev.errors import IdentityClashError, OverrideConflictError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +92,8 @@ def merge_identities(records, overrides=()) -> list[Identity]:
     """Partition commits into identities; see the module docstring.
 
     Result is sorted by identity id. Split keys never observed in the data
-    produce a warning, a key in both a merge and a split rule is an error.
+    produce a warning, a key in both a merge and a split rule is an error,
+    and so are two identities with the same id.
     """
     merge_keys = {k for r in overrides if r.kind == "merge" for k in r.keys}
     split_rules = [r for r in overrides if r.kind == "split"]
@@ -100,80 +104,72 @@ def merge_identities(records, overrides=()) -> list[Identity]:
             f"key {sorted(conflict)[0]!r} appears in both merge and split rules"
         )
 
-    # Splits first: a commit matching any split key (by normalized name or
-    # email) belongs to that rule's identity; first matching rule wins.
-    split_of = {}
+    split_by_name, split_by_email = {}, {}
     for i, rule in enumerate(split_rules):
         for key in rule.keys:
-            split_of.setdefault(key, i)
-    split_identities = [
-        Identity(id="", names=set(), emails=set(), commit_shas=set()) for _ in split_rules
-    ]
-    seen_keys = set()
+            split_by_name.setdefault(normalize_name(key), i)
+            split_by_email.setdefault(key, i)
 
-    dsu = _DSU()
-    grouped = []  # (nodes, record) kept out of splits
-    orphans = []  # records with neither a name nor an email
+    shas_by_alias = {}
     for rec in records:
-        name = normalize_name(rec.author_name)
-        email = rec.author_email
-        seen_keys.update((name, email))
-        rule_idx = split_of.get(name, split_of.get(email))
-        if rule_idx is not None:
-            ident = split_identities[rule_idx]
-            if name:
-                ident.names.add(name)
-            if email:
-                ident.emails.add(email)
-            ident.commit_shas.add(rec.sha)
-            continue
-        # Empty strings must not become linking nodes.
-        nodes = []
-        if name:
-            nodes.append(("n", name))
-        if email:
-            nodes.append(("e", email))
-        if not nodes:
-            orphans.append(rec)
-            continue
-        if len(nodes) == 2:
-            dsu.union(nodes[0], nodes[1])
-        else:
-            dsu.find(nodes[0])
-        grouped.append((nodes, rec))
+        shas_by_alias.setdefault((rec.author_name, rec.author_email), []).append(rec.sha)
 
-    for key in sorted(split_keys - seen_keys):
-        log.warning("split override key %r was never observed", key)
+    # One DSU node per alias: its split rule's, else its name's joined to
+    # its email's. Empty strings must not link, so a commit with neither
+    # a name nor an email gets a node of its own.
+    dsu = _DSU()
+    aliases = []  # (node, normalized name, email, shas)
+    for (raw_name, email), shas in shas_by_alias.items():
+        name = normalize_name(raw_name)
+        rule_idx = split_by_name.get(name, split_by_email.get(email))
+        if rule_idx is not None:
+            aliases.append((("s", rule_idx), name, email, shas))
+        elif name or email:
+            node = ("n", name) if name else ("e", email)
+            if name and email:
+                dsu.union(node, ("e", email))
+            else:
+                dsu.find(node)
+            aliases.append((node, name, email, shas))
+        else:
+            aliases.extend((("c", sha), name, email, (sha,)) for sha in shas)
+
+    if split_keys:
+        names, emails = {a[1] for a in aliases}, {a[2] for a in aliases}
+        for key in sorted(split_keys):
+            if normalize_name(key) not in names and key not in emails:
+                log.warning("split override key %r was never observed", key)
 
     # Merge overrides union the components containing each listed key.
     for rule in overrides:
-        if rule.kind != "merge":
-            continue
-        anchor = None
-        for key in rule.keys:
-            for node in (("n", normalize_name(key)), ("e", key)):
-                if node in dsu.parent:
-                    if anchor is None:
-                        anchor = node
-                    else:
-                        dsu.union(anchor, node)
+        if rule.kind == "merge":
+            nodes = [node for key in rule.keys
+                     for node in (("n", normalize_name(key)), ("e", key)) if node in dsu.parent]
+            for node in nodes[1:]:
+                dsu.union(nodes[0], node)
 
-    components: dict = {}
-    for nodes, rec in grouped:
-        root = dsu.find(nodes[0])
+    components = {}
+    for node, name, email, shas in aliases:
+        root = dsu.find(node)
         ident = components.get(root)
         if ident is None:
             ident = components[root] = Identity(id="")
-        for kind, value in nodes:
-            (ident.names if kind == "n" else ident.emails).add(value)
-        ident.commit_shas.add(rec.sha)
+        if name:
+            ident.names.add(name)
+        if email:
+            ident.emails.add(email)
+        ident.commit_shas.update(shas)
 
     result = list(components.values())
-    result.extend(i for i in split_identities if i.commit_shas)
-    result.extend(Identity(id="", commit_shas={rec.sha}) for rec in orphans)
     for ident in result:
         ident.id = _identity_id(ident.names, ident.emails, ident.commit_shas)
     result.sort(key=lambda i: i.id)
+    for a, b in zip(result, result[1:]):
+        if a.id == b.id:
+            raise IdentityClashError(
+                f"two identities have the id {a.id!r}; join them with the override "
+                f"`merge {a.id}`, or list {a.id!r} in the split rule that takes one"
+            )
     return result
 
 

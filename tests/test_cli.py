@@ -181,6 +181,44 @@ class TestIdentitiesAndFeatures:
         bad.write_text('{"sha": "zz", "foo": 1}\n')
         assert run_cli("identities", str(bad)) == 3
 
+    @pytest.mark.parametrize("pairs,rules,fix", [
+        ([("N1", "a@x.com"), ("N2", "a@x.com")] * 3, "split N2\n", "split N2|a@x.com\n"),
+        ([("a@x.com", ""), ("Bob", "a@x.com")], "", "merge a@x.com\n"),
+    ], ids=["split_shares_address", "name_is_address"])
+    def test_clashing_identity_ids_exit_3(self, tmp_path, capsys, pairs, rules, fix):
+        from conftest import make_record, sha_of
+        from paydev.ingest import write_canonical
+
+        records = tmp_path / "records.jsonl"
+        with open(records, "w", encoding="utf-8") as f:
+            write_canonical([make_record(sha=sha_of(i), author_name=name, author_email=email)
+                             for i, (name, email) in enumerate(pairs)], f)
+        overrides, out = tmp_path / "overrides.txt", tmp_path / "out"
+        overrides.write_text(rules)
+        for command in ("identities", "features"):
+            assert run_cli(command, str(records), "--overrides", str(overrides),
+                           "--out", str(out)) == 3
+            assert "two identities have the id 'a@x.com'" in capsys.readouterr().err
+            assert not out.exists()
+        overrides.write_text(fix)  # the rule the message suggests
+        assert run_cli("features", str(records), "--overrides", str(overrides),
+                       "--out", str(out)) == 0
+        assert out.read_text().splitlines()[1].startswith("a@x.com,")
+        assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    def test_identities_excludes_overrides(self, corpus, tmp_path, capsys, command):
+        records, labels = corpus
+        ident_map, out = tmp_path / "identities.jsonl", tmp_path / "out"
+        assert run_cli("identities", str(records), "--out", str(ident_map)) == 0
+        argv = [command, str(records), "--identities", str(ident_map),
+                "--overrides", str(tmp_path / "missing.txt"), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *(["--labels", str(labels)] if command == "evaluate" else []))
+        assert exc.value.code == 2
+        assert "not allowed with argument --identities" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_json_report_and_determinism(self, corpus, tmp_path):

@@ -2,11 +2,11 @@ import io
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, sha_of
-from paydev.errors import OverrideConflictError, SchemaError
+from paydev.errors import IdentityClashError, OverrideConflictError, SchemaError
 from paydev.identity import (
     OverrideRule,
     identity_report,
@@ -51,6 +51,58 @@ def brute_force_components(pairs):
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def oracle_identities(pairs, rules):
+    """The identities of commit i = pairs[i] as a set of (names, emails, shas)
+    triples, from the module docstring alone: splits first, then connected
+    components of the remaining alias graph by breadth-first search, then
+    merges, which link the graph nodes their keys name."""
+    def matches(key, kind, value):
+        return value != "" and value == (normalize_name(key) if kind == "n" else key)
+
+    splits = [r.keys for r in rules if r.kind == "split"]
+    groups = defaultdict(lambda: (set(), set(), set()))
+    rest = []
+    for i, (raw_name, email) in enumerate(pairs):
+        name = normalize_name(raw_name)
+        rule = next((j for kind, value in (("n", name), ("e", email))
+                     for j, keys in enumerate(splits)
+                     if any(matches(k, kind, value) for k in keys)), None)
+        if rule is None:
+            rest.append((i, name, email))
+            continue
+        names, emails, shas = groups[("s", rule)]
+        names.update({name} - {""})
+        emails.update({email} - {""})
+        shas.add(sha_of(i))
+    nodes = {node for _, name, email in rest for node in (("n", name), ("e", email)) if node[1]}
+    edges = [(("n", name), ("e", email)) for _, name, email in rest if name and email]
+    for rule in rules:
+        if rule.kind == "merge":
+            named = [node for node in nodes for k in rule.keys if matches(k, *node)]
+            edges += [(named[0], node) for node in named[1:]]
+    adj = defaultdict(set)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    root = {}
+    for start in sorted(nodes):
+        if start in root:
+            continue
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            if node not in root:
+                root[node] = start
+                queue.extend(adj[node])
+    for i, name, email in rest:
+        names, emails, shas = groups[root[("n", name) if name else ("e", email)]
+                                     if name or email else ("c", i)]
+        names.update({name} - {""})
+        emails.update({email} - {""})
+        shas.add(sha_of(i))
+    return {(frozenset(n), frozenset(e), frozenset(s)) for n, e, s in groups.values()}
 
 
 class TestMerge:
@@ -112,6 +164,35 @@ class TestMerge:
         only_name = merge_identities([make_record(author_name="Solo", author_email="")])
         assert only_name[0].id == "Solo"
 
+    def test_split_key_matches_normalized_name(self, caplog):
+        pairs = [("Carol", "c@x.com"), ("Carol", "z@y.org"), ("Alice  B", "z@y.org")]
+        for key in ("Alice  B", " Alice B", "Alice\tB"):
+            with caplog.at_level("WARNING", logger="paydev.identity"):
+                idents = merge_identities(records_from_pairs(pairs),
+                                          [OverrideRule(kind="split", keys=(key,))])
+            assert not caplog.records
+            by_id = {i.id: i for i in idents}
+            assert by_id["z@y.org"].commit_shas == {sha_of(2)}
+            assert by_id["z@y.org"].names == {"Alice B"}
+            assert by_id["c@x.com"].commit_shas == {sha_of(0), sha_of(1)}
+
+    def test_split_sharing_an_address_clashes(self):
+        pairs = [("N1", "a@x.com"), ("N2", "a@x.com")] * 3
+        records = records_from_pairs(pairs)
+        with pytest.raises(IdentityClashError, match="'a@x.com'.*split rule"):
+            merge_identities(records, [OverrideRule(kind="split", keys=("N2",))])
+        # the suggested fix: list the address in the split rule
+        idents = merge_identities(records, [OverrideRule(kind="split", keys=("N2", "a@x.com"))])
+        assert [(i.id, len(i.commit_shas)) for i in idents] == [("a@x.com", 6)]
+
+    def test_name_equal_to_an_address_clashes(self):
+        records = records_from_pairs([("a@x.com", ""), ("Bob", "a@x.com")])
+        with pytest.raises(IdentityClashError, match="`merge a@x.com`"):
+            merge_identities(records)
+        # the suggested fix: a merge rule naming the id
+        idents = merge_identities(records, [OverrideRule(kind="merge", keys=("a@x.com",))])
+        assert [(i.id, i.names) for i in idents] == [("a@x.com", {"a@x.com", "Bob"})]
+
     def test_empty_strings_do_not_link(self):
         pairs = [("A", ""), ("B", "")]
         idents = merge_identities(records_from_pairs(pairs))
@@ -165,6 +246,50 @@ class TestProperties:
             len(i.commit_shas) for i in idents
         )
         assert len(again) == len(idents)
+
+
+@st.composite
+def aliases_and_rules(draw):
+    """Alias pairs with empty parts, whitespace runs and a name equal to an
+    address, and 0-3 split or merge rules over their keys and a ghost."""
+    names = ["", "N1", " N1", "N  2", "N 2", "e1@x"]
+    emails = ["", "e1@x", "e2@x", "e3@x"]
+    keys = ["N1", "N 2", "N   2", "e1@x", "e2@x", "e3@x", "ghost"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(emails)),
+                          max_size=12))
+    rules = draw(st.lists(st.builds(
+        OverrideRule,
+        kind=st.sampled_from(["merge", "split"]),
+        keys=st.lists(st.sampled_from(keys), min_size=1, max_size=3).map(tuple),
+    ), max_size=3))
+    return pairs, rules
+
+
+class TestOverrideOracle:
+    @given(aliases_and_rules())
+    @example(([("N1", "e1@x"), ("N 2", "e2@x")],  # a key no alias holds links nothing
+              [OverrideRule("merge", ("ghost", "e1@x")), OverrideRule("merge", ("ghost", "N 2"))]))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_docstring_oracle(self, case):
+        pairs, rules = case
+        records = records_from_pairs(pairs)
+        merge_keys = {k for r in rules if r.kind == "merge" for k in r.keys}
+        if merge_keys & {k for r in rules if r.kind == "split" for k in r.keys}:
+            with pytest.raises(OverrideConflictError):
+                merge_identities(records, rules)
+            return
+        expected = oracle_identities(pairs, rules)
+        ids = [min(e) if e else min(n) if n else min(s) for n, e, s in expected]
+        if len(set(ids)) < len(ids):
+            with pytest.raises(IdentityClashError):
+                merge_identities(records, rules)
+            return
+        idents = merge_identities(records, rules)
+        all_shas = [sha for i in idents for sha in i.commit_shas]
+        assert sorted(all_shas) == sorted(r.sha for r in records)
+        assert {(frozenset(i.names), frozenset(i.emails), frozenset(i.commit_shas))
+                for i in idents} == expected
+        assert sorted(i.id for i in idents) == sorted(ids)
 
 
 class TestReport:
