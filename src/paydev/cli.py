@@ -29,6 +29,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from paydev.config import Config, apply_overrides, load_config, validate
 from paydev.errors import InputFileError, PaydevError, SchemaError, UnlabeledIdentityError
 from paydev.ingest import (
     GIT_EXPORT_COMMAND,
+    Commits,
     parse_git_log,
     read_canonical,
     write_canonical,
@@ -62,13 +64,34 @@ def _atomic_write(path, writer) -> None:
         raise
 
 
+@contextmanager
 def _open_input(path):
+    """The input file as UTF-8 text ('-' is stdin). Bytes that are not UTF-8
+    raise SchemaError naming the file and, for a file, the line."""
     if path == "-":
-        return sys.stdin
+        f = sys.stdin
+    else:
+        try:
+            f = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise InputFileError(f"cannot read {path}: {exc.strerror}") from None
     try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc.strerror}") from None
+        with f:
+            yield f
+    except UnicodeDecodeError:
+        raise SchemaError(f"{'stdin' if path == '-' else path} is not valid UTF-8",
+                          line=None if path == "-" else _first_non_utf8_line(path)) from None
+
+
+def _first_non_utf8_line(path):
+    """The number of the first line of `path` that does not decode as UTF-8."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def _emit(path, writer) -> None:
@@ -96,15 +119,15 @@ def _read_records(path):
         return read_canonical(f)
 
 
-def _apply_product_filter(records, args, cfg):
+def _apply_product_filter(commits, args, cfg):
     if not getattr(args, "product_map", None):
-        return records
+        return commits
     if not cfg.products:
         raise SchemaError("--product-map given but config lists no products")
     with _open_input(args.product_map) as f:
         product_map = linkage.load_product_map(f)
-    links = linkage.extract_links(records)
-    kept, report = linkage.filter_by_products(records, links, product_map, set(cfg.products))
+    links = linkage.extract_links(commits)
+    kept, report = linkage.filter_by_products(commits, links, product_map, set(cfg.products))
     print(
         f"# products: total={report.total} linked={report.linked} kept={report.kept} "
         f"unmapped={report.unmapped} disallowed={report.disallowed}",
@@ -113,23 +136,23 @@ def _apply_product_filter(records, args, cfg):
     return kept
 
 
-def _load_identities(args, records, kept=None):
-    """Identities over the `kept` records (default: all of them): the
-    --identities map, whose every sha must be in `records` and which loses
+def _load_identities(args, commits, kept=None):
+    """Identities over the `kept` Commits (default: all of them): the
+    --identities map, whose every sha must be in `commits` and which loses
     the commits not kept and then the identities left with none, or else
     identities merged afresh from `kept`."""
-    kept = records if kept is None else kept
+    kept = commits if kept is None else kept
     if getattr(args, "identities", None):
         with _open_input(args.identities) as f:
             identities = read_identity_map(f)
-        known = {r.sha for r in records}
+        known = set(commits.sha)
         for ident in identities:
             missing = ident.commit_shas - known
             if missing:
                 raise SchemaError(f"identity {ident.id!r} names commit {min(missing)}, "
                                   "which no record has")
-        if kept is not records:
-            kept_shas = {r.sha for r in kept}
+        if kept is not commits:
+            kept_shas = set(kept.sha)
             identities = [replace(i, commit_shas=i.commit_shas & kept_shas) for i in identities]
             identities = [i for i in identities if i.commit_shas]
         return identities
@@ -141,10 +164,10 @@ def _load_identities(args, records, kept=None):
 
 
 def _study_records(args, cfg):
-    """The records the product filter keeps, and their identities."""
-    records = _read_records(args.records)
-    kept = _apply_product_filter(records, args, cfg)
-    return kept, _load_identities(args, records, kept)
+    """The Commits the product filter keeps, and their identities."""
+    commits = _read_records(args.records)
+    kept = _apply_product_filter(commits, args, cfg)
+    return kept, _load_identities(args, commits, kept)
 
 
 def write_identity_map(identities, fileobj) -> None:
@@ -202,10 +225,11 @@ def read_identity_map(fileobj):
     return identities
 
 
-def _histories(identities, records):
+def _histories(identities, commits):
     """Each identity's commit History, keyed by identity id."""
-    by_sha = {r.sha: r for r in records}
-    return {i.id: feat.history([by_sha[sha] for sha in i.commit_shas]) for i in identities}
+    row_of = {sha: row for row, sha in enumerate(commits.sha)}
+    return {i.id: feat.history(commits.take(list(map(row_of.__getitem__, i.commit_shas))))
+            for i in identities}
 
 
 def _studied(identities, cfg):
@@ -215,10 +239,10 @@ def _studied(identities, cfg):
     return studied
 
 
-def _labeled_dataset(identities, records, label_set, cfg):
+def _labeled_dataset(identities, commits, label_set, cfg):
     """Join features with resolved labels; returns (dataset, histories)."""
     filtered = _studied(identities, cfg)
-    histories = _histories(filtered, records)
+    histories = _histories(filtered, commits)
     kept, ys = [], {}
     unlabeled = 0
     for ident in filtered:
@@ -316,17 +340,17 @@ def cmd_ingest(args) -> int:
             raise InputFileError(
                 f"git log failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
             )
-        records = parse_git_log(proc.stdout)
+        commits = parse_git_log(proc.stdout)
     elif args.source == "-":
-        records = parse_git_log(sys.stdin.buffer.read())
+        commits = parse_git_log(sys.stdin.buffer.read())
     else:
         try:
             with open(args.source, "rb") as f:
-                records = parse_git_log(f)
+                commits = parse_git_log(f)
         except OSError as exc:
             raise InputFileError(f"cannot read {args.source}: {exc.strerror}") from None
-    print(f"# ingested {len(records)} commits", file=sys.stderr)
-    _emit(args.out, lambda f: write_canonical(records, f))
+    print(f"# ingested {len(commits)} commits", file=sys.stderr)
+    _emit(args.out, lambda f: write_canonical(commits, f))
     return 0
 
 
@@ -348,8 +372,8 @@ def cmd_identities(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _build_config(args)
-    records, identities = _study_records(args, cfg)
-    features_by_id = feat.compute_features(_histories(identities, records))
+    commits, identities = _study_records(args, cfg)
+    features_by_id = feat.compute_features(_histories(identities, commits))
     _emit(args.out, lambda f: feat.write_features_csv(features_by_id, f, mode=args.mode))
     return 0
 
@@ -367,8 +391,8 @@ def cmd_evaluate(args) -> int:
     else:
         if not args.records:
             raise InputFileError("evaluate needs canonical records or --features")
-        records, identities = _study_records(args, cfg)
-        data, histories = _labeled_dataset(identities, records, label_set, cfg)
+        commits, identities = _study_records(args, cfg)
+        data, histories = _labeled_dataset(identities, commits, label_set, cfg)
     ml.check_training(data)
 
     folds = ev.stratified_kfold(len(data.y), data.y, k=cfg.folds, repeats=cfg.repeats,
@@ -404,8 +428,8 @@ def cmd_predict(args) -> int:
         with _open_input(args.features) as f:
             X, row_ids, columns = feat.read_features_csv(f)
     else:
-        records = _read_records(args.records)
-        histories = _histories(_load_identities(args, records), records)
+        commits = _read_records(args.records)
+        histories = _histories(_load_identities(args, commits), commits)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
             X = np.vstack([feat.commit_features(h)[0] for h in histories.values()])
             row_ids = [sha for h in histories.values() for sha in h.sha]
@@ -432,9 +456,9 @@ def cmd_commits(args) -> int:
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
-    records, identities = _study_records(args, cfg)
+    commits, identities = _study_records(args, cfg)
     all_report, rest_report = ev.per_commit_experiment(
-        _histories(_studied(identities, cfg), records),
+        _histories(_studied(identities, cfg), commits),
         label_set,
         _classifier_specs(cfg),
         coverage=cfg.coverage,
@@ -458,7 +482,7 @@ def cmd_synth(args) -> int:
     records, labels = synth.generate_synthetic_corpus(spec, seed=cfg.seed)
     print(f"# synthesized {len(records)} commits for {args.devs} developers",
           file=sys.stderr)
-    _emit(args.out, lambda f: write_canonical(records, f))
+    _emit(args.out, lambda f: write_canonical(Commits.from_records(records), f))
     _atomic_write(args.labels_out, lambda f: synth.write_labels_csv(labels, f))
     return 0
 
@@ -582,6 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "evaluate" and args.features:
+        # the baselines and these flags act on canonical records only
+        for flag in ("identities", "overrides", "product_map"):
+            if getattr(args, flag):
+                parser.error(f"evaluate: --{flag.replace('_', '-')} needs canonical records "
+                             "and is not allowed with --features")
     try:
         return args.func(args)
     except PaydevError as exc:

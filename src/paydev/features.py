@@ -75,16 +75,16 @@ class History(NamedTuple):
 
 
 def history(commits) -> History:
-    """The History of one identity's commit records, in any order."""
-    commits = sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))
-    ts = np.array([c.timestamp_utc for c in commits], dtype=np.int64)
-    added = np.array([c.lines_added for c in commits], dtype=np.float64)
-    deleted = np.array([c.lines_deleted for c in commits], dtype=np.float64)
+    """The History of one identity's Commits, in any order."""
+    order = np.lexsort((np.array(commits.sha, dtype=str), commits.timestamp_utc)).tolist()
+    ts = commits.timestamp_utc[order]
+    added = commits.lines_added[order].astype(np.float64)
+    deleted = commits.lines_deleted[order].astype(np.float64)
     return History(
-        sha=[c.sha for c in commits],
-        email=[c.author_email for c in commits],
+        sha=list(map(commits.sha.__getitem__, order)),
+        email=list(map(commits.author_email.__getitem__, order)),
         ts=ts,
-        local=to_local(ts, [c.tz_offset_minutes for c in commits]),
+        local=to_local(ts, commits.tz_offset_minutes[order]),
         lines=np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan),
     )
 

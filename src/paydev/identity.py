@@ -88,17 +88,17 @@ def _identity_id(names, emails, commit_shas) -> str:
     return min(commit_shas)
 
 
-def merge_identities(records, overrides=()) -> list[Identity]:
-    """Partition commits into identities; see the module docstring.
+def merge_identities(commits, overrides=()) -> list[Identity]:
+    """Partition Commits into identities; see the module docstring.
 
     Result is sorted by identity id. Split keys never observed in the data
-    produce a warning, a key in both a merge and a split rule is an error,
-    and so are two identities with the same id.
+    produce a warning, a merge key and a split key with the same normalized
+    name are an error, and so are two identities with the same id.
     """
     merge_keys = {k for r in overrides if r.kind == "merge" for k in r.keys}
     split_rules = [r for r in overrides if r.kind == "split"]
     split_keys = {k for r in split_rules for k in r.keys}
-    conflict = merge_keys & split_keys
+    conflict = {normalize_name(k) for k in merge_keys} & {normalize_name(k) for k in split_keys}
     if conflict:
         raise OverrideConflictError(
             f"key {sorted(conflict)[0]!r} appears in both merge and split rules"
@@ -111,8 +111,8 @@ def merge_identities(records, overrides=()) -> list[Identity]:
             split_by_email.setdefault(key, i)
 
     shas_by_alias = {}
-    for rec in records:
-        shas_by_alias.setdefault((rec.author_name, rec.author_email), []).append(rec.sha)
+    for sha, alias in zip(commits.sha, zip(commits.author_name, commits.author_email)):
+        shas_by_alias.setdefault(alias, []).append(sha)
 
     # One DSU node per alias: its split rule's, else its name's joined to
     # its email's. Empty strings must not link, so a commit with neither

@@ -1,7 +1,7 @@
 """Parse version-control history into canonical commit records.
 
 The importer reads the output of one documented git command (see
-GIT_EXPORT_COMMAND) and normalizes it into CommitRecord objects whose
+GIT_EXPORT_COMMAND) and normalizes it into a Commits table whose
 timestamps carry the offset embedded in the commit metadata. Civil-time
 math uses that offset only; no timezone database is consulted, so results
 are deterministic for any input.
@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +30,7 @@ GIT_EXPORT_COMMAND = (
 _SHA_RE = re.compile(rb"^[0-9a-f]{40}$")
 _SHA_STR_RE = re.compile(r"^[0-9a-f]{40}$")
 _OFFSET_RE = re.compile(rb"^([+-])(\d{2})(\d{2})$")
-_NUMSTAT_RE = re.compile(rb"^(\d+|-)[ \t]+(\d+|-)[ \t]+(.+)$")
+_NUMSTAT_RE = re.compile(rb"^(\d+|-)[ \t]+(\d+|-)[ \t]+.+$")
 
 CANONICAL_FIELDS = (
     "sha",
@@ -44,12 +46,14 @@ CANONICAL_FIELDS = (
 # Local instants (ts_utc + 60 * offset) must fall in years 1-9999:
 # 0001-01-01T00:00:00 .. 9999-12-31T23:59:59.
 LOCAL_MIN, LOCAL_MAX = -62135596800, 253402300799
+INT64_MAX = 2**63 - 1  # line counts must fit the table's int64 columns
 
 
 @dataclass(frozen=True)
 class CommitRecord:
-    """One commit's metadata. lines_added/lines_deleted are -1 when the
-    commit touched only binary content."""
+    """One commit's metadata, as synth generates it (see Commits.from_records).
+    lines_added/lines_deleted are -1 when the commit touched only binary
+    content."""
 
     sha: str
     author_name: str
@@ -59,6 +63,42 @@ class CommitRecord:
     lines_added: int
     lines_deleted: int
     message: str
+
+
+class Commits:
+    """Commit metadata as one table, one entry per commit in each column:
+    lists of str for sha, author_name, author_email and message, int64
+    arrays for timestamp_utc, tz_offset_minutes, lines_added and
+    lines_deleted (-1 when the commit touched only binary content).
+    Commits() is the empty table."""
+
+    __slots__ = CANONICAL_FIELDS
+
+    def __init__(self, sha=(), author_name=(), author_email=(), timestamp_utc=(),
+                 tz_offset_minutes=(), lines_added=(), lines_deleted=(), message=()):
+        self.sha = list(sha)
+        self.author_name = list(author_name)
+        self.author_email = list(author_email)
+        self.timestamp_utc = np.asarray(timestamp_utc, dtype=np.int64)
+        self.tz_offset_minutes = np.asarray(tz_offset_minutes, dtype=np.int64)
+        self.lines_added = np.asarray(lines_added, dtype=np.int64)
+        self.lines_deleted = np.asarray(lines_deleted, dtype=np.int64)
+        self.message = list(message)
+
+    @classmethod
+    def from_records(cls, records) -> Commits:
+        """The table of a sequence of CommitRecords."""
+        return cls(*([getattr(r, name) for r in records] for name in CANONICAL_FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.sha)
+
+    def take(self, rows) -> Commits:
+        """The commits at the given list of row indices, in that order."""
+        return Commits(*(
+            list(map(column.__getitem__, rows)) if isinstance(column, list) else column[rows]
+            for column in (getattr(self, name) for name in CANONICAL_FIELDS)
+        ))
 
 
 class LocalCalendar(NamedTuple):
@@ -145,30 +185,45 @@ def _parse_header(header: bytes, offset: int, index: int):
     return sha_raw.decode("ascii"), _decode(name_raw), _decode(email_raw).lower(), ts, tz
 
 
-def _parse_numstat(lines, offset: int, index: int):
+
+
+def _parse_numstat(body: bytes, offset: int, index: int):
+    """(lines added, lines deleted) summed over a commit's numstat lines,
+    which start at byte `offset`; (-1, -1) when every line is a binary file.
+    Blank lines are skipped."""
     added = deleted = 0
     saw_numeric = saw_binary = False
-    for line_offset, line in lines:
+    lines = body.split(b"\n")
+    for k, line in enumerate(lines):
+        if not line.strip():
+            continue
         m = _NUMSTAT_RE.match(line)
         if m is None:
             raise ParseError(
                 f"malformed numstat line {_decode(line)!r}",
-                byte_offset=line_offset,
+                byte_offset=offset + sum(len(prev) + 1 for prev in lines[:k]),
                 record_index=index,
             )
-        if m.group(1) == b"-" or m.group(2) == b"-":
+        a, d = m.groups()
+        if a == b"-" or d == b"-":
             saw_binary = True
             continue
-        added += int(m.group(1))
-        deleted += int(m.group(2))
+        try:
+            added += int(a)
+            deleted += int(d)
+        except ValueError:  # more digits than int() converts
+            added = deleted = INT64_MAX + 1
+        if added > INT64_MAX or deleted > INT64_MAX:
+            raise ParseError(f"line counts exceed {INT64_MAX}", byte_offset=offset,
+                             record_index=index)
         saw_numeric = True
     if saw_binary and not saw_numeric:
         return -1, -1
     return added, deleted
 
 
-def parse_git_log(stream) -> list[CommitRecord]:
-    """Parse the documented export format into commit records.
+def parse_git_log(stream) -> Commits:
+    """Parse the documented export format into a Commits table.
 
     Accepts bytes, str, or a binary/text file object. Raises ParseError with
     a byte offset and record index on malformed input, DuplicateShaError on
@@ -181,102 +236,164 @@ def parse_git_log(stream) -> list[CommitRecord]:
     if isinstance(data, str):
         data = data.encode("utf-8")
 
-    records: list[CommitRecord] = []
-    seen: set[str] = set()
     if not data:
-        return records
+        return Commits()
     first = data.find(b"\x1e")
     if first < 0 or data[:first].strip():
         raise ParseError("input does not start with a record sentinel", byte_offset=0)
 
-    pos = first
-    index = 0
-    while pos < len(data):
-        nxt = data.find(b"\x1e", pos + 1)
-        end = len(data) if nxt < 0 else nxt
-        chunk = data[pos + 1 : end]
-        header_end = chunk.find(b"\n")
-        header = chunk if header_end < 0 else chunk[:header_end]
-        sha, name, email, ts, tz = _parse_header(header, pos + 1, index)
-        if sha in seen:
-            raise DuplicateShaError(f"duplicate commit id {sha}")
-        seen.add(sha)
-
-        numstat_lines = []
-        if header_end >= 0:
-            cursor = pos + 1 + header_end + 1
-            for line in chunk[header_end + 1 :].split(b"\n"):
-                if line.strip():
-                    numstat_lines.append((cursor, line))
-                cursor += len(line) + 1
-        added, deleted = _parse_numstat(numstat_lines, pos + 1, index)
-
-        records.append(
-            CommitRecord(
-                sha=sha,
-                author_name=name,
-                author_email=email,
-                timestamp_utc=ts,
-                tz_offset_minutes=tz,
-                lines_added=added,
-                lines_deleted=deleted,
-                message="",
-            )
-        )
-        pos = end
-        index += 1
-    return records
-
-
-def write_canonical(records, fileobj) -> None:
-    """Write records as JSON-lines with the canonical field names."""
-    for rec in records:
-        obj = {name: getattr(rec, name) for name in CANONICAL_FIELDS}
-        fileobj.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-_INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
-
-
-def read_canonical(fileobj) -> list[CommitRecord]:
-    """Read canonical JSON-lines, validating the schema per line."""
-    records = []
+    rows = []
     seen: set[str] = set()
-    expected = set(CANONICAL_FIELDS)
-    for lineno, line in enumerate(fileobj, start=1):
+    pos = first + 1  # byte offset of the current chunk
+    for index, chunk in enumerate(data[pos:].split(b"\x1e")):
+        header, _, body = chunk.partition(b"\n")
+        row = _parse_header(header, pos, index)
+        if row[0] in seen:
+            raise DuplicateShaError(f"duplicate commit id {row[0]}")
+        seen.add(row[0])
+        rows.append(row + _parse_numstat(body, pos + len(header) + 1, index))
+        pos += len(chunk) + 1
+    return Commits(*zip(*rows), message=[""] * len(rows))  # the export has no message
+
+
+def write_canonical(commits, fileobj) -> None:
+    """Write the commits as canonical JSON lines. Each line is exactly
+    json.dumps(row, ensure_ascii=False) of the row as a dict in
+    CANONICAL_FIELDS order; names and addresses repeat, so each distinct
+    one is escaped once."""
+    quote = encode_basestring  # the C escaper json.dumps itself uses
+    names = {n: quote(n) for n in set(commits.author_name)}
+    emails = {e: quote(e) for e in set(commits.author_email)}
+    write = fileobj.write
+    for s, n, e, t, z, a, d, m in zip(
+        commits.sha, commits.author_name, commits.author_email,
+        commits.timestamp_utc.tolist(), commits.tz_offset_minutes.tolist(),
+        commits.lines_added.tolist(), commits.lines_deleted.tolist(), commits.message,
+    ):
+        write(f'{{"sha": {quote(s)}, "author_name": {names[n]}, "author_email": {emails[e]}, '
+              f'"timestamp_utc": {t}, "tz_offset_minutes": {z}, "lines_added": {a}, '
+              f'"lines_deleted": {d}, "message": {quote(m)}}}\n')
+
+
+_FIELD_SET = frozenset(CANONICAL_FIELDS)
+_INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
+_ROW = itemgetter(*CANONICAL_FIELDS)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+_SHAS_RE = re.compile("(?:[0-9a-f]{40}\n)*")
+
+
+def _check_row(obj, seen, lineno) -> None:
+    """Raise the SchemaError for the first check a parsed canonical line
+    fails, in the order the checks are documented; return if it passes."""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected a JSON object", line=lineno)
+    unknown = set(obj) - _FIELD_SET
+    if unknown:
+        raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", line=lineno)
+    missing = _FIELD_SET - set(obj)
+    if missing:
+        raise SchemaError(f"missing field {sorted(missing)[0]!r}", line=lineno)
+    for name in CANONICAL_FIELDS:
+        value = obj[name]
+        if name in _INT_FIELDS:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(f"field {name!r} must be an integer", line=lineno)
+        elif not isinstance(value, str):
+            raise SchemaError(f"field {name!r} must be a string", line=lineno)
+    if not _SHA_STR_RE.match(obj["sha"]):
+        raise SchemaError(f"malformed commit id {obj['sha']!r}", line=lineno)
+    if obj["sha"] in seen:
+        raise DuplicateShaError(f"duplicate commit id {obj['sha']}", line=lineno)
+    if not -1440 <= obj["tz_offset_minutes"] <= 1440:
+        raise SchemaError("tz_offset_minutes out of range", line=lineno)
+    if not LOCAL_MIN <= obj["timestamp_utc"] + 60 * obj["tz_offset_minutes"] <= LOCAL_MAX:
+        raise SchemaError("local time outside years 1-9999", line=lineno)
+    if obj["author_email"] != obj["author_email"].lower():
+        raise SchemaError("author_email must be lowercase", line=lineno)
+    if obj["lines_added"] < -1 or obj["lines_deleted"] < -1:
+        raise SchemaError("line counts must be >= -1", line=lineno)
+    if obj["lines_added"] > INT64_MAX or obj["lines_deleted"] > INT64_MAX:
+        raise SchemaError(f"line counts must be <= {INT64_MAX}", line=lineno)
+    for name in CANONICAL_FIELDS:
+        if name not in _INT_FIELDS and _SURROGATE_RE.search(obj[name]):
+            raise SchemaError(f"field {name!r} holds a lone surrogate", line=lineno)
+
+
+_scan_once = json.JSONDecoder().scan_once
+_BLANK = object()
+
+
+def _loads(line, lineno):
+    """json.loads(line), or _BLANK for a blank line; SchemaError otherwise."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
         if not line.strip():
-            continue
+            return _BLANK
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    except ValueError:  # int() converts at most 4300 digits
+        raise SchemaError("invalid JSON: integer too long", line=lineno) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
+
+
+def _check_rows(rows, linenos) -> None:
+    """_check_row over parsed rows (tuples in CANONICAL_FIELDS order) in
+    line order: raises for the first row that fails a check."""
+    seen: set[str] = set()
+    for row, lineno in zip(rows, linenos):
+        _check_row(dict(zip(CANONICAL_FIELDS, row)), seen, lineno)
+        seen.add(row[0])
+
+
+def _columns_pass(sha, name, email, ts, tz, added, deleted, message) -> bool:
+    """Whether every row passes every check of _check_row, decided column
+    by column. May say False for rows that pass (a sha of 40 hex digits and
+    a newline); never says True for a row that fails."""
+    if not (all(set(map(type, c)) == {str} for c in (sha, name, email, message))
+            and all(set(map(type, c)) == {int} for c in (ts, tz, added, deleted))
+            and _SHAS_RE.fullmatch("\n".join(sha) + "\n") and len(set(sha)) == len(sha)
+            and -1440 <= min(tz) and max(tz) <= 1440
+            and LOCAL_MIN - 86400 <= min(ts) and max(ts) <= LOCAL_MAX + 86400
+            and all(e == e.lower() for e in set(email))
+            and -1 <= min(added) and max(added) <= INT64_MAX
+            and -1 <= min(deleted) and max(deleted) <= INT64_MAX
+            and not _SURROGATE_RE.search("".join([*set(name), *set(email), *message]))):
+        return False
+    local = np.array(ts, dtype=np.int64) + 60 * np.array(tz, dtype=np.int64)
+    return LOCAL_MIN <= local.min() and local.max() <= LOCAL_MAX
+
+
+def read_canonical(fileobj) -> Commits:
+    """Read canonical JSON lines into a Commits table; blank lines are
+    skipped. Lines are read one at a time. Each is parsed and checked for
+    shape as it is read; the values of all rows are checked column by column
+    at the end. Any fault is named with its line: the rows before it are
+    checked one by one (_check_row), so the first faulty line is reported."""
+    rows, linenos = [], []
+    for lineno, line in enumerate(fileobj, start=1):
+        # json.loads(line), minus its Python-level wrapping, for a line
+        # that is one JSON value and a newline; json.loads on anything else
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise SchemaError("expected a JSON object", line=lineno)
-        unknown = set(obj) - expected
-        if unknown:
-            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", line=lineno)
-        missing = expected - set(obj)
-        if missing:
-            raise SchemaError(f"missing field {sorted(missing)[0]!r}", line=lineno)
-        for name in CANONICAL_FIELDS:
-            value = obj[name]
-            if name in _INT_FIELDS:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise SchemaError(f"field {name!r} must be an integer", line=lineno)
-            elif not isinstance(value, str):
-                raise SchemaError(f"field {name!r} must be a string", line=lineno)
-        if not _SHA_STR_RE.match(obj["sha"]):
-            raise SchemaError(f"malformed commit id {obj['sha']!r}", line=lineno)
-        if obj["sha"] in seen:
-            raise DuplicateShaError(f"duplicate commit id {obj['sha']}", line=lineno)
-        seen.add(obj["sha"])
-        if not -1440 <= obj["tz_offset_minutes"] <= 1440:
-            raise SchemaError("tz_offset_minutes out of range", line=lineno)
-        if not LOCAL_MIN <= obj["timestamp_utc"] + 60 * obj["tz_offset_minutes"] <= LOCAL_MAX:
-            raise SchemaError("local time outside years 1-9999", line=lineno)
-        if obj["author_email"] != obj["author_email"].lower():
-            raise SchemaError("author_email must be lowercase", line=lineno)
-        if obj["lines_added"] < -1 or obj["lines_deleted"] < -1:
-            raise SchemaError("line counts must be >= -1", line=lineno)
-        records.append(CommitRecord(**obj))
-    return records
+            obj, end = _scan_once(line, 0)
+            if end != len(line) - (line[-1:] == "\n"):
+                raise ValueError
+        except (StopIteration, ValueError, RecursionError):
+            try:
+                obj = _loads(line, lineno)
+            except SchemaError:
+                _check_rows(rows, linenos)
+                raise
+            if obj is _BLANK:
+                continue
+        if type(obj) is not dict or obj.keys() != _FIELD_SET:
+            _check_rows(rows, linenos)
+            _check_row(obj, (), lineno)  # raises: the shape checks come first
+        rows.append(_ROW(obj))
+        linenos.append(lineno)
+    if not rows:
+        return Commits()
+    columns = list(zip(*rows))
+    if not _columns_pass(*columns):
+        _check_rows(rows, linenos)
+    return Commits(*columns)

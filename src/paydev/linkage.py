@@ -28,13 +28,13 @@ def extract_issue_ids(message: str) -> list[int]:
     return out
 
 
-def extract_links(records) -> dict[str, list[int]]:
+def extract_links(commits) -> dict[str, list[int]]:
     """Map sha -> issue ids for every commit; empty lists are omitted."""
     links = {}
-    for rec in records:
-        ids = extract_issue_ids(rec.message)
+    for sha, message in zip(commits.sha, commits.message):
+        ids = extract_issue_ids(message)
         if ids:
-            links[rec.sha] = ids
+            links[sha] = ids
     return links
 
 
@@ -69,15 +69,15 @@ class LinkageReport:
     disallowed: int
 
 
-def filter_by_products(records, links, product_map, allowed):
+def filter_by_products(commits, links, product_map, allowed):
     """Keep commits whose primary (first) issue link maps to an allowed
-    product. Returns (kept records, LinkageReport)."""
+    product. Returns (kept Commits, LinkageReport)."""
     if not allowed:
         raise ValueError("allowed product set must be nonempty")
     kept = []
     linked = unmapped = disallowed = 0
-    for rec in records:
-        ids = links.get(rec.sha)
+    for row, sha in enumerate(commits.sha):
+        ids = links.get(sha)
         if not ids:
             continue
         linked += 1
@@ -87,12 +87,12 @@ def filter_by_products(records, links, product_map, allowed):
         elif product not in allowed:
             disallowed += 1
         else:
-            kept.append(rec)
+            kept.append(row)
     report = LinkageReport(
-        total=len(records),
+        total=len(commits),
         linked=linked,
         kept=len(kept),
         unmapped=unmapped,
         disallowed=disallowed,
     )
-    return kept, report
+    return commits.take(kept), report

@@ -91,7 +91,8 @@ def _civil_to_epoch_seconds(d: date, hour, minute, second) -> int:
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int):
-    """Returns (records, labels) with labels as {identity_id: status}.
+    """Returns (records, labels): a list of CommitRecords sorted by
+    (timestamp, sha), and labels as {identity_id: status}.
 
     identity_id matches what identity merging produces for the developer
     (the lexicographically smallest email they used).

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paydev.ingest import CommitRecord
+from paydev.features import history
+from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
 
 
 def make_record(
@@ -28,6 +29,18 @@ def make_record(
 
 def sha_of(i: int) -> str:
     return f"{i:040x}"
+
+
+def rows(commits):
+    """The rows of a Commits table as CommitRecords, in table order."""
+    columns = [getattr(commits, name) for name in CANONICAL_FIELDS]
+    columns = [c if isinstance(c, list) else c.tolist() for c in columns]
+    return [CommitRecord(*row) for row in zip(*columns)]
+
+
+def history_of(records):
+    """features.history of a list of CommitRecords."""
+    return history(Commits.from_records(records))
 
 
 @pytest.fixture

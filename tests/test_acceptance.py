@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_record, sha_of
+from conftest import history_of, make_record, sha_of
 from oracle_auc import pairwise_auc
 from oracle_features import brute_force_features
 from oracle_split import exhaustive_best_split
@@ -24,7 +24,7 @@ from paydev.evaluation import (
     roc_auc,
     stratified_kfold,
 )
-from paydev.features import FEATURE_COLUMNS, developer_features, history
+from paydev.features import FEATURE_COLUMNS, developer_features
 from paydev.ml import fit_forest, fit_tree, loss_and_grad, make_dataset, predict_proba
 from paydev.synth import ClassProfile, SynthSpec, generate_synthetic_corpus
 
@@ -53,7 +53,7 @@ def test_criterion_1_baseline_base_rates():
         ident = f"dev{i:04d}@example.org"
         ids.append(ident)
         truth[i] = 1 if i < 668 else 0
-        commits_by_id[ident] = history([
+        commits_by_id[ident] = history_of([
             make_record(sha=sha_of(2 * i), timestamp_utc=1483347600),  # Mon 09:00
             make_record(sha=sha_of(2 * i + 1), timestamp_utc=1483826400),  # Sat 22:00
         ])
@@ -207,7 +207,7 @@ def test_criterion_6_feature_fixture(fixture_commits):
         "end_regular": 14,
         "length_regular": 5,
     }
-    feats = developer_features(history(fixture_commits))
+    feats = developer_features(history_of(fixture_commits))
     for name, value in expected.items():
         assert getattr(feats, name) == value, name
     assert feats.timediff == pytest.approx(0.2292, abs=1e-4)
@@ -336,10 +336,11 @@ def test_criterion_10_introspection():
     records, labels = generate_synthetic_corpus(spec, seed=10)
     from paydev.features import compute_features, feature_matrix
     from paydev.identity import merge_identities
+    from paydev.ingest import Commits
 
-    identities = merge_identities(records)
+    identities = merge_identities(Commits.from_records(records))
     by_sha = {r.sha: r for r in records}
-    feats = compute_features({i.id: history([by_sha[s] for s in i.commit_shas])
+    feats = compute_features({i.id: history_of([by_sha[s] for s in i.commit_shas])
                               for i in identities})
     X, ids, columns = feature_matrix(feats, "all")
     y = [1 if labels[i] == "hired" else 0 for i in ids]

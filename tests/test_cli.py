@@ -187,12 +187,13 @@ class TestIdentitiesAndFeatures:
     ], ids=["split_shares_address", "name_is_address"])
     def test_clashing_identity_ids_exit_3(self, tmp_path, capsys, pairs, rules, fix):
         from conftest import make_record, sha_of
-        from paydev.ingest import write_canonical
+        from paydev.ingest import Commits, write_canonical
 
         records = tmp_path / "records.jsonl"
         with open(records, "w", encoding="utf-8") as f:
-            write_canonical([make_record(sha=sha_of(i), author_name=name, author_email=email)
-                             for i, (name, email) in enumerate(pairs)], f)
+            write_canonical(Commits.from_records([
+                make_record(sha=sha_of(i), author_name=name, author_email=email)
+                for i, (name, email) in enumerate(pairs)]), f)
         overrides, out = tmp_path / "overrides.txt", tmp_path / "out"
         overrides.write_text(rules)
         for command in ("identities", "features"):
@@ -206,6 +207,15 @@ class TestIdentitiesAndFeatures:
         assert out.read_text().splitlines()[1].startswith("a@x.com,")
         assert len(out.read_text().splitlines()) == 2
 
+    def test_merge_and_split_of_one_normalized_name_exit_3(self, corpus, tmp_path, capsys):
+        records, _ = corpus
+        overrides, out = tmp_path / "overrides.txt", tmp_path / "id.jsonl"
+        overrides.write_text("merge Dev  0001|dev0002@example.org\nsplit Dev 0001\n")
+        assert run_cli("identities", str(records), "--overrides", str(overrides),
+                       "--out", str(out)) == 3
+        assert "'Dev 0001' appears in both merge and split rules" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["features", "evaluate"])
     def test_identities_excludes_overrides(self, corpus, tmp_path, capsys, command):
         records, labels = corpus
@@ -217,6 +227,40 @@ class TestIdentitiesAndFeatures:
             run_cli(*argv, *(["--labels", str(labels)] if command == "evaluate" else []))
         assert exc.value.code == 2
         assert "not allowed with argument --identities" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEncodingFaults:
+    """Input that is not UTF-8, or holds a lone surrogate, exits 3."""
+
+    def test_non_utf8_records_exit_3(self, corpus, tmp_path, capsys):
+        records, _ = corpus
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(records.read_bytes() + b"\xff\xfe\n")
+        n = len(records.read_text().splitlines())
+        assert run_cli("identities", str(bad)) == 3
+        err = capsys.readouterr().err
+        assert f"{bad} is not valid UTF-8 (line {n + 1})" in err
+        assert "internal error" not in err
+
+    def test_non_utf8_labels_exit_3(self, corpus, tmp_path, capsys):
+        records, labels = corpus
+        bad = tmp_path / "labels.csv"
+        bad.write_bytes(labels.read_bytes().replace(b",volunteer,", b",volunt\xffer,", 1))
+        out = tmp_path / "r.json"
+        assert run_cli("evaluate", str(records), "--labels", str(bad), *SMALL_EVAL,
+                       "--out", str(out)) == 3
+        assert f"{bad} is not valid UTF-8 (line " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lone_surrogate_record_exit_3(self, corpus, tmp_path, capsys):
+        records, _ = corpus
+        lines = records.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"author_name": "', '"author_name": "\\ud800', 1)
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "id.jsonl"
+        bad.write_text("".join(lines))
+        assert run_cli("identities", str(bad), "--out", str(out)) == 3
+        assert "lone surrogate (line 4)" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -268,6 +312,19 @@ class TestEvaluate:
         assert {c["classifier"] for c in report["cells"]} == {
             "logit", "rpart", "randomforest"
         }
+
+    @pytest.mark.parametrize("flag", ["--identities", "--overrides", "--product-map"])
+    def test_features_only_mode_rejects_records_flags(self, corpus, tmp_path, capsys, flag):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--features", str(csv_path), "--labels", str(labels),
+                    flag, str(tmp_path / "missing"), *SMALL_EVAL, "--out", str(out))
+        assert exc.value.code == 2
+        assert f"{flag} needs canonical records" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_stderr_label_counts(self, corpus, tmp_path, capsys):
@@ -722,7 +779,7 @@ class TestProductFilter:
         from io import StringIO
 
         from conftest import make_record, sha_of
-        from paydev.ingest import write_canonical
+        from paydev.ingest import Commits, write_canonical
 
         records = [
             make_record(sha=sha_of(i), message=f"Bug 10{i} - x", author_email="a@x")
@@ -730,7 +787,7 @@ class TestProductFilter:
         ]
         records += [make_record(sha=sha_of(9), message="no link", author_email="a@x")]
         buf = StringIO()
-        write_canonical(records, buf)
+        write_canonical(Commits.from_records(records), buf)
         rec_path = tmp_path / "r.jsonl"
         rec_path.write_text(buf.getvalue())
         pm = tmp_path / "products.csv"

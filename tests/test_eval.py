@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, sha_of
+from conftest import history_of, make_record, sha_of
 from paydev.errors import SingleClassError, StratificationError
 from paydev.evaluation import (
     BaselineSpec,
@@ -19,7 +19,6 @@ from paydev.evaluation import (
     roc_auc,
     stratified_kfold,
 )
-from paydev.features import history
 from paydev.labels import LabelSet
 from paydev.ml import make_dataset
 
@@ -213,7 +212,7 @@ class TestBaselines:
             _office_commit(11, weekday_hour=22,
                            email="dev2@mozilla.com"),
         ]
-        return {"dev1": history(dev1), "dev2": history(dev2)}
+        return {"dev1": history_of(dev1), "dev2": history_of(dev2)}
 
     def test_officehours_thresholds(self):
         commits = self._commits_by_id()
@@ -273,8 +272,8 @@ def test_office_flags_match_calendar_oracle(rng):
     for c in commits:
         *_, hour, _, weekday, _, _ = local_civil(c.timestamp_utc, c.tz_offset_minutes)
         expected.append(weekday < 5 and 9 <= hour < 17)
-    assert evaluation._office_flags(history(commits)).tolist() == expected
-    by_dev = {f"d{k}": history(commits[k::7]) for k in range(7)}
+    assert evaluation._office_flags(history_of(commits)).tolist() == expected
+    by_dev = {f"d{k}": history_of(commits[k::7]) for k in range(7)}
     scores, _ = baseline_predict(BaselineSpec(kind="officehours"), by_dev, sorted(by_dev))
     assert scores.tolist() == [np.mean(expected[k::7]) for k in range(7)]
 
@@ -302,7 +301,7 @@ class TestPerCommitExperiment:
 
     @staticmethod
     def _histories(commits_by_id):
-        return {ident_id: history(c) for ident_id, c in commits_by_id.items()}
+        return {ident_id: history_of(c) for ident_id, c in commits_by_id.items()}
 
     def test_training_prefix_and_reports(self, rng):
         commits_by_id, label_set = self._setup(rng)

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import make_record, sha_of
+from conftest import history_of, make_record, sha_of
 from oracle_calendar import local_civil
 from oracle_features import brute_force_features
 from paydev.labels import commit_labels, load_labels
@@ -14,7 +14,6 @@ from paydev.features import (
     commit_features,
     developer_features,
     feature_matrix,
-    history,
     read_features_csv,
     write_features_csv,
 )
@@ -42,7 +41,7 @@ FIXTURE_EXPECTED = {
 
 class TestDeveloperFeatures:
     def test_fixture_exact(self, fixture_commits):
-        feats = developer_features(history(fixture_commits))
+        feats = developer_features(history_of(fixture_commits))
         for name, expected in FIXTURE_EXPECTED.items():
             got = getattr(feats, name)
             if name == "timediff":
@@ -51,7 +50,7 @@ class TestDeveloperFeatures:
                 assert got == expected, name
 
     def test_fixture_matches_oracle(self, fixture_commits):
-        feats = developer_features(history(fixture_commits))
+        feats = developer_features(history_of(fixture_commits))
         oracle = brute_force_features(
             [
                 (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added, c.lines_deleted)
@@ -63,7 +62,7 @@ class TestDeveloperFeatures:
 
     def test_single_commit(self):
         rec = make_record(timestamp_utc=1483347600 + 3600)  # Mon 10:00
-        feats = developer_features(history([rec]))
+        feats = developer_features(history_of([rec]))
         assert feats.period == 0
         assert feats.days == 1
         assert feats.weeks == 1
@@ -77,31 +76,31 @@ class TestDeveloperFeatures:
 
     def test_identical_timestamps(self):
         recs = [make_record(sha=sha_of(i)) for i in range(2)]
-        feats = developer_features(history(recs))
+        feats = developer_features(history_of(recs))
         assert feats.timediff == 0.0
         assert feats.commits == 2
 
     def test_zero_commits_rejected(self):
         with pytest.raises(ValueError):
-            developer_features(history([]))
+            developer_features(history_of([]))
 
     def test_unknown_loc_excluded(self):
         recs = [
             make_record(sha=sha_of(0), lines_added=-1, lines_deleted=-1),
             make_record(sha=sha_of(1), lines_added=10, lines_deleted=5),
         ]
-        assert developer_features(history(recs)).loc_per_commit == 15.0
+        assert developer_features(history_of(recs)).loc_per_commit == 15.0
 
     def test_all_unknown_loc_falls_back_to_zero(self):
         recs = [make_record(lines_added=-1, lines_deleted=-1)]
-        assert developer_features(history(recs)).loc_per_commit == 0.0
+        assert developer_features(history_of(recs)).loc_per_commit == 0.0
 
     def test_permutation_invariant(self, fixture_commits, rng):
-        base = developer_features(history(fixture_commits))
+        base = developer_features(history_of(fixture_commits))
         for _ in range(5):
             shuffled = list(fixture_commits)
             rng.shuffle(shuffled)
-            assert developer_features(history(shuffled)) == base
+            assert developer_features(history_of(shuffled)) == base
 
     def test_matches_oracle_on_random_histories(self, rng):
         for _ in range(40):
@@ -116,7 +115,7 @@ class TestDeveloperFeatures:
                 )
                 for i in range(n)
             ]
-            feats = developer_features(history(commits))
+            feats = developer_features(history_of(commits))
             oracle = brute_force_features(
                 [
                     (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added,
@@ -134,7 +133,7 @@ class TestDeveloperFeatures:
                 make_record(sha=sha_of(i), timestamp_utc=int(rng.integers(1.4e9, 1.6e9)))
                 for i in range(n)
             ]
-            f = developer_features(history(commits))
+            f = developer_features(history_of(commits))
             assert abs(f.night + f.morning + f.afternoon + f.evening - 1.0) < 1e-12
             assert 0 <= f.weekend <= 1 and 0 <= f.office <= 1
             assert f.days <= f.period + 1
@@ -157,7 +156,7 @@ class TestMedians:
 
 class TestMatrix:
     def _features(self, fixture_commits):
-        return {"dev": developer_features(history(fixture_commits))}
+        return {"dev": developer_features(history_of(fixture_commits))}
 
     def test_all_mode_16_columns(self, fixture_commits):
         X, ids, columns = feature_matrix(self._features(fixture_commits), "all")
@@ -173,7 +172,7 @@ class TestMatrix:
         assert X.shape == (1, 12)
 
     def test_rows_sorted_by_id(self, fixture_commits):
-        feats = developer_features(history(fixture_commits))
+        feats = developer_features(history_of(fixture_commits))
         X, ids, _ = feature_matrix({"b": feats, "a": feats}, "all")
         assert ids == ["a", "b"]
 
@@ -190,8 +189,8 @@ class TestMatrix:
 
 class TestCommitFeatures:
     def test_flags(self, fixture_commits):
-        aggregates = developer_features(history(fixture_commits))
-        X, shas, columns = commit_features(history(fixture_commits))
+        aggregates = developer_features(history_of(fixture_commits))
+        X, shas, columns = commit_features(history_of(fixture_commits))
         assert columns == COMMIT_FEATURE_COLUMNS
         assert X.shape == (4, len(columns))
         sat = X[2]  # Sat 22:00
@@ -205,13 +204,13 @@ class TestCommitFeatures:
         assert (tod.sum(axis=1) == 1).all()
 
     def test_first_commit_uses_aggregate_timediff(self, fixture_commits):
-        aggregates = developer_features(history(fixture_commits))
-        X, _, columns = commit_features(history(fixture_commits))
+        aggregates = developer_features(history_of(fixture_commits))
+        X, _, columns = commit_features(history_of(fixture_commits))
         assert X[0][columns.index("time_since_prev")] == pytest.approx(aggregates.timediff)
 
     def test_flag_sums_match_aggregate_shares(self, fixture_commits):
-        aggregates = developer_features(history(fixture_commits))
-        X, _, columns = commit_features(history(fixture_commits))
+        aggregates = developer_features(history_of(fixture_commits))
+        X, _, columns = commit_features(history_of(fixture_commits))
         col = {c: i for i, c in enumerate(columns)}
         n = len(X)
         assert X[:, col["weekend_flag"]].sum() == aggregates.weekend * n
@@ -224,8 +223,8 @@ class TestCommitFeatures:
             make_record(sha=sha_of(1), timestamp_utc=1483347600 + 60,
                         lines_added=-1, lines_deleted=-1),
         ]
-        aggregates = developer_features(history(recs))
-        X, _, columns = commit_features(history(recs))
+        aggregates = developer_features(history_of(recs))
+        X, _, columns = commit_features(history_of(recs))
         assert X[1][columns.index("loc")] == aggregates.loc_per_commit == 8.0
 
     def test_columns_match_calendar_oracle(self, rng):
@@ -243,8 +242,8 @@ class TestCommitFeatures:
                 rng.integers(-1440, 1441, 600),
             ))
         ]
-        aggregates = developer_features(history(commits))
-        X, shas, columns = commit_features(history(commits))
+        aggregates = developer_features(history_of(commits))
+        X, shas, columns = commit_features(history_of(commits))
         by_sha = {c.sha: c for c in commits}
         col = {c: i for i, c in enumerate(columns)}
         assert len(shas) == len(commits)
@@ -282,10 +281,10 @@ def _tied_commits(rng, n=60):
 class TestHistory:
     def test_order_of_commits_does_not_matter(self, rng):
         commits = _tied_commits(rng)
-        base = history(sorted(commits, key=lambda c: (c.timestamp_utc, c.sha)))
+        base = history_of(sorted(commits, key=lambda c: (c.timestamp_utc, c.sha)))
         for _ in range(5):
             rng.shuffle(commits)
-            h = history(commits)
+            h = history_of(commits)
             assert h.sha == base.sha
             assert h.email == base.email
             assert np.array_equal(h.ts, base.ts)
@@ -295,7 +294,7 @@ class TestHistory:
 
     def test_rows_align_with_sha(self, rng):
         commits = _tied_commits(rng)
-        h = history(commits)
+        h = history_of(commits)
         by_sha = {c.sha: c for c in commits}
         assert h.sha == [c.sha for c in sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))]
         X, shas, columns = commit_features(h)

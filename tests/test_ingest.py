@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, sha_of
+import oracle_canonical
+from conftest import make_record, rows, sha_of
 from oracle_calendar import days_from_civil, local_civil
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
 from paydev.ingest import (
+    CANONICAL_FIELDS,
     LOCAL_MAX,
     LOCAL_MIN,
     CommitRecord,
+    Commits,
     parse_git_log,
     read_canonical,
     to_local,
@@ -33,7 +38,7 @@ def record_bytes(sha, name="Alice", email="A@X.COM", at=1483348800,
 class TestParseGitLog:
     def test_documented_example(self):
         data = record_bytes(SHA_A, numstat="3\t1\tsrc/a.c\n")
-        (rec,) = parse_git_log(data)
+        (rec,) = rows(parse_git_log(data))
         assert rec.sha == SHA_A
         assert rec.author_name == "Alice"
         assert rec.author_email == "a@x.com"
@@ -44,34 +49,34 @@ class TestParseGitLog:
         assert rec.message == ""
 
     def test_empty_stream(self):
-        assert parse_git_log(b"") == []
+        assert rows(parse_git_log(b"")) == []
 
     def test_binary_only_numstat(self):
         data = record_bytes(SHA_A, numstat="-\t-\timage.png\n")
-        (rec,) = parse_git_log(data)
+        (rec,) = rows(parse_git_log(data))
         assert rec.lines_added == -1
         assert rec.lines_deleted == -1
 
     def test_mixed_numstat_ignores_binary(self):
         data = record_bytes(SHA_A, numstat="5\t2\ta.c\n-\t-\timg.png\n2\t0\tb.c\n")
-        (rec,) = parse_git_log(data)
+        (rec,) = rows(parse_git_log(data))
         assert (rec.lines_added, rec.lines_deleted) == (7, 2)
 
     def test_no_numstat_is_zero(self):
-        (rec,) = parse_git_log(record_bytes(SHA_A))
+        (rec,) = rows(parse_git_log(record_bytes(SHA_A)))
         assert (rec.lines_added, rec.lines_deleted) == (0, 0)
 
     def test_multiple_records_in_order(self):
         data = record_bytes(SHA_A) + b"\n" + record_bytes(SHA_B, at=99)
-        recs = parse_git_log(data)
+        recs = rows(parse_git_log(data))
         assert [r.sha for r in recs] == [SHA_A, SHA_B]
 
     def test_negative_offset(self):
-        (rec,) = parse_git_log(record_bytes(SHA_A, ad="2017-01-03 09:10:11 -0130"))
+        (rec,) = rows(parse_git_log(record_bytes(SHA_A, ad="2017-01-03 09:10:11 -0130")))
         assert rec.tz_offset_minutes == -90
 
     def test_spaces_accepted_in_numstat(self):
-        (rec,) = parse_git_log(record_bytes(SHA_A, numstat="3 1 src/a.c\n"))
+        (rec,) = rows(parse_git_log(record_bytes(SHA_A, numstat="3 1 src/a.c\n")))
         assert (rec.lines_added, rec.lines_deleted) == (3, 1)
 
     def test_duplicate_sha_rejected(self):
@@ -108,7 +113,7 @@ class TestParseGitLog:
         data = record_bytes(SHA_A) + b"\n" + record_bytes(
             SHA_B, at=at, ad=f"2017-01-02 14:00:00 {ad_offset}")
         if ok:
-            assert parse_git_log(data)[1].timestamp_utc == at
+            assert rows(parse_git_log(data))[1].timestamp_utc == at
         else:
             with pytest.raises(ParseError) as exc:
                 parse_git_log(data)
@@ -126,7 +131,7 @@ class TestParseGitLog:
             b"\x1e" + SHA_B.encode() + b"\x1fT\x1ft@t\x1f1483347600\x1f"
             b"2017-01-02 14:00:00 +0500\n1\t0\ta.c\n-\t-\timg.bin\n"
         )
-        recs = parse_git_log(data)
+        recs = rows(parse_git_log(data))
         assert len(recs) == 2
         assert recs[0].tz_offset_minutes == -90
         assert recs[1].lines_added == 1
@@ -138,7 +143,7 @@ class TestParseGitLog:
             result = parse_git_log(blob)
         except (ParseError, DuplicateShaError):
             return
-        assert isinstance(result, list)
+        assert isinstance(result, Commits)
 
 
 def _one(ts, off):
@@ -246,7 +251,7 @@ _record_strategy = st.builds(
 class TestCanonical:
     def test_one_record_one_line_exact_keys(self):
         buf = io.StringIO()
-        write_canonical([make_record()], buf)
+        write_canonical(Commits.from_records([make_record()]), buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {
@@ -264,13 +269,13 @@ class TestCanonical:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_identity(self, records):
         buf = io.StringIO()
-        write_canonical(records, buf)
+        write_canonical(Commits.from_records(records), buf)
         buf.seek(0)
-        assert read_canonical(buf) == records
+        assert rows(read_canonical(buf)) == records
 
     def test_unknown_field_names_field_and_line(self):
         buf = io.StringIO()
-        write_canonical([make_record()], buf)
+        write_canonical(Commits.from_records([make_record()]), buf)
         obj = json.loads(buf.getvalue())
         obj["foo"] = 1
         with pytest.raises(SchemaError) as exc:
@@ -280,7 +285,7 @@ class TestCanonical:
 
     def test_type_mismatch_reports_line(self):
         good = io.StringIO()
-        write_canonical([make_record(), make_record(sha=sha_of(1))], good)
+        write_canonical(Commits.from_records([make_record(), make_record(sha=sha_of(1))]), good)
         lines = good.getvalue().splitlines()
         obj = json.loads(lines[1])
         obj["timestamp_utc"] = "soon"
@@ -301,12 +306,13 @@ class TestCanonical:
         (-(10**30), 0, False),
     ])
     def test_local_time_outside_years_1_to_9999(self, ts, off, ok):
-        buf = io.StringIO()
-        write_canonical([make_record(), make_record(sha=sha_of(1), timestamp_utc=ts,
-                                                    tz_offset_minutes=off)], buf)
-        buf.seek(0)
+        # -(10**30) does not fit the table's int64 column, so the lines are
+        # written by json.dumps
+        rows_in = [make_record(), make_record(sha=sha_of(1), timestamp_utc=ts,
+                                              tz_offset_minutes=off)]
+        buf = io.StringIO("".join(json.dumps(asdict(r)) + "\n" for r in rows_in))
         if ok:
-            assert read_canonical(buf)[1].timestamp_utc == ts
+            assert rows(read_canonical(buf))[1].timestamp_utc == ts
         else:
             with pytest.raises(SchemaError) as exc:
                 read_canonical(buf)
@@ -314,7 +320,7 @@ class TestCanonical:
 
     def test_uppercase_email_rejected(self):
         buf = io.StringIO()
-        write_canonical([make_record()], buf)
+        write_canonical(Commits.from_records([make_record()]), buf)
         obj = json.loads(buf.getvalue())
         obj["author_email"] = "A@X.COM"
         with pytest.raises(SchemaError):
@@ -322,7 +328,215 @@ class TestCanonical:
 
     def test_duplicate_sha_rejected(self):
         buf = io.StringIO()
-        write_canonical([make_record(), make_record()], buf)
+        write_canonical(Commits.from_records([make_record(), make_record()]), buf)
         buf.seek(0)
         with pytest.raises(DuplicateShaError):
             read_canonical(buf)
+
+
+# ---------------------------------------------------------------- hostile files
+
+_POOL_SHAS = [sha_of(i) for i in range(4)]
+_GOOD_ROW = st.fixed_dictionaries({
+    "sha": st.sampled_from(_POOL_SHAS),
+    "author_name": st.text(max_size=8),
+    "author_email": st.text(max_size=8).map(str.lower),
+    "timestamp_utc": st.integers(-10**9, 10**9),
+    "tz_offset_minutes": st.integers(-1440, 1440),
+    "lines_added": st.integers(-1, 10**6),
+    "lines_deleted": st.integers(-1, 10**6),
+    "message": st.text(max_size=12),
+})
+_INT_KEYS = ("timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted")
+_STR_KEYS = ("sha", "author_name", "author_email", "message")
+
+
+@st.composite
+def _hostile_line(draw):
+    """One line of a canonical file: valid, or broken in one of many ways."""
+    row = draw(_GOOD_ROW)
+    kind = draw(st.sampled_from([
+        "valid", "valid", "valid", "bad_json", "non_object", "missing", "extra",
+        "duplicate_key", "bool", "float", "huge_int", "bad_sha", "offset", "upper_email",
+        "blank", "surrogate", "astral_pair", "local_time", "negative_lines",
+    ]))
+    if kind == "bad_json":
+        text = json.dumps(row)
+        return text[:draw(st.integers(1, len(text) - 1))]
+    if kind == "non_object":
+        return json.dumps(draw(st.sampled_from([[1, 2], 5, "x", None, [row]])))
+    if kind == "missing":
+        del row[draw(st.sampled_from(CANONICAL_FIELDS))]
+    elif kind == "extra":
+        row[draw(st.sampled_from(["foo", "Sha", ""]))] = 1
+    elif kind == "duplicate_key":  # json.loads keeps the last value
+        key = draw(st.sampled_from(CANONICAL_FIELDS))
+        return '{"%s": 0, %s' % (key, json.dumps(row)[1:])
+    elif kind == "bool":
+        row[draw(st.sampled_from(_INT_KEYS))] = draw(st.booleans())
+    elif kind == "float":
+        row[draw(st.sampled_from(_INT_KEYS))] = draw(st.sampled_from([1.0, 0.5, 1e400]))
+    elif kind == "huge_int":
+        key = draw(st.sampled_from(_INT_KEYS))
+        value = draw(st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30, -(10**30), None]))
+        if value is None:  # more digits than json.loads converts
+            row[key] = 0
+            return json.dumps(row).replace(f'"{key}": 0', f'"{key}": {"9" * 5000}', 1)
+        row[key] = value
+    elif kind == "bad_sha":
+        row["sha"] = draw(st.sampled_from(["A" * 40, "a" * 39, "a" * 41, "g" * 40,
+                                           "a" * 40 + "\n", 5]))
+    elif kind == "offset":
+        row["tz_offset_minutes"] = draw(st.sampled_from([1441, -1441, 10**6]))
+    elif kind == "upper_email":
+        row["author_email"] = "A" + row["author_email"]
+    elif kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "  \t "]))
+    elif kind in ("surrogate", "astral_pair"):
+        escape = "\\ud800" if kind == "surrogate" else "\\ud83d\\ude00"
+        key = draw(st.sampled_from(_STR_KEYS[1:]))
+        return json.dumps(row).replace(f'"{key}": "', f'"{key}": "{escape}', 1)
+    elif kind == "local_time":
+        row["timestamp_utc"] = draw(st.sampled_from([LOCAL_MAX + 1, LOCAL_MIN - 1, 10**12]))
+    elif kind == "negative_lines":
+        row[draw(st.sampled_from(["lines_added", "lines_deleted"]))] = -2
+    return json.dumps(row, ensure_ascii=draw(st.booleans()))
+
+
+def _outcome(reader, text):
+    """A reader's rows as dicts, or its error as (type, message, line)."""
+    try:
+        result = reader(io.StringIO(text))
+    except (SchemaError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, Commits):
+        return [asdict(r) for r in rows(result)]
+    return result
+
+
+_DELIBERATE = ("holds a lone surrogate", "line counts must be <=", "invalid JSON: integer too long",
+               "invalid JSON: nested too deeply")
+
+
+def _deliberate_fault(line):
+    """Whether `line` holds one of the faults only the new reader rejects: a
+    lone surrogate, a line count past int64, or an integer json.loads cannot
+    convert."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return False
+    except ValueError:
+        return True
+    values = obj.values() if isinstance(obj, dict) else []
+    return any(isinstance(v, str) and re.search("[\ud800-\udfff]", v) for v in values) or any(
+        type(obj.get(k)) is int and obj[k] > 2**63 - 1 for k in ("lines_added", "lines_deleted"))
+
+
+class TestReaderOracle:
+    @given(st.lists(_hostile_line(), min_size=1, max_size=8), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle_on_hostile_files(self, lines, trailing_newline):
+        text = "\n".join(lines) + ("\n" if trailing_newline else "")
+        got = _outcome(read_canonical, text)
+        # The oracle's outcome, except that a line holding a deliberate fault
+        # (which the oracle accepts or crashes on) is rejected once every
+        # line before it passes.
+        file_lines = io.StringIO(text).readlines()
+        want = _outcome(oracle_canonical.read_canonical, text)
+        for lineno, line in enumerate(file_lines, start=1):
+            before = _outcome(oracle_canonical.read_canonical, "".join(file_lines[:lineno]))
+            if isinstance(before, tuple) and issubclass(before[0], SchemaError):
+                break
+            if _deliberate_fault(line):
+                assert got[0] is SchemaError and got[2] == lineno, (got, want)
+                assert any(d in got[1] for d in _DELIBERATE), (got, want)
+                return
+        assert got == want
+
+    def _line(self, **fields):
+        obj = {**asdict(make_record(sha=sha_of(1))), **fields}
+        return json.dumps(obj)
+
+    def _both(self, text):
+        return (_outcome(read_canonical, text),
+                _outcome(oracle_canonical.read_canonical, text))
+
+    def test_lone_surrogate_rejected_with_line(self):
+        text = self._line(sha=sha_of(0)) + "\n" + self._line(author_name="\ud800x") + "\n"
+        assert "\\ud800" in text
+        got, want = self._both(text)
+        assert got == (SchemaError, "field 'author_name' holds a lone surrogate (line 2)", 2)
+        assert isinstance(want, list) and len(want) == 2  # the oracle accepted it
+        # a pair that encodes one astral character is fine
+        got, want = self._both(self._line(message="😀"))
+        assert got == want and got[0]["message"] == "\U0001F600"
+
+    @pytest.mark.parametrize("field", ["lines_added", "lines_deleted"])
+    def test_line_counts_past_int64_rejected(self, field):
+        got, want = self._both(self._line(**{field: 2**63}))
+        assert got == (SchemaError, f"line counts must be <= {2**63 - 1} (line 1)", 1)
+        assert isinstance(want, list)  # the oracle accepted it
+        got, want = self._both(self._line(**{field: 2**63 - 1}))
+        assert got == want and got[0][field] == 2**63 - 1
+
+    @pytest.mark.parametrize("field, message", [
+        ("timestamp_utc", "local time outside years 1-9999"),
+        ("tz_offset_minutes", "tz_offset_minutes out of range"),
+    ])
+    @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63])
+    def test_huge_time_fields_keep_their_messages(self, field, message, value):
+        got, want = self._both(self._line(**{field: value}))
+        assert got == want == (SchemaError, f"{message} (line 1)", 1)
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        text = self._line(lines_added=0).replace('"lines_added": 0', '"lines_added": ' + "9" * 5000)
+        got, want = self._both(text)
+        assert got == (SchemaError, "invalid JSON: integer too long (line 1)", 1)
+        assert want[0] is ValueError  # the oracle crashed
+
+    def test_deep_nesting_rejected(self):
+        got, want = self._both(self._line() + "\n" + "[" * 100_000 + "\n")
+        assert got == (SchemaError, "invalid JSON: nested too deeply (line 2)", 2)
+        assert want[0] is RecursionError  # the oracle crashed
+
+
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", " ", " ", "\U0001F600",
+                         "﻿", "/", "\t", "\n", "é"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=20,
+)
+
+
+class TestWriter:
+    @given(st.lists(st.tuples(_TRICKY_TEXT, _TRICKY_TEXT.map(str.lower), _TRICKY_TEXT),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_lines_equal_json_dumps(self, texts):
+        records = [make_record(sha=sha_of(i), author_name=n, author_email=e, message=m,
+                               lines_added=-1 if i % 2 else 2**63 - 1, timestamp_utc=-i)
+                   for i, (n, e, m) in enumerate(texts)]
+        buf = io.StringIO()
+        write_canonical(Commits.from_records(records), buf)
+        assert buf.getvalue().split("\n")[:-1] == [
+            json.dumps(asdict(r), ensure_ascii=False) for r in records]
+        assert buf.getvalue().endswith("\n")
+
+
+class TestNumstatBound:
+    def test_int64_max_accepted(self):
+        (rec,) = rows(parse_git_log(record_bytes(SHA_A, numstat=f"{2**63 - 1}\t0\ta.c\n")))
+        assert rec.lines_added == 2**63 - 1
+
+    @pytest.mark.parametrize("numstat", [
+        f"{2**63 - 1}\t0\ta.c\n1\t0\tb.c\n",
+        f"0\t{2**63}\ta.c\n",
+        "9" * 5000 + "\t0\ta.c\n",
+    ])
+    def test_sums_past_int64_rejected(self, numstat):
+        data = record_bytes(SHA_B) + b"\n" + record_bytes(SHA_A, numstat=numstat)
+        with pytest.raises(ParseError, match=f"line counts exceed {2**63 - 1}.*record 1"):
+            parse_git_log(data)

@@ -3,9 +3,8 @@ from datetime import date
 
 import pytest
 
-from conftest import make_record, sha_of
+from conftest import history_of, make_record, sha_of
 from paydev.errors import SchemaError, UnlabeledIdentityError
-from paydev.features import history
 from paydev.identity import Identity
 from paydev.labels import (
     LabelSet,
@@ -108,49 +107,49 @@ class TestResolve:
         commits = [_commit_on("2017-02-01", 0), _commit_on("2017-03-01", 1),
                    _commit_on("2017-04-01", 2), _commit_on("2017-05-01", 3),
                    _commit_on("2017-09-01", 4)]
-        assert resolve_status("a@x", history(commits), labels) == "hired"
+        assert resolve_status("a@x", history_of(commits), labels) == "hired"
 
     def test_all_outside_is_volunteer(self):
         labels = self._label_set()
         commits = [_commit_on("2018-01-01", 0), _commit_on("2018-02-01", 1)]
-        assert resolve_status("a@x", history(commits), labels) == "volunteer"
+        assert resolve_status("a@x", history_of(commits), labels) == "volunteer"
 
     def test_exact_half_is_hired(self):
         labels = self._label_set()
         commits = [_commit_on("2017-02-01", 0), _commit_on("2018-01-01", 1)]
-        assert resolve_status("a@x", history(commits), labels) == "hired"
+        assert resolve_status("a@x", history_of(commits), labels) == "hired"
 
     def test_direct_status_without_periods(self):
         labels = load_labels(io.StringIO(HEADER + "b@x,volunteer,,\n"))
-        assert resolve_status("b@x", history([_commit_on("2017-01-01")]), labels) == "volunteer"
+        assert resolve_status("b@x", history_of([_commit_on("2017-01-01")]), labels) == "volunteer"
 
     def test_unlabeled_returns_none(self):
-        assert resolve_status("ghost@x", history([_commit_on("2017-01-01")]), LabelSet()) is None
+        assert resolve_status("ghost@x", history_of([_commit_on("2017-01-01")]), LabelSet()) is None
 
     def test_agrees_with_commit_majority(self):
         labels = self._label_set()
         commits = [_commit_on(d, i) for i, d in enumerate(
             ["2017-01-15", "2017-02-15", "2017-08-15", "2017-09-15", "2017-10-15"]
         )]
-        statuses = commit_labels("a@x", history(commits), labels)
+        statuses = commit_labels("a@x", history_of(commits), labels)
         majority = "hired" if statuses.count("hired") / len(statuses) >= 0.5 else "volunteer"
-        assert resolve_status("a@x", history(commits), labels) == majority
+        assert resolve_status("a@x", history_of(commits), labels) == majority
 
 
 class TestCommitLabels:
     def test_whole_range_hired(self):
         labels = load_labels(io.StringIO(HEADER + "a@x,hired,,\n"))
         commits = [_commit_on("2017-01-01", 0), _commit_on("2019-01-01", 1)]
-        assert commit_labels("a@x", history(commits), labels) == ["hired", "hired"]
+        assert commit_labels("a@x", history_of(commits), labels) == ["hired", "hired"]
 
     def test_interval_splits_commits(self):
         labels = load_labels(io.StringIO(HEADER + "a@x,hired,2017-01-01,2017-06-30\n"))
         commits = [_commit_on("2017-02-01", 0), _commit_on("2018-02-01", 1)]
-        assert commit_labels("a@x", history(commits), labels) == ["hired", "volunteer"]
+        assert commit_labels("a@x", history_of(commits), labels) == ["hired", "volunteer"]
 
     def test_unlabeled_errors(self):
         with pytest.raises(UnlabeledIdentityError):
-            commit_labels("ghost@x", history([_commit_on("2017-01-01")]), LabelSet())
+            commit_labels("ghost@x", history_of([_commit_on("2017-01-01")]), LabelSet())
 
     def test_local_date_containment(self):
         # UTC instant 2017-06-30T23:00 with +120 offset is local 2017-07-01,
@@ -158,4 +157,4 @@ class TestCommitLabels:
         labels = load_labels(io.StringIO(HEADER + "a@x,hired,2017-01-01,2017-06-30\n"))
         ts = (date(2017, 6, 30) - date(1970, 1, 1)).days * 86400 + 23 * 3600
         rec = make_record(timestamp_utc=ts, tz_offset_minutes=120)
-        assert commit_labels("a@x", history([rec]), labels) == ["volunteer"]
+        assert commit_labels("a@x", history_of([rec]), labels) == ["volunteer"]

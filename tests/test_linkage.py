@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, sha_of
+from conftest import make_record, rows, sha_of
 from paydev.errors import SchemaError
 from paydev.linkage import (
     extract_issue_ids,
@@ -12,6 +12,7 @@ from paydev.linkage import (
     filter_by_products,
     load_product_map,
 )
+from paydev.ingest import Commits
 
 
 class TestExtract:
@@ -55,19 +56,19 @@ class TestProductMap:
 
 class TestFilter:
     def _records(self):
-        return [
+        return Commits.from_records([
             make_record(sha=sha_of(0), message="Bug 100 - linked to allowed"),
             make_record(sha=sha_of(1), message="no link"),
             make_record(sha=sha_of(2), message="Bug 999 - unmapped"),
             make_record(sha=sha_of(3), message="Bug 200 - other product"),
-        ]
+        ])
 
     def test_keeps_allowed_only(self):
         records = self._records()
         links = extract_links(records)
         mapping = {100: "Firefox", 200: "Thunderbird"}
         kept, report = filter_by_products(records, links, mapping, {"Firefox"})
-        assert [r.sha for r in kept] == [sha_of(0)]
+        assert [r.sha for r in rows(kept)] == [sha_of(0)]
         assert (report.total, report.linked, report.kept) == (4, 3, 1)
         assert (report.unmapped, report.disallowed) == (1, 1)
 
@@ -79,11 +80,11 @@ class TestFilter:
         assert report.linked == report.kept + report.unmapped + report.disallowed
 
     def test_primary_link_is_first(self):
-        rec = make_record(sha=sha_of(9), message="Bug 300 then Bug 100")
-        links = extract_links([rec])
-        kept, _ = filter_by_products([rec], links, {100: "Firefox", 300: "X"}, {"Firefox"})
-        assert kept == []  # primary link 300 maps to a disallowed product
+        rec = Commits.from_records([make_record(sha=sha_of(9), message="Bug 300 then Bug 100")])
+        links = extract_links(rec)
+        kept, _ = filter_by_products(rec, links, {100: "Firefox", 300: "X"}, {"Firefox"})
+        assert rows(kept) == []  # primary link 300 maps to a disallowed product
 
     def test_empty_allowed_rejected(self):
         with pytest.raises(ValueError):
-            filter_by_products([], {}, {}, set())
+            filter_by_products(Commits.from_records([]), {}, {}, set())

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import history_of
 from paydev import labels as lab
 from paydev import ml
 from paydev.evaluation import ClassifierSpec, cross_validate, roc_auc, stratified_kfold
-from paydev.features import compute_features, feature_matrix, history
+from paydev.features import compute_features, feature_matrix
 from paydev.identity import merge_identities
+from paydev.ingest import Commits
 from paydev.synth import SynthSpec, generate_synthetic_corpus, spec_with_profiles
 
 
@@ -16,9 +18,9 @@ def _small_spec(**kw):
 
 
 def _dataset(records, labels, mode="all"):
-    identities = merge_identities(records)
+    identities = merge_identities(Commits.from_records(records))
     by_sha = {r.sha: r for r in records}
-    feats = compute_features({i.id: history([by_sha[s] for s in i.commit_shas])
+    feats = compute_features({i.id: history_of([by_sha[s] for s in i.commit_shas])
                               for i in identities})
     X, ids, columns = feature_matrix(feats, mode)
     y = [1 if labels[i] == "hired" else 0 for i in ids]
@@ -48,7 +50,7 @@ class TestGenerator:
 
     def test_labels_join_identities(self):
         records, labels = generate_synthetic_corpus(_small_spec(), seed=2)
-        identities = merge_identities(records)
+        identities = merge_identities(Commits.from_records(records))
         ids = {i.id for i in identities}
         assert set(labels) == ids
 
