@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import NamedTuple
@@ -136,14 +137,22 @@ def _decode(raw: bytes) -> str:
     return raw.decode("utf-8", errors="replace")
 
 
-def _parse_offset(raw: bytes, offset: int, index: int) -> int:
+@lru_cache(maxsize=4096)  # an export repeats a few offsets many times
+def _offset_minutes(raw: bytes):
+    """The minutes east of UTC a `+hhmm` or `-hhmm` token gives, or None."""
     m = _OFFSET_RE.match(raw)
     if m is None:
+        return None
+    sign = 1 if m.group(1) == b"+" else -1
+    return sign * (int(m.group(2)) * 60 + int(m.group(3)))
+
+
+def _parse_offset(raw: bytes, offset: int, index: int) -> int:
+    minutes = _offset_minutes(raw)
+    if minutes is None:
         raise ParseError(
             f"invalid timezone offset {_decode(raw)!r}", byte_offset=offset, record_index=index
         )
-    sign = 1 if m.group(1) == b"+" else -1
-    minutes = sign * (int(m.group(2)) * 60 + int(m.group(3)))
     if not -1440 <= minutes <= 1440:
         raise ParseError(
             f"timezone offset out of range: {minutes} minutes",
@@ -194,29 +203,30 @@ def _parse_numstat(body: bytes, offset: int, index: int):
     added = deleted = 0
     saw_numeric = saw_binary = False
     lines = body.split(b"\n")
-    for k, line in enumerate(lines):
-        if not line.strip():
-            continue
-        m = _NUMSTAT_RE.match(line)
-        if m is None:
-            raise ParseError(
-                f"malformed numstat line {_decode(line)!r}",
-                byte_offset=offset + sum(len(prev) + 1 for prev in lines[:k]),
-                record_index=index,
-            )
-        a, d = m.groups()
-        if a == b"-" or d == b"-":
-            saw_binary = True
-            continue
-        try:
+    try:
+        for line in lines:
+            m = _NUMSTAT_RE.match(line)
+            if m is None:
+                if not line.strip():
+                    continue
+                k = lines.index(line)  # an equal line before it would have failed first
+                raise ParseError(
+                    f"malformed numstat line {_decode(line)!r}",
+                    byte_offset=offset + sum(len(prev) + 1 for prev in lines[:k]),
+                    record_index=index,
+                )
+            a, d = m.groups()
+            if a == b"-" or d == b"-":
+                saw_binary = True
+                continue
             added += int(a)
             deleted += int(d)
-        except ValueError:  # more digits than int() converts
-            added = deleted = INT64_MAX + 1
-        if added > INT64_MAX or deleted > INT64_MAX:
-            raise ParseError(f"line counts exceed {INT64_MAX}", byte_offset=offset,
-                             record_index=index)
-        saw_numeric = True
+            saw_numeric = True
+    except ValueError:  # more digits than int() converts
+        added = INT64_MAX + 1
+    if added > INT64_MAX or deleted > INT64_MAX:
+        raise ParseError(f"line counts exceed {INT64_MAX}", byte_offset=offset,
+                         record_index=index)
     if saw_binary and not saw_numeric:
         return -1, -1
     return added, deleted
@@ -284,7 +294,7 @@ _SHAS_RE = re.compile("(?:[0-9a-f]{40}\n)*")
 
 def _check_row(obj, seen, lineno) -> None:
     """Raise the SchemaError for the first check a parsed canonical line
-    fails, in the order the checks are documented; return if it passes."""
+    fails, the checks taken in this order; return if it passes."""
     if not isinstance(obj, dict):
         raise SchemaError("expected a JSON object", line=lineno)
     unknown = set(obj) - _FIELD_SET
