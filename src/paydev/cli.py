@@ -43,6 +43,7 @@ from paydev.config import Config, apply_overrides, load_config, validate
 from paydev.errors import InputFileError, PaydevError, SchemaError, UnlabeledIdentityError
 from paydev.ingest import (
     GIT_EXPORT_COMMAND,
+    LONE_SURROGATE_RE,
     Commits,
     parse_git_log,
     read_canonical,
@@ -184,7 +185,8 @@ def write_identity_map(identities, fileobj) -> None:
 def read_identity_map(fileobj):
     """Identities from identity-map JSONL: one object per line with a string
     id and lists of strings names, emails and commit_shas (at least one
-    sha). No id may repeat and no sha may belong to two identities."""
+    sha). No id may repeat, no sha may belong to two identities and no
+    string may hold a lone surrogate."""
     identities, ids, owner_of = [], set(), {}
     for lineno, line in enumerate(fileobj, start=1):
         if not line.strip():
@@ -193,6 +195,9 @@ def read_identity_map(fileobj):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except (ValueError, RecursionError):  # an integer past 4300 digits, deep nesting
+            raise SchemaError("invalid JSON: integer too long or nested too deeply",
+                              line=lineno) from None
         if not isinstance(obj, dict):
             raise SchemaError("expected a JSON object", line=lineno)
         for key in ("id", "names", "emails", "commit_shas"):
@@ -206,6 +211,9 @@ def read_identity_map(fileobj):
                 raise SchemaError(f"field {key!r} must be a list of strings", line=lineno)
         if not obj["commit_shas"]:
             raise SchemaError(f"identity {ident_id!r} has no commits", line=lineno)
+        if ("\\u" in line or not line.isascii()) and any(LONE_SURROGATE_RE.search(s) for s in (
+                ident_id, *obj["names"], *obj["emails"], *obj["commit_shas"])):
+            raise SchemaError("a string holds a lone surrogate", line=lineno)
         if ident_id in ids:
             raise SchemaError(f"identity {ident_id!r} repeated", line=lineno)
         ids.add(ident_id)

@@ -288,7 +288,7 @@ def write_canonical(commits, fileobj) -> None:
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
 _INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
 _ROW = itemgetter(*CANONICAL_FIELDS)
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # no UTF-8 encodes these
 _SHAS_RE = re.compile("(?:[0-9a-f]{40}\n)*")
 
 
@@ -325,7 +325,7 @@ def _check_row(obj, seen, lineno) -> None:
     if obj["lines_added"] > INT64_MAX or obj["lines_deleted"] > INT64_MAX:
         raise SchemaError(f"line counts must be <= {INT64_MAX}", line=lineno)
     for name in CANONICAL_FIELDS:
-        if name not in _INT_FIELDS and _SURROGATE_RE.search(obj[name]):
+        if name not in _INT_FIELDS and LONE_SURROGATE_RE.search(obj[name]):
             raise SchemaError(f"field {name!r} holds a lone surrogate", line=lineno)
 
 
@@ -368,7 +368,7 @@ def _columns_pass(sha, name, email, ts, tz, added, deleted, message) -> bool:
             and all(e == e.lower() for e in set(email))
             and -1 <= min(added) and max(added) <= INT64_MAX
             and -1 <= min(deleted) and max(deleted) <= INT64_MAX
-            and not _SURROGATE_RE.search("".join([*set(name), *set(email), *message]))):
+            and not LONE_SURROGATE_RE.search("".join([*set(name), *set(email), *message]))):
         return False
     local = np.array(ts, dtype=np.int64) + 60 * np.array(tz, dtype=np.int64)
     return LOCAL_MIN <= local.min() and local.max() <= LOCAL_MAX

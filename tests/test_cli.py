@@ -848,7 +848,8 @@ class TestProductFilter:
         # a malformed second line, or one that contradicts the first
         first, second = (json.loads(line) for line in ident_map.read_text().splitlines()[:2])
         for bad in (5, {"id": 1}, {"names": 5}, {"commit_shas": [[1]]},
-                    {"commit_shas": [1, "a"]}, {"commit_shas": []},
+                    {"commit_shas": [1, "a"]}, {"commit_shas": []}, {"id": "x\ud800"},
+                    {"names": ["\udcff"]},
                     {"commit_shas": second["commit_shas"] + first["commit_shas"][:1]},
                     {"id": first["id"]}):
             line = {**second, **bad} if isinstance(bad, dict) else bad
@@ -856,3 +857,9 @@ class TestProductFilter:
             assert run_cli("features", str(records), "--identities", str(bad_map),
                            "--out", str(tmp_path / "f.csv")) == 3, bad
             assert "(line 2)" in capsys.readouterr().err, bad
+        # an integer longer than json.loads converts
+        bad_map.write_text(json.dumps(first) + "\n" + json.dumps(second)[:-1]
+                           + ', "n": ' + "9" * 5000 + "}\n")
+        assert run_cli("features", str(records), "--identities", str(bad_map),
+                       "--out", str(tmp_path / "f.csv")) == 3
+        assert "integer too long or nested too deeply (line 2)" in capsys.readouterr().err
