@@ -76,13 +76,14 @@ class History(NamedTuple):
 
 def history(commits) -> History:
     """The History of one identity's Commits, in any order."""
-    order = np.lexsort((np.array(commits.sha, dtype=str), commits.timestamp_utc)).tolist()
+    order = np.lexsort((np.array(commits.sha, dtype=str), commits.timestamp_utc))
+    rows = order.tolist()
     ts = commits.timestamp_utc[order]
     added = commits.lines_added[order].astype(np.float64)
     deleted = commits.lines_deleted[order].astype(np.float64)
     return History(
-        sha=list(map(commits.sha.__getitem__, order)),
-        email=list(map(commits.author_email.__getitem__, order)),
+        sha=list(map(commits.sha.__getitem__, rows)),
+        email=list(map(commits.author_email.__getitem__, rows)),
         ts=ts,
         local=to_local(ts, commits.tz_offset_minutes[order]),
         lines=np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan),

@@ -96,9 +96,10 @@ class Commits:
 
     def take(self, rows) -> Commits:
         """The commits at the given list of row indices, in that order."""
+        index = np.array(rows, dtype=np.intp)
         return Commits(*(
-            list(map(column.__getitem__, rows)) if isinstance(column, list) else column[rows]
-            for column in (getattr(self, name) for name in CANONICAL_FIELDS)
+            list(map(column.__getitem__, rows)) if type(column) is list else column[index]
+            for column in map(self.__getattribute__, CANONICAL_FIELDS)
         ))
 
 
@@ -289,7 +290,7 @@ _FIELD_SET = frozenset(CANONICAL_FIELDS)
 _INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
 _ROW = itemgetter(*CANONICAL_FIELDS)
 LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # no UTF-8 encodes these
-_SHAS_RE = re.compile("(?:[0-9a-f]{40}\n)*")
+_DELETE_HEX = str.maketrans("", "", "0123456789abcdef")
 
 
 def _check_row(obj, seen, lineno) -> None:
@@ -362,7 +363,8 @@ def _columns_pass(sha, name, email, ts, tz, added, deleted, message) -> bool:
     a newline); never says True for a row that fails."""
     if not (all(set(map(type, c)) == {str} for c in (sha, name, email, message))
             and all(set(map(type, c)) == {int} for c in (ts, tz, added, deleted))
-            and _SHAS_RE.fullmatch("\n".join(sha) + "\n") and len(set(sha)) == len(sha)
+            and set(map(len, sha)) == {40} and not "".join(sha).translate(_DELETE_HEX)
+            and len(set(sha)) == len(sha)
             and -1440 <= min(tz) and max(tz) <= 1440
             and LOCAL_MIN - 86400 <= min(ts) and max(ts) <= LOCAL_MAX + 86400
             and all(e == e.lower() for e in set(email))
@@ -396,10 +398,14 @@ def read_canonical(fileobj) -> Commits:
                 raise
             if obj is _BLANK:
                 continue
-        if type(obj) is not dict or obj.keys() != _FIELD_SET:
+        try:
+            row = _ROW(obj)
+        except (TypeError, KeyError):  # not an object, or a field missing
+            row = ()
+        if len(row) != len(CANONICAL_FIELDS) or len(obj) != len(CANONICAL_FIELDS):
             _check_rows(rows, linenos)
             _check_row(obj, (), lineno)  # raises: the shape checks come first
-        rows.append(_ROW(obj))
+        rows.append(row)
         linenos.append(lineno)
     if not rows:
         return Commits()

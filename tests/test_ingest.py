@@ -428,9 +428,11 @@ def _deliberate_fault(line):
         return False
     except ValueError:
         return True
-    values = obj.values() if isinstance(obj, dict) else []
-    return any(isinstance(v, str) and re.search("[\ud800-\udfff]", v) for v in values) or any(
-        type(obj.get(k)) is int and obj[k] > 2**63 - 1 for k in ("lines_added", "lines_deleted"))
+    if not isinstance(obj, dict):
+        return False
+    surrogate = any(isinstance(v, str) and re.search("[\ud800-\udfff]", v) for v in obj.values())
+    return surrogate or any(type(obj.get(k)) is int and obj[k] > 2**63 - 1
+                            for k in ("lines_added", "lines_deleted"))
 
 
 class TestReaderOracle:
