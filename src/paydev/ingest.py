@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import NamedTuple
@@ -348,11 +349,13 @@ def _loads(line, lineno):
         raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
 
 
-def _check_rows(rows, linenos) -> None:
-    """_check_row over parsed rows (tuples in CANONICAL_FIELDS order) in
-    line order: raises for the first row that fails a check."""
+def _check_rows(columns, blanks) -> None:
+    """_check_row over the rows of parsed columns (in CANONICAL_FIELDS
+    order), which came from the lines not in the set `blanks`, in line
+    order: raises for the first row that fails a check."""
     seen: set[str] = set()
-    for row, lineno in zip(rows, linenos):
+    linenos = (n for n in count(1) if n not in blanks)
+    for row, lineno in zip(zip(*columns), linenos):
         _check_row(dict(zip(CANONICAL_FIELDS, row)), seen, lineno)
         seen.add(row[0])
 
@@ -382,7 +385,9 @@ def read_canonical(fileobj) -> Commits:
     shape as it is read; the values of all rows are checked column by column
     at the end. Any fault is named with its line: the rows before it are
     checked one by one (_check_row), so the first faulty line is reported."""
-    rows, linenos = [], []
+    columns = tuple([] for _ in CANONICAL_FIELDS)
+    shas, names, emails, stamps, offsets, added, deleted, messages = columns
+    blanks: set[int] = set()
     for lineno, line in enumerate(fileobj, start=1):
         # json.loads(line), minus its Python-level wrapping, for a line
         # that is one JSON value and a newline; json.loads on anything else
@@ -394,22 +399,27 @@ def read_canonical(fileobj) -> Commits:
             try:
                 obj = _loads(line, lineno)
             except SchemaError:
-                _check_rows(rows, linenos)
+                _check_rows(columns, blanks)
                 raise
             if obj is _BLANK:
+                blanks.add(lineno)
                 continue
         try:
-            row = _ROW(obj)
+            s, n, e, t, z, a, d, m = _ROW(obj)
+            shaped = len(obj) == len(CANONICAL_FIELDS)  # and so no other field
         except (TypeError, KeyError):  # not an object, or a field missing
-            row = ()
-        if len(row) != len(CANONICAL_FIELDS) or len(obj) != len(CANONICAL_FIELDS):
-            _check_rows(rows, linenos)
+            shaped = False
+        if not shaped:
+            _check_rows(columns, blanks)
             _check_row(obj, (), lineno)  # raises: the shape checks come first
-        rows.append(row)
-        linenos.append(lineno)
-    if not rows:
-        return Commits()
-    columns = list(zip(*rows))
-    if not _columns_pass(*columns):
-        _check_rows(rows, linenos)
+        shas.append(s)
+        names.append(n)
+        emails.append(e)
+        stamps.append(t)
+        offsets.append(z)
+        added.append(a)
+        deleted.append(d)
+        messages.append(m)
+    if shas and not _columns_pass(*columns):
+        _check_rows(columns, blanks)
     return Commits(*columns)
