@@ -8,8 +8,8 @@ Run from the repository root. Both commits are exported with `git archive`
 into one scratch directory, side by side, so that neither side runs from a
 different place on disk (the benchmark's host-speed probe moves with where a
 checkout sits). For each seed, one pair of `perfbench/run.py --trace 0` runs
-is made, one per side, and the side that runs first alternates from pair to
-pair. Each workload appends one entry to BENCH_perfbench.json: the commits,
+(each BENCHMARK.json's run_seconds long) is made, one per side, and the side
+that runs first alternates from pair to pair. Each workload appends one entry to BENCH_perfbench.json: the commits,
 workload, seeds, pair count, each side's median and quartiles of every
 end-to-end metric, "better in k/n" (pairs where the change is better; ties
 count for neither side) and whether the median gap exceeds the spread
@@ -107,8 +107,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="changed commit (any git revision)")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", required=True, help="one pair per seed, e.g. 100-109")
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--scratch", type=Path, default=ROOT / ".bench_record",
                         help="directory the two checkouts are exported into")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_perfbench.json")
@@ -117,13 +115,14 @@ def main(argv=None):
 
     sides = {"parent": args.scratch / "parent", "change": args.scratch / "change"}
     commits = {side: export(getattr(args, side), path) for side, path in sides.items()}
-    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
     for workload in args.workloads:
         pairs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(sides[side], workload, seed, args.seconds) for side in order}
+            pair = {side: run_once(sides[side], workload, seed, seconds) for side in order}
             pairs.append(pair)
             wall = {side: round(pair[side]["metrics"]["wall_ref_s"]["value"], 3) for side in order}
             print(f"{workload} seed {seed} ({order[0]} first): wall_ref_s {wall}",
@@ -134,7 +133,7 @@ def main(argv=None):
             "workload": workload,
             "seeds": seeds,
             "pairs": len(pairs),
-            "seconds": args.seconds,
+            "seconds": seconds,
             "recorded": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%MZ"),
             "host": f"{platform.machine()}, {os.cpu_count()} cores, "
                     f"Python {platform.python_version()}",

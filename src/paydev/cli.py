@@ -211,7 +211,7 @@ def read_identity_map(fileobj):
                 raise SchemaError(f"field {key!r} must be a list of strings", line=lineno)
         if not obj["commit_shas"]:
             raise SchemaError(f"identity {ident_id!r} has no commits", line=lineno)
-        if ("\\u" in line or not line.isascii()) and any(LONE_SURROGATE_RE.search(s) for s in (
+        if any(LONE_SURROGATE_RE.search(s) for s in (
                 ident_id, *obj["names"], *obj["emails"], *obj["commit_shas"])):
             raise SchemaError("a string holds a lone surrogate", line=lineno)
         if ident_id in ids:

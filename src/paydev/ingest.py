@@ -13,7 +13,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import NamedTuple
@@ -196,8 +195,6 @@ def _parse_header(header: bytes, offset: int, index: int):
     return sha_raw.decode("ascii"), _decode(name_raw), _decode(email_raw).lower(), ts, tz
 
 
-
-
 def _parse_numstat(body: bytes, offset: int, index: int):
     """(lines added, lines deleted) summed over a commit's numstat lines,
     which start at byte `offset`; (-1, -1) when every line is a binary file.
@@ -288,138 +285,68 @@ def write_canonical(commits, fileobj) -> None:
 
 
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
-_INT_FIELDS = {"timestamp_utc", "tz_offset_minutes", "lines_added", "lines_deleted"}
+_KINDS = (str, str, str, int, int, int, int, str)  # of each field, in CANONICAL_FIELDS order
 _ROW = itemgetter(*CANONICAL_FIELDS)
 LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # no UTF-8 encodes these
-_DELETE_HEX = str.maketrans("", "", "0123456789abcdef")
 
 
-def _check_row(obj, seen, lineno) -> None:
-    """Raise the SchemaError for the first check a parsed canonical line
-    fails, the checks taken in this order; return if it passes."""
-    if not isinstance(obj, dict):
+def _checked_row(obj, seen, lineno):
+    """The field values of a parsed canonical line, in CANONICAL_FIELDS
+    order; raises the SchemaError of the first check it fails, the checks
+    taken in this order. `seen` holds the shas of the lines before it."""
+    if type(obj) is not dict:
         raise SchemaError("expected a JSON object", line=lineno)
-    unknown = set(obj) - _FIELD_SET
-    if unknown:
-        raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", line=lineno)
-    missing = _FIELD_SET - set(obj)
-    if missing:
-        raise SchemaError(f"missing field {sorted(missing)[0]!r}", line=lineno)
-    for name in CANONICAL_FIELDS:
-        value = obj[name]
-        if name in _INT_FIELDS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"field {name!r} must be an integer", line=lineno)
-        elif not isinstance(value, str):
-            raise SchemaError(f"field {name!r} must be a string", line=lineno)
-    if not _SHA_STR_RE.match(obj["sha"]):
-        raise SchemaError(f"malformed commit id {obj['sha']!r}", line=lineno)
-    if obj["sha"] in seen:
-        raise DuplicateShaError(f"duplicate commit id {obj['sha']}", line=lineno)
-    if not -1440 <= obj["tz_offset_minutes"] <= 1440:
+    if obj.keys() != _FIELD_SET:
+        unknown = obj.keys() - _FIELD_SET
+        if unknown:
+            raise SchemaError(f"unknown field {sorted(unknown)[0]!r}", line=lineno)
+        raise SchemaError(f"missing field {sorted(_FIELD_SET - obj.keys())[0]!r}", line=lineno)
+    row = _ROW(obj)
+    if tuple(map(type, row)) != _KINDS:  # JSON has no int or str subclass but bool
+        for name, value, kind in zip(CANONICAL_FIELDS, row, _KINDS):
+            if type(value) is not kind:
+                what = "an integer" if kind is int else "a string"
+                raise SchemaError(f"field {name!r} must be {what}", line=lineno)
+    sha, name, email, ts, tz, added, deleted, message = row
+    if not _SHA_STR_RE.match(sha):
+        raise SchemaError(f"malformed commit id {sha!r}", line=lineno)
+    if sha in seen:
+        raise DuplicateShaError(f"duplicate commit id {sha}", line=lineno)
+    if not -1440 <= tz <= 1440:
         raise SchemaError("tz_offset_minutes out of range", line=lineno)
-    if not LOCAL_MIN <= obj["timestamp_utc"] + 60 * obj["tz_offset_minutes"] <= LOCAL_MAX:
+    if not LOCAL_MIN <= ts + 60 * tz <= LOCAL_MAX:
         raise SchemaError("local time outside years 1-9999", line=lineno)
-    if obj["author_email"] != obj["author_email"].lower():
+    if email != email.lower():
         raise SchemaError("author_email must be lowercase", line=lineno)
-    if obj["lines_added"] < -1 or obj["lines_deleted"] < -1:
+    if added < -1 or deleted < -1:
         raise SchemaError("line counts must be >= -1", line=lineno)
-    if obj["lines_added"] > INT64_MAX or obj["lines_deleted"] > INT64_MAX:
+    if added > INT64_MAX or deleted > INT64_MAX:
         raise SchemaError(f"line counts must be <= {INT64_MAX}", line=lineno)
-    for name in CANONICAL_FIELDS:
-        if name not in _INT_FIELDS and LONE_SURROGATE_RE.search(obj[name]):
-            raise SchemaError(f"field {name!r} holds a lone surrogate", line=lineno)
-
-
-_scan_once = json.JSONDecoder().scan_once
-_BLANK = object()
-
-
-def _loads(line, lineno):
-    """json.loads(line), or _BLANK for a blank line; SchemaError otherwise."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        if not line.strip():
-            return _BLANK
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
-    except ValueError:  # int() converts at most 4300 digits
-        raise SchemaError("invalid JSON: integer too long", line=lineno) from None
-    except RecursionError:
-        raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
-
-
-def _check_rows(columns, blanks) -> None:
-    """_check_row over the rows of parsed columns (in CANONICAL_FIELDS
-    order), which came from the lines not in the set `blanks`, in line
-    order: raises for the first row that fails a check."""
-    seen: set[str] = set()
-    linenos = (n for n in count(1) if n not in blanks)
-    for row, lineno in zip(zip(*columns), linenos):
-        _check_row(dict(zip(CANONICAL_FIELDS, row)), seen, lineno)
-        seen.add(row[0])
-
-
-def _columns_pass(sha, name, email, ts, tz, added, deleted, message) -> bool:
-    """Whether every row passes every check of _check_row, decided column
-    by column. May say False for rows that pass (a sha of 40 hex digits and
-    a newline); never says True for a row that fails."""
-    if not (all(set(map(type, c)) == {str} for c in (sha, name, email, message))
-            and all(set(map(type, c)) == {int} for c in (ts, tz, added, deleted))
-            and set(map(len, sha)) == {40} and not "".join(sha).translate(_DELETE_HEX)
-            and len(set(sha)) == len(sha)
-            and -1440 <= min(tz) and max(tz) <= 1440
-            and LOCAL_MIN - 86400 <= min(ts) and max(ts) <= LOCAL_MAX + 86400
-            and all(e == e.lower() for e in set(email))
-            and -1 <= min(added) and max(added) <= INT64_MAX
-            and -1 <= min(deleted) and max(deleted) <= INT64_MAX
-            and not LONE_SURROGATE_RE.search("".join([*set(name), *set(email), *message]))):
-        return False
-    local = np.array(ts, dtype=np.int64) + 60 * np.array(tz, dtype=np.int64)
-    return LOCAL_MIN <= local.min() and local.max() <= LOCAL_MAX
+    if not (name + email + message).isascii():  # the sha is hex; a surrogate is not ASCII
+        for field, value in zip(CANONICAL_FIELDS, row):
+            if type(value) is str and LONE_SURROGATE_RE.search(value):
+                raise SchemaError(f"field {field!r} holds a lone surrogate", line=lineno)
+    return row
 
 
 def read_canonical(fileobj) -> Commits:
     """Read canonical JSON lines into a Commits table; blank lines are
-    skipped. Lines are read one at a time. Each is parsed and checked for
-    shape as it is read; the values of all rows are checked column by column
-    at the end. Any fault is named with its line: the rows before it are
-    checked one by one (_check_row), so the first faulty line is reported."""
-    columns = tuple([] for _ in CANONICAL_FIELDS)
-    shas, names, emails, stamps, offsets, added, deleted, messages = columns
-    blanks: set[int] = set()
+    skipped. Lines are read and checked one at a time, so an error names
+    the first faulty line."""
+    rows = []
+    seen: set[str] = set()
     for lineno, line in enumerate(fileobj, start=1):
-        # json.loads(line), minus its Python-level wrapping, for a line
-        # that is one JSON value and a newline; json.loads on anything else
         try:
-            obj, end = _scan_once(line, 0)
-            if end != len(line) - (line[-1:] == "\n"):
-                raise ValueError
-        except (StopIteration, ValueError, RecursionError):
-            try:
-                obj = _loads(line, lineno)
-            except SchemaError:
-                _check_rows(columns, blanks)
-                raise
-            if obj is _BLANK:
-                blanks.add(lineno)
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if not line.strip():
                 continue
-        try:
-            s, n, e, t, z, a, d, m = _ROW(obj)
-            shaped = len(obj) == len(CANONICAL_FIELDS)  # and so no other field
-        except (TypeError, KeyError):  # not an object, or a field missing
-            shaped = False
-        if not shaped:
-            _check_rows(columns, blanks)
-            _check_row(obj, (), lineno)  # raises: the shape checks come first
-        shas.append(s)
-        names.append(n)
-        emails.append(e)
-        stamps.append(t)
-        offsets.append(z)
-        added.append(a)
-        deleted.append(d)
-        messages.append(m)
-    if shas and not _columns_pass(*columns):
-        _check_rows(columns, blanks)
-    return Commits(*columns)
+            raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError:  # int() converts at most 4300 digits
+            raise SchemaError("invalid JSON: integer too long", line=lineno) from None
+        except RecursionError:
+            raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
+        row = _checked_row(obj, seen, lineno)
+        seen.add(row[0])
+        rows.append(row)
+    return Commits(*zip(*rows))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -242,6 +243,16 @@ class TestEncodingFaults:
         err = capsys.readouterr().err
         assert f"{bad} is not valid UTF-8 (line {n + 1})" in err
         assert "internal error" not in err
+
+    def test_value_fault_before_non_utf8_byte_is_named(self, corpus, tmp_path, capsys):
+        records, _ = corpus
+        lines = records.read_text().splitlines(keepends=True)
+        lines[1] = re.sub(r'"tz_offset_minutes": -?\d+', '"tz_offset_minutes": 1441', lines[1])
+        bad = tmp_path / "bad.jsonl"
+        # the byte sits far past the first block the text reader decodes
+        bad.write_bytes("".join(lines).encode() + b"\n" * 100_000 + b"\xff\n")
+        assert run_cli("identities", str(bad)) == 3
+        assert "tz_offset_minutes out of range (line 2)" in capsys.readouterr().err
 
     def test_non_utf8_labels_exit_3(self, corpus, tmp_path, capsys):
         records, labels = corpus
