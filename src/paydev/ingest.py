@@ -333,7 +333,8 @@ def read_canonical(fileobj) -> Commits:
     """Read canonical JSON lines into a Commits table; blank lines are
     skipped. Lines are read and checked one at a time, so an error names
     the first faulty line."""
-    rows = []
+    columns = tuple([] for _ in CANONICAL_FIELDS)
+    shas, names, emails, stamps, offsets, added, deleted, messages = columns
     seen: set[str] = set()
     for lineno, line in enumerate(fileobj, start=1):
         try:
@@ -346,7 +347,14 @@ def read_canonical(fileobj) -> Commits:
             raise SchemaError("invalid JSON: integer too long", line=lineno) from None
         except RecursionError:
             raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
-        row = _checked_row(obj, seen, lineno)
-        seen.add(row[0])
-        rows.append(row)
-    return Commits(*zip(*rows))
+        s, n, e, t, z, a, d, m = _checked_row(obj, seen, lineno)
+        seen.add(s)
+        shas.append(s)
+        names.append(n)
+        emails.append(e)
+        stamps.append(t)
+        offsets.append(z)
+        added.append(a)
+        deleted.append(d)
+        messages.append(m)
+    return Commits(*columns)
