@@ -65,34 +65,40 @@ def _atomic_write(path, writer) -> None:
         raise
 
 
+class _Utf8Lines:
+    """A binary file read as UTF-8 text one line at a time, so that a line
+    that does not decode raises SchemaError, with its number, only after the
+    reader has checked every line before it. A line ends at a line feed; a
+    carriage return before it stays, which every reader takes for white
+    space or, in a CSV, for the line end. read() returns the rest."""
+
+    def __init__(self, raw, name):
+        self._raw, self._name = raw, name
+
+    def __iter__(self):
+        for lineno, line in enumerate(self._raw, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise SchemaError(f"{self._name} is not valid UTF-8", line=lineno) from None
+            yield text
+
+    def read(self):
+        return "".join(self)
+
+
 @contextmanager
 def _open_input(path):
-    """The input file as UTF-8 text ('-' is stdin). Bytes that are not UTF-8
-    raise SchemaError naming the file and, for a file, the line."""
+    """The input file as _Utf8Lines ('-' is stdin)."""
     if path == "-":
-        f = sys.stdin
+        f = sys.stdin.buffer
     else:
         try:
-            f = open(path, "r", encoding="utf-8")
+            f = open(path, "rb")
         except OSError as exc:
             raise InputFileError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        with f:
-            yield f
-    except UnicodeDecodeError:
-        raise SchemaError(f"{'stdin' if path == '-' else path} is not valid UTF-8",
-                          line=None if path == "-" else _first_non_utf8_line(path)) from None
-
-
-def _first_non_utf8_line(path):
-    """The number of the first line of `path` that does not decode as UTF-8."""
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return None
+    with f:
+        yield _Utf8Lines(f, "stdin" if path == "-" else path)
 
 
 def _emit(path, writer) -> None:
@@ -290,21 +296,18 @@ def _labeled_features(path, label_set):
     return ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
 
 
-def _classifier_specs(cfg: Config) -> dict[str, ev.ClassifierSpec]:
+def _classifiers(cfg: Config):
+    """Each report name's fit(data, seed_parts), with the config's settings.
+    The fits look ml's functions up when called, where a tracer may have
+    wrapped them."""
     mtry = cfg.forest_mtry if cfg.forest_mtry > 0 else None
     return {
-        "logit": ev.ClassifierSpec(
-            "logit",
-            {"l2": cfg.logit_l2, "max_iter": cfg.logit_max_iter, "tol": cfg.logit_tol},
-        ),
-        "rpart": ev.ClassifierSpec(
-            "tree",
-            {"minsplit": cfg.tree_minsplit, "cp": cfg.tree_cp, "maxdepth": cfg.tree_maxdepth},
-        ),
-        "randomforest": ev.ClassifierSpec(
-            "forest",
-            {"n_trees": cfg.forest_trees, "mtry": mtry},
-        ),
+        "logit": lambda data, seed_parts: ml.fit_logit(
+            data, l2=cfg.logit_l2, max_iter=cfg.logit_max_iter, tol=cfg.logit_tol),
+        "rpart": lambda data, seed_parts: ml.fit_tree(
+            data, minsplit=cfg.tree_minsplit, cp=cfg.tree_cp, maxdepth=cfg.tree_maxdepth),
+        "randomforest": lambda data, seed_parts: ml.fit_forest(
+            data, seed=ev.forest_seed(seed_parts), n_trees=cfg.forest_trees, mtry=mtry),
     }
 
 
@@ -407,12 +410,10 @@ def cmd_evaluate(args) -> int:
 
     folds = ev.stratified_kfold(len(data.y), data.y, k=cfg.folds, repeats=cfg.repeats,
                                 seed=cfg.seed)
-    report = ev.cross_validate(
-        data, _classifier_specs(cfg), folds, seed=cfg.seed, config=cfg.as_dict()
-    )
+    report = ev.cross_validate(data, _classifiers(cfg), folds, seed=cfg.seed,
+                               config=cfg.as_dict())
     if histories is not None:
-        for spec in ev.default_baselines(cfg.email_domains):
-            report.cells.append(ev.baseline_cell(spec, histories, data.ids, data.y))
+        report.cells += ev.developer_baselines(histories, data.ids, data.y, cfg.email_domains)
     _write_report(report, args)
     return 0
 
@@ -422,8 +423,7 @@ def cmd_train(args) -> int:
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
     data = _labeled_features(args.features, label_set)
-    spec = _classifier_specs(cfg)[args.classifier]
-    model = ev.fit_classifier(spec, data, seed_parts=(cfg.seed, 0, 0))
+    model = _classifiers(cfg)[args.classifier](data, (cfg.seed, 0, 0))
     _emit(args.out, lambda f: ml.save_model(model, f))
     if args.introspect:
         print(ml.introspect(model), file=sys.stderr)
@@ -470,7 +470,7 @@ def cmd_commits(args) -> int:
     all_report, rest_report = ev.per_commit_experiment(
         _histories(_studied(identities, cfg), commits),
         label_set,
-        _classifier_specs(cfg),
+        _classifiers(cfg),
         coverage=cfg.coverage,
         domains=cfg.email_domains,
         seed=cfg.seed,
@@ -618,6 +618,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "evaluate" and args.features:
         # the baselines and these flags act on canonical records only
+        if args.records:
+            parser.error("evaluate: canonical records are not allowed with --features")
         for flag in ("identities", "overrides", "product_map"):
             if getattr(args, flag):
                 parser.error(f"evaluate: --{flag.replace('_', '-')} needs canonical records "

@@ -86,9 +86,9 @@ def validate(cfg: Config) -> Config:
     return cfg
 
 
-def load_config(fileobj, base: Config | None = None) -> Config:
-    """Apply `key=value` lines (# comments allowed) on top of base."""
-    cfg = base or Config()
+def load_config(fileobj) -> Config:
+    """Apply `key=value` lines (# comments allowed) on top of the defaults."""
+    cfg = Config()
     known = {f.name for f in fields(Config)}
     for lineno, line in enumerate(fileobj, start=1):
         text = line.split("#", 1)[0].strip()

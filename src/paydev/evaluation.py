@@ -8,7 +8,7 @@ a master seed through numpy's PCG64 so repeated runs are identical.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -85,21 +85,9 @@ def stratified_kfold(n, labels, k=10, repeats=10, seed=0):
     return all_repeats
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    kind: str  # logit | tree | forest
-    params: dict = field(default_factory=dict)
-
-
-def fit_classifier(spec: ClassifierSpec, data: ml.Dataset, seed_parts=(0,)):
-    if spec.kind == "logit":
-        return ml.fit_logit(data, **spec.params)
-    if spec.kind == "tree":
-        return ml.fit_tree(data, **spec.params)
-    if spec.kind == "forest":
-        seed = int(np.random.SeedSequence(entropy=list(seed_parts)).generate_state(1)[0])
-        return ml.fit_forest(data, seed=seed, **spec.params)
-    raise ValueError(f"unknown classifier kind {spec.kind!r}")
+def forest_seed(seed_parts) -> int:
+    """The forest seed of one fit, derived from (master seed, repeat, fold)."""
+    return int(np.random.SeedSequence(entropy=list(seed_parts)).generate_state(1)[0])
 
 
 @dataclass
@@ -184,14 +172,15 @@ def _cell_from_scores(name, repeat, fold, scores, truth, predictions=None) -> Ce
     )
 
 
-def cross_validate(data: ml.Dataset, specs, folds, seed=0, config=None) -> EvalReport:
-    """Repeated k-fold evaluation of every classifier spec.
+def cross_validate(data: ml.Dataset, classifiers, folds, seed=0, config=None) -> EvalReport:
+    """Repeated k-fold evaluation of every classifier.
 
-    folds comes from stratified_kfold; each cell trains on k-1 folds and
-    scores the held-out one.
+    classifiers maps each report name to fit(data, seed_parts), which gets
+    (seed, repeat, fold). folds comes from stratified_kfold; each cell
+    trains on k-1 folds and scores the held-out one.
     """
     cells = []
-    for name, spec in specs.items():
+    for name, fit in classifiers.items():
         for r, fold_list in enumerate(folds):
             for f, test_idx in enumerate(fold_list):
                 train_mask = np.ones(len(data.y), dtype=bool)
@@ -203,7 +192,7 @@ def cross_validate(data: ml.Dataset, specs, folds, seed=0, config=None) -> EvalR
                     [data.ids[i] for i in np.flatnonzero(train_mask)],
                 )
                 try:
-                    model = fit_classifier(spec, train, seed_parts=(seed, r, f))
+                    model = fit(train, (seed, r, f))
                 except Exception as exc:
                     exc.args = (f"{exc} (repeat {r}, fold {f})",)
                     raise
@@ -214,75 +203,46 @@ def cross_validate(data: ml.Dataset, specs, folds, seed=0, config=None) -> EvalR
     return EvalReport(cells=cells, config=dict(config or {}))
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: str  # allhired | email | officehours
-    domains: tuple[str, ...] = ("mozilla.com",)
-    threshold: float = 0.5
-
-    def name(self) -> str:
-        if self.kind == "officehours":
-            return f"{int(round(self.threshold * 100))}%officehours"
-        return self.kind
-
-
 OFFICE_START, OFFICE_END = 9, 17  # weekday window of the office-hours rule
+OFFICE_THRESHOLDS = (0.05, 0.5, 0.95)  # office-hours shares that predict hired
 
 
-def _office_flags(h):
-    """Per commit of History h, whether it falls on a weekday between
-    OFFICE_START and OFFICE_END in its local time."""
-    local = h.local
-    return (local.weekday < 5) & (OFFICE_START <= local.hour) & (local.hour < OFFICE_END)
-
-
-def _email_flags(h, domains):
-    """Per commit of History h, whether its author address is at one of the
-    domains."""
+def commit_flags(h, domains):
+    """Per commit of History h, (whether its author address is at one of
+    the domains, whether it falls on a weekday between OFFICE_START and
+    OFFICE_END in its local time)."""
     domains = set(domains)
-    return np.array([e.rsplit("@", 1)[-1] in domains for e in h.email], dtype=bool)
+    email = np.array([e.rsplit("@", 1)[-1] in domains for e in h.email], dtype=bool)
+    local = h.local
+    return email, (local.weekday < 5) & (OFFICE_START <= local.hour) & (local.hour < OFFICE_END)
 
 
-def baseline_predict(spec: BaselineSpec, histories, ids):
-    """(scores, predictions) aligned with ids, from each id's History.
-
-    allhired scores 1 everywhere; email scores the share of commits from a
-    listed domain and predicts hired when at least one exists; officehours
-    scores the weekday 9-17 share and thresholds it.
-    """
-    if spec.kind == "allhired":
-        return np.ones(len(ids)), np.ones(len(ids), dtype=np.int8)
-    if spec.kind == "email":
-        scores = np.array([_email_flags(histories[i], spec.domains).mean() for i in ids])
-        return scores, (scores > 0).astype(np.int8)
-    if spec.kind == "officehours":
-        if not 0 < spec.threshold < 1:
-            raise ValueError("officehours threshold must be in (0,1)")
-        scores = np.array([_office_flags(histories[i]).mean() for i in ids])
-        return scores, (scores >= spec.threshold).astype(np.int8)
-    raise ValueError(f"unknown baseline kind {spec.kind!r}")
-
-
-def baseline_cell(spec: BaselineSpec, histories, ids, truth) -> Cell:
+def baseline_cell(name, scores, predictions, truth) -> Cell:
     """One full-dataset evaluation row for a baseline."""
-    scores, predictions = baseline_predict(spec, histories, ids)
-    return _cell_from_scores(spec.name(), 0, 0, scores, truth, predictions)
+    return _cell_from_scores(name, 0, 0, scores, truth, predictions)
 
 
-def default_baselines(domains=("mozilla.com",)):
-    return [
-        BaselineSpec(kind="allhired"),
-        BaselineSpec(kind="email", domains=tuple(domains)),
-        BaselineSpec(kind="officehours", threshold=0.05),
-        BaselineSpec(kind="officehours", threshold=0.5),
-        BaselineSpec(kind="officehours", threshold=0.95),
-    ]
+def developer_baselines(histories, ids, truth, domains=("mozilla.com",)):
+    """The baseline rows over the developers ids, each scored from its
+    History: allhired predicts everyone hired; email scores the share of
+    commits from one of the domains and predicts hired when one exists;
+    N%officehours scores the weekday 9-17 share and predicts hired at N% or
+    more, for each of OFFICE_THRESHOLDS."""
+    email, office = map(np.array, zip(*(
+        [flags.mean() for flags in commit_flags(histories[i], domains)] for i in ids)))
+    n = len(ids)
+    cells = [baseline_cell("allhired", np.ones(n), np.ones(n, dtype=np.int8), truth),
+             baseline_cell("email", email, (email > 0).astype(np.int8), truth)]
+    for threshold in OFFICE_THRESHOLDS:
+        cells.append(baseline_cell(f"{int(round(threshold * 100))}%officehours", office,
+                                   (office >= threshold).astype(np.int8), truth))
+    return cells
 
 
 def per_commit_experiment(
     histories,
     label_set,
-    specs,
+    classifiers,
     coverage=0.5,
     domains=("mozilla.com",),
     seed=0,
@@ -290,11 +250,13 @@ def per_commit_experiment(
 ):
     """Train on the most active developers' commits, test per commit.
 
-    histories maps each studied identity id to its History. The training
-    set is the smallest prefix of developers (by commit count descending, id
-    ascending) whose commits reach `coverage` of the total. Returns (report
-    over all commits, report over held-out developers' commits); both
-    include the allpaid/email/officehours commit baselines.
+    histories maps each studied identity id to its History, and classifiers
+    each report name to fit(data, seed_parts) as in cross_validate. The
+    training set is the smallest prefix of developers (by commit count
+    descending, id ascending) whose commits reach `coverage` of the total.
+    Returns (report over all commits, report over held-out developers'
+    commits); both follow the classifiers with the allpaid, email and
+    officehours commit baselines.
     """
     labeled = [i for i, h in histories.items() if lab.resolve_status(i, h, label_set) is not None]
     if not labeled:
@@ -315,38 +277,29 @@ def per_commit_experiment(
         X, shas, _ = feat.commit_features(h)
         statuses = lab.commit_labels(ident_id, h, label_set)
         per_dev[ident_id] = (X, [1 if s == lab.HIRED else 0 for s in statuses], shas,
-                             _email_flags(h, domains), _office_flags(h))
+                             *commit_flags(h, domains))
 
     def build(devs):
         X, ys, shas, email, office = zip(*(per_dev[i] for i in devs))
         data = ml.make_dataset(np.vstack(X), list(chain(*ys)), feat.COMMIT_FEATURE_COLUMNS,
                                list(chain(*shas)))
-        return data, {"email": np.concatenate(email), "officehours": np.concatenate(office)}
+        return data, np.concatenate(email), np.concatenate(office)
 
-    train_data, _ = build(train_devs)
+    train_data, _, _ = build(train_devs)
     if len(np.unique(train_data.y)) < 2:
         raise SingleClassError("training developers carry a single class")
-    reports = []
-    eval_sets = [("all", *build(labeled))]
-    if held_out:
-        eval_sets.append(("least_active", *build(held_out)))
-    else:
-        eval_sets.append(("least_active", None, None))
+    models = {name: fit(train_data, (seed, 0, 0)) for name, fit in classifiers.items()}
 
-    models = {}
-    for name, spec in specs.items():
-        models[name] = fit_classifier(spec, train_data, seed_parts=(seed, 0, 0))
-
-    for label, data, baselines in eval_sets:
+    def report(devs):
         cells = []
-        if data is not None:
-            for name in specs:
-                scores = ml.predict_proba(models[name], data.X)
+        if devs:
+            data, email, office = build(devs)
+            for name, model in models.items():
+                scores = ml.predict_proba(model, data.X)
                 cells.append(_cell_from_scores(name, 0, 0, scores, data.y))
-            truth = data.y
-            allpaid = np.ones(len(truth))
-            cells.append(_cell_from_scores("allpaid", 0, 0, allpaid, truth))
-            for name, flags in baselines.items():
-                cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), truth))
-        reports.append(EvalReport(cells=cells, config=dict(config or {})))
-    return reports[0], reports[1]
+            allpaid = np.ones(len(data.y), dtype=bool)
+            for name, flags in (("allpaid", allpaid), ("email", email), ("officehours", office)):
+                cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), data.y))
+        return EvalReport(cells=cells, config=dict(config or {}))
+
+    return report(labeled), report(held_out)

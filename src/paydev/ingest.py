@@ -28,8 +28,8 @@ GIT_EXPORT_COMMAND = (
     "--date=format:%Y-%m-%d %H:%M:%S %z", "--numstat",
 )
 
-_SHA_RE = re.compile(rb"^[0-9a-f]{40}$")
-_SHA_STR_RE = re.compile(r"^[0-9a-f]{40}$")
+_SHA_RE = re.compile(rb"[0-9a-f]{40}")  # fullmatch only: `$` would pass a final newline
+_SHA_STR_RE = re.compile(r"[0-9a-f]{40}")
 _OFFSET_RE = re.compile(rb"^([+-])(\d{2})(\d{2})$")
 _NUMSTAT_RE = re.compile(rb"^(\d+|-)[ \t]+(\d+|-)[ \t]+.+$")
 
@@ -170,7 +170,7 @@ def _parse_header(header: bytes, offset: int, index: int):
             f"expected 5 header fields, got {len(parts)}", byte_offset=offset, record_index=index
         )
     sha_raw, name_raw, email_raw, at_raw, ad_raw = parts
-    if not _SHA_RE.match(sha_raw):
+    if not _SHA_RE.fullmatch(sha_raw):
         raise ParseError(
             f"malformed commit id {_decode(sha_raw)!r}", byte_offset=offset, record_index=index
         )
@@ -308,7 +308,7 @@ def _checked_row(obj, seen, lineno):
                 what = "an integer" if kind is int else "a string"
                 raise SchemaError(f"field {name!r} must be {what}", line=lineno)
     sha, name, email, ts, tz, added, deleted, message = row
-    if not _SHA_STR_RE.match(sha):
+    if not _SHA_STR_RE.fullmatch(sha):
         raise SchemaError(f"malformed commit id {sha!r}", line=lineno)
     if sha in seen:
         raise DuplicateShaError(f"duplicate commit id {sha}", line=lineno)

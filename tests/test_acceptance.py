@@ -18,12 +18,7 @@ from oracle_features import brute_force_features
 from oracle_split import exhaustive_best_split
 from paydev import ml
 from paydev.cli import main as cli_main
-from paydev.evaluation import (
-    BaselineSpec,
-    baseline_cell,
-    roc_auc,
-    stratified_kfold,
-)
+from paydev.evaluation import developer_baselines, roc_auc, stratified_kfold
 from paydev.features import FEATURE_COLUMNS, developer_features
 from paydev.ml import fit_forest, fit_tree, loss_and_grad, make_dataset, predict_proba
 from paydev.synth import ClassProfile, SynthSpec, generate_synthetic_corpus
@@ -58,20 +53,17 @@ def test_criterion_1_baseline_base_rates():
             make_record(sha=sha_of(2 * i + 1), timestamp_utc=1483826400),  # Sat 22:00
         ])
 
-    allhired = baseline_cell(BaselineSpec(kind="allhired"), commits_by_id, ids, truth)
+    cells = {c.classifier: c for c in developer_baselines(commits_by_id, ids, truth)}
+    allhired = cells["allhired"]
     assert allhired.precision == pytest.approx(0.668, abs=0.0005)
     assert allhired.recall == 1.0
     assert allhired.auc == 0.5
 
-    strict = baseline_cell(
-        BaselineSpec(kind="officehours", threshold=0.95), commits_by_id, ids, truth
-    )
+    strict = cells["95%officehours"]
     assert strict.recall == 0.0
     assert strict.precision is None
 
-    loose = baseline_cell(
-        BaselineSpec(kind="officehours", threshold=0.05), commits_by_id, ids, truth
-    )
+    loose = cells["5%officehours"]
     assert (loose.auc, loose.precision, loose.recall) == (
         allhired.auc,
         allhired.precision,

@@ -254,6 +254,36 @@ class TestEncodingFaults:
         assert run_cli("identities", str(bad)) == 3
         assert "tz_offset_minutes out of range (line 2)" in capsys.readouterr().err
 
+    def test_value_fault_then_non_utf8_byte_on_next_line(self, corpus, tmp_path, capsys):
+        records, _ = corpus
+        lines = records.read_bytes().splitlines(keepends=True)
+        lines[1] = re.sub(rb'"tz_offset_minutes": -?\d+', b'"tz_offset_minutes": 5000', lines[1])
+        lines[2] = b"\xff" + lines[2]  # inside the first block a text reader decodes
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        assert run_cli("identities", str(bad)) == 3
+        assert "tz_offset_minutes out of range (line 2)" in capsys.readouterr().err
+
+    def test_crlf_inputs_read_like_lf(self, corpus, tmp_path):
+        """Records, labels, an identity map and a config file with \\r\\n
+        line ends give the report they give with \\n."""
+        records, labels = corpus
+        ident, cfg = tmp_path / "id.jsonl", tmp_path / "run.cfg"
+        assert run_cli("identities", str(records), "--out", str(ident)) == 0
+        cfg.write_text("# small run\nfolds=3\nrepeats=1\nforest_trees=10\nmin_commits=20\n")
+        reports = []
+        for ends in (b"\n", b"\r\n"):
+            paths = []
+            for path in (records, labels, ident, cfg):
+                copy = tmp_path / f"{len(ends)}-{path.name}"
+                copy.write_bytes(path.read_bytes().replace(b"\n", ends))
+                paths.append(str(copy))
+            out = tmp_path / f"report-{len(ends)}.json"
+            assert run_cli("evaluate", paths[0], "--labels", paths[1], "--identities", paths[2],
+                           "--config", paths[3], "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_non_utf8_labels_exit_3(self, corpus, tmp_path, capsys):
         records, labels = corpus
         bad = tmp_path / "labels.csv"
@@ -323,6 +353,20 @@ class TestEvaluate:
         assert {c["classifier"] for c in report["cells"]} == {
             "logit", "rpart", "randomforest"
         }
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_features_only_mode_rejects_records(self, corpus, tmp_path, capsys, exists):
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", str(records if exists else tmp_path / "missing.jsonl"),
+                    "--features", str(csv_path), "--labels", str(labels), *SMALL_EVAL,
+                    "--out", str(out))
+        assert exc.value.code == 2
+        assert "canonical records are not allowed with --features" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--identities", "--overrides", "--product-map"])
     def test_features_only_mode_rejects_records_flags(self, corpus, tmp_path, capsys, flag):

@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 from conftest import history_of, make_record, sha_of
 from paydev.errors import SingleClassError, StratificationError
 from paydev.evaluation import (
-    BaselineSpec,
     Cell,
-    ClassifierSpec,
     EvalReport,
-    baseline_cell,
-    baseline_predict,
+    commit_flags,
     confusion,
     cross_validate,
+    developer_baselines,
     per_commit_experiment,
     precision_recall,
     roc_auc,
     stratified_kfold,
 )
 from paydev.labels import LabelSet
-from paydev.ml import make_dataset
+from paydev.ml import fit_logit, fit_tree, make_dataset
 
 
 from oracle_auc import pairwise_auc
@@ -145,10 +143,6 @@ class TestStratifiedKFold:
                     assert abs(got - ideal) <= 1.0
 
 
-class _OracleSpec:
-    """Classifier stub whose probability equals the true label."""
-
-
 class TestCrossValidate:
     def _data(self, rng, n=60):
         X = rng.normal(size=(n, 3))
@@ -160,7 +154,7 @@ class TestCrossValidate:
         data = self._data(rng)
         folds = stratified_kfold(len(data.y), data.y, k=5, repeats=2, seed=2)
         report = cross_validate(
-            data, {"rpart": ClassifierSpec("tree", {"minsplit": 2})}, folds, seed=2
+            data, {"rpart": lambda d, _: fit_tree(d, minsplit=2)}, folds, seed=2
         )
         agg = report.aggregate()["rpart"]
         assert agg["auc_mean"] == 1.0
@@ -174,7 +168,7 @@ class TestCrossValidate:
         data = make_dataset(X, y, ["a", "b"], [str(i) for i in range(n)])
         folds = stratified_kfold(n, y, k=5, repeats=1, seed=4)
         report = cross_validate(
-            data, {"logit": ClassifierSpec("logit", {})}, folds, seed=4
+            data, {"logit": lambda d, _: fit_logit(d)}, folds, seed=4
         )
         agg = report.aggregate()["logit"]
         assert agg["recall_mean"] == 1.0
@@ -185,7 +179,7 @@ class TestCrossValidate:
         data = self._data(rng, 40)
         folds = stratified_kfold(len(data.y), data.y, k=4, repeats=2, seed=5)
         report = cross_validate(
-            data, {"rpart": ClassifierSpec("tree", {"minsplit": 2})}, folds, seed=5
+            data, {"rpart": lambda d, _: fit_tree(d, minsplit=2)}, folds, seed=5
         )
         assert len(report.cells) == 8
         assert {(c.repeat, c.fold) for c in report.cells} == {
@@ -202,7 +196,14 @@ def _office_commit(i, weekday_hour=None, weekend=False, email="dev@example.org")
     return make_record(sha=sha_of(i), timestamp_utc=ts, author_email=email)
 
 
+def _baselines(histories, ids, truth):
+    """developer_baselines' cells by name."""
+    cells = developer_baselines(histories, ids, np.array(truth), ("mozilla.com",))
+    return {c.classifier: c for c in cells}
+
+
 class TestBaselines:
+    # with truth [1, 0], a cell's (tp, fp) is the two developers' predictions
     def _commits_by_id(self):
         # dev1: office share 0.6 (3 of 5); dev2: share 0.0
         dev1 = [_office_commit(i, weekday_hour=h) for i, h in enumerate([10, 11, 12])]
@@ -214,32 +215,27 @@ class TestBaselines:
         ]
         return {"dev1": history_of(dev1), "dev2": history_of(dev2)}
 
+    def test_five_cells_in_report_order(self):
+        cells = developer_baselines(self._commits_by_id(), ["dev1", "dev2"], np.array([1, 0]))
+        assert [c.classifier for c in cells] == [
+            "allhired", "email", "5%officehours", "50%officehours", "95%officehours"]
+        assert {(c.repeat, c.fold) for c in cells} == {(0, 0)}
+
     def test_officehours_thresholds(self):
         commits = self._commits_by_id()
-        scores, preds = baseline_predict(
-            BaselineSpec(kind="officehours", threshold=0.5), commits, ["dev1", "dev2"]
-        )
-        assert scores[0] == pytest.approx(0.6)
-        assert preds.tolist() == [1, 0]
-        _, strict = baseline_predict(
-            BaselineSpec(kind="officehours", threshold=0.95), commits, ["dev1", "dev2"]
-        )
-        assert strict.tolist() == [0, 0]
+        assert commit_flags(commits["dev1"], ())[1].mean() == pytest.approx(0.6)
+        cells = _baselines(commits, ["dev1", "dev2"], [1, 0])
+        assert [cells["50%officehours"].tp, cells["50%officehours"].fp] == [1, 0]
+        assert [cells["95%officehours"].tp, cells["95%officehours"].fp] == [0, 0]
 
     def test_email_at_least_one(self):
         commits = self._commits_by_id()
-        scores, preds = baseline_predict(
-            BaselineSpec(kind="email", domains=("mozilla.com",)), commits,
-            ["dev1", "dev2"]
-        )
-        assert preds.tolist() == [0, 1]
-        assert scores[1] == pytest.approx(0.5)
+        cells = _baselines(commits, ["dev1", "dev2"], [1, 0])
+        assert [cells["email"].tp, cells["email"].fp] == [0, 1]
+        assert commit_flags(commits["dev2"], ("mozilla.com",))[0].mean() == pytest.approx(0.5)
 
     def test_allhired_recall_one_auc_half(self):
-        commits = self._commits_by_id()
-        cell = baseline_cell(
-            BaselineSpec(kind="allhired"), commits, ["dev1", "dev2"], np.array([1, 0])
-        )
+        cell = _baselines(self._commits_by_id(), ["dev1", "dev2"], [1, 0])["allhired"]
         assert cell.recall == 1.0
         assert cell.auc == 0.5
 
@@ -247,14 +243,10 @@ class TestBaselines:
         commits = self._commits_by_id()
         # dev office shares are 0.6 and 0.0; use dev1-like devs only
         commits = {"dev1": commits["dev1"], "dev3": commits["dev1"]}
-        _, p05 = baseline_predict(
-            BaselineSpec(kind="officehours", threshold=0.05), commits, ["dev1", "dev3"]
-        )
-        _, p95 = baseline_predict(
-            BaselineSpec(kind="officehours", threshold=0.95), commits, ["dev1", "dev3"]
-        )
-        assert p05.tolist() == [1, 1]  # everybody hired
-        assert p95.tolist() == [0, 0]  # nobody hired
+        cells = _baselines(commits, ["dev1", "dev3"], [1, 0])
+        p05, p95 = cells["5%officehours"], cells["95%officehours"]
+        assert [p05.tp, p05.fp] == [1, 1]  # everybody hired
+        assert [p95.tp, p95.fp] == [0, 0]  # nobody hired
 
 
 def test_office_flags_match_calendar_oracle(rng):
@@ -272,10 +264,13 @@ def test_office_flags_match_calendar_oracle(rng):
     for c in commits:
         *_, hour, _, weekday, _, _ = local_civil(c.timestamp_utc, c.tz_offset_minutes)
         expected.append(weekday < 5 and 9 <= hour < 17)
-    assert evaluation._office_flags(history_of(commits)).tolist() == expected
+    assert commit_flags(history_of(commits), ())[1].tolist() == expected
     by_dev = {f"d{k}": history_of(commits[k::7]) for k in range(7)}
-    scores, _ = baseline_predict(BaselineSpec(kind="officehours"), by_dev, sorted(by_dev))
-    assert scores.tolist() == [np.mean(expected[k::7]) for k in range(7)]
+    shares = np.array([np.mean(expected[k::7]) for k in range(7)])
+    truth = np.array([1, 0, 1, 0, 1, 0, 1])
+    cell = _baselines(by_dev, sorted(by_dev), truth)["50%officehours"]
+    assert cell.auc == roc_auc(shares, truth)
+    assert (cell.tp, cell.fp, cell.tn, cell.fn) == confusion(shares >= 0.5, truth)
 
 
 class TestPerCommitExperiment:
@@ -305,7 +300,7 @@ class TestPerCommitExperiment:
 
     def test_training_prefix_and_reports(self, rng):
         commits_by_id, label_set = self._setup(rng)
-        specs = {"rpart": ClassifierSpec("tree", {"minsplit": 5})}
+        specs = {"rpart": lambda d, _: fit_tree(d, minsplit=5)}
         all_report, rest_report = per_commit_experiment(
             self._histories(commits_by_id), label_set, specs, coverage=0.5, seed=1
         )
@@ -318,7 +313,7 @@ class TestPerCommitExperiment:
 
     def test_coverage_one_trains_on_everyone(self, rng):
         commits_by_id, label_set = self._setup(rng, n_devs=4)
-        specs = {"rpart": ClassifierSpec("tree", {"minsplit": 5})}
+        specs = {"rpart": lambda d, _: fit_tree(d, minsplit=5)}
         all_report, rest_report = per_commit_experiment(
             self._histories(commits_by_id), label_set, specs, coverage=1.0, seed=1
         )
@@ -331,7 +326,7 @@ class TestPerCommitExperiment:
         with pytest.raises(SingleClassError):
             per_commit_experiment(
                 self._histories(commits_by_id), label_set,
-                {"rpart": ClassifierSpec("tree", {})}, coverage=0.5, seed=1
+                {"rpart": lambda d, _: fit_tree(d)}, coverage=0.5, seed=1
             )
 
 

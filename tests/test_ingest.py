@@ -415,13 +415,13 @@ def _outcome(reader, text):
 
 
 _DELIBERATE = ("holds a lone surrogate", "line counts must be <=", "invalid JSON: integer too long",
-               "invalid JSON: nested too deeply")
+               "invalid JSON: nested too deeply", "malformed commit id")
 
 
 def _deliberate_fault(line):
     """Whether `line` holds one of the faults only the new reader rejects: a
-    lone surrogate, a line count past int64, or an integer json.loads cannot
-    convert."""
+    lone surrogate, a line count past int64, an integer json.loads cannot
+    convert, or a sha followed by a newline."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
@@ -431,7 +431,8 @@ def _deliberate_fault(line):
     if not isinstance(obj, dict):
         return False
     surrogate = any(isinstance(v, str) and re.search("[\ud800-\udfff]", v) for v in obj.values())
-    return surrogate or any(type(obj.get(k)) is int and obj[k] > 2**63 - 1
+    sha_newline = isinstance(obj.get("sha"), str) and re.fullmatch("[0-9a-f]{40}\n", obj["sha"])
+    return surrogate or sha_newline or any(type(obj.get(k)) is int and obj[k] > 2**63 - 1
                             for k in ("lines_added", "lines_deleted"))
 
 
@@ -490,6 +491,12 @@ class TestReaderOracle:
     def test_huge_time_fields_keep_their_messages(self, field, message, value):
         got, want = self._both(self._line(**{field: value}))
         assert got == want == (SchemaError, f"{message} (line 1)", 1)
+
+    def test_sha_followed_by_newline_rejected(self):
+        sha = sha_of(1) + "\n"
+        got, want = self._both(self._line(sha=sha_of(0)) + "\n" + self._line(sha=sha) + "\n")
+        assert got == (SchemaError, f"malformed commit id {sha!r} (line 2)", 2)
+        assert isinstance(want, list) and want[1]["sha"] == sha  # the oracle accepted it
 
     def test_integer_past_the_digit_limit_rejected(self):
         text = self._line(lines_added=0).replace('"lines_added": 0', '"lines_added": ' + "9" * 5000)

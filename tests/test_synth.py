@@ -4,7 +4,7 @@ import pytest
 from conftest import history_of
 from paydev import labels as lab
 from paydev import ml
-from paydev.evaluation import ClassifierSpec, cross_validate, roc_auc, stratified_kfold
+from paydev.evaluation import cross_validate, forest_seed, roc_auc, stratified_kfold
 from paydev.features import compute_features, feature_matrix
 from paydev.identity import merge_identities
 from paydev.ingest import Commits
@@ -25,6 +25,11 @@ def _dataset(records, labels, mode="all"):
     X, ids, columns = feature_matrix(feats, mode)
     y = [1 if labels[i] == "hired" else 0 for i in ids]
     return ml.make_dataset(X, y, columns, ids)
+
+
+def _forest(n_trees):
+    """cross_validate's classifiers: one forest seeded per (seed, repeat, fold)."""
+    return {"forest": lambda d, parts: ml.fit_forest(d, seed=forest_seed(parts), n_trees=n_trees)}
 
 
 class TestGenerator:
@@ -66,7 +71,7 @@ class TestSeparability:
         folds = stratified_kfold(len(data.y), data.y, k=4, repeats=1, seed=3)
         report = cross_validate(
             data,
-            {"forest": ClassifierSpec("forest", {"n_trees": 30})},
+            _forest(30),
             folds,
             seed=3,
         )
@@ -81,7 +86,7 @@ class TestSeparability:
             folds = stratified_kfold(len(data.y), data.y, k=3, repeats=1, seed=seed)
             report = cross_validate(
                 data,
-                {"forest": ClassifierSpec("forest", {"n_trees": 20})},
+                _forest(20),
                 folds,
                 seed=seed,
             )
