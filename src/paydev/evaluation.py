@@ -228,8 +228,9 @@ def developer_baselines(histories, ids, truth, domains=("mozilla.com",)):
     commits from one of the domains and predicts hired when one exists;
     N%officehours scores the weekday 9-17 share and predicts hired at N% or
     more, for each of OFFICE_THRESHOLDS."""
-    email, office = map(np.array, zip(*(
-        [flags.mean() for flags in commit_flags(histories[i], domains)] for i in ids)))
+    shares = np.array([[flags.mean() for flags in commit_flags(histories[i], domains)]
+                       for i in ids])
+    email, office = shares.T
     n = len(ids)
     cells = [baseline_cell("allhired", np.ones(n), np.ones(n, dtype=np.int8), truth),
              baseline_cell("email", email, (email > 0).astype(np.int8), truth)]

@@ -23,7 +23,6 @@ from paydev.ml import fit_logit, fit_tree, make_dataset
 
 from oracle_auc import pairwise_auc
 from oracle_calendar import local_civil
-from paydev import evaluation
 
 
 class TestRocAuc:
