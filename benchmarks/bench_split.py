@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark forest training with the compiled tree grower and the Python one.
+"""Benchmark forest training and prediction, compiled against Python.
 
-Fits the same forest with both growers on identical inputs and asserts
-that they grow the same trees. Run:
+Fits the same forest with the compiled tree grower and the Python one and
+asserts that they grow the same trees; then predicts it with the compiled
+forest_sum and with the tree_proba loop and asserts the same bytes. Run:
 
     python benchmarks/bench_split.py
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from paydev.ml import fit_forest, kernels, make_dataset
 from paydev.ml.serialize import TREE_ARRAYS
+from paydev.ml.tree import tree_proba
 
 
 def time_it(fn, repeats=5):
@@ -51,8 +53,29 @@ def bench_forest():
         for a, b in zip(model.trees, first.trees):
             assert all(getattr(a, key).tobytes() == getattr(b, key).tobytes()
                        for key in TREE_ARRAYS), "growers disagree"
+    return first, X
+
+
+def bench_predict(model, X):
+    """The compiled forest_sum against the tree_proba loop it replaces; both
+    must give the same bytes."""
+    def loop():
+        total = np.zeros(len(X))
+        for tree in model.trees:
+            total += tree_proba(tree, X)
+        return total
+
+    print(f"forest sum ({len(X)} rows, {len(model.trees)} trees):")
+    sums = {"python": loop}
+    if kernels.BACKEND == "c":
+        sums["c"] = lambda: kernels.forest_sum(model.trees, X)
+    results = {}
+    for name, fn in sums.items():
+        print(f"  {name:>8}: {time_it(fn) * 1e3:.1f}ms")
+        results[name] = fn().tobytes()
+    assert len(set(results.values())) == 1, "forest sums disagree"
 
 
 if __name__ == "__main__":
     print(f"active backend: {kernels.BACKEND}\n")
-    bench_forest()
+    bench_predict(*bench_forest())

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the CSV row reader
+that raises it.
 
 Each class maps to one documented CLI exit code (see paydev.cli).
 """
+
+import csv
 
 
 class PaydevError(Exception):
@@ -87,3 +90,18 @@ class UnlabeledIdentityError(PaydevError):
     """An identity has neither a direct status nor employment periods."""
 
     exit_code = 5
+
+
+def csv_rows(lines):
+    """csv.reader over `lines`, except that a line the csv module cannot read
+    (a bare carriage return in an unquoted field, a field over its size
+    limit) raises SchemaError with the number of that line."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            message = str(exc).split(" - ")[0]  # drop csv's hint about opening files
+            raise SchemaError(f"unreadable CSV line: {message}", line=reader.line_num) from None

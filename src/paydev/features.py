@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from paydev.errors import SchemaError
+from paydev.errors import SchemaError, csv_rows
 from paydev.ingest import LocalCalendar, to_local
 
 
@@ -204,7 +204,7 @@ def write_features_csv(features_by_id, fileobj, mode="all") -> None:
 
 def read_features_csv(fileobj):
     """Read a features CSV back into (X, ids, columns); no id may repeat."""
-    reader = csv.reader(fileobj)
+    reader = csv_rows(fileobj)
     header = next(reader, None)
     if not header or header[0] != "identity":
         raise SchemaError("features CSV must start with an 'identity' column", line=1)

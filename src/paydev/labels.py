@@ -8,13 +8,12 @@ the commit majority (ties go to hired).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
-from paydev.errors import SchemaError, UnlabeledIdentityError
+from paydev.errors import SchemaError, UnlabeledIdentityError, csv_rows
 from paydev.ingest import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 
 HIRED = "hired"
@@ -38,7 +37,7 @@ def _parse_date(text, lineno):
 
 def load_labels(fileobj) -> LabelSet:
     """Read the labels CSV; identities unknown to the commit data are kept."""
-    reader = csv.reader(fileobj)
+    reader = csv_rows(fileobj)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != LABELS_HEADER:
         raise SchemaError(

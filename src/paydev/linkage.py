@@ -6,11 +6,10 @@ issue-tracker client here.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 
-from paydev.errors import SchemaError
+from paydev.errors import SchemaError, csv_rows
 
 # 3-9 digits keeps prose like "bug 42" and version strings out at scale.
 _ISSUE_RE = re.compile(r"bug[ \t]*#?[ \t]*([0-9]{3,9})", re.IGNORECASE)
@@ -40,7 +39,7 @@ def extract_links(commits) -> dict[str, list[int]]:
 
 def load_product_map(fileobj) -> dict[int, str]:
     """Read the issue_id,product CSV into a mapping."""
-    reader = csv.reader(fileobj)
+    reader = csv_rows(fileobj)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["issue_id", "product"]:
         raise SchemaError("product map must start with header 'issue_id,product'", line=1)

@@ -1,9 +1,13 @@
-/* Compiled tree kernel: grow_tree, the C twin of tree._grow_tree_py, which
- * grows a whole tree in one call, and choice, its feature draw. split_rows
- * keeps the numpy search's (kernels.best_split) order of work and int64
- * score expression, so the trees are bit-identical (build without FMA
- * contraction or fast-math). Functions return 0 (grow_tree: the node count),
- * -1 when out of memory, -2 when a row index is out of range. */
+/* Compiled tree kernels. grow_tree, the C twin of tree._grow_tree_py, grows
+ * a whole tree in one call from each feature's rows sorted once per fit, so
+ * no node sorts anything; choice is its feature draw. forest_sum predicts a
+ * whole forest in one call, as tree.tree_proba tree by tree would. The split
+ * search keeps the numpy search's (kernels.best_split) order of work and
+ * int64 score expression, so the trees are bit-identical (build without FMA
+ * contraction or fast-math). A tree of n rows over p features holds p * n
+ * 16-byte entries while it grows. Functions return 0 (grow_tree: the node
+ * count), -1 when out of memory, -2 when a row or node index is out of
+ * range, -3 when a label is neither 0 nor 1. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -18,69 +22,10 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-typedef struct { double v; int64_t cy; } ValY;
-
-/* Stable bottom-up merge sort: insertion-sorted runs of 16, then merges
- * between a and tmp. Returns whichever buffer holds the sorted data. */
-static ValY *sort_valy(ValY *a, ValY *tmp, int64_t n)
-{
-    for (int64_t lo = 0; lo < n; lo += 16) {
-        int64_t hi = lo + 16 < n ? lo + 16 : n;
-        for (int64_t i = lo + 1; i < hi; i++) {
-            ValY x = a[i];
-            int64_t j = i;
-            for (; j > lo && a[j - 1].v > x.v; j--)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-    }
-    for (int64_t w = 16; w < n; w *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * w) {
-            int64_t mid = lo + w < n ? lo + w : n, hi = lo + 2 * w < n ? lo + 2 * w : n;
-            for (int64_t i = lo, j = mid, k = lo; k < hi; k++)
-                tmp[k] = j == hi || (i < mid && a[i].v <= a[j].v) ? a[i++] : a[j++];
-        }
-        ValY *t = a; a = tmp; tmp = t;
-    }
-    return a;
-}
-
 static double node_score(int64_t n, int64_t pos)
 {
     int64_t neg = n - pos;
     return (double)(n * n - pos * pos - neg * neg) / (double)n;
-}
-
-/* kernels.best_split over n valid rows holding pos positives; buf holds
- * 2n ValY */
-static void split_rows(const double *X, int64_t p, const int8_t *y, const int64_t *idx,
-                       int64_t n, int64_t pos, const int64_t *feats, int64_t n_feats,
-                       ValY *buf, int64_t *out_f, double *out_thr, double *out_score)
-{
-    int64_t neg = n - pos, best_f = -1;
-    double best_score = node_score(n, pos), best_thr = 0.0;
-    for (int64_t k = 0; k < n_feats; k++) {
-        for (int64_t i = 0; i < n; i++)
-            buf[i] = (ValY){X[idx[i] * p + feats[k]], y[idx[i]]};
-        ValY *s = sort_valy(buf, buf + n, n);
-        int64_t pl = 0;
-        for (int64_t i = 0; i + 1 < n; i++) {
-            pl += s[i].cy;
-            if (s[i].v == s[i + 1].v)
-                continue;
-            int64_t nl = i + 1, ql = nl - pl, nr = n - nl, pr = pos - pl, qr = neg - ql;
-            double score = (double)(nl * nl - pl * pl - ql * ql) / (double)nl
-                         + (double)(nr * nr - pr * pr - qr * qr) / (double)nr;
-            if (score < best_score) {
-                best_f = feats[k];
-                best_thr = (s[i].v + s[i + 1].v) / 2.0;
-                best_score = score;
-            }
-        }
-    }
-    *out_f = best_f;
-    *out_thr = best_thr;
-    *out_score = best_score;
 }
 
 /* numpy's random_bounded_uint64(rng, 0, max, 0, 0) for max < 2**32 - 1:
@@ -132,6 +77,9 @@ int choice(bitgen_t *rng, int64_t p, int64_t k, int64_t *out)
 
 typedef struct { int64_t node, start, end, depth; } Job;
 
+/* One of a tree's rows in one feature's order: its value, and row << 1 | y */
+typedef struct { double v; int64_t ry; } Entry;
+
 static int cmp_int64(const void *a, const void *b)
 {
     int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
@@ -141,19 +89,27 @@ static int cmp_int64(const void *a, const void *b)
 /* Grows one tree over rows idx[0..n) into node arrays of capacity
  * c = max(2n - 1, 1): threshold[0..c) and the int64 block ints[0..5c), which
  * holds the rows feature, left, right, count and npos one after another.
- * Split gains accumulate into importance[0..p). maxdepth < 0 means
- * unbounded. rng NULL (or mtry >= p) searches every feature at every
- * node; otherwise each node draws mtry features from rng, as
- * np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS with the
- * left child first; a split node's children are the next two node rows. */
+ * Split gains accumulate into importance[0..p). order[k * n_rows ..) lists
+ * the rows of X in ascending order of feature k (in any order among equal
+ * values). maxdepth < 0 means unbounded. rng NULL (or mtry >= p) searches
+ * every feature at every node; otherwise each node draws mtry features from
+ * rng, as np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS
+ * with the left child first; a split node's children are the next two node
+ * rows.
+ *
+ * Feature k's entries ent[k * n .. (k + 1) * n) hold the tree's rows in
+ * feature k's order, each as often as idx holds it. A node owns the same
+ * span of every feature's entries, so its split search reads each candidate
+ * feature's span in sorted order, and a kept split stable-partitions every
+ * span by the side each row goes to. Only distinct neighbouring values are
+ * split between, and the order among equal values changes neither the
+ * counts nor the midpoint there, so the splits are those of
+ * kernels.best_split, and its int64 score expression is kept. */
 int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
-                  const int64_t *idx, int64_t n, int64_t minsplit, double cp,
-                  int64_t maxdepth, int64_t mtry, bitgen_t *rng, int64_t *ints,
+                  const int64_t *order, const int64_t *idx, int64_t n, int64_t minsplit,
+                  double cp, int64_t maxdepth, int64_t mtry, bitgen_t *rng, int64_t *ints,
                   double *threshold, double *importance)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (idx[i] < 0 || idx[i] >= n_rows)
-            return -2;
     int64_t c = n > 0 ? 2 * n - 1 : 1;
     int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c, *count = ints + 3 * c,
             *npos = ints + 4 * c;
@@ -161,23 +117,54 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
         rng = NULL;
         mtry = p;
     }
-    int64_t cap = n > 0 ? n : 1;
-    int64_t *rows = malloc(2 * cap * sizeof(int64_t));
-    int64_t *feats = malloc((p > 0 ? p : 1) * sizeof(int64_t));
-    ValY *buf = malloc(2 * cap * sizeof(ValY));
+    int64_t cap = n > 0 ? n : 1, wide = p > 0 ? p : 1, rows = n_rows > 0 ? n_rows : 1;
+    int64_t *copies = calloc(rows, sizeof(int64_t));  /* how often idx holds each row */
+    int64_t *listed = calloc(rows, sizeof(int64_t));
+    uint8_t *goes_left = malloc(rows);
+    Entry *ent = malloc((wide * cap + 2) * sizeof(Entry)), *tmp = malloc(cap * sizeof(Entry));
+    int64_t *feats = malloc(wide * sizeof(int64_t));
     Job *stack = malloc((cap + 1) * sizeof(Job));  /* live jobs hold disjoint rows */
-    uint8_t *seen = calloc(p > 0 ? p : 1, 1);
+    uint8_t *seen = calloc(wide, 1);
     int64_t m = -1;
-    if (rows == NULL || feats == NULL || buf == NULL || stack == NULL || seen == NULL)
+    if (copies == NULL || listed == NULL || goes_left == NULL || ent == NULL || tmp == NULL
+        || feats == NULL || stack == NULL || seen == NULL)
         goto done;
 
-    int64_t *tmp = rows + cap;
-    memcpy(rows, idx, n * sizeof(int64_t));
+    m = -2;
+    int64_t pos_root = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (idx[i] < 0 || idx[i] >= n_rows)
+            goto done;
+        if (y[idx[i]] != 0 && y[idx[i]] != 1) {
+            m = -3;
+            goto done;
+        }
+        copies[idx[i]]++;
+        pos_root += y[idx[i]];
+    }
+    /* n_rows entries in range, none twice (listed[r] == k + 1 once row r
+     * is listed for feature k): order[k] is a permutation of the rows */
+    for (int64_t k = 0; k < p; k++) {
+        Entry *e = ent + k * cap;
+        for (const int64_t *r = order + k * n_rows, *end = r + n_rows; r < end; r++) {
+            if (*r < 0 || *r >= n_rows || listed[*r] == k + 1)
+                goto done;
+            listed[*r] = k + 1;
+            /* most rows are held 0, 1 or 2 times, so two copies are written
+             * without a branch; later entries overwrite the copies a row does
+             * not need (after the last feature, 2 spare entries take them) */
+            Entry x = {X[*r * p + k], *r << 1 | y[*r]};
+            int64_t c = copies[*r];
+            e[0] = x;
+            e[1] = x;
+            for (int64_t t = 2; t < c; t++)
+                e[t] = x;
+            e += c;
+        }
+    }
+
     for (int64_t k = 0; k < p; k++)
         feats[k] = k;
-    int64_t pos_root = 0;
-    for (int64_t i = 0; i < n; i++)
-        pos_root += y[rows[i]];
     int64_t root_err = n - (pos_root > n - pos_root ? pos_root : n - pos_root);
     feature[0] = left[0] = right[0] = -1;
     threshold[0] = 0.0;
@@ -188,7 +175,7 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
     stack[top++] = (Job){0, 0, n, 0};
     while (top > 0) {
         Job job = stack[--top];
-        int64_t nn = count[job.node], pos = npos[job.node];
+        int64_t nn = count[job.node], pos = npos[job.node], neg = nn - pos;
         if (pos == 0 || pos == nn || nn < minsplit)
             continue;
         if (maxdepth >= 0 && job.depth >= maxdepth)
@@ -197,34 +184,67 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
             draw_features(rng, p, mtry, feats, seen);
             qsort(feats, mtry, sizeof(int64_t), cmp_int64);
         }
-        int64_t f;
-        double thr, child_score;
-        split_rows(X, p, y, rows + job.start, nn, pos, feats, mtry, buf, &f, &thr,
-                   &child_score);
+
+        /* ties break to the lowest feature, then the lowest threshold */
+        int64_t f = -1;
+        double thr = 0.0, child_score = node_score(nn, pos);
+        for (int64_t k = 0; k < mtry; k++) {
+            const Entry *s = ent + feats[k] * cap + job.start;
+            if (s[0].v == s[nn - 1].v)  /* constant in this node */
+                continue;
+            int64_t pl = 0;
+            for (int64_t i = 0; i + 1 < nn; i++) {
+                pl += s[i].ry & 1;
+                if (s[i].v == s[i + 1].v)
+                    continue;
+                int64_t nl = i + 1, ql = nl - pl, nr = nn - nl, pr = pos - pl, qr = neg - ql;
+                double score = (double)(nl * nl - pl * pl - ql * ql) / (double)nl
+                             + (double)(nr * nr - pr * pr - qr * qr) / (double)nr;
+                if (score < child_score) {
+                    f = feats[k];
+                    thr = (s[i].v + s[i + 1].v) / 2.0;
+                    child_score = score;
+                }
+            }
+        }
         if (f < 0)
             continue;
 
-        /* stable partition: rows going left keep their order in place, the
-         * rest follow in order */
-        int64_t nl = 0, nr = 0, pos_l = 0;
-        for (int64_t i = job.start; i < job.end; i++) {
-            int64_t r = rows[i];
-            if (X[r * p + f] <= thr) {
-                rows[job.start + nl++] = r;
-                pos_l += y[r];
-            } else {
-                tmp[nr++] = r;
-            }
+        const Entry *s = ent + f * cap + job.start;
+        int64_t nl = 0, pos_l = 0;
+        for (int64_t i = 0; i < nn; i++) {
+            int64_t go = s[i].v <= thr;
+            goes_left[s[i].ry >> 1] = (uint8_t)go;
+            nl += go;
+            pos_l += go & s[i].ry;
         }
-        memcpy(rows + job.start + nl, tmp, nr * sizeof(int64_t));
-        int64_t pos_r = pos - pos_l;
+        int64_t nr = nn - nl, pos_r = pos - pos_l;
 
         /* rpart-style pruning: relative misclassification improvement >= cp */
-        int64_t err_node = nn - (pos > nn - pos ? pos : nn - pos);
+        int64_t err_node = nn - (pos > neg ? pos : neg);
         int64_t err_children = nl - (pos_l > nl - pos_l ? pos_l : nl - pos_l)
                              + nr - (pos_r > nr - pos_r ? pos_r : nr - pos_r);
         if (root_err > 0 && (double)(err_node - err_children) / (double)root_err < cp)
             continue;
+
+        /* stable partition of every feature's span: the left rows keep their
+         * order in place, the rest follow in order. The split feature's span
+         * is partitioned already. A feature constant in this node is constant
+         * in every node below it, where the search skips it, so its span is
+         * left as it is. */
+        for (int64_t k = 0; k < p; k++) {
+            Entry *e = ent + k * cap + job.start;
+            if (k == f || e[0].v == e[nn - 1].v)
+                continue;
+            int64_t l = 0, r = 0;
+            for (int64_t i = 0; i < nn; i++) {
+                if (goes_left[e[i].ry >> 1])
+                    e[l++] = e[i];
+                else
+                    tmp[r++] = e[i];
+            }
+            memcpy(e + l, tmp, r * sizeof(Entry));
+        }
 
         importance[f] += node_score(nn, pos) - child_score;
         int64_t child = m;
@@ -246,10 +266,48 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
     }
 
 done:
-    free(rows);
+    free(copies);
+    free(listed);
+    free(goes_left);
+    free(ent);
+    free(tmp);
     free(feats);
-    free(buf);
     free(stack);
     free(seen);
     return m;
+}
+
+/* out[r] = the sum over trees, in tree order, of pos / n at the leaf that
+ * row r of X (n_rows x p) reaches. The trees' node arrays are concatenated
+ * as threshold[0..c) and the int64 block ints[0..5c) of grow_tree; tree t
+ * owns nodes roots[t] .. roots[t + 1] - 1 and numbers them from 0. Returns
+ * 0, or -2 when an inner node's feature is out of range or one of its
+ * children is not a later node of its tree. */
+int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
+               const double *threshold, const int64_t *roots, int64_t n_trees, double *out)
+{
+    int64_t c = roots[n_trees];
+    const int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c,
+                  *count = ints + 3 * c, *npos = ints + 4 * c;
+    for (int64_t r = 0; r < n_rows; r++)
+        out[r] = 0.0;
+    for (int64_t t = 0; t < n_trees; t++) {
+        int64_t base = roots[t], m = roots[t + 1] - base;
+        if (m < 1)
+            return -2;
+        for (int64_t j = 0; j < m; j++) {
+            int64_t i = base + j;
+            if (feature[i] >= 0 && (feature[i] >= p || left[i] <= j || left[i] >= m
+                                    || right[i] <= j || right[i] >= m))
+                return -2;
+        }
+        for (int64_t r = 0; r < n_rows; r++) {
+            const double *x = X + r * p;
+            int64_t i = base;
+            while (feature[i] >= 0)
+                i = base + (x[feature[i]] <= threshold[i] ? left[i] : right[i]);
+            out[r] += (double)npos[i] / (double)count[i];
+        }
+    }
+    return 0;
 }

@@ -30,8 +30,9 @@ def make_dataset(X, y, columns, ids) -> Dataset:
 
 
 def check_training(data: Dataset) -> None:
-    if len(data.y) < 2:
-        raise ValueError("training needs at least two rows")
+    """Both classes must be present, which takes at least two rows."""
+    if len(data.y) == 0:
+        raise SingleClassError("training data has no labeled rows")
     if len(np.unique(data.y)) < 2:
         raise SingleClassError("training data contains a single class")
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from paydev.ml import kernels
 from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
 from paydev.ml.tree import Tree, grow_tree, tree_proba
 
@@ -51,6 +52,8 @@ def fit_forest(
     if not 1 <= mtry <= p:
         raise ValueError(f"mtry must be in [1, {p}]")
 
+    # each feature's rows sorted once, for every tree the compiled grower grows
+    rows = kernels.Presorted(X, y) if kernels.grower() else None
     trees, importance = [], np.zeros(p)
     for t in range(n_trees):
         rng = _tree_rng(seed, t)
@@ -59,7 +62,7 @@ def fit_forest(
         else:
             idx = np.arange(n, dtype=np.int64)
         tree, imp = grow_tree(
-            X, y, idx, minsplit=2, cp=0.0, maxdepth=None, mtry=mtry, rng=rng
+            X, y, idx, minsplit=2, cp=0.0, maxdepth=None, mtry=mtry, rng=rng, rows=rows
         )
         trees.append(tree)
         importance += imp
@@ -78,8 +81,11 @@ def fit_forest(
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
-    """Mean of the trees' leaf probabilities, accumulated in tree order."""
+    """Mean of the trees' leaf probabilities, accumulated in tree order: in
+    one compiled call when the kernel is built, else tree by tree."""
     X = fill_missing(np.asarray(X, dtype=np.float64), model.impute)
+    if kernels.BACKEND == "c":
+        return kernels.forest_sum(model.trees, X) / model.n_trees
     total = np.zeros(len(X), dtype=np.float64)
     for tree in model.trees:
         total += tree_proba(tree, X)

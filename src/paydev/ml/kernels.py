@@ -1,11 +1,13 @@
-"""The tree kernels: one split search per platform.
+"""The tree kernels: one split search per platform, and the forest predictor.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
 through ctypes; delete that file to rebuild. Its grow_tree grows a whole
-tree in one call, searching splits in C. Without a compiler, trees grow in
-Python (tree._grow_tree_py), which calls the numpy best_split below node by
-node; both give bit-identical trees.
+tree in one call, searching splits in C over each feature's rows sorted
+once per fit (Presorted), and its forest_sum predicts a whole forest in one
+call. Without a compiler, trees grow in Python (tree._grow_tree_py), which
+calls the numpy best_split below node by node, and forests predict tree by
+tree (tree.tree_proba); both give bit-identical trees and predictions.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -44,9 +46,11 @@ def _load():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.choice.argtypes = [ptr, i64, i64, ptr]
     lib.choice.restype = ctypes.c_int
-    lib.grow_tree.argtypes = [ptr, i64, i64, ptr, ptr, i64, i64, f64, i64, i64, ptr,
+    lib.grow_tree.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, i64, f64, i64, i64, ptr,
                               ptr, ptr, ptr]
     lib.grow_tree.restype = i64
+    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
+    lib.forest_sum.restype = ctypes.c_int
     return lib
 
 
@@ -56,14 +60,32 @@ except (OSError, RuntimeError, subprocess.CalledProcessError):
     _lib = None
 
 _F64, _I8, _I64 = np.dtype(np.float64), np.dtype(np.int8), np.dtype(np.int64)
+# the address of a Generator's bitgen_t, from its bit generator's capsule
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = ctypes.c_void_p
 
 
-def _check(X, y, idx):
-    for a, dtype in ((X, _F64), (y, _I8), (idx, _I64)):
-        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
-            raise TypeError(f"grow_tree needs C-contiguous {dtype} arrays")
-    if X.ndim != 2 or y.shape != X.shape[:1] or idx.ndim != 1:
-        raise ValueError("grow_tree needs X (n, p), y (n,) and a 1-d idx")
+def _bitgen(rng):
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+
+
+class Presorted:
+    """X (n_rows, p) and y (n_rows,), checked once for all the trees grown
+    over them, and each feature's rows in ascending value order (a
+    (p, n_rows) int64 array). `args` holds what every grow_tree call over
+    them passes first; the arrays are kept so that their addresses stay
+    valid."""
+
+    def __init__(self, X, y):
+        for a, dtype in ((X, _F64), (y, _I8)):
+            if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
+                raise TypeError(f"grow_tree needs C-contiguous {dtype} arrays")
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError("grow_tree needs X (n, p) and y (n,)")
+        order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"))
+        self.arrays = X, y, order
+        self.args = (X.ctypes.data, X.shape[0], X.shape[1], y.ctypes.data, order.ctypes.data)
 
 
 def node_score(n: int, pos: int) -> float:
@@ -89,7 +111,7 @@ def best_split(X, y, idx, feats):
 
     (the sum over children of n_child * gini_child), evaluated with int64
     numerators so the float value does not depend on how the counts were
-    accumulated. Keep the expression in sync with split_rows in _split.c.
+    accumulated. Keep the expression in sync with grow_tree in _split.c.
     """
     y_node = y[idx]
     n = len(idx)
@@ -129,32 +151,55 @@ def _c_choice(rng, p, k):
     """rng.choice(p, k, replace=False) drawn in C, for p <= 10000 or
     k <= p // 50 (where numpy uses Floyd's algorithm)."""
     out = np.empty(k, dtype=np.int64)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        if _lib.choice(bitgen.ctypes.bit_generator, p, k, out.ctypes.data):
+    with rng.bit_generator.lock:
+        if _lib.choice(_bitgen(rng), p, k, out.ctypes.data):
             raise MemoryError()
     return out
 
 
-def _c_grow_tree(X, y, idx, minsplit, cp, maxdepth, mtry, rng):
-    """tree._grow_tree_py in one compiled call. Returns the six node arrays
-    (feature, threshold, left, right, n, pos) and the importance vector;
-    maxdepth None is unbounded, rng None searches every feature."""
-    _check(X, y, idx)
-    n, p = len(idx), X.shape[1]
+def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
+    """tree._grow_tree_py over rows idx of `rows` in one compiled call.
+    Returns the six node arrays (feature, threshold, left, right, n, pos)
+    and the importance vector; maxdepth None is unbounded, rng None searches
+    every feature."""
+    if not (isinstance(idx, np.ndarray) and idx.dtype == _I64 and idx.flags.c_contiguous
+            and idx.ndim == 1):
+        raise TypeError("grow_tree needs a 1-d C-contiguous int64 idx")
+    n, p = len(idx), rows.args[2]
     cap = max(2 * n - 1, 1)
     ints = np.empty((5, cap), dtype=np.int64)  # feature, left, right, n, pos
     threshold, importance = np.empty(cap), np.zeros(p)
-    # ctypes releases the GIL; the lock keeps other threads off this generator
-    with nullcontext() if rng is None else rng.bit_generator.lock:
-        m = _lib.grow_tree(X.ctypes.data, X.shape[0], p, y.ctypes.data, idx.ctypes.data, n,
-                           minsplit, cp, -1 if maxdepth is None else maxdepth, mtry,
-                           None if rng is None else rng.bit_generator.ctypes.bit_generator,
+    if rng is None:
+        bitgen, lock = None, nullcontext()
+    else:  # ctypes releases the GIL; the lock keeps other threads off this generator
+        bitgen, lock = _bitgen(rng), rng.bit_generator.lock
+    with lock:
+        m = _lib.grow_tree(*rows.args, idx.ctypes.data, n, minsplit, cp,
+                           -1 if maxdepth is None else maxdepth, mtry, bitgen,
                            ints.ctypes.data, threshold.ctypes.data, importance.ctypes.data)
     if m < 0:
-        raise MemoryError() if m == -1 else IndexError("grow_tree row index out of range")
+        raise {-1: MemoryError(), -2: IndexError("grow_tree row index out of range"),
+               -3: ValueError("grow_tree needs labels 0 or 1")}[m]
     feature, left, right, count, pos = ints[:, :m].copy()
     return (feature, threshold[:m].copy(), left, right, count, pos), importance
+
+
+def forest_sum(trees, X):
+    """Per row of X (n_rows, p), the sum over `trees`, in order, of the
+    row's leaf probability pos/n: the loop over tree.tree_proba in one
+    compiled call over the trees' concatenated node arrays."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    roots = np.zeros(len(trees) + 1, dtype=np.int64)
+    np.cumsum([len(t.feature) for t in trees], out=roots[1:])
+    ints = np.empty((5, roots[-1]), dtype=np.int64)
+    for row, key in zip(ints, ("feature", "left", "right", "n", "pos")):
+        np.concatenate([getattr(t, key) for t in trees], out=row)
+    threshold = np.concatenate([t.threshold for t in trees], dtype=np.float64)
+    out = np.empty(len(X))
+    if _lib.forest_sum(X.ctypes.data, X.shape[0], X.shape[1], ints.ctypes.data,
+                       threshold.ctypes.data, roots.ctypes.data, len(trees), out.ctypes.data):
+        raise ValueError("forest_sum: a tree node points outside its tree")
+    return out
 
 
 @functools.cache

@@ -41,7 +41,7 @@ class TreeModel:
     importance: np.ndarray = field(default=None)
 
 
-def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
+def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None, rows=None):
     """Grow one tree over rows `idx`; returns (Tree, importance).
 
     mtry, when set below the feature count, samples that many candidate
@@ -49,7 +49,9 @@ def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
     compiled grower makes the same draws from rng's bit generator, except
     where numpy shuffles a whole range instead (p > 10,000 and
     mtry > p // 50): there, and without a compiled grower, the tree grows
-    in Python.
+    in Python. rows is kernels.Presorted(X, y), which the compiled grower
+    reads; a forest makes it once for all its trees, and it is made here
+    when None.
     """
     p = X.shape[1]
     if mtry is None or mtry >= p:
@@ -58,7 +60,9 @@ def grow_tree(X, y, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
     if compiled is None or (rng is not None and p > 10_000 and mtry > p // 50):
         return _grow_tree_py(X, y, idx, minsplit=minsplit, cp=cp, maxdepth=maxdepth,
                              mtry=mtry, rng=rng)
-    arrays, importance = compiled(X, y, idx, minsplit, cp, maxdepth, mtry, rng)
+    if rows is None:
+        rows = kernels.Presorted(X, y)
+    arrays, importance = compiled(rows, idx, minsplit, cp, maxdepth, mtry, rng)
     return Tree(*arrays), importance
 
 

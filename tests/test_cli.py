@@ -284,6 +284,41 @@ class TestEncodingFaults:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("command, damaged", [
+        ("train", "labels"), ("train", "features"), ("evaluate", "labels"),
+        ("commits", "labels"), ("features", "product_map"),
+    ])
+    def test_bare_carriage_return_in_csv_exit_3(self, corpus, tmp_path, capsys, command,
+                                                 damaged):
+        """A carriage return inside an unquoted field of any CSV input is
+        named by its line, and nothing is written."""
+        records, labels = corpus
+        feats, pm, cfg = tmp_path / "f.csv", tmp_path / "pm.csv", tmp_path / "c.cfg"
+        assert run_cli("features", str(records), "--out", str(feats)) == 0
+        issues = [json.loads(line)["message"].split()[1]
+                  for line in records.read_text().splitlines()]
+        pm.write_text("issue_id,product\n" + "".join(f"{i},Firefox\n" for i in issues))
+        cfg.write_text("products=Firefox\n")
+        original = {"labels": labels, "features": feats, "product_map": pm}[damaged]
+        lines = original.read_bytes().split(b"\n")
+        lines[2] = lines[2][:3] + b"\r" + lines[2][3:]  # mid-field, on line 3
+        bad = tmp_path / f"cr-{original.name}"
+        bad.write_bytes(b"\n".join(lines))
+        argv = {
+            "train": ["train", feats, "--labels", labels, "--classifier", "logit"],
+            "evaluate": ["evaluate", records, "--labels", labels, *SMALL_EVAL],
+            "commits": ["commits", records, "--labels", labels, "--min-commits", "20",
+                        "--forest-trees", "5"],
+            "features": ["features", records, "--product-map", pm, "--config", cfg],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*[str(bad if a == original else a) for a in argv],
+                       "--out", str(out)) == 3
+        assert "unreadable CSV line: new-line character seen in unquoted field (line 3)" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_labels_exit_3(self, corpus, tmp_path, capsys):
         records, labels = corpus
         bad = tmp_path / "labels.csv"
@@ -328,6 +363,24 @@ class TestEvaluate:
         bad.write_text("\n".join(hired_only) + "\n")
         assert run_cli("evaluate", str(records), "--labels", str(bad),
                        *SMALL_EVAL) == 5
+
+    def test_no_studied_developers_exit_5(self, tmp_path, capsys):
+        """Under the default min_commits of 100 no developer of a small corpus
+        is studied: evaluate and train exit 5, as commits does."""
+        records, labels = tmp_path / "r.jsonl", tmp_path / "l.csv"
+        assert run_cli("synth", "--out", str(records), "--labels-out", str(labels), "--devs",
+                       "12", "--commits-low", "20", "--commits-high", "40") == 0
+        feats, unknown = tmp_path / "f.csv", tmp_path / "unknown.csv"
+        assert run_cli("features", str(records), "--out", str(feats)) == 0
+        unknown.write_text("identity,status,hired_from,hired_to\nnobody@x.org,hired,,\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for argv in (["evaluate", records, "--labels", labels],
+                     ["commits", records, "--labels", labels],
+                     ["train", feats, "--labels", unknown, "--classifier", "logit"]):
+            assert run_cli(*map(str, argv), "--out", str(out)) == 5, argv
+            assert "internal error" not in capsys.readouterr().err
+            assert not out.exists()
 
     def test_stratification_impossible_exit_6(self, corpus, tmp_path):
         records, labels = corpus

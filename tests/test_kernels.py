@@ -101,6 +101,11 @@ class TestBackendEquivalence:
         assert self._root_splits(X, y) == [(0, 0.5)] * 2
 
 
+def _c_grow(X, y, idx, mtry=2):
+    """One tree straight from the compiled grower, every feature searched."""
+    return kernels._c_grow_tree(kernels.Presorted(X, y), idx, 2, 0.0, None, mtry, None)
+
+
 def _grow_both(monkeypatch, X, y, idx, seed, **params):
     """grow_tree with the compiled grower and with the Python one, each with
     a fresh Generator from `seed` (None: no Generator); returns both results
@@ -164,10 +169,28 @@ class TestGrowerEquivalence:
             _assert_same_tree(*results)
             assert len(results[0][0].n) == 1
 
+    def test_tie_heavy_bootstrap_trees_bit_identical(self, rng, monkeypatch):
+        """Few distinct values (signed zeros among them), constant columns and
+        bootstrap duplicates: the presorted search sees equal values in
+        another order than a per-node sort, and must still grow the same
+        trees."""
+        values = np.array([-0.0, 0.0, 1.0, 2.0])
+        for trial in range(40):
+            n, p = int(rng.integers(20, 400)), int(rng.integers(2, 7))
+            X = np.ascontiguousarray(values[rng.integers(0, 4, size=(n, p))])
+            X[:, trial % p] = 1.0
+            y = ((X.sum(axis=1) + rng.integers(0, 3, size=n)) > p + 1).astype(np.int8)
+            idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
+            for mtry in (1, p // 2 + 1, p):
+                results, draws = _grow_both(monkeypatch, X, y, idx, seed=trial, minsplit=2,
+                                            cp=0.0, maxdepth=None, mtry=mtry)
+                _assert_same_tree(*results)
+                assert draws[0] == draws[1], (trial, mtry)
+
     def test_out_of_range_rows_rejected(self):
         X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
         with pytest.raises(IndexError):
-            kernels._c_grow_tree(X, y, np.array([0, 4], dtype=np.int64), 2, 0.0, None, 2, None)
+            _c_grow(X, y, np.array([0, 4], dtype=np.int64))
 
     @pytest.mark.parametrize("bad", ["X", "y", "idx"])
     def test_bad_arrays_rejected(self, bad):
@@ -175,7 +198,25 @@ class TestGrowerEquivalence:
                 "idx": np.arange(4, dtype=np.int64)}
         args[bad] = args[bad].astype(np.float32)
         with pytest.raises(TypeError):
-            kernels._c_grow_tree(args["X"], args["y"], args["idx"], 2, 0.0, None, 2, None)
+            _c_grow(args["X"], args["y"], args["idx"])
+
+    @pytest.mark.parametrize("entry", [4, -1, 2])
+    def test_bad_presorted_order_rejected(self, entry):
+        """An order entry past either end, or one that makes a feature's
+        order no permutation of the rows (row 2 twice), is refused."""
+        X, y = np.ascontiguousarray([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]]), \
+            np.array([0, 1, 0, 1], dtype=np.int8)
+        rows = kernels.Presorted(X, y)
+        order = rows.arrays[2]
+        assert order.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        order[1, 0] = entry  # the addresses in rows.args see the change
+        with pytest.raises(IndexError):
+            kernels._c_grow_tree(rows, np.arange(4, dtype=np.int64), 2, 0.0, None, 2, None)
+
+    def test_labels_other_than_0_and_1_rejected(self):
+        X, y = np.ones((4, 2)), np.array([0, 1, 2, 0], dtype=np.int8)
+        with pytest.raises(ValueError):
+            _c_grow(X, y, np.arange(4, dtype=np.int64))
 
 
 @needs_grower
@@ -187,7 +228,7 @@ class TestGrowerEquivalence:
 def test_c_kernel_rejects_bad_arrays(X):
     y = np.zeros(4, dtype=np.int8)
     with pytest.raises(TypeError):
-        kernels._c_grow_tree(X, y, np.arange(4, dtype=np.int64), 2, 0.0, None, 2, None)
+        _c_grow(X, y, np.arange(4, dtype=np.int64))
 
 
 @needs_grower
@@ -197,7 +238,7 @@ def test_c_kernel_rejects_out_of_range_indices(idx, feats):
     X = np.ascontiguousarray(np.ones((4, 2))[:, feats])
     y = np.zeros(4, dtype=np.int8)
     with pytest.raises(IndexError):
-        kernels._c_grow_tree(X, y, np.array(idx, dtype=np.int64), 2, 0.0, None, 1, None)
+        _c_grow(X, y, np.array(idx, dtype=np.int64), mtry=1)
 
 
 @needs_cc

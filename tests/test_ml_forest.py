@@ -15,7 +15,9 @@ from paydev.ml import (
     predict_proba,
     save_model,
 )
+from paydev.ml.dataset import fill_missing
 from paydev.ml.serialize import TREE_ARRAYS
+from paydev.ml.tree import Tree, tree_proba
 
 
 def _dataset(X, y, columns=None):
@@ -71,8 +73,6 @@ class TestFit:
         data = _dataset(X, y)
         model = fit_forest(data, n_trees=2, seed=1)
         Xt = rng.normal(size=(10, 2))
-        from paydev.ml.tree import tree_proba
-
         expected = (tree_proba(model.trees[0], Xt) + tree_proba(model.trees[1], Xt)) / 2
         assert np.array_equal(predict_proba(model, Xt), expected)
 
@@ -139,6 +139,72 @@ class TestCompiledGrower:
         assert len(calls) == (3 if compiled else 0)
         monkeypatch.setattr(kernels, "grower", lambda: None)
         _same_forest(model, fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5))
+
+
+def _loop_sum(trees, X):
+    """The tree_proba loop that kernels.forest_sum replaces."""
+    total = np.zeros(len(X))
+    for tree in trees:
+        total += tree_proba(tree, X)
+    return total
+
+
+def _leaf(n, pos):
+    return Tree(*(np.array([v], dtype=np.float64 if i == 1 else np.int64)
+                  for i, v in enumerate((-1, 0.0, -1, -1, n, pos))))
+
+
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="compiled kernel not built")
+class TestForestSum:
+    """kernels.forest_sum gives the bytes of the tree_proba loop."""
+
+    def _assert_same(self, trees, X):
+        assert kernels.forest_sum(trees, X).tobytes() == _loop_sum(trees, X).tobytes()
+
+    def test_fitted_forests_and_zero_rows(self, rng):
+        X, y = _separable(rng, n=200)
+        for n_trees in (1, 25):
+            model = fit_forest(_dataset(X, y), n_trees=n_trees, seed=3)
+            for Xt in (X, rng.normal(size=(300, 2)) * 3, np.empty((0, 2))):
+                self._assert_same(model.trees, Xt)
+
+    def test_single_leaf_trees_between_grown_ones(self, rng):
+        X, y = _separable(rng, n=100)
+        grown = fit_forest(_dataset(X, y), n_trees=3, seed=1).trees
+        self._assert_same([_leaf(7, 3), grown[0], _leaf(5, 0), _leaf(4, 4), *grown[1:]], X)
+        self._assert_same([_leaf(3, 1)], X)
+
+    def test_rows_exactly_on_thresholds(self, rng):
+        X = rng.integers(0, 6, size=(150, 3)).astype(np.float64)
+        y = (X.sum(axis=1) + rng.integers(0, 4, size=150) > 9).astype(int)
+        model = fit_forest(_dataset(X, y), n_trees=10, seed=2)
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+        assert len(thresholds)
+        on = np.repeat(thresholds, 3).reshape(-1, 3)  # every feature on each threshold
+        on[::2, 1] = np.nextafter(on[::2, 1], -np.inf)
+        self._assert_same(model.trees, np.vstack([on, X]))
+
+    def test_imputed_rows(self, rng):
+        X, y = _separable(rng, n=200)
+        model = fit_forest(_dataset(X, y), n_trees=15, seed=4)
+        Xt = rng.normal(size=(60, 2))
+        Xt[::3, 0] = np.nan
+        Xt[::4, 1] = np.nan
+        filled = fill_missing(Xt, model.impute)
+        expected = _loop_sum(model.trees, filled) / model.n_trees
+        assert predict_proba(model, Xt).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("damage", ["back", "self", "past_end", "feature"])
+    def test_malformed_tree_rejected(self, rng, damage):
+        X, y = _separable(rng, n=100)
+        tree = fit_forest(_dataset(X, y), n_trees=1, seed=1).trees[0]
+        inner = int(np.flatnonzero(tree.feature >= 0)[-1])
+        if damage == "feature":
+            tree.feature[inner] = 2
+        else:
+            tree.left[inner] = {"back": 0, "self": inner, "past_end": len(tree.n)}[damage]
+        with pytest.raises(ValueError):
+            kernels.forest_sum([_leaf(2, 1), tree], X)
 
 
 class TestPredictContract:
