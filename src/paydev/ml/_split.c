@@ -219,6 +219,8 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
             pos_l += go & s[i].ry;
         }
         int64_t nr = nn - nl, pos_r = pos - pos_l;
+        if (nr == 0)  /* the midpoint rounded up to the upper of two adjacent doubles */
+            continue;
 
         /* rpart-style pruning: relative misclassification improvement >= cp */
         int64_t err_node = nn - (pos > neg ? pos : neg);

@@ -101,6 +101,8 @@ def _grow_tree_py(X, y, idx, *, minsplit, cp, maxdepth, mtry, rng):
         left_mask = X[node_idx, f] <= thr
         left_idx = node_idx[left_mask]
         right_idx = node_idx[~left_mask]
+        if not len(right_idx):  # the midpoint rounded up to the upper of two adjacent doubles
+            continue
         pos_l = int(y[left_idx].sum())
         pos_r = pos - pos_l
 

@@ -187,6 +187,25 @@ class TestGrowerEquivalence:
                 _assert_same_tree(*results)
                 assert draws[0] == draws[1], (trial, mtry)
 
+    def test_midpoint_rounding_to_the_upper_value_splits_nothing(self, monkeypatch):
+        """Between 1 + 2**-52 and the next double the midpoint rounds up to
+        the upper value, so `<=` would send every row left. Both growers
+        keep such a node a leaf, never a node with an empty child (which
+        repeated the split forever, past the compiled grower's node
+        arrays); a third value can still split off."""
+        a, b = 1 + 2.0**-52, 1 + 2.0**-51
+        assert (a + b) / 2 == b
+        for values, labels in (([a, b], [0, 1]), ([a, b, 2.0], [0, 1, 0])):
+            X = np.repeat(values, 20).reshape(-1, 1)
+            y = np.repeat(labels, 20).astype(np.int8)
+            idx = np.arange(len(y), dtype=np.int64)
+            for maxdepth in (5, None):
+                results, _ = _grow_both(monkeypatch, X, y, idx, seed=None, minsplit=2, cp=0.0,
+                                        maxdepth=maxdepth)
+                _assert_same_tree(*results)
+                assert (results[0][0].n > 0).all()
+                assert len(results[0][0].n) == 2 * len(values) - 3
+
     def test_out_of_range_rows_rejected(self):
         X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
         with pytest.raises(IndexError):
