@@ -97,11 +97,8 @@ def csv_rows(lines):
     (a bare carriage return in an unquoted field, a field over its size
     limit) raises SchemaError with the number of that line."""
     reader = csv.reader(lines)
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            message = str(exc).split(" - ")[0]  # drop csv's hint about opening files
-            raise SchemaError(f"unreadable CSV line: {message}", line=reader.line_num) from None
+    try:
+        yield from reader
+    except csv.Error as exc:
+        message = str(exc).split(" - ")[0]  # drop csv's hint about opening files
+        raise SchemaError(f"unreadable CSV line: {message}", line=reader.line_num) from None
