@@ -40,7 +40,13 @@ from paydev import identity as ident_mod
 from paydev import labels as lab
 from paydev import linkage, ml, synth
 from paydev.config import Config, apply_overrides, load_config, validate
-from paydev.errors import InputFileError, PaydevError, SchemaError, UnlabeledIdentityError
+from paydev.errors import (
+    InputFileError,
+    PaydevError,
+    SchemaError,
+    UnlabeledIdentityError,
+    utf8_line,
+)
 from paydev.ingest import (
     GIT_EXPORT_COMMAND,
     LONE_SURROGATE_RE,
@@ -77,19 +83,16 @@ class _Utf8Lines:
 
     def __iter__(self):
         for lineno, line in enumerate(self._raw, start=1):
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise SchemaError(f"{self._name} is not valid UTF-8", line=lineno) from None
-            yield text
+            yield utf8_line(line, self._name, lineno)
 
     def read(self):
         return "".join(self)
 
 
 @contextmanager
-def _open_input(path):
-    """The input file as _Utf8Lines ('-' is stdin)."""
+def _open_binary(path):
+    """The input file opened for reading bytes, and its name for messages
+    ('-' is stdin)."""
     if path == "-":
         f = sys.stdin.buffer
     else:
@@ -98,7 +101,14 @@ def _open_input(path):
         except OSError as exc:
             raise InputFileError(f"cannot read {path}: {exc.strerror}") from None
     with f:
-        yield _Utf8Lines(f, "stdin" if path == "-" else path)
+        yield f, "stdin" if path == "-" else path
+
+
+@contextmanager
+def _open_input(path):
+    """The input file as _Utf8Lines ('-' is stdin)."""
+    with _open_binary(path) as (f, name):
+        yield _Utf8Lines(f, name)
 
 
 def _emit(path, writer) -> None:
@@ -122,8 +132,8 @@ def _build_config(args) -> Config:
 
 
 def _read_records(path):
-    with _open_input(path) as f:
-        return read_canonical(f)
+    with _open_binary(path) as (f, name):
+        return read_canonical(f, name)
 
 
 def _apply_product_filter(commits, args, cfg):

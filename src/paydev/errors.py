@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the CSV row reader
-that raises it.
+"""Exception hierarchy shared across the pipeline, and the line decoder and
+CSV row reader that raise it.
 
 Each class maps to one documented CLI exit code (see paydev.cli).
 """
@@ -90,6 +90,15 @@ class UnlabeledIdentityError(PaydevError):
     """An identity has neither a direct status nor employment periods."""
 
     exit_code = 5
+
+
+def utf8_line(raw, name, lineno):
+    """Line `lineno` of the file called `name`, decoded from UTF-8; raises
+    SchemaError naming both when its bytes are not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise SchemaError(f"{name} is not valid UTF-8", line=lineno) from None
 
 
 def csv_rows(lines):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from paydev.errors import DuplicateShaError, ParseError, SchemaError
+from paydev.errors import DuplicateShaError, ParseError, SchemaError, utf8_line
 
 # Record sentinel 0x1E starts each commit; 0x1F separates header fields.
 GIT_EXPORT_COMMAND = (
@@ -329,32 +329,84 @@ def _checked_row(obj, seen, lineno):
     return row
 
 
-def read_canonical(fileobj) -> Commits:
-    """Read canonical JSON lines into a Commits table; blank lines are
-    skipped. Lines are read and checked one at a time, so an error names
-    the first faulty line."""
-    columns = tuple([] for _ in CANONICAL_FIELDS)
-    shas, names, emails, stamps, offsets, added, deleted, messages = columns
+def _line_row(raw, name, seen, lineno):
+    """_checked_row of line `lineno` (its bytes), or None for a blank line."""
+    line = utf8_line(raw, name, lineno)
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        if not line.strip():
+            return None
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    except ValueError:  # int() converts at most 4300 digits
+        raise SchemaError("invalid JSON: integer too long", line=lineno) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
+    return _checked_row(obj, seen, lineno)
+
+
+def _add_run(run, seen, shas, lineno):
+    """Adds the shas of a scanned run that starts on line `lineno` to `seen`,
+    which holds those in `shas`; raises DuplicateShaError at the first one
+    seen before, in line order."""
+    before = len(seen)
+    seen.update(run)
+    if len(seen) == before + len(run):
+        return
+    earlier = set(shas)
+    for i, sha in enumerate(run):
+        if sha in earlier:
+            raise DuplicateShaError(f"duplicate commit id {sha}", line=lineno + i)
+        earlier.add(sha)
+
+
+def _int_columns(rows):
+    """The (4, n) int64 array of n rows of the four int fields."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
+def read_canonical(fileobj, name="input") -> Commits:
+    """Read the canonical JSON lines of a binary file into a Commits table;
+    blank lines are skipped. `name` names the file in the error a line that
+    is not UTF-8 raises.
+
+    With the compiled kernels, kernels.scan_canonical reads the lines in
+    write_canonical's exact layout whose strings are printable ASCII
+    (without `"` or `\\`) and whose values pass _checked_row, in runs; only
+    their shas are checked here, for duplicates. Every other line (CRLF,
+    blank, escaped, non-ASCII, other spacing or key order, faulty or the
+    final line without a line feed) is decoded, parsed and checked on its
+    own, as every line is without the compiled kernels. Either way an error
+    names the first faulty line, with the message and type the per-line
+    checks give."""
+    from paydev.ml import kernels  # the scanner is compiled with the tree kernels
+
+    shas, names, emails, messages = strings = ([], [], [], [])
+    ints = []  # (4, n) int64 arrays in line order, one per run of lines
+    loose = []  # the int fields of the lines read one by one since the last run
     seen: set[str] = set()
-    for lineno, line in enumerate(fileobj, start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if not line.strip():
+    lineno = 0
+    scanned = fileobj if kernels.scan_canonical is None else kernels.scan_canonical(fileobj)
+    for item in scanned:
+        if type(item) is bytes:
+            lineno += 1
+            row = _line_row(item, name, seen, lineno)
+            if row is None:
                 continue
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        except ValueError:  # int() converts at most 4300 digits
-            raise SchemaError("invalid JSON: integer too long", line=lineno) from None
-        except RecursionError:
-            raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
-        s, n, e, t, z, a, d, m = _checked_row(obj, seen, lineno)
-        seen.add(s)
-        shas.append(s)
-        names.append(n)
-        emails.append(e)
-        stamps.append(t)
-        offsets.append(z)
-        added.append(a)
-        deleted.append(d)
-        messages.append(m)
-    return Commits(*columns)
+            s, n, e, t, z, a, d, m = row
+            seen.add(s)
+            shas.append(s)
+            names.append(n)
+            emails.append(e)
+            messages.append(m)
+            loose.append((t, z, a, d))
+            continue
+        numbers, texts = item
+        _add_run(texts[0::4], seen, shas, lineno + 1)
+        lineno += numbers.shape[1]
+        for k, column in enumerate(strings):
+            column += texts[k::4]
+        ints += (_int_columns(loose), numbers)
+        loose = []
+    ints.append(_int_columns(loose))
+    return Commits(shas, names, emails, *np.concatenate(ints, axis=1), messages)

@@ -1,4 +1,4 @@
-/* Compiled tree kernels. grow_tree, the C twin of tree._grow_tree_py, grows
+/* Compiled kernels. grow_tree, the C twin of tree._grow_tree_py, grows
  * a whole tree in one call from each feature's rows sorted once per fit, so
  * no node sorts anything; choice is its feature draw. forest_sum predicts a
  * whole forest in one call, as tree.tree_proba tree by tree would. The split
@@ -7,7 +7,9 @@
  * contraction or fast-math). A tree of n rows over p features holds p * n
  * 16-byte entries while it grows. Functions return 0 (grow_tree: the node
  * count), -1 when out of memory, -2 when a row or node index is out of
- * range, -3 when a label is neither 0 nor 1. */
+ * range, -3 when a label is neither 0 nor 1. scan_canonical reads the
+ * lines of a canonical commit file that ingest.write_canonical's layout
+ * and ingest._checked_row's value checks both accept. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -75,6 +77,17 @@ int choice(bitgen_t *rng, int64_t p, int64_t k, int64_t *out)
     return 0;
 }
 
+/* The threshold between neighbouring distinct values a < b: their midpoint,
+ * or a where the midpoint is not in [a, b) (it rounds up to b when a and b
+ * are adjacent doubles, and overflows to -inf or inf past the largest
+ * doubles), so that `x <= threshold` sends exactly the rows up to a left.
+ * Keep in sync with kernels.threshold_between. */
+static double threshold_between(double a, double b)
+{
+    double mid = (a + b) / 2.0;
+    return a <= mid && mid < b ? mid : a;
+}
+
 typedef struct { int64_t node, start, end, depth; } Job;
 
 /* One of a tree's rows in one feature's order: its value, and row << 1 | y */
@@ -103,7 +116,7 @@ static int cmp_int64(const void *a, const void *b)
  * feature's span in sorted order, and a kept split stable-partitions every
  * span by the side each row goes to. Only distinct neighbouring values are
  * split between, and the order among equal values changes neither the
- * counts nor the midpoint there, so the splits are those of
+ * counts nor the threshold there, so the splits are those of
  * kernels.best_split, and its int64 score expression is kept. */
 int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
                   const int64_t *order, const int64_t *idx, int64_t n, int64_t minsplit,
@@ -202,7 +215,7 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
                              + (double)(nr * nr - pr * pr - qr * qr) / (double)nr;
                 if (score < child_score) {
                     f = feats[k];
-                    thr = (s[i].v + s[i + 1].v) / 2.0;
+                    thr = threshold_between(s[i].v, s[i + 1].v);
                     child_score = score;
                 }
             }
@@ -219,8 +232,6 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
             pos_l += go & s[i].ry;
         }
         int64_t nr = nn - nl, pos_r = pos - pos_l;
-        if (nr == 0)  /* the midpoint rounded up to the upper of two adjacent doubles */
-            continue;
 
         /* rpart-style pruning: relative misclassification improvement >= cp */
         int64_t err_node = nn - (pos > neg ? pos : neg);
@@ -312,4 +323,127 @@ int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
         }
     }
     return 0;
+}
+
+/* ---------------------------------------------------------- canonical lines
+ * A canonical line, as ingest.write_canonical writes it:
+ *
+ *   {"sha": "<s>", "author_name": "<s>", "author_email": "<s>",
+ *    "timestamp_utc": <i>, "tz_offset_minutes": <i>, "lines_added": <i>,
+ *    "lines_deleted": <i>, "message": "<s>"}\n
+ *
+ * on one line. The scanner takes a line only in that exact layout, with
+ * every string printable ASCII holding no '"' or '\', so that it stands for
+ * itself; the sha 40 lowercase hex digits; every int -?(0|[1-9][0-9]*) of at
+ * most 18 digits, so that it fits an int64; and only when the value checks
+ * of ingest._checked_row pass: the offset within +-1440 minutes, the local
+ * time in years 1-9999, line counts >= -1 and no A-Z in the email. Any other
+ * line, valid or not, is declined and left to the Python reader. */
+
+#define LOCAL_MIN (-62135596800LL)
+#define LOCAL_MAX 253402300799LL
+
+/* Moves *p past the literal s when the bytes at *p are s. */
+static int literal(const char **p, const char *end, const char *s)
+{
+    size_t n = strlen(s);
+    if ((size_t)(end - *p) < n || memcmp(*p, s, n) != 0)
+        return 0;
+    *p += n;
+    return 1;
+}
+
+/* A string's characters up to its closing quote, copied to *out and ended
+ * with '\n'; *p moves past the quote. upper says whether A-Z may appear. */
+static int string(const char **p, const char *end, char **out, int upper)
+{
+    const char *s = *p, *q = s;
+    for (; q < end && *q != '"'; q++) {
+        unsigned char c = (unsigned char)*q;
+        if (c < 0x20 || c > 0x7e || c == '\\' || (!upper && c >= 'A' && c <= 'Z'))
+            return 0;
+    }
+    if (q == end)
+        return 0;
+    memcpy(*out, s, q - s);
+    *out += q - s;
+    *(*out)++ = '\n';
+    *p = q + 1;
+    return 1;
+}
+
+static int sha(const char **p, const char *end, char **out)
+{
+    const char *s = *p;
+    if (end - s < 41 || s[40] != '"')
+        return 0;
+    for (int i = 0; i < 40; i++)
+        if (!((s[i] >= '0' && s[i] <= '9') || (s[i] >= 'a' && s[i] <= 'f')))
+            return 0;
+    memcpy(*out, s, 40);
+    *out += 40;
+    *(*out)++ = '\n';
+    *p = s + 41;
+    return 1;
+}
+
+static int integer(const char **p, const char *end, int64_t *v)
+{
+    const char *q = *p;
+    int neg = q < end && *q == '-';
+    q += neg;
+    const char *digits = q;
+    uint64_t x = 0;
+    while (q < end && *q >= '0' && *q <= '9' && q - digits < 19)
+        x = x * 10 + (uint64_t)(*q++ - '0');
+    int64_t nd = q - digits;
+    if (nd == 0 || nd > 18 || (nd > 1 && digits[0] == '0'))
+        return 0;
+    *v = neg ? -(int64_t)x : (int64_t)x;
+    *p = q;
+    return 1;
+}
+
+/* Scans the lines of data[start..end), which ends with '\n', from start up
+ * to the first line it declines, at most cap lines. Line k's four ints go to
+ * ints[k], ints[cap + k], ints[2 cap + k] and ints[3 cap + k] (timestamp,
+ * offset, lines added, lines deleted), and its four strings (sha, name,
+ * email, message), each followed by '\n', to text, which needs end - start
+ * bytes. Returns the number of lines taken; info[0] is the offset of the
+ * first line not taken (end when all were) and info[1] the bytes written to
+ * text. */
+int64_t scan_canonical(const char *data, int64_t start, int64_t end, int64_t cap,
+                       int64_t *ints, char *text, int64_t *info)
+{
+    const char *p = data + start, *stop = data + end;
+    char *out = text;
+    int64_t n = 0;
+    while (n < cap && p < stop) {
+        const char *q = p;
+        char *o = out;
+        int64_t ts, tz, added, deleted;
+        if (!(literal(&q, stop, "{\"sha\": \"") && sha(&q, stop, &o)
+              && literal(&q, stop, ", \"author_name\": \"") && string(&q, stop, &o, 1)
+              && literal(&q, stop, ", \"author_email\": \"") && string(&q, stop, &o, 0)
+              && literal(&q, stop, ", \"timestamp_utc\": ") && integer(&q, stop, &ts)
+              && literal(&q, stop, ", \"tz_offset_minutes\": ") && integer(&q, stop, &tz)
+              && literal(&q, stop, ", \"lines_added\": ") && integer(&q, stop, &added)
+              && literal(&q, stop, ", \"lines_deleted\": ") && integer(&q, stop, &deleted)
+              && literal(&q, stop, ", \"message\": \"") && string(&q, stop, &o, 1)
+              && literal(&q, stop, "}\n")))
+            break;
+        if (tz < -1440 || tz > 1440 || ts + 60 * tz < LOCAL_MIN || ts + 60 * tz > LOCAL_MAX
+            || added < -1 || deleted < -1)
+            break;
+        ints[n] = ts;
+        ints[cap + n] = tz;
+        ints[2 * cap + n] = added;
+        ints[3 * cap + n] = deleted;
+        n++;
+        p = q;
+        out = o;
+    }
+    info[0] = p - data;
+    info[1] = out - text;
+    return n;
 }

@@ -1,4 +1,5 @@
-"""The tree kernels: one split search per platform, and the forest predictor.
+"""The compiled kernels: one split search per platform, the forest
+predictor, and the canonical-line scanner.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
@@ -8,6 +9,15 @@ once per fit (Presorted), and its forest_sum predicts a whole forest in one
 call. Without a compiler, trees grow in Python (tree._grow_tree_py), which
 calls the numpy best_split below node by node, and forests predict tree by
 tree (tree.tree_proba); both give bit-identical trees and predictions.
+
+scan_canonical reads a canonical commit file for ingest.read_canonical in
+blocks of whole lines. Its C scanner takes only lines in
+ingest.write_canonical's exact layout, with printable-ASCII strings that
+hold no `"` or `\\`, ints of at most 18 digits and values that pass
+ingest._checked_row, and raises nothing: every other line is handed back
+as bytes for the per-line reader, which alone raises the reader's errors.
+Without a compiler scan_canonical is None and every line is read on its
+own.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -51,6 +61,8 @@ def _load():
     lib.grow_tree.restype = i64
     lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.forest_sum.restype = ctypes.c_int
+    lib.scan_canonical.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
+    lib.scan_canonical.restype = i64
     return lib
 
 
@@ -83,7 +95,7 @@ class Presorted:
                 raise TypeError(f"grow_tree needs C-contiguous {dtype} arrays")
         if X.ndim != 2 or y.shape != X.shape[:1]:
             raise ValueError("grow_tree needs X (n, p) and y (n,)")
-        order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"))
+        order = np.ascontiguousarray(np.argsort(X.T, axis=1))
         self.arrays = X, y, order
         self.args = (X.ctypes.data, X.shape[0], X.shape[1], y.ctypes.data, order.ctypes.data)
 
@@ -94,13 +106,23 @@ def node_score(n: int, pos: int) -> float:
     return (n * n - pos * pos - neg * neg) / n
 
 
+def threshold_between(a: float, b: float) -> float:
+    """The threshold between neighbouring distinct values a < b: their
+    midpoint, or a where the midpoint is not in [a, b) (it rounds up to b
+    when a and b are adjacent doubles, and overflows to -inf or inf past the
+    largest doubles), so that `x <= threshold` sends exactly the rows up to
+    a left. Keep in sync with threshold_between in _split.c."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def best_split(X, y, idx, feats):
     """Best (feature, threshold) for the node made of rows `idx`.
 
     X: (n_total, p) float64 C-contiguous, y: (n_total,) int8 in {0, 1},
     idx: int64 row indices, feats: int64 candidate features sorted
-    ascending. Candidate thresholds are midpoints between consecutive
-    distinct sorted values; ties break to the lowest feature then lowest
+    ascending. Candidate thresholds lie between consecutive distinct sorted
+    values (threshold_between); ties break to the lowest feature then lowest
     threshold. Returns (feature, threshold, child_score); feature is -1
     when no candidate strictly improves on the parent score.
 
@@ -141,7 +163,7 @@ def best_split(X, y, idx, feats):
         j = int(np.argmin(score))  # first minimum = lowest threshold
         if score[j] < best_score:
             best_f = int(f)
-            best_thr = float((sv[cand[j]] + sv[cand[j] + 1]) / 2.0)
+            best_thr = threshold_between(float(sv[cand[j]]), float(sv[cand[j] + 1]))
             best_score = float(score[j])
 
     return best_f, best_thr, best_score
@@ -216,6 +238,61 @@ def grower():
     return _c_grow_tree if same else None
 
 
+BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
+
+
+def _blocks(fileobj):
+    """The bytes of binary `fileobj` as blocks of whole lines, each about
+    BLOCK_BYTES long or one longer line, then the final line when it has no
+    line feed."""
+    head = []  # the start of a line that has not ended yet
+    while block := fileobj.read(BLOCK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            head.append(block[:cut])
+            yield b"".join(head)
+            head = [block[cut:]]
+        else:
+            head.append(block)
+    rest = b"".join(head)
+    if rest:
+        yield rest
+
+
+def _c_scan_canonical(fileobj):
+    """The lines of binary `fileobj` in file order: each run of lines that
+    scan_canonical in _split.c takes as (ints, strings), and each line it
+    declines as its bytes, line feed included. ints is a (4, n) int64 array
+    of the run's timestamp_utc, tz_offset_minutes, lines_added and
+    lines_deleted; strings lists its 4n strings, sha, author_name,
+    author_email and message line by line."""
+    info = (ctypes.c_int64 * 2)()
+    for data in _blocks(fileobj):
+        end = len(data)
+        if data[-1:] != b"\n":  # the final line, without its line feed
+            yield data
+            continue
+        # room for every line the scanner can take: a canonical line has at
+        # least 188 bytes, and at most `end` bytes of strings are copied out
+        cap = end // 128 + 1
+        ints = np.empty((4, cap), dtype=np.int64)
+        text = ctypes.create_string_buffer(end)
+        ints_at, pos = ints.ctypes.data, 0
+        while pos < end:
+            n = _lib.scan_canonical(data, pos, end, cap, ints_at, text, info)
+            if n:  # each string ends with a line feed; the last one is dropped before the split
+                strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
+                yield ints[:, :n].copy(), strings
+            pos = info[0]
+            if pos < end:
+                line_end = data.index(b"\n", pos) + 1
+                yield data[pos:line_end]
+                pos = line_end
+
+
+# (binary file) -> its lines in scanned runs and declined lines; None without
+# the compiled kernels, where ingest.read_canonical reads every line itself
+scan_canonical = None if _lib is None else _c_scan_canonical
 BACKEND = "python" if _lib is None else "c"
 
 

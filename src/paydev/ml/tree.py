@@ -1,7 +1,8 @@
 """Binary CART classifier grown by greedy Gini minimization.
 
-Splits are midpoints between consecutive distinct feature values; a split
-is kept only when it cuts the tree's misclassification cost by at least
+Splits are midpoints between consecutive distinct feature values (the
+lower value where the midpoint rounds or overflows out of the gap, see
+kernels.threshold_between), so both children hold rows; a split is kept only when it cuts the tree's misclassification cost by at least
 cp relative to the root's cost. Defaults mirror the usual recursive
 partitioning settings (minsplit 20, cp 0.01, maxdepth 30).
 """
@@ -101,8 +102,6 @@ def _grow_tree_py(X, y, idx, *, minsplit, cp, maxdepth, mtry, rng):
         left_mask = X[node_idx, f] <= thr
         left_idx = node_idx[left_mask]
         right_idx = node_idx[~left_mask]
-        if not len(right_idx):  # the midpoint rounded up to the upper of two adjacent doubles
-            continue
         pos_l = int(y[left_idx].sum())
         pos_r = pos - pos_l
 

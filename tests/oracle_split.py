@@ -29,8 +29,9 @@ def exhaustive_best_split(X, y):
     best_f, best_t, best_s = -1, 0.0, parent
     for f in range(X.shape[1]):
         vals = np.unique(X[:, f])
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = (lo + hi) / 2.0
+        for lo, hi in zip(vals[:-1].tolist(), vals[1:].tolist()):
+            mid = (lo + hi) / 2.0
+            thr = mid if lo <= mid < hi else lo  # the midpoint can round to hi or overflow
             left = X[:, f] <= thr
             nl = int(left.sum())
             pl = int(y[left].sum())

@@ -575,6 +575,20 @@ class TestTrainPredict:
             assert sorted(ids) == sorted(obj["id"] for obj in objs)
             assert {"Doe, Jane", 'Roe "R" Rick'} <= set(ids)
 
+    def test_forest_on_overflowing_midpoints(self, tmp_path):
+        """Every feature is -1.5e308 for volunteers and -1e308 for the
+        hired: the midpoint overflows to -inf, and the split is taken at the
+        lower value (the forest once aborted here)."""
+        features, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+        values = [-1.5e308 if i % 2 else -1e308 for i in range(20)]
+        features.write_text("identity,a,b\n" + "".join(f"d{i},{v!r},{v!r}\n"
+                                                     for i, v in enumerate(values)))
+        labels.write_text("identity,status,hired_from,hired_to\n" + "".join(
+            f"d{i},{'volunteer' if i % 2 else 'hired'},,\n" for i in range(20)))
+        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                       "randomforest", "--forest-trees", "3",
+                       "--out", str(tmp_path / "model.json")) == 0
+
     def test_deep_tree_train_predict_introspect(self, tmp_path, capsys):
         # labels alternate along one feature: a ~3,000-level CART
         n = 3000

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
 
@@ -24,9 +25,33 @@ from paydev.ingest import (
     to_local,
     write_canonical,
 )
+from paydev.ml import kernels
 
 SHA_A = "a" * 40
 SHA_B = "b" * 40
+
+# read_canonical with the compiled scanner, where there is one, and without
+SCANNER_MODES = (False,) if kernels.scan_canonical is None else (True, False)
+
+
+@contextmanager
+def scanning(on):
+    """read_canonical with the compiled scanner (`on`) or with every line
+    read on its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not on:
+            mp.setattr(kernels, "scan_canonical", None)
+        yield
+
+
+def canonical_bytes(records):
+    buf = io.StringIO()
+    write_canonical(Commits.from_records(records), buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def read_bytes(data):
+    return read_canonical(io.BytesIO(data))
 
 
 def record_bytes(sha, name="Alice", email="A@X.COM", at=1483348800,
@@ -268,10 +293,10 @@ class TestCanonical:
     @given(st.lists(_record_strategy, max_size=25, unique_by=lambda r: r.sha))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_identity(self, records):
-        buf = io.StringIO()
-        write_canonical(Commits.from_records(records), buf)
-        buf.seek(0)
-        assert rows(read_canonical(buf)) == records
+        data = canonical_bytes(records)
+        for on in SCANNER_MODES:
+            with scanning(on):
+                assert rows(read_bytes(data)) == records
 
     def test_unknown_field_names_field_and_line(self):
         buf = io.StringIO()
@@ -279,7 +304,7 @@ class TestCanonical:
         obj = json.loads(buf.getvalue())
         obj["foo"] = 1
         with pytest.raises(SchemaError) as exc:
-            read_canonical(io.StringIO(json.dumps(obj) + "\n"))
+            read_bytes(json.dumps(obj).encode() + b"\n")
         assert "foo" in str(exc.value)
         assert "line 1" in str(exc.value)
 
@@ -291,7 +316,7 @@ class TestCanonical:
         obj["timestamp_utc"] = "soon"
         bad = lines[0] + "\n" + json.dumps(obj) + "\n"
         with pytest.raises(SchemaError) as exc:
-            read_canonical(io.StringIO(bad))
+            read_bytes(bad.encode())
         assert "line 2" in str(exc.value)
 
     @pytest.mark.parametrize("ts, off, ok", [
@@ -310,12 +335,12 @@ class TestCanonical:
         # written by json.dumps
         rows_in = [make_record(), make_record(sha=sha_of(1), timestamp_utc=ts,
                                               tz_offset_minutes=off)]
-        buf = io.StringIO("".join(json.dumps(asdict(r)) + "\n" for r in rows_in))
+        data = "".join(json.dumps(asdict(r)) + "\n" for r in rows_in).encode()
         if ok:
-            assert rows(read_canonical(buf))[1].timestamp_utc == ts
+            assert rows(read_bytes(data))[1].timestamp_utc == ts
         else:
             with pytest.raises(SchemaError) as exc:
-                read_canonical(buf)
+                read_bytes(data)
             assert "line 2" in str(exc.value) and "years 1-9999" in str(exc.value)
 
     def test_uppercase_email_rejected(self):
@@ -324,14 +349,11 @@ class TestCanonical:
         obj = json.loads(buf.getvalue())
         obj["author_email"] = "A@X.COM"
         with pytest.raises(SchemaError):
-            read_canonical(io.StringIO(json.dumps(obj) + "\n"))
+            read_bytes(json.dumps(obj).encode() + b"\n")
 
     def test_duplicate_sha_rejected(self):
-        buf = io.StringIO()
-        write_canonical(Commits.from_records([make_record(), make_record()]), buf)
-        buf.seek(0)
         with pytest.raises(DuplicateShaError):
-            read_canonical(buf)
+            read_bytes(canonical_bytes([make_record(), make_record()]))
 
 
 # ---------------------------------------------------------------- hostile files
@@ -403,15 +425,30 @@ def _hostile_line(draw):
     return json.dumps(row, ensure_ascii=draw(st.booleans()))
 
 
-def _outcome(reader, text):
-    """A reader's rows as dicts, or its error as (type, message, line)."""
+def _outcome(read):
+    """The rows read() gives as dicts, or its error as (type, message, line)."""
     try:
-        result = reader(io.StringIO(text))
+        result = read()
     except (SchemaError, ValueError, RecursionError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     if isinstance(result, Commits):
         return [asdict(r) for r in rows(result)]
     return result
+
+
+def _read_outcome(data):
+    """read_canonical's outcome on the bytes `data`, the same with the
+    compiled scanner and without it."""
+    outcomes = []
+    for on in SCANNER_MODES:
+        with scanning(on):
+            outcomes.append(_outcome(lambda: read_bytes(data)))
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    return outcomes[0]
+
+
+def _oracle_outcome(text):
+    return _outcome(lambda: oracle_canonical.read_canonical(io.StringIO(text)))
 
 
 _DELIBERATE = ("holds a lone surrogate", "line counts must be <=", "invalid JSON: integer too long",
@@ -441,14 +478,14 @@ class TestReaderOracle:
     @settings(max_examples=400, deadline=None)
     def test_matches_oracle_on_hostile_files(self, lines, trailing_newline):
         text = "\n".join(lines) + ("\n" if trailing_newline else "")
-        got = _outcome(read_canonical, text)
+        got = _read_outcome(text.encode())
         # The oracle's outcome, except that a line holding a deliberate fault
         # (which the oracle accepts or crashes on) is rejected once every
         # line before it passes.
         file_lines = io.StringIO(text).readlines()
-        want = _outcome(oracle_canonical.read_canonical, text)
+        want = _oracle_outcome(text)
         for lineno, line in enumerate(file_lines, start=1):
-            before = _outcome(oracle_canonical.read_canonical, "".join(file_lines[:lineno]))
+            before = _oracle_outcome("".join(file_lines[:lineno]))
             if isinstance(before, tuple) and issubclass(before[0], SchemaError):
                 break
             if _deliberate_fault(line):
@@ -462,8 +499,9 @@ class TestReaderOracle:
         return json.dumps(obj)
 
     def _both(self, text):
-        return (_outcome(read_canonical, text),
-                _outcome(oracle_canonical.read_canonical, text))
+        """read_canonical's outcome on the UTF-8 bytes of `text` (a lone
+        surrogate kept as its three bytes), and the oracle's on `text`."""
+        return _read_outcome(text.encode("utf-8", "surrogatepass")), _oracle_outcome(text)
 
     def test_lone_surrogate_rejected_with_line(self):
         text = self._line(sha=sha_of(0)) + "\n" + self._line(author_name="\ud800x") + "\n"
@@ -471,6 +509,9 @@ class TestReaderOracle:
         got, want = self._both(text)
         assert got == (SchemaError, "field 'author_name' holds a lone surrogate (line 2)", 2)
         assert isinstance(want, list) and len(want) == 2  # the oracle accepted it
+        # unescaped, a lone surrogate's bytes are not UTF-8
+        got, _ = self._both(text.replace("\\ud800", "\ud800"))
+        assert got == (SchemaError, "input is not valid UTF-8 (line 2)", 2)
         # a pair that encodes one astral character is fine
         got, want = self._both(self._line(message="😀"))
         assert got == want and got[0]["message"] == "\U0001F600"
@@ -508,6 +549,112 @@ class TestReaderOracle:
         got, want = self._both(self._line() + "\n" + "[" * 100_000 + "\n")
         assert got == (SchemaError, "invalid JSON: nested too deeply (line 2)", 2)
         assert want[0] is RecursionError  # the oracle crashed
+
+    @staticmethod
+    def _canonical(n, start=0):
+        """n lines as write_canonical writes them, with shas sha_of(start) on."""
+        return canonical_bytes([make_record(sha=sha_of(start + i)) for i in range(n)]).decode()
+
+    def test_duplicate_sha_within_one_run(self):
+        got, want = self._both(self._canonical(3) + self._canonical(1, start=1))
+        assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(1)} (line 4)", 4)
+
+    def test_duplicate_sha_across_two_blocks(self):
+        n = kernels.BLOCK_BYTES // 200 + 10
+        text = self._canonical(n) + self._canonical(1, start=5)
+        assert len(text.split("\n", 5)[5]) > kernels.BLOCK_BYTES  # sha_of(5) in the first block
+        got, want = self._both(text)
+        line = n + 1
+        assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(5)} (line {line})",
+                               line)
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_line_longer_than_a_block(self, end):
+        long = self._line(sha=sha_of(9), message="x" * (2 * kernels.BLOCK_BYTES + 1))
+        text = self._canonical(2) + long + "\n" + self._canonical(2, start=2) + long + end
+        got, want = self._both(text)
+        assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(9)} (line 6)", 6)
+        got, want = self._both(self._canonical(2) + long + end)
+        assert got == want and len(got[2]["message"]) == 2 * kernels.BLOCK_BYTES + 1
+
+    def test_crlf_blank_lines_and_no_final_line_feed(self):
+        a, b, c = (self._line(sha=sha_of(i)) for i in range(3))
+        got, want = self._both(a + "\r\n" + "\n" + " \t\r\n" + b + "\n\n" + c)
+        assert got == want and [r["sha"] for r in got] == [sha_of(i) for i in range(3)]
+
+    @pytest.mark.parametrize("literal, value", [
+        ("9" * 18, 10**18 - 1), ("1" + "0" * 18, 10**18), ("-0", 0), ("-1", -1), ("01", None),
+    ])
+    def test_int_spellings(self, literal, value):
+        line = self._line(lines_added=7).replace('"lines_added": 7', f'"lines_added": {literal}')
+        got, want = self._both(self._canonical(1) + line + "\n")
+        assert got == want
+        if value is None:
+            assert got[:2] == (SchemaError, "invalid JSON: Expecting ',' delimiter (line 2)")
+        else:
+            assert got[1]["lines_added"] == value
+
+    @pytest.mark.parametrize("name", ["del\x7f", "é", 'say "hi"', "back\\slash", ""])
+    def test_strings_past_printable_ascii(self, name):
+        line = json.dumps({**asdict(make_record(sha=sha_of(1))), "author_name": name},
+                          ensure_ascii=False)
+        got, want = self._both(self._canonical(1) + line + "\n")
+        assert got == want and got[1]["author_name"] == name
+
+    def test_uppercase_email_after_a_run(self):
+        got, want = self._both(self._canonical(3) + self._line(sha=sha_of(9),
+                                                               author_email="Ann@x.org") + "\n")
+        assert got == want == (SchemaError, "author_email must be lowercase (line 4)", 4)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"tz_offset_minutes": 1441}, "tz_offset_minutes out of range"),
+        ({"timestamp_utc": LOCAL_MAX + 1}, "local time outside years 1-9999"),
+        ({"lines_deleted": -2}, "line counts must be >= -1"),
+        ({"lines_added": 1.5}, "field 'lines_added' must be an integer"),
+    ])
+    def test_value_fault_right_after_a_run(self, fields, message):
+        text = self._canonical(3) + self._line(sha=sha_of(9), **fields) + "\n" + self._canonical(1)
+        got, want = self._both(text)
+        assert got == want == (SchemaError, f"{message} (line 4)", 4)
+
+
+_GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
+
+
+@pytest.mark.skipif(kernels.scan_canonical is None, reason="no compiled scanner")
+@pytest.mark.parametrize("old, new, taken", [
+    ("", "", True),
+    ('"lines_added": 1', '"lines_added": -0', True),
+    ('"lines_added": 1', '"lines_added": ' + "9" * 18, True),
+    ('"lines_added": 1', '"lines_added": 1' + "0" * 18, False),
+    ('"lines_added": 1', '"lines_added": 01', False),
+    ('"lines_added": 1', '"lines_added": 1.0', False),
+    ('"lines_added": 1', '"lines_added": -2', False),
+    ('"tz_offset_minutes": 0', '"tz_offset_minutes": 1441', False),
+    ('"timestamp_utc": 1483347600', f'"timestamp_utc": {LOCAL_MAX + 1}', False),
+    ("alice@", "Alice@", False),
+    ("Alice", "Alice\x7f", False),
+    ("Alice", "Alicé", False),
+    ("Alice", 'Al\\"ice', False),
+    ("Alice", "Al\\u0069ce", False),
+    (sha_of(1), sha_of(1).upper().replace("0", "A"), False),
+    ("}\n", "}\r\n", False),
+    ("}\n", "} \n", False),
+    ('", "author_name"', '","author_name"', False),
+    ("{", " {", False),
+])
+def test_scanner_takes_only_the_canonical_layout(old, new, taken):
+    """kernels.scan_canonical takes a line only in write_canonical's layout,
+    with printable-ASCII strings and values _checked_row accepts."""
+    line = _GOOD_LINE.replace(old, new, 1) if old else _GOOD_LINE
+    assert line != _GOOD_LINE or not old
+    (item,) = kernels.scan_canonical(io.BytesIO(line.encode()))
+    assert (type(item) is tuple) == taken
+    if taken:
+        obj = json.loads(line)
+        numbers, strings = item
+        assert numbers[:, 0].tolist() == [obj[k] for k in _INT_KEYS]
+        assert strings == [obj[k] for k in _STR_KEYS]
 
 
 _TRICKY_TEXT = st.text(

@@ -187,12 +187,11 @@ class TestGrowerEquivalence:
                 _assert_same_tree(*results)
                 assert draws[0] == draws[1], (trial, mtry)
 
-    def test_midpoint_rounding_to_the_upper_value_splits_nothing(self, monkeypatch):
+    def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower(self, monkeypatch):
         """Between 1 + 2**-52 and the next double the midpoint rounds up to
-        the upper value, so `<=` would send every row left. Both growers
-        keep such a node a leaf, never a node with an empty child (which
-        repeated the split forever, past the compiled grower's node
-        arrays); a third value can still split off."""
+        the upper value, so `<=` at the midpoint would send every row left.
+        Both growers split at the lower value instead, so that the two values
+        are separated and every node holds rows."""
         a, b = 1 + 2.0**-52, 1 + 2.0**-51
         assert (a + b) / 2 == b
         for values, labels in (([a, b], [0, 1]), ([a, b, 2.0], [0, 1, 0])):
@@ -203,8 +202,10 @@ class TestGrowerEquivalence:
                 results, _ = _grow_both(monkeypatch, X, y, idx, seed=None, minsplit=2, cp=0.0,
                                         maxdepth=maxdepth)
                 _assert_same_tree(*results)
-                assert (results[0][0].n > 0).all()
-                assert len(results[0][0].n) == 2 * len(values) - 3
+                grown = results[0][0]
+                assert (grown.n > 0).all()
+                assert len(grown.n) == 2 * len(values) - 1
+                assert grown.threshold[0] == a
 
     def test_out_of_range_rows_rejected(self):
         X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
@@ -236,6 +237,27 @@ class TestGrowerEquivalence:
         X, y = np.ones((4, 2)), np.array([0, 1, 2, 0], dtype=np.int8)
         with pytest.raises(ValueError):
             _c_grow(X, y, np.arange(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("a, b", [(-1.5e308, -1e308), (1e308, np.inf)])
+def test_overflowing_midpoint_splits_at_the_lower(monkeypatch, a, b):
+    """(a + b) / 2 is -inf when the sum overflows and inf when b is;
+    neither lies between a and b, so both growers split at a. At the
+    midpoint every row went right: the Python grower never ended and the
+    compiled one wrote past its node arrays. Without a compiled grower,
+    both trees grow in Python."""
+    X = np.repeat([[a, a], [b, b]], 20, axis=0)
+    y = np.repeat([0, 1], 20).astype(np.int8)
+    idx = np.arange(40, dtype=np.int64)
+    feats = np.arange(2, dtype=np.int64)
+    assert kernels.best_split(X, y, idx, feats) == exhaustive_best_split(X, y) == (0, a, 0.0)
+    for seed, mtry in ((None, None), (3, 1)):
+        results, draws = _grow_both(monkeypatch, X, y, idx, seed=seed, minsplit=2, cp=0.0,
+                                    maxdepth=None, mtry=mtry)
+        _assert_same_tree(*results)
+        assert draws[0] == draws[1]
+        grown = results[0][0]
+        assert grown.n.tolist() == [40, 20, 20] and grown.threshold[0] == a
 
 
 @needs_grower
