@@ -370,15 +370,15 @@ def read_canonical(fileobj, name="input") -> Commits:
     blank lines are skipped. `name` names the file in the error a line that
     is not UTF-8 raises.
 
-    With the compiled kernels, kernels.scan_canonical reads the lines in
-    write_canonical's exact layout whose strings are printable ASCII
-    (without `"` or `\\`) and whose values pass _checked_row, in runs; only
-    their shas are checked here, for duplicates. Every other line (CRLF,
-    blank, escaped, non-ASCII, other spacing or key order, faulty or the
-    final line without a line feed) is decoded, parsed and checked on its
-    own, as every line is without the compiled kernels. Either way an error
-    names the first faulty line, with the message and type the per-line
-    checks give."""
+    kernels.scan_canonical hands back runs of lines it has read, in
+    write_canonical's exact layout with printable-ASCII strings (without
+    `"` or `\\`) and values that pass _checked_row; only their shas are
+    checked here, for duplicates. Every other line it hands back as bytes
+    (CRLF, blank, escaped, non-ASCII, other spacing or key order, faulty or
+    the final line without a line feed; every line without the compiled
+    kernels), and that line is decoded, parsed and checked on its own.
+    Either way an error names the first faulty line, with the message and
+    type the per-line checks give."""
     from paydev.ml import kernels  # the scanner is compiled with the tree kernels
 
     shas, names, emails, messages = strings = ([], [], [], [])
@@ -386,8 +386,7 @@ def read_canonical(fileobj, name="input") -> Commits:
     loose = []  # the int fields of the lines read one by one since the last run
     seen: set[str] = set()
     lineno = 0
-    scanned = fileobj if kernels.scan_canonical is None else kernels.scan_canonical(fileobj)
-    for item in scanned:
+    for item in kernels.scan_canonical(fileobj):
         if type(item) is bytes:
             lineno += 1
             row = _line_row(item, name, seen, lineno)

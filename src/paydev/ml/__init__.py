@@ -1,7 +1,7 @@
 """Classifiers: logistic regression, CART, random forest.
 
-All three expose probability predictions through predict_proba; classify
-thresholds at 0.5 with hired as the positive class.
+All three expose probability predictions of the hired class through
+predict_proba.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "TreeModel",
     "align_columns",
     "check_training",
-    "classify",
     "fill_missing",
     "fit_forest",
     "fit_logit",
@@ -67,7 +66,3 @@ def predict_proba(model, X, columns=None) -> np.ndarray:
         return predict_forest(model, X)
     raise TypeError(f"not a model: {type(model).__name__}")
 
-
-def classify(model, X, columns=None) -> np.ndarray:
-    """1 = hired where P(hired) >= 0.5."""
-    return (predict_proba(model, X, columns=columns) >= 0.5).astype(np.int8)

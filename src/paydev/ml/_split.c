@@ -1,7 +1,7 @@
-/* Compiled kernels. grow_tree, the C twin of tree._grow_tree_py, grows
+/* Compiled kernels. grow_tree, the C twin of kernels._grow_tree_py, grows
  * a whole tree in one call from each feature's rows sorted once per fit, so
  * no node sorts anything; choice is its feature draw. forest_sum predicts a
- * whole forest in one call, as tree.tree_proba tree by tree would. The split
+ * whole forest in one call, as kernels.tree_proba would per tree. The split
  * search keeps the numpy search's (kernels.best_split) order of work and
  * int64 score expression, so the trees are bit-identical (build without FMA
  * contraction or fast-math). A tree of n rows over p features holds p * n

@@ -38,18 +38,22 @@ def check_training(data: Dataset) -> None:
 
 
 def impute_median(X):
-    """Fill NaN with per-column medians; returns (filled X, medians)."""
+    """Fill NaN with per-column medians of the other values (0.0 where there
+    are none); returns (filled X, medians). The two middle values a and b
+    give np.median's value where their sum is finite, and a / 2 + b / 2,
+    which stays finite, where it is not."""
     X = np.array(X, dtype=np.float64, copy=True)
     medians = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
         col = X[:, j]
         nan = np.isnan(col)
-        if nan.any():
-            good = col[~nan]
-            medians[j] = float(np.median(good)) if good.size else 0.0
-            col[nan] = medians[j]
-        else:
-            medians[j] = float(np.median(col)) if col.size else 0.0
+        good = col[~nan]
+        if good.size:
+            mid = ((good.size - 1) // 2, good.size // 2)
+            a, b = np.partition(good, mid)[list(mid)].tolist()
+            total = 0.0 + a + b  # np.median's sum, which turns -0.0 into 0.0
+            medians[j] = total / 2 if np.isfinite(total) else a / 2 + b / 2
+        col[nan] = medians[j]
     return X, medians
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from paydev.errors import SchemaError
 from paydev.ml import kernels
 from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
-from paydev.ml.tree import Tree, grow_tree, tree_proba
+from paydev.ml.tree import Tree
 
 
 @dataclass
@@ -50,10 +51,9 @@ def fit_forest(
     if mtry is None:
         mtry = max(1, int(math.isqrt(p)))
     if not 1 <= mtry <= p:
-        raise ValueError(f"mtry must be in [1, {p}]")
+        raise SchemaError(f"mtry (config forest_mtry) must be in [1, {p}]")
 
-    # each feature's rows sorted once, for every tree the compiled grower grows
-    rows = kernels.Presorted(X, y) if kernels.grower() else None
+    rows = kernels.Presorted(X, y)  # checked and sorted once for all the trees
     trees, importance = [], np.zeros(p)
     for t in range(n_trees):
         rng = _tree_rng(seed, t)
@@ -61,10 +61,10 @@ def fit_forest(
             idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
         else:
             idx = np.arange(n, dtype=np.int64)
-        tree, imp = grow_tree(
-            X, y, idx, minsplit=2, cp=0.0, maxdepth=None, mtry=mtry, rng=rng, rows=rows
+        arrays, imp = kernels.grow_tree(
+            rows, idx, minsplit=2, cp=0.0, maxdepth=None, mtry=mtry, rng=rng
         )
-        trees.append(tree)
+        trees.append(Tree(*arrays))
         importance += imp
     importance /= n_trees
 
@@ -81,12 +81,6 @@ def fit_forest(
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
-    """Mean of the trees' leaf probabilities, accumulated in tree order: in
-    one compiled call when the kernel is built, else tree by tree."""
+    """Mean of the trees' leaf probabilities, accumulated in tree order."""
     X = fill_missing(np.asarray(X, dtype=np.float64), model.impute)
-    if kernels.BACKEND == "c":
-        return kernels.forest_sum(model.trees, X) / model.n_trees
-    total = np.zeros(len(X), dtype=np.float64)
-    for tree in model.trees:
-        total += tree_proba(tree, X)
-    return total / model.n_trees
+    return kernels.forest_sum(model.trees, X) / model.n_trees

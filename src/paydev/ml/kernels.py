@@ -1,23 +1,24 @@
-"""The compiled kernels: one split search per platform, the forest
-predictor, and the canonical-line scanner.
+"""The tree grower, the forest predictor and the canonical-line scanner:
+grow_tree, forest_sum and scan_canonical, the one place that chooses
+between their compiled and numpy forms, which give the same results.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
 through ctypes; delete that file to rebuild. Its grow_tree grows a whole
 tree in one call, searching splits in C over each feature's rows sorted
-once per fit (Presorted), and its forest_sum predicts a whole forest in one
-call. Without a compiler, trees grow in Python (tree._grow_tree_py), which
-calls the numpy best_split below node by node, and forests predict tree by
-tree (tree.tree_proba); both give bit-identical trees and predictions.
+once per fit (Presorted), and its forest_sum predicts a whole forest, or
+one CART, in one call. Without a compiler, trees grow in Python
+(_grow_tree_py), which calls the numpy best_split below node by node, and
+forests predict tree by tree (tree_proba); both give bit-identical trees
+and predictions.
 
 scan_canonical reads a canonical commit file for ingest.read_canonical in
 blocks of whole lines. Its C scanner takes only lines in
 ingest.write_canonical's exact layout, with printable-ASCII strings that
 hold no `"` or `\\`, ints of at most 18 digits and values that pass
-ingest._checked_row, and raises nothing: every other line is handed back
-as bytes for the per-line reader, which alone raises the reader's errors.
-Without a compiler scan_canonical is None and every line is read on its
-own.
+ingest._checked_row, and raises nothing: every other line (every line
+without a compiler, where scan_canonical is `iter`) is handed back as bytes
+for the per-line reader, which alone raises the reader's errors.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -85,9 +86,9 @@ def _bitgen(rng):
 class Presorted:
     """X (n_rows, p) and y (n_rows,), checked once for all the trees grown
     over them, and each feature's rows in ascending value order (a
-    (p, n_rows) int64 array). `args` holds what every grow_tree call over
-    them passes first; the arrays are kept so that their addresses stay
-    valid."""
+    (p, n_rows) int64 array). `args` holds what every compiled grow_tree
+    call over them passes first; the arrays are kept so that their
+    addresses stay valid."""
 
     def __init__(self, X, y):
         for a, dtype in ((X, _F64), (y, _I8)):
@@ -169,6 +170,76 @@ def best_split(X, y, idx, feats):
     return best_f, best_thr, best_score
 
 
+def _grow_tree_py(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
+    """The Python twin of _c_grow_tree (grow_tree in _split.c), node by
+    node through best_split; same arguments, same results.
+
+    Iterative preorder so depth is not bounded by the interpreter recursion
+    limit; a split node's children are appended as the next two node rows.
+    """
+    X, y = rows.arrays[:2]
+    p = X.shape[1]
+    all_feats = np.arange(p, dtype=np.int64)
+    n_root = len(idx)
+    pos_root = int(y[idx].sum())
+    root_err = n_root - max(pos_root, n_root - pos_root)
+    importance = np.zeros(p)
+
+    ns, poss = [n_root], [pos_root]
+    splits = []  # (node, feature, threshold) in split order
+    stack = [(0, idx, 0)]
+    while stack:
+        node, node_idx, depth = stack.pop()
+        n = ns[node]
+        pos = poss[node]
+        if pos == 0 or pos == n or n < minsplit:
+            continue
+        if maxdepth is not None and depth >= maxdepth:
+            continue
+        if rng is not None:
+            feats = np.sort(rng.choice(p, size=mtry, replace=False)).astype(np.int64)
+        else:
+            feats = all_feats
+        f, thr, child_score = best_split(X, y, node_idx, feats)
+        if f < 0:
+            continue
+
+        left_mask = X[node_idx, f] <= thr
+        left_idx = node_idx[left_mask]
+        right_idx = node_idx[~left_mask]
+        pos_l = int(y[left_idx].sum())
+        pos_r = pos - pos_l
+
+        # rpart-style pruning: relative misclassification improvement >= cp.
+        err_node = n - max(pos, n - pos)
+        err_children = (
+            len(left_idx) - max(pos_l, len(left_idx) - pos_l)
+            + len(right_idx) - max(pos_r, len(right_idx) - pos_r)
+        )
+        if root_err > 0 and (err_node - err_children) / root_err < cp:
+            continue
+
+        importance[f] += node_score(n, pos) - child_score
+        child = len(ns)
+        splits.append((node, f, thr))
+        ns += (len(left_idx), len(right_idx))
+        poss += (pos_l, pos_r)
+        stack.append((child + 1, right_idx, depth + 1))
+        stack.append((child, left_idx, depth + 1))
+
+    m = len(ns)
+    inner = np.array([s[0] for s in splits], dtype=np.int64)
+    feature, left, right = (np.full(m, -1, dtype=np.int64) for _ in range(3))
+    threshold = np.zeros(m)
+    feature[inner] = [s[1] for s in splits]
+    threshold[inner] = [s[2] for s in splits]
+    # children were appended in split order, two rows per split
+    left[inner] = np.arange(1, m, 2)
+    right[inner] = np.arange(2, m, 2)
+    n, pos = np.array(ns, dtype=np.int64), np.array(poss, dtype=np.int64)
+    return (feature, threshold, left, right, n, pos), importance
+
+
 def _c_choice(rng, p, k):
     """rng.choice(p, k, replace=False) drawn in C, for p <= 10000 or
     k <= p // 50 (where numpy uses Floyd's algorithm)."""
@@ -180,10 +251,7 @@ def _c_choice(rng, p, k):
 
 
 def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
-    """tree._grow_tree_py over rows idx of `rows` in one compiled call.
-    Returns the six node arrays (feature, threshold, left, right, n, pos)
-    and the importance vector; maxdepth None is unbounded, rng None searches
-    every feature."""
+    """_grow_tree_py over rows idx of `rows` in one compiled call."""
     if not (isinstance(idx, np.ndarray) and idx.dtype == _I64 and idx.flags.c_contiguous
             and idx.ndim == 1):
         raise TypeError("grow_tree needs a 1-d C-contiguous int64 idx")
@@ -206,24 +274,6 @@ def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
     return (feature, threshold[:m].copy(), left, right, count, pos), importance
 
 
-def forest_sum(trees, X):
-    """Per row of X (n_rows, p), the sum over `trees`, in order, of the
-    row's leaf probability pos/n: the loop over tree.tree_proba in one
-    compiled call over the trees' concatenated node arrays."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    roots = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum([len(t.feature) for t in trees], out=roots[1:])
-    ints = np.empty((5, roots[-1]), dtype=np.int64)
-    for row, key in zip(ints, ("feature", "left", "right", "n", "pos")):
-        np.concatenate([getattr(t, key) for t in trees], out=row)
-    threshold = np.concatenate([t.threshold for t in trees], dtype=np.float64)
-    out = np.empty(len(X))
-    if _lib.forest_sum(X.ctypes.data, X.shape[0], X.shape[1], ints.ctypes.data,
-                       threshold.ctypes.data, roots.ctypes.data, len(trees), out.ctypes.data):
-        raise ValueError("forest_sum: a tree node points outside its tree")
-    return out
-
-
 @functools.cache
 def grower():
     """_c_grow_tree when the C feature draw matches Generator.choice on one
@@ -236,6 +286,62 @@ def grower():
     same = (_c_choice(a, 40, 25).tolist() == b.choice(40, 25, replace=False).tolist()
             and a.integers(2**62) == b.integers(2**62))
     return _c_grow_tree if same else None
+
+
+def grow_tree(rows: Presorted, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
+    """Grow one tree over rows idx of `rows`; returns the six node arrays
+    (feature, threshold, left, right, n, pos) and the importance vector.
+    maxdepth None is unbounded. mtry, when below the feature count p, samples
+    that many candidate features at every node with rng.choice(p, mtry,
+    replace=False). The compiled grower makes the same draws from rng's bit
+    generator, except where numpy shuffles a whole range instead (p > 10,000
+    and mtry > p // 50): there, and without a compiled grower, the tree grows
+    in Python."""
+    p = rows.args[2]
+    if mtry is None or mtry >= p:
+        mtry, rng = p, None
+    grow = grower()
+    if grow is None or (rng is not None and p > 10_000 and mtry > p // 50):
+        grow = _grow_tree_py
+    return grow(rows, idx, minsplit, cp, maxdepth, mtry, rng)
+
+
+def tree_proba(tree, X) -> np.ndarray:
+    """P(hired) per row of X under one tree (tree.Tree's node arrays):
+    every row still at an inner node moves one level down per step."""
+    out = np.empty(len(X), dtype=np.float64)
+    proba = tree.pos / tree.n
+    rows = np.arange(len(X))
+    nodes = np.zeros(len(X), dtype=np.int64)
+    while rows.size:
+        f = tree.feature[nodes]
+        inner = f >= 0
+        out[rows[~inner]] = proba[nodes[~inner]]
+        rows, nodes, f = rows[inner], nodes[inner], f[inner]
+        go_left = X[rows, f] <= tree.threshold[nodes]
+        nodes = np.where(go_left, tree.left[nodes], tree.right[nodes])
+    return out
+
+
+def _forest_sum_py(trees, X):
+    return sum((tree_proba(tree, X) for tree in trees), np.zeros(len(X)))
+
+
+def _c_forest_sum(trees, X):
+    """_forest_sum_py in one compiled call over the trees' concatenated
+    node arrays."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    roots = np.zeros(len(trees) + 1, dtype=np.int64)
+    np.cumsum([len(t.feature) for t in trees], out=roots[1:])
+    ints = np.empty((5, roots[-1]), dtype=np.int64)
+    for row, key in zip(ints, ("feature", "left", "right", "n", "pos")):
+        np.concatenate([getattr(t, key) for t in trees], out=row)
+    threshold = np.concatenate([t.threshold for t in trees], dtype=np.float64)
+    out = np.empty(len(X))
+    if _lib.forest_sum(X.ctypes.data, X.shape[0], X.shape[1], ints.ctypes.data,
+                       threshold.ctypes.data, roots.ctypes.data, len(trees), out.ctypes.data):
+        raise ValueError("forest_sum: a tree node points outside its tree")
+    return out
 
 
 BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
@@ -290,9 +396,13 @@ def _c_scan_canonical(fileobj):
                 pos = line_end
 
 
-# (binary file) -> its lines in scanned runs and declined lines; None without
-# the compiled kernels, where ingest.read_canonical reads every line itself
-scan_canonical = None if _lib is None else _c_scan_canonical
+# (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the
+# row's leaf probability pos/n
+forest_sum = _forest_sum_py if _lib is None else _c_forest_sum
+# (binary file) -> its lines in scanned runs and declined lines; without the
+# compiled kernels every line is handed back, for ingest.read_canonical's
+# per-line reader
+scan_canonical = iter if _lib is None else _c_scan_canonical
 BACKEND = "python" if _lib is None else "c"
 
 

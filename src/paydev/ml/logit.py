@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from paydev.errors import SchemaError
 from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
 
 
@@ -57,8 +58,11 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
     X, medians = impute_median(data.X)
     y = np.asarray(data.y, dtype=np.float64)
 
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale = X.mean(axis=0), X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if bad.size:
+        raise SchemaError(f"column {data.columns[bad[0]]!r} is too large to standardize")
     scale[scale == 0.0] = 1.0
     Xz = (X - mean) / scale
     X1 = np.hstack([Xz, np.ones((len(y), 1))])

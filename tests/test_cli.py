@@ -575,19 +575,28 @@ class TestTrainPredict:
             assert sorted(ids) == sorted(obj["id"] for obj in objs)
             assert {"Doe, Jane", 'Roe "R" Rick'} <= set(ids)
 
-    def test_forest_on_overflowing_midpoints(self, tmp_path):
+    def test_forest_on_overflowing_midpoints(self, tmp_path, recwarn):
         """Every feature is -1.5e308 for volunteers and -1e308 for the
         hired: the midpoint overflows to -inf, and the split is taken at the
-        lower value (the forest once aborted here)."""
+        lower value (the forest once aborted here). The median of the two
+        middle values overflowed the same way, and its -inf made model files
+        that predict rejected; logit cannot standardize such values and
+        exits 3 with no model."""
         features, labels = tmp_path / "f.csv", tmp_path / "l.csv"
         values = [-1.5e308 if i % 2 else -1e308 for i in range(20)]
         features.write_text("identity,a,b\n" + "".join(f"d{i},{v!r},{v!r}\n"
                                                      for i, v in enumerate(values)))
         labels.write_text("identity,status,hired_from,hired_to\n" + "".join(
             f"d{i},{'volunteer' if i % 2 else 'hired'},,\n" for i in range(20)))
-        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
-                       "randomforest", "--forest-trees", "3",
-                       "--out", str(tmp_path / "model.json")) == 0
+        for classifier, code in (("rpart", 0), ("randomforest", 0), ("logit", 3)):
+            model = tmp_path / f"{classifier}.json"
+            assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                           classifier, "--forest-trees", "3", "--out", str(model)) == code
+            assert model.exists() == (code == 0)
+            if code == 0:
+                assert run_cli("predict", str(model), "--features", str(features),
+                               "--out", str(tmp_path / f"{classifier}.csv")) == 0
+        assert not [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_deep_tree_train_predict_introspect(self, tmp_path, capsys):
         # labels alternate along one feature: a ~3,000-level CART
@@ -884,6 +893,18 @@ class TestConfigFile:
                        "--config", str(cfg)) == 3
 
 
+    def test_forest_mtry_beyond_the_features_exit_3(self, corpus, tmp_path, capsys):
+        """forest_mtry above the features CSV's 16 columns is a config fault."""
+        records, labels = corpus
+        features, cfg, model = tmp_path / "f.csv", tmp_path / "wide.cfg", tmp_path / "m.json"
+        assert run_cli("features", str(records), "--out", str(features)) == 0
+        cfg.write_text("forest_mtry=17\n")
+        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                       "randomforest", "--forest-trees", "3", "--config", str(cfg),
+                       "--out", str(model)) == 3
+        assert "forest_mtry" in capsys.readouterr().err and not model.exists()
+
+
 class TestAtomicWrites:
     def test_failed_run_leaves_no_partial_output(self, corpus, tmp_path):
         records, _ = corpus
@@ -985,3 +1006,93 @@ class TestProductFilter:
         assert run_cli("features", str(records), "--identities", str(bad_map),
                        "--out", str(tmp_path / "f.csv")) == 3
         assert "integer too long or nested too deeply (line 2)" in capsys.readouterr().err
+
+
+# what a fuzzed field may become: empty, non-finite and huge numbers, a BOM, NUL, a
+# lone carriage return, a quote, separators, impossible dates, a lone-surrogate escape
+FUZZ_TOKENS = ["", "nan", "inf", "1e309", "9" * 400, "\ufeff", "\x00", "\r", '"', ",", "|",
+               "=", "#", ":", "2016-02-30", "2016-13-01", "\\ud800"]
+FIELD = re.compile(r'[^\s,|=:"\[\]{}]+')
+FUZZ_RUN = ["--min-commits", "1", "--folds", "2", "--repeats", "1", "--forest-trees", "3"]
+# input kind -> (the command that reads it as {mut}, the valid file it starts from)
+FUZZ_COMMANDS = {
+    "labels": (["evaluate", "{records}", "--labels", "{mut}", *FUZZ_RUN], "labels.csv"),
+    "dated_labels": (["commits", "{records}", "--labels", "{mut}", "--min-commits", "1",
+                      "--forest-trees", "3"], "dated.csv"),
+    "features": (["train", "{mut}", "--labels", "{labels}", "--classifier", "{classifier}",
+                  "--forest-trees", "3"], "f.csv"),
+    "identity_map": (["features", "{records}", "--identities", "{mut}"], "ids.jsonl"),
+    "overrides": (["identities", "{records}", "--overrides", "{mut}"], "overrides.txt"),
+    "product_map": (["features", "{records}", "--product-map", "{mut}", "--config",
+                     "{products}"], "products.csv"),
+    "config": (["evaluate", "{records}", "--labels", "{labels}", "--config", "{mut}",
+                "--folds", "2", "--repeats", "1", "--forest-trees", "3"], "run.cfg"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A 12-developer corpus and one valid file of each fuzzed kind."""
+    d = tmp_path_factory.mktemp("fuzz")
+    records, labels = d / "records.jsonl", d / "labels.csv"
+    assert run_cli("synth", "--out", str(records), "--labels-out", str(labels), "--seed", "5",
+                   "--devs", "12", "--commits-low", "20", "--commits-high", "40") == 0
+    _dated_labels(labels, d)
+    assert run_cli("features", str(records), "--out", str(d / "f.csv")) == 0
+    assert run_cli("identities", str(records), "--out", str(d / "ids.jsonl")) == 0
+    (d / "overrides.txt").write_text(
+        "# people\nmerge Dev 0001|dev0002@example.org\nsplit dev0003@example.org\n")
+    issues = [json.loads(line)["message"].split()[1] for line in records.read_text().splitlines()]
+    (d / "products.csv").write_text("issue_id,product\n" + "".join(
+        f"{issue},{'Firefox' if k % 2 else 'Other'}\n" for k, issue in enumerate(issues)))
+    (d / "products.cfg").write_text("products=Firefox\n")
+    (d / "run.cfg").write_text(
+        "# run\nseed=3\nmin_commits=1\nfeature_mode=all\ncoverage=0.5\n"
+        "email_domains=example.org,mozilla.com\nproducts=Firefox\nlogit_l2=1e-8\n"
+        "logit_max_iter=100\nlogit_tol=1e-8\ntree_minsplit=20\ntree_cp=0.01\n"
+        "tree_maxdepth=30\nforest_mtry=2\n")
+    return d
+
+
+def _mutate(data, text):
+    """text after 1-3 mutations: a pool token in place of a field, or a line
+    duplicated, deleted, swapped with another or truncated."""
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        op = data.draw(st.sampled_from(["token", "duplicate", "delete", "swap", "truncate"]))
+        fields = list(FIELD.finditer(lines[i]))
+        if op == "token" and fields:
+            field = data.draw(st.sampled_from(fields))
+            token = data.draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = lines[i][:field.start()] + token + lines[i][field.end():]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines)
+
+
+class TestInputFuzz:
+    @pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_exits_with_a_documented_code(self, fuzz_inputs, kind, data):
+        """Each documented text input, mutated, exits with a code from
+        README's table other than 1, and leaves no --out file unless it
+        exits 0."""
+        d = fuzz_inputs
+        argv, valid = FUZZ_COMMANDS[kind]
+        mut, out = d / f"mutated-{kind}", d / f"out-{kind}"
+        mut.write_bytes(_mutate(data, (d / valid).read_text()).encode("utf-8"))
+        out.unlink(missing_ok=True)
+        classifier = data.draw(st.sampled_from(["logit", "rpart", "randomforest"]))
+        code = run_cli(*(a.format(records=d / "records.jsonl", labels=d / "labels.csv",
+                                  products=d / "products.cfg", classifier=classifier,
+                                  mut=mut) for a in argv), "--out", str(out))
+        assert code in (0, 2, 3, 4, 5, 6)
+        assert code == 0 or not out.exists()

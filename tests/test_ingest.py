@@ -31,7 +31,7 @@ SHA_A = "a" * 40
 SHA_B = "b" * 40
 
 # read_canonical with the compiled scanner, where there is one, and without
-SCANNER_MODES = (False,) if kernels.scan_canonical is None else (True, False)
+SCANNER_MODES = (True, False) if kernels.BACKEND == "c" else (False,)
 
 
 @contextmanager
@@ -40,7 +40,7 @@ def scanning(on):
     read on its own."""
     with pytest.MonkeyPatch.context() as mp:
         if not on:
-            mp.setattr(kernels, "scan_canonical", None)
+            mp.setattr(kernels, "scan_canonical", iter)
         yield
 
 
@@ -621,7 +621,7 @@ class TestReaderOracle:
 _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
 
 
-@pytest.mark.skipif(kernels.scan_canonical is None, reason="no compiled scanner")
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="no compiled scanner")
 @pytest.mark.parametrize("old, new, taken", [
     ("", "", True),
     ('"lines_added": 1', '"lines_added": -0', True),

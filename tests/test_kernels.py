@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 from oracle_split import exhaustive_best_split
-from paydev.ml import kernels, tree
+from paydev.ml import kernels
 from paydev.ml.serialize import TREE_ARRAYS
+from paydev.ml.tree import Tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 needs_grower = pytest.mark.skipif(kernels.grower() is None, reason="compiled grower not in use")
+
+
+def _grow(X, y, idx, **params):
+    """kernels.grow_tree over X and y, as (Tree, importance)."""
+    arrays, importance = kernels.grow_tree(kernels.Presorted(X, y), idx, **params)
+    return Tree(*arrays), importance
 
 
 def _random_problem(rng, n=None, p=None, duplicates=False):
@@ -84,7 +91,7 @@ class TestBackendEquivalence:
         depth-1 CART grown by the active grower (the compiled one with cc)."""
         idx, feats = np.arange(len(y), dtype=np.int64), np.arange(X.shape[1], dtype=np.int64)
         f, t, _ = kernels.best_split(X, y, idx, feats)
-        root, _ = tree.grow_tree(X, y, idx, minsplit=2, cp=0.0, maxdepth=1)
+        root, _ = _grow(X, y, idx, minsplit=2, cp=0.0, maxdepth=1)
         return [(f, t), (root.feature[0], root.threshold[0])]
 
     def test_tiebreak_lowest_feature_and_threshold(self):
@@ -114,7 +121,7 @@ def _grow_both(monkeypatch, X, y, idx, seed, **params):
     for grower in (kernels.grower(), None):
         monkeypatch.setattr(kernels, "grower", lambda: grower)
         rng = None if seed is None else np.random.default_rng(seed)
-        results.append(tree.grow_tree(X, y, idx, rng=rng, **params))
+        results.append(_grow(X, y, idx, rng=rng, **params))
         next_draws.append(None if rng is None else rng.integers(2**62))
     return results, next_draws
 
@@ -313,10 +320,10 @@ def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
     X, y = _random_problem(rng, n=60, p=5)
     idx = np.arange(60, dtype=np.int64)
     params = dict(minsplit=2, cp=0.0, maxdepth=None, mtry=2)
-    fallback = tree.grow_tree(X, y, idx, rng=np.random.default_rng(4), **params)
+    fallback = _grow(X, y, idx, rng=np.random.default_rng(4), **params)
     assert calls  # the Python grower searches node by node
     monkeypatch.setattr(kernels, "grower", lambda: compiled)
-    _assert_same_tree(fallback, tree.grow_tree(X, y, idx, rng=np.random.default_rng(4), **params))
+    _assert_same_tree(fallback, _grow(X, y, idx, rng=np.random.default_rng(4), **params))
 
 
 def _python(args, home, path, cwd):

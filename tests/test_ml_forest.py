@@ -3,10 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from paydev.errors import ColumnMismatchError
+from paydev.errors import ColumnMismatchError, SchemaError
 from paydev.ml import kernels
 from paydev.ml import (
-    classify,
     fit_forest,
     fit_tree,
     introspect,
@@ -17,7 +16,8 @@ from paydev.ml import (
 )
 from paydev.ml.dataset import fill_missing
 from paydev.ml.serialize import TREE_ARRAYS
-from paydev.ml.tree import Tree, tree_proba
+from paydev.ml.kernels import tree_proba
+from paydev.ml.tree import Tree
 
 
 def _dataset(X, y, columns=None):
@@ -84,7 +84,7 @@ class TestFit:
 
     def test_mtry_bounds(self, rng):
         X, y = _separable(rng, 50)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             fit_forest(_dataset(X, y), n_trees=2, mtry=3, seed=1)
 
     def test_scaling_feature_preserves_predictions(self, rng):
@@ -222,12 +222,6 @@ class TestPredictContract:
         direct = predict_proba(model, Xt, columns=["a", "b"])
         swapped = predict_proba(model, Xt[:, [1, 0]], columns=["b", "a"])
         assert np.array_equal(direct, swapped)
-
-    def test_classify_threshold(self, rng):
-        X, y = _separable(rng, 100)
-        model = fit_forest(_dataset(X, y), n_trees=10, seed=1)
-        p = predict_proba(model, X)
-        assert np.array_equal(classify(model, X), (p >= 0.5).astype(np.int8))
 
     def test_probabilities_in_unit_interval(self, rng):
         X, y = _separable(rng, 100)
