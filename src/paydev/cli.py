@@ -251,13 +251,6 @@ def read_identity_map(fileobj):
     return identities
 
 
-def _histories(identities, commits):
-    """Each identity's commit History, keyed by identity id."""
-    row_of = {sha: row for row, sha in enumerate(commits.sha)}
-    return {i.id: feat.history(commits.take(list(map(row_of.__getitem__, i.commit_shas))))
-            for i in identities}
-
-
 def _studied(identities, cfg):
     """The identities the study filter keeps; echoes both counts."""
     studied = lab.study_filter(identities, cfg.min_commits)
@@ -268,7 +261,7 @@ def _studied(identities, cfg):
 def _labeled_dataset(identities, commits, label_set, cfg):
     """Join features with resolved labels; returns (dataset, histories)."""
     filtered = _studied(identities, cfg)
-    histories = _histories(filtered, commits)
+    histories = feat.histories(filtered, commits)
     kept, ys = [], {}
     unlabeled = 0
     for ident in filtered:
@@ -396,7 +389,7 @@ def cmd_identities(args) -> int:
 def cmd_features(args) -> int:
     cfg = _build_config(args)
     commits, identities = _study_records(args, cfg)
-    features_by_id = feat.compute_features(_histories(identities, commits))
+    features_by_id = feat.compute_features(feat.histories(identities, commits))
     _emit(args.out, lambda f: feat.write_features_csv(features_by_id, f, mode=args.mode))
     return 0
 
@@ -449,7 +442,7 @@ def cmd_predict(args) -> int:
             X, row_ids, columns = feat.read_features_csv(f)
     else:
         commits = _read_records(args.records)
-        histories = _histories(_load_identities(args, commits), commits)
+        histories = feat.histories(_load_identities(args, commits), commits)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
             X = np.vstack([feat.commit_features(h)[0] for h in histories.values()])
             row_ids = [sha for h in histories.values() for sha in h.sha]
@@ -478,7 +471,7 @@ def cmd_commits(args) -> int:
         label_set = lab.load_labels(f)
     commits, identities = _study_records(args, cfg)
     all_report, rest_report = ev.per_commit_experiment(
-        _histories(_studied(identities, cfg), commits),
+        feat.histories(_studied(identities, cfg), commits),
         label_set,
         _classifiers(cfg),
         coverage=cfg.coverage,

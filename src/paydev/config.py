@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from paydev.errors import SchemaError
@@ -74,6 +75,10 @@ def _coerce(name: str, raw: str, line=None):
 
 
 def validate(cfg: Config) -> Config:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"config field {f.name} must be finite, got {value}")
     for name in _POSITIVE_FIELDS:
         if getattr(cfg, name) <= 0:
             raise SchemaError(f"config field {name} must be positive")

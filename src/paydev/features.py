@@ -65,7 +65,9 @@ COMMIT_FEATURE_COLUMNS = [
 class History(NamedTuple):
     """One identity's commits sorted by (timestamp, sha): their shas, author
     addresses, UTC timestamps, local calendar and changed lines (NaN for
-    binary-only commits). Features, labels and baselines all read it."""
+    binary-only commits). Features, labels and baselines all read it. The
+    arrays are read-only views, shared with the other Histories built with
+    it."""
 
     sha: list[str]
     email: list[str]
@@ -74,20 +76,52 @@ class History(NamedTuple):
     lines: np.ndarray
 
 
-def history(commits) -> History:
-    """The History of one identity's Commits, in any order."""
-    order = np.lexsort((np.array(commits.sha, dtype=str), commits.timestamp_utc))
-    rows = order.tolist()
-    ts = commits.timestamp_utc[order]
-    added = commits.lines_added[order].astype(np.float64)
-    deleted = commits.lines_deleted[order].astype(np.float64)
-    return History(
-        sha=list(map(commits.sha.__getitem__, rows)),
-        email=list(map(commits.author_email.__getitem__, rows)),
-        ts=ts,
-        local=to_local(ts, commits.tz_offset_minutes[order]),
-        lines=np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan),
-    )
+def _changed_lines(added, deleted):
+    """Lines added plus deleted, as floats; NaN where either is -1 (a
+    binary-only commit)."""
+    added, deleted = added.astype(np.float64), deleted.astype(np.float64)
+    return np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan)
+
+
+def _owned_rows(identities, commits):
+    """The rows of `commits` each identity owns, in sha order, identity
+    after identity, and how many each owns. The sha index is freed on
+    return, before histories makes its full-size arrays, which keeps the
+    peak memory of a command where it was when each identity was built
+    alone."""
+    row_of = {sha: row for row, sha in enumerate(commits.sha)}
+    rows, sizes = [], []
+    for ident in identities:
+        shas = sorted(ident.commit_shas)
+        rows += map(row_of.__getitem__, shas)
+        sizes.append(len(shas))
+    return np.array(rows, dtype=np.intp), sizes
+
+
+def histories(identities, commits) -> dict[str, History]:
+    """Each identity's History, keyed by identity id, in the order of
+    `identities`; every sha an identity owns must be in the Commits table.
+
+    One stable sort by (identity, timestamp) over each identity's rows in
+    sha order, one to_local call and one gather per column serve all of
+    them; each History is a slice of those arrays."""
+    rows, sizes = _owned_rows(identities, commits)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rows = rows[np.lexsort((commits.timestamp_utc[rows], owner))]  # stable: sha order kept
+    ts = commits.timestamp_utc[rows]
+    local = to_local(ts, commits.tz_offset_minutes[rows])
+    lines = _changed_lines(commits.lines_added[rows], commits.lines_deleted[rows])
+    for column in (ts, lines, *local):
+        column.flags.writeable = False
+    out, start = {}, 0
+    for ident, size in zip(identities, sizes):
+        cut = slice(start, start + size)
+        picked = rows[cut].tolist()
+        out[ident.id] = History(list(map(commits.sha.__getitem__, picked)),
+                                list(map(commits.author_email.__getitem__, picked)), ts[cut],
+                                LocalCalendar(*(c[cut] for c in local)), lines[cut])
+        start += size
+    return out
 
 
 def _median(values) -> float:

@@ -30,6 +30,7 @@ GIT_EXPORT_COMMAND = (
 
 _SHA_RE = re.compile(rb"[0-9a-f]{40}")  # fullmatch only: `$` would pass a final newline
 _SHA_STR_RE = re.compile(r"[0-9a-f]{40}")
+_TIMESTAMP_RE = re.compile(rb"-?[0-9]+")  # fullmatch only
 _OFFSET_RE = re.compile(rb"^([+-])(\d{2})(\d{2})$")
 _NUMSTAT_RE = re.compile(rb"^(\d+|-)[ \t]+(\d+|-)[ \t]+.+$")
 
@@ -163,6 +164,19 @@ def _parse_offset(raw: bytes, offset: int, index: int) -> int:
     return minutes
 
 
+def _parse_timestamp(raw: bytes, offset: int, index: int) -> int:
+    """%at, which git writes as -?[0-9]+ (int() would also take white space,
+    a plus sign or underscores)."""
+    if _TIMESTAMP_RE.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(
+        f"malformed timestamp {_decode(raw)!r}", byte_offset=offset, record_index=index
+    )
+
+
 def _parse_header(header: bytes, offset: int, index: int):
     parts = header.split(b"\x1f")
     if len(parts) != 5:
@@ -174,12 +188,7 @@ def _parse_header(header: bytes, offset: int, index: int):
         raise ParseError(
             f"malformed commit id {_decode(sha_raw)!r}", byte_offset=offset, record_index=index
         )
-    try:
-        ts = int(at_raw)
-    except ValueError:
-        raise ParseError(
-            f"malformed timestamp {_decode(at_raw)!r}", byte_offset=offset, record_index=index
-        ) from None
+    ts = _parse_timestamp(at_raw, offset, index)
     # %ad carries the author's offset as its last token; the instant itself
     # is taken from %at and the two are not cross-checked.
     ad_tokens = ad_raw.strip().split(b" ")
@@ -231,19 +240,54 @@ def _parse_numstat(body: bytes, offset: int, index: int):
     return added, deleted
 
 
+def _add_run(run, seen, shas, lineno=None):
+    """Adds the shas of a scanned run that starts on line `lineno` (None for
+    a git-log export, whose errors name no line) to `seen`, which holds those
+    in `shas`; raises DuplicateShaError at the first one seen before, in
+    order."""
+    before = len(seen)
+    seen.update(run)
+    if len(seen) == before + len(run):
+        return
+    earlier = set(shas)
+    for i, sha in enumerate(run):
+        if sha in earlier:
+            raise DuplicateShaError(f"duplicate commit id {sha}",
+                                    line=None if lineno is None else lineno + i)
+        earlier.add(sha)
+
+
+def _int_columns(rows):
+    """The (4, n) int64 array of n rows of the four int fields."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
 def parse_git_log(stream) -> Commits:
     """Parse the documented export format into a Commits table.
 
     Accepts bytes, str, or a binary/text file object. Raises ParseError with
     a byte offset and record index on malformed input, DuplicateShaError on
     repeated commit ids; never raises anything else on arbitrary bytes.
+
+    kernels.scan_git_log hands back runs of records it has read, in exactly
+    git's shape with printable-ASCII names and emails and values that
+    _parse_header and _parse_numstat accept; only their shas are checked
+    here, for duplicates. Every other record (every record without the
+    compiled kernels) it hands back as its byte offset, and that record is
+    parsed on its own. Either way an error names the first faulty record,
+    with the message, type, byte offset and record index those two
+    functions give.
     """
+    from paydev.ml import kernels  # the scanner is compiled with the tree kernels
+
     if hasattr(stream, "read"):
         data = stream.read()
     else:
         data = stream
     if isinstance(data, str):
         data = data.encode("utf-8")
+    elif type(data) is not bytes:
+        data = bytes(data)  # the scanner reads the buffer of a bytes object
 
     if not data:
         return Commits()
@@ -251,18 +295,35 @@ def parse_git_log(stream) -> Commits:
     if first < 0 or data[:first].strip():
         raise ParseError("input does not start with a record sentinel", byte_offset=0)
 
-    rows = []
+    shas, names, emails = strings = ([], [], [])
+    ints = []  # (4, n) int64 arrays in record order, one per run of records
+    loose = []  # the int fields of the records parsed one by one since the last run
     seen: set[str] = set()
-    pos = first + 1  # byte offset of the current chunk
-    for index, chunk in enumerate(data[pos:].split(b"\x1e")):
-        header, _, body = chunk.partition(b"\n")
-        row = _parse_header(header, pos, index)
-        if row[0] in seen:
-            raise DuplicateShaError(f"duplicate commit id {row[0]}")
-        seen.add(row[0])
-        rows.append(row + _parse_numstat(body, pos + len(header) + 1, index))
-        pos += len(chunk) + 1
-    return Commits(*zip(*rows), message=[""] * len(rows))  # the export has no message
+    index = 0
+    for item in kernels.scan_git_log(data, first + 1):
+        if type(item) is int:  # the offset of a record the scanner declined
+            end = data.find(b"\x1e", item)
+            header, _, body = data[item:end if end >= 0 else len(data)].partition(b"\n")
+            sha, name, email, ts, tz = _parse_header(header, item, index)
+            if sha in seen:
+                raise DuplicateShaError(f"duplicate commit id {sha}")
+            seen.add(sha)
+            shas.append(sha)
+            names.append(name)
+            emails.append(email)
+            loose.append((ts, tz, *_parse_numstat(body, item + len(header) + 1, index)))
+            index += 1
+            continue
+        numbers, texts = item
+        _add_run(texts[0::3], seen, shas)
+        index += numbers.shape[1]
+        for k, column in enumerate(strings):
+            column += texts[k::3]
+        ints += (_int_columns(loose), numbers)
+        loose = []
+    ints.append(_int_columns(loose))
+    # the export has no message
+    return Commits(shas, names, emails, *np.concatenate(ints, axis=1), [""] * len(shas))
 
 
 def write_canonical(commits, fileobj) -> None:
@@ -343,26 +404,6 @@ def _line_row(raw, name, seen, lineno):
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
     return _checked_row(obj, seen, lineno)
-
-
-def _add_run(run, seen, shas, lineno):
-    """Adds the shas of a scanned run that starts on line `lineno` to `seen`,
-    which holds those in `shas`; raises DuplicateShaError at the first one
-    seen before, in line order."""
-    before = len(seen)
-    seen.update(run)
-    if len(seen) == before + len(run):
-        return
-    earlier = set(shas)
-    for i, sha in enumerate(run):
-        if sha in earlier:
-            raise DuplicateShaError(f"duplicate commit id {sha}", line=lineno + i)
-        earlier.add(sha)
-
-
-def _int_columns(rows):
-    """The (4, n) int64 array of n rows of the four int fields."""
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
 def read_canonical(fileobj, name="input") -> Commits:

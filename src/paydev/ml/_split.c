@@ -9,7 +9,10 @@
  * count), -1 when out of memory, -2 when a row or node index is out of
  * range, -3 when a label is neither 0 nor 1. scan_canonical reads the
  * lines of a canonical commit file that ingest.write_canonical's layout
- * and ingest._checked_row's value checks both accept. */
+ * and ingest._checked_row's value checks both accept, and scan_git_log the
+ * records of a git-log export in exactly git's shape whose values
+ * ingest._parse_header and ingest._parse_numstat accept. Both scanners
+ * decline everything else, raise nothing and copy out only the strings. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -442,6 +445,166 @@ int64_t scan_canonical(const char *data, int64_t start, int64_t end, int64_t cap
         n++;
         p = q;
         out = o;
+    }
+    info[0] = p - data;
+    info[1] = out - text;
+    return n;
+}
+
+/* ---------------------------------------------------------- git-log records
+ * A record of ingest.GIT_EXPORT_COMMAND's export, after its 0x1E sentinel:
+ *
+ *   <%H>\x1f<%an>\x1f<%ae>\x1f<%at>\x1f<%ad>\n<numstat lines>
+ *
+ * up to the next 0x1E or the end of the data. The scanner takes a record
+ * only when the sha is 40 lowercase hex digits; the name and the email are
+ * printable ASCII (the email is lowercased here); %at is -?[0-9]{1,18};
+ * the last space-separated token of %ad, which holds no 0x1F, is [+-]hhmm
+ * within +-1440 minutes, with the local instant in years 1-9999; and every
+ * numstat line is empty or (digits|-)\t(digits|-)\t<path> with at most 18
+ * digits per count and sums that fit an int64. Any other record, valid or
+ * not, is declined and left to ingest._parse_header and
+ * ingest._parse_numstat, which read such records the same way. */
+
+static int hex40(const char *s)
+{
+    for (int i = 0; i < 40; i++)
+        if (!((s[i] >= '0' && s[i] <= '9') || (s[i] >= 'a' && s[i] <= 'f')))
+            return 0;
+    return 1;
+}
+
+/* The end of a printable-ASCII field that a 0x1F ends, or NULL. */
+static const char *printable(const char *p, const char *end)
+{
+    while (p < end && *p >= 0x20 && *p <= 0x7e)
+        p++;
+    return p < end && *p == 0x1f ? p : NULL;
+}
+
+/* At most 18 digits from *p (no sign) into *v; *p moves past them. */
+static int digits(const char **p, const char *end, int64_t *v)
+{
+    const char *q = *p;
+    int64_t x = 0;
+    while (q < end && *q >= '0' && *q <= '9' && q - *p < 19)
+        x = x * 10 + (*q++ - '0');
+    if (q == *p || q - *p > 18)
+        return 0;
+    *v = x;
+    *p = q;
+    return 1;
+}
+
+/* One numstat count, digits or '-' (*v = -1), followed by a tab. */
+static int count(const char **p, const char *end, int64_t *v)
+{
+    if (*p < end && **p == '-') {
+        *v = -1;
+        (*p)++;
+    } else if (!digits(p, end, v)) {
+        return 0;
+    }
+    return *p < end && *(*p)++ == '\t';
+}
+
+/* Scans the records of data[start..end) from start, which is one past a
+ * 0x1E, up to the first record it declines, at most cap records, and while
+ * their strings fit the text_cap bytes of text. Record k's four ints go to
+ * ints[k], ints[cap + k], ints[2 cap + k] and ints[3 cap + k] (timestamp,
+ * offset, lines added, lines deleted; -1 and -1 when every numstat line is
+ * a binary file), and its sha, name and email, each followed by '\n', to
+ * text. Returns the number of records taken; info[0] is the offset of the
+ * first record not taken (0 when the last record was taken) and info[1] the
+ * bytes written to text. */
+int64_t scan_git_log(const char *data, int64_t start, int64_t end, int64_t cap,
+                     int64_t *ints, char *text, int64_t text_cap, int64_t *info)
+{
+    const char *p = data + start, *stop = data + end;
+    char *out = text, *text_end = text + text_cap;
+    int64_t n = 0;
+    while (n < cap) {
+        const char *rec_end = memchr(p, 0x1e, stop - p);
+        if (rec_end == NULL)
+            rec_end = stop;
+        const char *name = p + 41, *name_end, *email_end;
+        if (rec_end - p < 41 || p[40] != 0x1f || !hex40(p)
+            || (name_end = printable(name, rec_end)) == NULL
+            || (email_end = printable(name_end + 1, rec_end)) == NULL)
+            break;
+        const char *q = email_end + 1;
+        int64_t ts, tz;
+        int neg = q < rec_end && *q == '-';
+        q += neg;
+        if (!digits(&q, rec_end, &ts) || q == rec_end || *q != 0x1f)
+            break;
+        ts = neg ? -ts : ts;
+        const char *ad = q + 1, *ad_end = memchr(ad, '\n', rec_end - ad);
+        if (ad_end == NULL)
+            ad_end = rec_end;
+        if (memchr(ad, 0x1f, ad_end - ad) != NULL || ad_end - ad < 5)
+            break;
+        const char *z = ad_end - 5;
+        if ((z[0] != '+' && z[0] != '-') || (z > ad && z[-1] != ' '))
+            break;
+        int ok = 1;
+        for (int i = 1; i < 5; i++)
+            ok &= z[i] >= '0' && z[i] <= '9';
+        if (!ok)
+            break;
+        tz = ((z[1] - '0') * 10 + (z[2] - '0')) * 60 + (z[3] - '0') * 10 + (z[4] - '0');
+        tz = z[0] == '-' ? -tz : tz;
+        if (tz < -1440 || tz > 1440 || ts + 60 * tz < LOCAL_MIN || ts + 60 * tz > LOCAL_MAX)
+            break;
+
+        /* numstat lines, from the line after the header to the record's end */
+        int64_t added = 0, deleted = 0;
+        int numeric = 0, binary = 0;
+        const char *line = ad_end < rec_end ? ad_end + 1 : rec_end;
+        while (ok && line < rec_end) {
+            const char *line_end = memchr(line, '\n', rec_end - line);
+            if (line_end == NULL)
+                line_end = rec_end;
+            if (line_end > line) {
+                const char *c = line;
+                int64_t a, d;
+                ok = count(&c, line_end, &a) && count(&c, line_end, &d) && c < line_end;
+                if (ok && (a < 0 || d < 0)) {
+                    binary = 1;
+                } else if (ok) {
+                    ok = added <= INT64_MAX - a && deleted <= INT64_MAX - d;
+                    added += a;
+                    deleted += d;
+                    numeric = 1;
+                }
+            }
+            line = line_end + 1;
+        }
+        int64_t size = 41 + (name_end - name) + 1 + (email_end - name_end);  /* each with its '\n' */
+        if (!ok || size > text_end - out)
+            break;
+
+        memcpy(out, p, 40);
+        out[40] = '\n';
+        out += 41;
+        memcpy(out, name, name_end - name);
+        out += name_end - name;
+        *out++ = '\n';
+        for (const char *c = name_end + 1; c < email_end; c++)
+            *out++ = *c >= 'A' && *c <= 'Z' ? *c + ('a' - 'A') : *c;
+        *out++ = '\n';
+        if (binary && !numeric)
+            added = deleted = -1;
+        ints[n] = ts;
+        ints[cap + n] = tz;
+        ints[2 * cap + n] = added;
+        ints[3 * cap + n] = deleted;
+        n++;
+        if (rec_end == stop) {
+            p = data;  /* no record is left */
+            break;
+        }
+        p = rec_end + 1;
     }
     info[0] = p - data;
     info[1] = out - text;

@@ -1,6 +1,7 @@
-"""The tree grower, the forest predictor and the canonical-line scanner:
-grow_tree, forest_sum and scan_canonical, the one place that chooses
-between their compiled and numpy forms, which give the same results.
+"""The tree grower, the forest predictor and the two record scanners:
+grow_tree, forest_sum, scan_canonical and scan_git_log, the one place that
+chooses between their compiled and Python forms, which give the same
+results.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
@@ -19,6 +20,16 @@ hold no `"` or `\\`, ints of at most 18 digits and values that pass
 ingest._checked_row, and raises nothing: every other line (every line
 without a compiler, where scan_canonical is `iter`) is handed back as bytes
 for the per-line reader, which alone raises the reader's errors.
+
+scan_git_log reads the records of a git-log export for
+ingest.parse_git_log from the buffer it already holds. Its C scanner takes
+only records in exactly git's shape (a 40-hex sha, printable-ASCII name and
+email, %at of at most 18 digits, a [+-]hhmm offset at the end of %ad,
+numstat lines `(digits|-)\t(digits|-)\t<path>` or empty) with values that
+ingest._parse_header and ingest._parse_numstat accept, and raises nothing:
+every other record (every record without a compiler, where scan_git_log is
+record_offsets) is handed back as its byte offset for those two functions,
+which alone raise the parser's errors.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -64,6 +75,8 @@ def _load():
     lib.forest_sum.restype = ctypes.c_int
     lib.scan_canonical.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
     lib.scan_canonical.restype = i64
+    lib.scan_git_log.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
+    lib.scan_git_log.restype = i64
     return lib
 
 
@@ -396,6 +409,41 @@ def _c_scan_canonical(fileobj):
                 pos = line_end
 
 
+def record_offsets(data, pos):
+    """The byte offset of each record of the git-log export `data` from
+    `pos` on: pos, then one past each later 0x1E."""
+    while pos:
+        yield pos
+        pos = data.find(b"\x1e", pos) + 1
+
+
+RUN_RECORDS = 1 << 14  # the git-log scanner takes at most this many records per call
+
+
+def _c_scan_git_log(data, pos):
+    """The records of the git-log export `data` (bytes) from byte `pos`, one
+    past a 0x1E, on, in order: each run of records that scan_git_log in
+    _split.c takes as (ints, strings), and each record it declines as its
+    byte offset. ints is a (4, n) int64 array of the run's timestamp_utc,
+    tz_offset_minutes, lines_added and lines_deleted; strings lists its 3n
+    strings, sha, author_name and author_email (lowercased) record by
+    record. A run ends early when its strings fill BLOCK_BYTES; a record
+    whose strings alone do not fit is declined."""
+    ints = np.empty((4, RUN_RECORDS), dtype=np.int64)
+    text = ctypes.create_string_buffer(BLOCK_BYTES)
+    info = (ctypes.c_int64 * 2)()
+    while pos:
+        n = _lib.scan_git_log(data, pos, len(data), RUN_RECORDS, ints.ctypes.data, text,
+                              BLOCK_BYTES, info)
+        if n:  # each string ends with a line feed; the last one is dropped before the split
+            strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
+            yield ints[:, :n].copy(), strings
+            pos = info[0]
+        else:
+            yield pos
+            pos = data.find(b"\x1e", pos) + 1
+
+
 # (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the
 # row's leaf probability pos/n
 forest_sum = _forest_sum_py if _lib is None else _c_forest_sum
@@ -403,6 +451,10 @@ forest_sum = _forest_sum_py if _lib is None else _c_forest_sum
 # compiled kernels every line is handed back, for ingest.read_canonical's
 # per-line reader
 scan_canonical = iter if _lib is None else _c_scan_canonical
+# (export bytes, offset of its first record) -> its records in scanned runs
+# and declined offsets; without the compiled kernels every record's offset,
+# for ingest.parse_git_log's per-record parser
+scan_git_log = record_offsets if _lib is None else _c_scan_git_log
 BACKEND = "python" if _lib is None else "c"
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paydev.features import history
+from paydev.features import histories
+from paydev.identity import Identity
 from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
 
 
@@ -39,8 +40,9 @@ def rows(commits):
 
 
 def history_of(records):
-    """features.history of a list of CommitRecords."""
-    return history(Commits.from_records(records))
+    """The History of a list of CommitRecords as one identity's commits."""
+    commits = Commits.from_records(records)
+    return histories([Identity("dev", commit_shas=set(commits.sha))], commits)["dev"]
 
 
 @pytest.fixture

@@ -833,21 +833,21 @@ class TestCommits:
 
 
 class TestLocalTimeOnce:
-    """Each studied identity's commits are calendared once, in
-    features.history; labels and baselines read that History."""
+    """The studied identities' commits are calendared once per command, in
+    features.histories; labels and baselines read those Histories."""
 
-    def test_one_to_local_per_studied_identity(self, corpus, tmp_path, monkeypatch):
+    def test_one_to_local_per_command(self, corpus, tmp_path, monkeypatch):
         records, labels = corpus
-        studied = sum(n > 40 for n in _identity_sizes(records, tmp_path))
         calls = []
         real = features.to_local
-        monkeypatch.setattr(features, "to_local", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(features, "to_local", lambda *a: calls.append(len(a[0])) or real(*a))
 
         def elsewhere(*args):
-            raise AssertionError("to_local called outside features.history")
+            raise AssertionError("to_local called outside features.histories")
 
         monkeypatch.setattr(labels_mod, "to_local", elsewhere)
         monkeypatch.setattr(evaluation, "to_local", elsewhere)
+        studied = sum(n for n in _identity_sizes(records, tmp_path) if n > 40)
         for argv in (
             ["commits", str(records), "--labels", str(_dated_labels(labels, tmp_path)),
              "--min-commits", "40", "--forest-trees", "10", "--out", str(tmp_path / "c.json")],
@@ -856,7 +856,7 @@ class TestLocalTimeOnce:
         ):
             calls.clear()
             assert run_cli(*argv) == 0
-            assert len(calls) == studied
+            assert calls == [studied]  # one call over every studied identity's commits
 
 
 class TestConfigFile:
@@ -903,6 +903,20 @@ class TestConfigFile:
                        "randomforest", "--forest-trees", "3", "--config", str(cfg),
                        "--out", str(model)) == 3
         assert "forest_mtry" in capsys.readouterr().err and not model.exists()
+
+    @pytest.mark.parametrize("line, classifier", [
+        ("tree_cp=nan", "rpart"), ("tree_cp=inf", "rpart"), ("logit_l2=nan", "logit"),
+    ])
+    def test_non_finite_config_exit_3(self, corpus, tmp_path, capsys, line, classifier):
+        """NaN passes `<= 0` and `< 0`, and inf passes `tree_cp >= 0`; both
+        are config faults, so no model is written that predict would reject."""
+        records, labels = corpus
+        features, cfg, model = tmp_path / "f.csv", tmp_path / "c.cfg", tmp_path / "m.json"
+        assert run_cli("features", str(records), "--out", str(features)) == 0
+        cfg.write_text(line + "\n")
+        assert run_cli("train", str(features), "--labels", str(labels), "--classifier",
+                       classifier, "--config", str(cfg), "--out", str(model)) == 3
+        assert "must be finite" in capsys.readouterr().err and not model.exists()
 
 
 class TestAtomicWrites:

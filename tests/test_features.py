@@ -14,9 +14,12 @@ from paydev.features import (
     commit_features,
     developer_features,
     feature_matrix,
+    histories,
     read_features_csv,
     write_features_csv,
 )
+from paydev.identity import Identity
+from paydev.ingest import Commits
 
 # Frozen from tests/oracle_features.py (run before the implementation).
 FIXTURE_EXPECTED = {
@@ -310,3 +313,31 @@ class TestHistory:
             "hired" if date(2017, 1, 3) <= d <= date(2017, 1, 5) else "volunteer"
             for d in local_dates
         ]
+
+    def test_histories_equal_one_identity_at_a_time(self, rng):
+        """histories over several identities (one empty, one sharing every
+        instant with another) gives each identity the History it has alone."""
+        commits = _tied_commits(rng, n=90)
+        rng.shuffle(commits)
+        table = Commits.from_records(commits)
+        owners = {c.sha: f"id{k % 4}" for k, c in enumerate(commits)}
+        identities = [Identity(f"id{k}", commit_shas={s for s, o in owners.items()
+                                                       if o == f"id{k}"}) for k in (2, 0, 3, 1)]
+        identities.append(Identity("none"))
+        got = histories(identities, table)
+        assert list(got) == ["id2", "id0", "id3", "id1", "none"]
+        for ident in identities:
+            alone = history_of([c for c in commits if c.sha in ident.commit_shas])
+            h = got[ident.id]
+            assert (h.sha, h.email) == (alone.sha, alone.email)
+            for a, b in zip((h.ts, h.lines, *h.local), (alone.ts, alone.lines, *alone.local)):
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            if h.sha:
+                assert developer_features(h) == developer_features(alone)
+
+    def test_arrays_are_read_only(self, fixture_commits):
+        """Histories share their arrays, so none of them may be written."""
+        h = history_of(fixture_commits)
+        for array in (h.ts, h.lines, *h.local):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

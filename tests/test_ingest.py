@@ -30,17 +30,18 @@ from paydev.ml import kernels
 SHA_A = "a" * 40
 SHA_B = "b" * 40
 
-# read_canonical with the compiled scanner, where there is one, and without
+# the readers with the compiled scanners, where there are any, and without
 SCANNER_MODES = (True, False) if kernels.BACKEND == "c" else (False,)
 
 
 @contextmanager
 def scanning(on):
-    """read_canonical with the compiled scanner (`on`) or with every line
-    read on its own."""
+    """read_canonical and parse_git_log with the compiled scanners (`on`),
+    or with every line and every record read on its own."""
     with pytest.MonkeyPatch.context() as mp:
         if not on:
             mp.setattr(kernels, "scan_canonical", iter)
+            mp.setattr(kernels, "scan_git_log", kernels.record_offsets)
         yield
 
 
@@ -161,14 +162,34 @@ class TestParseGitLog:
         assert recs[0].tz_offset_minutes == -90
         assert recs[1].lines_added == 1
 
+    @pytest.mark.parametrize("at", [" +1_483_348_800 ", "+1483348800", " 1483348800",
+                                    "1483348800 ", "1_483_348_800", "1483348800\r", "-", ""])
+    def test_timestamp_is_digits_only(self, at):
+        """%at is -?[0-9]+, as git writes it: no sign, space or underscore
+        that int() would accept."""
+        data = record_bytes(SHA_B) + b"\n" + record_bytes(SHA_A, at=at)
+        for on in SCANNER_MODES:
+            with scanning(on), pytest.raises(ParseError) as exc:
+                parse_git_log(data)
+            assert str(exc.value).startswith(f"malformed timestamp {at!r}")
+            assert exc.value.record_index == 1
+
+    @pytest.mark.parametrize("at, ts", [("-0", 0), ("007", 7), ("-3600", -3600)])
+    def test_timestamp_spellings(self, at, ts):
+        for on in SCANNER_MODES:
+            with scanning(on):
+                assert parse_git_log(record_bytes(SHA_A, at=at)).timestamp_utc.tolist() == [ts]
+
     @given(st.binary(max_size=400))
     @settings(max_examples=300, deadline=None)
     def test_never_raises_unstructured(self, blob):
-        try:
-            result = parse_git_log(blob)
-        except (ParseError, DuplicateShaError):
-            return
-        assert isinstance(result, Commits)
+        for on in SCANNER_MODES:
+            with scanning(on):
+                try:
+                    result = parse_git_log(blob)
+                except (ParseError, DuplicateShaError):
+                    continue
+            assert isinstance(result, Commits)
 
 
 def _one(ts, off):
@@ -696,3 +717,180 @@ class TestNumstatBound:
         data = record_bytes(SHA_B) + b"\n" + record_bytes(SHA_A, numstat=numstat)
         with pytest.raises(ParseError, match=f"line counts exceed {2**63 - 1}.*record 1"):
             parse_git_log(data)
+
+
+# ------------------------------------------------------------ git-log scanner
+
+_GIT_SHAS = [sha_of(i) for i in range(6)]
+_NUMSTAT_LINES = [b"3\t1\ta.c", b"0\t0\tb", b"-\t-\timg.png", b"", b"12\t7\tsrc/x y.c",
+                  b"1\t0\told => new"]
+_GIT_MUTATIONS = {
+    # field or line -> the values a mutation puts there
+    "name": [b"Al\xc3\xa9", b"\xff", b"A\x00b", b"A\x7f", b"\x1b[0m", b"A\tB", b"A\rB", b"",
+             b" "],
+    "email": [b"\xc3\x89@X.ORG", b"a\x00@x", b"A B@X", b""],
+    "at": [b"+1", b" 1483348800", b"1483348800 ", b"1_0", b"9" * 19, b"0" * 19, b"9" * 5000,
+           b"", b"-", b"-0", b"007", b"0x10", str(LOCAL_MAX).encode(),
+           str(LOCAL_MIN).encode(), str(LOCAL_MAX + 1).encode()],
+    "offset": [b"+2400", b"-2400", b"+2401", b"-2401", b"+05x0", b"0500", b"+050", b"+00000",
+               b"", b"+9999", b"-0000", b"+0500 ", b"+0500\r", b"\t+0500"],
+    "line": [b"-\t5\ta.c", b"5\t-\ta.c", b"-\t-\t", b"9" * 18 + b"\t1\ta", b"9" * 19 + b"\t1\ta",
+             b"9" * 5000 + b"\t0\ta", f"{2**63 - 1}\t0\ta".encode(), b"3 1 a.c", b"3\t\t1\ta",
+             b"3 \t1\ta", b"3\t1\t", b"3\t1\ta\r", b" ", b"\t", b" \t ", b"\r", b"x\ty\tz",
+             b"3\t1\ta\x1eb.c", b"3\t1"],
+}
+
+
+@st.composite
+def _git_export(draw):
+    """A valid export of 1-5 records built with record_bytes, with 0-3
+    mutations, and with or without its final line feed."""
+    n = draw(st.integers(1, 5))
+    records = []  # [header fields, numstat lines] per record
+    for sha in draw(st.permutations(_GIT_SHAS))[:n]:
+        offset = draw(st.sampled_from(["+0500", "-0130", "+0000", "+2400", "-2400"]))
+        numstat = b"\n".join(draw(st.lists(st.sampled_from(_NUMSTAT_LINES), max_size=4)))
+        data = record_bytes(sha, name=draw(st.sampled_from(["Alice", "Dev 0001", "o'Neil"])),
+                            email=draw(st.sampled_from(["A@X.COM", "dev@example.org"])),
+                            at=draw(st.integers(-10**10, 10**10)),
+                            ad=f"2017-01-02 14:00:00 {offset}", numstat=numstat.decode())
+        header, _, body = data[1:].partition(b"\n")
+        records.append([header.split(b"\x1f"), body.split(b"\n")])
+    for _ in range(draw(st.integers(0, 3))):
+        fields, lines = draw(st.sampled_from(records))
+        kind = draw(st.sampled_from([*_GIT_MUTATIONS, "sha", "dup_sha", "fields", "cr",
+                                     "ad_spaces", "blank"]))
+        # after a "fields" mutation the header may hold fewer fields
+        if kind in ("name", "email", "at"):
+            k = min(("name", "email", "at").index(kind) + 1, len(fields) - 1)
+            fields[k] = draw(st.sampled_from(_GIT_MUTATIONS[kind]))
+        elif kind == "offset":
+            fields[-1] = fields[-1][:-5] + draw(st.sampled_from(_GIT_MUTATIONS[kind]))
+        elif kind == "line":
+            line = draw(st.sampled_from(_GIT_MUTATIONS[kind]))
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif kind == "sha":
+            fields[0] = draw(st.sampled_from([fields[0].upper(), fields[0][:39], b"g" * 40]))
+        elif kind == "dup_sha":
+            fields[0] = draw(st.sampled_from(records))[0][0]
+        elif kind == "fields":
+            fields.insert(draw(st.integers(0, len(fields))), b"extra")
+            if draw(st.booleans()):  # one field fewer than it started with
+                del fields[draw(st.integers(0, len(fields) - 1))]
+                del fields[draw(st.integers(0, len(fields) - 1))]
+        elif kind == "cr":
+            k = draw(st.integers(0, len(fields) - 1))
+            cut = draw(st.integers(0, len(fields[k])))
+            fields[k] = fields[k][:cut] + b"\r" + fields[k][cut:]
+        elif kind == "ad_spaces":
+            fields[-1] = fields[-1].replace(b" ", draw(st.sampled_from([b"  ", b"\t", b" \t"])), 1)
+        else:  # a blank line, or a line of white space
+            line = draw(st.sampled_from([b"", b" ", b"\t", b" \t "]))
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    data = b"\n".join(b"\x1e" + b"\x1f".join(fields) + b"\n" + b"\n".join(lines)
+                      for fields, lines in records)
+    return data if draw(st.booleans()) else data.rstrip(b"\n")
+
+
+def _git_outcome(data):
+    """parse_git_log's rows on `data`, or its error as (type, message, byte
+    offset, record index); the same with the compiled scanner and without."""
+    outcomes = []
+    for on in SCANNER_MODES:
+        with scanning(on):
+            try:
+                outcomes.append(rows(parse_git_log(data)))
+            except (ParseError, DuplicateShaError) as exc:
+                outcomes.append((type(exc), str(exc), getattr(exc, "byte_offset", None),
+                                 getattr(exc, "record_index", None)))
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    return outcomes[0]
+
+
+class TestGitLogScanner:
+    @given(_git_export())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_with_and_without_the_scanner(self, data):
+        _git_outcome(data)
+
+    def test_runs_longer_than_a_call(self):
+        """More records than one scanner call takes, with a declined record
+        (CRLF) and a duplicate sha far past the first run."""
+        n = kernels.RUN_RECORDS + 5
+        records = [record_bytes(sha_of(i), numstat="1\t2\ta.c\n") for i in range(n)]
+        records[n // 2] = record_bytes(sha_of(n // 2), numstat="1\t2\ta.c\r\n")
+        data = b"\n".join(records)
+        got = _git_outcome(data)
+        assert len(got) == n and got[n // 2].lines_added == 1
+        got = _git_outcome(data + b"\n" + record_bytes(sha_of(n - 3)))
+        assert got == (DuplicateShaError, f"duplicate commit id {sha_of(n - 3)}", None, None)
+
+    def test_strings_past_the_text_buffer(self):
+        """A record whose strings alone fill more than a call's text buffer
+        is declined and read by the per-record parser."""
+        long_name = "x" * (kernels.BLOCK_BYTES + 1)
+        data = (record_bytes(SHA_A) + b"\n" + record_bytes(SHA_B, name=long_name) + b"\n"
+                + record_bytes("c" * 40))
+        got = _git_outcome(data)
+        assert [r.author_name for r in got] == ["Alice", long_name, "Alice"]
+
+
+_GOOD_GIT = record_bytes(SHA_A, numstat="3\t1\ta.c\n-\t-\timg.png\n\n")
+
+
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="no compiled scanner")
+@pytest.mark.parametrize("old, new, taken", [
+    (b"", b"", True),
+    (b"Alice", b"", True),
+    (b"Alice", b"Al ice~", True),
+    (b"Alice", b"Al\xc3\xa9ce", False),
+    (b"Alice", b"Al\x7fce", False),
+    (b"Alice", b"Al\tce", False),
+    (b"A@X.COM", b"a@x.com", True),
+    (b"A@X.COM", b"A@X\x01.COM", False),
+    (b"A@X.COM\x1f", b"A@X.COM\x1fextra\x1f", False),
+    (SHA_A.encode(), b"A" * 40, False),
+    (b"1483348800", b"-0", True),
+    (b"1483348800", b"0" * 18, True),
+    (b"1483348800", b"0" * 19, False),
+    (b"1483348800", b"9" * 18, False),
+    (b"1483348800", b"+1483348800", False),
+    (b"1483348800", b" 1483348800", False),
+    (b"+0500", b"+2400", True),
+    (b"+0500", b"-2400", True),
+    (b"+0500", b"+2401", False),
+    (b"+0500", b"+05x0", False),
+    (b"+0500", b"+0500 ", False),
+    (b"+0500", b"+0500\r", False),
+    (b" +0500", b"\t+0500", False),
+    (b"2017-01-02 14:00:00 +0500", b"+0500", True),
+    (b"2017-01-02 14:00:00 ", b"\xff\r ", True),
+    (b"3\t1\ta.c", b"3 1 a.c", False),
+    (b"3\t1\ta.c", b"3\t1\t", False),
+    (b"3\t1\ta.c", b"3\t1\t\t", True),
+    (b"3\t1\ta.c", b"3\t1\ta.c\r", True),
+    (b"3\t1\ta.c", b"9" * 18 + b"\t1\ta.c", True),
+    (b"3\t1\ta.c", b"9" * 19 + b"\t1\ta.c", False),
+    (b"3\t1\ta.c", b"-\t1\ta.c", True),
+    (b"3\t1\ta.c", b"-5\t1\ta.c", False),
+    (b"3\t1\ta.c", b"\n".join([b"9" * 18 + b"\t0\ta"] * 9), True),  # sums to 9e18 - 9
+    (b"3\t1\ta.c", b"\n".join([b"9" * 18 + b"\t0\ta"] * 10), False),  # past int64
+    (b"\n\n", b"\n \n", False),
+    (b"\n\n", b"\n\r\n", False),
+    (b"\n\n", b"", True),
+])
+def test_git_scanner_takes_only_git_shape(old, new, taken):
+    """kernels.scan_git_log takes a record only in exactly git's shape, with
+    printable-ASCII names and emails and values the per-record parser
+    accepts; what it takes, it reads as that parser does."""
+    data = _GOOD_GIT.replace(old, new, 1) if old else _GOOD_GIT
+    assert data != _GOOD_GIT or not old
+    item = next(kernels.scan_git_log(data, 1))
+    assert (type(item) is tuple) == taken
+    if taken:
+        with scanning(False):
+            (want,) = rows(parse_git_log(data))
+        numbers, strings = item
+        assert numbers[:, 0].tolist() == [want.timestamp_utc, want.tz_offset_minutes,
+                                          want.lines_added, want.lines_deleted]
+        assert strings == [want.sha, want.author_name, want.author_email]
