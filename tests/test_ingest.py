@@ -736,7 +736,7 @@ _GIT_MUTATIONS = {
                b"", b"+9999", b"-0000", b"+0500 ", b"+0500\r", b"\t+0500"],
     "line": [b"-\t5\ta.c", b"5\t-\ta.c", b"-\t-\t", b"9" * 18 + b"\t1\ta", b"9" * 19 + b"\t1\ta",
              b"9" * 5000 + b"\t0\ta", f"{2**63 - 1}\t0\ta".encode(), b"3 1 a.c", b"3\t\t1\ta",
-             b"3 \t1\ta", b"3\t1\t", b"3\t1\ta\r", b" ", b"\t", b" \t ", b"\r", b"x\ty\tz",
+             b"3 \t1\ta", b"3\t1\t", b"3\t1\ta\r", b"\r", b"x\ty\tz",
              b"3\t1\ta\x1eb.c", b"3\t1"],
 }
 
