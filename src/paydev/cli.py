@@ -8,7 +8,7 @@ atomically (temp file + rename).
 Exit codes:
   0 success
   1 internal error
-  2 missing or unreadable input file
+  2 missing or unreadable input file, or an output file that cannot be written
   3 schema or parse violation (git log, canonical JSONL, CSVs, config)
   4 feature columns do not match the model
   5 labels resolve to a single class (or an identity is unlabeled)
@@ -17,6 +17,13 @@ Exit codes:
 All randomness flows from the config seed through numpy's PCG64
 (numpy.random.default_rng); reruns with the same inputs and config are
 byte-identical.
+
+This module imports, at the top, only what every command needs; each
+command imports the rest of paydev (and numpy) where it runs it, so
+`ingest` and `identities` never load numpy. The names other code wraps
+(parse_git_log, read_canonical, write_canonical, read_identity_map,
+write_identity_map here; identity.merge_identities, ml.fit_* and the like)
+are looked up as module attributes when called.
 """
 
 from __future__ import annotations
@@ -26,22 +33,16 @@ import csv
 import json
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
-import numpy as np
-
-from paydev import evaluation as ev
-from paydev import features as feat
-from paydev import identity as ident_mod
-from paydev import labels as lab
-from paydev import linkage, ml, synth
+from paydev import native
 from paydev.config import Config, apply_overrides, load_config, validate
 from paydev.errors import (
     InputFileError,
+    OutputFileError,
     PaydevError,
     SchemaError,
     UnlabeledIdentityError,
@@ -55,19 +56,24 @@ from paydev.ingest import (
     read_canonical,
     write_canonical,
 )
-from paydev.ml import kernels
 
 
 def _atomic_write(path, writer) -> None:
+    """Write `path` through writer(text file): into a temporary file beside
+    it, then renamed over it. An OSError on the way names `path`, not the
+    temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".paydev-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".paydev-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             writer(f)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputFileError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -127,7 +133,7 @@ def _build_config(args) -> Config:
     overrides = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
     cfg = validate(apply_overrides(cfg, **overrides))
     print(f"# config: {cfg.echo()}", file=sys.stderr)
-    print(f"# kernel: {kernels.BACKEND}", file=sys.stderr)
+    print(f"# kernel: {native.BACKEND}", file=sys.stderr)
     return cfg
 
 
@@ -139,6 +145,8 @@ def _read_records(path):
 def _apply_product_filter(commits, args, cfg):
     if not getattr(args, "product_map", None):
         return commits
+    from paydev import linkage
+
     if not cfg.products:
         raise SchemaError("--product-map given but config lists no products")
     with _open_input(args.product_map) as f:
@@ -158,6 +166,8 @@ def _load_identities(args, commits, kept=None):
     --identities map, whose every sha must be in `commits` and which loses
     the commits not kept and then the identities left with none, or else
     identities merged afresh from `kept`."""
+    from paydev import identity as ident_mod
+
     kept = commits if kept is None else kept
     if getattr(args, "identities", None):
         with _open_input(args.identities) as f:
@@ -203,6 +213,8 @@ def read_identity_map(fileobj):
     id and lists of strings names, emails and commit_shas (at least one
     sha). No id may repeat, no sha may belong to two identities and no
     string may hold a lone surrogate."""
+    from paydev.identity import Identity
+
     identities, ids, owner_of = [], set(), {}
     for lineno, line in enumerate(fileobj, start=1):
         if not line.strip():
@@ -241,7 +253,7 @@ def read_identity_map(fileobj):
                 raise SchemaError(f"commit {sha} is under identities {owner!r} and "
                                   f"{ident_id!r}", line=lineno)
         identities.append(
-            ident_mod.Identity(
+            Identity(
                 id=ident_id,
                 names=set(obj["names"]),
                 emails=set(obj["emails"]),
@@ -253,6 +265,8 @@ def read_identity_map(fileobj):
 
 def _studied(identities, cfg):
     """The identities the study filter keeps; echoes both counts."""
+    from paydev import labels as lab
+
     studied = lab.study_filter(identities, cfg.min_commits)
     print(f"# identities: total={len(identities)} studied={len(studied)}", file=sys.stderr)
     return studied
@@ -260,6 +274,10 @@ def _studied(identities, cfg):
 
 def _labeled_dataset(identities, commits, label_set, cfg):
     """Join features with resolved labels; returns (dataset, histories)."""
+    from paydev import features as feat
+    from paydev import labels as lab
+    from paydev import ml
+
     filtered = _studied(identities, cfg)
     histories = feat.histories(filtered, commits)
     kept, ys = [], {}
@@ -286,6 +304,10 @@ def _labeled_dataset(identities, commits, label_set, cfg):
 def _labeled_features(path, label_set):
     """The features CSV's rows with a direct status. Dated hired periods
     resolve only against commits, so a row that has them is rejected."""
+    from paydev import features as feat
+    from paydev import labels as lab
+    from paydev import ml
+
     with _open_input(path) as f:
         X, ids, columns = feat.read_features_csv(f)
     dated = [ident_id for ident_id in ids if ident_id in label_set.periods]
@@ -303,6 +325,9 @@ def _classifiers(cfg: Config):
     """Each report name's fit(data, seed_parts), with the config's settings.
     The fits look ml's functions up when called, where a tracer may have
     wrapped them."""
+    from paydev import evaluation as ev
+    from paydev import ml
+
     mtry = cfg.forest_mtry if cfg.forest_mtry > 0 else None
     return {
         "logit": lambda data, seed_parts: ml.fit_logit(
@@ -314,7 +339,7 @@ def _classifiers(cfg: Config):
     }
 
 
-def _report_table(report: ev.EvalReport) -> str:
+def _report_table(report) -> str:
     rows = [("classifier", "auc", "precision", "recall")]
     for name, agg in report.aggregate().items():
         def fmt(value):
@@ -330,14 +355,17 @@ def _report_table(report: ev.EvalReport) -> str:
 
 
 def _write_report(obj, args) -> None:
+    """Writes an EvalReport, or a dict of them by name, as JSON or a table."""
+    from paydev.evaluation import EvalReport
+
     if getattr(args, "format", "json") == "table":
-        if isinstance(obj, ev.EvalReport):
+        if isinstance(obj, EvalReport):
             text = _report_table(obj)
         else:
             text = "\n\n".join(f"[{k}]\n{_report_table(v)}" for k, v in obj.items())
         _emit(args.out, lambda f: f.write(text + "\n"))
     else:
-        if isinstance(obj, ev.EvalReport):
+        if isinstance(obj, EvalReport):
             payload = obj.as_dict()
         else:
             payload = {k: v.as_dict() for k, v in obj.items()}
@@ -350,6 +378,8 @@ def _write_report(obj, args) -> None:
 def cmd_ingest(args) -> int:
     _build_config(args)
     if os.path.isdir(args.source):
+        import subprocess
+
         git, *rest = GIT_EXPORT_COMMAND
         proc = subprocess.run([git, "-C", args.source, *rest], capture_output=True)
         if proc.returncode != 0:
@@ -371,6 +401,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from paydev import identity as ident_mod
+
     _build_config(args)
     identities = _load_identities(args, _read_records(args.records))
     report = ident_mod.identity_report(identities)
@@ -387,6 +419,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from paydev import features as feat
+
     cfg = _build_config(args)
     commits, identities = _study_records(args, cfg)
     features_by_id = feat.compute_features(feat.histories(identities, commits))
@@ -395,6 +429,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from paydev import evaluation as ev
+    from paydev import labels as lab
+    from paydev import ml
+
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
@@ -422,6 +460,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from paydev import labels as lab
+    from paydev import ml
+
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
@@ -434,6 +475,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
+    from paydev import features as feat
+    from paydev import labels as lab
+    from paydev import ml
+
     _build_config(args)
     with _open_input(args.model) as f:
         model = ml.load_model(f)
@@ -444,9 +491,10 @@ def cmd_predict(args) -> int:
         commits = _read_records(args.records)
         histories = feat.histories(_load_identities(args, commits), commits)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
-            X = np.vstack([feat.commit_features(h)[0] for h in histories.values()])
-            row_ids = [sha for h in histories.values() for sha in h.sha]
             columns = feat.COMMIT_FEATURE_COLUMNS
+            X = np.vstack([np.empty((0, len(columns))),  # the shape when no commits remain
+                           *(feat.commit_features(h)[0] for h in histories.values())])
+            row_ids = [sha for h in histories.values() for sha in h.sha]
         else:
             features_by_id = feat.compute_features(histories)
             X, row_ids, columns = feat.feature_matrix(features_by_id, mode="all")
@@ -466,6 +514,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_commits(args) -> int:
+    from paydev import evaluation as ev
+    from paydev import features as feat
+    from paydev import labels as lab
+
     cfg = _build_config(args)
     with _open_input(args.labels) as f:
         label_set = lab.load_labels(f)
@@ -484,6 +536,8 @@ def cmd_commits(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from paydev import synth
+
     cfg = _build_config(args)
     spec = synth.SynthSpec(
         n_devs=args.devs,

@@ -19,6 +19,12 @@ class InputFileError(PaydevError):
     exit_code = 2
 
 
+class OutputFileError(PaydevError):
+    """An output file that cannot be written."""
+
+    exit_code = 2
+
+
 class ParseError(PaydevError):
     """Malformed git-log export stream."""
 

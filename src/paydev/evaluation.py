@@ -17,7 +17,7 @@ from paydev import features as feat
 from paydev import labels as lab
 from paydev import ml
 from paydev.errors import SingleClassError, StratificationError
-from paydev.ingest import to_local  # noqa: F401  perfbench/tracing.py counts calls here
+from paydev.features import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 
 
 def roc_auc(scores, labels) -> float:

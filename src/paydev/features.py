@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from paydev.errors import SchemaError, csv_rows
-from paydev.ingest import LocalCalendar, to_local
+from paydev.ingest import LOCAL_MAX, LOCAL_MIN
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,37 @@ COMMIT_FEATURE_COLUMNS = [
     "dev_evening",
     "dev_office",
 ]
+
+
+class LocalCalendar(NamedTuple):
+    """Civil calendar of instants under fixed minutes-east-of-UTC offsets,
+    one int64 array per field."""
+
+    day: np.ndarray  # days since 1970-01-01
+    hour: np.ndarray
+    weekday: np.ndarray  # Monday=0 .. Sunday=6
+    iso_year: np.ndarray
+    iso_week: np.ndarray
+
+
+def to_local(ts_utc, offset_minutes) -> LocalCalendar:
+    """Civil decomposition of each ts_utc shifted by its offset_minutes.
+
+    Every local instant must fall in years 1-9999 (see ingest.LOCAL_MIN and
+    LOCAL_MAX); the readers reject records outside them.
+    """
+    offset = np.asarray(offset_minutes, dtype=np.int64)
+    if np.any(np.abs(offset) > 1440):
+        raise ValueError("tz offset out of range")
+    local = np.asarray(ts_utc, dtype=np.int64) + 60 * offset
+    if np.any(local < LOCAL_MIN) or np.any(local > LOCAL_MAX):
+        raise ValueError("local time outside years 1-9999")
+    day, secs = np.divmod(local, 86400)
+    weekday = (day + 3) % 7
+    thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
+    iso_year = thursday.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
+    jan1 = iso_year.astype("datetime64[Y]").astype("datetime64[D]").astype(np.int64)
+    return LocalCalendar(day, secs // 3600, weekday, iso_year + 1970, (thursday - jan1) // 7 + 1)
 
 
 class History(NamedTuple):
@@ -107,10 +138,14 @@ def histories(identities, commits) -> dict[str, History]:
     them; each History is a slice of those arrays."""
     rows, sizes = _owned_rows(identities, commits)
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    rows = rows[np.lexsort((commits.timestamp_utc[rows], owner))]  # stable: sha order kept
-    ts = commits.timestamp_utc[rows]
-    local = to_local(ts, commits.tz_offset_minutes[rows])
-    lines = _changed_lines(commits.lines_added[rows], commits.lines_deleted[rows])
+    # views of the table's array("q") columns, not copies
+    timestamp, offset, added, deleted = (np.asarray(c) for c in (
+        commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
+        commits.lines_deleted))
+    rows = rows[np.lexsort((timestamp[rows], owner))]  # stable: sha order kept
+    ts = timestamp[rows]
+    local = to_local(ts, offset[rows])
+    lines = _changed_lines(added[rows], deleted[rows])
     for column in (ts, lines, *local):
         column.flags.writeable = False
     out, start = {}, 0

@@ -3,22 +3,22 @@
 The importer reads the output of one documented git command (see
 GIT_EXPORT_COMMAND) and normalizes it into a Commits table whose
 timestamps carry the offset embedded in the commit metadata. Civil-time
-math uses that offset only; no timezone database is consulted, so results
-are deterministic for any input.
+math (features.to_local) uses that offset only; no timezone database is
+consulted, so results are deterministic for any input. This module imports
+no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import NamedTuple
 
-import numpy as np
-
+from paydev import native
 from paydev.errors import DuplicateShaError, ParseError, SchemaError, utf8_line
 
 # Record sentinel 0x1E starts each commit; 0x1F separates header fields.
@@ -67,12 +67,21 @@ class CommitRecord:
     message: str
 
 
+def _int_column(values):
+    """`values` as an array("q"); an array("q") itself is kept, not copied."""
+    if type(values) is array and values.typecode == "q":
+        return values
+    return array("q", values)
+
+
 class Commits:
     """Commit metadata as one table, one entry per commit in each column:
-    lists of str for sha, author_name, author_email and message, int64
-    arrays for timestamp_utc, tz_offset_minutes, lines_added and
-    lines_deleted (-1 when the commit touched only binary content).
-    Commits() is the empty table."""
+    lists of str for sha, author_name, author_email and message, and
+    stdlib array("q") int64 buffers for timestamp_utc, tz_offset_minutes,
+    lines_added and lines_deleted (-1 when the commit touched only binary
+    content), so that reading, writing and merging commits needs no numpy;
+    features.histories views the int columns with np.asarray, which does
+    not copy them. Commits() is the empty table."""
 
     __slots__ = CANONICAL_FIELDS
 
@@ -81,10 +90,10 @@ class Commits:
         self.sha = list(sha)
         self.author_name = list(author_name)
         self.author_email = list(author_email)
-        self.timestamp_utc = np.asarray(timestamp_utc, dtype=np.int64)
-        self.tz_offset_minutes = np.asarray(tz_offset_minutes, dtype=np.int64)
-        self.lines_added = np.asarray(lines_added, dtype=np.int64)
-        self.lines_deleted = np.asarray(lines_deleted, dtype=np.int64)
+        self.timestamp_utc = _int_column(timestamp_utc)
+        self.tz_offset_minutes = _int_column(tz_offset_minutes)
+        self.lines_added = _int_column(lines_added)
+        self.lines_deleted = _int_column(lines_deleted)
         self.message = list(message)
 
     @classmethod
@@ -97,42 +106,8 @@ class Commits:
 
     def take(self, rows) -> Commits:
         """The commits at the given list of row indices, in that order."""
-        index = np.array(rows, dtype=np.intp)
-        return Commits(*(
-            list(map(column.__getitem__, rows)) if type(column) is list else column[index]
-            for column in map(self.__getattribute__, CANONICAL_FIELDS)
-        ))
-
-
-class LocalCalendar(NamedTuple):
-    """Civil calendar of instants under fixed minutes-east-of-UTC offsets,
-    one int64 array per field."""
-
-    day: np.ndarray  # days since 1970-01-01
-    hour: np.ndarray
-    weekday: np.ndarray  # Monday=0 .. Sunday=6
-    iso_year: np.ndarray
-    iso_week: np.ndarray
-
-
-def to_local(ts_utc, offset_minutes) -> LocalCalendar:
-    """Civil decomposition of each ts_utc shifted by its offset_minutes.
-
-    Every local instant must fall in years 1-9999 (see LOCAL_MIN/LOCAL_MAX);
-    the readers reject records outside them.
-    """
-    offset = np.asarray(offset_minutes, dtype=np.int64)
-    if np.any(np.abs(offset) > 1440):
-        raise ValueError("tz offset out of range")
-    local = np.asarray(ts_utc, dtype=np.int64) + 60 * offset
-    if np.any(local < LOCAL_MIN) or np.any(local > LOCAL_MAX):
-        raise ValueError("local time outside years 1-9999")
-    day, secs = np.divmod(local, 86400)
-    weekday = (day + 3) % 7
-    thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
-    iso_year = thursday.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
-    jan1 = iso_year.astype("datetime64[Y]").astype("datetime64[D]").astype(np.int64)
-    return LocalCalendar(day, secs // 3600, weekday, iso_year + 1970, (thursday - jan1) // 7 + 1)
+        return Commits(*(map(column.__getitem__, rows)
+                         for column in map(self.__getattribute__, CANONICAL_FIELDS)))
 
 
 def _decode(raw: bytes) -> str:
@@ -257,9 +232,20 @@ def _add_run(run, seen, shas, lineno=None):
         earlier.add(sha)
 
 
-def _int_columns(rows):
-    """The (4, n) int64 array of n rows of the four int fields."""
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+def _int_columns():
+    """Empty timestamp_utc, tz_offset_minutes, lines_added and lines_deleted
+    columns."""
+    return tuple(array("q") for _ in range(4))
+
+
+def _append(columns, values):
+    for column, value in zip(columns, values):
+        column.append(value)
+
+
+def _extend(columns, runs):
+    for column, run in zip(columns, runs):
+        column += run
 
 
 def parse_git_log(stream) -> Commits:
@@ -269,17 +255,15 @@ def parse_git_log(stream) -> Commits:
     a byte offset and record index on malformed input, DuplicateShaError on
     repeated commit ids; never raises anything else on arbitrary bytes.
 
-    kernels.scan_git_log hands back runs of records it has read, in exactly
+    native.scan_git_log hands back runs of records it has read, in exactly
     git's shape with printable-ASCII names and emails and values that
     _parse_header and _parse_numstat accept; only their shas are checked
     here, for duplicates. Every other record (every record without the
-    compiled kernels) it hands back as its byte offset, and that record is
+    compiled library) it hands back as its byte offset, and that record is
     parsed on its own. Either way an error names the first faulty record,
     with the message, type, byte offset and record index those two
     functions give.
     """
-    from paydev.ml import kernels  # the scanner is compiled with the tree kernels
-
     if hasattr(stream, "read"):
         data = stream.read()
     else:
@@ -296,11 +280,10 @@ def parse_git_log(stream) -> Commits:
         raise ParseError("input does not start with a record sentinel", byte_offset=0)
 
     shas, names, emails = strings = ([], [], [])
-    ints = []  # (4, n) int64 arrays in record order, one per run of records
-    loose = []  # the int fields of the records parsed one by one since the last run
+    ints = _int_columns()
     seen: set[str] = set()
     index = 0
-    for item in kernels.scan_git_log(data, first + 1):
+    for item in native.scan_git_log(data, first + 1):
         if type(item) is int:  # the offset of a record the scanner declined
             end = data.find(b"\x1e", item)
             header, _, body = data[item:end if end >= 0 else len(data)].partition(b"\n")
@@ -311,19 +294,17 @@ def parse_git_log(stream) -> Commits:
             shas.append(sha)
             names.append(name)
             emails.append(email)
-            loose.append((ts, tz, *_parse_numstat(body, item + len(header) + 1, index)))
+            _append(ints, (ts, tz, *_parse_numstat(body, item + len(header) + 1, index)))
             index += 1
             continue
         numbers, texts = item
         _add_run(texts[0::3], seen, shas)
-        index += numbers.shape[1]
+        index += len(numbers[0])
         for k, column in enumerate(strings):
             column += texts[k::3]
-        ints += (_int_columns(loose), numbers)
-        loose = []
-    ints.append(_int_columns(loose))
+        _extend(ints, numbers)
     # the export has no message
-    return Commits(shas, names, emails, *np.concatenate(ints, axis=1), [""] * len(shas))
+    return Commits(shas, names, emails, *ints, [""] * len(shas))
 
 
 def write_canonical(commits, fileobj) -> None:
@@ -336,9 +317,8 @@ def write_canonical(commits, fileobj) -> None:
     emails = {e: quote(e) for e in set(commits.author_email)}
     write = fileobj.write
     for s, n, e, t, z, a, d, m in zip(
-        commits.sha, commits.author_name, commits.author_email,
-        commits.timestamp_utc.tolist(), commits.tz_offset_minutes.tolist(),
-        commits.lines_added.tolist(), commits.lines_deleted.tolist(), commits.message,
+        commits.sha, commits.author_name, commits.author_email, commits.timestamp_utc,
+        commits.tz_offset_minutes, commits.lines_added, commits.lines_deleted, commits.message,
     ):
         write(f'{{"sha": {quote(s)}, "author_name": {names[n]}, "author_email": {emails[e]}, '
               f'"timestamp_utc": {t}, "tz_offset_minutes": {z}, "lines_added": {a}, '
@@ -411,23 +391,20 @@ def read_canonical(fileobj, name="input") -> Commits:
     blank lines are skipped. `name` names the file in the error a line that
     is not UTF-8 raises.
 
-    kernels.scan_canonical hands back runs of lines it has read, in
+    native.scan_canonical hands back runs of lines it has read, in
     write_canonical's exact layout with printable-ASCII strings (without
     `"` or `\\`) and values that pass _checked_row; only their shas are
     checked here, for duplicates. Every other line it hands back as bytes
     (CRLF, blank, escaped, non-ASCII, other spacing or key order, faulty or
     the final line without a line feed; every line without the compiled
-    kernels), and that line is decoded, parsed and checked on its own.
+    library), and that line is decoded, parsed and checked on its own.
     Either way an error names the first faulty line, with the message and
     type the per-line checks give."""
-    from paydev.ml import kernels  # the scanner is compiled with the tree kernels
-
     shas, names, emails, messages = strings = ([], [], [], [])
-    ints = []  # (4, n) int64 arrays in line order, one per run of lines
-    loose = []  # the int fields of the lines read one by one since the last run
+    ints = _int_columns()
     seen: set[str] = set()
     lineno = 0
-    for item in kernels.scan_canonical(fileobj):
+    for item in native.scan_canonical(fileobj):
         if type(item) is bytes:
             lineno += 1
             row = _line_row(item, name, seen, lineno)
@@ -439,14 +416,12 @@ def read_canonical(fileobj, name="input") -> Commits:
             names.append(n)
             emails.append(e)
             messages.append(m)
-            loose.append((t, z, a, d))
+            _append(ints, (t, z, a, d))
             continue
         numbers, texts = item
         _add_run(texts[0::4], seen, shas, lineno + 1)
-        lineno += numbers.shape[1]
+        lineno += len(numbers[0])
         for k, column in enumerate(strings):
             column += texts[k::4]
-        ints += (_int_columns(loose), numbers)
-        loose = []
-    ints.append(_int_columns(loose))
-    return Commits(shas, names, emails, *np.concatenate(ints, axis=1), messages)
+        _extend(ints, numbers)
+    return Commits(shas, names, emails, *ints, messages)

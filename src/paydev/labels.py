@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 
 from paydev.errors import SchemaError, UnlabeledIdentityError, csv_rows
-from paydev.ingest import to_local  # noqa: F401  perfbench/tracing.py counts calls here
+from paydev.features import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 
 HIRED = "hired"
 VOLUNTEER = "volunteer"

@@ -1,35 +1,16 @@
-"""The tree grower, the forest predictor and the two record scanners:
-grow_tree, forest_sum, scan_canonical and scan_git_log, the one place that
-chooses between their compiled and Python forms, which give the same
-results.
+"""The tree grower and the forest predictor: grow_tree and forest_sum, the
+one place that chooses between their compiled and Python forms, which give
+the same results.
 
-On first import, _split.c is compiled with `cc` into
-~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
-through ctypes; delete that file to rebuild. Its grow_tree grows a whole
-tree in one call, searching splits in C over each feature's rows sorted
-once per fit (Presorted), and its forest_sum predicts a whole forest, or
-one CART, in one call. Without a compiler, trees grow in Python
+The compiled library is paydev.native's `lib` (_split.c, built on first
+import of that module); BACKEND says whether it loaded. Its grow_tree grows
+a whole tree in one call, searching splits in C over each feature's rows
+sorted once per fit (Presorted), and its forest_sum predicts a whole
+forest, or one CART, in one call. Without a compiler, trees grow in Python
 (_grow_tree_py), which calls the numpy best_split below node by node, and
 forests predict tree by tree (tree_proba); both give bit-identical trees
-and predictions.
-
-scan_canonical reads a canonical commit file for ingest.read_canonical in
-blocks of whole lines. Its C scanner takes only lines in
-ingest.write_canonical's exact layout, with printable-ASCII strings that
-hold no `"` or `\\`, ints of at most 18 digits and values that pass
-ingest._checked_row, and raises nothing: every other line (every line
-without a compiler, where scan_canonical is `iter`) is handed back as bytes
-for the per-line reader, which alone raises the reader's errors.
-
-scan_git_log reads the records of a git-log export for
-ingest.parse_git_log from the buffer it already holds. Its C scanner takes
-only records in exactly git's shape (a 40-hex sha, printable-ASCII name and
-email, %at of at most 18 digits, a [+-]hhmm offset at the end of %ad,
-numstat lines `(digits|-)\t(digits|-)\t<path>` or empty) with values that
-ingest._parse_header and ingest._parse_numstat accept, and raises nothing:
-every other record (every record without a compiler, where scan_git_log is
-record_offsets) is handed back as its byte offset for those two functions,
-which alone raise the parser's errors.
+and predictions. The record scanners that share the library live in
+paydev.native, which imports no numpy.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -40,50 +21,12 @@ Python.
 
 import ctypes
 import functools
-import os
-import platform
-import subprocess
-import zlib
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
-# no -march/-ffast-math: the compiled grower must match the Python one bit for bit
-_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off"]
-
-
-def _load():
-    src = Path(__file__).with_name("_split.c")
-    code = src.read_bytes()
-    key = zlib.crc32(code + " ".join(_FLAGS).encode() + platform.machine().encode())
-    lib = Path.home() / ".cache" / "paydev" / f"split-{key:08x}.so"
-    if not lib.exists():
-        lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-        subprocess.run(["cc", *_FLAGS, str(src), "-o", str(tmp)], check=True,
-                       capture_output=True)
-        os.replace(tmp, lib)
-    lib = ctypes.CDLL(str(lib))
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.choice.argtypes = [ptr, i64, i64, ptr]
-    lib.choice.restype = ctypes.c_int
-    lib.grow_tree.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, i64, f64, i64, i64, ptr,
-                              ptr, ptr, ptr]
-    lib.grow_tree.restype = i64
-    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
-    lib.forest_sum.restype = ctypes.c_int
-    lib.scan_canonical.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
-    lib.scan_canonical.restype = i64
-    lib.scan_git_log.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
-    lib.scan_git_log.restype = i64
-    return lib
-
-
-try:
-    _lib = _load()
-except (OSError, RuntimeError, subprocess.CalledProcessError):
-    _lib = None
+from paydev.native import BACKEND  # noqa: F401  perfbench/run.py reads kernels.BACKEND
+from paydev.native import lib as _lib
 
 _F64, _I8, _I64 = np.dtype(np.float64), np.dtype(np.int8), np.dtype(np.int64)
 # the address of a Generator's bitgen_t, from its bit generator's capsule
@@ -357,105 +300,9 @@ def _c_forest_sum(trees, X):
     return out
 
 
-BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
-
-
-def _blocks(fileobj):
-    """The bytes of binary `fileobj` as blocks of whole lines, each about
-    BLOCK_BYTES long or one longer line, then the final line when it has no
-    line feed."""
-    head = []  # the start of a line that has not ended yet
-    while block := fileobj.read(BLOCK_BYTES):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            head.append(block[:cut])
-            yield b"".join(head)
-            head = [block[cut:]]
-        else:
-            head.append(block)
-    rest = b"".join(head)
-    if rest:
-        yield rest
-
-
-def _c_scan_canonical(fileobj):
-    """The lines of binary `fileobj` in file order: each run of lines that
-    scan_canonical in _split.c takes as (ints, strings), and each line it
-    declines as its bytes, line feed included. ints is a (4, n) int64 array
-    of the run's timestamp_utc, tz_offset_minutes, lines_added and
-    lines_deleted; strings lists its 4n strings, sha, author_name,
-    author_email and message line by line."""
-    info = (ctypes.c_int64 * 2)()
-    for data in _blocks(fileobj):
-        end = len(data)
-        if data[-1:] != b"\n":  # the final line, without its line feed
-            yield data
-            continue
-        # room for every line the scanner can take: a canonical line has at
-        # least 188 bytes, and at most `end` bytes of strings are copied out
-        cap = end // 128 + 1
-        ints = np.empty((4, cap), dtype=np.int64)
-        text = ctypes.create_string_buffer(end)
-        ints_at, pos = ints.ctypes.data, 0
-        while pos < end:
-            n = _lib.scan_canonical(data, pos, end, cap, ints_at, text, info)
-            if n:  # each string ends with a line feed; the last one is dropped before the split
-                strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
-                yield ints[:, :n].copy(), strings
-            pos = info[0]
-            if pos < end:
-                line_end = data.index(b"\n", pos) + 1
-                yield data[pos:line_end]
-                pos = line_end
-
-
-def record_offsets(data, pos):
-    """The byte offset of each record of the git-log export `data` from
-    `pos` on: pos, then one past each later 0x1E."""
-    while pos:
-        yield pos
-        pos = data.find(b"\x1e", pos) + 1
-
-
-RUN_RECORDS = 1 << 14  # the git-log scanner takes at most this many records per call
-
-
-def _c_scan_git_log(data, pos):
-    """The records of the git-log export `data` (bytes) from byte `pos`, one
-    past a 0x1E, on, in order: each run of records that scan_git_log in
-    _split.c takes as (ints, strings), and each record it declines as its
-    byte offset. ints is a (4, n) int64 array of the run's timestamp_utc,
-    tz_offset_minutes, lines_added and lines_deleted; strings lists its 3n
-    strings, sha, author_name and author_email (lowercased) record by
-    record. A run ends early when its strings fill BLOCK_BYTES; a record
-    whose strings alone do not fit is declined."""
-    ints = np.empty((4, RUN_RECORDS), dtype=np.int64)
-    text = ctypes.create_string_buffer(BLOCK_BYTES)
-    info = (ctypes.c_int64 * 2)()
-    while pos:
-        n = _lib.scan_git_log(data, pos, len(data), RUN_RECORDS, ints.ctypes.data, text,
-                              BLOCK_BYTES, info)
-        if n:  # each string ends with a line feed; the last one is dropped before the split
-            strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
-            yield ints[:, :n].copy(), strings
-            pos = info[0]
-        else:
-            yield pos
-            pos = data.find(b"\x1e", pos) + 1
-
-
 # (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the
 # row's leaf probability pos/n
 forest_sum = _forest_sum_py if _lib is None else _c_forest_sum
-# (binary file) -> its lines in scanned runs and declined lines; without the
-# compiled kernels every line is handed back, for ingest.read_canonical's
-# per-line reader
-scan_canonical = iter if _lib is None else _c_scan_canonical
-# (export bytes, offset of its first record) -> its records in scanned runs
-# and declined offsets; without the compiled kernels every record's offset,
-# for ingest.parse_git_log's per-record parser
-scan_git_log = record_offsets if _lib is None else _c_scan_git_log
-BACKEND = "python" if _lib is None else "c"
 
 
 def available_backends():

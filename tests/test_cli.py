@@ -6,14 +6,17 @@ import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paydev import evaluation, features
+from paydev import evaluation, features, native
 from paydev import labels as labels_mod
 from paydev.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -657,6 +660,28 @@ class TestTrainPredict:
                        "--out", str(from_csv)) == 0
         assert from_records.read_bytes() == from_csv.read_bytes()
 
+    @pytest.mark.parametrize("columns", ["developer", "commit"])
+    def test_predict_from_records_without_commits(self, corpus, tmp_path, columns):
+        """A records file with no commits scores no rows, with a developer-
+        feature model and with a per-commit-feature one."""
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        if columns == "developer":
+            assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        else:
+            ids = [row[0] for row in csv.reader(labels.read_text().splitlines()[1:])]
+            csv_path.write_text("\n".join(
+                [",".join(["identity", *features.COMMIT_FEATURE_COLUMNS])]
+                + [",".join([ident_id, *(str((i * 7 + k) % 5) for k in range(15))])
+                   for i, ident_id in enumerate(ids)]) + "\n")
+        model_path, empty, preds = tmp_path / "m.json", tmp_path / "e.jsonl", tmp_path / "p.csv"
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
+                       "logit", "--out", str(model_path)) == 0
+        empty.write_text("")
+        assert run_cli("predict", str(model_path), "--records", str(empty),
+                       "--out", str(preds)) == 0
+        assert preds.read_text() == "id,probability,class\n"
+
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
@@ -929,6 +954,64 @@ class TestAtomicWrites:
                        "--out", str(out)) == 3
         assert not out.exists()
         assert not list(tmp_path.glob(".paydev-*"))
+
+    @pytest.mark.parametrize("command", ["ingest", "identities"])
+    @pytest.mark.parametrize("out, reason", [("no-dir/out.jsonl", "No such file or directory"),
+                                             ("a-dir", "Is a directory")])
+    def test_unwritable_out_names_the_path(self, corpus, tmp_path, capsys, monkeypatch,
+                                           command, out, reason):
+        records, _ = corpus
+        source = records
+        if command == "ingest":
+            source = tmp_path / "export.log"
+            source.write_bytes(_export([("Ann", "ann@x.org")]))
+        (tmp_path / "a-dir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, str(source), "--out", out) == 2
+        assert f"error: cannot write {out}: {reason}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob(".paydev-*"))
+
+
+def _export(authors):
+    """A git-log export of one commit per (name, email), a day apart; its
+    last record ends in CRLF, which the compiled scanner declines."""
+    records = [f"\x1e{i:040x}\x1f{name}\x1f{email}\x1f{1483347600 + 86400 * i}\x1f"
+               f"2017-01-02 14:00:00 +0100\n{i}\t1\ta.c\n" for i, (name, email) in enumerate(authors)]
+    records[-1] = records[-1].replace("\n", "\r\n")
+    return "\n".join(records).encode()
+
+
+# ingest and identities, run in one fresh interpreter, must never load numpy
+NUMPY_FREE = """
+import sys
+from paydev import cli, native
+assert "numpy" not in sys.modules, "import paydev.cli"
+for argv in (["ingest", "export.log", "--out", "records.jsonl"],
+             ["identities", "records.jsonl", "--out", "identities.jsonl"]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+print(native.BACKEND)
+"""
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_ingest_and_identities_import_no_numpy(tmp_path, backend):
+    """With the compiled scanners and with the fallback ones (no cc on PATH
+    and an empty library cache)."""
+    if backend == "c" and native.BACKEND != "c":
+        pytest.skip("no compiled library")
+    authors = [(f"Dev {i % 40}", f"dev{i % 40}@x.org") for i in range(200)]
+    (tmp_path / "export.log").write_bytes(_export(authors + [("Dev 1", "other@x.org")]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if backend == "python":
+        (tmp_path / "no-cc").mkdir()
+        env.update(HOME=str(tmp_path / "home"), PATH=str(tmp_path / "no-cc"))
+    r = subprocess.run([sys.executable, "-c", NUMPY_FREE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == backend  # after the identities report
+    assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 201
+    assert len((tmp_path / "identities.jsonl").read_text().splitlines()) == 40
 
 
 class TestProductFilter:

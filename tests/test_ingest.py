@@ -14,6 +14,8 @@ import oracle_canonical
 from conftest import make_record, rows, sha_of
 from oracle_calendar import days_from_civil, local_civil
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
+from paydev import native
+from paydev.features import to_local
 from paydev.ingest import (
     CANONICAL_FIELDS,
     LOCAL_MAX,
@@ -22,16 +24,14 @@ from paydev.ingest import (
     Commits,
     parse_git_log,
     read_canonical,
-    to_local,
     write_canonical,
 )
-from paydev.ml import kernels
 
 SHA_A = "a" * 40
 SHA_B = "b" * 40
 
 # the readers with the compiled scanners, where there are any, and without
-SCANNER_MODES = (True, False) if kernels.BACKEND == "c" else (False,)
+SCANNER_MODES = (True, False) if native.BACKEND == "c" else (False,)
 
 
 @contextmanager
@@ -40,8 +40,8 @@ def scanning(on):
     or with every line and every record read on its own."""
     with pytest.MonkeyPatch.context() as mp:
         if not on:
-            mp.setattr(kernels, "scan_canonical", iter)
-            mp.setattr(kernels, "scan_git_log", kernels.record_offsets)
+            mp.setattr(native, "scan_canonical", iter)
+            mp.setattr(native, "scan_git_log", native.record_offsets)
         yield
 
 
@@ -581,9 +581,9 @@ class TestReaderOracle:
         assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(1)} (line 4)", 4)
 
     def test_duplicate_sha_across_two_blocks(self):
-        n = kernels.BLOCK_BYTES // 200 + 10
+        n = native.BLOCK_BYTES // 200 + 10
         text = self._canonical(n) + self._canonical(1, start=5)
-        assert len(text.split("\n", 5)[5]) > kernels.BLOCK_BYTES  # sha_of(5) in the first block
+        assert len(text.split("\n", 5)[5]) > native.BLOCK_BYTES  # sha_of(5) in the first block
         got, want = self._both(text)
         line = n + 1
         assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(5)} (line {line})",
@@ -591,12 +591,12 @@ class TestReaderOracle:
 
     @pytest.mark.parametrize("end", ["\n", ""])
     def test_line_longer_than_a_block(self, end):
-        long = self._line(sha=sha_of(9), message="x" * (2 * kernels.BLOCK_BYTES + 1))
+        long = self._line(sha=sha_of(9), message="x" * (2 * native.BLOCK_BYTES + 1))
         text = self._canonical(2) + long + "\n" + self._canonical(2, start=2) + long + end
         got, want = self._both(text)
         assert got == want == (DuplicateShaError, f"duplicate commit id {sha_of(9)} (line 6)", 6)
         got, want = self._both(self._canonical(2) + long + end)
-        assert got == want and len(got[2]["message"]) == 2 * kernels.BLOCK_BYTES + 1
+        assert got == want and len(got[2]["message"]) == 2 * native.BLOCK_BYTES + 1
 
     def test_crlf_blank_lines_and_no_final_line_feed(self):
         a, b, c = (self._line(sha=sha_of(i)) for i in range(3))
@@ -642,7 +642,7 @@ class TestReaderOracle:
 _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
 
 
-@pytest.mark.skipif(kernels.BACKEND != "c", reason="no compiled scanner")
+@pytest.mark.skipif(native.BACKEND != "c", reason="no compiled scanner")
 @pytest.mark.parametrize("old, new, taken", [
     ("", "", True),
     ('"lines_added": 1', '"lines_added": -0', True),
@@ -665,16 +665,16 @@ _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
     ("{", " {", False),
 ])
 def test_scanner_takes_only_the_canonical_layout(old, new, taken):
-    """kernels.scan_canonical takes a line only in write_canonical's layout,
+    """native.scan_canonical takes a line only in write_canonical's layout,
     with printable-ASCII strings and values _checked_row accepts."""
     line = _GOOD_LINE.replace(old, new, 1) if old else _GOOD_LINE
     assert line != _GOOD_LINE or not old
-    (item,) = kernels.scan_canonical(io.BytesIO(line.encode()))
+    (item,) = native.scan_canonical(io.BytesIO(line.encode()))
     assert (type(item) is tuple) == taken
     if taken:
         obj = json.loads(line)
         numbers, strings = item
-        assert numbers[:, 0].tolist() == [obj[k] for k in _INT_KEYS]
+        assert [column[0] for column in numbers] == [obj[k] for k in _INT_KEYS]
         assert strings == [obj[k] for k in _STR_KEYS]
 
 
@@ -816,7 +816,7 @@ class TestGitLogScanner:
     def test_runs_longer_than_a_call(self):
         """More records than one scanner call takes, with a declined record
         (CRLF) and a duplicate sha far past the first run."""
-        n = kernels.RUN_RECORDS + 5
+        n = native.RUN_RECORDS + 5
         records = [record_bytes(sha_of(i), numstat="1\t2\ta.c\n") for i in range(n)]
         records[n // 2] = record_bytes(sha_of(n // 2), numstat="1\t2\ta.c\r\n")
         data = b"\n".join(records)
@@ -828,7 +828,7 @@ class TestGitLogScanner:
     def test_strings_past_the_text_buffer(self):
         """A record whose strings alone fill more than a call's text buffer
         is declined and read by the per-record parser."""
-        long_name = "x" * (kernels.BLOCK_BYTES + 1)
+        long_name = "x" * (native.BLOCK_BYTES + 1)
         data = (record_bytes(SHA_A) + b"\n" + record_bytes(SHA_B, name=long_name) + b"\n"
                 + record_bytes("c" * 40))
         got = _git_outcome(data)
@@ -838,7 +838,7 @@ class TestGitLogScanner:
 _GOOD_GIT = record_bytes(SHA_A, numstat="3\t1\ta.c\n-\t-\timg.png\n\n")
 
 
-@pytest.mark.skipif(kernels.BACKEND != "c", reason="no compiled scanner")
+@pytest.mark.skipif(native.BACKEND != "c", reason="no compiled scanner")
 @pytest.mark.parametrize("old, new, taken", [
     (b"", b"", True),
     (b"Alice", b"", True),
@@ -880,17 +880,17 @@ _GOOD_GIT = record_bytes(SHA_A, numstat="3\t1\ta.c\n-\t-\timg.png\n\n")
     (b"\n\n", b"", True),
 ])
 def test_git_scanner_takes_only_git_shape(old, new, taken):
-    """kernels.scan_git_log takes a record only in exactly git's shape, with
+    """native.scan_git_log takes a record only in exactly git's shape, with
     printable-ASCII names and emails and values the per-record parser
     accepts; what it takes, it reads as that parser does."""
     data = _GOOD_GIT.replace(old, new, 1) if old else _GOOD_GIT
     assert data != _GOOD_GIT or not old
-    item = next(kernels.scan_git_log(data, 1))
+    item = next(native.scan_git_log(data, 1))
     assert (type(item) is tuple) == taken
     if taken:
         with scanning(False):
             (want,) = rows(parse_git_log(data))
         numbers, strings = item
-        assert numbers[:, 0].tolist() == [want.timestamp_utc, want.tz_offset_minutes,
-                                          want.lines_added, want.lines_deleted]
+        assert [column[0] for column in numbers] == [want.timestamp_utc, want.tz_offset_minutes,
+                                                     want.lines_added, want.lines_deleted]
         assert strings == [want.sha, want.author_name, want.author_email]
