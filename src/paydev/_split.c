@@ -7,12 +7,12 @@
  * contraction or fast-math). A tree of n rows over p features holds p * n
  * 16-byte entries while it grows. Functions return 0 (grow_tree: the node
  * count), -1 when out of memory, -2 when a row or node index is out of
- * range, -3 when a label is neither 0 nor 1. scan_canonical reads the
- * lines of a canonical commit file that ingest.write_canonical's layout
- * and ingest._checked_row's value checks both accept, and scan_git_log the
- * records of a git-log export in exactly git's shape whose values
- * ingest._parse_header and ingest._parse_numstat accept. Both scanners
- * decline everything else, raise nothing and copy out only the strings. */
+ * range, -3 when a label is neither 0 nor 1. scan_canonical and
+ * scan_git_log, two grammars over one scanning protocol, read the canonical
+ * lines and the git-log records that the Python readers would accept, in
+ * exactly the layout their writers give; they decline everything else,
+ * raise nothing and copy out only the strings. */
+
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -328,6 +328,90 @@ int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
     return 0;
 }
 
+/* ----------------------------------------------------------- record scanners
+ * scan_canonical and scan_git_log share one protocol and differ only in
+ * their grammar (canonical_line, git_record). Each reads the items of
+ * data[start..end) from start, up to the first item it declines, at most cap
+ * items, and while their strings fit the text_cap bytes of text. Item k's
+ * four ints go to ints[k], ints[cap + k], ints[2 cap + k] and ints[3 cap + k]
+ * (timestamp, offset, lines added, lines deleted) and its strings, each
+ * followed by '\n', to text. Returns the number of items taken; info[0] is
+ * the offset of the first item not taken (end when all were) and info[1] the
+ * bytes written to text. An item is taken only when its grammar reads it,
+ * its offset is within +-1440 minutes and its local time falls in years
+ * 1-9999; any other item, valid or not, is declined and left to the Python
+ * reader, which alone raises errors. */
+
+#define LOCAL_MIN (-62135596800LL)
+#define LOCAL_MAX 253402300799LL
+
+/* An item's grammar: reads the item at p, which starts before stop, puts its
+ * four ints in v and copies its strings out with copy(), and returns where
+ * the next item starts, or NULL to decline the item. */
+typedef const char *(*grammar)(const char *p, const char *stop, int64_t *v, char **out,
+                               const char *text_end);
+
+static int64_t scan(grammar item, const char *data, int64_t start, int64_t end, int64_t cap,
+                    int64_t *ints, char *text, int64_t text_cap, int64_t *info)
+{
+    const char *p = data + start, *stop = data + end, *next;
+    char *out = text, *o = text;
+    int64_t n = 0, v[4];
+    while (n < cap && p < stop && (next = item(p, stop, v, &o, text + text_cap)) != NULL
+           && v[1] >= -1440 && v[1] <= 1440 && v[0] + 60 * v[1] >= LOCAL_MIN
+           && v[0] + 60 * v[1] <= LOCAL_MAX) {
+        for (int k = 0; k < 4; k++)
+            ints[k * cap + n] = v[k];
+        n++;
+        p = next;
+        out = o;
+    }
+    info[0] = p - data;
+    info[1] = out - text;
+    return n;
+}
+
+/* 40 lowercase hex digits at s, followed by close before end */
+static int sha(const char *s, const char *end, char close)
+{
+    if (end - s < 41 || s[40] != close)
+        return 0;
+    for (int i = 0; i < 40; i++)
+        if (!((s[i] >= '0' && s[i] <= '9') || (s[i] >= 'a' && s[i] <= 'f')))
+            return 0;
+    return 1;
+}
+
+/* -?[0-9]{1,18} at *p into *v, with no leading zero unless `zeros`; *p
+ * moves past it. 18 digits fit an int64. */
+static int integer(const char **p, const char *end, int zeros, int64_t *v)
+{
+    const char *q = *p + (*p < end && **p == '-'), *digits = q;
+    uint64_t x = 0;
+    while (q < end && *q >= '0' && *q <= '9' && q - digits < 19)
+        x = x * 10 + (uint64_t)(*q++ - '0');
+    int64_t nd = q - digits;
+    if (nd == 0 || nd > 18 || (!zeros && nd > 1 && digits[0] == '0'))
+        return 0;
+    *v = digits > *p ? -(int64_t)x : (int64_t)x;
+    *p = q;
+    return 1;
+}
+
+/* s[0..e) and a '\n' appended to *out, lowercased when `lower`, if they fit
+ * before text_end. */
+static int copy(char **out, const char *text_end, const char *s, const char *e, int lower)
+{
+    if (text_end - *out <= e - s)
+        return 0;
+    memcpy(*out, s, e - s);
+    for (char *c = *out; lower && c < *out + (e - s); c++)
+        *c = *c >= 'A' && *c <= 'Z' ? *c + ('a' - 'A') : *c;
+    *out += e - s;
+    *(*out)++ = '\n';
+    return 1;
+}
+
 /* ---------------------------------------------------------- canonical lines
  * A canonical line, as ingest.write_canonical writes it:
  *
@@ -335,16 +419,12 @@ int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
  *    "timestamp_utc": <i>, "tz_offset_minutes": <i>, "lines_added": <i>,
  *    "lines_deleted": <i>, "message": "<s>"}\n
  *
- * on one line. The scanner takes a line only in that exact layout, with
+ * on one line. canonical_line takes a line only in that exact layout, with
  * every string printable ASCII holding no '"' or '\', so that it stands for
  * itself; the sha 40 lowercase hex digits; every int -?(0|[1-9][0-9]*) of at
- * most 18 digits, so that it fits an int64; and only when the value checks
- * of ingest._checked_row pass: the offset within +-1440 minutes, the local
- * time in years 1-9999, line counts >= -1 and no A-Z in the email. Any other
- * line, valid or not, is declined and left to the Python reader. */
-
-#define LOCAL_MIN (-62135596800LL)
-#define LOCAL_MAX 253402300799LL
+ * most 18 digits; and only when the value checks of ingest._checked_row
+ * pass: line counts >= -1 and no A-Z in the email (scan checks the offset
+ * and the local time). Its strings are the sha, name, email and message. */
 
 /* Moves *p past the literal s when the bytes at *p are s. */
 static int literal(const char **p, const char *end, const char *s)
@@ -356,123 +436,57 @@ static int literal(const char **p, const char *end, const char *s)
     return 1;
 }
 
-/* A string's characters up to its closing quote, copied to *out and ended
- * with '\n'; *p moves past the quote. upper says whether A-Z may appear. */
-static int string(const char **p, const char *end, char **out, int upper)
+/* A string's characters up to its closing quote, copied out; *p moves past
+ * the quote. upper says whether A-Z may appear. */
+static int string(const char **p, const char *end, char **out, const char *text_end, int upper)
 {
-    const char *s = *p, *q = s;
+    const char *q = *p;
     for (; q < end && *q != '"'; q++) {
         unsigned char c = (unsigned char)*q;
         if (c < 0x20 || c > 0x7e || c == '\\' || (!upper && c >= 'A' && c <= 'Z'))
             return 0;
     }
-    if (q == end)
+    if (q == end || !copy(out, text_end, *p, q, 0))
         return 0;
-    memcpy(*out, s, q - s);
-    *out += q - s;
-    *(*out)++ = '\n';
     *p = q + 1;
     return 1;
 }
 
-static int sha(const char **p, const char *end, char **out)
+static const char *canonical_line(const char *p, const char *stop, int64_t *v, char **out,
+                                  const char *text_end)
 {
-    const char *s = *p;
-    if (end - s < 41 || s[40] != '"')
-        return 0;
-    for (int i = 0; i < 40; i++)
-        if (!((s[i] >= '0' && s[i] <= '9') || (s[i] >= 'a' && s[i] <= 'f')))
-            return 0;
-    memcpy(*out, s, 40);
-    *out += 40;
-    *(*out)++ = '\n';
-    *p = s + 41;
-    return 1;
+    if (literal(&p, stop, "{\"sha\": \"") && sha(p, stop, '"') && string(&p, stop, out, text_end, 1)
+        && literal(&p, stop, ", \"author_name\": \"") && string(&p, stop, out, text_end, 1)
+        && literal(&p, stop, ", \"author_email\": \"") && string(&p, stop, out, text_end, 0)
+        && literal(&p, stop, ", \"timestamp_utc\": ") && integer(&p, stop, 0, &v[0])
+        && literal(&p, stop, ", \"tz_offset_minutes\": ") && integer(&p, stop, 0, &v[1])
+        && literal(&p, stop, ", \"lines_added\": ") && integer(&p, stop, 0, &v[2])
+        && literal(&p, stop, ", \"lines_deleted\": ") && integer(&p, stop, 0, &v[3])
+        && literal(&p, stop, ", \"message\": \"") && string(&p, stop, out, text_end, 1)
+        && literal(&p, stop, "}\n") && v[2] >= -1 && v[3] >= -1)
+        return p;
+    return NULL;
 }
 
-static int integer(const char **p, const char *end, int64_t *v)
-{
-    const char *q = *p;
-    int neg = q < end && *q == '-';
-    q += neg;
-    const char *digits = q;
-    uint64_t x = 0;
-    while (q < end && *q >= '0' && *q <= '9' && q - digits < 19)
-        x = x * 10 + (uint64_t)(*q++ - '0');
-    int64_t nd = q - digits;
-    if (nd == 0 || nd > 18 || (nd > 1 && digits[0] == '0'))
-        return 0;
-    *v = neg ? -(int64_t)x : (int64_t)x;
-    *p = q;
-    return 1;
-}
-
-/* Scans the lines of data[start..end), which ends with '\n', from start up
- * to the first line it declines, at most cap lines. Line k's four ints go to
- * ints[k], ints[cap + k], ints[2 cap + k] and ints[3 cap + k] (timestamp,
- * offset, lines added, lines deleted), and its four strings (sha, name,
- * email, message), each followed by '\n', to text, which needs end - start
- * bytes. Returns the number of lines taken; info[0] is the offset of the
- * first line not taken (end when all were) and info[1] the bytes written to
- * text. */
 int64_t scan_canonical(const char *data, int64_t start, int64_t end, int64_t cap,
-                       int64_t *ints, char *text, int64_t *info)
+                       int64_t *ints, char *text, int64_t text_cap, int64_t *info)
 {
-    const char *p = data + start, *stop = data + end;
-    char *out = text;
-    int64_t n = 0;
-    while (n < cap && p < stop) {
-        const char *q = p;
-        char *o = out;
-        int64_t ts, tz, added, deleted;
-        if (!(literal(&q, stop, "{\"sha\": \"") && sha(&q, stop, &o)
-              && literal(&q, stop, ", \"author_name\": \"") && string(&q, stop, &o, 1)
-              && literal(&q, stop, ", \"author_email\": \"") && string(&q, stop, &o, 0)
-              && literal(&q, stop, ", \"timestamp_utc\": ") && integer(&q, stop, &ts)
-              && literal(&q, stop, ", \"tz_offset_minutes\": ") && integer(&q, stop, &tz)
-              && literal(&q, stop, ", \"lines_added\": ") && integer(&q, stop, &added)
-              && literal(&q, stop, ", \"lines_deleted\": ") && integer(&q, stop, &deleted)
-              && literal(&q, stop, ", \"message\": \"") && string(&q, stop, &o, 1)
-              && literal(&q, stop, "}\n")))
-            break;
-        if (tz < -1440 || tz > 1440 || ts + 60 * tz < LOCAL_MIN || ts + 60 * tz > LOCAL_MAX
-            || added < -1 || deleted < -1)
-            break;
-        ints[n] = ts;
-        ints[cap + n] = tz;
-        ints[2 * cap + n] = added;
-        ints[3 * cap + n] = deleted;
-        n++;
-        p = q;
-        out = o;
-    }
-    info[0] = p - data;
-    info[1] = out - text;
-    return n;
+    return scan(canonical_line, data, start, end, cap, ints, text, text_cap, info);
 }
 
 /* ---------------------------------------------------------- git-log records
- * A record of ingest.GIT_EXPORT_COMMAND's export, after its 0x1E sentinel:
+ * A record of ingest.GIT_EXPORT_COMMAND's export, from its 0x1E sentinel:
  *
- *   <%H>\x1f<%an>\x1f<%ae>\x1f<%at>\x1f<%ad>\n<numstat lines>
+ *   \x1e<%H>\x1f<%an>\x1f<%ae>\x1f<%at>\x1f<%ad>\n<numstat lines>
  *
- * up to the next 0x1E or the end of the data. The scanner takes a record
- * only when the sha is 40 lowercase hex digits; the name and the email are
- * printable ASCII (the email is lowercased here); %at is -?[0-9]{1,18};
- * the last space-separated token of %ad, which holds no 0x1F, is [+-]hhmm
- * within +-1440 minutes, with the local instant in years 1-9999; and every
- * numstat line is empty or (digits|-)\t(digits|-)\t<path> with at most 18
- * digits per count and sums that fit an int64. Any other record, valid or
- * not, is declined and left to ingest._parse_header and
+ * up to the next 0x1E or the end of the data. git_record takes a record only
+ * when the sha is 40 lowercase hex digits; the name and the email are
+ * printable ASCII; %at is -?[0-9]{1,18}; the last space-separated token of
+ * %ad, which holds no 0x1F, is [+-]hhmm; and every numstat line is empty or
+ * (digits|-)\t(digits|-)\t<path> with at most 18 digits per count and sums
+ * that fit an int64. Its strings are the sha, the name and the lowercased
+ * email. Any other record is left to ingest._parse_header and
  * ingest._parse_numstat, which read such records the same way. */
-
-static int hex40(const char *s)
-{
-    for (int i = 0; i < 40; i++)
-        if (!((s[i] >= '0' && s[i] <= '9') || (s[i] >= 'a' && s[i] <= 'f')))
-            return 0;
-    return 1;
-}
 
 /* The end of a printable-ASCII field that a 0x1F ends, or NULL. */
 static const char *printable(const char *p, const char *end)
@@ -482,131 +496,77 @@ static const char *printable(const char *p, const char *end)
     return p < end && *p == 0x1f ? p : NULL;
 }
 
-/* At most 18 digits from *p (no sign) into *v; *p moves past them. */
-static int digits(const char **p, const char *end, int64_t *v)
-{
-    const char *q = *p;
-    int64_t x = 0;
-    while (q < end && *q >= '0' && *q <= '9' && q - *p < 19)
-        x = x * 10 + (*q++ - '0');
-    if (q == *p || q - *p > 18)
-        return 0;
-    *v = x;
-    *p = q;
-    return 1;
-}
-
 /* One numstat count, digits or '-' (*v = -1), followed by a tab. */
 static int count(const char **p, const char *end, int64_t *v)
 {
     if (*p < end && **p == '-') {
         *v = -1;
         (*p)++;
-    } else if (!digits(p, end, v)) {
+    } else if (!integer(p, end, 1, v)) {
         return 0;
     }
     return *p < end && *(*p)++ == '\t';
 }
 
-/* Scans the records of data[start..end) from start, which is one past a
- * 0x1E, up to the first record it declines, at most cap records, and while
- * their strings fit the text_cap bytes of text. Record k's four ints go to
- * ints[k], ints[cap + k], ints[2 cap + k] and ints[3 cap + k] (timestamp,
- * offset, lines added, lines deleted; -1 and -1 when every numstat line is
- * a binary file), and its sha, name and email, each followed by '\n', to
- * text. Returns the number of records taken; info[0] is the offset of the
- * first record not taken (0 when the last record was taken) and info[1] the
- * bytes written to text. */
+static const char *git_record(const char *p, const char *stop, int64_t *v, char **out,
+                              const char *text_end)
+{
+    const char *hash = p + 1, *rec_end = memchr(hash, 0x1e, stop - hash);
+    if (rec_end == NULL)
+        rec_end = stop;
+    const char *name = hash + 41, *name_end, *email_end, *q;
+    if (!sha(hash, rec_end, 0x1f) || (name_end = printable(name, rec_end)) == NULL
+        || (email_end = printable(name_end + 1, rec_end)) == NULL)
+        return NULL;
+    q = email_end + 1;
+    if (!integer(&q, rec_end, 1, &v[0]) || q == rec_end || *q != 0x1f)
+        return NULL;
+    const char *ad = q + 1, *ad_end = memchr(ad, '\n', rec_end - ad);
+    if (ad_end == NULL)
+        ad_end = rec_end;
+    if (memchr(ad, 0x1f, ad_end - ad) != NULL || ad_end - ad < 5)
+        return NULL;
+    const char *z = ad_end - 5;
+    if ((z[0] != '+' && z[0] != '-') || (z > ad && z[-1] != ' '))
+        return NULL;
+    for (int i = 1; i < 5; i++)
+        if (z[i] < '0' || z[i] > '9')
+            return NULL;
+    v[1] = ((z[1] - '0') * 10 + (z[2] - '0')) * 60 + (z[3] - '0') * 10 + (z[4] - '0');
+    v[1] = z[0] == '-' ? -v[1] : v[1];
+
+    /* numstat lines, from the line after the header to the record's end */
+    int64_t added = 0, deleted = 0;
+    int numeric = 0, binary = 0;
+    for (const char *line = ad_end + (ad_end < rec_end), *line_end; line < rec_end;
+         line = line_end + 1) {
+        if ((line_end = memchr(line, '\n', rec_end - line)) == NULL)
+            line_end = rec_end;
+        int64_t a, d;
+        if (line_end == line)
+            continue;
+        if (!count(&line, line_end, &a) || !count(&line, line_end, &d) || line == line_end)
+            return NULL;
+        if (a < 0 || d < 0) {
+            binary = 1;
+        } else {
+            if (added > INT64_MAX - a || deleted > INT64_MAX - d)
+                return NULL;
+            added += a;
+            deleted += d;
+            numeric = 1;
+        }
+    }
+    v[2] = binary && !numeric ? -1 : added;
+    v[3] = binary && !numeric ? -1 : deleted;
+    if (!copy(out, text_end, hash, hash + 40, 0) || !copy(out, text_end, name, name_end, 0)
+        || !copy(out, text_end, name_end + 1, email_end, 1))
+        return NULL;
+    return rec_end;
+}
+
 int64_t scan_git_log(const char *data, int64_t start, int64_t end, int64_t cap,
                      int64_t *ints, char *text, int64_t text_cap, int64_t *info)
 {
-    const char *p = data + start, *stop = data + end;
-    char *out = text, *text_end = text + text_cap;
-    int64_t n = 0;
-    while (n < cap) {
-        const char *rec_end = memchr(p, 0x1e, stop - p);
-        if (rec_end == NULL)
-            rec_end = stop;
-        const char *name = p + 41, *name_end, *email_end;
-        if (rec_end - p < 41 || p[40] != 0x1f || !hex40(p)
-            || (name_end = printable(name, rec_end)) == NULL
-            || (email_end = printable(name_end + 1, rec_end)) == NULL)
-            break;
-        const char *q = email_end + 1;
-        int64_t ts, tz;
-        int neg = q < rec_end && *q == '-';
-        q += neg;
-        if (!digits(&q, rec_end, &ts) || q == rec_end || *q != 0x1f)
-            break;
-        ts = neg ? -ts : ts;
-        const char *ad = q + 1, *ad_end = memchr(ad, '\n', rec_end - ad);
-        if (ad_end == NULL)
-            ad_end = rec_end;
-        if (memchr(ad, 0x1f, ad_end - ad) != NULL || ad_end - ad < 5)
-            break;
-        const char *z = ad_end - 5;
-        if ((z[0] != '+' && z[0] != '-') || (z > ad && z[-1] != ' '))
-            break;
-        int ok = 1;
-        for (int i = 1; i < 5; i++)
-            ok &= z[i] >= '0' && z[i] <= '9';
-        if (!ok)
-            break;
-        tz = ((z[1] - '0') * 10 + (z[2] - '0')) * 60 + (z[3] - '0') * 10 + (z[4] - '0');
-        tz = z[0] == '-' ? -tz : tz;
-        if (tz < -1440 || tz > 1440 || ts + 60 * tz < LOCAL_MIN || ts + 60 * tz > LOCAL_MAX)
-            break;
-
-        /* numstat lines, from the line after the header to the record's end */
-        int64_t added = 0, deleted = 0;
-        int numeric = 0, binary = 0;
-        const char *line = ad_end < rec_end ? ad_end + 1 : rec_end;
-        while (ok && line < rec_end) {
-            const char *line_end = memchr(line, '\n', rec_end - line);
-            if (line_end == NULL)
-                line_end = rec_end;
-            if (line_end > line) {
-                const char *c = line;
-                int64_t a, d;
-                ok = count(&c, line_end, &a) && count(&c, line_end, &d) && c < line_end;
-                if (ok && (a < 0 || d < 0)) {
-                    binary = 1;
-                } else if (ok) {
-                    ok = added <= INT64_MAX - a && deleted <= INT64_MAX - d;
-                    added += a;
-                    deleted += d;
-                    numeric = 1;
-                }
-            }
-            line = line_end + 1;
-        }
-        int64_t size = 41 + (name_end - name) + 1 + (email_end - name_end);  /* each with its '\n' */
-        if (!ok || size > text_end - out)
-            break;
-
-        memcpy(out, p, 40);
-        out[40] = '\n';
-        out += 41;
-        memcpy(out, name, name_end - name);
-        out += name_end - name;
-        *out++ = '\n';
-        for (const char *c = name_end + 1; c < email_end; c++)
-            *out++ = *c >= 'A' && *c <= 'Z' ? *c + ('a' - 'A') : *c;
-        *out++ = '\n';
-        if (binary && !numeric)
-            added = deleted = -1;
-        ints[n] = ts;
-        ints[cap + n] = tz;
-        ints[2 * cap + n] = added;
-        ints[3 * cap + n] = deleted;
-        n++;
-        if (rec_end == stop) {
-            p = data;  /* no record is left */
-            break;
-        }
-        p = rec_end + 1;
-    }
-    info[0] = p - data;
-    info[1] = out - text;
-    return n;
+    return scan(git_record, data, start, end, cap, ints, text, text_cap, info);
 }

@@ -2,8 +2,9 @@
 
 Subcommands: ingest, identities, features, evaluate, train, predict,
 commits, synth. Every command echoes its effective configuration to
-stderr, validates inputs before writing anything, and writes outputs
-atomically (temp file + rename).
+stderr, checks that its output paths can be written before it reads any
+input, validates inputs before writing anything, and writes outputs
+atomically (temp file + rename) with the mode the umask allows.
 
 Exit codes:
   0 success
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import shlex
@@ -58,14 +60,36 @@ from paydev.ingest import (
 )
 
 
+def _temp_beside(path):
+    """A new temporary file in the directory of `path`, as (fd, its path)."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".paydev-",
+                            suffix=".tmp")
+
+
+def _check_writable(path) -> None:
+    """Raises the OutputFileError _atomic_write would raise when it can make
+    no temporary file beside `path` or `path` is a directory, so that a
+    command fails before it reads any input."""
+    try:
+        fd, tmp = _temp_beside(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc.strerror}") from None
+    if os.path.isdir(path):
+        raise OutputFileError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+
+
 def _atomic_write(path, writer) -> None:
     """Write `path` through writer(text file): into a temporary file beside
-    it, then renamed over it. An OSError on the way names `path`, not the
-    temporary file."""
-    directory = os.path.dirname(os.path.abspath(path))
+    it, then renamed over it, with the mode open(path, "w") would give. An
+    OSError on the way names `path`, not the temporary file."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".paydev-", suffix=".tmp")
+        fd, tmp = _temp_beside(path)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             writer(f)
         os.replace(tmp, path)
@@ -387,14 +411,9 @@ def cmd_ingest(args) -> int:
                 f"git log failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
             )
         commits = parse_git_log(proc.stdout)
-    elif args.source == "-":
-        commits = parse_git_log(sys.stdin.buffer.read())
     else:
-        try:
-            with open(args.source, "rb") as f:
-                commits = parse_git_log(f)
-        except OSError as exc:
-            raise InputFileError(f"cannot read {args.source}: {exc.strerror}") from None
+        with _open_binary(args.source) as (f, _):
+            commits = parse_git_log(f)
     print(f"# ingested {len(commits)} commits", file=sys.stderr)
     _emit(args.out, lambda f: write_canonical(commits, f))
     return 0
@@ -682,6 +701,9 @@ def main(argv=None) -> int:
                 parser.error(f"evaluate: --{flag.replace('_', '-')} needs canonical records "
                              "and is not allowed with --features")
     try:
+        for path in (args.out, getattr(args, "labels_out", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except PaydevError as exc:
         print(f"paydev {args.command}: error: {exc}", file=sys.stderr)

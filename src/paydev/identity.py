@@ -13,13 +13,11 @@ their keys afterwards. No two identities may share an id.
 
 from __future__ import annotations
 
-import logging
 import re
+import sys
 from dataclasses import dataclass, field
 
 from paydev.errors import IdentityClashError, OverrideConflictError, SchemaError
-
-log = logging.getLogger(__name__)
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -138,7 +136,7 @@ def merge_identities(commits, overrides=()) -> list[Identity]:
         names, emails = {a[1] for a in aliases}, {a[2] for a in aliases}
         for key in sorted(split_keys):
             if normalize_name(key) not in names and key not in emails:
-                log.warning("split override key %r was never observed", key)
+                print(f"split override key {key!r} was never observed", file=sys.stderr)
 
     # Merge overrides union the components containing each listed key.
     for rule in overrides:

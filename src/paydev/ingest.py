@@ -6,6 +6,17 @@ timestamps carry the offset embedded in the commit metadata. Civil-time
 math (features.to_local) uses that offset only; no timezone database is
 consulted, so results are deterministic for any input. This module imports
 no numpy.
+
+Both readers, parse_git_log for a git-log export and read_canonical for
+canonical JSON lines, read through one protocol (see paydev.native): the
+format's scanner hands back runs of records it has read, in the writer's
+exact layout with values the per-record checks accept, and hands back
+every other record (every record without the compiled library) on its
+own. One column builder, _Table, collects both and checks a run's shas for
+duplicates, in record order. A record handed back on its own is parsed and
+checked by the format's per-record code, which alone raises errors; either
+way an error names the first faulty record, with the message, type and
+location that per-record code gives.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ CANONICAL_FIELDS = (
     "lines_deleted",
     "message",
 )
+_KINDS = (str, str, str, int, int, int, int, str)  # of each field, in CANONICAL_FIELDS order
 
 # Local instants (ts_utc + 60 * offset) must fall in years 1-9999:
 # 0001-01-01T00:00:00 .. 9999-12-31T23:59:59.
@@ -215,37 +227,52 @@ def _parse_numstat(body: bytes, offset: int, index: int):
     return added, deleted
 
 
-def _add_run(run, seen, shas, lineno=None):
-    """Adds the shas of a scanned run that starts on line `lineno` (None for
-    a git-log export, whose errors name no line) to `seen`, which holds those
-    in `shas`; raises DuplicateShaError at the first one seen before, in
-    order."""
-    before = len(seen)
-    seen.update(run)
-    if len(seen) == before + len(run):
-        return
-    earlier = set(shas)
-    for i, sha in enumerate(run):
-        if sha in earlier:
-            raise DuplicateShaError(f"duplicate commit id {sha}",
-                                    line=None if lineno is None else lineno + i)
-        earlier.add(sha)
+class _Table:
+    """The columns of a Commits table as a reader fills them, in record
+    order, and the set of shas they hold. Without `message` (a git-log
+    export has none) it holds the first seven CANONICAL_FIELDS, and the
+    table's messages are empty."""
 
+    def __init__(self, message=True):
+        kinds = _KINDS if message else _KINDS[:7]
+        self.columns = tuple(array("q") if kind is int else [] for kind in kinds)
+        self.strings = self.columns[:3] + self.columns[7:]  # in a scanned run's order
+        self.seen: set[str] = set()
 
-def _int_columns():
-    """Empty timestamp_utc, tz_offset_minutes, lines_added and lines_deleted
-    columns."""
-    return tuple(array("q") for _ in range(4))
+    def add(self, row):
+        """One record's values, in CANONICAL_FIELDS order; the reader has
+        checked that its sha is new."""
+        self.seen.add(row[0])
+        for column, value in zip(self.columns, row):
+            column.append(value)
 
+    def add_run(self, run, lineno=None):
+        """A scanned run (ints, strings) that starts on line `lineno` (None
+        when the format's errors name no line); raises DuplicateShaError at
+        its first sha seen before. Returns the run's length."""
+        ints, strings = run
+        k = len(self.strings)
+        shas = strings[0::k]
+        before = len(self.seen)
+        self.seen.update(shas)
+        if len(self.seen) != before + len(shas):
+            earlier = set(self.columns[0])
+            for i, sha in enumerate(shas):
+                if sha in earlier:
+                    raise DuplicateShaError(f"duplicate commit id {sha}",
+                                            line=None if lineno is None else lineno + i)
+                earlier.add(sha)
+        for j, column in enumerate(self.strings):
+            column += strings[j::k]
+        for column, values in zip(self.columns[3:7], ints):
+            column += values
+        return len(shas)
 
-def _append(columns, values):
-    for column, value in zip(columns, values):
-        column.append(value)
-
-
-def _extend(columns, runs):
-    for column, run in zip(columns, runs):
-        column += run
+    def commits(self) -> Commits:
+        columns = self.columns
+        if len(columns) < len(CANONICAL_FIELDS):
+            columns += ([""] * len(columns[0]),)
+        return Commits(*columns)
 
 
 def parse_git_log(stream) -> Commits:
@@ -254,15 +281,8 @@ def parse_git_log(stream) -> Commits:
     Accepts bytes, str, or a binary/text file object. Raises ParseError with
     a byte offset and record index on malformed input, DuplicateShaError on
     repeated commit ids; never raises anything else on arbitrary bytes.
-
-    native.scan_git_log hands back runs of records it has read, in exactly
-    git's shape with printable-ASCII names and emails and values that
-    _parse_header and _parse_numstat accept; only their shas are checked
-    here, for duplicates. Every other record (every record without the
-    compiled library) it hands back as its byte offset, and that record is
-    parsed on its own. Either way an error names the first faulty record,
-    with the message, type, byte offset and record index those two
-    functions give.
+    A record native.scan_git_log declines is read by _parse_header and
+    _parse_numstat.
     """
     if hasattr(stream, "read"):
         data = stream.read()
@@ -279,32 +299,21 @@ def parse_git_log(stream) -> Commits:
     if first < 0 or data[:first].strip():
         raise ParseError("input does not start with a record sentinel", byte_offset=0)
 
-    shas, names, emails = strings = ([], [], [])
-    ints = _int_columns()
-    seen: set[str] = set()
+    table = _Table(message=False)
     index = 0
     for item in native.scan_git_log(data, first + 1):
-        if type(item) is int:  # the offset of a record the scanner declined
-            end = data.find(b"\x1e", item)
-            header, _, body = data[item:end if end >= 0 else len(data)].partition(b"\n")
-            sha, name, email, ts, tz = _parse_header(header, item, index)
-            if sha in seen:
-                raise DuplicateShaError(f"duplicate commit id {sha}")
-            seen.add(sha)
-            shas.append(sha)
-            names.append(name)
-            emails.append(email)
-            _append(ints, (ts, tz, *_parse_numstat(body, item + len(header) + 1, index)))
-            index += 1
+        if type(item) is not int:
+            index += table.add_run(item)
             continue
-        numbers, texts = item
-        _add_run(texts[0::3], seen, shas)
-        index += len(numbers[0])
-        for k, column in enumerate(strings):
-            column += texts[k::3]
-        _extend(ints, numbers)
-    # the export has no message
-    return Commits(shas, names, emails, *ints, [""] * len(shas))
+        # the offset of a record the scanner declined
+        end = data.find(b"\x1e", item)
+        header, _, body = data[item:end if end >= 0 else len(data)].partition(b"\n")
+        head = _parse_header(header, item, index)
+        if head[0] in table.seen:
+            raise DuplicateShaError(f"duplicate commit id {head[0]}")
+        table.add(head + _parse_numstat(body, item + len(header) + 1, index))
+        index += 1
+    return table.commits()
 
 
 def write_canonical(commits, fileobj) -> None:
@@ -326,7 +335,6 @@ def write_canonical(commits, fileobj) -> None:
 
 
 _FIELD_SET = frozenset(CANONICAL_FIELDS)
-_KINDS = (str, str, str, int, int, int, int, str)  # of each field, in CANONICAL_FIELDS order
 _ROW = itemgetter(*CANONICAL_FIELDS)
 LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # no UTF-8 encodes these
 
@@ -389,39 +397,17 @@ def _line_row(raw, name, seen, lineno):
 def read_canonical(fileobj, name="input") -> Commits:
     """Read the canonical JSON lines of a binary file into a Commits table;
     blank lines are skipped. `name` names the file in the error a line that
-    is not UTF-8 raises.
-
-    native.scan_canonical hands back runs of lines it has read, in
-    write_canonical's exact layout with printable-ASCII strings (without
-    `"` or `\\`) and values that pass _checked_row; only their shas are
-    checked here, for duplicates. Every other line it hands back as bytes
-    (CRLF, blank, escaped, non-ASCII, other spacing or key order, faulty or
-    the final line without a line feed; every line without the compiled
-    library), and that line is decoded, parsed and checked on its own.
-    Either way an error names the first faulty line, with the message and
-    type the per-line checks give."""
-    shas, names, emails, messages = strings = ([], [], [], [])
-    ints = _int_columns()
-    seen: set[str] = set()
+    is not UTF-8 raises. A line native.scan_canonical declines (CRLF, blank,
+    escaped, non-ASCII, other spacing or key order, faulty, or the final
+    line without a line feed) is decoded, parsed and checked by _line_row."""
+    table = _Table()
     lineno = 0
     for item in native.scan_canonical(fileobj):
-        if type(item) is bytes:
-            lineno += 1
-            row = _line_row(item, name, seen, lineno)
-            if row is None:
-                continue
-            s, n, e, t, z, a, d, m = row
-            seen.add(s)
-            shas.append(s)
-            names.append(n)
-            emails.append(e)
-            messages.append(m)
-            _append(ints, (t, z, a, d))
+        if type(item) is not bytes:
+            lineno += table.add_run(item, lineno + 1)
             continue
-        numbers, texts = item
-        _add_run(texts[0::4], seen, shas, lineno + 1)
-        lineno += len(numbers[0])
-        for k, column in enumerate(strings):
-            column += texts[k::4]
-        _extend(ints, numbers)
-    return Commits(shas, names, emails, *ints, messages)
+        lineno += 1
+        row = _line_row(item, name, table.seen, lineno)
+        if row is not None:
+            table.add(row)
+    return table.commits()

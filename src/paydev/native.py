@@ -11,23 +11,18 @@ results. It imports no numpy, so `paydev ingest` and `paydev identities`
 run without it: a scanned run's four int columns are stdlib array("q")
 buffers, the type of ingest.Commits' int columns.
 
-scan_canonical reads a canonical commit file for ingest.read_canonical in
-blocks of whole lines. Its C scanner takes only lines in
-ingest.write_canonical's exact layout, with printable-ASCII strings that
-hold no `"` or `\\`, ints of at most 18 digits and values that pass
-ingest._checked_row, and raises nothing: every other line (every line
-without a compiler, where scan_canonical is `iter`) is handed back as bytes
-for the per-line reader, which alone raises the reader's errors.
-
-scan_git_log reads the records of a git-log export for
-ingest.parse_git_log from the buffer it already holds. Its C scanner takes
-only records in exactly git's shape (a 40-hex sha, printable-ASCII name and
-email, %at of at most 18 digits, a [+-]hhmm offset at the end of %ad,
-numstat lines `(digits|-)\t(digits|-)\t<path>` or empty) with values that
-ingest._parse_header and ingest._parse_numstat accept, and raises nothing:
-every other record (every record without a compiler, where scan_git_log is
-record_offsets) is handed back as its byte offset for those two functions,
-which alone raise the parser's errors.
+Both scanners follow one protocol: the C scanners share one signature and
+the driver _runs, which yields each run of items (canonical lines or
+git-log records) the scanner takes as its four int columns and its
+strings, and hands back each item it declines. A scanner takes only items
+in the writer's exact layout whose values the Python reader accepts, and
+raises nothing; the Python reader reads every declined item on its own
+and alone raises errors. scan_canonical reads a canonical commit file for
+ingest.read_canonical in blocks of whole lines and hands back a declined
+line as its bytes; scan_git_log reads a git-log export for
+ingest.parse_git_log from the buffer that function holds and hands back a
+declined record as its byte offset. Without a compiler scan_canonical is
+`iter` and scan_git_log is record_offsets, so every item is declined.
 """
 
 import ctypes
@@ -62,10 +57,9 @@ def _load():
     lib.grow_tree.restype = i64
     lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.forest_sum.restype = ctypes.c_int
-    lib.scan_canonical.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
-    lib.scan_canonical.restype = i64
-    lib.scan_git_log.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
-    lib.scan_git_log.restype = i64
+    for scan in (lib.scan_canonical, lib.scan_git_log):  # one protocol (see _runs)
+        scan.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
+        scan.restype = i64
     return lib
 
 
@@ -77,12 +71,32 @@ except (OSError, RuntimeError):
 BACKEND = "python" if lib is None else "c"
 
 
-def _columns(ints, cap, n):
-    """The first n entries of each of the four cap-long rows of `ints`."""
-    return tuple(ints[k * cap:k * cap + n] for k in range(4))
-
-
 BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
+RUN_RECORDS = 1 << 14  # a scanner call takes at most this many lines or records
+
+
+def _runs(scan, data, pos, declined):
+    """The items (lines or records) of `data` (bytes) from byte `pos` on, in
+    order: each run of items that `scan`, a scanner in _split.c, takes as
+    (ints, strings), and for each item it declines the first value of
+    declined(data, pos), whose second is where the next item starts. ints
+    holds the run's timestamp_utc, tz_offset_minutes, lines_added and
+    lines_deleted, each an array("q"); strings lists the strings the scanner
+    copies out, item by item. A run ends early when its strings fill
+    BLOCK_BYTES; an item whose strings alone do not fit is declined."""
+    ints = array("q", bytes(32 * RUN_RECORDS))  # four rows of RUN_RECORDS
+    text = ctypes.create_string_buffer(BLOCK_BYTES)
+    info = (ctypes.c_int64 * 2)()
+    ints_at, end = ints.buffer_info()[0], len(data)
+    while pos < end:
+        n = scan(data, pos, end, RUN_RECORDS, ints_at, text, BLOCK_BYTES, info)
+        if n:  # each string ends with a line feed; the last one is dropped before the split
+            strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
+            yield tuple(ints[k * RUN_RECORDS:k * RUN_RECORDS + n] for k in range(4)), strings
+            pos = info[0]
+        else:
+            item, pos = declined(data, pos)
+            yield item
 
 
 def _blocks(fileobj):
@@ -103,35 +117,22 @@ def _blocks(fileobj):
         yield rest
 
 
+def _line(data, pos):
+    """The line at `pos`, line feed included, and where the next one starts."""
+    end = data.index(b"\n", pos) + 1
+    return data[pos:end], end
+
+
 def _c_scan_canonical(fileobj):
     """The lines of binary `fileobj` in file order: each run of lines that
-    scan_canonical in _split.c takes as (ints, strings), and each line it
-    declines as its bytes, line feed included. ints holds the run's
-    timestamp_utc, tz_offset_minutes, lines_added and lines_deleted, each
-    an array("q"); strings lists its 4n strings, sha, author_name,
-    author_email and message line by line."""
-    info = (ctypes.c_int64 * 2)()
+    scan_canonical takes, with the strings sha, author_name, author_email
+    and message line by line, and each line it declines as its bytes, line
+    feed included."""
     for data in _blocks(fileobj):
-        end = len(data)
-        if data[-1:] != b"\n":  # the final line, without its line feed
+        if data[-1:] == b"\n":
+            yield from _runs(lib.scan_canonical, data, 0, _line)
+        else:  # the final line, without its line feed
             yield data
-            continue
-        # room for every line the scanner can take: a canonical line has at
-        # least 188 bytes, and at most `end` bytes of strings are copied out
-        cap = end // 128 + 1
-        ints = array("q", bytes(32 * cap))  # four rows of cap
-        text = ctypes.create_string_buffer(end)
-        ints_at, pos = ints.buffer_info()[0], 0
-        while pos < end:
-            n = lib.scan_canonical(data, pos, end, cap, ints_at, text, info)
-            if n:  # each string ends with a line feed; the last one is dropped before the split
-                strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
-                yield _columns(ints, cap, n), strings
-            pos = info[0]
-            if pos < end:
-                line_end = data.index(b"\n", pos) + 1
-                yield data[pos:line_end]
-                pos = line_end
 
 
 def record_offsets(data, pos):
@@ -142,31 +143,20 @@ def record_offsets(data, pos):
         pos = data.find(b"\x1e", pos) + 1
 
 
-RUN_RECORDS = 1 << 14  # the git-log scanner takes at most this many records per call
+def _record(data, pos):
+    """The offset of the record whose 0x1E is at `pos`, one past the 0x1E,
+    and where the next record's 0x1E is (the end of `data` when none is)."""
+    end = data.find(b"\x1e", pos + 1)
+    return pos + 1, end if end >= 0 else len(data)
 
 
 def _c_scan_git_log(data, pos):
     """The records of the git-log export `data` (bytes) from byte `pos`, one
-    past a 0x1E, on, in order: each run of records that scan_git_log in
-    _split.c takes as (ints, strings), and each record it declines as its
-    byte offset. ints holds the run's timestamp_utc, tz_offset_minutes,
-    lines_added and lines_deleted, each an array("q"); strings lists its 3n
-    strings, sha, author_name and author_email (lowercased) record by
-    record. A run ends early when its strings fill BLOCK_BYTES; a record
-    whose strings alone do not fit is declined."""
-    ints = array("q", bytes(32 * RUN_RECORDS))  # four rows of RUN_RECORDS
-    text = ctypes.create_string_buffer(BLOCK_BYTES)
-    info = (ctypes.c_int64 * 2)()
-    while pos:
-        n = lib.scan_git_log(data, pos, len(data), RUN_RECORDS, ints.buffer_info()[0], text,
-                             BLOCK_BYTES, info)
-        if n:  # each string ends with a line feed; the last one is dropped before the split
-            strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
-            yield _columns(ints, RUN_RECORDS, n), strings
-            pos = info[0]
-        else:
-            yield pos
-            pos = data.find(b"\x1e", pos) + 1
+    past a 0x1E, on, in order: each run of records that scan_git_log takes,
+    with the strings sha, author_name and author_email (lowercased) record
+    by record, and each record it declines as its byte offset. The scanner
+    reads each record from its 0x1E."""
+    return _runs(lib.scan_git_log, data, pos - 1, _record)
 
 
 # (binary file) -> its lines in scanned runs and declined lines; without the

@@ -971,6 +971,38 @@ class TestAtomicWrites:
         assert f"error: cannot write {out}: {reason}\n" in capsys.readouterr().err
         assert not list(tmp_path.glob(".paydev-*"))
 
+    def test_unwritable_out_found_before_a_bad_input(self, tmp_path, capsys):
+        """The output is checked before the input is read: a faulty export
+        with an unwritable --out exits 2, not with the parse error's 3."""
+        source = tmp_path / "bad.log"
+        source.write_bytes(b"not an export\n")
+        out = tmp_path / "missing" / "r.jsonl"
+        assert run_cli("ingest", str(source), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: No such file or directory\n" in err
+        assert "sentinel" not in err
+
+    def test_unwritable_labels_out_writes_no_records(self, tmp_path, capsys):
+        records, labels = tmp_path / "good.jsonl", tmp_path / "missing" / "l.csv"
+        assert run_cli("synth", "--out", str(records), "--labels-out", str(labels),
+                       "--devs", "4", "--commits-low", "5", "--commits-high", "8") == 2
+        assert f"error: cannot write {labels}: No such file or directory\n" in capsys.readouterr().err
+        assert not records.exists()
+        assert not list(tmp_path.glob(".paydev-*"))
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["022", "077", "002"])
+    def test_outputs_take_the_mode_open_gives(self, tmp_path, umask, mode):
+        records, labels = tmp_path / "r.jsonl", tmp_path / "l.csv"
+        old = os.umask(umask)
+        try:
+            assert run_cli("synth", "--out", str(records), "--labels-out", str(labels),
+                           "--devs", "4", "--commits-low", "5", "--commits-high", "8") == 0
+            (tmp_path / "plain").open("w").close()
+        finally:
+            os.umask(old)
+        assert {p.stat().st_mode & 0o777 for p in (records, labels, tmp_path / "plain")} == {mode}
+
 
 def _export(authors):
     """A git-log export of one commit per (name, email), a day apart; its

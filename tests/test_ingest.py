@@ -653,6 +653,8 @@ _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
     ('"lines_added": 1', '"lines_added": -2', False),
     ('"tz_offset_minutes": 0', '"tz_offset_minutes": 1441', False),
     ('"timestamp_utc": 1483347600', f'"timestamp_utc": {LOCAL_MAX + 1}', False),
+    ('"timestamp_utc": 1483347600', '"timestamp_utc": 01483347600', False),
+    ('"tz_offset_minutes": 0', '"tz_offset_minutes": -00', False),
     ("alice@", "Alice@", False),
     ("Alice", "Alice\x7f", False),
     ("Alice", "Alicé", False),
