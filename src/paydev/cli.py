@@ -76,7 +76,7 @@ def _check_writable(path) -> None:
         os.unlink(tmp)
     except OSError as exc:
         raise OutputFileError(f"cannot write {path}: {exc.strerror}") from None
-    if os.path.isdir(path):
+    if os.path.isdir(path) and not os.path.islink(path):  # rename replaces a link itself
         raise OutputFileError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
 
 

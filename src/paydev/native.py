@@ -84,12 +84,14 @@ def _runs(scan, data, pos, declined):
     lines_deleted, each an array("q"); strings lists the strings the scanner
     copies out, item by item. A run ends early when its strings fill
     BLOCK_BYTES; an item whose strings alone do not fit is declined."""
-    ints = array("q", bytes(32 * RUN_RECORDS))  # four rows of RUN_RECORDS
-    text = ctypes.create_string_buffer(BLOCK_BYTES)
+    end = len(data)
+    text_cap = min(BLOCK_BYTES, end)  # the strings of `data` take no more bytes than it
+    ints = array("q", [0]) * (4 * RUN_RECORDS)  # four rows of RUN_RECORDS
+    text = ctypes.create_string_buffer(text_cap)
     info = (ctypes.c_int64 * 2)()
-    ints_at, end = ints.buffer_info()[0], len(data)
+    ints_at = ints.buffer_info()[0]
     while pos < end:
-        n = scan(data, pos, end, RUN_RECORDS, ints_at, text, BLOCK_BYTES, info)
+        n = scan(data, pos, end, RUN_RECORDS, ints_at, text, text_cap, info)
         if n:  # each string ends with a line feed; the last one is dropped before the split
             strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
             yield tuple(ints[k * RUN_RECORDS:k * RUN_RECORDS + n] for k in range(4)), strings

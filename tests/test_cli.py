@@ -990,6 +990,14 @@ class TestAtomicWrites:
         assert not records.exists()
         assert not list(tmp_path.glob(".paydev-*"))
 
+    def test_out_as_a_link_to_a_directory_replaces_the_link(self, tmp_path):
+        (tmp_path / "a-dir").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "a-dir")
+        assert run_cli("synth", "--out", str(link), "--labels-out", str(tmp_path / "l.csv"),
+                       "--devs", "4", "--commits-low", "5", "--commits-high", "8") == 0
+        assert link.is_file() and not link.is_symlink() and (tmp_path / "a-dir").is_dir()
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                              ids=["022", "077", "002"])
     def test_outputs_take_the_mode_open_gives(self, tmp_path, umask, mode):
