@@ -419,12 +419,14 @@ static int copy(char **out, const char *text_end, const char *s, const char *e, 
  *    "timestamp_utc": <i>, "tz_offset_minutes": <i>, "lines_added": <i>,
  *    "lines_deleted": <i>, "message": "<s>"}\n
  *
- * on one line. canonical_line takes a line only in that exact layout, with
- * every string printable ASCII holding no '"' or '\', so that it stands for
- * itself; the sha 40 lowercase hex digits; every int -?(0|[1-9][0-9]*) of at
- * most 18 digits; and only when the value checks of ingest._checked_row
- * pass: line counts >= -1 and no A-Z in the email (scan checks the offset
- * and the local time). Its strings are the sha, name, email and message. */
+ * on one line, or the same line ended by "\r\n", whose '\r' the JSON reader
+ * takes for white space. canonical_line takes a line only in that exact
+ * layout, with every string printable ASCII holding no '"' or '\', so that
+ * it stands for itself; the sha 40 lowercase hex digits; every int
+ * -?(0|[1-9][0-9]*) of at most 18 digits; and only when the value checks of
+ * ingest._checked_row pass: line counts >= -1 and no A-Z in the email (scan
+ * checks the offset and the local time). Its strings are the sha, name,
+ * email and message. */
 
 /* Moves *p past the literal s when the bytes at *p are s. */
 static int literal(const char **p, const char *end, const char *s)
@@ -463,7 +465,8 @@ static const char *canonical_line(const char *p, const char *stop, int64_t *v, c
         && literal(&p, stop, ", \"lines_added\": ") && integer(&p, stop, 0, &v[2])
         && literal(&p, stop, ", \"lines_deleted\": ") && integer(&p, stop, 0, &v[3])
         && literal(&p, stop, ", \"message\": \"") && string(&p, stop, out, text_end, 1)
-        && literal(&p, stop, "}\n") && v[2] >= -1 && v[3] >= -1)
+        && (literal(&p, stop, "}\n") || literal(&p, stop, "}\r\n"))
+        && v[2] >= -1 && v[3] >= -1)
         return p;
     return NULL;
 }

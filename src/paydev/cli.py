@@ -21,10 +21,11 @@ byte-identical.
 
 This module imports, at the top, only what every command needs; each
 command imports the rest of paydev (and numpy) where it runs it, so
-`ingest` and `identities` never load numpy. The names other code wraps
-(parse_git_log, read_canonical, write_canonical, read_identity_map,
-write_identity_map here; identity.merge_identities, ml.fit_* and the like)
-are looked up as module attributes when called.
+`ingest` and `identities` never load numpy, nor does `predict --features`
+with a tree or forest model when the compiled library is loaded. The names
+other code wraps (parse_git_log, read_canonical, write_canonical,
+read_identity_map, write_identity_map here; identity.merge_identities,
+ml.fit_* and the like) are looked up as module attributes when called.
 """
 
 from __future__ import annotations
@@ -328,12 +329,14 @@ def _labeled_dataset(identities, commits, label_set, cfg):
 def _labeled_features(path, label_set):
     """The features CSV's rows with a direct status. Dated hired periods
     resolve only against commits, so a row that has them is rejected."""
-    from paydev import features as feat
+    import numpy as np
+
     from paydev import labels as lab
     from paydev import ml
+    from paydev import model as mdl
 
     with _open_input(path) as f:
-        X, ids, columns = feat.read_features_csv(f)
+        X, ids, columns = mdl.read_features_csv(f)
     dated = [ident_id for ident_id in ids if ident_id in label_set.periods]
     if dated:
         raise UnlabeledIdentityError(
@@ -342,6 +345,7 @@ def _labeled_features(path, label_set):
         )
     rows = [i for i, ident_id in enumerate(ids) if ident_id in label_set.entries]
     y = [1 if label_set.entries[ids[i]] == lab.HIRED else 0 for i in rows]
+    X = np.array(X, dtype=np.float64).reshape(len(ids), len(columns))
     return ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
 
 
@@ -349,7 +353,6 @@ def _classifiers(cfg: Config):
     """Each report name's fit(data, seed_parts), with the config's settings.
     The fits look ml's functions up when called, where a tracer may have
     wrapped them."""
-    from paydev import evaluation as ev
     from paydev import ml
 
     mtry = cfg.forest_mtry if cfg.forest_mtry > 0 else None
@@ -359,7 +362,7 @@ def _classifiers(cfg: Config):
         "rpart": lambda data, seed_parts: ml.fit_tree(
             data, minsplit=cfg.tree_minsplit, cp=cfg.tree_cp, maxdepth=cfg.tree_maxdepth),
         "randomforest": lambda data, seed_parts: ml.fit_forest(
-            data, seed=ev.forest_seed(seed_parts), n_trees=cfg.forest_trees, mtry=mtry),
+            data, seed=ml.forest_seed(seed_parts), n_trees=cfg.forest_trees, mtry=mtry),
     }
 
 
@@ -494,19 +497,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import numpy as np
-
-    from paydev import features as feat
-    from paydev import labels as lab
-    from paydev import ml
+    """Scores the rows of a features CSV, or those computed from canonical
+    records, with paydev.model.predict_rows; with the compiled library a
+    tree or forest scores a features CSV without numpy."""
+    from paydev import model as mdl
 
     _build_config(args)
     with _open_input(args.model) as f:
-        model = ml.load_model(f)
+        model = mdl.load_model(f)
     if args.features:
         with _open_input(args.features) as f:
-            X, row_ids, columns = feat.read_features_csv(f)
+            rows, row_ids, columns = mdl.read_features_csv(f)
     else:
+        import numpy as np
+
+        from paydev import features as feat
+
         commits = _read_records(args.records)
         histories = feat.histories(_load_identities(args, commits), commits)
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
@@ -520,13 +526,14 @@ def cmd_predict(args) -> int:
             # score with the model's own columns (e.g. a no_volume model)
             keep = [i for i, c in enumerate(columns) if c in model.columns]
             X, columns = X[:, keep], [columns[i] for i in keep]
-    probabilities = ml.predict_proba(model, X, columns=columns)
+        rows = X.tolist()
+    probabilities = mdl.predict_rows(model, rows, columns)
 
     def writer(f):
         out = csv.writer(f, lineterminator="\n")  # quotes an id with a comma or quote
         out.writerow(["id", "probability", "class"])
         for row_id, p in zip(row_ids, probabilities):
-            out.writerow([row_id, f"{p:.6f}", lab.HIRED if p >= 0.5 else lab.VOLUNTEER])
+            out.writerow([row_id, f"{p:.6f}", mdl.HIRED if p >= 0.5 else mdl.VOLUNTEER])
 
     _emit(args.out, writer)
     return 0

@@ -85,11 +85,6 @@ def stratified_kfold(n, labels, k=10, repeats=10, seed=0):
     return all_repeats
 
 
-def forest_seed(seed_parts) -> int:
-    """The forest seed of one fit, derived from (master seed, repeat, fold)."""
-    return int(np.random.SeedSequence(entropy=list(seed_parts)).generate_state(1)[0])
-
-
 @dataclass
 class Cell:
     classifier: str
@@ -287,7 +282,7 @@ def per_commit_experiment(
         return data, np.concatenate(email), np.concatenate(office)
 
     train_data, _, _ = build(train_devs)
-    if len(np.unique(train_data.y)) < 2:
+    if not len(train_data.y) or (train_data.y == train_data.y[0]).all():
         raise SingleClassError("training developers carry a single class")
     models = {name: fit(train_data, (seed, 0, 0)) for name, fit in classifiers.items()}
 

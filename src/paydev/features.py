@@ -9,14 +9,13 @@ percentiles of weekday commit hours.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from paydev.errors import SchemaError, csv_rows
 from paydev.ingest import LOCAL_MAX, LOCAL_MIN
+from paydev.model import read_features_csv  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -164,6 +163,12 @@ def _median(values) -> float:
     return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
 
 
+def _distinct(values) -> int:
+    """The number of distinct values (at least one)."""
+    s = np.sort(values)
+    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+
+
 def _nearest_rank(sorted_values, pct):
     k = max(1, -(-len(sorted_values) * pct // 100))  # ceil
     return int(sorted_values[k - 1])
@@ -189,8 +194,8 @@ def developer_features(h: History) -> DeveloperFeatures:
         beginning = end = 0
     return DeveloperFeatures(
         period=int(local.day.max() - local.day.min()),
-        days=len(np.unique(local.day)),
-        weeks=len(np.unique(local.iso_year * 100 + local.iso_week)),
+        days=_distinct(local.day),
+        weeks=_distinct(local.iso_year * 100 + local.iso_week),
         timediff=_median(deltas) if len(deltas) else 0.0,
         commits=len(h.ts),
         loc_per_commit=_median(locs) if len(locs) else 0.0,
@@ -269,31 +274,3 @@ def write_features_csv(features_by_id, fileobj, mode="all") -> None:
             value = getattr(feats, name)
             cells.append(str(value) if isinstance(value, int) else f"{value:.6f}")
         out.writerow([ident_id, *cells])
-
-
-def read_features_csv(fileobj):
-    """Read a features CSV back into (X, ids, columns); no id may repeat."""
-    reader = csv_rows(fileobj)
-    header = next(reader, None)
-    if not header or header[0] != "identity":
-        raise SchemaError("features CSV must start with an 'identity' column", line=1)
-    columns = header[1:]
-    ids, rows, seen = [], [], set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns) + 1:
-            raise SchemaError("wrong number of columns", line=lineno)
-        if row[0] in seen:
-            raise SchemaError(f"identity {row[0]!r} repeated", line=lineno)
-        seen.add(row[0])
-        ids.append(row[0])
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            raise SchemaError("non-numeric feature value", line=lineno) from None
-        if any(math.isinf(v) for v in values):  # nan means missing and is imputed
-            raise SchemaError("infinite feature value", line=lineno)
-        rows.append(values)
-    X = np.array(rows, dtype=np.float64).reshape(len(ids), len(columns))
-    return X, ids, columns

@@ -397,7 +397,7 @@ def _line_row(raw, name, seen, lineno):
 def read_canonical(fileobj, name="input") -> Commits:
     """Read the canonical JSON lines of a binary file into a Commits table;
     blank lines are skipped. `name` names the file in the error a line that
-    is not UTF-8 raises. A line native.scan_canonical declines (CRLF, blank,
+    is not UTF-8 raises. A line native.scan_canonical declines (blank,
     escaped, non-ASCII, other spacing or key order, faulty, or the final
     line without a line feed) is decoded, parsed and checked by _line_row."""
     table = _Table()

@@ -15,9 +15,7 @@ import numpy as np
 
 from paydev.errors import SchemaError, UnlabeledIdentityError, csv_rows
 from paydev.features import to_local  # noqa: F401  perfbench/tracing.py counts calls here
-
-HIRED = "hired"
-VOLUNTEER = "volunteer"
+from paydev.model import HIRED, VOLUNTEER
 
 LABELS_HEADER = ["identity", "status", "hired_from", "hired_to"]
 

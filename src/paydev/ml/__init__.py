@@ -1,7 +1,8 @@
 """Classifiers: logistic regression, CART, random forest.
 
 All three expose probability predictions of the hired class through
-predict_proba.
+predict_proba. The fitted models, and the model files, are paydev.model's,
+which needs no numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from paydev.ml.dataset import (
     impute_median,
     make_dataset,
 )
-from paydev.ml.forest import ForestModel, fit_forest, predict_forest
+from paydev.ml.forest import fit_forest, forest_seed, predict_forest
 from paydev.ml.introspect import introspect, root_split_feature
-from paydev.ml.logit import LogitModel, fit_logit, loss_and_grad, predict_logit, sigmoid
-from paydev.ml.serialize import load_model, model_kind, save_model
-from paydev.ml.tree import TreeModel, fit_tree, predict_tree
+from paydev.ml.logit import fit_logit, loss_and_grad, predict_logit, sigmoid
+from paydev.ml.tree import fit_tree, predict_tree
+from paydev.model import ForestModel, LogitModel, TreeModel, load_model, model_kind, save_model
 
 __all__ = [
     "Dataset",
@@ -33,6 +34,7 @@ __all__ = [
     "fit_forest",
     "fit_logit",
     "fit_tree",
+    "forest_seed",
     "impute_median",
     "introspect",
     "load_model",

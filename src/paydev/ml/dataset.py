@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from paydev.errors import ColumnMismatchError, SingleClassError
+from paydev.errors import SingleClassError
+from paydev.model import column_order
 
 
 @dataclass
@@ -33,7 +35,7 @@ def check_training(data: Dataset) -> None:
     """Both classes must be present, which takes at least two rows."""
     if len(data.y) == 0:
         raise SingleClassError("training data has no labeled rows")
-    if len(np.unique(data.y)) < 2:
+    if (data.y == data.y[0]).all():
         raise SingleClassError("training data contains a single class")
 
 
@@ -68,11 +70,9 @@ def fill_missing(X, medians):
 
 def align_columns(X, columns, model_columns):
     """Reorder X's columns to the model's order; error on any mismatch."""
-    if list(columns) == list(model_columns):
-        return X
-    missing = set(model_columns) - set(columns)
-    extra = set(columns) - set(model_columns)
-    if missing or extra:
-        raise ColumnMismatchError(missing=missing, extra=extra)
-    order = [list(columns).index(c) for c in model_columns]
-    return X[:, order]
+    return X[:, column_order(columns, model_columns)]
+
+
+def vector(values) -> array:
+    """A numpy vector as the array("d") that the model objects hold."""
+    return array("d", np.ascontiguousarray(values, dtype=np.float64).tobytes())

@@ -8,26 +8,18 @@ index), so the fitted model is a pure function of (seed, data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from paydev.errors import SchemaError
 from paydev.ml import kernels
-from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
-from paydev.ml.tree import Tree
+from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median, vector
+from paydev.model import ForestModel, Tree
 
 
-@dataclass
-class ForestModel:
-    trees: list[Tree]
-    columns: list[str]
-    impute: np.ndarray
-    n_trees: int
-    mtry: int
-    seed: int
-    bootstrap: bool
-    importance: np.ndarray
+def forest_seed(seed_parts) -> int:
+    """The forest seed of one fit, derived from (master seed, repeat, fold)."""
+    return int(np.random.SeedSequence(entropy=list(seed_parts)).generate_state(1)[0])
 
 
 def _tree_rng(seed, tree_index):
@@ -71,12 +63,12 @@ def fit_forest(
     return ForestModel(
         trees=trees,
         columns=list(data.columns),
-        impute=medians,
+        impute=vector(medians),
         n_trees=n_trees,
         mtry=mtry,
         seed=seed,
         bootstrap=bootstrap,
-        importance=importance,
+        importance=vector(importance),
     )
 
 

@@ -12,9 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from paydev.ml.forest import ForestModel
-from paydev.ml.logit import LogitModel
-from paydev.ml.tree import Tree, TreeModel
+from paydev.model import ForestModel, LogitModel, Tree, TreeModel
 
 
 def _tree_lines(tree: Tree, columns, lines):
@@ -57,7 +55,7 @@ def introspect(model) -> str:
         _tree_lines(model.root, model.columns, lines)
         return "\n".join(lines)
     if isinstance(model, ForestModel):
-        order = np.argsort(-model.importance)
+        order = np.argsort(-np.asarray(model.importance))
         lines = ["forest feature importance (mean decrease in Gini):"]
         lines += [f"  {model.columns[j]} {model.importance[j]:.4f}" for j in order]
         return "\n".join(lines)

@@ -9,8 +9,10 @@ sorted once per fit (Presorted), and its forest_sum predicts a whole
 forest, or one CART, in one call. Without a compiler, trees grow in Python
 (_grow_tree_py), which calls the numpy best_split below node by node, and
 forests predict tree by tree (tree_proba); both give bit-identical trees
-and predictions. The record scanners that share the library live in
-paydev.native, which imports no numpy.
+and predictions. Either way a tree's node arrays are the array("q") and
+array("d") buffers of paydev.model.Tree. The forest_sum driver and the
+record scanners that share the library live in paydev.native, which
+imports no numpy.
 
 The compiled grower draws each forest node's features through the
 Generator's own bit generator, repeating numpy's Generator.choice. Before
@@ -21,10 +23,12 @@ Python.
 
 import ctypes
 import functools
+from array import array
 from contextlib import nullcontext
 
 import numpy as np
 
+from paydev import native
 from paydev.native import BACKEND  # noqa: F401  perfbench/run.py reads kernels.BACKEND
 from paydev.native import lib as _lib
 
@@ -184,16 +188,12 @@ def _grow_tree_py(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
         stack.append((child, left_idx, depth + 1))
 
     m = len(ns)
-    inner = np.array([s[0] for s in splits], dtype=np.int64)
-    feature, left, right = (np.full(m, -1, dtype=np.int64) for _ in range(3))
-    threshold = np.zeros(m)
-    feature[inner] = [s[1] for s in splits]
-    threshold[inner] = [s[2] for s in splits]
+    feature, left, right = (array("q", [-1]) * m for _ in range(3))
+    threshold = array("d", [0.0]) * m
     # children were appended in split order, two rows per split
-    left[inner] = np.arange(1, m, 2)
-    right[inner] = np.arange(2, m, 2)
-    n, pos = np.array(ns, dtype=np.int64), np.array(poss, dtype=np.int64)
-    return (feature, threshold, left, right, n, pos), importance
+    for child, (node, f, thr) in zip(range(1, m, 2), splits):
+        feature[node], threshold[node], left[node], right[node] = f, thr, child, child + 1
+    return (feature, threshold, left, right, array("q", ns), array("q", poss)), importance
 
 
 def _c_choice(rng, p, k):
@@ -213,8 +213,8 @@ def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
         raise TypeError("grow_tree needs a 1-d C-contiguous int64 idx")
     n, p = len(idx), rows.args[2]
     cap = max(2 * n - 1, 1)
-    ints = np.empty((5, cap), dtype=np.int64)  # feature, left, right, n, pos
-    threshold, importance = np.empty(cap), np.zeros(p)
+    ints = array("q", bytes(40 * cap))  # five rows of cap: feature, left, right, n, pos
+    threshold, importance = array("d", bytes(8 * cap)), np.zeros(p)
     if rng is None:
         bitgen, lock = None, nullcontext()
     else:  # ctypes releases the GIL; the lock keeps other threads off this generator
@@ -222,12 +222,13 @@ def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
     with lock:
         m = _lib.grow_tree(*rows.args, idx.ctypes.data, n, minsplit, cp,
                            -1 if maxdepth is None else maxdepth, mtry, bitgen,
-                           ints.ctypes.data, threshold.ctypes.data, importance.ctypes.data)
+                           ints.buffer_info()[0], threshold.buffer_info()[0],
+                           importance.ctypes.data)
     if m < 0:
         raise {-1: MemoryError(), -2: IndexError("grow_tree row index out of range"),
                -3: ValueError("grow_tree needs labels 0 or 1")}[m]
-    feature, left, right, count, pos = ints[:, :m].copy()
-    return (feature, threshold[:m].copy(), left, right, count, pos), importance
+    feature, left, right, count, pos = (ints[k * cap:k * cap + m] for k in range(5))
+    return (feature, threshold[:m], left, right, count, pos), importance
 
 
 @functools.cache
@@ -246,7 +247,8 @@ def grower():
 
 def grow_tree(rows: Presorted, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
     """Grow one tree over rows idx of `rows`; returns the six node arrays
-    (feature, threshold, left, right, n, pos) and the importance vector.
+    (feature, threshold, left, right, n, pos: paydev.model.Tree's
+    array("q") and array("d") buffers) and the importance vector (numpy).
     maxdepth None is unbounded. mtry, when below the feature count p, samples
     that many candidate features at every node with rng.choice(p, mtry,
     replace=False). The compiled grower makes the same draws from rng's bit
@@ -263,19 +265,22 @@ def grow_tree(rows: Presorted, idx, *, minsplit, cp, maxdepth, mtry=None, rng=No
 
 
 def tree_proba(tree, X) -> np.ndarray:
-    """P(hired) per row of X under one tree (tree.Tree's node arrays):
-    every row still at an inner node moves one level down per step."""
+    """P(hired) per row of X under one tree (paydev.model.Tree's node
+    arrays): every row still at an inner node moves one level down per
+    step."""
+    feature, threshold, left, right, n, pos = map(np.asarray, (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.n, tree.pos))
     out = np.empty(len(X), dtype=np.float64)
-    proba = tree.pos / tree.n
+    proba = pos / n
     rows = np.arange(len(X))
     nodes = np.zeros(len(X), dtype=np.int64)
     while rows.size:
-        f = tree.feature[nodes]
+        f = feature[nodes]
         inner = f >= 0
         out[rows[~inner]] = proba[nodes[~inner]]
         rows, nodes, f = rows[inner], nodes[inner], f[inner]
-        go_left = X[rows, f] <= tree.threshold[nodes]
-        nodes = np.where(go_left, tree.left[nodes], tree.right[nodes])
+        go_left = X[rows, f] <= threshold[nodes]
+        nodes = np.where(go_left, left[nodes], right[nodes])
     return out
 
 
@@ -284,20 +289,9 @@ def _forest_sum_py(trees, X):
 
 
 def _c_forest_sum(trees, X):
-    """_forest_sum_py in one compiled call over the trees' concatenated
-    node arrays."""
+    """_forest_sum_py in one compiled call (native.forest_sum)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    roots = np.zeros(len(trees) + 1, dtype=np.int64)
-    np.cumsum([len(t.feature) for t in trees], out=roots[1:])
-    ints = np.empty((5, roots[-1]), dtype=np.int64)
-    for row, key in zip(ints, ("feature", "left", "right", "n", "pos")):
-        np.concatenate([getattr(t, key) for t in trees], out=row)
-    threshold = np.concatenate([t.threshold for t in trees], dtype=np.float64)
-    out = np.empty(len(X))
-    if _lib.forest_sum(X.ctypes.data, X.shape[0], X.shape[1], ints.ctypes.data,
-                       threshold.ctypes.data, roots.ctypes.data, len(trees), out.ctypes.data):
-        raise ValueError("forest_sum: a tree node points outside its tree")
-    return out
+    return np.asarray(native.forest_sum(trees, X.ctypes.data, *X.shape))
 
 
 # (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the

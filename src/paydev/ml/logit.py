@@ -8,25 +8,12 @@ the problem well posed under perfect separation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
-
-
-@dataclass
-class LogitModel:
-    coef: np.ndarray  # coefficients in standardized feature space
-    intercept: float
-    mean: np.ndarray
-    scale: np.ndarray
-    columns: list[str]
-    impute: np.ndarray
-    converged: bool
-    n_iter: int
-    loss_history: list[float] = field(default_factory=list)
+from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median, vector
+from paydev.model import LogitModel
 
 
 def sigmoid(z):
@@ -111,12 +98,12 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
             stacklevel=2,
         )
     return LogitModel(
-        coef=w[:-1].copy(),
+        coef=vector(w[:-1]),
         intercept=float(w[-1]),
-        mean=mean,
-        scale=scale,
+        mean=vector(mean),
+        scale=vector(scale),
         columns=list(data.columns),
-        impute=medians,
+        impute=vector(medians),
         converged=converged,
         n_iter=it,
         loss_history=history,
@@ -125,5 +112,5 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
 
 def predict_logit(model: LogitModel, X) -> np.ndarray:
     X = fill_missing(np.asarray(X, dtype=np.float64), model.impute)
-    Xz = (X - model.mean) / model.scale
-    return sigmoid(Xz @ model.coef + model.intercept)
+    Xz = (X - np.asarray(model.mean)) / np.asarray(model.scale)
+    return sigmoid(Xz @ np.asarray(model.coef) + model.intercept)

@@ -11,37 +11,11 @@ the tree (grow_tree) and walks it (forest_sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from paydev.ml import kernels
-from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
-
-
-@dataclass
-class Tree:
-    """One fitted tree as parallel node arrays. Node 0 is the root and every
-    child index is greater than its parent's; leaves have feature, left and
-    right -1. n and pos count the node's training rows and hired rows."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    n: np.ndarray
-    pos: np.ndarray
-
-
-@dataclass
-class TreeModel:
-    root: Tree
-    columns: list[str]
-    impute: np.ndarray
-    minsplit: int
-    cp: float
-    maxdepth: int | None
-    importance: np.ndarray = field(default=None)
+from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median, vector
+from paydev.model import Tree, TreeModel
 
 
 def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
@@ -55,11 +29,11 @@ def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
     return TreeModel(
         root=Tree(*arrays),
         columns=list(data.columns),
-        impute=medians,
+        impute=vector(medians),
         minsplit=minsplit,
         cp=cp,
         maxdepth=maxdepth,
-        importance=importance,
+        importance=vector(importance),
     )
 
 

@@ -1,25 +1,157 @@
-"""Versioned model files.
+"""Fitted models as data, their files, and prediction over the rows of a
+features CSV, without numpy.
 
-A model file is one JSON object starting with the magic string
-PAYDEVMODEL/2; floats serialize via repr so save/load round-trips exactly.
-Each tree is an object of six equal-length node arrays (see tree.Tree).
+The model objects hold stdlib arrays: a Tree's six node arrays are
+array("q") (array("d") for threshold), and every per-feature vector
+(impute, importance, a logit's coef, mean and scale) is an array("d").
+paydev.ml's fit_logit, fit_tree and fit_forest and load_model return these
+same objects. A model file is one JSON object starting with the magic
+string PAYDEVMODEL/2; floats serialize via repr so save/load round-trips
+exactly. Each tree is an object of its six node arrays.
+
+predict_rows scores rows as read_features_csv gives them. With the
+compiled library a tree or forest is walked by native.forest_sum, the
+walker paydev.ml's predictors call too, so `paydev predict --features`
+with such a model runs without numpy; a logit model, and every model
+without the library, is scored by paydev.ml.predict_proba.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from array import array
+from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from paydev.errors import SchemaError
-from paydev.ml.forest import ForestModel
-from paydev.ml.logit import LogitModel
-from paydev.ml.tree import Tree, TreeModel
+from paydev import native
+from paydev.errors import ColumnMismatchError, SchemaError, csv_rows
 
 MAGIC = "PAYDEVMODEL/2"
+HIRED = "hired"
+VOLUNTEER = "volunteer"
+
+
+@dataclass
+class Tree:
+    """One fitted tree as parallel node arrays. Node 0 is the root and every
+    child index is greater than its parent's; leaves have feature, left and
+    right -1. n and pos count the node's training rows and hired rows."""
+
+    feature: array
+    threshold: array
+    left: array
+    right: array
+    n: array
+    pos: array
+
+
 TREE_ARRAYS = tuple(f.name for f in fields(Tree))
+
+
+@dataclass
+class TreeModel:
+    root: Tree
+    columns: list[str]
+    impute: array
+    minsplit: int
+    cp: float
+    maxdepth: int | None
+    importance: array = field(default=None)
+
+
+@dataclass
+class ForestModel:
+    trees: list[Tree]
+    columns: list[str]
+    impute: array
+    n_trees: int
+    mtry: int
+    seed: int
+    bootstrap: bool
+    importance: array
+
+
+@dataclass
+class LogitModel:
+    coef: array  # coefficients in standardized feature space
+    intercept: float
+    mean: array
+    scale: array
+    columns: list[str]
+    impute: array
+    converged: bool
+    n_iter: int
+    loss_history: list[float] = field(default_factory=list)
+
+
+def model_kind(model) -> str:
+    if isinstance(model, LogitModel):
+        return "logit"
+    if isinstance(model, TreeModel):
+        return "tree"
+    if isinstance(model, ForestModel):
+        return "forest"
+    raise TypeError(f"not a model: {type(model).__name__}")
+
+
+def column_order(columns, model_columns) -> list[int]:
+    """The index in `columns` of each of the model's columns; raises
+    ColumnMismatchError when the two name different columns."""
+    columns = list(columns)
+    missing = set(model_columns) - set(columns)
+    extra = set(columns) - set(model_columns)
+    if missing or extra:
+        raise ColumnMismatchError(missing=missing, extra=extra)
+    return [columns.index(c) for c in model_columns]
+
+
+def read_features_csv(fileobj):
+    """Read a features CSV into (rows, ids, columns): one list of floats per
+    identity, in file order, where nan marks a missing value; no id may
+    repeat."""
+    reader = csv_rows(fileobj)
+    header = next(reader, None)
+    if not header or header[0] != "identity":
+        raise SchemaError("features CSV must start with an 'identity' column", line=1)
+    columns = header[1:]
+    ids, rows, seen = [], [], set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns) + 1:
+            raise SchemaError("wrong number of columns", line=lineno)
+        if row[0] in seen:
+            raise SchemaError(f"identity {row[0]!r} repeated", line=lineno)
+        seen.add(row[0])
+        ids.append(row[0])
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise SchemaError("non-numeric feature value", line=lineno) from None
+        if any(math.isinf(v) for v in values):  # nan means missing and is imputed
+            raise SchemaError("infinite feature value", line=lineno)
+        rows.append(values)
+    return rows, ids, columns
+
+
+def predict_rows(model, rows, columns):
+    """P(hired) of each row (a list of floats in `columns` order) under
+    `model`, with the columns matched to the model's by name and each
+    missing (nan) value replaced by the model's imputed one."""
+    order = column_order(columns, model.columns)
+    if native.lib is None or isinstance(model, LogitModel):
+        import numpy as np
+
+        from paydev import ml
+
+        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+        return ml.predict_proba(model, X, columns=columns)
+    trees = [model.root] if isinstance(model, TreeModel) else model.trees
+    impute = model.impute
+    X = array("d", [impute[k] if math.isnan(v := row[j]) else v
+                    for row in rows for k, j in enumerate(order)])
+    sums = native.forest_sum(trees, X.buffer_info()[0], len(rows), len(order))
+    return [s / len(trees) for s in sums]
 
 
 def _tree_to_obj(tree: Tree):
@@ -55,12 +187,12 @@ def _number(obj, key):
 
 
 def _floats(obj, key, size=None, allowed=_is_number):
-    """obj[key] as a float64 array; size=None accepts any length, and every
+    """obj[key] as an array("d"); size=None accepts any length, and every
     element must pass `allowed`."""
     values = _get(obj, key, list)
     if size not in (None, len(values)) or not all(allowed(v) for v in values):
         raise SchemaError(f"model file: {key!r} is not a list of valid numbers of the right length")
-    return np.array(values, dtype=np.float64)
+    return array("d", values)
 
 
 def _ints_in(values, lo, hi):
@@ -68,9 +200,9 @@ def _ints_in(values, lo, hi):
 
 
 def _tree_from_obj(obj, p) -> Tree:
-    """Checks every element before any numpy conversion: types and ranges,
-    and that the inner nodes' children are each node 1..m-1 exactly once,
-    at a larger index than their parent, so the arrays form one tree."""
+    """Checks every element before any conversion: types and ranges, and
+    that the inner nodes' children are each node 1..m-1 exactly once, at a
+    larger index than their parent, so the arrays form one tree."""
     arrays = {key: _get(obj, key, list) for key in TREE_ARRAYS}
     feature, threshold, left, right, n, pos = arrays.values()
     m = len(n)
@@ -91,20 +223,8 @@ def _tree_from_obj(obj, p) -> Tree:
         children += (lo, hi)
     if sorted(children) != list(range(1, m)):
         raise SchemaError("model file: tree nodes do not form one tree")
-    return Tree(**{
-        key: np.array(a, dtype=np.float64 if key == "threshold" else np.int64)
-        for key, a in arrays.items()
-    })
-
-
-def model_kind(model) -> str:
-    if isinstance(model, LogitModel):
-        return "logit"
-    if isinstance(model, TreeModel):
-        return "tree"
-    if isinstance(model, ForestModel):
-        return "forest"
-    raise TypeError(f"not a model: {type(model).__name__}")
+    return Tree(**{key: array("d" if key == "threshold" else "q", a)
+                   for key, a in arrays.items()})
 
 
 def save_model(model, fileobj) -> None:

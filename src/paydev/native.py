@@ -1,15 +1,19 @@
-"""The compiled library and the two record scanners, without numpy.
+"""The compiled library, its forest predictor and the two record scanners,
+without numpy.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
 through ctypes as `lib`; delete that file to rebuild. BACKEND names what
 runs: "c" with the library, "python" without it. paydev.ml.kernels drives
-the library's tree grower and forest predictor; this module drives its
-record scanners, scan_canonical and scan_git_log, and is the one place that
-chooses between their compiled and Python forms, which give the same
-results. It imports no numpy, so `paydev ingest` and `paydev identities`
-run without it: a scanned run's four int columns are stdlib array("q")
-buffers, the type of ingest.Commits' int columns.
+the library's tree grower. This module drives its forest predictor
+(forest_sum, over the array("q") and array("d") node arrays of
+paydev.model.Tree) and its record scanners, scan_canonical and
+scan_git_log, and is the one place that chooses between the scanners'
+compiled and Python forms, which give the same results. It imports no
+numpy, so `paydev ingest`, `paydev identities` and a tree or forest
+`paydev predict --features` run without it: a scanned run's four int
+columns are stdlib array("q") buffers, the type of ingest.Commits' int
+columns.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -159,6 +163,27 @@ def _c_scan_git_log(data, pos):
     by record, and each record it declines as its byte offset. The scanner
     reads each record from its 0x1E."""
     return _runs(lib.scan_git_log, data, pos - 1, _record)
+
+
+def forest_sum(trees, X, n_rows, p):
+    """Per row of X, the sum over `trees` (paydev.model.Tree), in order, of
+    the row's leaf probability pos/n, as an array("d"), in one call to the
+    library's forest_sum over the trees' concatenated node arrays. X is the
+    address of n_rows * p float64 values, row after row."""
+    roots, ints, threshold = array("q", [0]), array("q"), array("d")
+    for key in ("feature", "left", "right", "n", "pos"):
+        for tree in trees:
+            ints += getattr(tree, key)
+    for tree in trees:
+        threshold += tree.threshold
+        roots.append(roots[-1] + len(tree.n))
+    if len(ints) != 5 * roots[-1] or len(threshold) != roots[-1]:
+        raise ValueError("forest_sum: a tree's node arrays differ in length")
+    out = array("d", bytes(8 * n_rows))
+    if lib.forest_sum(X, n_rows, p, ints.buffer_info()[0], threshold.buffer_info()[0],
+                      roots.buffer_info()[0], len(trees), out.buffer_info()[0]):
+        raise ValueError("forest_sum: a tree node points outside its tree")
+    return out
 
 
 # (binary file) -> its lines in scanned runs and declined lines; without the

@@ -1054,6 +1054,124 @@ def test_ingest_and_identities_import_no_numpy(tmp_path, backend):
     assert len((tmp_path / "identities.jsonl").read_text().splitlines()) == 40
 
 
+PREDICT_COLUMNS = ["a", "b", "c", "d", "e"]
+PREDICT_MODELS = ["logit", "rpart", "forest-1", "forest-7"]
+
+
+def _write_features(path, rows, columns):
+    """A features CSV of (id, values) rows; a None value is written nan."""
+    lines = [",".join(["identity", *columns])]
+    lines += [",".join([ident, *("nan" if v is None else repr(v) for v in values)])
+              for ident, values in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def predict_inputs(tmp_path_factory):
+    """60 developers' random features (about one cell in seven missing) and
+    labels, and a model file of each kind in PREDICT_MODELS trained on them;
+    returns the directory and the rows."""
+    import random
+
+    d = tmp_path_factory.mktemp("predict")
+    rng = random.Random(3)
+    rows = [(f"dev{i:02d}", [None if rng.random() < 0.15 else rng.gauss(0, 3)
+                             for _ in PREDICT_COLUMNS]) for i in range(60)]
+    _write_features(d / "f.csv", rows, PREDICT_COLUMNS)
+    (d / "labels.csv").write_text("identity,status,hired_from,hired_to\n" + "".join(
+        f"{ident},{'hired' if (values[0] or 0) + rng.gauss(0, 1) > 0 else 'volunteer'},,\n"
+        for ident, values in rows))
+    for kind in PREDICT_MODELS:
+        classifier, _, trees = kind.partition("-")
+        argv = ["--classifier", "randomforest", "--forest-trees", trees] if trees else [
+            "--classifier", classifier]
+        assert run_cli("train", str(d / "f.csv"), "--labels", str(d / "labels.csv"), *argv,
+                       "--seed", "4", "--out", str(d / f"{kind}.json")) == 0
+    return d, rows
+
+
+@pytest.mark.parametrize("kind", PREDICT_MODELS)
+@pytest.mark.parametrize("layout", ["trained", "reordered"])
+def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monkeypatch, kind,
+                                                 layout):
+    """`predict --features` prints ml.predict_proba's probabilities, found
+    with the tree_proba walker, for rows with missing values and columns in
+    any order."""
+    import numpy as np
+
+    from paydev import ml
+    from paydev.ml import kernels
+
+    d, rows = predict_inputs
+    order = [4, 2, 0, 3, 1] if layout == "reordered" else list(range(5))
+    columns = [PREDICT_COLUMNS[j] for j in order]
+    shuffled = [(ident, [values[j] for j in order]) for ident, values in rows]
+    _write_features(tmp_path / "f.csv", shuffled, columns)
+    out = tmp_path / "p.csv"
+    assert run_cli("predict", str(d / f"{kind}.json"), "--features", str(tmp_path / "f.csv"),
+                   "--out", str(out)) == 0
+    with open(d / f"{kind}.json") as f:
+        model = ml.load_model(f)
+    X = np.array([[np.nan if v is None else v for v in values] for _, values in shuffled])
+    monkeypatch.setattr(kernels, "forest_sum", kernels._forest_sum_py)
+    p = ml.predict_proba(model, X, columns=columns)
+    assert out.read_text() == "id,probability,class\n" + "".join(
+        f"{ident},{v:.6f},{'hired' if v >= 0.5 else 'volunteer'}\n"
+        for (ident, _), v in zip(rows, p))
+
+
+@pytest.mark.parametrize("kind", PREDICT_MODELS)
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_predict_column_mismatch_exit_4(predict_inputs, tmp_path, capsys, kind, change):
+    d, rows = predict_inputs
+    if change == "missing":
+        columns, rows = PREDICT_COLUMNS[1:], [(i, values[1:]) for i, values in rows]
+    else:
+        columns, rows = PREDICT_COLUMNS + ["z"], [(i, values + [1.0]) for i, values in rows]
+    _write_features(tmp_path / "f.csv", rows, columns)
+    out = tmp_path / "p.csv"
+    assert run_cli("predict", str(d / f"{kind}.json"), "--features", str(tmp_path / "f.csv"),
+                   "--out", str(out)) == 4
+    assert f"{change}: {'a' if change == 'missing' else 'z'})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# predict --features with a tree or a forest model, in one fresh interpreter in
+# the directory of the models: per model, whether numpy was loaded after it
+PREDICT_SCRIPT = """
+import sys
+from paydev import cli, native
+for kind in ("rpart", "forest-7"):
+    argv = ["predict", f"{kind}.json", "--features", "f.csv", "--out", sys.argv[1] + kind]
+    assert cli.main(argv) == 0, kind
+    print(kind, "numpy" in sys.modules)
+print(native.BACKEND)
+"""
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_predict_tree_or_forest_imports_no_numpy(predict_inputs, tmp_path, backend):
+    """With the compiled library numpy stays unloaded; the fallback (no cc on
+    PATH and an empty library cache) writes the same bytes."""
+    if backend == "c" and native.BACKEND != "c":
+        pytest.skip("no compiled library")
+    d, _ = predict_inputs
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if backend == "python":
+        (tmp_path / "no-cc").mkdir()
+        env.update(HOME=str(tmp_path / "home"), PATH=str(tmp_path / "no-cc"))
+    r = subprocess.run([sys.executable, "-c", PREDICT_SCRIPT, f"{tmp_path}/fresh-"], cwd=d,
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [f"rpart {backend == 'python'}",
+                                     f"forest-7 {backend == 'python'}", backend]
+    for kind in ("rpart", "forest-7"):
+        here = tmp_path / f"here-{kind}"
+        assert run_cli("predict", str(d / f"{kind}.json"), "--features", str(d / "f.csv"),
+                       "--out", str(here)) == 0
+        assert (tmp_path / f"fresh-{kind}").read_bytes() == here.read_bytes()
+
+
 class TestProductFilter:
     def test_product_map_filters_commits(self, tmp_path):
         from io import StringIO
@@ -1164,6 +1282,8 @@ FUZZ_COMMANDS = {
                      "{products}"], "products.csv"),
     "config": (["evaluate", "{records}", "--labels", "{labels}", "--config", "{mut}",
                 "--folds", "2", "--repeats", "1", "--forest-trees", "3"], "run.cfg"),
+    "model": (["predict", "{mut}", "--features", "{features}"], "model.json"),
+    "predict_features": (["predict", "{model}", "--features", "{mut}"], "f.csv"),
 }
 
 
@@ -1183,6 +1303,8 @@ def fuzz_inputs(tmp_path_factory):
     (d / "products.csv").write_text("issue_id,product\n" + "".join(
         f"{issue},{'Firefox' if k % 2 else 'Other'}\n" for k, issue in enumerate(issues)))
     (d / "products.cfg").write_text("products=Firefox\n")
+    assert run_cli("train", str(d / "f.csv"), "--labels", str(labels), "--classifier",
+                   "randomforest", "--forest-trees", "3", "--out", str(d / "model.json")) == 0
     (d / "run.cfg").write_text(
         "# run\nseed=3\nmin_commits=1\nfeature_mode=all\ncoverage=0.5\n"
         "email_domains=example.org,mozilla.com\nproducts=Firefox\nlogit_l2=1e-8\n"
@@ -1230,6 +1352,7 @@ class TestInputFuzz:
         classifier = data.draw(st.sampled_from(["logit", "rpart", "randomforest"]))
         code = run_cli(*(a.format(records=d / "records.jsonl", labels=d / "labels.csv",
                                   products=d / "products.cfg", classifier=classifier,
+                                  features=d / "f.csv", model=d / "model.json",
                                   mut=mut) for a in argv), "--out", str(out))
         assert code in (0, 2, 3, 4, 5, 6)
         assert code == 0 or not out.exists()

@@ -639,6 +639,41 @@ class TestReaderOracle:
         assert got == want == (SchemaError, f"{message} (line 4)", 4)
 
 
+class TestCanonicalCrlf:
+    """A canonical file with CRLF line ends: the compiled scanner takes
+    every line, and both readers give the commits and errors of the same
+    file with LF ends."""
+
+    RECORDS = [make_record(sha=sha_of(i), message=f"change {i}", lines_added=i)
+               for i in range(40)]
+
+    def test_same_commits_as_lf(self):
+        lf = canonical_bytes(self.RECORDS)
+        got = _read_outcome(lf.replace(b"\n", b"\r\n"))
+        assert got == _read_outcome(lf) and len(got) == len(self.RECORDS)
+
+    @pytest.mark.skipif(native.BACKEND != "c", reason="no compiled scanner")
+    def test_scanner_declines_no_line(self):
+        crlf = canonical_bytes(self.RECORDS).replace(b"\n", b"\r\n")
+        items = list(native.scan_canonical(io.BytesIO(crlf)))
+        assert all(type(item) is tuple for item in items)
+        assert sum(len(ints[0]) for ints, _ in items) == len(self.RECORDS)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"sha": sha_of(1)}, DuplicateShaError, f"duplicate commit id {sha_of(1)}"),
+        ({"tz_offset_minutes": 1441}, SchemaError, "tz_offset_minutes out of range"),
+        ({"lines_deleted": -2}, SchemaError, "line counts must be >= -1"),
+        ({"author_email": "Ann@x.org"}, SchemaError, "author_email must be lowercase"),
+        ({"lines_added": "1"}, SchemaError, "field 'lines_added' must be an integer"),
+    ])
+    def test_bad_line_raises_the_lf_error(self, fields, error, message):
+        bad = json.dumps({**asdict(make_record(sha=sha_of(99))), **fields}) + "\n"
+        lf = (canonical_bytes(self.RECORDS[:3]) + bad.encode()
+              + canonical_bytes(self.RECORDS[3:5]))
+        got = _read_outcome(lf.replace(b"\n", b"\r\n"))
+        assert got == _read_outcome(lf) == (error, f"{message} (line 4)", 4)
+
+
 _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
 
 
@@ -661,7 +696,7 @@ _GOOD_LINE = json.dumps(asdict(make_record(sha=sha_of(1)))) + "\n"
     ("Alice", 'Al\\"ice', False),
     ("Alice", "Al\\u0069ce", False),
     (sha_of(1), sha_of(1).upper().replace("0", "A"), False),
-    ("}\n", "}\r\n", False),
+    ("}\n", "}\r\n", True),
     ("}\n", "} \n", False),
     ('", "author_name"', '","author_name"', False),
     ("{", " {", False),

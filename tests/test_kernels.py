@@ -9,8 +9,7 @@ import pytest
 
 from oracle_split import exhaustive_best_split
 from paydev.ml import kernels
-from paydev.ml.serialize import TREE_ARRAYS
-from paydev.ml.tree import Tree
+from paydev.model import TREE_ARRAYS, Tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -131,7 +130,7 @@ def _assert_same_tree(a, b):
     (tree_a, imp_a), (tree_b, imp_b) = a, b
     for key in TREE_ARRAYS:
         x, y = getattr(tree_a, key), getattr(tree_b, key)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+        assert x.typecode == y.typecode and x.tobytes() == y.tobytes(), key
     assert imp_a.tobytes() == imp_b.tobytes()
 
 
@@ -210,7 +209,7 @@ class TestGrowerEquivalence:
                                         maxdepth=maxdepth)
                 _assert_same_tree(*results)
                 grown = results[0][0]
-                assert (grown.n > 0).all()
+                assert min(grown.n) > 0
                 assert len(grown.n) == 2 * len(values) - 1
                 assert grown.threshold[0] == a
 

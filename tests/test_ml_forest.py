@@ -1,4 +1,6 @@
 import io
+from array import array
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from paydev.errors import ColumnMismatchError, SchemaError
 from paydev.ml import kernels
 from paydev.ml import (
     fit_forest,
+    fit_logit,
     fit_tree,
     introspect,
     load_model,
@@ -15,9 +18,8 @@ from paydev.ml import (
     save_model,
 )
 from paydev.ml.dataset import fill_missing
-from paydev.ml.serialize import TREE_ARRAYS
 from paydev.ml.kernels import tree_proba
-from paydev.ml.tree import Tree
+from paydev.model import TREE_ARRAYS, Tree
 
 
 def _dataset(X, y, columns=None):
@@ -150,7 +152,7 @@ def _loop_sum(trees, X):
 
 
 def _leaf(n, pos):
-    return Tree(*(np.array([v], dtype=np.float64 if i == 1 else np.int64)
+    return Tree(*(array("d" if i == 1 else "q", [v])
                   for i, v in enumerate((-1, 0.0, -1, -1, n, pos))))
 
 
@@ -178,7 +180,8 @@ class TestForestSum:
         X = rng.integers(0, 6, size=(150, 3)).astype(np.float64)
         y = (X.sum(axis=1) + rng.integers(0, 4, size=150) > 9).astype(int)
         model = fit_forest(_dataset(X, y), n_trees=10, seed=2)
-        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+        thresholds = np.concatenate([np.asarray(t.threshold)[np.asarray(t.feature) >= 0]
+                                     for t in model.trees])
         assert len(thresholds)
         on = np.repeat(thresholds, 3).reshape(-1, 3)  # every feature on each threshold
         on[::2, 1] = np.nextafter(on[::2, 1], -np.inf)
@@ -198,7 +201,7 @@ class TestForestSum:
     def test_malformed_tree_rejected(self, rng, damage):
         X, y = _separable(rng, n=100)
         tree = fit_forest(_dataset(X, y), n_trees=1, seed=1).trees[0]
-        inner = int(np.flatnonzero(tree.feature >= 0)[-1])
+        inner = int(np.flatnonzero(np.asarray(tree.feature) >= 0)[-1])
         if damage == "feature":
             tree.feature[inner] = 2
         else:
@@ -250,3 +253,28 @@ class TestIntrospectAndSerialize:
         assert buf.getvalue() == again.getvalue()
         Xt = rng.normal(size=(25, 2))
         assert np.array_equal(predict_proba(model, Xt), predict_proba(loaded, Xt))
+
+
+def _layout(value):
+    """The types a model object is made of: each array's typecode, each
+    dataclass's fields and a list's first element, recursively."""
+    if isinstance(value, array):
+        return "array", value.typecode
+    if is_dataclass(value):
+        return type(value).__name__, {k: _layout(v) for k, v in vars(value).items()}
+    if isinstance(value, list):
+        return [_layout(v) for v in value[:1]]
+    return type(value).__name__
+
+
+def test_fitted_and_loaded_models_are_one_representation(rng):
+    """fit_* and load_model give models of the same types, down to each node
+    array and vector: one representation for evaluate and predict."""
+    X, y = _separable(rng, 80)
+    data = _dataset(X, y)
+    for model in (fit_logit(data), fit_tree(data), fit_forest(data, n_trees=3, seed=1)):
+        buf = io.StringIO()
+        save_model(model, buf)
+        loaded = load_model(io.StringIO(buf.getvalue()))
+        assert _layout(loaded) == _layout(model)
+        assert "ndarray" not in repr(_layout(model))

@@ -25,7 +25,7 @@ def _dataset(X, y, columns=None):
 
 def _inner(tree):
     """Indices of the tree's inner (split) nodes."""
-    return np.flatnonzero(tree.feature >= 0)
+    return np.flatnonzero(np.asarray(tree.feature) >= 0)
 
 
 def _depths(tree):
@@ -89,10 +89,11 @@ class TestFit:
         m = len(t.n)
         assert all(len(a) == m for a in (t.feature, t.threshold, t.left, t.right, t.pos))
         inner = _inner(t)
-        leaves = np.flatnonzero(t.feature < 0)
-        assert (t.left[leaves] == -1).all() and (t.right[leaves] == -1).all()
-        assert (t.left[inner] > inner).all() and (t.right[inner] > inner).all()
-        children = np.sort(np.concatenate([t.left[inner], t.right[inner]]))
+        feature, left, right = map(np.asarray, (t.feature, t.left, t.right))
+        leaves = np.flatnonzero(feature < 0)
+        assert (left[leaves] == -1).all() and (right[leaves] == -1).all()
+        assert (left[inner] > inner).all() and (right[inner] > inner).all()
+        children = np.sort(np.concatenate([left[inner], right[inner]]))
         assert np.array_equal(children, np.arange(1, m))
 
     def test_every_split_strictly_reduces_gini(self, rng):

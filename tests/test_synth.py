@@ -4,10 +4,11 @@ import pytest
 from conftest import history_of
 from paydev import labels as lab
 from paydev import ml
-from paydev.evaluation import cross_validate, forest_seed, roc_auc, stratified_kfold
+from paydev.evaluation import cross_validate, roc_auc, stratified_kfold
 from paydev.features import compute_features, feature_matrix
 from paydev.identity import merge_identities
 from paydev.ingest import Commits
+from paydev.ml import forest_seed
 from paydev.synth import SynthSpec, generate_synthetic_corpus, spec_with_profiles
 
 
