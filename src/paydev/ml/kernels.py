@@ -1,6 +1,7 @@
-"""The tree grower and the forest predictor: grow_tree and forest_sum, the
-one place that chooses between their compiled and Python forms, which give
-the same results.
+"""The tree grower and the forest predictor over numpy matrices: grow_tree
+and forest_sum, the place that chooses between their compiled and Python
+forms, which give the same results (paydev.model.predict_rows makes the
+same choice for the rows `predict` reads).
 
 The compiled library is paydev.native's `lib` (_split.c, built on first
 import of that module); BACKEND says whether it loaded. Its grow_tree grows
