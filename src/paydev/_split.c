@@ -11,8 +11,14 @@
  * scan_git_log, two grammars over one scanning protocol, read the canonical
  * lines and the git-log records that the Python readers would accept, in
  * exactly the layout their writers give; they decline everything else,
- * raise nothing and copy out only the strings. */
+ * raise nothing and copy out only the strings. sort_histories,
+ * local_calendar and activity are the History pass of features.histories,
+ * to_local and developer_features: they sort and gather each identity's
+ * commits, calendar them in local time and compute one History's developer
+ * features, giving bit for bit what their Python twins in paydev.native
+ * give. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -572,4 +578,223 @@ int64_t scan_git_log(const char *data, int64_t start, int64_t end, int64_t cap,
                      int64_t *ints, char *text, int64_t text_cap, int64_t *info)
 {
     return scan(git_record, data, start, end, cap, ints, text, text_cap, info);
+}
+
+/* ---------------------------------------------------------------- histories
+ * sort_histories and local_calendar build the columns of features.histories;
+ * activity computes one History's developer features. Their Python twins in
+ * paydev.native give the same values, bit for bit. */
+
+typedef struct { int64_t ts, at, row; } Stamp;
+
+static int cmp_stamp(const void *a, const void *b)
+{
+    const Stamp *x = a, *y = b;
+    if (x->ts != y->ts)
+        return (x->ts > y->ts) - (x->ts < y->ts);
+    return (x->at > y->at) - (x->at < y->at);
+}
+
+/* Identity i owns the next sizes[i] entries of rows[0..n), rows of an
+ * n_commits-row commit table in sha order. Sorts each identity's rows
+ * stably by timestamp in place, so that they run in (timestamp, sha) order,
+ * and writes per entry its row's timestamp to ts, its offset to off and its
+ * changed lines to lines: added + deleted as doubles, NaN where either is
+ * below 0 (a binary-only commit). Returns 0, -1 when out of memory, -2 when
+ * a row is out of range or the sizes do not add up to n. */
+int sort_histories(int64_t *rows, int64_t n, const int64_t *sizes, int64_t n_ids,
+                   const int64_t *timestamp, const int64_t *offset, const int64_t *added,
+                   const int64_t *deleted, int64_t n_commits, int64_t *ts, int64_t *off,
+                   double *lines)
+{
+    int64_t total = 0, widest = 1;
+    for (int64_t i = 0; i < n_ids; i++) {
+        if (sizes[i] < 0)
+            return -2;
+        total += sizes[i];
+        widest = sizes[i] > widest ? sizes[i] : widest;
+    }
+    if (total != n)
+        return -2;
+    for (int64_t j = 0; j < n; j++)
+        if (rows[j] < 0 || rows[j] >= n_commits)
+            return -2;
+    Stamp *st = malloc(widest * sizeof(Stamp));
+    if (st == NULL)
+        return -1;
+    for (int64_t i = 0, start = 0; i < n_ids; start += sizes[i++]) {
+        int64_t *r = rows + start;
+        for (int64_t j = 0; j < sizes[i]; j++)
+            st[j] = (Stamp){timestamp[r[j]], j, r[j]};
+        qsort(st, sizes[i], sizeof(Stamp), cmp_stamp);
+        for (int64_t j = 0; j < sizes[i]; j++)
+            r[j] = st[j].row;
+    }
+    free(st);
+    for (int64_t j = 0; j < n; j++) {
+        int64_t r = rows[j];
+        ts[j] = timestamp[r];
+        off[j] = offset[r];
+        lines[j] = added[r] >= 0 && deleted[r] >= 0 ? (double)added[r] + (double)deleted[r]
+                                                    : NAN;
+    }
+    return 0;
+}
+
+/* The proleptic Gregorian year of day z (days since 1970-01-01), and the
+ * day of 1 January of year y (H. Hinnant's civil-calendar algorithms). */
+static int64_t year_of(int64_t z)
+{
+    z += 719468;
+    int64_t era = (z >= 0 ? z : z - 146096) / 146097, doe = z - era * 146097;
+    int64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+    int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    return yoe + era * 400 + ((5 * doy + 2) / 153 >= 10);  /* January or February */
+}
+
+static int64_t january_first(int64_t y)
+{
+    y -= 1;  /* the Gregorian cycle starts in March */
+    int64_t era = (y >= 0 ? y : y - 399) / 400, yoe = y - era * 400;
+    return era * 146097 + yoe * 365 + yoe / 4 - yoe / 100 + 306 - 719468;
+}
+
+/* The civil calendar of ts[k] shifted by off[k] minutes, for k < n, as five
+ * rows of cal: day (since 1970-01-01), hour, weekday (Monday = 0), ISO year
+ * and ISO week, the week of its Thursday. Returns 0, -1 when an offset is
+ * outside +-1440 (checked first, for every k), -2 when a local time falls
+ * outside years 1-9999. */
+int local_calendar(const int64_t *ts, const int64_t *off, int64_t n, int64_t *cal)
+{
+    for (int64_t k = 0; k < n; k++)
+        if (off[k] < -1440 || off[k] > 1440)
+            return -1;
+    for (int64_t k = 0; k < n; k++) {
+        /* wraps as numpy's int64 would; a wrapped value is far out of range */
+        int64_t local = (int64_t)((uint64_t)ts[k] + (uint64_t)(60 * off[k]));
+        if (local < LOCAL_MIN || local > LOCAL_MAX)
+            return -2;
+        int64_t day = local / 86400 - (local % 86400 < 0);
+        int64_t weekday = ((day + 3) % 7 + 7) % 7, thursday = day + 3 - weekday;
+        int64_t year = year_of(thursday);
+        cal[k] = day;
+        cal[n + k] = (local - 86400 * day) / 3600;
+        cal[2 * n + k] = weekday;
+        cal[3 * n + k] = year;
+        cal[4 * n + k] = (thursday - january_first(year)) / 7 + 1;
+    }
+    return 0;
+}
+
+static int cmp_double(const void *a, const void *b)
+{
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* The number of distinct values of v[0..n), n >= 1, sorted in place. */
+static int64_t distinct(int64_t *v, int64_t n)
+{
+    qsort(v, n, sizeof(int64_t), cmp_int64);
+    int64_t d = 1;
+    for (int64_t k = 1; k < n; k++)
+        d += v[k] != v[k - 1];
+    return d;
+}
+
+/* The weekday hour of nearest rank pct (the ceil(m * pct / 100)-th smallest,
+ * at least the first) among the m weekday hours counted in bucket[0..24). */
+static int64_t nearest_rank(const int64_t *bucket, int64_t m, int64_t pct)
+{
+    int64_t k = (m * pct + 99) / 100, seen = 0, h = 0;
+    k = k > 1 ? k : 1;
+    while ((seen += bucket[h]) < k)
+        h++;
+    return h;
+}
+
+/* The developer features of one History of n >= 1 commits, from its columns
+ * (ts in ascending order; lines NaN for a binary-only commit): ints gets
+ * period, days, weeks, commits, most_active_hour, beginning_regular,
+ * length_regular and end_regular; reals gets timediff, loc_per_commit and the
+ * weekend, night, morning, afternoon, evening and office shares. Medians of
+ * an even count are the mean of the two middle values; the regular window
+ * runs between the nearest-rank 10th and 90th percentiles of the weekday
+ * (Monday-Friday) hours, 0 to 0 without any. Returns 0, -1 when out of
+ * memory, -2 when n < 1 or an hour is outside 0-23. */
+int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *hour,
+             const int64_t *weekday, const int64_t *iso_year, const int64_t *iso_week,
+             const double *lines, int64_t *ints, double *reals)
+{
+    if (n < 1)
+        return -2;
+    int64_t all[24] = {0}, work[24] = {0}, working = 0;
+    for (int64_t k = 0; k < n; k++) {
+        if (hour[k] < 0 || hour[k] > 23)
+            return -2;
+        all[hour[k]]++;
+        if (weekday[k] < 5) {
+            work[hour[k]]++;
+            working++;
+        }
+    }
+    int64_t *v = malloc(n * sizeof(int64_t));
+    double *loc = malloc(n * sizeof(double));
+    if (v == NULL || loc == NULL) {
+        free(v);
+        free(loc);
+        return -1;
+    }
+
+    int64_t lo = day[0], hi = day[0];
+    for (int64_t k = 0; k < n; k++) {
+        lo = day[k] < lo ? day[k] : lo;
+        hi = day[k] > hi ? day[k] : hi;
+        v[k] = day[k];
+    }
+    ints[0] = hi - lo;
+    ints[1] = distinct(v, n);
+    for (int64_t k = 0; k < n; k++)
+        v[k] = iso_year[k] * 100 + iso_week[k];
+    ints[2] = distinct(v, n);
+    ints[3] = n;
+    int64_t top = 0;
+    for (int h = 1; h < 24; h++)
+        top = all[h] > all[top] ? h : top;
+    ints[4] = top;
+    int64_t begin = working ? nearest_rank(work, working, 10) : 0;
+    int64_t end = working ? nearest_rank(work, working, 90) : 0;
+    ints[5] = begin;
+    ints[6] = end - begin;
+    ints[7] = end;
+
+    /* the median gap between neighbouring commits, in days */
+    for (int64_t k = 0; k + 1 < n; k++)
+        v[k] = ts[k + 1] - ts[k];
+    qsort(v, n - 1, sizeof(int64_t), cmp_int64);
+    reals[0] = n > 1 ? (v[(n - 2) / 2] / 86400.0 + v[(n - 1) / 2] / 86400.0) / 2 : 0.0;
+    int64_t m = 0;
+    for (int64_t k = 0; k < n; k++)
+        if (!isnan(lines[k]))
+            loc[m++] = lines[k];
+    qsort(loc, m, sizeof(double), cmp_double);
+    reals[1] = m ? (loc[(m - 1) / 2] + loc[m / 2]) / 2 : 0.0;
+    free(v);
+    free(loc);
+
+    int64_t night = 0, morning = 0, afternoon = 0, evening = 0, office = 0;
+    for (int h = 0; h < 24; h++) {
+        night += h < 6 ? all[h] : 0;
+        morning += h >= 6 && h < 12 ? all[h] : 0;
+        afternoon += h >= 12 && h < 18 ? all[h] : 0;
+        evening += h >= 18 ? all[h] : 0;
+        office += h >= 8 && h < 17 ? all[h] : 0;
+    }
+    reals[2] = (double)(n - working) / (double)n;
+    reals[3] = (double)night / (double)n;
+    reals[4] = (double)morning / (double)n;
+    reals[5] = (double)afternoon / (double)n;
+    reals[6] = (double)evening / (double)n;
+    reals[7] = (double)office / (double)n;
+    return 0;
 }

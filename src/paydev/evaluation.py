@@ -207,9 +207,10 @@ def commit_flags(h, domains):
     the domains, whether it falls on a weekday between OFFICE_START and
     OFFICE_END in its local time)."""
     domains = set(domains)
-    email = np.array([e.rsplit("@", 1)[-1] in domains for e in h.email], dtype=bool)
-    local = h.local
-    return email, (local.weekday < 5) & (OFFICE_START <= local.hour) & (local.hour < OFFICE_END)
+    at_domain = {e: e.rsplit("@", 1)[-1] in domains for e in set(h.email)}
+    email = np.fromiter(map(at_domain.__getitem__, h.email), bool, len(h.email))
+    hour = np.asarray(h.local.hour)  # a view, not a copy
+    return email, (np.asarray(h.local.weekday) < 5) & (OFFICE_START <= hour) & (hour < OFFICE_END)
 
 
 def baseline_cell(name, scores, predictions, truth) -> Cell:

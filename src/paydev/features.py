@@ -4,17 +4,22 @@ Everything is computed in the commit's local time (timestamp shifted by its
 embedded offset). Medians of even-length sequences are the mean of the two
 middle values; "regular activity" start/end are nearest-rank 10th/90th
 percentiles of weekday commit hours.
+
+Histories, their calendar and the 16 per-developer metrics come from the
+History pass in paydev.native (compiled, or its Python twin), so this
+module imports no numpy and `paydev features` runs without it;
+feature_matrix and commit_features, which build numpy matrices, import
+numpy where they run.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-import numpy as np
-
-from paydev.ingest import LOCAL_MAX, LOCAL_MIN
+from paydev import native
 from paydev.model import read_features_csv  # noqa: F401  perfbench/tracing.py wraps it here
 
 
@@ -63,54 +68,39 @@ COMMIT_FEATURE_COLUMNS = [
 
 class LocalCalendar(NamedTuple):
     """Civil calendar of instants under fixed minutes-east-of-UTC offsets,
-    one int64 array per field."""
+    one array("q") per field."""
 
-    day: np.ndarray  # days since 1970-01-01
-    hour: np.ndarray
-    weekday: np.ndarray  # Monday=0 .. Sunday=6
-    iso_year: np.ndarray
-    iso_week: np.ndarray
+    day: array  # days since 1970-01-01
+    hour: array
+    weekday: array  # Monday=0 .. Sunday=6
+    iso_year: array
+    iso_week: array
 
 
 def to_local(ts_utc, offset_minutes) -> LocalCalendar:
-    """Civil decomposition of each ts_utc shifted by its offset_minutes.
+    """Civil decomposition of each ts_utc shifted by its offset_minutes (two
+    int sequences of one length); the ISO year is that of the week's
+    Thursday.
 
-    Every local instant must fall in years 1-9999 (see ingest.LOCAL_MIN and
-    LOCAL_MAX); the readers reject records outside them.
+    Every local instant must fall in years 1-9999 (see native.LOCAL_MIN and
+    LOCAL_MAX); the readers reject records outside them. ValueError names an
+    offset outside +-1440 minutes first, then a local time out of range.
     """
-    offset = np.asarray(offset_minutes, dtype=np.int64)
-    if np.any(np.abs(offset) > 1440):
-        raise ValueError("tz offset out of range")
-    local = np.asarray(ts_utc, dtype=np.int64) + 60 * offset
-    if np.any(local < LOCAL_MIN) or np.any(local > LOCAL_MAX):
-        raise ValueError("local time outside years 1-9999")
-    day, secs = np.divmod(local, 86400)
-    weekday = (day + 3) % 7
-    thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
-    iso_year = thursday.astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
-    jan1 = iso_year.astype("datetime64[Y]").astype("datetime64[D]").astype(np.int64)
-    return LocalCalendar(day, secs // 3600, weekday, iso_year + 1970, (thursday - jan1) // 7 + 1)
+    return LocalCalendar(*native.local_calendar(ts_utc, offset_minutes))
 
 
 class History(NamedTuple):
     """One identity's commits sorted by (timestamp, sha): their shas, author
-    addresses, UTC timestamps, local calendar and changed lines (NaN for
-    binary-only commits). Features, labels and baselines all read it. The
-    arrays are read-only views, shared with the other Histories built with
-    it."""
+    addresses, UTC timestamps (array("q")), local calendar and changed lines
+    (array("d"), NaN for binary-only commits). Features, labels and
+    baselines all read it. Each History owns its arrays; numpy code views
+    them with np.asarray, which does not copy."""
 
     sha: list[str]
     email: list[str]
-    ts: np.ndarray
+    ts: array
     local: LocalCalendar
-    lines: np.ndarray
-
-
-def _changed_lines(added, deleted):
-    """Lines added plus deleted, as floats; NaN where either is -1 (a
-    binary-only commit)."""
-    added, deleted = added.astype(np.float64), deleted.astype(np.float64)
-    return np.where((added >= 0) & (deleted >= 0), added + deleted, np.nan)
+    lines: array
 
 
 def _owned_rows(identities, commits):
@@ -120,96 +110,43 @@ def _owned_rows(identities, commits):
     peak memory of a command where it was when each identity was built
     alone."""
     row_of = {sha: row for row, sha in enumerate(commits.sha)}
-    rows, sizes = [], []
+    rows, sizes = array("q"), []
     for ident in identities:
         shas = sorted(ident.commit_shas)
-        rows += map(row_of.__getitem__, shas)
+        rows.extend(map(row_of.__getitem__, shas))
         sizes.append(len(shas))
-    return np.array(rows, dtype=np.intp), sizes
+    return rows, sizes
 
 
 def histories(identities, commits) -> dict[str, History]:
     """Each identity's History, keyed by identity id, in the order of
     `identities`; every sha an identity owns must be in the Commits table.
 
-    One stable sort by (identity, timestamp) over each identity's rows in
-    sha order, one to_local call and one gather per column serve all of
-    them; each History is a slice of those arrays."""
+    One native.sort_histories call sorts every identity's rows by
+    timestamp and gathers their columns, and one to_local call calendars
+    them all; each History takes its slice of those arrays."""
     rows, sizes = _owned_rows(identities, commits)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    # views of the table's array("q") columns, not copies
-    timestamp, offset, added, deleted = (np.asarray(c) for c in (
-        commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
-        commits.lines_deleted))
-    rows = rows[np.lexsort((timestamp[rows], owner))]  # stable: sha order kept
-    ts = timestamp[rows]
-    local = to_local(ts, offset[rows])
-    lines = _changed_lines(added[rows], deleted[rows])
-    for column in (ts, lines, *local):
-        column.flags.writeable = False
+    rows, ts, offset, lines = native.sort_histories(
+        rows, sizes, commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
+        commits.lines_deleted)
+    local = to_local(ts, offset)
     out, start = {}, 0
     for ident, size in zip(identities, sizes):
-        cut = slice(start, start + size)
-        picked = rows[cut].tolist()
+        end = start + size
+        picked = rows[start:end]
         out[ident.id] = History(list(map(commits.sha.__getitem__, picked)),
-                                list(map(commits.author_email.__getitem__, picked)), ts[cut],
-                                LocalCalendar(*(c[cut] for c in local)), lines[cut])
-        start += size
+                                list(map(commits.author_email.__getitem__, picked)),
+                                ts[start:end], LocalCalendar(*(c[start:end] for c in local)),
+                                lines[start:end])
+        start = end
     return out
-
-
-def _median(values) -> float:
-    s = np.sort(values)
-    return float((s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2)
-
-
-def _distinct(values) -> int:
-    """The number of distinct values (at least one)."""
-    s = np.sort(values)
-    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
-
-
-def _nearest_rank(sorted_values, pct):
-    k = max(1, -(-len(sorted_values) * pct // 100))  # ceil
-    return int(sorted_values[k - 1])
-
-
-def _share(mask) -> float:
-    return np.count_nonzero(mask) / len(mask)
 
 
 def developer_features(h: History) -> DeveloperFeatures:
     """The 16 activity metrics of one identity's History."""
     if not len(h.ts):
         raise ValueError("developer_features requires at least one commit")
-    local = h.local
-    hour, weekend = local.hour, local.weekday >= 5
-    deltas = np.diff(h.ts) / 86400.0
-    locs = h.lines[~np.isnan(h.lines)]
-    weekday_hours = np.sort(hour[~weekend])
-    if len(weekday_hours):
-        beginning = _nearest_rank(weekday_hours, 10)
-        end = _nearest_rank(weekday_hours, 90)
-    else:
-        beginning = end = 0
-    return DeveloperFeatures(
-        period=int(local.day.max() - local.day.min()),
-        days=_distinct(local.day),
-        weeks=_distinct(local.iso_year * 100 + local.iso_week),
-        timediff=_median(deltas) if len(deltas) else 0.0,
-        commits=len(h.ts),
-        loc_per_commit=_median(locs) if len(locs) else 0.0,
-        weekend=_share(weekend),
-        night=_share(hour < 6),
-        morning=_share((6 <= hour) & (hour < 12)),
-        afternoon=_share((12 <= hour) & (hour < 18)),
-        evening=_share(18 <= hour),
-        office=_share((8 <= hour) & (hour < 17)),
-        most_active_hour=int(np.bincount(hour, minlength=24).argmax()),
-        beginning_regular=beginning,
-        length_regular=end - beginning,
-        end_regular=end,
-    )
+    return DeveloperFeatures(*native.activity(h.ts, *h.local, h.lines))
 
 
 def compute_features(histories) -> dict[str, DeveloperFeatures]:
@@ -227,6 +164,8 @@ def matrix_columns(mode: str) -> list[str]:
 
 def feature_matrix(features_by_id, mode="all"):
     """(X, row ids, column names); rows sorted by identity id."""
+    import numpy as np
+
     columns = matrix_columns(mode)
     ids = sorted(features_by_id)
     rows = []
@@ -240,14 +179,16 @@ def feature_matrix(features_by_id, mode="all"):
 def commit_features(h: History):
     """Per-commit vectors for one identity, aligned with h.sha, next to the
     identity's own aggregates. Returns (X, shas, column names)."""
+    import numpy as np
+
     aggregates = developer_features(h)
-    local, ts, lines = h.local, h.ts, h.lines
-    hour = local.hour
+    ts, lines = np.asarray(h.ts), np.asarray(h.lines)  # views, not copies
+    hour, weekday = np.asarray(h.local.hour), np.asarray(h.local.weekday)
     since = np.concatenate([[aggregates.timediff], np.diff(ts) / 86400.0])[: len(ts)]
     shares = [aggregates.weekend, aggregates.night, aggregates.morning,
               aggregates.afternoon, aggregates.evening, aggregates.office]
     X = np.column_stack([
-        local.weekday >= 5,
+        weekday >= 5,
         hour,
         hour < 6,
         (6 <= hour) & (hour < 12),

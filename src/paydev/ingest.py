@@ -31,6 +31,7 @@ from operator import itemgetter
 
 from paydev import native
 from paydev.errors import DuplicateShaError, ParseError, SchemaError, utf8_line
+from paydev.native import LOCAL_MAX, LOCAL_MIN
 
 # Record sentinel 0x1E starts each commit; 0x1F separates header fields.
 GIT_EXPORT_COMMAND = (
@@ -57,9 +58,6 @@ CANONICAL_FIELDS = (
 )
 _KINDS = (str, str, str, int, int, int, int, str)  # of each field, in CANONICAL_FIELDS order
 
-# Local instants (ts_utc + 60 * offset) must fall in years 1-9999:
-# 0001-01-01T00:00:00 .. 9999-12-31T23:59:59.
-LOCAL_MIN, LOCAL_MAX = -62135596800, 253402300799
 INT64_MAX = 2**63 - 1  # line counts must fit the table's int64 columns
 
 
@@ -79,21 +77,13 @@ class CommitRecord:
     message: str
 
 
-def _int_column(values):
-    """`values` as an array("q"); an array("q") itself is kept, not copied."""
-    if type(values) is array and values.typecode == "q":
-        return values
-    return array("q", values)
-
-
 class Commits:
     """Commit metadata as one table, one entry per commit in each column:
     lists of str for sha, author_name, author_email and message, and
     stdlib array("q") int64 buffers for timestamp_utc, tz_offset_minutes,
     lines_added and lines_deleted (-1 when the commit touched only binary
-    content), so that reading, writing and merging commits needs no numpy;
-    features.histories views the int columns with np.asarray, which does
-    not copy them. Commits() is the empty table."""
+    content), so that reading, writing and merging commits and building
+    their Histories needs no numpy. Commits() is the empty table."""
 
     __slots__ = CANONICAL_FIELDS
 
@@ -102,10 +92,10 @@ class Commits:
         self.sha = list(sha)
         self.author_name = list(author_name)
         self.author_email = list(author_email)
-        self.timestamp_utc = _int_column(timestamp_utc)
-        self.tz_offset_minutes = _int_column(tz_offset_minutes)
-        self.lines_added = _int_column(lines_added)
-        self.lines_deleted = _int_column(lines_deleted)
+        self.timestamp_utc = native.int_column(timestamp_utc)
+        self.tz_offset_minutes = native.int_column(tz_offset_minutes)
+        self.lines_added = native.int_column(lines_added)
+        self.lines_deleted = native.int_column(lines_deleted)
         self.message = list(message)
 
     @classmethod

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 
-import numpy as np
-
 from paydev.errors import SchemaError, UnlabeledIdentityError, csv_rows
 from paydev.features import to_local  # noqa: F401  perfbench/tracing.py counts calls here
 from paydev.model import HIRED, VOLUNTEER
@@ -89,7 +87,9 @@ _EPOCH = date(1970, 1, 1).toordinal()
 
 def _hired(h, intervals):
     """Per commit of h, whether its local date falls in a hired period."""
-    day = h.local.day[:, None]
+    import numpy as np
+
+    day = np.asarray(h.local.day)[:, None]
     start = np.array([a.toordinal() - _EPOCH for a, _ in intervals])
     stop = np.array([(b or date.max).toordinal() - _EPOCH for _, b in intervals])
     return ((start <= day) & (day <= stop)).any(axis=1)
@@ -101,7 +101,7 @@ def resolve_status(identity_id, h, labels: LabelSet) -> str | None:
     unlabeled."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        hired = np.count_nonzero(_hired(h, intervals))
+        hired = int(_hired(h, intervals).sum())
         return HIRED if hired / len(h.ts) >= 0.5 else VOLUNTEER
     return labels.entries.get(identity_id)
 
@@ -110,7 +110,7 @@ def commit_labels(identity_id, h, labels: LabelSet) -> list[str]:
     """Per-commit statuses aligned with the History's h.sha."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        return np.where(_hired(h, intervals), HIRED, VOLUNTEER).tolist()
+        return [HIRED if hired else VOLUNTEER for hired in _hired(h, intervals).tolist()]
     status = labels.entries.get(identity_id)
     if status is None:
         raise UnlabeledIdentityError(f"identity {identity_id!r} has no label")

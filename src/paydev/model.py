@@ -267,8 +267,9 @@ def save_model(model, fileobj) -> None:
         "params": params,
         "payload": payload,
     }
-    json.dump(obj, fileobj)
-    fileobj.write("\n")
+    # one json.dumps call takes the C encoder; json.dump would take the
+    # pure-Python one and write the file in thousands of pieces
+    fileobj.write(json.dumps(obj) + "\n")
 
 
 def load_model(fileobj):

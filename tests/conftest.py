@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from paydev import native
 from paydev.features import histories
 from paydev.identity import Identity
 from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
@@ -26,6 +29,21 @@ def make_record(
         lines_deleted=lines_deleted,
         message=message,
     )
+
+
+# True: the compiled History pass; False: its Python twin
+HISTORY_MODES = (True, False) if native.BACKEND == "c" else (False,)
+
+
+@contextmanager
+def compiled_histories(on):
+    """features.histories, to_local and developer_features on the compiled
+    History pass (`on`), or on its Python twin."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not on:
+            for name in ("sort_histories", "local_calendar", "activity"):
+                mp.setattr(native, name, getattr(native, f"_py_{name}"))
+        yield
 
 
 def sha_of(i: int) -> str:

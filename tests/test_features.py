@@ -3,8 +3,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import history_of, make_record, sha_of
+from conftest import HISTORY_MODES, compiled_histories, history_of, make_record, sha_of
 from oracle_calendar import local_civil
 from oracle_features import brute_force_features
 from paydev.labels import commit_labels, load_labels
@@ -15,11 +17,14 @@ from paydev.features import (
     developer_features,
     feature_matrix,
     histories,
+    to_local,
     read_features_csv,
     write_features_csv,
 )
+from paydev import native
 from paydev.identity import Identity
 from paydev.ingest import Commits
+from paydev.native import LOCAL_MAX, LOCAL_MIN
 
 # Frozen from tests/oracle_features.py (run before the implementation).
 FIXTURE_EXPECTED = {
@@ -53,15 +58,17 @@ class TestDeveloperFeatures:
                 assert got == expected, name
 
     def test_fixture_matches_oracle(self, fixture_commits):
-        feats = developer_features(history_of(fixture_commits))
         oracle = brute_force_features(
             [
                 (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added, c.lines_deleted)
                 for c in fixture_commits
             ]
         )
-        for name, expected in oracle.items():
-            assert getattr(feats, name) == pytest.approx(expected), name
+        for on in HISTORY_MODES:
+            with compiled_histories(on):
+                feats = developer_features(history_of(fixture_commits))
+            for name, expected in oracle.items():
+                assert getattr(feats, name) == pytest.approx(expected), name
 
     def test_single_commit(self):
         rec = make_record(timestamp_utc=1483347600 + 3600)  # Mon 10:00
@@ -118,7 +125,6 @@ class TestDeveloperFeatures:
                 )
                 for i in range(n)
             ]
-            feats = developer_features(history_of(commits))
             oracle = brute_force_features(
                 [
                     (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added,
@@ -126,8 +132,11 @@ class TestDeveloperFeatures:
                     for c in commits
                 ]
             )
-            for name, expected in oracle.items():
-                assert getattr(feats, name) == pytest.approx(expected, abs=1e-12), name
+            for on in HISTORY_MODES:
+                with compiled_histories(on):
+                    feats = developer_features(history_of(commits))
+                for name, expected in oracle.items():
+                    assert getattr(feats, name) == pytest.approx(expected, abs=1e-12), name
 
     def test_share_sums_to_one(self, rng):
         for _ in range(20):
@@ -331,13 +340,92 @@ class TestHistory:
             h = got[ident.id]
             assert (h.sha, h.email) == (alone.sha, alone.email)
             for a, b in zip((h.ts, h.lines, *h.local), (alone.ts, alone.lines, *alone.local)):
-                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+                assert (a.typecode, a.tobytes()) == (b.typecode, b.tobytes())
             if h.sha:
                 assert developer_features(h) == developer_features(alone)
 
-    def test_arrays_are_read_only(self, fixture_commits):
-        """Histories share their arrays, so none of them may be written."""
-        h = history_of(fixture_commits)
-        for array in (h.ts, h.lines, *h.local):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    def test_histories_own_their_arrays(self, rng):
+        """Writing one History's column changes no other History's."""
+        commits = _tied_commits(rng)
+        table = Commits.from_records(commits)
+        identities = [Identity(f"id{k}", commit_shas={c.sha for c in commits[k::2]})
+                      for k in (0, 1)]
+        first, second = histories(identities, table).values()
+        before = [c.tobytes() for c in (second.ts, second.lines, *second.local)]
+        for column in (first.ts, first.lines, *first.local):
+            for k in range(len(column)):
+                column[k] = 0
+        assert [c.tobytes() for c in (second.ts, second.lines, *second.local)] == before
+
+
+DAY = 86400
+# local instants: anywhere in years 1-9999, at its edges, or a few shared
+# instants around 1970 (ties, and negative timestamps)
+_instants = st.one_of(
+    st.integers(LOCAL_MIN, LOCAL_MAX),
+    st.sampled_from([LOCAL_MIN, LOCAL_MIN + DAY - 1, LOCAL_MAX - DAY + 1, LOCAL_MAX]),
+    st.sampled_from([-DAY - 1, -1, 0, 3 * DAY + 7]),
+)
+# a Saturday or Sunday (1970-01-03 was a Saturday) in years 1-9999
+_weekend_instants = st.builds(lambda week, sunday, secs: ((7 * week + 2 + sunday) * DAY + secs),
+                              st.integers(-101_600, 417_000), st.integers(0, 1),
+                              st.integers(0, DAY - 1))
+_offsets = st.one_of(st.sampled_from([-1440, 0, 1440]), st.integers(-1440, 1440))
+_counts = st.one_of(st.just(-1), st.integers(0, 50), st.integers(0, 2**62))
+# (owner, local instant, offset, added, deleted); owner 3 commits only at weekends
+_commits = st.lists(
+    st.tuples(st.integers(0, 3), _instants, _weekend_instants, _offsets, _counts, _counts)
+    .map(lambda t: (t[0], t[2] if t[0] == 3 else t[1], *t[3:])),
+    min_size=1, max_size=60,
+)
+
+
+def _columns(h):
+    return [(c.typecode, c.tobytes()) for c in (h.ts, h.lines, *h.local)]
+
+
+@pytest.mark.skipif(native.BACKEND != "c", reason="needs the compiled library")
+class TestCompiledTwin:
+    """The compiled History pass and its Python twin give the same columns,
+    byte for byte (NaN included), the same developer features and the same
+    errors."""
+
+    @given(_commits)
+    @settings(max_examples=150, deadline=None)
+    def test_same_histories_and_features(self, drawn):
+        records = [make_record(sha=sha_of(i), author_email=f"a{owner}@example.org",
+                               timestamp_utc=local - 60 * off, tz_offset_minutes=off,
+                               lines_added=added, lines_deleted=deleted)
+                   for i, (owner, local, off, added, deleted) in enumerate(drawn)]
+        table = Commits.from_records(records)
+        identities = [Identity(f"id{k}", commit_shas={sha_of(i) for i, c in enumerate(drawn)
+                                                      if c[0] == k}) for k in range(4)]
+        got = []
+        for on in (True, False):
+            with compiled_histories(on):
+                hs = histories(identities, table)
+                got.append({i: (h.sha, h.email, _columns(h),
+                                developer_features(h) if h.sha else None)
+                            for i, h in hs.items()})
+        assert got[0] == got[1]
+        weekend = hs["id3"]
+        if weekend.sha:
+            assert developer_features(weekend).weekend == 1.0
+
+    @given(st.lists(st.tuples(st.integers(LOCAL_MIN - DAY, LOCAL_MAX + DAY),
+                              st.integers(-1500, 1500)), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_same_calendar_and_errors(self, pairs):
+        ts, off = [t for t, _ in pairs], [o for _, o in pairs]
+        got = []
+        for on in (True, False):
+            with compiled_histories(on):
+                try:
+                    got.append([(c.typecode, c.tobytes()) for c in to_local(ts, off)])
+                except ValueError as exc:
+                    got.append(str(exc))
+        assert got[0] == got[1]
+        if any(abs(o) > 1440 for o in off):
+            assert got[0] == "tz offset out of range"
+        elif any(not LOCAL_MIN <= t + 60 * o <= LOCAL_MAX for t, o in pairs):
+            assert got[0] == "local time outside years 1-9999"

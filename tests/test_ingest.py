@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_canonical
-from conftest import make_record, rows, sha_of
+from conftest import HISTORY_MODES, compiled_histories, make_record, rows, sha_of
 from oracle_calendar import days_from_civil, local_civil
 from paydev.errors import DuplicateShaError, ParseError, SchemaError
 from paydev import native
@@ -226,7 +226,7 @@ class TestToLocal:
 
     def test_offset_range_enforced(self):
         with pytest.raises(ValueError):
-            to_local(0, 1441)
+            to_local([0], [1441])
         with pytest.raises(ValueError):
             to_local([0, 0], [0, -1441])
 
@@ -240,9 +240,9 @@ class TestToLocal:
     def test_int64_arrays_without_minute(self):
         lt = to_local(np.array([0, 86400]), np.array([0, 30]))
         assert lt._fields == ("day", "hour", "weekday", "iso_year", "iso_week")
-        assert all(a.dtype == np.int64 and a.shape == (2,) for a in lt)
+        assert all(a.typecode == "q" and len(a) == 2 for a in lt)
         empty = to_local([], [])
-        assert all(a.dtype == np.int64 and a.shape == (0,) for a in empty)
+        assert all(a.typecode == "q" and len(a) == 0 for a in empty)
 
     @pytest.mark.parametrize("y, m, d, weekday, iso", [
         (1, 1, 1, 0, (1, 1)),
@@ -266,19 +266,21 @@ class TestToLocal:
     def test_matches_calendar_oracle(self, pairs):
         off = np.array([o for _, o in pairs])
         ts = np.array([local for local, _ in pairs]) - 60 * off
-        lt = to_local(ts, off)
-        for i, (t, o) in enumerate(zip(ts.tolist(), off.tolist())):
-            y, m, d, hour, _, weekday, iso_year, iso_week = local_civil(t, o)
-            assert (lt.day[i], lt.hour[i], lt.weekday[i]) == (
-                days_from_civil(y, m, d), hour, weekday)
-            assert (lt.iso_year[i], lt.iso_week[i]) == (iso_year, iso_week)
+        for on in HISTORY_MODES:
+            with compiled_histories(on):
+                lt = to_local(ts, off)
+            for i, (t, o) in enumerate(zip(ts.tolist(), off.tolist())):
+                y, m, d, hour, _, weekday, iso_year, iso_week = local_civil(t, o)
+                assert (lt.day[i], lt.hour[i], lt.weekday[i]) == (
+                    days_from_civil(y, m, d), hour, weekday)
+                assert (lt.iso_year[i], lt.iso_week[i]) == (iso_year, iso_week)
 
     @given(_local_instants)
     @settings(max_examples=50, deadline=None)
     def test_hour_equals_shifted_utc(self, pairs):
         off = np.array([o for _, o in pairs])
         ts = np.array([local for local, _ in pairs]) - 60 * off
-        assert (to_local(ts, off).hour == to_local(ts + 60 * off, 0 * off).hour).all()
+        assert to_local(ts, off).hour == to_local(ts + 60 * off, 0 * off).hour
 
 
 _record_strategy = st.builds(

@@ -1,4 +1,5 @@
 import io
+import json
 from array import array
 from dataclasses import is_dataclass
 
@@ -278,3 +279,17 @@ def test_fitted_and_loaded_models_are_one_representation(rng):
         loaded = load_model(io.StringIO(buf.getvalue()))
         assert _layout(loaded) == _layout(model)
         assert "ndarray" not in repr(_layout(model))
+
+
+def test_saved_bytes_are_one_json_dumps(rng):
+    """save_model writes json.dumps of the model object and a line feed, the
+    bytes json.dump writes, for each model kind."""
+    X, y = _separable(rng, 80)
+    data = _dataset(X, y)
+    for model in (fit_logit(data), fit_tree(data), fit_forest(data, n_trees=3, seed=1)):
+        buf = io.StringIO()
+        save_model(model, buf)
+        obj = json.loads(buf.getvalue())
+        streamed = io.StringIO()
+        json.dump(obj, streamed)
+        assert buf.getvalue() == json.dumps(obj) + "\n" == streamed.getvalue() + "\n"
