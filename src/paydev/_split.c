@@ -15,7 +15,7 @@
  * local_calendar and activity are the History pass of features.histories,
  * to_local and developer_features: they sort and gather each identity's
  * commits, calendar them in local time and compute one History's developer
- * features, giving bit for bit what their Python twins in paydev.native
+ * features, giving bit for bit what their Python twins in paydev.features
  * give. */
 
 #include <math.h>
@@ -583,7 +583,7 @@ int64_t scan_git_log(const char *data, int64_t start, int64_t end, int64_t cap,
 /* ---------------------------------------------------------------- histories
  * sort_histories and local_calendar build the columns of features.histories;
  * activity computes one History's developer features. Their Python twins in
- * paydev.native give the same values, bit for bit. */
+ * paydev.features give the same values, bit for bit. */
 
 typedef struct { int64_t ts, at, row; } Stamp;
 

@@ -6,10 +6,11 @@ middle values; "regular activity" start/end are nearest-rank 10th/90th
 percentiles of weekday commit hours.
 
 Histories, their calendar and the 16 per-developer metrics come from the
-History pass in paydev.native (compiled, or its Python twin), so this
-module imports no numpy and `paydev features` runs without it;
-feature_matrix and commit_features, which build numpy matrices, import
-numpy where they run.
+History pass: the compiled sort_histories, local_calendar and activity of
+paydev.native, or without the library their Python twins here, which this
+module chooses between. So it imports no numpy and `paydev features` runs
+without it; feature_matrix and commit_features, which build numpy
+matrices, import numpy where they run.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass, fields
+from math import nan
 from typing import NamedTuple
+
 
 from paydev import native
 from paydev.model import read_features_csv  # noqa: F401  perfbench/tracing.py wraps it here
+from paydev.native import LOCAL_MAX, LOCAL_MIN
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def to_local(ts_utc, offset_minutes) -> LocalCalendar:
     LOCAL_MAX); the readers reject records outside them. ValueError names an
     offset outside +-1440 minutes first, then a local time out of range.
     """
-    return LocalCalendar(*native.local_calendar(ts_utc, offset_minutes))
+    return LocalCalendar(*_local_calendar(ts_utc, offset_minutes))
 
 
 class History(NamedTuple):
@@ -103,6 +107,106 @@ class History(NamedTuple):
     lines: array
 
 
+def sort_histories_py(rows, sizes, timestamp, offset, added, deleted):
+    """native.sort_histories in Python."""
+    order, start = array("q"), 0
+    for size in sizes:
+        order += array("q", sorted(rows[start:start + size], key=timestamp.__getitem__))
+        start += size
+    pairs = zip(map(added.__getitem__, order), map(deleted.__getitem__, order))
+    return (order, array("q", map(timestamp.__getitem__, order)),
+            array("q", map(offset.__getitem__, order)),
+            array("d", [float(a) + float(d) if a >= 0 and d >= 0 else nan for a, d in pairs]))
+
+
+def _year_of(z):
+    """The proleptic Gregorian year of day z (days since 1970-01-01), by H.
+    Hinnant's civil-calendar algorithm, as _split.c computes it."""
+    era, doe = divmod(z + 719468, 146097)
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    return yoe + era * 400 + ((5 * doy + 2) // 153 >= 10)  # January or February
+
+
+def _january_first(year):
+    """The day (since 1970-01-01) of 1 January of `year`."""
+    era, yoe = divmod(year - 1, 400)  # the Gregorian cycle starts in March
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + 306 - 719468
+
+
+def local_calendar_py(ts, offset):
+    """native.local_calendar in Python."""
+    if len(offset) != len(ts):
+        raise ValueError("local_calendar: ts and offset differ in length")
+    if any(o < -1440 or o > 1440 for o in offset):
+        raise ValueError("tz offset out of range")
+    cal = tuple(array("q") for _ in range(5))
+    day_of, hour_of, weekday_of, year_of, week_of = (c.append for c in cal)
+    for t, o in zip(ts, offset):
+        local = t + 60 * o
+        if not LOCAL_MIN <= local <= LOCAL_MAX:
+            raise ValueError("local time outside years 1-9999")
+        day, secs = divmod(local, 86400)
+        weekday = (day + 3) % 7
+        thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
+        year = _year_of(thursday)
+        day_of(day)
+        hour_of(secs // 3600)
+        weekday_of(weekday)
+        year_of(year)
+        week_of((thursday - _january_first(year)) // 7 + 1)
+    return cal
+
+
+def _median(s):
+    return (s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2
+
+
+def _nearest_rank(bucket, pct):
+    """The hour of nearest rank pct (the ceil(m * pct / 100)-th smallest, at
+    least the first) among the m hours counted in bucket."""
+    k, seen = max(1, -(-sum(bucket) * pct // 100)), 0
+    for hour, count in enumerate(bucket):
+        seen += count
+        if seen >= k:
+            return hour
+
+
+def activity_py(ts, day, hour, weekday, iso_year, iso_week, lines):
+    """native.activity in Python."""
+    n = len(ts)
+    if any(len(c) != n for c in (day, hour, weekday, iso_year, iso_week, lines)):
+        raise ValueError("activity: the columns differ in length")
+    if not n or min(hour) < 0 or max(hour) > 23:
+        raise ValueError("activity needs at least one commit, each at an hour 0-23")
+    every, work = [0] * 24, [0] * 24  # commits per hour: all, and Monday-Friday
+    for h, w in zip(hour, weekday):
+        every[h] += 1
+        if w < 5:
+            work[h] += 1
+    gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
+    locs = sorted(x for x in lines if x == x)  # NaN marks a binary-only commit
+    working = sum(work)
+    beginning, end = (_nearest_rank(work, 10), _nearest_rank(work, 90)) if working else (0, 0)
+    shares = (n - working, sum(every[:6]), sum(every[6:12]), sum(every[12:18]),
+              sum(every[18:]), sum(every[8:17]))
+    return (max(day) - min(day), len(set(day)),
+            len({y * 100 + w for y, w in zip(iso_year, iso_week)}),
+            _median([g / 86400.0 for g in gaps]) if gaps else 0.0, n,
+            _median(locs) if locs else 0.0, *(count / n for count in shares),
+            every.index(max(every)), beginning, end - beginning, end)
+
+
+# The History pass: the compiled functions of paydev.native, or without the
+# library their Python twins above, which give the same results bit for bit.
+if native.lib is None:
+    _sort_histories, _local_calendar, _activity = (
+        sort_histories_py, local_calendar_py, activity_py)
+else:
+    _sort_histories, _local_calendar, _activity = (
+        native.sort_histories, native.local_calendar, native.activity)
+
+
 def _owned_rows(identities, commits):
     """The rows of `commits` each identity owns, in sha order, identity
     after identity, and how many each owns. The sha index is freed on
@@ -110,10 +214,10 @@ def _owned_rows(identities, commits):
     peak memory of a command where it was when each identity was built
     alone."""
     row_of = {sha: row for row, sha in enumerate(commits.sha)}
-    rows, sizes = array("q"), []
+    rows, sizes = [], []
     for ident in identities:
         shas = sorted(ident.commit_shas)
-        rows.extend(map(row_of.__getitem__, shas))
+        rows += map(row_of.__getitem__, shas)
         sizes.append(len(shas))
     return rows, sizes
 
@@ -122,11 +226,11 @@ def histories(identities, commits) -> dict[str, History]:
     """Each identity's History, keyed by identity id, in the order of
     `identities`; every sha an identity owns must be in the Commits table.
 
-    One native.sort_histories call sorts every identity's rows by
-    timestamp and gathers their columns, and one to_local call calendars
-    them all; each History takes its slice of those arrays."""
+    One sort_histories call sorts every identity's rows by timestamp and
+    gathers their columns, and one to_local call calendars them all; each
+    History takes its slice of those arrays."""
     rows, sizes = _owned_rows(identities, commits)
-    rows, ts, offset, lines = native.sort_histories(
+    rows, ts, offset, lines = _sort_histories(
         rows, sizes, commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
         commits.lines_deleted)
     local = to_local(ts, offset)
@@ -146,7 +250,7 @@ def developer_features(h: History) -> DeveloperFeatures:
     """The 16 activity metrics of one identity's History."""
     if not len(h.ts):
         raise ValueError("developer_features requires at least one commit")
-    return DeveloperFeatures(*native.activity(h.ts, *h.local, h.lines))
+    return DeveloperFeatures(*_activity(h.ts, *h.local, h.lines))
 
 
 def compute_features(histories) -> dict[str, DeveloperFeatures]:

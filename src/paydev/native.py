@@ -9,14 +9,14 @@ the library's tree grower. This module drives its forest predictor
 (forest_sum, over the array("q") and array("d") node arrays of
 paydev.model.Tree), its record scanners, scan_canonical and scan_git_log,
 and its History pass, sort_histories, local_calendar and activity, which
-features.histories, to_local and developer_features call. It is the one
-place that chooses between the scanners' and the History pass's compiled
-and Python forms, which give the same results (the History pass's, bit for
-bit). It imports no numpy, so `paydev ingest`, `paydev identities`,
-`paydev features` and a tree or forest `paydev predict --features` run
-without it: a scanned run's four int columns are stdlib array("q") buffers,
-the type of ingest.Commits' int columns, and a History's columns are
-array("q") and array("d") buffers too.
+paydev.features chooses between and their Python twins there. It is the
+one place that chooses between the scanners' compiled and Python forms,
+which give the same results. It imports no numpy, so `paydev ingest`,
+`paydev identities`, `paydev features` and a tree or forest
+`paydev predict --features` run without it: a scanned run's four int
+columns are stdlib array("q") buffers, the type of ingest.Commits' int
+columns, and a History's columns are array("q") and array("d") buffers
+too.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -36,8 +36,6 @@ import ctypes
 import os
 import zlib
 from array import array
-from datetime import date
-from math import nan
 
 # Local instants (ts_utc + 60 * offset) must fall in years 1-9999:
 # 0001-01-01T00:00:00 .. 9999-12-31T23:59:59 (LOCAL_MIN and LOCAL_MAX in _split.c).
@@ -211,8 +209,14 @@ def _addresses(*columns):
     return [column.buffer_info()[0] for column in columns]
 
 
-def _c_sort_histories(rows, sizes, timestamp, offset, added, deleted):
-    """sort_histories in one call to the library's sort_histories."""
+def sort_histories(rows, sizes, timestamp, offset, added, deleted):
+    """(rows, ts, offset, lines) in one call to the library's sort_histories.
+    rows holds the rows of the commit table each identity owns, in sha
+    order, sizes[i] of them for identity i; each identity's rows come back
+    stably sorted by timestamp, with each one's timestamp_utc,
+    tz_offset_minutes and changed lines (lines_added + lines_deleted, NaN
+    where either is -1) from the table's columns timestamp, offset, added
+    and deleted, as array("q") and array("d")."""
     rows, sizes = array("q", rows), array("q", sizes)
     table = [int_column(c) for c in (timestamp, offset, added, deleted)]
     if len({len(c) for c in table}) > 1:
@@ -228,20 +232,12 @@ def _c_sort_histories(rows, sizes, timestamp, offset, added, deleted):
     return rows, ts, off, lines
 
 
-def _py_sort_histories(rows, sizes, timestamp, offset, added, deleted):
-    """sort_histories in Python."""
-    order, start = array("q"), 0
-    for size in sizes:
-        order += array("q", sorted(rows[start:start + size], key=timestamp.__getitem__))
-        start += size
-    pairs = zip(map(added.__getitem__, order), map(deleted.__getitem__, order))
-    return (order, array("q", map(timestamp.__getitem__, order)),
-            array("q", map(offset.__getitem__, order)),
-            array("d", [float(a) + float(d) if a >= 0 and d >= 0 else nan for a, d in pairs]))
-
-
-def _c_local_calendar(ts, offset):
-    """local_calendar in one call to the library's local_calendar."""
+def local_calendar(ts, offset):
+    """The day (since 1970-01-01), hour, weekday (Monday = 0), ISO year and
+    ISO week of each ts shifted by its offset in minutes, as five
+    array("q"), in one call to the library's local_calendar. ValueError
+    when an offset is outside +-1440 (checked first) or a local time
+    outside years 1-9999."""
     ts, offset = int_column(ts), int_column(offset)
     n = len(ts)
     if len(offset) != n:
@@ -255,38 +251,10 @@ def _c_local_calendar(ts, offset):
     return tuple(cal[k * n:(k + 1) * n] for k in range(5))
 
 
-_EPOCH = date(1970, 1, 1).toordinal()
-
-
-def _py_local_calendar(ts, offset):
-    """local_calendar in Python."""
-    if len(offset) != len(ts):
-        raise ValueError("local_calendar: ts and offset differ in length")
-    if any(o < -1440 or o > 1440 for o in offset):
-        raise ValueError("tz offset out of range")
-    cal = tuple(array("q") for _ in range(5))
-    day_of, hour_of, weekday_of, year_of, week_of = (c.append for c in cal)
-    january_first = {}
-    for t, o in zip(ts, offset):
-        local = t + 60 * o
-        if not LOCAL_MIN <= local <= LOCAL_MAX:
-            raise ValueError("local time outside years 1-9999")
-        day, secs = divmod(local, 86400)
-        weekday = (day + 3) % 7
-        thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
-        year = date.fromordinal(thursday + _EPOCH).year
-        if year not in january_first:
-            january_first[year] = date(year, 1, 1).toordinal() - _EPOCH
-        day_of(day)
-        hour_of(secs // 3600)
-        weekday_of(weekday)
-        year_of(year)
-        week_of((thursday - january_first[year]) // 7 + 1)
-    return cal
-
-
-def _c_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
-    """activity in one call to the library's activity."""
+def activity(ts, day, hour, weekday, iso_year, iso_week, lines):
+    """The 16 developer features of one History, from its columns, in
+    features.DeveloperFeatures order, in one call to the library's
+    activity."""
     columns = [int_column(c) for c in (ts, day, hour, weekday, iso_year, iso_week)]
     lines = lines if type(lines) is array and lines.typecode == "d" else array("d", lines)
     n = len(columns[0])
@@ -302,45 +270,6 @@ def _c_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
     return (period, days, weeks, reals[0], commits, *reals[1:], top, beginning, length, end)
 
 
-def _median(s):
-    return (s[(len(s) - 1) // 2] + s[len(s) // 2]) / 2
-
-
-def _nearest_rank(bucket, pct):
-    """The hour of nearest rank pct (the ceil(m * pct / 100)-th smallest, at
-    least the first) among the m hours counted in bucket."""
-    k, seen = max(1, -(-sum(bucket) * pct // 100)), 0
-    for hour, count in enumerate(bucket):
-        seen += count
-        if seen >= k:
-            return hour
-
-
-def _py_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
-    """activity in Python."""
-    n = len(ts)
-    if any(len(c) != n for c in (day, hour, weekday, iso_year, iso_week, lines)):
-        raise ValueError("activity: the columns differ in length")
-    if not n or min(hour) < 0 or max(hour) > 23:
-        raise ValueError("activity needs at least one commit, each at an hour 0-23")
-    every, work = [0] * 24, [0] * 24  # commits per hour: all, and Monday-Friday
-    for h, w in zip(hour, weekday):
-        every[h] += 1
-        if w < 5:
-            work[h] += 1
-    gaps = sorted(b - a for a, b in zip(ts, ts[1:]))
-    locs = sorted(x for x in lines if x == x)  # NaN marks a binary-only commit
-    working = sum(work)
-    beginning, end = (_nearest_rank(work, 10), _nearest_rank(work, 90)) if working else (0, 0)
-    shares = (n - working, sum(every[:6]), sum(every[6:12]), sum(every[12:18]),
-              sum(every[18:]), sum(every[8:17]))
-    return (max(day) - min(day), len(set(day)),
-            len({y * 100 + w for y, w in zip(iso_year, iso_week)}),
-            _median([g / 86400.0 for g in gaps]) if gaps else 0.0, n,
-            _median(locs) if locs else 0.0, *(count / n for count in shares),
-            every.index(max(every)), beginning, end - beginning, end)
-
-
 # (binary file) -> its lines in scanned runs and declined lines; without the
 # compiled library every line is handed back, for ingest.read_canonical's
 # per-line reader
@@ -349,18 +278,3 @@ scan_canonical = iter if lib is None else _c_scan_canonical
 # and declined offsets; without the compiled library every record's offset,
 # for ingest.parse_git_log's per-record parser
 scan_git_log = record_offsets if lib is None else _c_scan_git_log
-# (rows, sizes, and the commit table's timestamp_utc, tz_offset_minutes,
-# lines_added and lines_deleted columns) -> (rows, ts, offset, lines): rows
-# holds the commit rows each identity owns, sizes[i] for identity i, in sha
-# order; each identity's rows come back stably sorted by timestamp, with each
-# one's timestamp, offset and changed lines (added + deleted, NaN where either
-# is -1), as array("q") and array("d") columns
-sort_histories = _py_sort_histories if lib is None else _c_sort_histories
-# (ts_utc, offset_minutes) -> the day (since 1970-01-01), hour, weekday
-# (Monday = 0), ISO year and ISO week of each shifted instant, five
-# array("q"); ValueError when an offset is outside +-1440 or a local time
-# outside years 1-9999
-local_calendar = _py_local_calendar if lib is None else _c_local_calendar
-# (ts, day, hour, weekday, iso_year, iso_week, lines) of one History -> its
-# 16 developer features in features.DeveloperFeatures order
-activity = _py_activity if lib is None else _c_activity

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from paydev import native
+from paydev import features, native
 from paydev.features import histories
 from paydev.identity import Identity
 from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
@@ -40,9 +40,9 @@ def compiled_histories(on):
     """features.histories, to_local and developer_features on the compiled
     History pass (`on`), or on its Python twin."""
     with pytest.MonkeyPatch.context() as mp:
-        if not on:
-            for name in ("sort_histories", "local_calendar", "activity"):
-                mp.setattr(native, name, getattr(native, f"_py_{name}"))
+        for name in ("sort_histories", "local_calendar", "activity"):
+            mp.setattr(features, f"_{name}",
+                       getattr(native, name) if on else getattr(features, f"{name}_py"))
         yield
 
 

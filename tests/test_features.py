@@ -290,6 +290,11 @@ def _tied_commits(rng, n=60):
     ]
 
 
+def _columns(h):
+    """A History's array columns as (typecode, bytes), NaN included."""
+    return [(c.typecode, c.tobytes()) for c in (h.ts, h.lines, *h.local)]
+
+
 class TestHistory:
     def test_order_of_commits_does_not_matter(self, rng):
         commits = _tied_commits(rng)
@@ -299,10 +304,7 @@ class TestHistory:
             h = history_of(commits)
             assert h.sha == base.sha
             assert h.email == base.email
-            assert np.array_equal(h.ts, base.ts)
-            assert np.array_equal(h.lines, base.lines, equal_nan=True)
-            for got, want in zip(h.local, base.local):
-                assert np.array_equal(got, want)
+            assert _columns(h) == _columns(base)
 
     def test_rows_align_with_sha(self, rng):
         commits = _tied_commits(rng)
@@ -338,9 +340,7 @@ class TestHistory:
         for ident in identities:
             alone = history_of([c for c in commits if c.sha in ident.commit_shas])
             h = got[ident.id]
-            assert (h.sha, h.email) == (alone.sha, alone.email)
-            for a, b in zip((h.ts, h.lines, *h.local), (alone.ts, alone.lines, *alone.local)):
-                assert (a.typecode, a.tobytes()) == (b.typecode, b.tobytes())
+            assert (h.sha, h.email, _columns(h)) == (alone.sha, alone.email, _columns(alone))
             if h.sha:
                 assert developer_features(h) == developer_features(alone)
 
@@ -351,11 +351,11 @@ class TestHistory:
         identities = [Identity(f"id{k}", commit_shas={c.sha for c in commits[k::2]})
                       for k in (0, 1)]
         first, second = histories(identities, table).values()
-        before = [c.tobytes() for c in (second.ts, second.lines, *second.local)]
+        before = _columns(second)
         for column in (first.ts, first.lines, *first.local):
             for k in range(len(column)):
                 column[k] = 0
-        assert [c.tobytes() for c in (second.ts, second.lines, *second.local)] == before
+        assert _columns(second) == before
 
 
 DAY = 86400
@@ -378,10 +378,6 @@ _commits = st.lists(
     .map(lambda t: (t[0], t[2] if t[0] == 3 else t[1], *t[3:])),
     min_size=1, max_size=60,
 )
-
-
-def _columns(h):
-    return [(c.typecode, c.tobytes()) for c in (h.ts, h.lines, *h.local)]
 
 
 @pytest.mark.skipif(native.BACKEND != "c", reason="needs the compiled library")
