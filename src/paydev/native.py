@@ -8,10 +8,10 @@ runs: "c" with the library, "python" without it. paydev.ml.kernels drives
 the library's tree grower. This module drives its forest predictor
 (forest_sum, over the array("q") and array("d") node arrays of
 paydev.model.Tree), its record scanners, scan_canonical and scan_git_log,
-and its History pass, sort_histories, local_calendar and activity, which
-paydev.features chooses between and their Python twins there. It is the
-one place that chooses between the scanners' compiled and Python forms,
-which give the same results. It imports no numpy, so `paydev ingest`,
+and its History pass, sort_histories, local_calendar and activity
+(paydev.features chooses between these and their Python twins there). It
+is the one place that chooses between the scanners' compiled and Python
+forms, which give the same results. It imports no numpy, so `paydev ingest`,
 `paydev identities`, `paydev features` and a tree or forest
 `paydev predict --features` run without it: a scanned run's four int
 columns are stdlib array("q") buffers, the type of ingest.Commits' int
