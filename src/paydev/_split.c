@@ -1,30 +1,36 @@
-/* Compiled kernels. grow_tree, the C twin of kernels._grow_tree_py, grows
- * a whole tree in one call from each feature's rows sorted once per fit, so
- * no node sorts anything; choice is its feature draw. forest_sum predicts a
- * whole forest in one call, as kernels.tree_proba would per tree. The split
- * search keeps the numpy search's (kernels.best_split) order of work and
- * int64 score expression, so the trees are bit-identical (build without FMA
- * contraction or fast-math). A tree of n rows over p features holds p * n
- * 16-byte entries while it grows. Functions return 0 (grow_tree: the node
- * count), -1 when out of memory, -2 when a row or node index is out of
- * range, -3 when a label is neither 0 nor 1. scan_canonical and
- * scan_git_log, two grammars over one scanning protocol, read the canonical
- * lines and the git-log records that the Python readers would accept, in
- * exactly the layout their writers give; they decline everything else,
- * raise nothing and copy out only the strings. sort_histories,
- * local_calendar and activity are the History pass of features.histories,
- * to_local and developer_features: they sort and gather each identity's
- * commits, calendar them in local time and compute one History's developer
- * features, giving bit for bit what their Python twins in paydev.features
- * give. */
+/* Compiled kernels. grow_forest, the C twin of kernels.grow_forest_py, grows
+ * a whole forest in one call (a CART is a forest of one tree that takes
+ * every row once and searches every feature): it sorts each feature's rows
+ * once (presort), then for each tree t draws the bootstrap and the node
+ * features from the tree's own generator, numpy's
+ * default_rng(SeedSequence([seed, t])) repeated here (seed_state, pcg64),
+ * and grows the tree from the presorted rows, so no node sorts anything.
+ * impute_median fills each column's missing values with its median.
+ * forest_sum predicts a whole forest in one call, as kernels.tree_proba
+ * would per tree. The split search keeps the numpy search's
+ * (kernels.best_split) order of work and int64 score expression, so the
+ * trees are bit-identical (build without FMA contraction or fast-math). A
+ * forest of n rows over p features holds p * n 16-byte entries and its
+ * presort's p * n row numbers while it grows. Functions return 0
+ * (grow_forest: the node count), -1 when out of memory, -2 when a node index
+ * is out of range, -3 when a label is neither 0 nor 1, -4 where numpy would
+ * draw otherwise. scan_canonical and scan_git_log, two grammars over one
+ * scanning protocol, read the canonical lines and the git-log records that
+ * the Python readers would accept, in exactly the layout their writers give;
+ * they decline everything else, raise nothing and copy out only the strings.
+ * sort_histories, local_calendar and activity are the History pass of
+ * features.histories, to_local and developer_features: they sort and gather
+ * each identity's commits, calendar them in local time and compute one
+ * History's developer features, giving bit for bit what their Python twins
+ * in paydev.features give. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* numpy's bitgen_t (numpy/random/bitgen.h), the C face of a Generator's
- * bit generator */
+/* numpy's bitgen_t (numpy/random/bitgen.h), the face of a bit generator
+ * that the draws below take */
 typedef struct {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -33,10 +39,99 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-static double node_score(int64_t n, int64_t pos)
+/* ---------------------------------------------------------------- generator
+ * numpy's SeedSequence (NEP 19: a pool of four words, hash-mixed from the
+ * entropy) and its PCG64 (O'Neill, "PCG", 2014: a 128-bit LCG with the
+ * XSL-RR 128/64 output, seeded from four 64-bit SeedSequence words), with
+ * numpy's next_uint32, which hands out each 64-bit draw as two halves, low
+ * first. */
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
 {
-    int64_t neg = n - pos;
-    return (double)(n * n - pos * pos - neg * neg) / (double)n;
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ r >> 16;
+}
+
+/* SeedSequence(entropy).generate_state(n_out) into out, for the entropy
+ * given as its n uint32 words: each int's words, least significant first,
+ * as numpy splits it. */
+void seed_state(const uint32_t *entropy, int64_t n, uint32_t *out, int64_t n_out)
+{
+    uint32_t pool[4], hash = 0x43b0d7e5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
+    hash = 0x8b51f9ddu;
+    for (int64_t i = 0; i < n_out; i++) {
+        uint32_t value = pool[i % 4] ^ hash;
+        hash *= 0x58f38dedu;
+        value *= hash;
+        out[i] = value ^ value >> 16;
+    }
+}
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+#define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64 *g = st;
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64 *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* numpy's default_rng(SeedSequence(entropy)), entropy as in seed_state: its
+ * bit generator g behind rng. */
+static void pcg64_seed(pcg64 *g, bitgen_t *rng, const uint32_t *entropy, int64_t n)
+{
+    uint32_t w[8];
+    uint64_t v[4];
+    seed_state(entropy, n, w, 8);
+    for (int i = 0; i < 4; i++)
+        v[i] = (uint64_t)w[2 * i + 1] << 32 | w[2 * i];
+    g->inc = ((u128)v[2] << 64 | v[3]) << 1 | 1;
+    g->state = g->inc;  /* one step from 0 */
+    g->state += (u128)v[0] << 64 | v[1];
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+    *rng = (bitgen_t){g, pcg64_next64, pcg64_next32, NULL, pcg64_next64};
 }
 
 /* numpy's random_bounded_uint64(rng, 0, max, 0, 0) for max < 2**32 - 1:
@@ -76,15 +171,123 @@ static void draw_features(bitgen_t *rng, int64_t p, int64_t k, int64_t *out, uin
         seen[out[i]] = 0;
 }
 
-int choice(bitgen_t *rng, int64_t p, int64_t k, int64_t *out)
+/* The bootstrap of n rows: copies[r] = how often
+ * np.sort(rng.integers(0, n, size=n)) holds row r, from numpy's draws for
+ * n - 1 < 2**32 - 1. */
+static void draw_rows(bitgen_t *rng, int64_t n, int64_t *copies)
 {
-    uint8_t *seen = calloc(p > 0 ? p : 1, 1);
-    if (seen == NULL)
-        return -1;
-    draw_features(rng, p, k, out, seen);
-    free(seen);
+    memset(copies, 0, n * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++)
+        copies[bounded(rng, n - 1)]++;
+}
+
+/* The draws of numpy's default_rng(SeedSequence(entropy)), entropy as in
+ * seed_state, to check them against numpy's: kind 0 gives k next_uint64
+ * values, kind 1 k next_uint32 values, kind 2 the sorted bootstrap of n rows
+ * (n values) and kind 3 Floyd's choice(n, k, replace=False). state gets the
+ * generator's state after them: state and inc, each as its high and low 64
+ * bits, has_uint32 and uinteger. Returns 0, or -1 when out of memory. */
+int draws(const uint32_t *entropy, int64_t n_entropy, int64_t kind, int64_t n, int64_t k,
+          uint64_t *out, uint64_t *state)
+{
+    pcg64 g;
+    bitgen_t rng;
+    pcg64_seed(&g, &rng, entropy, n_entropy);
+    if (kind == 0 || kind == 1) {
+        for (int64_t i = 0; i < k; i++)
+            out[i] = kind == 0 ? pcg64_next64(&g) : pcg64_next32(&g);
+    } else {
+        int64_t *v = malloc((n > 0 ? n : 1) * sizeof(int64_t));
+        uint8_t *seen = calloc(n > 0 ? n : 1, 1);
+        if (v == NULL || seen == NULL) {
+            free(v);
+            free(seen);
+            return -1;
+        }
+        if (kind == 2) {
+            draw_rows(&rng, n, v);
+            for (int64_t r = 0, i = 0; r < n; r++)
+                for (int64_t c = 0; c < v[r]; c++)
+                    out[i++] = (uint64_t)r;
+        } else {
+            draw_features(&rng, n, k, v, seen);
+            for (int64_t i = 0; i < k; i++)
+                out[i] = (uint64_t)v[i];
+        }
+        free(v);
+        free(seen);
+    }
+    uint64_t after[6] = {(uint64_t)(g.state >> 64), (uint64_t)g.state, (uint64_t)(g.inc >> 64),
+                         (uint64_t)g.inc, (uint64_t)g.has_uint32, g.uinteger};
+    memcpy(state, after, sizeof(after));
     return 0;
 }
+
+/* ------------------------------------------------------------- imputation */
+
+/* The k-th smallest of v[0..n), none of them NaN, with v reordered so that
+ * none before k is larger and none after it smaller: Wirth's selection,
+ * with the median of three as the pivot. */
+static double select_kth(double *v, int64_t n, int64_t k)
+{
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        double a = v[lo], b = v[lo + (hi - lo) / 2], c = v[hi];
+        double x = a < b ? (b < c ? b : a < c ? c : a) : (a < c ? a : b < c ? c : b);
+        int64_t i = lo, j = hi;
+        do {
+            while (v[i] < x)
+                i++;
+            while (x < v[j])
+                j--;
+            if (i <= j) {
+                double t = v[i];
+                v[i++] = v[j];
+                v[j--] = t;
+            }
+        } while (i <= j);
+        if (j < k)
+            lo = i;
+        if (k < i)
+            hi = j;
+    }
+    return v[k];
+}
+
+/* out = X (n x p, row after row) with each NaN of column k replaced by
+ * median[k], the median of the column's other values (0.0 where there are
+ * none). The two middle values a and b give (0.0 + a + b) / 2, np.median's
+ * value (its sum turns -0.0 into 0.0), where that sum is finite, and
+ * a / 2 + b / 2, which stays finite, where it is not. */
+int impute_median(const double *X, int64_t n, int64_t p, double *out, double *median)
+{
+    double *v = malloc((n > 0 ? n : 1) * sizeof(double));
+    if (v == NULL)
+        return -1;
+    for (int64_t k = 0; k < p; k++) {
+        int64_t c = 0;
+        for (int64_t r = 0; r < n; r++)
+            if (!isnan(X[r * p + k]))
+                v[c++] = X[r * p + k];
+        median[k] = 0.0;
+        if (c > 0) {
+            double b = select_kth(v, c, c / 2), a = b;
+            if (c % 2 == 0) {  /* a: the largest value below rank c / 2 */
+                a = v[0];
+                for (int64_t i = 1; i < c / 2; i++)
+                    a = v[i] > a ? v[i] : a;
+            }
+            double total = 0.0 + a + b;
+            median[k] = isfinite(total) ? total / 2 : a / 2 + b / 2;
+        }
+        for (int64_t r = 0; r < n; r++)
+            out[r * p + k] = isnan(X[r * p + k]) ? median[k] : X[r * p + k];
+    }
+    free(v);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ forests */
 
 /* The threshold between neighbouring distinct values a < b: their midpoint,
  * or a where the midpoint is not in [a, b) (it rounds up to b when a and b
@@ -97,10 +300,76 @@ static double threshold_between(double a, double b)
     return a <= mid && mid < b ? mid : a;
 }
 
+static double node_score(int64_t n, int64_t pos)
+{
+    int64_t neg = n - pos;
+    return (double)(n * n - pos * pos - neg * neg) / (double)n;
+}
+
+/* A double's sort key: the keys' unsigned order is the doubles' order, with
+ * -0.0 just below 0.0 and every NaN last, where numpy sorts NaN. */
+static uint64_t sort_key(double v)
+{
+    uint64_t bits;
+    if (isnan(v))
+        return UINT64_MAX;
+    memcpy(&bits, &v, sizeof(bits));
+    return bits >> 63 ? ~bits : bits | (uint64_t)1 << 63;
+}
+
+/* order[k * n ..) = the rows 0..n-1 in ascending order of column k of X
+ * (n x p, row after row), equal values in row order: an LSD radix sort of
+ * the column's keys with 8-bit digits that skips each digit all rows share.
+ * keys and rows hold 2n entries of scratch each. */
+static void presort(const double *X, int64_t n, int64_t p, int64_t *order, uint64_t *keys,
+                    int64_t *rows)
+{
+    for (int64_t k = 0; k < p && n > 0; k++) {
+        int64_t count[8][256] = {{0}};
+        uint64_t *key = keys, *key_to = keys + n, *kt;
+        int64_t *row = rows, *row_to = rows + n, *rt;
+        for (int64_t r = 0; r < n; r++) {
+            key[r] = sort_key(X[r * p + k]);
+            row[r] = r;
+            for (int d = 0; d < 8; d++)
+                count[d][key[r] >> 8 * d & 255]++;
+        }
+        for (int d = 0; d < 8; d++) {
+            int64_t *c = count[d];
+            if (c[key[0] >> 8 * d & 255] == n)
+                continue;
+            for (int64_t b = 0, at = 0; b < 256; b++) {
+                int64_t size = c[b];
+                c[b] = at;
+                at += size;
+            }
+            for (int64_t i = 0; i < n; i++) {
+                int64_t to = c[key[i] >> 8 * d & 255]++;
+                key_to[to] = key[i];
+                row_to[to] = row[i];
+            }
+            kt = key, key = key_to, key_to = kt;
+            rt = row, row = row_to, row_to = rt;
+        }
+        memcpy(order + k * n, row, n * sizeof(int64_t));
+    }
+}
+
 typedef struct { int64_t node, start, end, depth; } Job;
 
 /* One of a tree's rows in one feature's order: its value, and row << 1 | y */
 typedef struct { double v; int64_t ry; } Entry;
+
+/* The scratch space of one tree of n rows over p features, which every tree
+ * of a forest reuses: how often the tree holds each row, its entries, its
+ * node arrays (capacity 2n - 1) and its importance */
+typedef struct {
+    int64_t *copies, *feats, *feature, *left, *right, *count, *npos;
+    double *threshold, *importance;
+    Entry *ent, *tmp;
+    uint8_t *goes_left, *seen;
+    Job *stack;
+} Scratch;
 
 static int cmp_int64(const void *a, const void *b)
 {
@@ -108,92 +377,63 @@ static int cmp_int64(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Grows one tree over rows idx[0..n) into node arrays of capacity
- * c = max(2n - 1, 1): threshold[0..c) and the int64 block ints[0..5c), which
- * holds the rows feature, left, right, count and npos one after another.
- * Split gains accumulate into importance[0..p). order[k * n_rows ..) lists
- * the rows of X in ascending order of feature k (in any order among equal
- * values). maxdepth < 0 means unbounded. rng NULL (or mtry >= p) searches
- * every feature at every node; otherwise each node draws mtry features from
- * rng, as np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS
- * with the left child first; a split node's children are the next two node
- * rows.
+/* Grows one tree over the rows of X (n x p) that s->copies counts, n in all,
+ * into s's node arrays, and returns its node count; the split gains go to
+ * s->importance. order[k * n ..) lists the rows in ascending order of
+ * feature k (in any order among equal values, NaN last). maxdepth < 0 means
+ * unbounded. rng NULL searches every feature at every node; otherwise each
+ * node draws mtry < p features from rng, as
+ * np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS with the
+ * left child first; a split node's children are the next two node rows.
  *
  * Feature k's entries ent[k * n .. (k + 1) * n) hold the tree's rows in
- * feature k's order, each as often as idx holds it. A node owns the same
- * span of every feature's entries, so its split search reads each candidate
- * feature's span in sorted order, and a kept split stable-partitions every
- * span by the side each row goes to. Only distinct neighbouring values are
- * split between, and the order among equal values changes neither the
- * counts nor the threshold there, so the splits are those of
- * kernels.best_split, and its int64 score expression is kept. */
-int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
-                  const int64_t *order, const int64_t *idx, int64_t n, int64_t minsplit,
-                  double cp, int64_t maxdepth, int64_t mtry, bitgen_t *rng, int64_t *ints,
-                  double *threshold, double *importance)
+ * feature k's order, each as often as the tree holds it. A node owns the
+ * same span of every feature's entries, so its split search reads each
+ * candidate feature's span in sorted order, and a kept split
+ * stable-partitions every span by the side each row goes to. Only distinct
+ * neighbouring values are split between, and the order among equal values
+ * changes neither the counts nor the threshold there, so the splits are
+ * those of kernels.best_split, and its int64 score expression is kept. A
+ * NaN is not split from the NaN after it, where `<=` could not tell them
+ * apart. */
+static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
+                         const int64_t *order, int64_t minsplit, double cp, int64_t maxdepth,
+                         int64_t mtry, bitgen_t *rng, Scratch *s)
 {
-    int64_t c = n > 0 ? 2 * n - 1 : 1;
-    int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c, *count = ints + 3 * c,
-            *npos = ints + 4 * c;
-    if (rng == NULL || mtry >= p) {
-        rng = NULL;
-        mtry = p;
-    }
-    int64_t cap = n > 0 ? n : 1, wide = p > 0 ? p : 1, rows = n_rows > 0 ? n_rows : 1;
-    int64_t *copies = calloc(rows, sizeof(int64_t));  /* how often idx holds each row */
-    int64_t *listed = calloc(rows, sizeof(int64_t));
-    uint8_t *goes_left = malloc(rows);
-    Entry *ent = malloc((wide * cap + 2) * sizeof(Entry)), *tmp = malloc(cap * sizeof(Entry));
-    int64_t *feats = malloc(wide * sizeof(int64_t));
-    Job *stack = malloc((cap + 1) * sizeof(Job));  /* live jobs hold disjoint rows */
-    uint8_t *seen = calloc(wide, 1);
-    int64_t m = -1;
-    if (copies == NULL || listed == NULL || goes_left == NULL || ent == NULL || tmp == NULL
-        || feats == NULL || stack == NULL || seen == NULL)
-        goto done;
+    int64_t cap = n > 0 ? n : 1, *feats = s->feats, *feature = s->feature, *left = s->left,
+            *right = s->right, *count = s->count, *npos = s->npos;
+    double *threshold = s->threshold, *importance = s->importance;
+    Entry *ent = s->ent, *tmp = s->tmp;
+    uint8_t *goes_left = s->goes_left;
+    Job *stack = s->stack;
 
-    m = -2;
     int64_t pos_root = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (idx[i] < 0 || idx[i] >= n_rows)
-            goto done;
-        if (y[idx[i]] != 0 && y[idx[i]] != 1) {
-            m = -3;
-            goto done;
-        }
-        copies[idx[i]]++;
-        pos_root += y[idx[i]];
-    }
-    /* n_rows entries in range, none twice (listed[r] == k + 1 once row r
-     * is listed for feature k): order[k] is a permutation of the rows */
+    for (int64_t r = 0; r < n; r++)
+        pos_root += s->copies[r] * y[r];
     for (int64_t k = 0; k < p; k++) {
         Entry *e = ent + k * cap;
-        for (const int64_t *r = order + k * n_rows, *end = r + n_rows; r < end; r++) {
-            if (*r < 0 || *r >= n_rows || listed[*r] == k + 1)
-                goto done;
-            listed[*r] = k + 1;
+        for (const int64_t *r = order + k * n, *end = r + n; r < end; r++) {
             /* most rows are held 0, 1 or 2 times, so two copies are written
              * without a branch; later entries overwrite the copies a row does
              * not need (after the last feature, 2 spare entries take them) */
             Entry x = {X[*r * p + k], *r << 1 | y[*r]};
-            int64_t c = copies[*r];
+            int64_t c = s->copies[*r];
             e[0] = x;
             e[1] = x;
             for (int64_t t = 2; t < c; t++)
                 e[t] = x;
             e += c;
         }
+        importance[k] = 0.0;
+        feats[k] = k;
     }
 
-    for (int64_t k = 0; k < p; k++)
-        feats[k] = k;
     int64_t root_err = n - (pos_root > n - pos_root ? pos_root : n - pos_root);
     feature[0] = left[0] = right[0] = -1;
     threshold[0] = 0.0;
     count[0] = n;
     npos[0] = pos_root;
-    m = 1;
-    int64_t top = 0;
+    int64_t m = 1, top = 0;
     stack[top++] = (Job){0, 0, n, 0};
     while (top > 0) {
         Job job = stack[--top];
@@ -203,7 +443,7 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
         if (maxdepth >= 0 && job.depth >= maxdepth)
             continue;
         if (rng != NULL) {
-            draw_features(rng, p, mtry, feats, seen);
+            draw_features(rng, p, mtry, feats, s->seen);
             qsort(feats, mtry, sizeof(int64_t), cmp_int64);
         }
 
@@ -211,20 +451,20 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
         int64_t f = -1;
         double thr = 0.0, child_score = node_score(nn, pos);
         for (int64_t k = 0; k < mtry; k++) {
-            const Entry *s = ent + feats[k] * cap + job.start;
-            if (s[0].v == s[nn - 1].v)  /* constant in this node */
+            const Entry *e = ent + feats[k] * cap + job.start;
+            if (e[0].v == e[nn - 1].v)  /* constant in this node */
                 continue;
             int64_t pl = 0;
             for (int64_t i = 0; i + 1 < nn; i++) {
-                pl += s[i].ry & 1;
-                if (s[i].v == s[i + 1].v)
+                pl += e[i].ry & 1;
+                if (e[i].v == e[i + 1].v || isnan(e[i].v))
                     continue;
                 int64_t nl = i + 1, ql = nl - pl, nr = nn - nl, pr = pos - pl, qr = neg - ql;
                 double score = (double)(nl * nl - pl * pl - ql * ql) / (double)nl
                              + (double)(nr * nr - pr * pr - qr * qr) / (double)nr;
                 if (score < child_score) {
                     f = feats[k];
-                    thr = threshold_between(s[i].v, s[i + 1].v);
+                    thr = threshold_between(e[i].v, e[i + 1].v);
                     child_score = score;
                 }
             }
@@ -232,13 +472,13 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
         if (f < 0)
             continue;
 
-        const Entry *s = ent + f * cap + job.start;
+        const Entry *e = ent + f * cap + job.start;
         int64_t nl = 0, pos_l = 0;
         for (int64_t i = 0; i < nn; i++) {
-            int64_t go = s[i].v <= thr;
-            goes_left[s[i].ry >> 1] = (uint8_t)go;
+            int64_t go = e[i].v <= thr;
+            goes_left[e[i].ry >> 1] = (uint8_t)go;
             nl += go;
-            pos_l += go & s[i].ry;
+            pos_l += go & e[i].ry;
         }
         int64_t nr = nn - nl, pos_r = pos - pos_l;
 
@@ -255,17 +495,17 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
          * in every node below it, where the search skips it, so its span is
          * left as it is. */
         for (int64_t k = 0; k < p; k++) {
-            Entry *e = ent + k * cap + job.start;
-            if (k == f || e[0].v == e[nn - 1].v)
+            Entry *span = ent + k * cap + job.start;
+            if (k == f || span[0].v == span[nn - 1].v)
                 continue;
             int64_t l = 0, r = 0;
             for (int64_t i = 0; i < nn; i++) {
-                if (goes_left[e[i].ry >> 1])
-                    e[l++] = e[i];
+                if (goes_left[span[i].ry >> 1])
+                    span[l++] = span[i];
                 else
-                    tmp[r++] = e[i];
+                    tmp[r++] = span[i];
             }
-            memcpy(e + l, tmp, r * sizeof(Entry));
+            memcpy(span + l, tmp, r * sizeof(Entry));
         }
 
         importance[f] += node_score(nn, pos) - child_score;
@@ -286,23 +526,170 @@ int64_t grow_tree(const double *X, int64_t n_rows, int64_t p, const int8_t *y,
         stack[top++] = (Job){child + 1, job.start + nl, job.end, job.depth + 1};
         stack[top++] = (Job){child, job.start, job.start + nl, job.depth + 1};
     }
+    return m;
+}
+
+/* The node arrays of a forest's trees, one tree after another (each tree
+ * numbers its nodes from 0), as the int64 or double arrays col[0..6):
+ * feature, threshold, left, right, count and npos, m nodes in all, and
+ * col[6] = roots, where roots[t] is tree t's first node and roots[trees] = m.
+ * Every array is malloc'd and grows as trees are appended. */
+typedef struct {
+    void *col[7];
+    int64_t m, cap, trees, roots_cap;
+} Table;
+
+static void *enlarged(void *a, int64_t n, int *failed)
+{
+    void *b = realloc(a, n * 8);
+    *failed |= b == NULL;
+    return b == NULL ? a : b;
+}
+
+/* Appends the m nodes of s to t as one more tree. */
+static int append_tree(Table *t, const Scratch *s, int64_t m)
+{
+    int failed = 0;
+    if (t->m + m > t->cap) {
+        int64_t cap = 2 * t->cap > t->m + m ? 2 * t->cap : t->m + m;
+        for (int k = 0; k < 6; k++)
+            t->col[k] = enlarged(t->col[k], cap, &failed);
+        if (failed)
+            return -1;
+        t->cap = cap;
+    }
+    if (t->trees + 2 > t->roots_cap) {
+        int64_t cap = 2 * t->roots_cap > t->trees + 2 ? 2 * t->roots_cap : t->trees + 2;
+        t->col[6] = enlarged(t->col[6], cap, &failed);
+        if (failed)
+            return -1;
+        t->roots_cap = cap;
+    }
+    const void *from[6] = {s->feature, s->threshold, s->left, s->right, s->count, s->npos};
+    for (int k = 0; k < 6; k++)
+        memcpy((char *)t->col[k] + 8 * t->m, from[k], 8 * m);
+    int64_t *roots = t->col[6];
+    roots[t->trees] = t->m;
+    t->m += m;
+    roots[++t->trees] = t->m;
+    return 0;
+}
+
+/* Grows n_trees trees over the n x p matrix X (row after row) with labels y
+ * and returns their node count; out[0..7) gets the Table's arrays, which
+ * free_table frees. Tree t draws from numpy's
+ * default_rng(SeedSequence([seed, t])), seed given as its n_seed uint32
+ * words: its bootstrap rows np.sort(rng.integers(0, n, size=n)) (without
+ * bootstrap, every row once), then at each node np.sort(rng.choice(p, mtry,
+ * replace=False)) for mtry < p; a tree that searches every feature and takes
+ * every row draws nothing. importance[0..p) gets the mean over the trees of
+ * each tree's split gains, added up in tree order. Declines (-4) a forest
+ * whose draws numpy makes otherwise: a bootstrap of n >= 2**32 rows, or mtry
+ * > p / 50 features of p > 10000. */
+int64_t grow_forest(const double *X, int64_t n, int64_t p, const int8_t *y, int64_t n_trees,
+                    const uint32_t *seed, int64_t n_seed, int64_t bootstrap, int64_t mtry,
+                    int64_t minsplit, double cp, int64_t maxdepth, double *importance,
+                    void **out)
+{
+    int drawn = mtry < p;
+    if ((bootstrap && n - 1 >= (int64_t)UINT32_MAX) || (drawn && p > 10000 && mtry > p / 50))
+        return -4;
+    for (int64_t r = 0; r < n; r++)
+        if (y[r] != 0 && y[r] != 1)
+            return -3;
+    int64_t cap = n > 0 ? n : 1, wide = p > 0 ? p : 1, m = -1;
+    Scratch s = {0};
+    Table t = {0};
+    uint32_t *entropy = malloc((n_seed + 2) * sizeof(uint32_t));
+    int64_t *order = malloc(wide * cap * sizeof(int64_t));
+    uint64_t *keys = malloc(2 * cap * sizeof(uint64_t));
+    int64_t *rows = malloc(2 * cap * sizeof(int64_t));
+    s.copies = malloc(cap * sizeof(int64_t));
+    s.feats = malloc(wide * sizeof(int64_t));
+    int64_t **ints[] = {&s.feature, &s.left, &s.right, &s.count, &s.npos};
+    for (int k = 0; k < 5; k++)
+        *ints[k] = malloc(2 * cap * sizeof(int64_t));
+    s.threshold = malloc(2 * cap * sizeof(double));
+    s.importance = malloc(wide * sizeof(double));
+    s.ent = malloc((wide * cap + 2) * sizeof(Entry));
+    s.tmp = malloc(cap * sizeof(Entry));
+    s.goes_left = malloc(cap);
+    s.seen = calloc(wide, 1);
+    s.stack = malloc((cap + 1) * sizeof(Job));  /* live jobs hold disjoint rows */
+    if (entropy == NULL || order == NULL || keys == NULL || rows == NULL || s.copies == NULL
+        || s.feats == NULL || s.feature == NULL || s.left == NULL || s.right == NULL
+        || s.count == NULL || s.npos == NULL || s.threshold == NULL || s.importance == NULL
+        || s.ent == NULL || s.tmp == NULL || s.goes_left == NULL || s.seen == NULL
+        || s.stack == NULL)
+        goto done;
+
+    presort(X, n, p, order, keys, rows);
+    memcpy(entropy, seed, n_seed * sizeof(uint32_t));
+    for (int64_t k = 0; k < p; k++)
+        importance[k] = 0.0;
+    for (int64_t tree = 0; tree < n_trees; tree++) {
+        pcg64 g;
+        bitgen_t rng;
+        int64_t words = n_seed;
+        entropy[words++] = (uint32_t)tree;
+        if (tree >> 32)
+            entropy[words++] = (uint32_t)(tree >> 32);
+        if (bootstrap || drawn)
+            pcg64_seed(&g, &rng, entropy, words);
+        if (bootstrap)
+            draw_rows(&rng, n, s.copies);
+        else
+            for (int64_t r = 0; r < n; r++)
+                s.copies[r] = 1;
+        int64_t nodes = grow_tree(X, n, p, y, order, minsplit, cp, maxdepth, drawn ? mtry : p,
+                                  drawn ? &rng : NULL, &s);
+        if (append_tree(&t, &s, nodes))
+            goto done;
+        for (int64_t k = 0; k < p; k++)
+            importance[k] += s.importance[k];
+    }
+    for (int64_t k = 0; k < p; k++)
+        importance[k] /= (double)n_trees;
+    m = t.m;
 
 done:
-    free(copies);
-    free(listed);
-    free(goes_left);
-    free(ent);
-    free(tmp);
-    free(feats);
-    free(stack);
-    free(seen);
+    free(entropy);
+    free(order);
+    free(keys);
+    free(rows);
+    free(s.copies);
+    free(s.feats);
+    for (int k = 0; k < 5; k++)
+        free(*ints[k]);
+    free(s.threshold);
+    free(s.importance);
+    free(s.ent);
+    free(s.tmp);
+    free(s.goes_left);
+    free(s.seen);
+    free(s.stack);
+    for (int k = 0; k < 7; k++) {
+        if (m < 0) {
+            free(t.col[k]);
+            t.col[k] = NULL;
+        }
+        out[k] = t.col[k];
+    }
     return m;
+}
+
+/* Frees the node table that grow_forest hands out. */
+void free_table(void **col)
+{
+    for (int k = 0; k < 7; k++)
+        free(col[k]);
 }
 
 /* out[r] = the sum over trees, in tree order, of pos / n at the leaf that
  * row r of X (n_rows x p) reaches. The trees' node arrays are concatenated
- * as threshold[0..c) and the int64 block ints[0..5c) of grow_tree; tree t
- * owns nodes roots[t] .. roots[t + 1] - 1 and numbers them from 0. Returns
+ * as threshold[0..c) and the int64 block ints[0..5c), which holds the rows
+ * feature, left, right, count and npos one after another; tree t owns nodes
+ * roots[t] .. roots[t + 1] - 1 and numbers them from 0. Returns
  * 0, or -2 when an inner node's feature is out of range or one of its
  * children is not a later node of its tree. */
 int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,

@@ -15,13 +15,15 @@ Exit codes:
   5 labels resolve to a single class (or an identity is unlabeled)
   6 stratification impossible (folds exceed a class count)
 
-All randomness flows from the config seed through numpy's PCG64
-(numpy.random.default_rng); reruns with the same inputs and config are
+All randomness flows from the config seed through numpy's SeedSequence
+and PCG64 (numpy.random.default_rng), which the compiled forest grower
+repeats draw for draw; reruns with the same inputs and config are
 byte-identical.
 
 This module imports, at the top, only what every command needs; each
 command imports the rest of paydev (and numpy) where it runs it, so
-`ingest` and `identities` never load numpy, nor does `predict --features`
+`ingest`, `identities` and `features` never load numpy, nor do `train`
+with a tree or forest (rpart or randomforest) and `predict --features`
 with a tree or forest model when the compiled library is loaded. The names
 other code wraps (parse_git_log, read_canonical, write_canonical,
 read_identity_map, write_identity_map here; identity.merge_identities,
@@ -329,8 +331,6 @@ def _labeled_dataset(identities, commits, label_set, cfg):
 def _labeled_features(path, label_set):
     """The features CSV's rows with a direct status. Dated hired periods
     resolve only against commits, so a row that has them is rejected."""
-    import numpy as np
-
     from paydev import labels as lab
     from paydev import ml
     from paydev import model as mdl
@@ -345,8 +345,7 @@ def _labeled_features(path, label_set):
         )
     rows = [i for i, ident_id in enumerate(ids) if ident_id in label_set.entries]
     y = [1 if label_set.entries[ids[i]] == lab.HIRED else 0 for i in rows]
-    X = np.array(X, dtype=np.float64).reshape(len(ids), len(columns))
-    return ml.make_dataset(X[rows], y, columns, [ids[i] for i in rows])
+    return ml.make_dataset([X[i] for i in rows], y, columns, [ids[i] for i in rows])
 
 
 def _classifiers(cfg: Config):

@@ -59,6 +59,9 @@ _POSITIVE_FIELDS = {
     "forest_trees",
 }
 
+# the counts the compiled forest takes, as int64
+_INT64_FIELDS = ("tree_minsplit", "tree_maxdepth", "forest_trees", "forest_mtry")
+
 
 def _coerce(name: str, raw: str, line=None):
     kind = Config.__dataclass_fields__[name].type
@@ -86,6 +89,9 @@ def validate(cfg: Config) -> Config:
         raise SchemaError(f"feature_mode must be all or no_volume, got {cfg.feature_mode!r}")
     if cfg.tree_cp < 0 or cfg.forest_mtry < 0:
         raise SchemaError("tree_cp and forest_mtry must be >= 0")
+    for name in _INT64_FIELDS:
+        if getattr(cfg, name) >= 2**63:
+            raise SchemaError(f"config field {name} must be below 2**63")
     if not 0 < cfg.coverage <= 1:
         raise SchemaError("coverage must be in (0, 1]")
     return cfg

@@ -175,14 +175,15 @@ def cross_validate(data: ml.Dataset, classifiers, folds, seed=0, config=None) ->
     trains on k-1 folds and scores the held-out one.
     """
     cells = []
+    X, y = ml.as_numpy(data)
     for name, fit in classifiers.items():
         for r, fold_list in enumerate(folds):
             for f, test_idx in enumerate(fold_list):
-                train_mask = np.ones(len(data.y), dtype=bool)
+                train_mask = np.ones(len(y), dtype=bool)
                 train_mask[test_idx] = False
                 train = ml.make_dataset(
-                    data.X[train_mask],
-                    data.y[train_mask],
+                    X[train_mask],
+                    y[train_mask],
                     data.columns,
                     [data.ids[i] for i in np.flatnonzero(train_mask)],
                 )
@@ -191,10 +192,8 @@ def cross_validate(data: ml.Dataset, classifiers, folds, seed=0, config=None) ->
                 except Exception as exc:
                     exc.args = (f"{exc} (repeat {r}, fold {f})",)
                     raise
-                scores = ml.predict_proba(model, data.X[test_idx])
-                cells.append(
-                    _cell_from_scores(name, r, f, scores, data.y[test_idx])
-                )
+                scores = ml.predict_proba(model, X[test_idx])
+                cells.append(_cell_from_scores(name, r, f, scores, y[test_idx]))
     return EvalReport(cells=cells, config=dict(config or {}))
 
 
@@ -283,7 +282,7 @@ def per_commit_experiment(
         return data, np.concatenate(email), np.concatenate(office)
 
     train_data, _, _ = build(train_devs)
-    if not len(train_data.y) or (train_data.y == train_data.y[0]).all():
+    if len(set(train_data.y)) < 2:
         raise SingleClassError("training developers carry a single class")
     models = {name: fit(train_data, (seed, 0, 0)) for name, fit in classifiers.items()}
 
@@ -291,12 +290,13 @@ def per_commit_experiment(
         cells = []
         if devs:
             data, email, office = build(devs)
+            X, y = ml.as_numpy(data)
             for name, model in models.items():
-                scores = ml.predict_proba(model, data.X)
-                cells.append(_cell_from_scores(name, 0, 0, scores, data.y))
-            allpaid = np.ones(len(data.y), dtype=bool)
+                scores = ml.predict_proba(model, X)
+                cells.append(_cell_from_scores(name, 0, 0, scores, y))
+            allpaid = np.ones(len(y), dtype=bool)
             for name, flags in (("allpaid", allpaid), ("email", email), ("officehours", office)):
-                cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), data.y))
+                cells.append(_cell_from_scores(name, 0, 0, flags.astype(np.float64), y))
         return EvalReport(cells=cells, config=dict(config or {}))
 
     return report(labeled), report(held_out)

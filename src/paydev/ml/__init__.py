@@ -2,16 +2,17 @@
 
 All three expose probability predictions of the hired class through
 predict_proba. The fitted models, and the model files, are paydev.model's,
-which needs no numpy.
+which needs no numpy. This package imports no numpy either: a tree or a
+forest fits without it, and the logit functions (fit_logit, loss_and_grad,
+predict_logit, sigmoid), which need it, load paydev.ml.logit on first use.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from paydev.ml.dataset import (
     Dataset,
     align_columns,
+    as_numpy,
     check_training,
     fill_missing,
     impute_median,
@@ -19,9 +20,10 @@ from paydev.ml.dataset import (
 )
 from paydev.ml.forest import fit_forest, forest_seed, predict_forest
 from paydev.ml.introspect import introspect, root_split_feature
-from paydev.ml.logit import fit_logit, loss_and_grad, predict_logit, sigmoid
 from paydev.ml.tree import fit_tree, predict_tree
 from paydev.model import ForestModel, LogitModel, TreeModel, load_model, model_kind, save_model
+
+_LOGIT = ("fit_logit", "loss_and_grad", "predict_logit", "sigmoid")
 
 __all__ = [
     "Dataset",
@@ -29,6 +31,7 @@ __all__ = [
     "LogitModel",
     "TreeModel",
     "align_columns",
+    "as_numpy",
     "check_training",
     "fill_missing",
     "fit_forest",
@@ -48,8 +51,19 @@ __all__ = [
 ]
 
 
-def predict_proba(model, X, columns=None) -> np.ndarray:
-    """P(hired) per row; columns, when given, are matched to the model's."""
+def __getattr__(name):
+    if name in _LOGIT:
+        from paydev.ml import logit
+
+        return getattr(logit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def predict_proba(model, X, columns=None):
+    """P(hired) per row of X (a numpy matrix, or rows of floats), as a numpy
+    vector; columns, when given, are matched to the model's."""
+    import numpy as np
+
     X = np.asarray(X, dtype=np.float64)
     if columns is not None:
         X = align_columns(X, columns, model.columns)
@@ -61,10 +75,11 @@ def predict_proba(model, X, columns=None) -> np.ndarray:
             extra={f"column {i}" for i in range(len(model.columns), X.shape[1])},
         )
     if isinstance(model, LogitModel):
+        from paydev.ml.logit import predict_logit
+
         return predict_logit(model, X)
     if isinstance(model, TreeModel):
         return predict_tree(model, X)
     if isinstance(model, ForestModel):
         return predict_forest(model, X)
     raise TypeError(f"not a model: {type(model).__name__}")
-

@@ -1,65 +1,83 @@
-"""Training data container and column matching."""
+"""Training data, column matching, and the fit's pass over the data: median
+imputation, tree growing and forest seeds.
+
+A Dataset holds one representation, stdlib arrays: X is an array("d") of
+its rows one after another, y an array("b") of labels. numpy views them
+without a copy (as_numpy) where it runs, so fitting a tree or a forest
+needs no numpy.
+
+The fit's pass is paydev.native's compiled impute_median, grow_forest and
+seed_state, or their numpy twins in paydev.ml.kernels, which give the same
+bytes: without the compiled library, or where its generator fails its
+known answer (native.generator_ok). This module chooses between them, and
+hands a forest the library declines to the twin.
+"""
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
+from paydev import native
 from paydev.errors import SingleClassError
 from paydev.model import column_order
 
 
 @dataclass
 class Dataset:
-    """Feature matrix with binary labels (1 = hired)."""
+    """Feature rows with binary labels (1 = hired): X holds len(y) rows of
+    len(columns) values, one row after another."""
 
-    X: np.ndarray
-    y: np.ndarray
+    X: array
+    y: array
     columns: list[str]
     ids: list[str]
 
 
 def make_dataset(X, y, columns, ids) -> Dataset:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int8)
-    if X.ndim != 2 or X.shape[0] != len(y):
+    """A Dataset of X, a numpy matrix or a sequence of rows, each with one
+    value per column, and the labels y."""
+    p = len(columns)
+    if hasattr(X, "dtype"):  # numpy: one conversion, no per-value objects
+        if X.ndim != 2:
+            raise ValueError("X and y shapes disagree")
+        n, width, X = X.shape[0], X.shape[1], X.astype("d").tobytes()
+    else:
+        rows = list(X)
+        n, width = len(rows), len(rows[0]) if rows else p
+        if any(len(row) != width for row in rows):
+            raise ValueError("X rows differ in length")
+        X = [v for row in rows for v in row]
+    if n != len(y):
         raise ValueError("X and y shapes disagree")
-    if X.shape[1] != len(columns):
+    if width != p:
         raise ValueError("column names do not match X width")
-    return Dataset(X=X, y=y, columns=list(columns), ids=list(ids))
+    y = array("b", y.astype("b").tobytes() if hasattr(y, "dtype") else y)
+    return Dataset(X=array("d", X), y=y, columns=list(columns), ids=list(ids))
+
+
+def as_numpy(data: Dataset):
+    """(X, y): data.X as an (n, p) float64 matrix and data.y as an int8
+    vector, numpy views of its arrays."""
+    import numpy as np
+
+    X = np.frombuffer(data.X, dtype=np.float64).reshape(len(data.y), len(data.columns))
+    return X, np.frombuffer(data.y, dtype=np.int8)
 
 
 def check_training(data: Dataset) -> None:
     """Both classes must be present, which takes at least two rows."""
     if len(data.y) == 0:
         raise SingleClassError("training data has no labeled rows")
-    if (data.y == data.y[0]).all():
+    if data.y.count(data.y[0]) == len(data.y):
         raise SingleClassError("training data contains a single class")
 
 
-def impute_median(X):
-    """Fill NaN with per-column medians of the other values (0.0 where there
-    are none); returns (filled X, medians). The two middle values a and b
-    give np.median's value where their sum is finite, and a / 2 + b / 2,
-    which stays finite, where it is not."""
-    X = np.array(X, dtype=np.float64, copy=True)
-    medians = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        nan = np.isnan(col)
-        good = col[~nan]
-        if good.size:
-            mid = ((good.size - 1) // 2, good.size // 2)
-            a, b = np.partition(good, mid)[list(mid)].tolist()
-            total = 0.0 + a + b  # np.median's sum, which turns -0.0 into 0.0
-            medians[j] = total / 2 if np.isfinite(total) else a / 2 + b / 2
-        col[nan] = medians[j]
-    return X, medians
-
-
 def fill_missing(X, medians):
+    """A copy of the numpy matrix X with each NaN in column j set to
+    medians[j]."""
+    import numpy as np
+
     X = np.array(X, dtype=np.float64, copy=True)
     for j in range(X.shape[1]):
         nan = np.isnan(X[:, j])
@@ -73,6 +91,40 @@ def align_columns(X, columns, model_columns):
     return X[:, column_order(columns, model_columns)]
 
 
-def vector(values) -> array:
-    """A numpy vector as the array("d") that the model objects hold."""
-    return array("d", np.ascontiguousarray(values, dtype=np.float64).tobytes())
+def fit_pass():
+    """(impute_median, grow_forest, seed_state): native's compiled ones, or
+    kernels' numpy twins without the library or where its generator fails
+    its known answer."""
+    if native.lib is not None and native.generator_ok():
+        return native.impute_median, native.grow_forest, native.seed_state
+    from paydev.ml import kernels
+
+    return kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py
+
+
+_impute_median, _grow_forest, _seed_state = fit_pass()
+
+
+def impute_median(data: Dataset):
+    """(X, medians): data.X with each NaN replaced by its column's median
+    (0.0 where the column has no other values), and the medians, as
+    array("d")."""
+    return _impute_median(data.X, len(data.columns))
+
+
+def grow_forest(X, y, p, **params):
+    """(trees, importance): the six node arrays of each tree grown over the
+    rows of X (an array("d") of rows of p values) with labels y, and the
+    mean importance, an array("d"); see native.grow_forest for params."""
+    grown = _grow_forest(X, y, p, **params)
+    if grown is None:  # the compiled forest declines draws numpy makes otherwise
+        from paydev.ml.kernels import grow_forest_py
+
+        grown = grow_forest_py(X, y, p, **params)
+    return grown
+
+
+def seed_state(entropy, n_words):
+    """numpy's SeedSequence(entropy).generate_state(n_words) as a list of
+    ints."""
+    return _seed_state(entropy, n_words)

@@ -3,14 +3,13 @@
 The tree report shows, per node, the volunteer ratio and the percentage of
 developers the node covers; the logit report lists standardized
 coefficients by absolute size; the forest report ranks features by mean
-decrease in Gini.
+decrease in Gini. Ranks list the larger value first and, among equal
+values, the lower column first.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-
-import numpy as np
 
 from paydev.model import ForestModel, LogitModel, Tree, TreeModel
 
@@ -43,9 +42,14 @@ def root_split_feature(model: TreeModel) -> str | None:
     return None if f < 0 else model.columns[f]
 
 
+def _ranked(values):
+    """The column indices by value, largest first, ties in column order."""
+    return sorted(range(len(values)), key=lambda j: (-values[j], j))
+
+
 def introspect(model) -> str:
     if isinstance(model, LogitModel):
-        order = np.argsort(-np.abs(model.coef))
+        order = _ranked([abs(c) for c in model.coef])
         lines = ["logit coefficients (standardized features, |value| desc):"]
         lines += [f"  {model.columns[j]} {model.coef[j]:+.4f}" for j in order]
         lines.append(f"  intercept {model.intercept:+.4f}")
@@ -55,7 +59,7 @@ def introspect(model) -> str:
         _tree_lines(model.root, model.columns, lines)
         return "\n".join(lines)
     if isinstance(model, ForestModel):
-        order = np.argsort(-np.asarray(model.importance))
+        order = _ranked(model.importance)
         lines = ["forest feature importance (mean decrease in Gini):"]
         lines += [f"  {model.columns[j]} {model.importance[j]:.4f}" for j in order]
         return "\n".join(lines)

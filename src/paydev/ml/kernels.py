@@ -1,65 +1,31 @@
-"""The tree grower and the forest predictor over numpy matrices: grow_tree
-and forest_sum, the place that chooses between their compiled and Python
-forms, which give the same results (paydev.model.predict_rows makes the
-same choice for the rows `predict` reads).
+"""The numpy twins of the compiled fit, and the forest predictor over numpy
+matrices.
 
-The compiled library is paydev.native's `lib` (_split.c, built on first
-import of that module); BACKEND says whether it loaded. Its grow_tree grows
-a whole tree in one call, searching splits in C over each feature's rows
-sorted once per fit (Presorted), and its forest_sum predicts a whole
-forest, or one CART, in one call. Without a compiler, trees grow in Python
-(_grow_tree_py), which calls the numpy best_split below node by node, and
-forests predict tree by tree (tree_proba); both give bit-identical trees
-and predictions. Either way a tree's node arrays are the array("q") and
-array("d") buffers of paydev.model.Tree. The forest_sum driver and the
-record scanners that share the library live in paydev.native, which
-imports no numpy.
+paydev.native grows trees: its grow_forest grows a whole forest, or one
+CART, in one compiled call, searching splits in C over each feature's rows
+sorted once per fit, with each tree's bootstrap and node features drawn in
+C from numpy's own SeedSequence and PCG64; its impute_median and seed_state
+fill a matrix's missing values and derive forest seeds. paydev.ml.dataset
+chooses between those and the twins here, grow_forest_py, impute_median_py
+and seed_state_py, which give the same bytes through numpy. They run
+without the compiled library, where its generator fails its known answer
+(native.generator_ok), and for a forest the library declines because numpy
+draws it otherwise. grow_forest_py grows each tree node by node through
+best_split, the numpy split search below. Either way a tree's node arrays
+are the array("q") and array("d") buffers of paydev.model.Tree.
 
-The compiled grower draws each forest node's features through the
-Generator's own bit generator, repeating numpy's Generator.choice. Before
-its first use one fixed draw is compared with numpy's; if they differ (a
-numpy that samples differently), `grower()` is None and trees grow in
-Python.
+forest_sum predicts a whole forest, or one CART, over a numpy matrix: in one
+call to native.forest_sum with the library, else tree by tree (tree_proba);
+both give the same bytes (paydev.model.predict_rows makes the same choice
+for the rows `predict` reads).
 """
 
-import ctypes
-import functools
 from array import array
-from contextlib import nullcontext
 
 import numpy as np
 
 from paydev import native
 from paydev.native import BACKEND  # noqa: F401  perfbench/run.py reads kernels.BACKEND
-from paydev.native import lib as _lib
-
-_F64, _I8, _I64 = np.dtype(np.float64), np.dtype(np.int8), np.dtype(np.int64)
-# the address of a Generator's bitgen_t, from its bit generator's capsule
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-_capsule_pointer.restype = ctypes.c_void_p
-
-
-def _bitgen(rng):
-    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
-
-
-class Presorted:
-    """X (n_rows, p) and y (n_rows,), checked once for all the trees grown
-    over them, and each feature's rows in ascending value order (a
-    (p, n_rows) int64 array). `args` holds what every compiled grow_tree
-    call over them passes first; the arrays are kept so that their
-    addresses stay valid."""
-
-    def __init__(self, X, y):
-        for a, dtype in ((X, _F64), (y, _I8)):
-            if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous):
-                raise TypeError(f"grow_tree needs C-contiguous {dtype} arrays")
-        if X.ndim != 2 or y.shape != X.shape[:1]:
-            raise ValueError("grow_tree needs X (n, p) and y (n,)")
-        order = np.ascontiguousarray(np.argsort(X.T, axis=1))
-        self.arrays = X, y, order
-        self.args = (X.ctypes.data, X.shape[0], X.shape[1], y.ctypes.data, order.ctypes.data)
 
 
 def node_score(n: int, pos: int) -> float:
@@ -84,8 +50,9 @@ def best_split(X, y, idx, feats):
     X: (n_total, p) float64 C-contiguous, y: (n_total,) int8 in {0, 1},
     idx: int64 row indices, feats: int64 candidate features sorted
     ascending. Candidate thresholds lie between consecutive distinct sorted
-    values (threshold_between); ties break to the lowest feature then lowest
-    threshold. Returns (feature, threshold, child_score); feature is -1
+    values (threshold_between), but not between a NaN and the NaN after it,
+    which `<=` cannot tell apart; ties break to the lowest feature then
+    lowest threshold. Returns (feature, threshold, child_score); feature is -1
     when no candidate strictly improves on the parent score.
 
     The score of a candidate split is an exact function of integer class
@@ -109,7 +76,7 @@ def best_split(X, y, idx, feats):
         vals = X[idx, f]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        cand = np.nonzero(sv[:-1] != sv[1:])[0]
+        cand = np.nonzero((sv[:-1] != sv[1:]) & ~np.isnan(sv[:-1]))[0]  # NaN sorts last
         if cand.size == 0:
             continue
         cum_pos = np.cumsum(y_node[order], dtype=np.int64)
@@ -131,14 +98,16 @@ def best_split(X, y, idx, feats):
     return best_f, best_thr, best_score
 
 
-def _grow_tree_py(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
-    """The Python twin of _c_grow_tree (grow_tree in _split.c), node by
-    node through best_split; same arguments, same results.
+def _grow_tree_py(X, y, idx, minsplit, cp, maxdepth, mtry, rng):
+    """One tree of grow_forest_py over rows idx of X (n, p) and y (n,), node
+    by node through best_split: the six node arrays and the importance
+    vector (numpy). maxdepth None is unbounded; rng None searches every
+    feature at every node, else each node draws
+    np.sort(rng.choice(p, mtry, replace=False)).
 
     Iterative preorder so depth is not bounded by the interpreter recursion
     limit; a split node's children are appended as the next two node rows.
     """
-    X, y = rows.arrays[:2]
     p = X.shape[1]
     all_feats = np.arange(p, dtype=np.int64)
     n_root = len(idx)
@@ -197,72 +166,51 @@ def _grow_tree_py(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
     return (feature, threshold, left, right, array("q", ns), array("q", poss)), importance
 
 
-def _c_choice(rng, p, k):
-    """rng.choice(p, k, replace=False) drawn in C, for p <= 10000 or
-    k <= p // 50 (where numpy uses Floyd's algorithm)."""
-    out = np.empty(k, dtype=np.int64)
-    with rng.bit_generator.lock:
-        if _lib.choice(_bitgen(rng), p, k, out.ctypes.data):
-            raise MemoryError()
-    return out
+def grow_forest_py(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
+    """native.grow_forest through numpy, which it never declines: each tree
+    draws from its own Generator, default_rng(SeedSequence([seed, t]))."""
+    n = len(y)
+    X = np.frombuffer(X, dtype=np.float64).reshape(n, p)
+    y = np.frombuffer(y, dtype=np.int8)
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError("grow_forest needs labels 0 or 1")
+    trees, importance = [], np.zeros(p)
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), t]))
+        if bootstrap:
+            idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
+        else:
+            idx = np.arange(n, dtype=np.int64)
+        arrays, imp = _grow_tree_py(X, y, idx, minsplit, cp, maxdepth, mtry,
+                                    rng if mtry < p else None)
+        trees.append(arrays)
+        importance += imp
+    importance /= n_trees
+    return trees, array("d", importance.tobytes())
 
 
-def _c_grow_tree(rows: Presorted, idx, minsplit, cp, maxdepth, mtry, rng):
-    """_grow_tree_py over rows idx of `rows` in one compiled call."""
-    if not (isinstance(idx, np.ndarray) and idx.dtype == _I64 and idx.flags.c_contiguous
-            and idx.ndim == 1):
-        raise TypeError("grow_tree needs a 1-d C-contiguous int64 idx")
-    n, p = len(idx), rows.args[2]
-    cap = max(2 * n - 1, 1)
-    ints = array("q", bytes(40 * cap))  # five rows of cap: feature, left, right, n, pos
-    threshold, importance = array("d", bytes(8 * cap)), np.zeros(p)
-    if rng is None:
-        bitgen, lock = None, nullcontext()
-    else:  # ctypes releases the GIL; the lock keeps other threads off this generator
-        bitgen, lock = _bitgen(rng), rng.bit_generator.lock
-    with lock:
-        m = _lib.grow_tree(*rows.args, idx.ctypes.data, n, minsplit, cp,
-                           -1 if maxdepth is None else maxdepth, mtry, bitgen,
-                           ints.buffer_info()[0], threshold.buffer_info()[0],
-                           importance.ctypes.data)
-    if m < 0:
-        raise {-1: MemoryError(), -2: IndexError("grow_tree row index out of range"),
-               -3: ValueError("grow_tree needs labels 0 or 1")}[m]
-    feature, left, right, count, pos = (ints[k * cap:k * cap + m] for k in range(5))
-    return (feature, threshold[:m], left, right, count, pos), importance
+def impute_median_py(X, p):
+    """native.impute_median through numpy: the two middle values a and b of
+    a column give np.median's value where their sum is finite, and
+    a / 2 + b / 2, which stays finite, where it is not."""
+    X = np.array(X, dtype=np.float64).reshape(-1, p) if p else np.zeros((0, 0))
+    medians = np.zeros(p)
+    for j in range(p):
+        col = X[:, j]
+        nan = np.isnan(col)
+        good = col[~nan]
+        if good.size:
+            mid = ((good.size - 1) // 2, good.size // 2)
+            a, b = np.partition(good, mid)[list(mid)].tolist()
+            total = 0.0 + a + b  # np.median's sum, which turns -0.0 into 0.0
+            medians[j] = total / 2 if np.isfinite(total) else a / 2 + b / 2
+        col[nan] = medians[j]
+    return array("d", X.tobytes()), array("d", medians.tobytes())
 
 
-@functools.cache
-def grower():
-    """_c_grow_tree when the C feature draw matches Generator.choice on one
-    fixed problem (same features, same generator state after), else None.
-    Checked on first use rather than at import, which would load
-    numpy.random for every command."""
-    if _lib is None:
-        return None
-    a, b = np.random.default_rng(20181), np.random.default_rng(20181)
-    same = (_c_choice(a, 40, 25).tolist() == b.choice(40, 25, replace=False).tolist()
-            and a.integers(2**62) == b.integers(2**62))
-    return _c_grow_tree if same else None
-
-
-def grow_tree(rows: Presorted, idx, *, minsplit, cp, maxdepth, mtry=None, rng=None):
-    """Grow one tree over rows idx of `rows`; returns the six node arrays
-    (feature, threshold, left, right, n, pos: paydev.model.Tree's
-    array("q") and array("d") buffers) and the importance vector (numpy).
-    maxdepth None is unbounded. mtry, when below the feature count p, samples
-    that many candidate features at every node with rng.choice(p, mtry,
-    replace=False). The compiled grower makes the same draws from rng's bit
-    generator, except where numpy shuffles a whole range instead (p > 10,000
-    and mtry > p // 50): there, and without a compiled grower, the tree grows
-    in Python."""
-    p = rows.args[2]
-    if mtry is None or mtry >= p:
-        mtry, rng = p, None
-    grow = grower()
-    if grow is None or (rng is not None and p > 10_000 and mtry > p // 50):
-        grow = _grow_tree_py
-    return grow(rows, idx, minsplit, cp, maxdepth, mtry, rng)
+def seed_state_py(entropy, n_words):
+    """native.seed_state through numpy."""
+    return np.random.SeedSequence(entropy=list(entropy)).generate_state(n_words).tolist()
 
 
 def tree_proba(tree, X) -> np.ndarray:
@@ -297,10 +245,10 @@ def _c_forest_sum(trees, X):
 
 # (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the
 # row's leaf probability pos/n
-forest_sum = _forest_sum_py if _lib is None else _c_forest_sum
+forest_sum = _forest_sum_py if native.lib is None else _c_forest_sum
 
 
 def available_backends():
     """name -> split search, for benchmarks; the numpy search is the only one
-    (the compiled grower searches inside grow_tree)."""
+    (the compiled grower searches inside grow_forest)."""
     return {"python": best_split}

@@ -8,12 +8,18 @@ the problem well posed under perfect separation.
 from __future__ import annotations
 
 import warnings
+from array import array
 
 import numpy as np
 
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median, vector
+from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
 from paydev.model import LogitModel
+
+
+def _vector(values) -> array:
+    """A numpy vector as the array("d") that the model objects hold."""
+    return array("d", np.asarray(values, dtype=np.float64).tobytes())
 
 
 def sigmoid(z):
@@ -42,7 +48,8 @@ def loss_and_grad(w, X1, y, l2):
 
 def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
     check_training(data)
-    X, medians = impute_median(data.X)
+    X, medians = impute_median(data)
+    X = np.frombuffer(X, dtype=np.float64).reshape(len(data.y), len(data.columns))
     y = np.asarray(data.y, dtype=np.float64)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,12 +105,12 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
             stacklevel=2,
         )
     return LogitModel(
-        coef=vector(w[:-1]),
+        coef=_vector(w[:-1]),
         intercept=float(w[-1]),
-        mean=vector(mean),
-        scale=vector(scale),
+        mean=_vector(mean),
+        scale=_vector(scale),
         columns=list(data.columns),
-        impute=vector(medians),
+        impute=medians,
         converged=converged,
         n_iter=it,
         loss_history=history,

@@ -1,22 +1,26 @@
-"""The compiled library, its forest predictor, the two record scanners and
-the History pass, without numpy.
+"""The compiled library, its forest grower and predictor, the two record
+scanners and the History pass, without numpy.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
 through ctypes as `lib`; delete that file to rebuild. BACKEND names what
-runs: "c" with the library, "python" without it. paydev.ml.kernels drives
-the library's tree grower. This module drives its forest predictor
-(forest_sum, over the array("q") and array("d") node arrays of
-paydev.model.Tree), its record scanners, scan_canonical and scan_git_log,
-and its History pass, sort_histories, local_calendar and activity
+runs: "c" with the library, "python" without it. This module grows trees:
+grow_forest grows a whole forest, or one CART, in one call, after
+impute_median, with each tree's draws from the library's copy of numpy's
+SeedSequence and PCG64 (seed_state, draws), which generator_ok checks
+against known numpy draws; paydev.ml.dataset chooses between these and
+their numpy twins in paydev.ml.kernels. It also drives the forest
+predictor (forest_sum, over the array("q") and array("d") node arrays of
+paydev.model.Tree), the record scanners, scan_canonical and scan_git_log,
+and the History pass, sort_histories, local_calendar and activity
 (paydev.features chooses between these and their Python twins there). It
 is the one place that chooses between the scanners' compiled and Python
 forms, which give the same results. It imports no numpy, so `paydev ingest`,
-`paydev identities`, `paydev features` and a tree or forest
-`paydev predict --features` run without it: a scanned run's four int
+`paydev identities`, `paydev features`, and a tree or forest `paydev train`
+or `paydev predict --features` run without it: a scanned run's four int
 columns are stdlib array("q") buffers, the type of ingest.Commits' int
-columns, and a History's columns are array("q") and array("d") buffers
-too.
+columns, and a History's columns, a Dataset's rows and labels and a
+tree's node arrays are stdlib arrays too.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -61,11 +65,17 @@ def _load():
         os.replace(tmp, lib)
     lib = ctypes.CDLL(lib)
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.choice.argtypes = [ptr, i64, i64, ptr]
-    lib.choice.restype = ctypes.c_int
-    lib.grow_tree.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, i64, f64, i64, i64, ptr,
-                              ptr, ptr, ptr]
-    lib.grow_tree.restype = i64
+    lib.seed_state.argtypes = [ptr, i64, ptr, i64]
+    lib.seed_state.restype = None
+    lib.draws.argtypes = [ptr, i64, i64, i64, i64, ptr, ptr]
+    lib.draws.restype = ctypes.c_int
+    lib.impute_median.argtypes = [ptr, i64, i64, ptr, ptr]
+    lib.impute_median.restype = ctypes.c_int
+    lib.grow_forest.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, i64, f64, i64, ptr,
+                                ptr]
+    lib.grow_forest.restype = i64
+    lib.free_table.argtypes = [ptr]
+    lib.free_table.restype = None
     lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.forest_sum.restype = ctypes.c_int
     for scan in (lib.scan_canonical, lib.scan_git_log):  # one protocol (see _runs)
@@ -196,6 +206,130 @@ def forest_sum(trees, X, n_rows, p):
                       roots.buffer_info()[0], len(trees), out.buffer_info()[0]):
         raise ValueError("forest_sum: a tree node points outside its tree")
     return out
+
+
+def _words(entropy):
+    """The uint32 words numpy's SeedSequence takes the ints `entropy`, each
+    >= 0, as: each int's words, least significant first, at least one."""
+    words = array("I")
+    for value in entropy:
+        if value < 0:
+            raise ValueError("a seed must be >= 0")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def seed_state(entropy, n_words):
+    """numpy's SeedSequence(entropy).generate_state(n_words), for a list of
+    ints >= 0, as a list of ints, in one call to the library's seed_state."""
+    words, out = _words(entropy), array("I", bytes(4 * n_words))
+    lib.seed_state(words.buffer_info()[0], len(words), out.buffer_info()[0], n_words)
+    return out.tolist()
+
+
+DRAWS = ("raw", "uint32", "bootstrap", "choice")
+
+
+def draws(entropy, kind, n=0, k=0):
+    """(draws, state after) of numpy's default_rng(SeedSequence(entropy)),
+    from the library's generator: kind "raw" gives k next_uint64 values,
+    "uint32" k next_uint32 values, "bootstrap" np.sort(rng.integers(0, n,
+    size=n)) and "choice" rng.choice(n, k, replace=False) where numpy takes
+    Floyd's algorithm. state lists the high and low 64 bits of the PCG64
+    state and inc, has_uint32 and uinteger. ValueError for a count below 0,
+    a choice of more than n, and a bootstrap of 2**32 rows or more, which
+    numpy draws otherwise."""
+    if n < 0 or k < 0 or (kind == "choice" and k > n):
+        raise ValueError("draws: n and k must be >= 0, and a choice k <= n")
+    if kind == "bootstrap" and n - 1 >= 2**32 - 1:
+        raise ValueError("draws: numpy draws a bootstrap of 2**32 rows or more otherwise")
+    words, size = _words(entropy), n if kind == "bootstrap" else k
+    out, state = array("Q", bytes(8 * size)), array("Q", bytes(48))
+    if lib.draws(words.buffer_info()[0], len(words), DRAWS.index(kind), n, k,
+                 out.buffer_info()[0], state.buffer_info()[0]):
+        raise MemoryError("draws")
+    return out.tolist(), state.tolist()
+
+
+# numpy's draws from default_rng(SeedSequence([2018, 1])): its first two raw
+# values, choice(40, 6, replace=False) and its sorted bootstrap of 10 rows
+KNOWN_DRAWS = {
+    "raw": [1810956789399191930, 8989135104660027435],
+    "choice": [39, 31, 3, 21, 18, 11],
+    "bootstrap": [0, 3, 4, 4, 4, 5, 7, 8, 9, 9],
+}
+
+
+def generator_ok():
+    """Whether the library's generator gives numpy's known draws (see
+    KNOWN_DRAWS), which every compiled forest relies on."""
+    return (lib is not None
+            and draws([2018, 1], "raw", k=2)[0] == KNOWN_DRAWS["raw"]
+            and draws([2018, 1], "choice", 40, 6)[0] == KNOWN_DRAWS["choice"]
+            and draws([2018, 1], "bootstrap", 10)[0] == KNOWN_DRAWS["bootstrap"])
+
+
+def impute_median(X, p):
+    """(X with each NaN replaced by its column's median, the p medians), in
+    one call to the library's impute_median. X, an array("d"), holds rows of
+    p values one after another; a column's median is 0.0 where it has no
+    other values."""
+    n = len(X) // p if p else 0
+    if type(X) is not array or X.typecode != "d" or len(X) != n * p:
+        raise TypeError("impute_median needs X as an array('d') of rows of p values")
+    filled, median = array("d", bytes(8 * len(X))), array("d", bytes(8 * p))
+    if lib.impute_median(X.buffer_info()[0], n, p, filled.buffer_info()[0],
+                         median.buffer_info()[0]):
+        raise MemoryError("impute_median")
+    return filled, median
+
+
+def _take(address, count, typecode):
+    """The `count` 8-byte values at `address` as an array(typecode)."""
+    out = array(typecode)
+    out.frombytes(ctypes.string_at(address, 8 * count))
+    return out
+
+
+def grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
+    """(trees, importance) in one call to the library's grow_forest: the six
+    node arrays of each of n_trees trees (feature, threshold, left, right, n
+    and pos: paydev.model.Tree's array("q") and array("d") buffers) and the
+    mean of their importance vectors, an array("d"), or None where the
+    library declines the forest because numpy draws it otherwise. X, an
+    array("d"), holds the rows, p values each, one after another, and y, an
+    array("b"), their labels, 0 or 1. Tree t draws from numpy's
+    default_rng(SeedSequence([seed, t])): its bootstrap rows when bootstrap
+    is true, and mtry features at every node when mtry < p. Splits need at
+    least minsplit rows and a cp share of the root's error; maxdepth None is
+    unbounded."""
+    n = len(y)
+    if not (type(X) is array and X.typecode == "d" and type(y) is array and y.typecode == "b"):
+        raise TypeError("grow_forest needs X as array('d') and y as array('b')")
+    if len(X) != n * p:
+        raise ValueError("grow_forest: X does not hold p values per label")
+    maxdepth = -1 if maxdepth is None else maxdepth
+    if n_trees < 1 or not all(-2**63 <= v < 2**63 for v in (n_trees, mtry, minsplit, maxdepth)):
+        raise ValueError("grow_forest: a count is below 1 or outside int64")
+    words, importance = _words([seed]), array("d", bytes(8 * p))
+    table = (ctypes.c_void_p * 7)()
+    m = lib.grow_forest(X.buffer_info()[0], n, p, y.buffer_info()[0], n_trees,
+                        words.buffer_info()[0], len(words), bool(bootstrap), mtry, minsplit, cp,
+                        maxdepth, importance.buffer_info()[0], table)
+    if m == -4:
+        return None
+    if m == -1:
+        raise MemoryError("grow_forest")
+    if m < 0:
+        raise ValueError("grow_forest needs labels 0 or 1")
+    try:
+        columns = [_take(table[k], m, "d" if k == 1 else "q") for k in range(6)]
+        roots = _take(table[6], n_trees + 1, "q")
+    finally:
+        lib.free_table(table)
+    return [tuple(c[a:b] for c in columns) for a, b in zip(roots, roots[1:])], importance
 
 
 def int_column(values):

@@ -930,6 +930,30 @@ class TestConfigFile:
         assert "forest_mtry" in capsys.readouterr().err and not model.exists()
 
     @pytest.mark.parametrize("line, classifier", [
+        ("forest_trees=100000000000000000000", "randomforest"),
+        ("forest_trees=9223372036854775808", "randomforest"),
+        ("forest_mtry=9223372036854775808", "randomforest"),
+        ("tree_minsplit=9223372036854775808", "rpart"),
+        ("tree_maxdepth=100000000000000000000", "rpart"),
+    ])
+    def test_count_past_int64_exit_3_before_input_is_read(self, tmp_path, capsys, line,
+                                                          classifier):
+        """The compiled grower takes its counts as int64; a larger one is a
+        config fault, found before the (here missing) inputs are read, not a
+        count that runs until killed or wraps around."""
+        cfg, model = tmp_path / "c.cfg", tmp_path / "m.json"
+        cfg.write_text(line + "\n")
+        assert run_cli("train", str(tmp_path / "missing.csv"), "--labels",
+                       str(tmp_path / "missing-labels.csv"), "--classifier", classifier,
+                       "--config", str(cfg), "--out", str(model)) == 3
+        assert "below 2**63" in capsys.readouterr().err and not model.exists()
+        if line.startswith("forest_trees"):
+            trees = line.split("=")[1]
+            assert run_cli("train", str(tmp_path / "missing.csv"), "--labels",
+                           str(tmp_path / "missing-labels.csv"), "--classifier", classifier,
+                           "--forest-trees", trees, "--out", str(model)) == 3
+
+    @pytest.mark.parametrize("line, classifier", [
         ("tree_cp=nan", "rpart"), ("tree_cp=inf", "rpart"), ("logit_l2=nan", "logit"),
     ])
     def test_non_finite_config_exit_3(self, corpus, tmp_path, capsys, line, classifier):

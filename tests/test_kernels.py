@@ -2,24 +2,38 @@ import os
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_split import exhaustive_best_split
-from paydev.ml import kernels
+from paydev import native
+from paydev.ml import dataset, kernels
 from paydev.model import TREE_ARRAYS, Tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-needs_grower = pytest.mark.skipif(kernels.grower() is None, reason="compiled grower not in use")
+needs_grower = pytest.mark.skipif(not native.generator_ok(), reason="compiled grower not in use")
 
 
-def _grow(X, y, idx, **params):
-    """kernels.grow_tree over X and y, as (Tree, importance)."""
-    arrays, importance = kernels.grow_tree(kernels.Presorted(X, y), idx, **params)
-    return Tree(*arrays), importance
+def _arrays(X, y):
+    """X and y as the array("d") and array("b") a Dataset holds."""
+    return (array("d", np.ascontiguousarray(X, dtype=np.float64).tobytes()),
+            array("b", np.asarray(y, dtype=np.int8).tobytes()))
+
+
+def _forest(grow, X, y, seed=0, n_trees=1, bootstrap=False, mtry=None, **params):
+    """grow (native.grow_forest, kernels.grow_forest_py or the chosen
+    dataset.grow_forest) over the numpy X and y, as ([Tree], importance);
+    mtry None searches every feature."""
+    p = X.shape[1]
+    trees, importance = grow(*_arrays(X, y), p, n_trees=n_trees, seed=seed, bootstrap=bootstrap,
+                             mtry=p if mtry is None else mtry, **params)
+    return [Tree(*arrays) for arrays in trees], importance
 
 
 def _random_problem(rng, n=None, p=None, duplicates=False):
@@ -37,7 +51,7 @@ def _random_problem(rng, n=None, p=None, duplicates=False):
 @needs_cc
 def test_compiled_backend_available():
     assert kernels.BACKEND == "c", "compiled kernel should be built"
-    assert kernels.grower() is not None, "the C feature draw should match numpy's"
+    assert native.generator_ok(), "the compiled generator should give numpy's draws"
 
 
 class TestOracle:
@@ -90,7 +104,7 @@ class TestBackendEquivalence:
         depth-1 CART grown by the active grower (the compiled one with cc)."""
         idx, feats = np.arange(len(y), dtype=np.int64), np.arange(X.shape[1], dtype=np.int64)
         f, t, _ = kernels.best_split(X, y, idx, feats)
-        root, _ = _grow(X, y, idx, minsplit=2, cp=0.0, maxdepth=1)
+        (root,), _ = _forest(dataset.grow_forest, X, y, minsplit=2, cp=0.0, maxdepth=1)
         return [(f, t), (root.feature[0], root.threshold[0])]
 
     def test_tiebreak_lowest_feature_and_threshold(self):
@@ -107,75 +121,56 @@ class TestBackendEquivalence:
         assert self._root_splits(X, y) == [(0, 0.5)] * 2
 
 
-def _c_grow(X, y, idx, mtry=2):
-    """One tree straight from the compiled grower, every feature searched."""
-    return kernels._c_grow_tree(kernels.Presorted(X, y), idx, 2, 0.0, None, mtry, None)
+def _grow_both(X, y, **params):
+    """The forest of native.grow_forest and of kernels.grow_forest_py."""
+    return [_forest(grow, X, y, **params) for grow in (native.grow_forest, kernels.grow_forest_py)]
 
 
-def _grow_both(monkeypatch, X, y, idx, seed, **params):
-    """grow_tree with the compiled grower and with the Python one, each with
-    a fresh Generator from `seed` (None: no Generator); returns both results
-    and, per grower, the Generator's next draw after the tree."""
-    results, next_draws = [], []
-    for grower in (kernels.grower(), None):
-        monkeypatch.setattr(kernels, "grower", lambda: grower)
-        rng = None if seed is None else np.random.default_rng(seed)
-        results.append(_grow(X, y, idx, rng=rng, **params))
-        next_draws.append(None if rng is None else rng.integers(2**62))
-    return results, next_draws
-
-
-def _assert_same_tree(a, b):
+def _assert_same_forest(a, b):
     """Bit-identical node arrays and importances."""
-    (tree_a, imp_a), (tree_b, imp_b) = a, b
-    for key in TREE_ARRAYS:
-        x, y = getattr(tree_a, key), getattr(tree_b, key)
-        assert x.typecode == y.typecode and x.tobytes() == y.tobytes(), key
-    assert imp_a.tobytes() == imp_b.tobytes()
+    (trees_a, imp_a), (trees_b, imp_b) = a, b
+    for tree_a, tree_b in zip(trees_a, trees_b, strict=True):
+        for key in TREE_ARRAYS:
+            x, y = getattr(tree_a, key), getattr(tree_b, key)
+            assert x.typecode == y.typecode and x.tobytes() == y.tobytes(), key
+    assert imp_a.typecode == imp_b.typecode == "d" and imp_a.tobytes() == imp_b.tobytes()
 
 
 @needs_grower
 class TestGrowerEquivalence:
-    def test_forest_trees_bit_identical(self, rng, monkeypatch):
+    def test_forest_trees_bit_identical(self, rng):
         for trial in range(150):
             X, y = _random_problem(rng, duplicates=trial % 3 == 0)
-            n, p = X.shape
+            p = X.shape[1]
             if trial % 5 == 0:
                 y[:] = trial % 2  # single-class root
-            idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
             for mtry in range(1, p + 1):
-                results, draws = _grow_both(monkeypatch, X, y, idx, seed=trial, minsplit=2,
-                                            cp=0.0, maxdepth=None, mtry=mtry)
-                _assert_same_tree(*results)
-                assert draws[0] == draws[1], (trial, mtry)
+                _assert_same_forest(*_grow_both(X, y, seed=trial, n_trees=2, bootstrap=True,
+                                                mtry=mtry, minsplit=2, cp=0.0, maxdepth=None))
 
-    def test_cart_trees_bit_identical(self, rng, monkeypatch):
+    def test_cart_trees_bit_identical(self, rng):
         for trial in range(150):
             X, y = _random_problem(rng, duplicates=trial % 2 == 0, p=1 if trial % 7 == 0 else None)
-            idx = np.arange(len(y), dtype=np.int64)
             params = dict(minsplit=int(rng.integers(1, 30)),
                           cp=float(rng.choice([0.0, 0.001, 0.01, 0.05, 0.2])),
                           maxdepth=[None, 0, 1, 2, 5, 30][trial % 6])
-            results, _ = _grow_both(monkeypatch, X, y, idx, seed=None, **params)
-            _assert_same_tree(*results)
+            _assert_same_forest(*_grow_both(X, y, **params))
 
-    def test_many_rows_and_features(self, rng, monkeypatch):
+    def test_many_rows_and_features(self, rng):
         X, y = _random_problem(rng, n=3000, p=40, duplicates=True)
-        idx = np.sort(rng.integers(0, 3000, size=3000)).astype(np.int64)
-        results, draws = _grow_both(monkeypatch, X, y, idx, seed=9, minsplit=2, cp=0.0,
-                                    maxdepth=None, mtry=6)
-        _assert_same_tree(*results)
-        assert draws[0] == draws[1]
+        _assert_same_forest(*_grow_both(X, y, seed=9, n_trees=2, bootstrap=True, mtry=6,
+                                        minsplit=2, cp=0.0, maxdepth=None))
 
-    def test_empty_and_one_row(self, monkeypatch):
+    def test_empty_and_one_row(self):
         X, y = np.ones((3, 2)), np.array([0, 1, 0], dtype=np.int8)
-        for idx in ([], [1]):
-            results, _ = _grow_both(monkeypatch, X, y, np.array(idx, dtype=np.int64), seed=1,
-                                    minsplit=2, cp=0.0, maxdepth=None, mtry=1)
-            _assert_same_tree(*results)
-            assert len(results[0][0].n) == 1
+        for rows in ([], [1]):
+            for bootstrap in (False, True):
+                results = _grow_both(X[rows], y[rows], seed=1, bootstrap=bootstrap, mtry=1,
+                                     minsplit=2, cp=0.0, maxdepth=None)
+                _assert_same_forest(*results)
+                assert results[0][0][0].n.tolist() == [len(rows)]
 
-    def test_tie_heavy_bootstrap_trees_bit_identical(self, rng, monkeypatch):
+    def test_tie_heavy_bootstrap_trees_bit_identical(self, rng):
         """Few distinct values (signed zeros among them), constant columns and
         bootstrap duplicates: the presorted search sees equal values in
         another order than a per-node sort, and must still grow the same
@@ -186,14 +181,11 @@ class TestGrowerEquivalence:
             X = np.ascontiguousarray(values[rng.integers(0, 4, size=(n, p))])
             X[:, trial % p] = 1.0
             y = ((X.sum(axis=1) + rng.integers(0, 3, size=n)) > p + 1).astype(np.int8)
-            idx = np.sort(rng.integers(0, n, size=n)).astype(np.int64)
             for mtry in (1, p // 2 + 1, p):
-                results, draws = _grow_both(monkeypatch, X, y, idx, seed=trial, minsplit=2,
-                                            cp=0.0, maxdepth=None, mtry=mtry)
-                _assert_same_tree(*results)
-                assert draws[0] == draws[1], (trial, mtry)
+                _assert_same_forest(*_grow_both(X, y, seed=trial, n_trees=2, bootstrap=True,
+                                                mtry=mtry, minsplit=2, cp=0.0, maxdepth=None))
 
-    def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower(self, monkeypatch):
+    def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower(self):
         """Between 1 + 2**-52 and the next double the midpoint rounds up to
         the upper value, so `<=` at the midpoint would send every row left.
         Both growers split at the lower value instead, so that the two values
@@ -203,50 +195,39 @@ class TestGrowerEquivalence:
         for values, labels in (([a, b], [0, 1]), ([a, b, 2.0], [0, 1, 0])):
             X = np.repeat(values, 20).reshape(-1, 1)
             y = np.repeat(labels, 20).astype(np.int8)
-            idx = np.arange(len(y), dtype=np.int64)
             for maxdepth in (5, None):
-                results, _ = _grow_both(monkeypatch, X, y, idx, seed=None, minsplit=2, cp=0.0,
-                                        maxdepth=maxdepth)
-                _assert_same_tree(*results)
-                grown = results[0][0]
+                results = _grow_both(X, y, minsplit=2, cp=0.0, maxdepth=maxdepth)
+                _assert_same_forest(*results)
+                (grown,), _ = results[0]
                 assert min(grown.n) > 0
                 assert len(grown.n) == 2 * len(values) - 1
                 assert grown.threshold[0] == a
 
     def test_out_of_range_rows_rejected(self):
-        X, y = np.ones((4, 2)), np.zeros(4, dtype=np.int8)
-        with pytest.raises(IndexError):
-            _c_grow(X, y, np.array([0, 4], dtype=np.int64))
+        """X must hold p values per label, or the compiled grower would read
+        rows past its end."""
+        X, y = _arrays(np.ones((4, 2)), np.zeros(4))
+        with pytest.raises(ValueError):
+            native.grow_forest(X[:-1], y, 2, n_trees=1, seed=0, bootstrap=False, mtry=2,
+                               minsplit=2, cp=0.0, maxdepth=None)
 
-    @pytest.mark.parametrize("bad", ["X", "y", "idx"])
+    @pytest.mark.parametrize("bad", ["X", "y"])
     def test_bad_arrays_rejected(self, bad):
-        args = {"X": np.ones((4, 2)), "y": np.zeros(4, dtype=np.int8),
-                "idx": np.arange(4, dtype=np.int64)}
-        args[bad] = args[bad].astype(np.float32)
+        args = dict(zip("Xy", _arrays(np.ones((4, 2)), np.zeros(4))))
+        args[bad] = array("f" if bad == "X" else "q", args[bad])
         with pytest.raises(TypeError):
-            _c_grow(args["X"], args["y"], args["idx"])
-
-    @pytest.mark.parametrize("entry", [4, -1, 2])
-    def test_bad_presorted_order_rejected(self, entry):
-        """An order entry past either end, or one that makes a feature's
-        order no permutation of the rows (row 2 twice), is refused."""
-        X, y = np.ascontiguousarray([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]]), \
-            np.array([0, 1, 0, 1], dtype=np.int8)
-        rows = kernels.Presorted(X, y)
-        order = rows.arrays[2]
-        assert order.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
-        order[1, 0] = entry  # the addresses in rows.args see the change
-        with pytest.raises(IndexError):
-            kernels._c_grow_tree(rows, np.arange(4, dtype=np.int64), 2, 0.0, None, 2, None)
+            native.grow_forest(args["X"], args["y"], 2, n_trees=1, seed=0, bootstrap=False,
+                               mtry=2, minsplit=2, cp=0.0, maxdepth=None)
 
     def test_labels_other_than_0_and_1_rejected(self):
         X, y = np.ones((4, 2)), np.array([0, 1, 2, 0], dtype=np.int8)
-        with pytest.raises(ValueError):
-            _c_grow(X, y, np.arange(4, dtype=np.int64))
+        for grow in (native.grow_forest, kernels.grow_forest_py):
+            with pytest.raises(ValueError):
+                _forest(grow, X, y, minsplit=2, cp=0.0, maxdepth=None)
 
 
 @pytest.mark.parametrize("a, b", [(-1.5e308, -1e308), (1e308, np.inf)])
-def test_overflowing_midpoint_splits_at_the_lower(monkeypatch, a, b):
+def test_overflowing_midpoint_splits_at_the_lower(a, b):
     """(a + b) / 2 is -inf when the sum overflows and inf when b is;
     neither lies between a and b, so both growers split at a. At the
     midpoint every row went right: the Python grower never ended and the
@@ -257,13 +238,48 @@ def test_overflowing_midpoint_splits_at_the_lower(monkeypatch, a, b):
     idx = np.arange(40, dtype=np.int64)
     feats = np.arange(2, dtype=np.int64)
     assert kernels.best_split(X, y, idx, feats) == exhaustive_best_split(X, y) == (0, a, 0.0)
-    for seed, mtry in ((None, None), (3, 1)):
-        results, draws = _grow_both(monkeypatch, X, y, idx, seed=seed, minsplit=2, cp=0.0,
-                                    maxdepth=None, mtry=mtry)
-        _assert_same_tree(*results)
-        assert draws[0] == draws[1]
-        grown = results[0][0]
+    growers = (dataset.grow_forest, kernels.grow_forest_py)
+    for mtry in (None, 1):
+        results = [_forest(grow, X, y, seed=3, mtry=mtry, minsplit=2, cp=0.0, maxdepth=None)
+                   for grow in growers]
+        _assert_same_forest(*results)
+        (grown,), _ = results[0]
         assert grown.n.tolist() == [40, 20, 20] and grown.threshold[0] == a
+
+
+def test_nan_is_not_split_from_nan():
+    """A column whose two middle values are -inf and inf has the median
+    NaN, which imputation keeps, so NaN rows remain. `<=` cannot tell a NaN
+    from the NaN after it, so no split falls between them; one between the
+    last value and the first NaN sends the NaN rows right. Splitting
+    between two NaN rows sent every row right: the compiled grower crashed
+    and the Python one never ended."""
+    X = np.array([[-np.inf, 0.0], [np.inf, 1.0], *[[np.nan, float(k)] for k in range(2, 8)]])
+    y = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=np.int8)
+    data = dataset.make_dataset(X, y, ["a", "b"], list("abcdefgh"))
+    filled, medians = dataset.impute_median(data)
+    assert np.isnan(medians[0]) and medians[1] == 3.5
+    X = np.frombuffer(filled).reshape(8, 2)
+    assert (kernels.best_split(X, y, np.arange(8), np.array([0]))
+            == exhaustive_best_split(X[:, :1], y))
+    for mtry in (None, 1):
+        results = [_forest(grow, X, y, seed=5, n_trees=3, bootstrap=True, mtry=mtry, minsplit=2,
+                           cp=0.0, maxdepth=None)
+                   for grow in (dataset.grow_forest, kernels.grow_forest_py)]
+        _assert_same_forest(*results)
+        for tree in results[0][0]:
+            assert min(tree.n) > 0
+
+
+@needs_grower
+@pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([0, 1, 2, 3, 4, 5], [0])])
+def test_c_kernel_rejects_out_of_range_indices(idx, feats):
+    """Labels of rows past the end of X (four rows) are refused, whatever
+    columns X keeps."""
+    X, _ = _arrays(np.ones((4, 2))[:, feats], [])
+    with pytest.raises(ValueError):
+        native.grow_forest(X, array("b", bytes(max(idx) + 1)), len(feats), n_trees=1, seed=0,
+                           bootstrap=True, mtry=1, minsplit=2, cp=0.0, maxdepth=None)
 
 
 @needs_grower
@@ -273,19 +289,19 @@ def test_overflowing_midpoint_splits_at_the_lower(monkeypatch, a, b):
     np.ones((4, 2), dtype=np.float32),
 ])
 def test_c_kernel_rejects_bad_arrays(X):
-    y = np.zeros(4, dtype=np.int8)
+    """The compiled grower takes only the arrays a Dataset holds."""
+    y = array("b", bytes(4))
     with pytest.raises(TypeError):
-        _c_grow(X, y, np.arange(4, dtype=np.int64))
+        native.grow_forest(X, y, 2, n_trees=1, seed=0, bootstrap=False, mtry=2, minsplit=2,
+                           cp=0.0, maxdepth=None)
 
 
-@needs_grower
-@pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([-1, 0], [0])])
-def test_c_kernel_rejects_out_of_range_indices(idx, feats):
-    """A row index past either end is refused, whatever columns X keeps."""
-    X = np.ascontiguousarray(np.ones((4, 2))[:, feats])
-    y = np.zeros(4, dtype=np.int8)
-    with pytest.raises(IndexError):
-        _c_grow(X, y, np.array(idx, dtype=np.int64), mtry=1)
+def _state(rng):
+    """A Generator's state as native.draws lists it."""
+    s = rng.bit_generator.state
+    state, inc = s["state"]["state"], s["state"]["inc"]
+    return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1), s["has_uint32"],
+            s["uinteger"]]
 
 
 @needs_cc
@@ -293,36 +309,126 @@ def test_c_choice_matches_generator_choice():
     draws = [(1, 1), (2, 1), (2, 2), (5, 5), (10_000, 10_000), (10_001, 200), (60_000, 1_000)]
     draws += [(p, k) for p in range(1, 41) for k in range(0, p + 1)]
     for seed, (p, k) in enumerate(draws):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = kernels._c_choice(a, p, k)
-        assert got.tolist() == b.choice(p, k, replace=False).tolist(), (p, k)
-        assert a.integers(2**62) == b.integers(2**62), (p, k)
+        got, state = native.draws([seed], "choice", p, k)
+        rng = np.random.default_rng(seed)
+        assert got == rng.choice(p, k, replace=False).tolist(), (p, k)
+        assert state == _state(rng), (p, k)
 
 
 @needs_cc
 def test_c_choice_differs_where_numpy_shuffles_a_range():
     """p > 10,000 and k > p // 50: numpy shuffles a whole range, which the C
-    draw does not repeat, so grow_tree keeps such forests in Python."""
-    a, b = np.random.default_rng(0), np.random.default_rng(0)
-    assert kernels._c_choice(a, 10_001, 201).tolist() != b.choice(10_001, 201,
-                                                                replace=False).tolist()
+    draw does not repeat, so the compiled grower declines such forests."""
+    got, _ = native.draws([0], "choice", 10_001, 201)
+    assert got != np.random.default_rng(0).choice(10_001, 201, replace=False).tolist()
 
 
 @needs_grower
 def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
-    compiled = kernels.grower()
-    monkeypatch.setattr(kernels, "_c_choice", lambda g, p, k: np.arange(k, dtype=np.int64))
-    monkeypatch.setattr(kernels, "grower", kernels.grower.__wrapped__)  # check afresh
-    assert kernels.grower() is None
+    compiled = dataset.fit_pass()
+    assert compiled == (native.impute_median, native.grow_forest, native.seed_state)
+    monkeypatch.setitem(native.KNOWN_DRAWS, "choice", [0, 1, 2, 3, 4, 5])
+    assert not native.generator_ok()
+    fallback = dataset.fit_pass()
+    assert fallback == (kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py)
     calls, search = [], kernels.best_split
     monkeypatch.setattr(kernels, "best_split", lambda *a: calls.append(a) or search(*a))
     X, y = _random_problem(rng, n=60, p=5)
-    idx = np.arange(60, dtype=np.int64)
-    params = dict(minsplit=2, cp=0.0, maxdepth=None, mtry=2)
-    fallback = _grow(X, y, idx, rng=np.random.default_rng(4), **params)
+    params = dict(seed=4, n_trees=3, bootstrap=True, mtry=2, minsplit=2, cp=0.0, maxdepth=None)
+    for name, grow in zip(("_impute_median", "_grow_forest", "_seed_state"), fallback):
+        monkeypatch.setattr(dataset, name, grow)
+    python = _forest(dataset.grow_forest, X, y, **params)
     assert calls  # the Python grower searches node by node
-    monkeypatch.setattr(kernels, "grower", lambda: compiled)
-    _assert_same_tree(fallback, _grow(X, y, idx, rng=np.random.default_rng(4), **params))
+    _assert_same_forest(python, _forest(compiled[1], X, y, **params))
+
+
+@needs_cc
+class TestForestDraws:
+    """The compiled generator against numpy's: SeedSequence, PCG64 and the
+    draws a forest makes from them."""
+
+    SEEDS = (0, 2**32 - 1, 2**32, 2**70)
+
+    def test_seed_sequence_words(self):
+        for seed in self.SEEDS:
+            for entropy in ([seed], [seed, 3], [seed, 0, 0], [7, seed, 1, 2, 3]):
+                expected = np.random.SeedSequence(entropy).generate_state(9).tolist()
+                assert native.seed_state(entropy, 9) == expected, entropy
+
+    def test_forest_seed_of_a_seed_past_64_bits(self):
+        """`--seed 1180591620717411303424` (2**70) is split into 32-bit words
+        as numpy splits it."""
+        from paydev.ml import forest_seed
+
+        for parts in ((2**70, 0, 0), (2**70, 3, 9), (1, 0, 0)):
+            assert forest_seed(parts) == np.random.SeedSequence(parts).generate_state(1)[0]
+
+    def test_raw_stream_and_next_uint32_buffering(self):
+        for seed in self.SEEDS:
+            raw, state = native.draws([seed, 1], "raw", k=5)
+            bit_generator = np.random.PCG64(np.random.SeedSequence([seed, 1]))
+            assert raw == bit_generator.random_raw(5).tolist()
+            for k in (1, 2, 7):  # an odd count leaves the high half buffered
+                halves, state = native.draws([seed, 1], "uint32", k=k)
+                rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+                assert halves == rng.integers(0, 2**32, size=k, dtype=np.uint32).tolist()
+                assert state == _state(rng), (seed, k)
+
+    def test_bootstrap_matches_numpy(self):
+        sizes = [*range(1, 200), *np.unique(np.geomspace(200, 100_000, 60).astype(int)), 100_000]
+        for n in sizes:
+            n = int(n)
+            rows, state = native.draws([11, n], "bootstrap", n)
+            rng = np.random.default_rng(np.random.SeedSequence([11, n]))
+            assert rows == np.sort(rng.integers(0, n, size=n)).tolist(), n
+            assert state == _state(rng), n
+
+    def test_bootstrap_of_2_32_rows_declined(self):
+        """From n - 1 = 2**32 - 1 on numpy draws 64-bit values, which the
+        compiled bootstrap does not repeat."""
+        with pytest.raises(ValueError):
+            native.draws([0], "bootstrap", 2**32)
+
+
+_SPECIAL = (np.nan, -0.0, 0.0, np.inf, -np.inf)
+
+
+@needs_grower
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
+    """fit_forest through the compiled pass and through kernels' twins:
+    the same model file and importance, with NaN and all-NaN columns,
+    signed zeros and infinities, with and without bootstrap, for every
+    mtry up to p."""
+    from io import StringIO
+
+    from paydev.ml import fit_forest, make_dataset, save_model
+
+    n, p = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(_SPECIAL), st.integers(-3, 3).map(float),
+                      st.floats(allow_nan=False, width=64))
+    X = np.array(data.draw(st.lists(cells, min_size=n * p, max_size=n * p))).reshape(n, p)
+    if data.draw(st.booleans()):
+        X[:, data.draw(st.integers(0, p - 1))] = np.nan
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    params = dict(n_trees=data.draw(st.integers(1, 4)), mtry=data.draw(st.integers(1, p)),
+                  seed=data.draw(st.integers(0, 2**70)), bootstrap=data.draw(st.booleans()))
+    models = []
+    for fit_pass in (dataset.fit_pass(), (kernels.impute_median_py, kernels.grow_forest_py,
+                                          kernels.seed_state_py)):
+        saved = dataset._impute_median, dataset._grow_forest, dataset._seed_state
+        dataset._impute_median, dataset._grow_forest, dataset._seed_state = fit_pass
+        try:
+            model = fit_forest(make_dataset(X, y, [f"f{j}" for j in range(p)],
+                                            [str(i) for i in range(n)]), **params)
+        finally:
+            dataset._impute_median, dataset._grow_forest, dataset._seed_state = saved
+        out = StringIO()
+        save_model(model, out)
+        models.append((out.getvalue(), model.importance.tobytes(), model.impute.tobytes()))
+    assert models[0] == models[1]
 
 
 def _python(args, home, path, cwd):
@@ -366,11 +472,13 @@ def test_python_fallback_without_compiler_gives_same_bytes(tmp_path):
              f"report-{backend}.json"],
             ["train", "f.csv", "--labels", "labels.csv", "--classifier", "randomforest",
              "--forest-trees", "10", "--out", f"model-{backend}.json"],
+            ["train", "f.csv", "--labels", "labels.csv", "--classifier", "rpart",
+             "--out", f"tree-{backend}.json"],
         ]
         for argv in runs:
             r = _python(cli + argv, home, path, tmp_path)
             assert r.returncode == 0, r.stderr
             assert f"# kernel: {backend}\n" in r.stderr
         outputs[backend] = [(tmp_path / f"{kind}-{backend}.json").read_bytes()
-                            for kind in ("report", "model")]
+                            for kind in ("report", "model", "tree")]
     assert outputs["python"] == outputs["c"]

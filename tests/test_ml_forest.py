@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from paydev.errors import ColumnMismatchError, SchemaError
-from paydev.ml import kernels
+from paydev import native
+from paydev.ml import dataset, kernels
 from paydev.ml import (
     fit_forest,
     fit_logit,
@@ -104,8 +105,8 @@ class TestFit:
         assert np.array_equal(a, b)
 
 
-needs_grower = pytest.mark.skipif(kernels.grower() is None,
-                                  reason="compiled grower not in use")
+needs_grower = pytest.mark.skipif(not native.generator_ok(), reason="compiled grower not in use")
+TWINS = (kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py)
 
 
 def _same_forest(a, b):
@@ -115,17 +116,24 @@ def _same_forest(a, b):
             assert getattr(ta, key).tobytes() == getattr(tb, key).tobytes(), key
 
 
+def _use(monkeypatch, fit_pass):
+    """Fit through fit_pass, (impute_median, grow_forest, seed_state)."""
+    for name, fn in zip(("_impute_median", "_grow_forest", "_seed_state"), fit_pass):
+        monkeypatch.setattr(dataset, name, fn)
+
+
 class TestCompiledGrower:
     @needs_grower
-    def test_one_compiled_call_per_tree(self, rng, monkeypatch):
+    def test_one_compiled_call_per_forest(self, rng, monkeypatch):
         X, y = _separable(rng, n=300)
-        calls, grower = [], kernels.grower()
-        monkeypatch.setattr(kernels, "grower", lambda: lambda *a: calls.append(a) or grower(*a))
+        calls = []
+        monkeypatch.setattr(dataset, "_grow_forest",
+                            lambda *a, **k: calls.append(a) or native.grow_forest(*a, **k))
         monkeypatch.setattr(kernels, "best_split", None)  # no per-node Python search
         model = fit_forest(_dataset(X, y), n_trees=7, seed=2)
-        assert len(calls) == 7
+        assert len(calls) == 1
         monkeypatch.undo()
-        monkeypatch.setattr(kernels, "grower", lambda: None)
+        _use(monkeypatch, TWINS)
         _same_forest(model, fit_forest(_dataset(X, y), n_trees=7, seed=2))
 
     @needs_grower
@@ -133,14 +141,16 @@ class TestCompiledGrower:
     def test_wide_forest_matches_python_grower(self, rng, monkeypatch, mtry, compiled):
         """p = 10,001: numpy's choice uses Floyd's algorithm up to mtry
         p // 50 = 200, which the compiled grower repeats; above that numpy
-        shuffles a range and the tree grows in Python."""
+        shuffles a range, and the compiled grower declines the forest to the
+        numpy twin."""
         X = rng.normal(size=(8, 10_001))
         y = np.array([0, 1] * 4)
-        calls, grower = [], kernels.grower()
-        monkeypatch.setattr(kernels, "grower", lambda: lambda *a: calls.append(a) or grower(*a))
+        grown = []
+        monkeypatch.setattr(dataset, "_grow_forest",
+                            lambda *a, **k: grown.append(native.grow_forest(*a, **k)) or grown[-1])
         model = fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5)
-        assert len(calls) == (3 if compiled else 0)
-        monkeypatch.setattr(kernels, "grower", lambda: None)
+        assert [g is not None for g in grown] == [compiled]
+        _use(monkeypatch, TWINS)
         _same_forest(model, fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5))
 
 
@@ -242,6 +252,17 @@ class TestIntrospectAndSerialize:
                            n_trees=30, seed=4)
         report = introspect(model)
         assert report.splitlines()[1].strip().startswith("signal")
+
+    def test_tied_importance_ranks_in_column_order(self, rng):
+        """Two constant columns have importance 0.0 each; they rank after
+        the informative one, the lower column first."""
+        X = np.column_stack([np.ones(100), rng.normal(size=100), np.zeros(100)])
+        y = (X[:, 1] > 0).astype(int)
+        model = fit_forest(_dataset(X, y, columns=["z_const", "signal", "a_const"]),
+                           n_trees=10, seed=1)
+        assert model.importance.tolist()[::2] == [0.0, 0.0]
+        lines = introspect(model).splitlines()[1:]
+        assert [line.split()[0] for line in lines] == ["signal", "z_const", "a_const"]
 
     def test_round_trip_exact(self, rng):
         X, y = _separable(rng, 80)

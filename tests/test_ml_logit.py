@@ -120,3 +120,19 @@ class TestFit:
         model = fit_logit(_dataset(X, y))
         p = predict_proba(model, rng.normal(size=(200, 3)) * 100)
         assert ((p >= 0) & (p <= 1)).all()
+
+
+def test_introspect_ranks_tied_coefficients_in_column_order():
+    """|coef| descending, equal sizes (of either sign, and signed zeros) in
+    column order, whatever the host's sort."""
+    from array import array
+
+    from paydev.ml import introspect
+
+    columns = ["a", "b", "c", "d", "e", "f"]
+    model = LogitModel(coef=array("d", [0.5, -2.0, 0.5, 2.0, 0.0, -0.0]), intercept=0.25,
+                       mean=array("d", [0.0] * 6), scale=array("d", [1.0] * 6), columns=columns,
+                       impute=array("d", [0.0] * 6), converged=True, n_iter=1)
+    lines = introspect(model).splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["b", "d", "a", "c", "e", "f"]
+    assert lines[-1] == "  intercept +0.2500"

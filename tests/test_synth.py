@@ -101,5 +101,5 @@ class TestSeparability:
         spec = spec_with_profiles(_small_spec(n_devs=30), "overlapping")
         records, labels = generate_synthetic_corpus(spec, seed=4)
         data = _dataset(records, labels)
-        weekend = data.X[:, data.columns.index("weekend")]
-        assert roc_auc(weekend, data.y) < 0.5
+        X, y = ml.as_numpy(data)
+        assert roc_auc(X[:, data.columns.index("weekend")], y) < 0.5
