@@ -37,20 +37,16 @@ class Dataset:
 def make_dataset(X, y, columns, ids) -> Dataset:
     """A Dataset of X, a numpy matrix or a sequence of rows, each with one
     value per column, and the labels y."""
-    p = len(columns)
     if hasattr(X, "dtype"):  # numpy: one conversion, no per-value objects
         if X.ndim != 2:
             raise ValueError("X and y shapes disagree")
-        n, width, X = X.shape[0], X.shape[1], X.astype("d").tobytes()
+        n, widths, X = X.shape[0], {X.shape[1]}, X.astype("d").tobytes()
     else:
         rows = list(X)
-        n, width = len(rows), len(rows[0]) if rows else p
-        if any(len(row) != width for row in rows):
-            raise ValueError("X rows differ in length")
-        X = [v for row in rows for v in row]
+        n, widths, X = len(rows), {len(row) for row in rows}, [v for row in rows for v in row]
     if n != len(y):
         raise ValueError("X and y shapes disagree")
-    if width != p:
+    if widths - {len(columns)}:
         raise ValueError("column names do not match X width")
     y = array("b", y.astype("b").tobytes() if hasattr(y, "dtype") else y)
     return Dataset(X=array("d", X), y=y, columns=list(columns), ids=list(ids))
