@@ -6,12 +6,13 @@
  * default_rng(SeedSequence([seed, t])) repeated here (seed_state, pcg64),
  * and grows the tree from the presorted rows, so no node sorts anything.
  * impute_median fills each column's missing values with its median.
- * forest_sum predicts a whole forest in one call, as kernels.tree_proba
- * would per tree. The split search keeps the numpy search's
- * (kernels.best_split) order of work and int64 score expression, so the
- * trees are bit-identical (build without FMA contraction or fast-math). A
- * forest of n rows over p features holds p * n 16-byte entries and its
- * presort's p * n row numbers while it grows. Functions return 0
+ * forest_sum predicts a whole forest, or one CART, in one call, imputing
+ * missing values as it walks, as kernels.forest_sum_py does through numpy.
+ * The split search keeps the numpy search's (kernels.best_split) order of
+ * work and int64 score expression, so the trees are bit-identical (build
+ * without FMA contraction or fast-math). A forest of n rows over p features
+ * holds p * n 16-byte entries and its presort's p * n row numbers while it
+ * grows. Functions return 0
  * (grow_forest: the node count), -1 when out of memory, -2 when a node index
  * is out of range, -3 when a label is neither 0 nor 1, -4 where numpy would
  * draw otherwise. scan_canonical and scan_git_log, two grammars over one
@@ -685,15 +686,17 @@ void free_table(void **col)
         free(col[k]);
 }
 
-/* out[r] = the sum over trees, in tree order, of pos / n at the leaf that
- * row r of X (n_rows x p) reaches. The trees' node arrays are concatenated
- * as threshold[0..c) and the int64 block ints[0..5c), which holds the rows
- * feature, left, right, count and npos one after another; tree t owns nodes
- * roots[t] .. roots[t + 1] - 1 and numbers them from 0. Returns
- * 0, or -2 when an inner node's feature is out of range or one of its
- * children is not a later node of its tree. */
-int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
-               const double *threshold, const int64_t *roots, int64_t n_trees, double *out)
+/* out[r] = the mean over trees, summed in tree order, of pos / n at the leaf
+ * that row r of X (n_rows x p) reaches, where a NaN in column f compares as
+ * impute[f]. The trees' node arrays are concatenated as threshold[0..c) and
+ * the int64 block ints[0..5c), which holds the rows feature, left, right,
+ * count and npos one after another; tree t owns nodes roots[t] ..
+ * roots[t + 1] - 1 and numbers them from 0. Returns 0, or -2 when an inner
+ * node's feature is out of range or one of its children is not a later node
+ * of its tree. */
+int forest_sum(const double *X, int64_t n_rows, int64_t p, const double *impute,
+               const int64_t *ints, const double *threshold, const int64_t *roots,
+               int64_t n_trees, double *out)
 {
     int64_t c = roots[n_trees];
     const int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c,
@@ -713,11 +716,16 @@ int forest_sum(const double *X, int64_t n_rows, int64_t p, const int64_t *ints,
         for (int64_t r = 0; r < n_rows; r++) {
             const double *x = X + r * p;
             int64_t i = base;
-            while (feature[i] >= 0)
-                i = base + (x[feature[i]] <= threshold[i] ? left[i] : right[i]);
+            while (feature[i] >= 0) {
+                int64_t f = feature[i];
+                double v = isnan(x[f]) ? impute[f] : x[f];
+                i = base + (v <= threshold[i] ? left[i] : right[i]);
+            }
             out[r] += (double)npos[i] / (double)count[i];
         }
     }
+    for (int64_t r = 0; r < n_rows; r++)
+        out[r] /= (double)n_trees;
     return 0;
 }
 

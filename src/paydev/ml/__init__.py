@@ -9,19 +9,19 @@ predict_logit, sigmoid), which need it, load paydev.ml.logit on first use.
 
 from __future__ import annotations
 
-from paydev.ml.dataset import (
-    Dataset,
-    align_columns,
-    as_numpy,
-    check_training,
-    fill_missing,
-    impute_median,
-    make_dataset,
-)
+from paydev.ml.dataset import Dataset, as_numpy, check_training, impute_median, make_dataset
 from paydev.ml.forest import fit_forest, forest_seed, predict_forest
 from paydev.ml.introspect import introspect, root_split_feature
 from paydev.ml.tree import fit_tree, predict_tree
-from paydev.model import ForestModel, LogitModel, TreeModel, load_model, model_kind, save_model
+from paydev.model import (
+    ForestModel,
+    LogitModel,
+    TreeModel,
+    column_order,
+    load_model,
+    model_kind,
+    save_model,
+)
 
 _LOGIT = ("fit_logit", "loss_and_grad", "predict_logit", "sigmoid")
 
@@ -30,10 +30,8 @@ __all__ = [
     "ForestModel",
     "LogitModel",
     "TreeModel",
-    "align_columns",
     "as_numpy",
     "check_training",
-    "fill_missing",
     "fit_forest",
     "fit_logit",
     "fit_tree",
@@ -66,7 +64,7 @@ def predict_proba(model, X, columns=None):
 
     X = np.asarray(X, dtype=np.float64)
     if columns is not None:
-        X = align_columns(X, columns, model.columns)
+        X = X[:, column_order(columns, model.columns)]
     elif X.shape[1] != len(model.columns):
         from paydev.errors import ColumnMismatchError
 

@@ -1,5 +1,5 @@
-"""Training data, column matching, and the fit's pass over the data: median
-imputation, tree growing and forest seeds.
+"""Training data, and the fit's pass over the data: median imputation, tree
+growing and forest seeds.
 
 A Dataset holds one representation, stdlib arrays: X is an array("d") of
 its rows one after another, y an array("b") of labels. numpy views them
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from paydev import native
 from paydev.errors import SingleClassError
-from paydev.model import column_order
 
 
 @dataclass
@@ -67,24 +66,6 @@ def check_training(data: Dataset) -> None:
         raise SingleClassError("training data has no labeled rows")
     if data.y.count(data.y[0]) == len(data.y):
         raise SingleClassError("training data contains a single class")
-
-
-def fill_missing(X, medians):
-    """A copy of the numpy matrix X with each NaN in column j set to
-    medians[j]."""
-    import numpy as np
-
-    X = np.array(X, dtype=np.float64, copy=True)
-    for j in range(X.shape[1]):
-        nan = np.isnan(X[:, j])
-        if nan.any():
-            X[nan, j] = medians[j]
-    return X
-
-
-def align_columns(X, columns, model_columns):
-    """Reorder X's columns to the model's order; error on any mismatch."""
-    return X[:, column_order(columns, model_columns)]
 
 
 def fit_pass():

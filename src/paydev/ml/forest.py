@@ -3,23 +3,18 @@ sampling.
 
 Every random draw comes from a per-tree generator seeded by (seed, tree
 index), so the fitted model is a pure function of (seed, data). The whole
-forest grows in one call of the fit's pass (paydev.ml.dataset.grow_forest).
+forest grows in one call of the fit's pass (paydev.ml.dataset.grow_forest)
+and is scored by paydev.model.tree_proba.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from paydev.errors import SchemaError
-from paydev.ml.dataset import (
-    Dataset,
-    check_training,
-    fill_missing,
-    grow_forest,
-    impute_median,
-    seed_state,
-)
-from paydev.model import ForestModel, Tree
+from paydev.ml.dataset import Dataset, check_training, grow_forest, impute_median, seed_state
+from paydev.model import ForestModel, Tree, tree_proba
 
 
 def forest_seed(seed_parts) -> int:
@@ -60,8 +55,8 @@ def fit_forest(
 
 
 def predict_forest(model: ForestModel, X):
-    """Mean of the trees' leaf probabilities per row of the numpy matrix X,
-    accumulated in tree order."""
-    from paydev.ml import kernels
+    """Mean of the trees' leaf probabilities per row of the float64 numpy
+    matrix X, accumulated in tree order (tree_proba)."""
+    import numpy as np
 
-    return kernels.forest_sum(model.trees, fill_missing(X, model.impute)) / model.n_trees
+    return np.asarray(tree_proba(model, array("d", X.tobytes()), len(X)))

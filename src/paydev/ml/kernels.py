@@ -1,5 +1,4 @@
-"""The numpy twins of the compiled fit, and the forest predictor over numpy
-matrices.
+"""The numpy twins of the compiled fit and of the compiled forest predictor.
 
 paydev.native grows trees: its grow_forest grows a whole forest, or one
 CART, in one compiled call, searching splits in C over each feature's rows
@@ -14,17 +13,16 @@ draws it otherwise. grow_forest_py grows each tree node by node through
 best_split, the numpy split search below. Either way a tree's node arrays
 are the array("q") and array("d") buffers of paydev.model.Tree.
 
-forest_sum predicts a whole forest, or one CART, over a numpy matrix: in one
-call to native.forest_sum with the library, else tree by tree (tree_proba);
-both give the same bytes (paydev.model.predict_rows makes the same choice
-for the rows `predict` reads).
+forest_sum_py, the twin of native.forest_sum, scores a whole forest, or one
+CART, tree by tree (tree_proba) after filling the missing values, and gives
+the same bytes; paydev.model.tree_proba, the one place that chooses between
+the two, imports it only without the library.
 """
 
 from array import array
 
 import numpy as np
 
-from paydev import native
 from paydev.native import BACKEND  # noqa: F401  perfbench/run.py reads kernels.BACKEND
 
 
@@ -233,19 +231,14 @@ def tree_proba(tree, X) -> np.ndarray:
     return out
 
 
-def _forest_sum_py(trees, X):
-    return sum((tree_proba(tree, X) for tree in trees), np.zeros(len(X)))
-
-
-def _c_forest_sum(trees, X):
-    """_forest_sum_py in one compiled call (native.forest_sum)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    return np.asarray(native.forest_sum(trees, X.ctypes.data, *X.shape))
-
-
-# (trees, X (n_rows, p)) -> per row, the sum over the trees, in order, of the
-# row's leaf probability pos/n
-forest_sum = _forest_sum_py if native.lib is None else _c_forest_sum
+def forest_sum_py(trees, impute, X, n_rows):
+    """native.forest_sum through numpy: the NaNs filled from impute, then
+    the trees' tree_proba summed in tree order and divided by their
+    number."""
+    X = np.frombuffer(X, dtype=np.float64).reshape(n_rows, len(impute))
+    X = np.where(np.isnan(X), np.asarray(impute), X)
+    total = sum((tree_proba(tree, X) for tree in trees), np.zeros(n_rows))
+    return array("d", (total / len(trees)).tobytes())
 
 
 def available_backends():

@@ -13,7 +13,7 @@ from array import array
 import numpy as np
 
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, check_training, fill_missing, impute_median
+from paydev.ml.dataset import Dataset, check_training, impute_median
 from paydev.model import LogitModel
 
 
@@ -118,6 +118,7 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
 
 
 def predict_logit(model: LogitModel, X) -> np.ndarray:
-    X = fill_missing(np.asarray(X, dtype=np.float64), model.impute)
+    X = np.asarray(X, dtype=np.float64)
+    X = np.where(np.isnan(X), np.asarray(model.impute), X)
     Xz = (X - np.asarray(model.mean)) / np.asarray(model.scale)
     return sigmoid(Xz @ np.asarray(model.coef) + model.intercept)

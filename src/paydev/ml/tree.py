@@ -7,14 +7,16 @@ only when it cuts the tree's misclassification cost by at least cp
 relative to the root's cost. Defaults mirror the usual recursive
 partitioning settings (minsplit 20, cp 0.01, maxdepth 30). The tree grows
 as a forest of one tree that takes every row once and searches every
-feature (paydev.ml.dataset.grow_forest), so it draws nothing; kernels walks
-it (forest_sum).
+feature (paydev.ml.dataset.grow_forest), so it draws nothing, and is
+scored as one by paydev.model.tree_proba.
 """
 
 from __future__ import annotations
 
-from paydev.ml.dataset import Dataset, check_training, fill_missing, grow_forest, impute_median
-from paydev.model import Tree, TreeModel
+from array import array
+
+from paydev.ml.dataset import Dataset, check_training, grow_forest, impute_median
+from paydev.model import Tree, TreeModel, tree_proba
 
 
 def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
@@ -35,7 +37,7 @@ def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
 
 
 def predict_tree(model: TreeModel, X):
-    """P(hired) per row of the numpy matrix X."""
-    from paydev.ml import kernels
+    """P(hired) per row of the float64 numpy matrix X (tree_proba)."""
+    import numpy as np
 
-    return kernels.forest_sum([model.root], fill_missing(X, model.impute))
+    return np.asarray(tree_proba(model, array("d", X.tobytes()), len(X)))

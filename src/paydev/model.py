@@ -9,11 +9,11 @@ same objects. A model file is one JSON object starting with the magic
 string PAYDEVMODEL/2; floats serialize via repr so save/load round-trips
 exactly. Each tree is an object of its six node arrays.
 
-predict_rows scores rows as read_features_csv gives them. With the
-compiled library a tree or forest is walked by native.forest_sum, the
-walker paydev.ml's predictors call too, so `paydev predict --features`
-with such a model runs without numpy; a logit model, and every model
-without the library, is scored by paydev.ml.predict_proba.
+tree_proba scores a tree or forest, for predict_rows and for paydev.ml's
+predictors alike, and fills missing values as it walks; with the compiled
+library it is native.forest_sum, so `paydev predict --features` with such
+a model runs without numpy. predict_rows scores rows as read_features_csv
+gives them; a logit model is scored by paydev.ml.predict_proba.
 """
 
 from __future__ import annotations
@@ -134,24 +134,34 @@ def read_features_csv(fileobj):
     return rows, ids, columns
 
 
+def tree_proba(model, X, n_rows):
+    """P(hired) per row under a TreeModel or ForestModel, as an array("d"):
+    the mean over its trees, summed in tree order, of the leaf probability
+    pos/n. X is an array("d") of n_rows rows in the model's column order;
+    a NaN in column f takes model.impute[f]. This is the one place that
+    chooses how a tree or forest is scored: native.forest_sum with the
+    compiled library, else its numpy twin in paydev.ml.kernels."""
+    trees = [model.root] if isinstance(model, TreeModel) else model.trees
+    if native.lib is None:
+        from paydev.ml.kernels import forest_sum_py
+
+        return forest_sum_py(trees, model.impute, X, n_rows)
+    return native.forest_sum(trees, model.impute, X, n_rows)
+
+
 def predict_rows(model, rows, columns):
     """P(hired) of each row (a list of floats in `columns` order) under
     `model`, with the columns matched to the model's by name and each
     missing (nan) value replaced by the model's imputed one."""
-    order = column_order(columns, model.columns)
-    if native.lib is None or isinstance(model, LogitModel):
+    if isinstance(model, LogitModel):
         import numpy as np
 
         from paydev import ml
 
         X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
         return ml.predict_proba(model, X, columns=columns)
-    trees = [model.root] if isinstance(model, TreeModel) else model.trees
-    impute = model.impute
-    X = array("d", [impute[k] if math.isnan(v := row[j]) else v
-                    for row in rows for k, j in enumerate(order)])
-    sums = native.forest_sum(trees, X.buffer_info()[0], len(rows), len(order))
-    return [s / len(trees) for s in sums]
+    order = column_order(columns, model.columns)
+    return tree_proba(model, array("d", [row[j] for row in rows for j in order]), len(rows))
 
 
 def _tree_to_obj(tree: Tree):
@@ -268,8 +278,10 @@ def save_model(model, fileobj) -> None:
         "payload": payload,
     }
     # one json.dumps call takes the C encoder; json.dump would take the
-    # pure-Python one and write the file in thousands of pieces
-    fileobj.write(json.dumps(obj) + "\n")
+    # pure-Python one and write the file in thousands of pieces. A NaN or
+    # infinite number, which load_model would reject, raises ValueError
+    # before a byte is written.
+    fileobj.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def load_model(fileobj):

@@ -10,10 +10,12 @@ impute_median, with each tree's draws from the library's copy of numpy's
 SeedSequence and PCG64 (seed_state, draws), which generator_ok checks
 against known numpy draws; paydev.ml.dataset chooses between these and
 their numpy twins in paydev.ml.kernels. It also drives the forest
-predictor (forest_sum, over the array("q") and array("d") node arrays of
-paydev.model.Tree), the record scanners, scan_canonical and scan_git_log,
-and the History pass, sort_histories, local_calendar and activity
-(paydev.features chooses between these and their Python twins there). It
+predictor (forest_sum, which imputes as it walks the array("q") and
+array("d") node arrays of paydev.model.Tree; paydev.model.tree_proba
+chooses between it and its twin), the record scanners, scan_canonical
+and scan_git_log, and the History pass, sort_histories, local_calendar
+and activity (paydev.features chooses between these and their Python
+twins there). It
 is the one place that chooses between the scanners' compiled and Python
 forms, which give the same results. It imports no numpy, so `paydev ingest`,
 `paydev identities`, `paydev features`, and a tree or forest `paydev train`
@@ -76,7 +78,7 @@ def _load():
     lib.grow_forest.restype = i64
     lib.free_table.argtypes = [ptr]
     lib.free_table.restype = None
-    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
+    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
     lib.forest_sum.restype = ctypes.c_int
     for scan in (lib.scan_canonical, lib.scan_git_log):  # one protocol (see _runs)
         scan.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
@@ -187,11 +189,12 @@ def _c_scan_git_log(data, pos):
     return _runs(lib.scan_git_log, data, pos - 1, _record)
 
 
-def forest_sum(trees, X, n_rows, p):
-    """Per row of X, the sum over `trees` (paydev.model.Tree), in order, of
-    the row's leaf probability pos/n, as an array("d"), in one call to the
-    library's forest_sum over the trees' concatenated node arrays. X is the
-    address of n_rows * p float64 values, row after row."""
+def forest_sum(trees, impute, X, n_rows):
+    """Per row of X, the mean over `trees` (paydev.model.Tree) of the row's
+    leaf probability pos/n, summed in tree order, as an array("d"), in one
+    call to the library's forest_sum over the trees' concatenated node
+    arrays. X is an array("d") of n_rows rows of len(impute) values, where a
+    NaN in column f takes impute[f], an array("d")."""
     roots, ints, threshold = array("q", [0]), array("q"), array("d")
     for key in ("feature", "left", "right", "n", "pos"):
         for tree in trees:
@@ -199,11 +202,13 @@ def forest_sum(trees, X, n_rows, p):
     for tree in trees:
         threshold += tree.threshold
         roots.append(roots[-1] + len(tree.n))
-    if len(ints) != 5 * roots[-1] or len(threshold) != roots[-1]:
-        raise ValueError("forest_sum: a tree's node arrays differ in length")
+    p = len(impute)
+    if len(ints) != 5 * roots[-1] or len(threshold) != roots[-1] or len(X) != n_rows * p:
+        raise ValueError("forest_sum: node arrays or rows of unequal length")
     out = array("d", bytes(8 * n_rows))
-    if lib.forest_sum(X, n_rows, p, ints.buffer_info()[0], threshold.buffer_info()[0],
-                      roots.buffer_info()[0], len(trees), out.buffer_info()[0]):
+    if lib.forest_sum(X.buffer_info()[0], n_rows, p, impute.buffer_info()[0],
+                      ints.buffer_info()[0], threshold.buffer_info()[0], roots.buffer_info()[0],
+                      len(trees), out.buffer_info()[0]):
         raise ValueError("forest_sum: a tree node points outside its tree")
     return out
 

@@ -1119,12 +1119,11 @@ def predict_inputs(tmp_path_factory):
 def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monkeypatch, kind,
                                                  layout):
     """`predict --features` prints ml.predict_proba's probabilities, found
-    with the tree_proba walker, for rows with missing values and columns in
-    any order."""
+    with the numpy twin of the walker, for rows with missing values and
+    columns in any order."""
     import numpy as np
 
     from paydev import ml
-    from paydev.ml import kernels
 
     d, rows = predict_inputs
     order = [4, 2, 0, 3, 1] if layout == "reordered" else list(range(5))
@@ -1137,7 +1136,7 @@ def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monke
     with open(d / f"{kind}.json") as f:
         model = ml.load_model(f)
     X = np.array([[np.nan if v is None else v for v in values] for _, values in shuffled])
-    monkeypatch.setattr(kernels, "forest_sum", kernels._forest_sum_py)
+    monkeypatch.setattr(native, "lib", None)  # paydev.model.tree_proba takes the twin
     p = ml.predict_proba(model, X, columns=columns)
     assert out.read_text() == "id,probability,class\n" + "".join(
         f"{ident},{v:.6f},{'hired' if v >= 0.5 else 'volunteer'}\n"

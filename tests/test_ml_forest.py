@@ -19,9 +19,9 @@ from paydev.ml import (
     predict_proba,
     save_model,
 )
-from paydev.ml.dataset import fill_missing
 from paydev.ml.kernels import tree_proba
-from paydev.model import TREE_ARRAYS, Tree
+from paydev.model import TREE_ARRAYS, ForestModel, Tree
+from paydev.model import tree_proba as score_trees
 
 
 def _dataset(X, y, columns=None):
@@ -155,7 +155,7 @@ class TestCompiledGrower:
 
 
 def _loop_sum(trees, X):
-    """The tree_proba loop that kernels.forest_sum replaces."""
+    """The tree_proba loop that paydev.model.tree_proba replaces."""
     total = np.zeros(len(X))
     for tree in trees:
         total += tree_proba(tree, X)
@@ -167,12 +167,27 @@ def _leaf(n, pos):
                   for i, v in enumerate((-1, 0.0, -1, -1, n, pos))))
 
 
+def _forest(trees, impute):
+    p = len(impute)
+    return ForestModel(trees=trees, columns=[f"f{j}" for j in range(p)], impute=impute,
+                       n_trees=len(trees), mtry=p, seed=0, bootstrap=False,
+                       importance=array("d", [0.0]) * p)
+
+
 @pytest.mark.skipif(kernels.BACKEND != "c", reason="compiled kernel not built")
 class TestForestSum:
-    """kernels.forest_sum gives the bytes of the tree_proba loop."""
+    """paydev.model.tree_proba, which imputes as it walks, gives the bytes
+    of the tree_proba loop over the matrix with its NaNs filled first,
+    divided by the number of trees."""
 
-    def _assert_same(self, trees, X):
-        assert kernels.forest_sum(trees, X).tobytes() == _loop_sum(trees, X).tobytes()
+    def _score(self, trees, X, impute=None):
+        impute = array("d", [0.0]) * X.shape[1] if impute is None else impute
+        return score_trees(_forest(trees, impute), array("d", X.tobytes()), len(X))
+
+    def _assert_same(self, trees, X, impute=None):
+        filled = X if impute is None else np.where(np.isnan(X), np.asarray(impute), X)
+        expected = _loop_sum(trees, filled) / len(trees)
+        assert self._score(trees, X, impute).tobytes() == expected.tobytes()
 
     def test_fitted_forests_and_zero_rows(self, rng):
         X, y = _separable(rng, n=200)
@@ -204,9 +219,26 @@ class TestForestSum:
         Xt = rng.normal(size=(60, 2))
         Xt[::3, 0] = np.nan
         Xt[::4, 1] = np.nan
-        filled = fill_missing(Xt, model.impute)
+        self._assert_same(model.trees, Xt, model.impute)
+        filled = np.where(np.isnan(Xt), np.asarray(model.impute), Xt)
         expected = _loop_sum(model.trees, filled) / model.n_trees
         assert predict_proba(model, Xt).tobytes() == expected.tobytes()
+
+    def test_nan_imputed_onto_a_threshold_goes_left(self):
+        stump = Tree(array("q", [0, -1, -1]), array("d", [1.5, 0.0, 0.0]),
+                     array("q", [1, -1, -1]), array("q", [2, -1, -1]),
+                     array("q", [4, 2, 2]), array("q", [2, 0, 2]))
+        X = np.array([[np.nan], [1.5], [np.nextafter(1.5, 2.0)]])
+        assert self._score([stump], X, array("d", [1.5])).tolist() == [0.0, 0.0, 1.0]
+        self._assert_same([stump], X, array("d", [1.5]))
+
+    def test_all_nan_row_scores_as_the_imputed_row(self, rng):
+        X, y = _separable(rng, n=200)
+        model = fit_forest(_dataset(X, y), n_trees=15, seed=4)
+        Xt = np.array([[np.nan, np.nan], list(model.impute)])
+        self._assert_same(model.trees, Xt, model.impute)
+        a, b = self._score(model.trees, Xt, model.impute)
+        assert a == b
 
     @pytest.mark.parametrize("damage", ["back", "self", "past_end", "feature"])
     def test_malformed_tree_rejected(self, rng, damage):
@@ -218,7 +250,7 @@ class TestForestSum:
         else:
             tree.left[inner] = {"back": 0, "self": inner, "past_end": len(tree.n)}[damage]
         with pytest.raises(ValueError):
-            kernels.forest_sum([_leaf(2, 1), tree], X)
+            self._score([_leaf(2, 1), tree], X)
 
 
 class TestPredictContract:
@@ -275,6 +307,21 @@ class TestIntrospectAndSerialize:
         assert buf.getvalue() == again.getvalue()
         Xt = rng.normal(size=(25, 2))
         assert np.array_equal(predict_proba(model, Xt), predict_proba(loaded, Xt))
+
+
+@pytest.mark.parametrize("fit", [lambda data: fit_tree(data, minsplit=2, cp=0.0),
+                                 lambda data: fit_forest(data, n_trees=3, seed=1)],
+                         ids=["tree", "forest"])
+def test_save_refuses_what_load_rejects(fit):
+    """A column whose two middle values are -inf and inf imputes NaN, which
+    load_model rejects: save_model raises ValueError and writes nothing."""
+    X = np.array([[-np.inf, 0.0], [np.inf, 1.0], [np.nan, 2.0], [np.nan, 3.0]])
+    model = fit(_dataset(X, np.array([0, 1, 0, 1])))
+    assert np.isnan(model.impute[0])
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        save_model(model, buf)
+    assert buf.getvalue() == ""
 
 
 def _layout(value):
