@@ -12,10 +12,9 @@
  * work and int64 score expression, so the trees are bit-identical (build
  * without FMA contraction or fast-math). A forest of n rows over p features
  * holds p * n 16-byte entries and its presort's p * n row numbers while it
- * grows. Functions return 0
- * (grow_forest: the node count), -1 when out of memory, -2 when a node index
- * is out of range, -3 when a label is neither 0 nor 1, -4 where numpy would
- * draw otherwise. scan_canonical and scan_git_log, two grammars over one
+ * grows. Functions return 0 (grow_forest: the node count), -1 when out of
+ * memory, -2 when a node index is out of range, -3 when a label is neither 0
+ * nor 1, -4 where numpy would draw otherwise. scan_canonical and scan_git_log, two grammars over one
  * scanning protocol, read the canonical lines and the git-log records that
  * the Python readers would accept, in exactly the layout their writers give;
  * they decline everything else, raise nothing and copy out only the strings.
@@ -308,12 +307,15 @@ static double node_score(int64_t n, int64_t pos)
 }
 
 /* A double's sort key: the keys' unsigned order is the doubles' order, with
- * -0.0 just below 0.0 and every NaN last, where numpy sorts NaN. */
+ * every NaN last, where numpy sorts NaN. -0.0 and 0.0 share a key, so they
+ * keep their row order, as in numpy's stable sort: a threshold that falls
+ * at the last zero of a run then has the twin's sign. */
 static uint64_t sort_key(double v)
 {
     uint64_t bits;
     if (isnan(v))
         return UINT64_MAX;
+    v += 0.0; /* -0.0 becomes 0.0 */
     memcpy(&bits, &v, sizeof(bits));
     return bits >> 63 ? ~bits : bits | (uint64_t)1 << 63;
 }

@@ -272,6 +272,20 @@ def test_nan_is_not_split_from_nan():
 
 
 @needs_grower
+def test_signed_zeros_keep_their_row_order():
+    """numpy's stable sort keeps 0.0 and -0.0 in row order, and so does the
+    compiled presort: the split between the zeros and inf falls at the last
+    zero in row order (the midpoint is inf), with its sign. The presort once
+    put -0.0 below 0.0, and the compiled threshold was 0.0, the twin's -0.0."""
+    X = np.array([[0.0], [-0.0], [np.inf], [np.inf]])
+    y = np.array([0, 0, 1, 1])
+    results = [_forest(grow, X, y, minsplit=2, cp=0.0, maxdepth=None)
+               for grow in (native.grow_forest, kernels.grow_forest_py)]
+    _assert_same_forest(*results)
+    assert results[0][0][0].threshold[:1].tobytes() == array("d", [-0.0]).tobytes()
+
+
+@needs_grower
 @pytest.mark.parametrize("idx, feats", [([0, 4], [0, 1]), ([0, 1, 2, 3, 4, 5], [0])])
 def test_c_kernel_rejects_out_of_range_indices(idx, feats):
     """Labels of rows past the end of X (four rows) are refused, whatever
@@ -415,7 +429,7 @@ def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
     y[:2] = (0, 1)
     params = dict(n_trees=data.draw(st.integers(1, 4)), mtry=data.draw(st.integers(1, p)),
                   seed=data.draw(st.integers(0, 2**70)), bootstrap=data.draw(st.booleans()))
-    models = []
+    models, forests = [], []
     for fit_pass in (dataset.fit_pass(), (kernels.impute_median_py, kernels.grow_forest_py,
                                           kernels.seed_state_py)):
         saved = dataset._impute_median, dataset._grow_forest, dataset._seed_state
@@ -430,10 +444,10 @@ def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
             save_model(model, out)
         except ValueError:  # a NaN or infinite threshold or median, which no file holds
             pass
-        models.append((out.getvalue(), [[getattr(t, k).tobytes() for k in TREE_ARRAYS]
-                                         for t in model.trees],
-                       model.importance.tobytes(), model.impute.tobytes()))
+        models.append((out.getvalue(), model.impute.tobytes()))
+        forests.append((model.trees, model.importance))
     assert models[0] == models[1]
+    _assert_same_forest(*forests)
 
 
 def _python(args, home, path, cwd):
