@@ -15,14 +15,13 @@ array("d") node arrays of paydev.model.Tree; paydev.model.tree_proba
 chooses between it and its twin), the record scanners, scan_canonical
 and scan_git_log, and the History pass, sort_histories, local_calendar
 and activity (paydev.features chooses between these and their Python
-twins there). It
-is the one place that chooses between the scanners' compiled and Python
-forms, which give the same results. It imports no numpy, so `paydev ingest`,
-`paydev identities`, `paydev features`, and a tree or forest `paydev train`
-or `paydev predict --features` run without it: a scanned run's four int
-columns are stdlib array("q") buffers, the type of ingest.Commits' int
-columns, and a History's columns, a Dataset's rows and labels and a
-tree's node arrays are stdlib arrays too.
+twins there). It is the one place that chooses between the scanners'
+compiled and Python forms, which give the same results. It imports no
+numpy, so `paydev ingest`, `paydev identities`, `paydev features`, and a
+tree or forest `paydev train` or `paydev predict --features` run without
+it: a scanned run's four int columns are stdlib array("q") buffers, the
+type of ingest.Commits' int columns, and a History's columns, a Dataset's
+rows and labels and a tree's node arrays are stdlib arrays too.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -193,8 +192,8 @@ def forest_sum(trees, impute, X, n_rows):
     """Per row of X, the mean over `trees` (paydev.model.Tree) of the row's
     leaf probability pos/n, summed in tree order, as an array("d"), in one
     call to the library's forest_sum over the trees' concatenated node
-    arrays. X is an array("d") of n_rows rows of len(impute) values, where a
-    NaN in column f takes impute[f], an array("d")."""
+    arrays. X and impute are array("d"): X holds n_rows rows of len(impute)
+    values, and a NaN in column f takes impute[f]."""
     roots, ints, threshold = array("q", [0]), array("q"), array("d")
     for key in ("feature", "left", "right", "n", "pos"):
         for tree in trees:
