@@ -5,19 +5,24 @@
  * features from the tree's own generator, numpy's
  * default_rng(SeedSequence([seed, t])) repeated here (seed_state, pcg64),
  * and grows the tree from the presorted rows, so no node sorts anything.
- * impute_median fills each column's missing values with its median.
- * forest_sum predicts a whole forest, or one CART, in one call, imputing
- * missing values as it walks, as kernels.forest_sum_py does through numpy.
- * The split search keeps the numpy search's (kernels.best_split) order of
- * work and int64 score expression, so the trees are bit-identical (build
- * without FMA contraction or fast-math). A forest of n rows over p features
- * holds p * n 16-byte entries and its presort's p * n row numbers while it
- * grows. Functions return 0 (grow_forest: the node count), -1 when out of
- * memory, -2 when a node index is out of range, -3 when a label is neither 0
- * nor 1, -4 where numpy would draw otherwise. scan_canonical and scan_git_log, two grammars over one
- * scanning protocol, read the canonical lines and the git-log records that
- * the Python readers would accept, in exactly the layout their writers give;
- * they decline everything else, raise nothing and copy out only the strings.
+ * It hands the trees out as one node table, which paydev.model.Nodes keeps
+ * as it is and forest_sum reads: forest_sum predicts a whole forest, or one
+ * CART, in one call, imputing missing values as it walks, as
+ * kernels.forest_sum_py does through numpy. impute_median fills each
+ * column's missing values with its median. The split search keeps the numpy
+ * search's (kernels.best_split) order of work and int64 score expression,
+ * so the trees are bit-identical (build without FMA contraction or
+ * fast-math). A forest of n rows over p features holds p * n 16-byte
+ * entries and its presort's p * n row numbers while it grows. Functions
+ * return 0 (grow_forest: the node count), -1 when out of memory, -2 when a
+ * node index is out of range, -3 when a label is neither 0 nor 1, -4 where
+ * numpy would draw otherwise.
+ *
+ * scan_canonical and scan_git_log, two grammars over one scanning protocol,
+ * read the canonical lines and the git-log records that the Python readers
+ * would accept, in exactly the layout their writers give; they decline
+ * everything else, raise nothing and copy out only the strings.
+ *
  * sort_histories, local_calendar and activity are the History pass of
  * features.histories, to_local and developer_features: they sort and gather
  * each identity's commits, calendar them in local time and compute one
@@ -690,24 +695,22 @@ void free_table(void **col)
 
 /* out[r] = the mean over trees, summed in tree order, of pos / n at the leaf
  * that row r of X (n_rows x p) reaches, where a NaN in column f compares as
- * impute[f]. The trees' node arrays are concatenated as threshold[0..c) and
- * the int64 block ints[0..5c), which holds the rows feature, left, right,
- * count and npos one after another; tree t owns nodes roots[t] ..
- * roots[t + 1] - 1 and numbers them from 0. Returns 0, or -2 when an inner
- * node's feature is out of range or one of its children is not a later node
- * of its tree. */
+ * impute[f]. The trees are grow_forest's node table as it hands it out: the
+ * node arrays feature, threshold, left, right, count and npos, where tree t
+ * owns nodes roots[t] .. roots[t + 1] - 1 and numbers them from 0, and
+ * roots[0] = 0. Returns 0, or -2 when a tree has no nodes or ends past the
+ * table, or an inner node's feature is out of range or one of its children
+ * is not a later node of its tree. */
 int forest_sum(const double *X, int64_t n_rows, int64_t p, const double *impute,
-               const int64_t *ints, const double *threshold, const int64_t *roots,
-               int64_t n_trees, double *out)
+               const int64_t *feature, const double *threshold, const int64_t *left,
+               const int64_t *right, const int64_t *count, const int64_t *npos,
+               const int64_t *roots, int64_t n_trees, double *out)
 {
-    int64_t c = roots[n_trees];
-    const int64_t *feature = ints, *left = ints + c, *right = ints + 2 * c,
-                  *count = ints + 3 * c, *npos = ints + 4 * c;
     for (int64_t r = 0; r < n_rows; r++)
         out[r] = 0.0;
     for (int64_t t = 0; t < n_trees; t++) {
         int64_t base = roots[t], m = roots[t + 1] - base;
-        if (m < 1)
+        if (m < 1 || roots[t + 1] > roots[n_trees])
             return -2;
         for (int64_t j = 0; j < m; j++) {
             int64_t i = base + j;

@@ -10,9 +10,8 @@ predict_logit, sigmoid), which need it, load paydev.ml.logit on first use.
 from __future__ import annotations
 
 from paydev.ml.dataset import Dataset, as_numpy, check_training, impute_median, make_dataset
-from paydev.ml.forest import fit_forest, forest_seed, predict_forest
+from paydev.ml.forest import fit_forest, fit_tree, forest_seed, predict_forest, predict_tree
 from paydev.ml.introspect import introspect, root_split_feature
-from paydev.ml.tree import fit_tree, predict_tree
 from paydev.model import (
     ForestModel,
     LogitModel,

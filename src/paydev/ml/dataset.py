@@ -90,9 +90,10 @@ def impute_median(data: Dataset):
 
 
 def grow_forest(X, y, p, **params):
-    """(trees, importance): the six node arrays of each tree grown over the
-    rows of X (an array("d") of rows of p values) with labels y, and the
-    mean importance, an array("d"); see native.grow_forest for params."""
+    """(table, importance): the node table's seven arrays (paydev.model.Nodes)
+    of the trees grown over the rows of X (an array("d") of rows of p
+    values) with labels y, and their mean importance, an array("d"); see
+    native.grow_forest for params."""
     grown = _grow_forest(X, y, p, **params)
     if grown is None:  # the compiled forest declines draws numpy makes otherwise
         from paydev.ml.kernels import grow_forest_py

@@ -1,10 +1,18 @@
-"""Random forest: bagged fully-grown CART trees with per-node feature
-sampling.
+"""CART and random forest. Each grows in one call of the fit's pass
+(paydev.ml.dataset.grow_forest), whose node table (paydev.model.Nodes) the
+model keeps and paydev.model.tree_proba scores.
 
-Every random draw comes from a per-tree generator seeded by (seed, tree
-index), so the fitted model is a pure function of (seed, data). The whole
-forest grows in one call of the fit's pass (paydev.ml.dataset.grow_forest)
-and is scored by paydev.model.tree_proba.
+A CART is a binary tree grown by greedy Gini minimization, as a forest of
+one tree that takes every row once and searches every feature, so it draws
+nothing. Splits are midpoints between consecutive distinct feature values
+(the lower value where the midpoint rounds or overflows out of the gap, see
+kernels.threshold_between), so both children hold rows; a split is kept
+only when it cuts the tree's misclassification cost by at least cp
+relative to the root's cost. Defaults mirror the usual recursive
+partitioning settings (minsplit 20, cp 0.01, maxdepth 30). A random forest
+bags fully-grown CART trees with per-node feature sampling; each tree draws
+from its own generator, seeded by (seed, tree index), so the fitted model
+is a pure function of (seed, data).
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from array import array
 
 from paydev.errors import SchemaError
 from paydev.ml.dataset import Dataset, check_training, grow_forest, impute_median, seed_state
-from paydev.model import ForestModel, Tree, tree_proba
+from paydev.model import ForestModel, Nodes, TreeModel, tree_proba
 
 
 def forest_seed(seed_parts) -> int:
@@ -23,13 +31,17 @@ def forest_seed(seed_parts) -> int:
     return seed_state(list(seed_parts), 1)[0]
 
 
-def fit_forest(
-    data: Dataset,
-    n_trees=500,
-    mtry=None,
-    seed=0,
-    bootstrap=True,
-) -> ForestModel:
+def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
+    check_training(data)
+    p = len(data.columns)
+    X, medians = impute_median(data)
+    table, importance = grow_forest(X, data.y, p, n_trees=1, seed=0, bootstrap=False, mtry=p,
+                                    minsplit=minsplit, cp=cp, maxdepth=maxdepth)
+    return TreeModel(nodes=Nodes(*table), columns=list(data.columns), impute=medians,
+                     minsplit=minsplit, cp=cp, maxdepth=maxdepth, importance=importance)
+
+
+def fit_forest(data: Dataset, n_trees=500, mtry=None, seed=0, bootstrap=True) -> ForestModel:
     check_training(data)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -39,24 +51,22 @@ def fit_forest(
     if not 1 <= mtry <= p:
         raise SchemaError(f"mtry (config forest_mtry) must be in [1, {p}]")
     X, medians = impute_median(data)
-    trees, importance = grow_forest(X, data.y, p, n_trees=n_trees, seed=int(seed),
+    table, importance = grow_forest(X, data.y, p, n_trees=n_trees, seed=int(seed),
                                     bootstrap=bootstrap, mtry=mtry, minsplit=2, cp=0.0,
                                     maxdepth=None)
-    return ForestModel(
-        trees=[Tree(*arrays) for arrays in trees],
-        columns=list(data.columns),
-        impute=medians,
-        n_trees=n_trees,
-        mtry=mtry,
-        seed=seed,
-        bootstrap=bootstrap,
-        importance=importance,
-    )
+    return ForestModel(nodes=Nodes(*table), columns=list(data.columns), impute=medians, mtry=mtry,
+                       seed=seed, bootstrap=bootstrap, importance=importance)
 
 
-def predict_forest(model: ForestModel, X):
-    """Mean of the trees' leaf probabilities per row of the float64 numpy
-    matrix X, accumulated in tree order (tree_proba)."""
+def predict_forest(model, X):
+    """P(hired) per row of the float64 numpy matrix X under a TreeModel or
+    ForestModel: the mean of the trees' leaf probabilities, accumulated in
+    tree order (tree_proba)."""
     import numpy as np
 
     return np.asarray(tree_proba(model, array("d", X.tobytes()), len(X)))
+
+
+# The same function under a second name, which paydev.ml.predict_proba calls
+# for a CART: a tracer that wraps paydev.ml.predict_forest sees forests only.
+predict_tree = predict_forest

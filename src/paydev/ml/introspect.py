@@ -9,14 +9,13 @@ values, the lower column first.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
-from paydev.model import ForestModel, LogitModel, Tree, TreeModel
+from paydev.model import TREE_ARRAYS, ForestModel, LogitModel, Nodes, TreeModel
 
 
-def _tree_lines(tree: Tree, columns, lines):
-    """One line per node in preorder, indented by depth."""
-    feature, threshold, left, right, n, pos = (getattr(tree, f.name).tolist() for f in fields(tree))
+def _tree_lines(tree: Nodes, columns, lines):
+    """One line per node of a one-tree table in preorder, indented by
+    depth."""
+    feature, threshold, left, right, n, pos = (getattr(tree, key).tolist() for key in TREE_ARRAYS)
     stack = [(0, 1)]
     while stack:
         i, depth = stack.pop()
@@ -38,7 +37,7 @@ def _tree_lines(tree: Tree, columns, lines):
 
 def root_split_feature(model: TreeModel) -> str | None:
     """Name of the first splitting feature, None for a single-leaf tree."""
-    f = int(model.root.feature[0])
+    f = int(model.nodes.feature[0])
     return None if f < 0 else model.columns[f]
 
 
@@ -56,7 +55,7 @@ def introspect(model) -> str:
         return "\n".join(lines)
     if isinstance(model, TreeModel):
         lines = ["decision tree:"]
-        _tree_lines(model.root, model.columns, lines)
+        _tree_lines(model.nodes, model.columns, lines)
         return "\n".join(lines)
     if isinstance(model, ForestModel):
         order = _ranked(model.importance)

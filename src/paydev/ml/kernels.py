@@ -10,20 +10,23 @@ and seed_state_py, which give the same bytes through numpy. They run
 without the compiled library, where its generator fails its known answer
 (native.generator_ok), and for a forest the library declines because numpy
 draws it otherwise. grow_forest_py grows each tree node by node through
-best_split, the numpy split search below. Either way a tree's node arrays
-are the array("q") and array("d") buffers of paydev.model.Tree.
+best_split, the numpy split search below. Either way the trees come out
+as one node table, the array("q") and array("d") buffers of
+paydev.model.Nodes.
 
 forest_sum_py, the twin of native.forest_sum, scores a whole forest, or one
-CART, tree by tree (tree_proba) after filling the missing values, and gives
-the same bytes; paydev.model.tree_proba, the one place that chooses between
-the two, imports it only without the library.
+CART, tree by tree over that table (tree_proba) after filling the missing
+values, and gives the same bytes; paydev.model.tree_proba, the one place
+that chooses between the two, imports it only without the library.
 """
 
 from array import array
 
 import numpy as np
 
+from paydev.model import join_trees
 from paydev.native import BACKEND  # noqa: F401  perfbench/run.py reads kernels.BACKEND
+from paydev.native import NODE_ARRAYS
 
 
 def node_score(n: int, pos: int) -> float:
@@ -184,7 +187,8 @@ def grow_forest_py(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdep
         trees.append(arrays)
         importance += imp
     importance /= n_trees
-    return trees, array("d", importance.tobytes())
+    table = join_trees(trees)
+    return [getattr(table, key) for key in NODE_ARRAYS], array("d", importance.tobytes())
 
 
 def impute_median_py(X, p):
@@ -211,34 +215,36 @@ def seed_state_py(entropy, n_words):
     return np.random.SeedSequence(entropy=list(entropy)).generate_state(n_words).tolist()
 
 
-def tree_proba(tree, X) -> np.ndarray:
-    """P(hired) per row of X under one tree (paydev.model.Tree's node
-    arrays): every row still at an inner node moves one level down per
-    step."""
+def tree_proba(nodes, X, t=0) -> np.ndarray:
+    """P(hired) per row of X under tree t of the node table `nodes`
+    (paydev.model.Nodes): every row still at an inner node moves one level
+    down per step."""
     feature, threshold, left, right, n, pos = map(np.asarray, (
-        tree.feature, tree.threshold, tree.left, tree.right, tree.n, tree.pos))
+        nodes.feature, nodes.threshold, nodes.left, nodes.right, nodes.n, nodes.pos))
+    base = nodes.roots[t]
     out = np.empty(len(X), dtype=np.float64)
-    proba = pos / n
     rows = np.arange(len(X))
-    nodes = np.zeros(len(X), dtype=np.int64)
+    at = np.full(len(X), base, dtype=np.int64)
     while rows.size:
-        f = feature[nodes]
+        f = feature[at]
         inner = f >= 0
-        out[rows[~inner]] = proba[nodes[~inner]]
-        rows, nodes, f = rows[inner], nodes[inner], f[inner]
-        go_left = X[rows, f] <= threshold[nodes]
-        nodes = np.where(go_left, left[nodes], right[nodes])
+        leaf = at[~inner]
+        out[rows[~inner]] = pos[leaf] / n[leaf]
+        rows, at, f = rows[inner], at[inner], f[inner]
+        go_left = X[rows, f] <= threshold[at]
+        at = base + np.where(go_left, left[at], right[at])
     return out
 
 
-def forest_sum_py(trees, impute, X, n_rows):
+def forest_sum_py(nodes, impute, X, n_rows):
     """native.forest_sum through numpy: the NaNs filled from impute, then
-    the trees' tree_proba summed in tree order and divided by their
-    number."""
+    the tree_proba of each tree of the node table `nodes` summed in tree
+    order and divided by their number."""
     X = np.frombuffer(X, dtype=np.float64).reshape(n_rows, len(impute))
     X = np.where(np.isnan(X), np.asarray(impute), X)
-    total = sum((tree_proba(tree, X) for tree in trees), np.zeros(n_rows))
-    return array("d", (total / len(trees)).tobytes())
+    n_trees = len(nodes.roots) - 1
+    total = sum((tree_proba(nodes, X, t) for t in range(n_trees)), np.zeros(n_rows))
+    return array("d", (total / n_trees).tobytes())
 
 
 def available_backends():

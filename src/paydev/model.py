@@ -1,13 +1,15 @@
 """Fitted models as data, their files, and prediction over the rows of a
 features CSV, without numpy.
 
-The model objects hold stdlib arrays: a Tree's six node arrays are
-array("q") (array("d") for threshold), and every per-feature vector
-(impute, importance, a logit's coef, mean and scale) is an array("d").
-paydev.ml's fit_logit, fit_tree and fit_forest and load_model return these
-same objects. A model file is one JSON object starting with the magic
-string PAYDEVMODEL/2; floats serialize via repr so save/load round-trips
-exactly. Each tree is an object of its six node arrays.
+The model objects hold stdlib arrays. A CART (one tree) and a forest hold
+one node table, Nodes, in the layout native.grow_forest hands out and
+native.forest_sum reads, so no fit slices it per tree and no predict joins
+it. Every per-feature vector (impute, importance, a logit's coef, mean and
+scale) is an array("d"). paydev.ml's fit_logit, fit_tree and fit_forest
+and load_model return these same objects. A model file is one JSON object
+starting with the magic string PAYDEVMODEL/2; floats serialize via repr so
+save/load round-trips exactly. Each tree is an object of its six node
+arrays; load_model joins them into one table.
 
 tree_proba scores a tree or forest, for predict_rows and for paydev.ml's
 predictors alike, and fills missing values as it walks; with the compiled
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from paydev import native
@@ -32,10 +35,14 @@ VOLUNTEER = "volunteer"
 
 
 @dataclass
-class Tree:
-    """One fitted tree as parallel node arrays. Node 0 is the root and every
-    child index is greater than its parent's; leaves have feature, left and
-    right -1. n and pos count the node's training rows and hired rows."""
+class Nodes:
+    """The node table of a model's trees: six parallel node arrays holding
+    every tree's nodes, one tree after another, and roots, where tree t owns
+    nodes roots[t]..roots[t+1]-1 (roots[0] is 0, roots[-1] the node count).
+    Each tree numbers its nodes from 0: its root is node 0, every child
+    index is greater than its parent's, and leaves have feature, left and
+    right -1. n and pos count a node's training rows and hired rows.
+    threshold is an array("d"), the others array("q")."""
 
     feature: array
     threshold: array
@@ -43,14 +50,34 @@ class Tree:
     right: array
     n: array
     pos: array
+    roots: array
+
+    def trees(self) -> list[Nodes]:
+        """Each tree as a table of its own, copied out."""
+        roots = self.roots
+        return [Nodes(*(getattr(self, key)[a:b] for key in TREE_ARRAYS),
+                      roots=array("q", [0, b - a])) for a, b in zip(roots, roots[1:])]
 
 
-TREE_ARRAYS = tuple(f.name for f in fields(Tree))
+TREE_ARRAYS = tuple(f.name for f in fields(Nodes))[:6]  # the arrays a model file holds per tree
+
+
+def join_trees(trees) -> Nodes:
+    """One table of `trees`, each given as its six node arrays or lists in
+    TREE_ARRAYS order."""
+    nodes = Nodes(*(array("d" if key == "threshold" else "q") for key in TREE_ARRAYS),
+                  roots=array("q", [0]))
+    columns = [getattr(nodes, key) for key in TREE_ARRAYS]
+    for tree in trees:
+        for column, values in zip(columns, tree):
+            column.extend(values)
+        nodes.roots.append(len(nodes.n))
+    return nodes
 
 
 @dataclass
 class TreeModel:
-    root: Tree
+    nodes: Nodes  # of one tree
     columns: list[str]
     impute: array
     minsplit: int
@@ -58,17 +85,29 @@ class TreeModel:
     maxdepth: int | None
     importance: array = field(default=None)
 
+    @property
+    def root(self) -> Nodes:
+        """The one tree."""
+        return self.nodes
+
 
 @dataclass
 class ForestModel:
-    trees: list[Tree]
+    nodes: Nodes
     columns: list[str]
     impute: array
-    n_trees: int
     mtry: int
     seed: int
     bootstrap: bool
     importance: array
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.nodes.roots) - 1
+
+    @property
+    def trees(self) -> list[Nodes]:  # for a model file's per-tree objects, and for tracers
+        return self.nodes.trees()
 
 
 @dataclass
@@ -107,12 +146,13 @@ def column_order(columns, model_columns) -> list[int]:
 
 def read_features_csv(fileobj):
     """Read a features CSV into (rows, ids, columns): one list of floats per
-    identity, in file order, where nan marks a missing value; no id may
-    repeat."""
+    identity, in file order, where nan marks a missing value; no header
+    name and no id may repeat."""
     reader = csv_rows(fileobj)
     header = next(reader, None)
     if not header or header[0] != "identity":
         raise SchemaError("features CSV must start with an 'identity' column", line=1)
+    _check_unique(header, "features CSV", line=1)
     columns = header[1:]
     ids, rows, seen = [], [], set()
     for lineno, row in enumerate(reader, start=2):
@@ -141,12 +181,11 @@ def tree_proba(model, X, n_rows):
     a NaN in column f takes model.impute[f]. This is the one place that
     chooses how a tree or forest is scored: native.forest_sum with the
     compiled library, else its numpy twin in paydev.ml.kernels."""
-    trees = [model.root] if isinstance(model, TreeModel) else model.trees
     if native.lib is None:
         from paydev.ml.kernels import forest_sum_py
 
-        return forest_sum_py(trees, model.impute, X, n_rows)
-    return native.forest_sum(trees, model.impute, X, n_rows)
+        return forest_sum_py(model.nodes, model.impute, X, n_rows)
+    return native.forest_sum(model.nodes, model.impute, X, n_rows)
 
 
 def predict_rows(model, rows, columns):
@@ -164,7 +203,14 @@ def predict_rows(model, rows, columns):
     return tree_proba(model, array("d", [row[j] for row in rows for j in order]), len(rows))
 
 
-def _tree_to_obj(tree: Tree):
+def _check_unique(names, where, line=None):
+    """SchemaError naming a name that repeats in `names`."""
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise SchemaError(f"{where}: column {repeated[0]!r} repeated", line=line)
+
+
+def _tree_to_obj(tree: Nodes):
     return {key: getattr(tree, key).tolist() for key in TREE_ARRAYS}
 
 
@@ -209,10 +255,11 @@ def _ints_in(values, lo, hi):
     return all(type(v) is int and lo <= v < hi for v in values)
 
 
-def _tree_from_obj(obj, p) -> Tree:
-    """Checks every element before any conversion: types and ranges, and
-    that the inner nodes' children are each node 1..m-1 exactly once, at a
-    larger index than their parent, so the arrays form one tree."""
+def _tree_from_obj(obj, p):
+    """The six node lists of one tree of a model file, in TREE_ARRAYS
+    order. Checks every element: types and ranges, and that the inner
+    nodes' children are each node 1..m-1 exactly once, at a larger index
+    than their parent, so the lists form one tree."""
     arrays = {key: _get(obj, key, list) for key in TREE_ARRAYS}
     feature, threshold, left, right, n, pos = arrays.values()
     m = len(n)
@@ -233,8 +280,7 @@ def _tree_from_obj(obj, p) -> Tree:
         children += (lo, hi)
     if sorted(children) != list(range(1, m)):
         raise SchemaError("model file: tree nodes do not form one tree")
-    return Tree(**{key: array("d" if key == "threshold" else "q", a)
-                   for key, a in arrays.items()})
+    return arrays.values()
 
 
 def save_model(model, fileobj) -> None:
@@ -251,25 +297,15 @@ def save_model(model, fileobj) -> None:
             "n_iter": model.n_iter,
             "loss_history": list(model.loss_history),
         }
-    elif kind == "tree":
-        params = {"minsplit": model.minsplit, "cp": model.cp, "maxdepth": model.maxdepth}
-        payload = {
-            "root": _tree_to_obj(model.root),
-            "impute": list(model.impute),
-            "importance": list(model.importance),
-        }
     else:
-        params = {
-            "n_trees": model.n_trees,
-            "mtry": model.mtry,
-            "seed": model.seed,
-            "bootstrap": model.bootstrap,
-        }
-        payload = {
-            "trees": [_tree_to_obj(t) for t in model.trees],
-            "impute": list(model.impute),
-            "importance": list(model.importance),
-        }
+        if kind == "tree":
+            params = {"minsplit": model.minsplit, "cp": model.cp, "maxdepth": model.maxdepth}
+            payload = {"root": _tree_to_obj(model.nodes)}
+        else:
+            params = {"n_trees": model.n_trees, "mtry": model.mtry, "seed": model.seed,
+                      "bootstrap": model.bootstrap}
+            payload = {"trees": [_tree_to_obj(t) for t in model.trees]}
+        payload.update(impute=list(model.impute), importance=list(model.importance))
     obj = {
         "magic": MAGIC,
         "kind": kind,
@@ -298,6 +334,7 @@ def load_model(fileobj):
     columns = _get(obj, "columns", list)
     if not all(isinstance(c, str) for c in columns):
         raise SchemaError("model file: 'columns' must be a list of names")
+    _check_unique(columns, "model file")
     p = len(columns)
     params = _get(obj, "params", dict)
     payload = _get(obj, "payload", dict)
@@ -313,28 +350,16 @@ def load_model(fileobj):
             n_iter=_get(payload, "n_iter", int),
             loss_history=_floats(payload, "loss_history").tolist(),
         )
+    if kind not in ("tree", "forest"):
+        raise SchemaError(f"unknown model kind {kind!r}")
+    trees = [_get(payload, "root", dict)] if kind == "tree" else _get(payload, "trees", list)
+    if kind == "forest" and (not trees or len(trees) != _get(params, "n_trees", int)):
+        raise SchemaError("model file: 'trees' does not hold n_trees trees")
+    shared = dict(nodes=join_trees(_tree_from_obj(t, p) for t in trees), columns=columns,
+                  impute=_floats(payload, "impute", p, _is_finite),
+                  importance=_floats(payload, "importance", p, _is_finite))
     if kind == "tree":
-        return TreeModel(
-            root=_tree_from_obj(_get(payload, "root", dict), p),
-            columns=columns,
-            impute=_floats(payload, "impute", p, _is_finite),
-            minsplit=_get(params, "minsplit", int),
-            cp=_number(params, "cp"),
-            maxdepth=_get(params, "maxdepth", (int, type(None))),
-            importance=_floats(payload, "importance", p, _is_finite),
-        )
-    if kind == "forest":
-        trees = _get(payload, "trees", list)
-        if not trees or len(trees) != _get(params, "n_trees", int):
-            raise SchemaError("model file: 'trees' does not hold n_trees trees")
-        return ForestModel(
-            trees=[_tree_from_obj(t, p) for t in trees],
-            columns=columns,
-            impute=_floats(payload, "impute", p, _is_finite),
-            n_trees=len(trees),
-            mtry=_get(params, "mtry", int),
-            seed=_get(params, "seed", int),
-            bootstrap=_get(params, "bootstrap", bool),
-            importance=_floats(payload, "importance", p, _is_finite),
-        )
-    raise SchemaError(f"unknown model kind {kind!r}")
+        return TreeModel(**shared, minsplit=_get(params, "minsplit", int), cp=_number(params, "cp"),
+                         maxdepth=_get(params, "maxdepth", (int, type(None))))
+    return ForestModel(**shared, mtry=_get(params, "mtry", int), seed=_get(params, "seed", int),
+                       bootstrap=_get(params, "bootstrap", bool))

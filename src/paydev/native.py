@@ -9,10 +9,11 @@ grow_forest grows a whole forest, or one CART, in one call, after
 impute_median, with each tree's draws from the library's copy of numpy's
 SeedSequence and PCG64 (seed_state, draws), which generator_ok checks
 against known numpy draws; paydev.ml.dataset chooses between these and
-their numpy twins in paydev.ml.kernels. It also drives the forest
-predictor (forest_sum, which imputes as it walks the array("q") and
-array("d") node arrays of paydev.model.Tree; paydev.model.tree_proba
-chooses between it and its twin), the record scanners, scan_canonical
+their numpy twins in paydev.ml.kernels. grow_forest hands out every tree
+in one node table, the array("q") and array("d") arrays paydev.model.Nodes
+holds, and the forest predictor, forest_sum, walks that table's own
+buffers and imputes as it walks (paydev.model.tree_proba chooses between
+it and its twin). It also drives the record scanners, scan_canonical
 and scan_git_log, and the History pass, sort_histories, local_calendar
 and activity (paydev.features chooses between these and their Python
 twins there). It is the one place that chooses between the scanners'
@@ -21,7 +22,7 @@ numpy, so `paydev ingest`, `paydev identities`, `paydev features`, and a
 tree or forest `paydev train` or `paydev predict --features` run without
 it: a scanned run's four int columns are stdlib array("q") buffers, the
 type of ingest.Commits' int columns, and a History's columns, a Dataset's
-rows and labels and a tree's node arrays are stdlib arrays too.
+rows and labels and a node table's arrays are stdlib arrays too.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -77,7 +78,7 @@ def _load():
     lib.grow_forest.restype = i64
     lib.free_table.argtypes = [ptr]
     lib.free_table.restype = None
-    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.forest_sum.argtypes = [ptr, i64, i64, ptr, *[ptr] * 7, i64, ptr]
     lib.forest_sum.restype = ctypes.c_int
     for scan in (lib.scan_canonical, lib.scan_git_log):  # one protocol (see _runs)
         scan.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, i64, ptr]
@@ -188,26 +189,23 @@ def _c_scan_git_log(data, pos):
     return _runs(lib.scan_git_log, data, pos - 1, _record)
 
 
-def forest_sum(trees, impute, X, n_rows):
-    """Per row of X, the mean over `trees` (paydev.model.Tree) of the row's
-    leaf probability pos/n, summed in tree order, as an array("d"), in one
-    call to the library's forest_sum over the trees' concatenated node
-    arrays. X and impute are array("d"): X holds n_rows rows of len(impute)
-    values, and a NaN in column f takes impute[f]."""
-    roots, ints, threshold = array("q", [0]), array("q"), array("d")
-    for key in ("feature", "left", "right", "n", "pos"):
-        for tree in trees:
-            ints += getattr(tree, key)
-    for tree in trees:
-        threshold += tree.threshold
-        roots.append(roots[-1] + len(tree.n))
-    p = len(impute)
-    if len(ints) != 5 * roots[-1] or len(threshold) != roots[-1] or len(X) != n_rows * p:
-        raise ValueError("forest_sum: node arrays or rows of unequal length")
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "n", "pos", "roots")
+
+
+def forest_sum(nodes, impute, X, n_rows):
+    """Per row of X, the mean over the trees of the node table `nodes`
+    (paydev.model.Nodes) of the row's leaf probability pos/n, summed in tree
+    order, as an array("d"), in one library call on the table's own arrays.
+    X and impute are array("d"): X holds n_rows rows of len(impute) values,
+    and a NaN in column f takes impute[f]."""
+    columns = [getattr(nodes, key) for key in NODE_ARRAYS]
+    roots, p = nodes.roots, len(impute)
+    if ("".join(c.typecode for c in columns) != "qdqqqqq" or roots[0]
+            or any(len(c) != roots[-1] for c in columns[:6]) or len(X) != n_rows * p):
+        raise ValueError("forest_sum: node arrays or rows of unequal length or type")
     out = array("d", bytes(8 * n_rows))
     if lib.forest_sum(X.buffer_info()[0], n_rows, p, impute.buffer_info()[0],
-                      ints.buffer_info()[0], threshold.buffer_info()[0], roots.buffer_info()[0],
-                      len(trees), out.buffer_info()[0]):
+                      *_addresses(*columns), len(roots) - 1, out.buffer_info()[0]):
         raise ValueError("forest_sum: a tree node points outside its tree")
     return out
 
@@ -298,11 +296,11 @@ def _take(address, count, typecode):
 
 
 def grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
-    """(trees, importance) in one call to the library's grow_forest: the six
-    node arrays of each of n_trees trees (feature, threshold, left, right, n
-    and pos: paydev.model.Tree's array("q") and array("d") buffers) and the
-    mean of their importance vectors, an array("d"), or None where the
-    library declines the forest because numpy draws it otherwise. X, an
+    """(table, importance) in one call to the library's grow_forest: the
+    node table of n_trees trees, its seven arrays in NODE_ARRAYS order
+    (paydev.model.Nodes' array("q") and array("d") buffers), and the mean of
+    their importance vectors, an array("d"), or None where the library
+    declines the forest because numpy draws it otherwise. X, an
     array("d"), holds the rows, p values each, one after another, and y, an
     array("b"), their labels, 0 or 1. Tree t draws from numpy's
     default_rng(SeedSequence([seed, t])): its bootstrap rows when bootstrap
@@ -330,10 +328,10 @@ def grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth)
         raise ValueError("grow_forest needs labels 0 or 1")
     try:
         columns = [_take(table[k], m, "d" if k == 1 else "q") for k in range(6)]
-        roots = _take(table[6], n_trees + 1, "q")
+        columns.append(_take(table[6], n_trees + 1, "q"))
     finally:
         lib.free_table(table)
-    return [tuple(c[a:b] for c in columns) for a, b in zip(roots, roots[1:])], importance
+    return columns, importance
 
 
 def int_column(values):

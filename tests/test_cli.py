@@ -551,6 +551,29 @@ class TestTrainPredict:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "again.json").exists()
 
+    def test_repeated_column_exit_3(self, corpus, tmp_path, capsys):
+        """A header that names a column twice is refused, even where the
+        names as a set match a model's columns."""
+        records, labels = corpus
+        csv_path = tmp_path / "f.csv"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
+                       "rpart", "--out", str(model_path)) == 0
+        lines = csv_path.read_text().splitlines()
+        repeated = [lines[0] + ",period"] + [f"{line},{line.split(',')[1]}" for line in lines[1:]]
+        csv_path.write_text("\n".join(repeated) + "\n")
+        for argv in (
+            ["train", str(csv_path), "--labels", str(labels), "--classifier", "rpart",
+             "--out", str(tmp_path / "again.json")],
+            ["predict", str(model_path), "--features", str(csv_path)],
+            ["evaluate", "--features", str(csv_path), "--labels", str(labels), *SMALL_EVAL],
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 3
+            assert "features CSV: column 'period' repeated (line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "again.json").exists()
+
     def test_ids_with_comma_and_quote_round_trip(self, corpus, tmp_path):
         records, labels = corpus
         idmap = tmp_path / "id.jsonl"
@@ -834,6 +857,20 @@ class TestModelFiles:
             model.write_text(json.dumps(doc))
             assert run_cli("predict", str(model), "--features", str(features)) == 3
             assert "'impute'" in capsys.readouterr().err
+
+    def test_repeated_model_column_exit_3(self, model_files, tmp_path, capsys):
+        """A model file whose columns name one column twice is refused, even
+        against a features CSV that holds that one column."""
+        d, _, models = model_files
+        features = tmp_path / "one.csv"
+        features.write_text("identity,period\na,10\nb,200\n")
+        for kind in sorted(models):
+            doc = json.loads(json.dumps(models[kind]))
+            doc["columns"] = ["period"] * len(doc["columns"])
+            model = tmp_path / f"repeated-{kind}.json"
+            model.write_text(json.dumps(doc))
+            assert run_cli("predict", str(model), "--features", str(features)) == 3
+            assert "model file: column 'period' repeated" in capsys.readouterr().err
 
     def test_v1_model_file_asks_to_retrain(self, model_files, capsys):
         d, features, models = model_files

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracle_split import exhaustive_best_split
 from paydev import native
 from paydev.ml import dataset, kernels
-from paydev.model import TREE_ARRAYS, Tree
+from paydev.model import TREE_ARRAYS, Nodes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -28,12 +28,12 @@ def _arrays(X, y):
 
 def _forest(grow, X, y, seed=0, n_trees=1, bootstrap=False, mtry=None, **params):
     """grow (native.grow_forest, kernels.grow_forest_py or the chosen
-    dataset.grow_forest) over the numpy X and y, as ([Tree], importance);
-    mtry None searches every feature."""
+    dataset.grow_forest) over the numpy X and y, as (each tree's own Nodes,
+    importance); mtry None searches every feature."""
     p = X.shape[1]
-    trees, importance = grow(*_arrays(X, y), p, n_trees=n_trees, seed=seed, bootstrap=bootstrap,
+    table, importance = grow(*_arrays(X, y), p, n_trees=n_trees, seed=seed, bootstrap=bootstrap,
                              mtry=p if mtry is None else mtry, **params)
-    return [Tree(*arrays) for arrays in trees], importance
+    return Nodes(*table).trees(), importance
 
 
 def _random_problem(rng, n=None, p=None, duplicates=False):
@@ -408,13 +408,15 @@ _SPECIAL = (np.nan, -0.0, 0.0, np.inf, -np.inf)
 
 
 @needs_grower
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(data=st.data())
 def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
     """fit_forest through the compiled pass and through kernels' twins:
     the same model file (or both refused), node arrays and importance, with
     NaN and all-NaN columns, signed zeros and infinities, with and without
-    bootstrap, for every mtry up to p."""
+    bootstrap, for every mtry up to p. A failing example is reported as
+    drawn: shrinking its n * p matrix took over five minutes."""
     from io import StringIO
 
     from paydev.ml import fit_forest, make_dataset, save_model

@@ -2,6 +2,7 @@ import io
 import json
 from array import array
 from dataclasses import is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from paydev.ml import (
     save_model,
 )
 from paydev.ml.kernels import tree_proba
-from paydev.model import TREE_ARRAYS, ForestModel, Tree
+from paydev.model import TREE_ARRAYS, ForestModel, join_trees
 from paydev.model import tree_proba as score_trees
 
 
@@ -163,15 +164,15 @@ def _loop_sum(trees, X):
 
 
 def _leaf(n, pos):
-    return Tree(*(array("d" if i == 1 else "q", [v])
-                  for i, v in enumerate((-1, 0.0, -1, -1, n, pos))))
+    return join_trees([([-1], [0.0], [-1], [-1], [n], [pos])])
 
 
 def _forest(trees, impute):
+    """A forest of the one-tree tables `trees`, joined into one table."""
     p = len(impute)
-    return ForestModel(trees=trees, columns=[f"f{j}" for j in range(p)], impute=impute,
-                       n_trees=len(trees), mtry=p, seed=0, bootstrap=False,
-                       importance=array("d", [0.0]) * p)
+    return ForestModel(nodes=join_trees([getattr(t, key) for key in TREE_ARRAYS] for t in trees),
+                       columns=[f"f{j}" for j in range(p)], impute=impute, mtry=p, seed=0,
+                       bootstrap=False, importance=array("d", [0.0]) * p)
 
 
 @pytest.mark.skipif(kernels.BACKEND != "c", reason="compiled kernel not built")
@@ -225,9 +226,8 @@ class TestForestSum:
         assert predict_proba(model, Xt).tobytes() == expected.tobytes()
 
     def test_nan_imputed_onto_a_threshold_goes_left(self):
-        stump = Tree(array("q", [0, -1, -1]), array("d", [1.5, 0.0, 0.0]),
-                     array("q", [1, -1, -1]), array("q", [2, -1, -1]),
-                     array("q", [4, 2, 2]), array("q", [2, 0, 2]))
+        stump = join_trees([([0, -1, -1], [1.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                             [4, 2, 2], [2, 0, 2])])
         X = np.array([[np.nan], [1.5], [np.nextafter(1.5, 2.0)]])
         assert self._score([stump], X, array("d", [1.5])).tolist() == [0.0, 0.0, 1.0]
         self._assert_same([stump], X, array("d", [1.5]))
@@ -239,6 +239,23 @@ class TestForestSum:
         self._assert_same(model.trees, Xt, model.impute)
         a, b = self._score(model.trees, Xt, model.impute)
         assert a == b
+
+    def test_library_reads_the_models_own_arrays(self, rng, monkeypatch):
+        """native.forest_sum copies and joins nothing: the library gets the
+        addresses of the node table's own arrays, for a fitted forest and a
+        loaded one."""
+        X, y = _separable(rng, n=100)
+        fitted = fit_forest(_dataset(X, y), n_trees=4, seed=1)
+        buf = io.StringIO()
+        save_model(fitted, buf)
+        calls, lib = [], native.lib
+        monkeypatch.setattr(native, "lib", SimpleNamespace(
+            forest_sum=lambda *args: calls.append(args) or lib.forest_sum(*args)))
+        for model in (fitted, load_model(io.StringIO(buf.getvalue()))):
+            expected = score_trees(model, array("d", X.tobytes()), len(X))
+            addresses = [column.buffer_info()[0] for column in vars(model.nodes).values()]
+            assert len(addresses) == 7 and set(addresses) <= set(calls[-1])
+            assert expected.tobytes() == predict_proba(model, X).tobytes()
 
     @pytest.mark.parametrize("damage", ["back", "self", "past_end", "feature"])
     def test_malformed_tree_rejected(self, rng, damage):
@@ -297,16 +314,27 @@ class TestIntrospectAndSerialize:
         assert [line.split()[0] for line in lines] == ["signal", "z_const", "a_const"]
 
     def test_round_trip_exact(self, rng):
+        """A saved and loaded forest writes the same bytes, predicts the same
+        and holds the fitted node table byte for byte, also with single-leaf
+        trees (bootstraps that drew one class) between grown ones."""
         X, y = _separable(rng, 80)
-        model = fit_forest(_dataset(X, y), n_trees=5, seed=9)
-        buf = io.StringIO()
-        save_model(model, buf)
-        loaded = load_model(io.StringIO(buf.getvalue()))
-        again = io.StringIO()
-        save_model(loaded, again)
-        assert buf.getvalue() == again.getvalue()
-        Xt = rng.normal(size=(25, 2))
-        assert np.array_equal(predict_proba(model, Xt), predict_proba(loaded, Xt))
+        few = _dataset(rng.normal(size=(6, 2)), np.array([0, 0, 0, 0, 0, 1]))
+        leafy = fit_forest(few, n_trees=12, seed=1)
+        sizes = np.diff(leafy.nodes.roots)
+        assert any(sizes[:t].max() > 1 and sizes[t + 1:].max() > 1
+                   for t in np.flatnonzero(sizes == 1) if 0 < t < len(sizes) - 1)
+        for model in (fit_forest(_dataset(X, y), n_trees=5, seed=9), leafy):
+            buf = io.StringIO()
+            save_model(model, buf)
+            loaded = load_model(io.StringIO(buf.getvalue()))
+            again = io.StringIO()
+            save_model(loaded, again)
+            assert buf.getvalue() == again.getvalue()
+            for key, column in vars(model.nodes).items():
+                assert getattr(loaded.nodes, key).typecode == column.typecode, key
+                assert getattr(loaded.nodes, key).tobytes() == column.tobytes(), key
+            Xt = rng.normal(size=(25, 2))
+            assert np.array_equal(predict_proba(model, Xt), predict_proba(loaded, Xt))
 
 
 @pytest.mark.parametrize("fit", [lambda data: fit_tree(data, minsplit=2, cp=0.0),
