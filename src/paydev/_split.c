@@ -34,16 +34,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* numpy's bitgen_t (numpy/random/bitgen.h), the face of a bit generator
- * that the draws below take */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
 /* ---------------------------------------------------------------- generator
  * numpy's SeedSequence (NEP 19: a pool of four words, hash-mixed from the
  * entropy) and its PCG64 (O'Neill, "PCG", 2014: a 128-bit LCG with the
@@ -99,18 +89,16 @@ typedef struct {
 
 #define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
 
-static uint64_t pcg64_next64(void *st)
+static uint64_t pcg64_next64(pcg64 *g)
 {
-    pcg64 *g = st;
     g->state = g->state * PCG_MULT + g->inc;
     uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
     unsigned rot = (unsigned)(g->state >> 122);
     return x >> rot | x << (-rot & 63);
 }
 
-static uint32_t pcg64_next32(void *st)
+static uint32_t pcg64_next32(pcg64 *g)
 {
-    pcg64 *g = st;
     if (g->has_uint32) {
         g->has_uint32 = 0;
         return g->uinteger;
@@ -122,8 +110,8 @@ static uint32_t pcg64_next32(void *st)
 }
 
 /* numpy's default_rng(SeedSequence(entropy)), entropy as in seed_state: its
- * bit generator g behind rng. */
-static void pcg64_seed(pcg64 *g, bitgen_t *rng, const uint32_t *entropy, int64_t n)
+ * bit generator g. */
+static void pcg64_seed(pcg64 *g, const uint32_t *entropy, int64_t n)
 {
     uint32_t w[8];
     uint64_t v[4];
@@ -136,21 +124,20 @@ static void pcg64_seed(pcg64 *g, bitgen_t *rng, const uint32_t *entropy, int64_t
     g->state = g->state * PCG_MULT + g->inc;
     g->has_uint32 = 0;
     g->uinteger = 0;
-    *rng = (bitgen_t){g, pcg64_next64, pcg64_next32, NULL, pcg64_next64};
 }
 
 /* numpy's random_bounded_uint64(rng, 0, max, 0, 0) for max < 2**32 - 1:
  * Lemire's bounded draw over next_uint32 */
-static int64_t bounded(bitgen_t *rng, int64_t max)
+static int64_t bounded(pcg64 *g, int64_t max)
 {
     if (max == 0)
         return 0;
     uint32_t excl = (uint32_t)max + 1;
-    uint64_t m = (uint64_t)rng->next_uint32(rng->state) * excl;
+    uint64_t m = (uint64_t)pcg64_next32(g) * excl;
     if ((uint32_t)m < excl) {
         uint32_t threshold = (UINT32_MAX - (uint32_t)max) % excl;
         while ((uint32_t)m < threshold)
-            m = (uint64_t)rng->next_uint32(rng->state) * excl;
+            m = (uint64_t)pcg64_next32(g) * excl;
     }
     return (int64_t)(m >> 32);
 }
@@ -158,17 +145,17 @@ static int64_t bounded(bitgen_t *rng, int64_t max)
 /* Generator.choice(p, k, replace=False) when numpy takes Floyd's algorithm
  * (p <= 10000 or k <= p // 50): Floyd's draws, then numpy's shuffle of the
  * result. seen[0..p) must be zero on entry and is zero again on return. */
-static void draw_features(bitgen_t *rng, int64_t p, int64_t k, int64_t *out, uint8_t *seen)
+static void draw_features(pcg64 *g, int64_t p, int64_t k, int64_t *out, uint8_t *seen)
 {
     for (int64_t j = p - k; j < p; j++) {
-        int64_t v = bounded(rng, j);
+        int64_t v = bounded(g, j);
         if (seen[v])
             v = j;
         seen[v] = 1;
         out[j - (p - k)] = v;
     }
     for (int64_t i = k - 1; i > 0; i--) {
-        int64_t j = bounded(rng, i), t = out[j];
+        int64_t j = bounded(g, i), t = out[j];
         out[j] = out[i];
         out[i] = t;
     }
@@ -179,11 +166,11 @@ static void draw_features(bitgen_t *rng, int64_t p, int64_t k, int64_t *out, uin
 /* The bootstrap of n rows: copies[r] = how often
  * np.sort(rng.integers(0, n, size=n)) holds row r, from numpy's draws for
  * n - 1 < 2**32 - 1. */
-static void draw_rows(bitgen_t *rng, int64_t n, int64_t *copies)
+static void draw_rows(pcg64 *g, int64_t n, int64_t *copies)
 {
     memset(copies, 0, n * sizeof(int64_t));
     for (int64_t i = 0; i < n; i++)
-        copies[bounded(rng, n - 1)]++;
+        copies[bounded(g, n - 1)]++;
 }
 
 /* The draws of numpy's default_rng(SeedSequence(entropy)), entropy as in
@@ -196,8 +183,7 @@ int draws(const uint32_t *entropy, int64_t n_entropy, int64_t kind, int64_t n, i
           uint64_t *out, uint64_t *state)
 {
     pcg64 g;
-    bitgen_t rng;
-    pcg64_seed(&g, &rng, entropy, n_entropy);
+    pcg64_seed(&g, entropy, n_entropy);
     if (kind == 0 || kind == 1) {
         for (int64_t i = 0; i < k; i++)
             out[i] = kind == 0 ? pcg64_next64(&g) : pcg64_next32(&g);
@@ -210,12 +196,12 @@ int draws(const uint32_t *entropy, int64_t n_entropy, int64_t kind, int64_t n, i
             return -1;
         }
         if (kind == 2) {
-            draw_rows(&rng, n, v);
+            draw_rows(&g, n, v);
             for (int64_t r = 0, i = 0; r < n; r++)
                 for (int64_t c = 0; c < v[r]; c++)
                     out[i++] = (uint64_t)r;
         } else {
-            draw_features(&rng, n, k, v, seen);
+            draw_features(&g, n, k, v, seen);
             for (int64_t i = 0; i < k; i++)
                 out[i] = (uint64_t)v[i];
         }
@@ -406,7 +392,7 @@ static int cmp_int64(const void *a, const void *b)
  * apart. */
 static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
                          const int64_t *order, int64_t minsplit, double cp, int64_t maxdepth,
-                         int64_t mtry, bitgen_t *rng, Scratch *s)
+                         int64_t mtry, pcg64 *rng, Scratch *s)
 {
     int64_t cap = n > 0 ? n : 1, *feats = s->feats, *feature = s->feature, *left = s->left,
             *right = s->right, *count = s->count, *npos = s->npos;
@@ -636,14 +622,13 @@ int64_t grow_forest(const double *X, int64_t n, int64_t p, const int8_t *y, int6
     for (int64_t k = 0; k < p; k++)
         importance[k] = 0.0;
     for (int64_t tree = 0; tree < n_trees; tree++) {
-        pcg64 g;
-        bitgen_t rng;
+        pcg64 rng;
         int64_t words = n_seed;
         entropy[words++] = (uint32_t)tree;
         if (tree >> 32)
             entropy[words++] = (uint32_t)(tree >> 32);
         if (bootstrap || drawn)
-            pcg64_seed(&g, &rng, entropy, words);
+            pcg64_seed(&rng, entropy, words);
         if (bootstrap)
             draw_rows(&rng, n, s.copies);
         else

@@ -706,6 +706,11 @@ def main(argv=None) -> int:
             if getattr(args, flag):
                 parser.error(f"evaluate: --{flag.replace('_', '-')} needs canonical records "
                              "and is not allowed with --features")
+    if args.command == "predict":
+        if bool(args.features) == bool(args.records):
+            parser.error("predict: give exactly one of --features and --records")
+        if args.identities and not args.records:
+            parser.error("predict: --identities needs --records")
     try:
         for path in (args.out, getattr(args, "labels_out", None)):
             if path:

@@ -85,6 +85,8 @@ def validate(cfg: Config) -> Config:
     for name in _POSITIVE_FIELDS:
         if getattr(cfg, name) <= 0:
             raise SchemaError(f"config field {name} must be positive")
+    if cfg.folds < 2:
+        raise SchemaError("config field folds must be at least 2")
     if cfg.feature_mode not in ("all", "no_volume"):
         raise SchemaError(f"feature_mode must be all or no_volume, got {cfg.feature_mode!r}")
     if cfg.tree_cp < 0 or cfg.forest_mtry < 0:

@@ -6,11 +6,12 @@ middle values; "regular activity" start/end are nearest-rank 10th/90th
 percentiles of weekday commit hours.
 
 Histories, their calendar and the 16 per-developer metrics come from the
-History pass: the compiled sort_histories, local_calendar and activity of
-paydev.native, or without the library their Python twins here, which this
-module chooses between. So it imports no numpy and `paydev features` runs
-without it; feature_matrix and commit_features, which build numpy
-matrices, import numpy where they run.
+History pass, native.sort_histories, local_calendar and activity: the
+compiled ones, or without the library their Python twins here
+(sort_histories_py, local_calendar_py, activity_py), which give the same
+results bit for bit; paydev.native chooses. So this module imports no
+numpy and `paydev features` runs without it; feature_matrix and
+commit_features, which build numpy matrices, import numpy where they run.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def to_local(ts_utc, offset_minutes) -> LocalCalendar:
     LOCAL_MAX); the readers reject records outside them. ValueError names an
     offset outside +-1440 minutes first, then a local time out of range.
     """
-    return LocalCalendar(*_local_calendar(ts_utc, offset_minutes))
+    return LocalCalendar(*native.local_calendar(ts_utc, offset_minutes))
 
 
 class History(NamedTuple):
@@ -197,16 +198,6 @@ def activity_py(ts, day, hour, weekday, iso_year, iso_week, lines):
             every.index(max(every)), beginning, end - beginning, end)
 
 
-# The History pass: the compiled functions of paydev.native, or without the
-# library their Python twins above, which give the same results bit for bit.
-if native.lib is None:
-    _sort_histories, _local_calendar, _activity = (
-        sort_histories_py, local_calendar_py, activity_py)
-else:
-    _sort_histories, _local_calendar, _activity = (
-        native.sort_histories, native.local_calendar, native.activity)
-
-
 def _owned_rows(identities, commits):
     """The rows of `commits` each identity owns, in sha order, identity
     after identity, and how many each owns. The sha index is freed on
@@ -230,7 +221,7 @@ def histories(identities, commits) -> dict[str, History]:
     gathers their columns, and one to_local call calendars them all; each
     History takes its slice of those arrays."""
     rows, sizes = _owned_rows(identities, commits)
-    rows, ts, offset, lines = _sort_histories(
+    rows, ts, offset, lines = native.sort_histories(
         rows, sizes, commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
         commits.lines_deleted)
     local = to_local(ts, offset)
@@ -250,7 +241,7 @@ def developer_features(h: History) -> DeveloperFeatures:
     """The 16 activity metrics of one identity's History."""
     if not len(h.ts):
         raise ValueError("developer_features requires at least one commit")
-    return DeveloperFeatures(*_activity(h.ts, *h.local, h.lines))
+    return DeveloperFeatures(*native.activity(h.ts, *h.local, h.lines))
 
 
 def compute_features(histories) -> dict[str, DeveloperFeatures]:

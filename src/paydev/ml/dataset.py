@@ -1,16 +1,10 @@
-"""Training data, and the fit's pass over the data: median imputation, tree
-growing and forest seeds.
+"""Training data.
 
 A Dataset holds one representation, stdlib arrays: X is an array("d") of
 its rows one after another, y an array("b") of labels. numpy views them
 without a copy (as_numpy) where it runs, so fitting a tree or a forest
-needs no numpy.
-
-The fit's pass is paydev.native's compiled impute_median, grow_forest and
-seed_state, or their numpy twins in paydev.ml.kernels, which give the same
-bytes: without the compiled library, or where its generator fails its
-known answer (native.generator_ok). This module chooses between them, and
-hands a forest the library declines to the twin.
+needs no numpy. impute_median fills a Dataset's missing values through
+native.impute_median.
 """
 
 from __future__ import annotations
@@ -68,41 +62,8 @@ def check_training(data: Dataset) -> None:
         raise SingleClassError("training data contains a single class")
 
 
-def fit_pass():
-    """(impute_median, grow_forest, seed_state): native's compiled ones, or
-    kernels' numpy twins without the library or where its generator fails
-    its known answer."""
-    if native.lib is not None and native.generator_ok():
-        return native.impute_median, native.grow_forest, native.seed_state
-    from paydev.ml import kernels
-
-    return kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py
-
-
-_impute_median, _grow_forest, _seed_state = fit_pass()
-
-
 def impute_median(data: Dataset):
     """(X, medians): data.X with each NaN replaced by its column's median
     (0.0 where the column has no other values), and the medians, as
     array("d")."""
-    return _impute_median(data.X, len(data.columns))
-
-
-def grow_forest(X, y, p, **params):
-    """(table, importance): the node table's seven arrays (paydev.model.Nodes)
-    of the trees grown over the rows of X (an array("d") of rows of p
-    values) with labels y, and their mean importance, an array("d"); see
-    native.grow_forest for params."""
-    grown = _grow_forest(X, y, p, **params)
-    if grown is None:  # the compiled forest declines draws numpy makes otherwise
-        from paydev.ml.kernels import grow_forest_py
-
-        grown = grow_forest_py(X, y, p, **params)
-    return grown
-
-
-def seed_state(entropy, n_words):
-    """numpy's SeedSequence(entropy).generate_state(n_words) as a list of
-    ints."""
-    return _seed_state(entropy, n_words)
+    return native.impute_median(data.X, len(data.columns))

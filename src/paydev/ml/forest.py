@@ -1,6 +1,6 @@
-"""CART and random forest. Each grows in one call of the fit's pass
-(paydev.ml.dataset.grow_forest), whose node table (paydev.model.Nodes) the
-model keeps and paydev.model.tree_proba scores.
+"""CART and random forest. Each grows in one native.grow_forest call, whose
+node table (paydev.model.Nodes) the model keeps and paydev.model.tree_proba
+scores.
 
 A CART is a binary tree grown by greedy Gini minimization, as a forest of
 one tree that takes every row once and searches every feature, so it draws
@@ -20,23 +20,24 @@ from __future__ import annotations
 import math
 from array import array
 
+from paydev import native
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, check_training, grow_forest, impute_median, seed_state
+from paydev.ml.dataset import Dataset, check_training, impute_median
 from paydev.model import ForestModel, Nodes, TreeModel, tree_proba
 
 
 def forest_seed(seed_parts) -> int:
     """The forest seed of one fit, derived from (master seed, repeat, fold):
     the first word of numpy's SeedSequence(entropy=seed_parts)."""
-    return seed_state(list(seed_parts), 1)[0]
+    return native.seed_state(list(seed_parts), 1)[0]
 
 
 def fit_tree(data: Dataset, minsplit=20, cp=0.01, maxdepth=30) -> TreeModel:
     check_training(data)
     p = len(data.columns)
     X, medians = impute_median(data)
-    table, importance = grow_forest(X, data.y, p, n_trees=1, seed=0, bootstrap=False, mtry=p,
-                                    minsplit=minsplit, cp=cp, maxdepth=maxdepth)
+    table, importance = native.grow_forest(X, data.y, p, n_trees=1, seed=0, bootstrap=False,
+                                           mtry=p, minsplit=minsplit, cp=cp, maxdepth=maxdepth)
     return TreeModel(nodes=Nodes(*table), columns=list(data.columns), impute=medians,
                      minsplit=minsplit, cp=cp, maxdepth=maxdepth, importance=importance)
 
@@ -51,9 +52,9 @@ def fit_forest(data: Dataset, n_trees=500, mtry=None, seed=0, bootstrap=True) ->
     if not 1 <= mtry <= p:
         raise SchemaError(f"mtry (config forest_mtry) must be in [1, {p}]")
     X, medians = impute_median(data)
-    table, importance = grow_forest(X, data.y, p, n_trees=n_trees, seed=int(seed),
-                                    bootstrap=bootstrap, mtry=mtry, minsplit=2, cp=0.0,
-                                    maxdepth=None)
+    table, importance = native.grow_forest(X, data.y, p, n_trees=n_trees, seed=int(seed),
+                                           bootstrap=bootstrap, mtry=mtry, minsplit=2, cp=0.0,
+                                           maxdepth=None)
     return ForestModel(nodes=Nodes(*table), columns=list(data.columns), impute=medians, mtry=mtry,
                        seed=seed, bootstrap=bootstrap, importance=importance)
 

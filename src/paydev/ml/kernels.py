@@ -1,14 +1,13 @@
 """The numpy twins of the compiled fit and of the compiled forest predictor.
 
-paydev.native grows trees: its grow_forest grows a whole forest, or one
-CART, in one compiled call, searching splits in C over each feature's rows
+paydev.native grows trees: its compiled grow_forest grows a whole forest,
+or one CART, in one call, searching splits in C over each feature's rows
 sorted once per fit, with each tree's bootstrap and node features drawn in
 C from numpy's own SeedSequence and PCG64; its impute_median and seed_state
-fill a matrix's missing values and derive forest seeds. paydev.ml.dataset
-chooses between those and the twins here, grow_forest_py, impute_median_py
-and seed_state_py, which give the same bytes through numpy. They run
-without the compiled library, where its generator fails its known answer
-(native.generator_ok), and for a forest the library declines because numpy
+fill a matrix's missing values and derive forest seeds. The twins here,
+grow_forest_py, impute_median_py and seed_state_py, give the same bytes
+through numpy: paydev.native binds them without the compiled library, and
+its compiled grow_forest hands them a forest it declines because numpy
 draws it otherwise. grow_forest_py grows each tree node by node through
 best_split, the numpy split search below. Either way the trees come out
 as one node table, the array("q") and array("d") buffers of
@@ -16,8 +15,7 @@ paydev.model.Nodes.
 
 forest_sum_py, the twin of native.forest_sum, scores a whole forest, or one
 CART, tree by tree over that table (tree_proba) after filling the missing
-values, and gives the same bytes; paydev.model.tree_proba, the one place
-that chooses between the two, imports it only without the library.
+values, and gives the same bytes.
 """
 
 from array import array

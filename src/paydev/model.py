@@ -12,10 +12,11 @@ save/load round-trips exactly. Each tree is an object of its six node
 arrays; load_model joins them into one table.
 
 tree_proba scores a tree or forest, for predict_rows and for paydev.ml's
-predictors alike, and fills missing values as it walks; with the compiled
-library it is native.forest_sum, so `paydev predict --features` with such
-a model runs without numpy. predict_rows scores rows as read_features_csv
-gives them; a logit model is scored by paydev.ml.predict_proba.
+predictors alike, through native.forest_sum, which fills missing values as
+it walks; the compiled one needs no numpy, so `paydev predict --features`
+with such a model runs without it. predict_rows scores rows as
+read_features_csv gives them; a logit model is scored by
+paydev.ml.predict_proba.
 """
 
 from __future__ import annotations
@@ -178,13 +179,8 @@ def tree_proba(model, X, n_rows):
     """P(hired) per row under a TreeModel or ForestModel, as an array("d"):
     the mean over its trees, summed in tree order, of the leaf probability
     pos/n. X is an array("d") of n_rows rows in the model's column order;
-    a NaN in column f takes model.impute[f]. This is the one place that
-    chooses how a tree or forest is scored: native.forest_sum with the
-    compiled library, else its numpy twin in paydev.ml.kernels."""
-    if native.lib is None:
-        from paydev.ml.kernels import forest_sum_py
-
-        return forest_sum_py(model.nodes, model.impute, X, n_rows)
+    a NaN in column f takes model.impute[f]. Every tree and forest is
+    scored here, by native.forest_sum."""
     return native.forest_sum(model.nodes, model.impute, X, n_rows)
 
 

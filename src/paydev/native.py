@@ -1,28 +1,26 @@
-"""The compiled library, its forest grower and predictor, the two record
-scanners and the History pass, without numpy.
+"""The compiled library, and the one choice between each compiled kernel
+and its twin, without numpy.
 
 On first import, _split.c is compiled with `cc` into
 ~/.cache/paydev/split-<key>.so (key: source, flags, machine) and loaded
-through ctypes as `lib`; delete that file to rebuild. BACKEND names what
-runs: "c" with the library, "python" without it. This module grows trees:
-grow_forest grows a whole forest, or one CART, in one call, after
-impute_median, with each tree's draws from the library's copy of numpy's
-SeedSequence and PCG64 (seed_state, draws), which generator_ok checks
-against known numpy draws; paydev.ml.dataset chooses between these and
-their numpy twins in paydev.ml.kernels. grow_forest hands out every tree
-in one node table, the array("q") and array("d") arrays paydev.model.Nodes
-holds, and the forest predictor, forest_sum, walks that table's own
-buffers and imputes as it walks (paydev.model.tree_proba chooses between
-it and its twin). It also drives the record scanners, scan_canonical
-and scan_git_log, and the History pass, sort_histories, local_calendar
-and activity (paydev.features chooses between these and their Python
-twins there). It is the one place that chooses between the scanners'
-compiled and Python forms, which give the same results. It imports no
-numpy, so `paydev ingest`, `paydev identities`, `paydev features`, and a
-tree or forest `paydev train` or `paydev predict --features` run without
-it: a scanned run's four int columns are stdlib array("q") buffers, the
-type of ingest.Commits' int columns, and a History's columns, a Dataset's
-rows and labels and a node table's arrays are stdlib arrays too.
+through ctypes as `lib`; delete that file to rebuild. _load refuses a
+library whose generator fails numpy's known draws (generator_ok,
+KNOWN_DRAWS), so `lib` is None exactly when no library is used, and
+BACKEND names what runs: "c" with the library, "python" without it.
+
+Each kernel is bound here once, to its compiled wrapper (_c_<kernel>) with
+the library, else to its twin, which gives the same results; callers look
+it up as native.<kernel> when they call it. grow_forest grows a whole
+forest, or one CART, in one call, after impute_median, each tree drawing
+from seed_state's SeedSequence and PCG64, into one node table, the arrays
+paydev.model.Nodes holds; a forest the library declines grows in the twin.
+forest_sum scores that table's own buffers and imputes as it walks. These
+four have numpy twins, paydev.ml.kernels' <kernel>_py. The History pass,
+sort_histories, local_calendar and activity, has Python twins in
+paydev.features. A twin's module is imported at its first lookup, so this
+module loads no numpy: with the library a tree or forest `paydev train` or
+`paydev predict --features` runs without it, as `paydev ingest`,
+`identities` and `features` always do; their columns are stdlib arrays.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -34,11 +32,12 @@ and alone raises errors. scan_canonical reads a canonical commit file for
 ingest.read_canonical in blocks of whole lines and hands back a declined
 line as its bytes; scan_git_log reads a git-log export for
 ingest.parse_git_log from the buffer that function holds and hands back a
-declined record as its byte offset. Without a compiler scan_canonical is
-`iter` and scan_git_log is record_offsets, so every item is declined.
+declined record as its byte offset. Without the library scan_canonical
+is `iter` and scan_git_log is record_offsets, so every item is declined.
 """
 
 import ctypes
+import importlib
 import os
 import zlib
 from array import array
@@ -88,15 +87,9 @@ def _load():
     lib.activity.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     for fn in (lib.sort_histories, lib.local_calendar, lib.activity):
         fn.restype = ctypes.c_int
+    if not generator_ok(lib):
+        raise RuntimeError("the library's generator fails numpy's known draws")
     return lib
-
-
-try:
-    lib = _load()
-except (OSError, RuntimeError):
-    lib = None
-
-BACKEND = "python" if lib is None else "c"
 
 
 BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
@@ -192,7 +185,7 @@ def _c_scan_git_log(data, pos):
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "n", "pos", "roots")
 
 
-def forest_sum(nodes, impute, X, n_rows):
+def _c_forest_sum(nodes, impute, X, n_rows):
     """Per row of X, the mean over the trees of the node table `nodes`
     (paydev.model.Nodes) of the row's leaf probability pos/n, summed in tree
     order, as an array("d"), in one library call on the table's own arrays.
@@ -223,7 +216,7 @@ def _words(entropy):
     return words
 
 
-def seed_state(entropy, n_words):
+def _c_seed_state(entropy, n_words):
     """numpy's SeedSequence(entropy).generate_state(n_words), for a list of
     ints >= 0, as a list of ints, in one call to the library's seed_state."""
     words, out = _words(entropy), array("I", bytes(4 * n_words))
@@ -234,23 +227,24 @@ def seed_state(entropy, n_words):
 DRAWS = ("raw", "uint32", "bootstrap", "choice")
 
 
-def draws(entropy, kind, n=0, k=0):
+def draws(entropy, kind, n=0, k=0, library=None):
     """(draws, state after) of numpy's default_rng(SeedSequence(entropy)),
-    from the library's generator: kind "raw" gives k next_uint64 values,
-    "uint32" k next_uint32 values, "bootstrap" np.sort(rng.integers(0, n,
-    size=n)) and "choice" rng.choice(n, k, replace=False) where numpy takes
-    Floyd's algorithm. state lists the high and low 64 bits of the PCG64
-    state and inc, has_uint32 and uinteger. ValueError for a count below 0,
-    a choice of more than n, and a bootstrap of 2**32 rows or more, which
-    numpy draws otherwise."""
+    from the generator of `library`, by default the loaded one: kind "raw"
+    gives k next_uint64 values, "uint32" k next_uint32 values, "bootstrap"
+    np.sort(rng.integers(0, n, size=n)) and "choice" rng.choice(n, k,
+    replace=False) where numpy takes Floyd's algorithm. state lists the high
+    and low 64 bits of the PCG64 state and inc, has_uint32 and uinteger.
+    ValueError for a count below 0, a choice of more than n, and a bootstrap
+    of 2**32 rows or more, which numpy draws otherwise."""
     if n < 0 or k < 0 or (kind == "choice" and k > n):
         raise ValueError("draws: n and k must be >= 0, and a choice k <= n")
     if kind == "bootstrap" and n - 1 >= 2**32 - 1:
         raise ValueError("draws: numpy draws a bootstrap of 2**32 rows or more otherwise")
     words, size = _words(entropy), n if kind == "bootstrap" else k
     out, state = array("Q", bytes(8 * size)), array("Q", bytes(48))
-    if lib.draws(words.buffer_info()[0], len(words), DRAWS.index(kind), n, k,
-                 out.buffer_info()[0], state.buffer_info()[0]):
+    library = lib if library is None else library
+    if library.draws(words.buffer_info()[0], len(words), DRAWS.index(kind), n, k,
+                     out.buffer_info()[0], state.buffer_info()[0]):
         raise MemoryError("draws")
     return out.tolist(), state.tolist()
 
@@ -264,16 +258,15 @@ KNOWN_DRAWS = {
 }
 
 
-def generator_ok():
-    """Whether the library's generator gives numpy's known draws (see
-    KNOWN_DRAWS), which every compiled forest relies on."""
-    return (lib is not None
-            and draws([2018, 1], "raw", k=2)[0] == KNOWN_DRAWS["raw"]
-            and draws([2018, 1], "choice", 40, 6)[0] == KNOWN_DRAWS["choice"]
-            and draws([2018, 1], "bootstrap", 10)[0] == KNOWN_DRAWS["bootstrap"])
+def generator_ok(library):
+    """Whether the generator of `library` gives numpy's known draws (see
+    KNOWN_DRAWS), which every compiled forest relies on; _load refuses a
+    library whose generator does not."""
+    return all(draws([2018, 1], kind, n, k, library)[0] == KNOWN_DRAWS[kind]
+               for kind, n, k in (("raw", 0, 2), ("choice", 40, 6), ("bootstrap", 10, 0)))
 
 
-def impute_median(X, p):
+def _c_impute_median(X, p):
     """(X with each NaN replaced by its column's median, the p medians), in
     one call to the library's impute_median. X, an array("d"), holds rows of
     p values one after another; a column's median is 0.0 where it has no
@@ -295,12 +288,12 @@ def _take(address, count, typecode):
     return out
 
 
-def grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
+def _c_grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
     """(table, importance) in one call to the library's grow_forest: the
     node table of n_trees trees, its seven arrays in NODE_ARRAYS order
     (paydev.model.Nodes' array("q") and array("d") buffers), and the mean of
-    their importance vectors, an array("d"), or None where the library
-    declines the forest because numpy draws it otherwise. X, an
+    their importance vectors, an array("d"). A forest the library declines,
+    because numpy draws it otherwise, grows in kernels.grow_forest_py. X, an
     array("d"), holds the rows, p values each, one after another, and y, an
     array("b"), their labels, 0 or 1. Tree t draws from numpy's
     default_rng(SeedSequence([seed, t])): its bootstrap rows when bootstrap
@@ -312,16 +305,19 @@ def grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth)
         raise TypeError("grow_forest needs X as array('d') and y as array('b')")
     if len(X) != n * p:
         raise ValueError("grow_forest: X does not hold p values per label")
-    maxdepth = -1 if maxdepth is None else maxdepth
-    if n_trees < 1 or not all(-2**63 <= v < 2**63 for v in (n_trees, mtry, minsplit, maxdepth)):
+    depth = -1 if maxdepth is None else maxdepth
+    if n_trees < 1 or not all(-2**63 <= v < 2**63 for v in (n_trees, mtry, minsplit, depth)):
         raise ValueError("grow_forest: a count is below 1 or outside int64")
     words, importance = _words([seed]), array("d", bytes(8 * p))
     table = (ctypes.c_void_p * 7)()
     m = lib.grow_forest(X.buffer_info()[0], n, p, y.buffer_info()[0], n_trees,
                         words.buffer_info()[0], len(words), bool(bootstrap), mtry, minsplit, cp,
-                        maxdepth, importance.buffer_info()[0], table)
+                        depth, importance.buffer_info()[0], table)
     if m == -4:
-        return None
+        from paydev.ml import kernels
+
+        return kernels.grow_forest_py(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp,
+                                      maxdepth)
     if m == -1:
         raise MemoryError("grow_forest")
     if m < 0:
@@ -345,7 +341,7 @@ def _addresses(*columns):
     return [column.buffer_info()[0] for column in columns]
 
 
-def sort_histories(rows, sizes, timestamp, offset, added, deleted):
+def _c_sort_histories(rows, sizes, timestamp, offset, added, deleted):
     """(rows, ts, offset, lines) in one call to the library's sort_histories.
     rows holds the rows of the commit table each identity owns, in sha
     order, sizes[i] of them for identity i; each identity's rows come back
@@ -368,7 +364,7 @@ def sort_histories(rows, sizes, timestamp, offset, added, deleted):
     return rows, ts, off, lines
 
 
-def local_calendar(ts, offset):
+def _c_local_calendar(ts, offset):
     """The day (since 1970-01-01), hour, weekday (Monday = 0), ISO year and
     ISO week of each ts shifted by its offset in minutes, as five
     array("q"), in one call to the library's local_calendar. ValueError
@@ -387,7 +383,7 @@ def local_calendar(ts, offset):
     return tuple(cal[k * n:(k + 1) * n] for k in range(5))
 
 
-def activity(ts, day, hour, weekday, iso_year, iso_week, lines):
+def _c_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
     """The 16 developer features of one History, from its columns, in
     features.DeveloperFeatures order, in one call to the library's
     activity."""
@@ -406,11 +402,32 @@ def activity(ts, day, hour, weekday, iso_year, iso_week, lines):
     return (period, days, weeks, reals[0], commits, *reals[1:], top, beginning, length, end)
 
 
-# (binary file) -> its lines in scanned runs and declined lines; without the
-# compiled library every line is handed back, for ingest.read_canonical's
-# per-line reader
-scan_canonical = iter if lib is None else _c_scan_canonical
-# (export bytes, offset of its first record) -> its records in scanned runs
-# and declined offsets; without the compiled library every record's offset,
-# for ingest.parse_git_log's per-record parser
-scan_git_log = record_offsets if lib is None else _c_scan_git_log
+try:
+    lib = _load()
+except (OSError, RuntimeError):
+    lib = None
+
+BACKEND = "python" if lib is None else "c"
+
+# The module of each kernel's twin, named <kernel>_py there: numpy's for the
+# fit and the forest predictor, Python's for the History pass.
+_TWINS = dict.fromkeys(("impute_median", "grow_forest", "seed_state", "forest_sum"),
+                       "paydev.ml.kernels")
+_TWINS.update(dict.fromkeys(("sort_histories", "local_calendar", "activity"), "paydev.features"))
+
+if lib is None:
+    # every line, or every record's offset, is declined to the Python reader
+    scan_canonical, scan_git_log = iter, record_offsets
+
+    def __getattr__(name):
+        """A kernel's twin, whose module is imported at its first lookup, so
+        that this module loads no numpy."""
+        if name not in _TWINS:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        twin = globals()[name] = getattr(importlib.import_module(_TWINS[name]), f"{name}_py")
+        return twin
+else:
+    impute_median, grow_forest, seed_state, forest_sum = (
+        _c_impute_median, _c_grow_forest, _c_seed_state, _c_forest_sum)
+    sort_histories, local_calendar, activity = _c_sort_histories, _c_local_calendar, _c_activity
+    scan_canonical, scan_git_log = _c_scan_canonical, _c_scan_git_log

@@ -38,11 +38,12 @@ HISTORY_MODES = (True, False) if native.BACKEND == "c" else (False,)
 @contextmanager
 def compiled_histories(on):
     """features.histories, to_local and developer_features on the compiled
-    History pass (`on`), or on its Python twin."""
+    History pass (`on`, which native binds with the library), or on its
+    Python twin."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("sort_histories", "local_calendar", "activity"):
-            mp.setattr(features, f"_{name}",
-                       getattr(native, name) if on else getattr(features, f"{name}_py"))
+        if not on:
+            for name in ("sort_histories", "local_calendar", "activity"):
+                mp.setattr(native, name, getattr(features, f"{name}_py"))
         yield
 
 

@@ -669,6 +669,32 @@ class TestTrainPredict:
                        "--out", str(preds)) == 0
         assert len(preds.read_text().splitlines()) == 25
 
+    @pytest.mark.parametrize("inputs, message", [
+        ("neither", "exactly one of --features and --records"),
+        ("both", "exactly one of --features and --records"),
+        ("identities", "--identities needs --records"),
+    ])
+    def test_predict_input_flags_exit_2(self, corpus, tmp_path, capsys, inputs, message):
+        """predict reads exactly one of --features and --records, and takes
+        --identities only with --records, even where its file is missing;
+        any other mix is a usage error that writes nothing."""
+        records, labels = corpus
+        csv_path, model_path = tmp_path / "f.csv", tmp_path / "model.json"
+        assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier", "rpart",
+                       "--out", str(model_path)) == 0
+        flags = {"neither": [],
+                 "both": ["--features", str(csv_path), "--records", str(records)],
+                 "identities": ["--features", str(csv_path),
+                                "--identities", str(tmp_path / "missing.jsonl")]}[inputs]
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", str(model_path), *flags, "--out", str(out))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_from_records_uses_model_columns(self, corpus, tmp_path):
         records, labels = corpus
         slim = tmp_path / "f12.csv"
@@ -954,6 +980,19 @@ class TestConfigFile:
         assert run_cli("evaluate", str(records), "--labels", str(labels),
                        "--config", str(cfg)) == 3
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_one_fold_exit_3(self, corpus, tmp_path, capsys, source):
+        """k-fold cross-validation needs two folds: --folds 1, or folds=1 in
+        a config file, is a config fault (exit 3), not an internal error."""
+        records, labels = corpus
+        cfg, out = tmp_path / "one.cfg", tmp_path / "r.json"
+        cfg.write_text("folds=1\n")
+        given = ["--folds", "1"] if source == "flag" else ["--config", str(cfg)]
+        assert run_cli("evaluate", str(records), "--labels", str(labels), *given,
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "folds must be at least 2" in err and "internal error" not in err
+        assert not out.exists()
 
     def test_forest_mtry_beyond_the_features_exit_3(self, corpus, tmp_path, capsys):
         """forest_mtry above the features CSV's 16 columns is a config fault."""
@@ -1161,6 +1200,7 @@ def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monke
     import numpy as np
 
     from paydev import ml
+    from paydev.ml import kernels
 
     d, rows = predict_inputs
     order = [4, 2, 0, 3, 1] if layout == "reordered" else list(range(5))
@@ -1173,7 +1213,7 @@ def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monke
     with open(d / f"{kind}.json") as f:
         model = ml.load_model(f)
     X = np.array([[np.nan if v is None else v for v in values] for _, values in shuffled])
-    monkeypatch.setattr(native, "lib", None)  # paydev.model.tree_proba takes the twin
+    monkeypatch.setattr(native, "forest_sum", kernels.forest_sum_py)  # the numpy twin scores
     p = ml.predict_proba(model, X, columns=columns)
     assert out.read_text() == "id,probability,class\n" + "".join(
         f"{ident},{v:.6f},{'hired' if v >= 0.5 else 'volunteer'}\n"

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from paydev.model import TREE_ARRAYS, Nodes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-needs_grower = pytest.mark.skipif(not native.generator_ok(), reason="compiled grower not in use")
+needs_grower = pytest.mark.skipif(native.BACKEND != "c", reason="compiled grower not in use")
 
 
 def _arrays(X, y):
@@ -27,9 +28,9 @@ def _arrays(X, y):
 
 
 def _forest(grow, X, y, seed=0, n_trees=1, bootstrap=False, mtry=None, **params):
-    """grow (native.grow_forest, kernels.grow_forest_py or the chosen
-    dataset.grow_forest) over the numpy X and y, as (each tree's own Nodes,
-    importance); mtry None searches every feature."""
+    """grow (native.grow_forest, compiled with the library, or
+    kernels.grow_forest_py) over the numpy X and y, as (each tree's own
+    Nodes, importance); mtry None searches every feature."""
     p = X.shape[1]
     table, importance = grow(*_arrays(X, y), p, n_trees=n_trees, seed=seed, bootstrap=bootstrap,
                              mtry=p if mtry is None else mtry, **params)
@@ -51,7 +52,7 @@ def _random_problem(rng, n=None, p=None, duplicates=False):
 @needs_cc
 def test_compiled_backend_available():
     assert kernels.BACKEND == "c", "compiled kernel should be built"
-    assert native.generator_ok(), "the compiled generator should give numpy's draws"
+    assert native.generator_ok(native.lib), "the compiled generator should give numpy's draws"
 
 
 class TestOracle:
@@ -104,7 +105,7 @@ class TestBackendEquivalence:
         depth-1 CART grown by the active grower (the compiled one with cc)."""
         idx, feats = np.arange(len(y), dtype=np.int64), np.arange(X.shape[1], dtype=np.int64)
         f, t, _ = kernels.best_split(X, y, idx, feats)
-        (root,), _ = _forest(dataset.grow_forest, X, y, minsplit=2, cp=0.0, maxdepth=1)
+        (root,), _ = _forest(native.grow_forest, X, y, minsplit=2, cp=0.0, maxdepth=1)
         return [(f, t), (root.feature[0], root.threshold[0])]
 
     def test_tiebreak_lowest_feature_and_threshold(self):
@@ -238,7 +239,7 @@ def test_overflowing_midpoint_splits_at_the_lower(a, b):
     idx = np.arange(40, dtype=np.int64)
     feats = np.arange(2, dtype=np.int64)
     assert kernels.best_split(X, y, idx, feats) == exhaustive_best_split(X, y) == (0, a, 0.0)
-    growers = (dataset.grow_forest, kernels.grow_forest_py)
+    growers = (native.grow_forest, kernels.grow_forest_py)
     for mtry in (None, 1):
         results = [_forest(grow, X, y, seed=3, mtry=mtry, minsplit=2, cp=0.0, maxdepth=None)
                    for grow in growers]
@@ -265,7 +266,7 @@ def test_nan_is_not_split_from_nan():
     for mtry in (None, 1):
         results = [_forest(grow, X, y, seed=5, n_trees=3, bootstrap=True, mtry=mtry, minsplit=2,
                            cp=0.0, maxdepth=None)
-                   for grow in (dataset.grow_forest, kernels.grow_forest_py)]
+                   for grow in (native.grow_forest, kernels.grow_forest_py)]
         _assert_same_forest(*results)
         for tree in results[0][0]:
             assert min(tree.n) > 0
@@ -337,23 +338,50 @@ def test_c_choice_differs_where_numpy_shuffles_a_range():
     assert got != np.random.default_rng(0).choice(10_001, 201, replace=False).tolist()
 
 
+# a library whose generator fails numpy's known draws: the real one, with a
+# draws that writes nothing, so every draw reads 0
+FAILING_DRAWS = """
+import ctypes, sys
+
+class FailingDraws(ctypes.CDLL):
+    @staticmethod
+    def draws(*args):
+        return 0
+
+ctypes.CDLL = FailingDraws
+from paydev import cli, features, native
+from paydev.ml import kernels
+
+assert native.lib is None and native.BACKEND == kernels.BACKEND == "python", native.BACKEND
+assert native.scan_canonical is iter and native.scan_git_log is native.record_offsets
+twins = dict.fromkeys(["impute_median", "grow_forest", "seed_state", "forest_sum"], kernels)
+twins.update(dict.fromkeys(["sort_histories", "local_calendar", "activity"], features))
+for name, module in twins.items():
+    assert getattr(native, name) is getattr(module, name + "_py"), name
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 @needs_grower
-def test_draw_disagreement_falls_back_to_python_grower(rng, monkeypatch):
-    compiled = dataset.fit_pass()
-    assert compiled == (native.impute_median, native.grow_forest, native.seed_state)
-    monkeypatch.setitem(native.KNOWN_DRAWS, "choice", [0, 1, 2, 3, 4, 5])
-    assert not native.generator_ok()
-    fallback = dataset.fit_pass()
-    assert fallback == (kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py)
-    calls, search = [], kernels.best_split
-    monkeypatch.setattr(kernels, "best_split", lambda *a: calls.append(a) or search(*a))
-    X, y = _random_problem(rng, n=60, p=5)
-    params = dict(seed=4, n_trees=3, bootstrap=True, mtry=2, minsplit=2, cp=0.0, maxdepth=None)
-    for name, grow in zip(("_impute_median", "_grow_forest", "_seed_state"), fallback):
-        monkeypatch.setattr(dataset, name, grow)
-    python = _forest(dataset.grow_forest, X, y, **params)
-    assert calls  # the Python grower searches node by node
-    _assert_same_forest(python, _forest(compiled[1], X, y, **params))
+def test_draw_disagreement_falls_back_to_python_grower(tmp_path):
+    """native refuses a library whose generator fails its known draws: every
+    kernel is its twin, a command names the Python backend and writes what
+    the compiled kernels write."""
+    assert not native.generator_ok(SimpleNamespace(draws=lambda *args: 0))
+    cli = [sys.executable, "-m", "paydev.cli"]
+    synth = ["synth", "--out", "records.jsonl", "--labels-out", "labels.csv", "--seed", "3",
+             "--devs", "24", "--commits-low", "30", "--commits-high", "60"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (synth, ["features", "records.jsonl", "--out", "f.csv"]):
+        assert subprocess.run(cli + argv, env=env, cwd=tmp_path).returncode == 0
+    train = ["train", "f.csv", "--labels", "labels.csv", "--classifier", "randomforest",
+             "--forest-trees", "5", "--out"]
+    for runner, backend in ((cli, "c"), ([sys.executable, "-c", FAILING_DRAWS], "python")):
+        r = subprocess.run(runner + train + [f"model-{backend}.json"], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        assert f"# kernel: {backend}\n" in r.stderr
+    assert (tmp_path / "model-c.json").read_bytes() == (tmp_path / "model-python.json").read_bytes()
 
 
 @needs_cc
@@ -432,15 +460,13 @@ def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
     params = dict(n_trees=data.draw(st.integers(1, 4)), mtry=data.draw(st.integers(1, p)),
                   seed=data.draw(st.integers(0, 2**70)), bootstrap=data.draw(st.booleans()))
     models, forests = [], []
-    for fit_pass in (dataset.fit_pass(), (kernels.impute_median_py, kernels.grow_forest_py,
-                                          kernels.seed_state_py)):
-        saved = dataset._impute_median, dataset._grow_forest, dataset._seed_state
-        dataset._impute_median, dataset._grow_forest, dataset._seed_state = fit_pass
-        try:
+    for twins in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if twins:
+                for name in ("impute_median", "grow_forest", "seed_state"):
+                    mp.setattr(native, name, getattr(kernels, f"{name}_py"))
             model = fit_forest(make_dataset(X, y, [f"f{j}" for j in range(p)],
                                             [str(i) for i in range(n)]), **params)
-        finally:
-            dataset._impute_median, dataset._grow_forest, dataset._seed_state = saved
         out = StringIO()
         try:
             save_model(model, out)

@@ -9,7 +9,7 @@ import pytest
 
 from paydev.errors import ColumnMismatchError, SchemaError
 from paydev import native
-from paydev.ml import dataset, kernels
+from paydev.ml import kernels
 from paydev.ml import (
     fit_forest,
     fit_logit,
@@ -106,8 +106,7 @@ class TestFit:
         assert np.array_equal(a, b)
 
 
-needs_grower = pytest.mark.skipif(not native.generator_ok(), reason="compiled grower not in use")
-TWINS = (kernels.impute_median_py, kernels.grow_forest_py, kernels.seed_state_py)
+needs_grower = pytest.mark.skipif(native.BACKEND != "c", reason="compiled grower not in use")
 
 
 def _same_forest(a, b):
@@ -117,10 +116,11 @@ def _same_forest(a, b):
             assert getattr(ta, key).tobytes() == getattr(tb, key).tobytes(), key
 
 
-def _use(monkeypatch, fit_pass):
-    """Fit through fit_pass, (impute_median, grow_forest, seed_state)."""
-    for name, fn in zip(("_impute_median", "_grow_forest", "_seed_state"), fit_pass):
-        monkeypatch.setattr(dataset, name, fn)
+def _use_twins(monkeypatch):
+    """Fit through kernels' numpy twins of impute_median, grow_forest and
+    seed_state."""
+    for name in ("impute_median", "grow_forest", "seed_state"):
+        monkeypatch.setattr(native, name, getattr(kernels, f"{name}_py"))
 
 
 class TestCompiledGrower:
@@ -128,13 +128,13 @@ class TestCompiledGrower:
     def test_one_compiled_call_per_forest(self, rng, monkeypatch):
         X, y = _separable(rng, n=300)
         calls = []
-        monkeypatch.setattr(dataset, "_grow_forest",
-                            lambda *a, **k: calls.append(a) or native.grow_forest(*a, **k))
+        grow = native.grow_forest
+        monkeypatch.setattr(native, "grow_forest", lambda *a, **k: calls.append(a) or grow(*a, **k))
         monkeypatch.setattr(kernels, "best_split", None)  # no per-node Python search
         model = fit_forest(_dataset(X, y), n_trees=7, seed=2)
         assert len(calls) == 1
         monkeypatch.undo()
-        _use(monkeypatch, TWINS)
+        _use_twins(monkeypatch)
         _same_forest(model, fit_forest(_dataset(X, y), n_trees=7, seed=2))
 
     @needs_grower
@@ -146,12 +146,13 @@ class TestCompiledGrower:
         numpy twin."""
         X = rng.normal(size=(8, 10_001))
         y = np.array([0, 1] * 4)
-        grown = []
-        monkeypatch.setattr(dataset, "_grow_forest",
-                            lambda *a, **k: grown.append(native.grow_forest(*a, **k)) or grown[-1])
+        declined, twin = [], kernels.grow_forest_py
+        monkeypatch.setattr(kernels, "grow_forest_py",
+                            lambda *a, **k: declined.append(a) or twin(*a, **k))
         model = fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5)
-        assert [g is not None for g in grown] == [compiled]
-        _use(monkeypatch, TWINS)
+        assert len(declined) == (0 if compiled else 1)
+        monkeypatch.undo()
+        _use_twins(monkeypatch)
         _same_forest(model, fit_forest(_dataset(X, y), n_trees=3, mtry=mtry, seed=5))
 
 

@@ -15,7 +15,7 @@ from paydev.ml import (
     save_model,
 )
 from paydev import native
-from paydev.ml import dataset, kernels
+from paydev.ml import kernels
 from paydev.ml.kernels import node_score
 
 
@@ -221,14 +221,13 @@ class TestDeepTree:
         lines = introspect(loaded).splitlines()
         assert len(lines) == 1 + len(model.root.n)
 
-    @pytest.mark.skipif(not native.generator_ok(), reason="compiled grower not in use")
+    @pytest.mark.skipif(native.BACKEND != "c", reason="compiled grower not in use")
     def test_deep_tree_grows_in_one_compiled_call(self, monkeypatch):
         n = 3000
         X = np.arange(n, dtype=np.float64).reshape(-1, 1)
         y = np.arange(n) % 2
-        calls = []
-        monkeypatch.setattr(dataset, "_grow_forest",
-                            lambda *a, **k: calls.append(a) or native.grow_forest(*a, **k))
+        calls, grow = [], native.grow_forest
+        monkeypatch.setattr(native, "grow_forest", lambda *a, **k: calls.append(a) or grow(*a, **k))
         monkeypatch.setattr(kernels, "best_split", None)  # no per-node Python search
         model = fit_tree(_dataset(X, y), minsplit=2, cp=0.0, maxdepth=None)
         assert len(calls) == 1
