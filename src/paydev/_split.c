@@ -27,7 +27,12 @@
  * features.histories, to_local and developer_features: they sort and gather
  * each identity's commits, calendar them in local time and compute one
  * History's developer features, giving bit for bit what their Python twins
- * in paydev.features give. */
+ * in paydev.features give; commit_rows gives each commit's feature row.
+ *
+ * logit_fit and logit_proba fit and score the logistic regression, and auc
+ * ranks scores for roc_auc, each repeating its stdlib twin operation for
+ * operation: every sum runs in index order from 0.0, and exp and log1p come
+ * from libm, as Python's math module takes them. */
 
 #include <math.h>
 #include <stdint.h>
@@ -142,6 +147,22 @@ static int64_t bounded(pcg64 *g, int64_t max)
     return (int64_t)(m >> 32);
 }
 
+/* numpy's random_interval(rng, max) for max <= 0xffffffff: the first
+ * next_uint32 draw, masked to the smallest all-ones mask covering max, that
+ * is at most max. */
+static int64_t interval(pcg64 *g, int64_t max)
+{
+    uint32_t mask = (uint32_t)max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = pcg64_next32(g) & mask) > (uint64_t)max)
+        ;
+    return value;
+}
+
 /* Generator.choice(p, k, replace=False) when numpy takes Floyd's algorithm
  * (p <= 10000 or k <= p // 50): Floyd's draws, then numpy's shuffle of the
  * result. seen[0..p) must be zero on entry and is zero again on return. */
@@ -174,19 +195,36 @@ static void draw_rows(pcg64 *g, int64_t n, int64_t *copies)
 }
 
 /* The draws of numpy's default_rng(SeedSequence(entropy)), entropy as in
- * seed_state, to check them against numpy's: kind 0 gives k next_uint64
- * values, kind 1 k next_uint32 values, kind 2 the sorted bootstrap of n rows
- * (n values) and kind 3 Floyd's choice(n, k, replace=False). state gets the
- * generator's state after them: state and inc, each as its high and low 64
- * bits, has_uint32 and uinteger. Returns 0, or -1 when out of memory. */
+ * seed_state: kind 0 gives k next_uint64 values, kind 1 k next_uint32
+ * values, kind 2 the sorted bootstrap of n rows (n values) and kind 3 Floyd's
+ * choice(n, k, replace=False). Kind 4 draws for n groups of sizes[0..n)
+ * values: for each group of m, a = np.arange(m); rng.shuffle(a) (Fisher-Yates
+ * from the end, over random_interval) and then rng.integers(k), m + 1 values,
+ * for m <= 2**32 and 1 <= k < 2**32. state gets the generator's state
+ * after them: state and inc, each as its high and low 64 bits, has_uint32
+ * and uinteger. Returns 0, or -1 when out of memory. */
 int draws(const uint32_t *entropy, int64_t n_entropy, int64_t kind, int64_t n, int64_t k,
-          uint64_t *out, uint64_t *state)
+          const int64_t *sizes, uint64_t *out, uint64_t *state)
 {
     pcg64 g;
     pcg64_seed(&g, entropy, n_entropy);
     if (kind == 0 || kind == 1) {
         for (int64_t i = 0; i < k; i++)
             out[i] = kind == 0 ? pcg64_next64(&g) : pcg64_next32(&g);
+    } else if (kind == 4) {
+        for (int64_t c = 0; c < n; c++) {
+            int64_t m = sizes[c];
+            for (int64_t i = 0; i < m; i++)
+                out[i] = (uint64_t)i;
+            for (int64_t i = m - 1; i > 0; i--) {
+                int64_t j = interval(&g, i);
+                uint64_t t = out[j];
+                out[j] = out[i];
+                out[i] = t;
+            }
+            out[m] = (uint64_t)bounded(&g, k - 1);
+            out += m + 1;
+        }
     } else {
         int64_t *v = malloc((n > 0 ? n : 1) * sizeof(int64_t));
         uint8_t *seen = calloc(n > 0 ? n : 1, 1);
@@ -1181,5 +1219,292 @@ int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *ho
     reals[5] = (double)afternoon / (double)n;
     reals[6] = (double)evening / (double)n;
     reals[7] = (double)office / (double)n;
+    return 0;
+}
+
+/* The 15 per-commit features (features.COMMIT_FEATURE_COLUMNS) of a History
+ * of n commits, row after row, into out[0..15 n): the weekend flag, the hour,
+ * the night, morning, afternoon, evening and office (8-17) flags, the changed
+ * lines (fill[0], the developer's loc_per_commit, where NaN), the days since
+ * the previous commit (fill[1], the developer's timediff, for the first) and
+ * the developer's six shares fill[2..8). */
+void commit_rows(int64_t n, const int64_t *ts, const int64_t *hour, const int64_t *weekday,
+                 const double *lines, const double *fill, double *out)
+{
+    for (int64_t k = 0; k < n; k++, out += 15) {
+        int64_t h = hour[k];
+        out[0] = weekday[k] >= 5;
+        out[1] = (double)h;
+        out[2] = h < 6;
+        out[3] = h >= 6 && h < 12;
+        out[4] = h >= 12 && h < 18;
+        out[5] = h >= 18;
+        out[6] = h >= 8 && h < 17;
+        out[7] = isnan(lines[k]) ? fill[0] : lines[k];
+        out[8] = k ? (double)(ts[k] - ts[k - 1]) / 86400.0 : fill[1];
+        memcpy(out + 9, fill + 2, 6 * sizeof(double));
+    }
+}
+
+/* -------------------------------------------------------------------- logit */
+
+#define LN2 0.6931471805599453
+
+/* np.logaddexp(0, z) */
+static double softplus(double z)
+{
+    if (z == 0.0)
+        return LN2;
+    if (z < 0.0)
+        return log1p(exp(z));
+    if (z > 0.0)
+        return z + log1p(exp(-z));
+    return z;  /* NaN */
+}
+
+static double sigmoid(double z)
+{
+    if (z >= 0.0)
+        return 1.0 / (1.0 + exp(-z));
+    double e = exp(z);
+    return e / (1.0 + e);
+}
+
+/* The penalized negative log-likelihood at the weights w[0..q) of the rows of
+ * X1 (n x q, its last column all ones, whose weight, the intercept, the ridge
+ * l2 leaves out) with labels y; z gets each row's margin and grad the
+ * gradient. */
+static double loss_grad(const double *X1, int64_t n, int64_t q, const double *y, double l2,
+                        const double *w, double *z, double *grad)
+{
+    double loss = 0.0, ridge = 0.0;
+    for (int64_t j = 0; j < q; j++)
+        grad[j] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = X1 + i * q;
+        double s = 0.0;
+        for (int64_t j = 0; j < q; j++)
+            s += x[j] * w[j];
+        z[i] = s;
+        loss += softplus(s) - y[i] * s;
+        double r = sigmoid(s) - y[i];
+        for (int64_t j = 0; j < q; j++)
+            grad[j] += x[j] * r;
+    }
+    for (int64_t j = 0; j + 1 < q; j++) {
+        ridge += w[j] * w[j];
+        grad[j] += l2 * w[j];
+    }
+    return loss + 0.5 * l2 * ridge;
+}
+
+static int small_gradient(const double *grad, int64_t q, double tol)
+{
+    for (int64_t j = 0; j < q; j++)
+        if (!(fabs(grad[j]) <= tol))
+            return 0;
+    return 1;
+}
+
+/* x solving A x = b (A q x q row after row; A and b are overwritten), by
+ * Gaussian elimination with partial pivoting (the first largest |value| in
+ * the column) and back substitution. Returns -1, leaving x as it was, at an
+ * exactly zero pivot. */
+static int solve(double *A, double *b, int64_t q, double *x)
+{
+    for (int64_t c = 0; c < q; c++) {
+        int64_t piv = c;
+        for (int64_t r = c + 1; r < q; r++)
+            if (fabs(A[r * q + c]) > fabs(A[piv * q + c]))
+                piv = r;
+        if (A[piv * q + c] == 0.0)
+            return -1;
+        for (int64_t k = 0; k < q && piv != c; k++) {
+            double t = A[c * q + k];
+            A[c * q + k] = A[piv * q + k];
+            A[piv * q + k] = t;
+        }
+        double t = b[c];
+        b[c] = b[piv];
+        b[piv] = t;
+        for (int64_t r = c + 1; r < q; r++) {
+            double f = A[r * q + c] / A[c * q + c];
+            for (int64_t k = c + 1; k < q; k++)
+                A[r * q + k] -= f * A[c * q + k];
+            b[r] -= f * b[c];
+        }
+    }
+    for (int64_t c = q - 1; c >= 0; c--) {
+        double s = b[c];
+        for (int64_t k = c + 1; k < q; k++)
+            s -= A[c * q + k] * x[k];
+        x[c] = s / A[c * q + c];
+    }
+    return 0;
+}
+
+/* The logistic regression of labels (0 or 1) on X (n x p, no NaN), as
+ * paydev.ml.logit.fit_logit fits it. Each column is standardized by its mean
+ * and population standard deviation (a scale of 0 becomes 1); then damped
+ * Newton steps from w = 0 minimize the loss of loss_grad, with the ridge l2
+ * on the p coefficients and not on the intercept w[p]. A step solves the
+ * Hessian (row weights max(p (1 - p), 1e-12), l2 on the coefficients'
+ * diagonal) against the gradient, or is the gradient where a pivot is 0, and
+ * halves up to 60 times until the loss is at most the last one plus
+ * 1e-12 (1 + |loss|); a fit stops when every |gradient| is at most tol, after
+ * max_iter steps or when no step is taken. mean, scale and w (p + 1) get the
+ * fit, and history the loss before the first step and after each, at most
+ * cap of them; info gets the steps tried (n_iter), whether the fit converged
+ * and how many losses there were. Returns 0, -1 when out of memory, or -2,
+ * fitting nothing, when a column's mean or scale is not finite. */
+int logit_fit(const double *X, int64_t n, int64_t p, const int8_t *labels, double l2,
+              int64_t max_iter, double tol, double *mean, double *scale, double *w,
+              double *history, int64_t cap, int64_t *info)
+{
+    int64_t q = p + 1, bad = 0;
+    for (int64_t j = 0; j < p; j++) {
+        double s = 0.0, v = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            s += X[i * p + j];
+        mean[j] = s / (double)n;
+        for (int64_t i = 0; i < n; i++) {
+            double d = X[i * p + j] - mean[j];
+            v += d * d;
+        }
+        scale[j] = sqrt(v / (double)n);
+        bad |= !isfinite(mean[j]) || !isfinite(scale[j]);
+    }
+    if (bad)
+        return -2;
+    double *X1 = malloc(n * q * sizeof(double)), *y = malloc(n * sizeof(double));
+    double *z = malloc(n * sizeof(double)), *z_new = malloc(n * sizeof(double));
+    double *work = malloc((2 * q * q + 5 * q) * sizeof(double));
+    if (!X1 || !y || !z || !z_new || !work) {
+        free(X1), free(y), free(z), free(z_new), free(work);
+        return -1;
+    }
+    double *H = work, *A = H + q * q, *b = A + q * q, *grad = b + q, *grad_new = grad + q;
+    double *step = grad_new + q, *w_new = step + q;
+    for (int64_t j = 0; j < p; j++)
+        scale[j] = scale[j] == 0.0 ? 1.0 : scale[j];
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < p; j++)
+            X1[i * q + j] = (X[i * p + j] - mean[j]) / scale[j];
+        X1[i * q + p] = 1.0;
+        y[i] = labels[i];
+    }
+    for (int64_t j = 0; j < q; j++)
+        w[j] = 0.0;
+    double loss = loss_grad(X1, n, q, y, l2, w, z, grad);
+    int64_t count = 0, it = 0, converged = 0;
+    if (count < cap)
+        history[count] = loss;
+    count++;
+    for (int64_t k = 1; k <= max_iter; k++) {
+        it = k;
+        if (small_gradient(grad, q, tol)) {
+            converged = 1;
+            break;
+        }
+        for (int64_t j = 0; j < q * q; j++)
+            H[j] = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const double *x = X1 + i * q;
+            double prob = sigmoid(z[i]), v = prob * (1.0 - prob);
+            double weight = v > 1e-12 ? v : 1e-12;
+            for (int64_t j = 0; j < q; j++) {
+                double a = x[j] * weight;
+                for (int64_t c = j; c < q; c++)
+                    H[j * q + c] += a * x[c];
+            }
+        }
+        for (int64_t j = 0; j < q; j++)
+            for (int64_t c = 0; c < j; c++)
+                H[j * q + c] = H[c * q + j];
+        for (int64_t j = 0; j < p; j++)
+            H[j * q + j] += l2;
+        memcpy(A, H, q * q * sizeof(double));
+        memcpy(b, grad, q * sizeof(double));
+        if (solve(A, b, q, step))
+            memcpy(step, grad, q * sizeof(double));
+        double t = 1.0, loss_new = 0.0;
+        int accepted = 0;
+        for (int halving = 0; halving < 60 && !accepted; halving++) {
+            for (int64_t j = 0; j < q; j++)
+                w_new[j] = w[j] - t * step[j];
+            loss_new = loss_grad(X1, n, q, y, l2, w_new, z_new, grad_new);
+            accepted = loss_new <= loss + 1e-12 * (1.0 + fabs(loss));
+            t *= 0.5;
+        }
+        if (!accepted)
+            break;
+        double *swap = z;
+        z = z_new;
+        z_new = swap;
+        memcpy(w, w_new, q * sizeof(double));
+        memcpy(grad, grad_new, q * sizeof(double));
+        loss = loss_new;
+        if (count < cap)
+            history[count] = loss;
+        count++;
+    }
+    if (!converged && small_gradient(grad, q, tol))
+        converged = 1;
+    info[0] = it;
+    info[1] = converged;
+    info[2] = count;
+    free(X1), free(y), free(z), free(z_new), free(work);
+    return 0;
+}
+
+/* out[r] = sigmoid(z) for row r of X (n_rows x p), with z the sum from 0.0,
+ * in column order, of ((x - mean[j]) / scale[j]) coef[j], where a NaN x in
+ * column j takes impute[j], plus the intercept. */
+void logit_proba(const double *X, int64_t n_rows, int64_t p, const double *impute,
+                 const double *mean, const double *scale, const double *coef, double intercept,
+                 double *out)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        const double *x = X + r * p;
+        double s = 0.0;
+        for (int64_t j = 0; j < p; j++)
+            s += ((isnan(x[j]) ? impute[j] : x[j]) - mean[j]) / scale[j] * coef[j];
+        out[r] = sigmoid(s + intercept);
+    }
+}
+
+/* ---------------------------------------------------------------------- auc */
+
+/* roc_auc's Mann-Whitney AUC of scores[0..n) against labels[0..n) (1 is
+ * positive, any other value negative): the rank sum of the positives, where
+ * each run of tied scores (one sort_key: -0.0 ties 0.0, and NaN ties NaN and
+ * ranks last) takes its average 1-based rank, less n_pos (n_pos + 1) / 2,
+ * over n_pos n_neg. Average ranks are multiples of 1/2, so the rank sum is
+ * exact in any order. Returns 0, -1 when out of memory, -2 when a class is
+ * missing. */
+int auc(const double *scores, const int8_t *labels, int64_t n, double *out)
+{
+    int64_t n_pos = 0;
+    for (int64_t i = 0; i < n; i++)
+        n_pos += labels[i] == 1;
+    if (n_pos == 0 || n_pos == n)
+        return -2;
+    int64_t *order = malloc(n * sizeof(int64_t)), *rows = malloc(2 * n * sizeof(int64_t));
+    uint64_t *keys = malloc(2 * n * sizeof(uint64_t));
+    if (order == NULL || rows == NULL || keys == NULL) {
+        free(order), free(rows), free(keys);
+        return -1;
+    }
+    presort(scores, n, 1, order, keys, rows);
+    double rank_sum = 0.0;
+    for (int64_t i = 0, j; i < n; i = j) {
+        uint64_t key = sort_key(scores[order[i]]);
+        int64_t pos = 0;
+        for (j = i; j < n && sort_key(scores[order[j]]) == key; j++)
+            pos += labels[order[j]] == 1;
+        rank_sum += (double)pos * ((double)(i + 1 + j) / 2.0);
+    }
+    free(order), free(rows), free(keys);
+    *out = (rank_sum - (double)(n_pos * (n_pos + 1)) / 2.0) / (double)(n_pos * (n - n_pos));
     return 0;
 }

@@ -16,18 +16,20 @@ Exit codes:
   6 stratification impossible (folds exceed a class count)
 
 All randomness flows from the config seed through numpy's SeedSequence
-and PCG64 (numpy.random.default_rng), which the compiled forest grower
-repeats draw for draw; reruns with the same inputs and config are
-byte-identical.
+and PCG64 (numpy.random.default_rng), which the compiled forest grower and
+fold draws repeat draw for draw; reruns with the same inputs and config
+are byte-identical.
 
 This module imports, at the top, only what every command needs; each
-command imports the rest of paydev (and numpy) where it runs it, so
-`ingest`, `identities` and `features` never load numpy, nor do `train`
-with a tree or forest (rpart or randomforest) and `predict --features`
-with a tree or forest model when the compiled library is loaded. The names
-other code wraps (parse_git_log, read_canonical, write_canonical,
-read_identity_map, write_identity_map here; identity.merge_identities,
-ml.fit_* and the like) are looked up as module attributes when called.
+command imports the rest of paydev where it runs it. `ingest`,
+`identities` and `features` never load numpy, and where the compiled
+library is loaded no other command does but `synth`: not `evaluate`,
+`commits`, `train` with any classifier, nor `predict` with any model.
+Without the library the numpy twins of the generator, the forest grower
+and the forest walker load numpy where they run. The names other code
+wraps (parse_git_log, read_canonical, write_canonical, read_identity_map,
+write_identity_map here; identity.merge_identities, ml.fit_* and the like)
+are looked up as module attributes when called.
 """
 
 from __future__ import annotations
@@ -497,8 +499,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     """Scores the rows of a features CSV, or those computed from canonical
-    records, with paydev.model.predict_rows; with the compiled library a
-    tree or forest scores a features CSV without numpy."""
+    records, with paydev.model.predict_rows, which needs no numpy where the
+    compiled library is loaded."""
     from paydev import model as mdl
 
     _build_config(args)
@@ -508,24 +510,23 @@ def cmd_predict(args) -> int:
         with _open_input(args.features) as f:
             rows, row_ids, columns = mdl.read_features_csv(f)
     else:
-        import numpy as np
-
         from paydev import features as feat
 
         commits = _read_records(args.records)
         histories = feat.histories(_load_identities(args, commits), commits)
+        rows, row_ids = [], []
         if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
-            columns = feat.COMMIT_FEATURE_COLUMNS
-            X = np.vstack([np.empty((0, len(columns))),  # the shape when no commits remain
-                           *(feat.commit_features(h)[0] for h in histories.values())])
-            row_ids = [sha for h in histories.values() for sha in h.sha]
+            columns, p = feat.COMMIT_FEATURE_COLUMNS, len(feat.COMMIT_FEATURE_COLUMNS)
+            for h in histories.values():
+                X, shas, _ = feat.commit_features(h)
+                rows += (X[i:i + p] for i in range(0, len(X), p))
+                row_ids += shas
         else:
             features_by_id = feat.compute_features(histories)
-            X, row_ids, columns = feat.feature_matrix(features_by_id, mode="all")
             # score with the model's own columns (e.g. a no_volume model)
-            keep = [i for i, c in enumerate(columns) if c in model.columns]
-            X, columns = X[:, keep], [columns[i] for i in keep]
-        rows = X.tolist()
+            columns = [c for c in feat.FEATURE_COLUMNS if c in model.columns]
+            row_ids = sorted(features_by_id)
+            rows = [[float(getattr(features_by_id[i], c)) for c in columns] for i in row_ids]
     probabilities = mdl.predict_rows(model, rows, columns)
 
     def writer(f):

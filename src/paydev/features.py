@@ -6,12 +6,12 @@ middle values; "regular activity" start/end are nearest-rank 10th/90th
 percentiles of weekday commit hours.
 
 Histories, their calendar and the 16 per-developer metrics come from the
-History pass, native.sort_histories, local_calendar and activity: the
-compiled ones, or without the library their Python twins here
-(sort_histories_py, local_calendar_py, activity_py), which give the same
-results bit for bit; paydev.native chooses. So this module imports no
-numpy and `paydev features` runs without it; feature_matrix and
-commit_features, which build numpy matrices, import numpy where they run.
+History pass, native.sort_histories, local_calendar and activity, and each
+commit's feature row from native.commit_rows: the compiled ones, or without
+the library their Python twins here (sort_histories_py, local_calendar_py,
+activity_py, commit_rows_py), which give the same results bit for bit;
+paydev.native chooses. So this module imports no numpy: feature_matrix and
+commit_features give their rows as one array("d"), one row after another.
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ class History(NamedTuple):
     """One identity's commits sorted by (timestamp, sha): their shas, author
     addresses, UTC timestamps (array("q")), local calendar and changed lines
     (array("d"), NaN for binary-only commits). Features, labels and
-    baselines all read it. Each History owns its arrays; numpy code views
-    them with np.asarray, which does not copy."""
+    baselines all read it. Each History owns its arrays."""
 
     sha: list[str]
     email: list[str]
@@ -258,42 +257,38 @@ def matrix_columns(mode: str) -> list[str]:
 
 
 def feature_matrix(features_by_id, mode="all"):
-    """(X, row ids, column names); rows sorted by identity id."""
-    import numpy as np
-
+    """(X, row ids, column names): X holds one row per identity, sorted by
+    identity id, as an array("d") of the rows one after another."""
     columns = matrix_columns(mode)
     ids = sorted(features_by_id)
-    rows = []
-    for ident_id in ids:
-        feats = features_by_id[ident_id]
-        rows.append([float(getattr(feats, c)) for c in columns])
-    X = np.array(rows, dtype=np.float64).reshape(len(ids), len(columns))
+    X = array("d", [float(getattr(features_by_id[i], c)) for i in ids for c in columns])
     return X, ids, columns
+
+
+def commit_rows_py(ts, hour, weekday, lines, fill):
+    """native.commit_rows in Python."""
+    n = len(ts)
+    if any(len(c) != n for c in (hour, weekday, lines)) or len(fill) != 8:
+        raise ValueError("commit_rows: the columns differ in length, or fill is not 8 values")
+    loc, first, *shares = fill
+    out, last = array("d"), None
+    for t, h, w, x in zip(ts, hour, weekday, lines):
+        out.extend((w >= 5, h, h < 6, 6 <= h < 12, 12 <= h < 18, h >= 18, 8 <= h < 17,
+                    loc if x != x else x, first if last is None else (t - last) / 86400.0))
+        out.extend(shares)
+        last = t
+    return out
 
 
 def commit_features(h: History):
     """Per-commit vectors for one identity, aligned with h.sha, next to the
-    identity's own aggregates. Returns (X, shas, column names)."""
-    import numpy as np
-
-    aggregates = developer_features(h)
-    ts, lines = np.asarray(h.ts), np.asarray(h.lines)  # views, not copies
-    hour, weekday = np.asarray(h.local.hour), np.asarray(h.local.weekday)
-    since = np.concatenate([[aggregates.timediff], np.diff(ts) / 86400.0])[: len(ts)]
-    shares = [aggregates.weekend, aggregates.night, aggregates.morning,
-              aggregates.afternoon, aggregates.evening, aggregates.office]
-    X = np.column_stack([
-        weekday >= 5,
-        hour,
-        hour < 6,
-        (6 <= hour) & (hour < 12),
-        (12 <= hour) & (hour < 18),
-        18 <= hour,
-        (8 <= hour) & (hour < 17),
-        np.where(np.isnan(lines), aggregates.loc_per_commit, lines),
-        since,
-        np.broadcast_to(shares, (len(ts), len(shares))),
-    ]).astype(np.float64)
+    identity's own aggregates. Returns (X, shas, column names), X an
+    array("d") of one row of the COMMIT_FEATURE_COLUMNS per commit, one
+    after another."""
+    f = developer_features(h)
+    X = native.commit_rows(h.ts, h.local.hour, h.local.weekday, h.lines,
+                           (f.loc_per_commit, f.timediff, f.weekend, f.night, f.morning,
+                            f.afternoon, f.evening, f.office))
     return X, list(h.sha), list(COMMIT_FEATURE_COLUMNS)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from operator import or_
 
 from paydev.errors import SchemaError, UnlabeledIdentityError, csv_rows
 from paydev.features import to_local  # noqa: F401  perfbench/tracing.py counts calls here
@@ -87,12 +88,11 @@ _EPOCH = date(1970, 1, 1).toordinal()
 
 def _hired(h, intervals):
     """Per commit of h, whether its local date falls in a hired period."""
-    import numpy as np
-
-    day = np.asarray(h.local.day)[:, None]
-    start = np.array([a.toordinal() - _EPOCH for a, _ in intervals])
-    stop = np.array([(b or date.max).toordinal() - _EPOCH for _, b in intervals])
-    return ((start <= day) & (day <= stop)).any(axis=1)
+    hired = [False] * len(h.ts)
+    for start, stop in intervals:
+        days = range(start.toordinal() - _EPOCH, (stop or date.max).toordinal() - _EPOCH + 1)
+        hired = list(map(or_, hired, map(days.__contains__, h.local.day)))
+    return hired
 
 
 def resolve_status(identity_id, h, labels: LabelSet) -> str | None:
@@ -101,7 +101,7 @@ def resolve_status(identity_id, h, labels: LabelSet) -> str | None:
     unlabeled."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        hired = int(_hired(h, intervals).sum())
+        hired = sum(_hired(h, intervals))
         return HIRED if hired / len(h.ts) >= 0.5 else VOLUNTEER
     return labels.entries.get(identity_id)
 
@@ -110,7 +110,7 @@ def commit_labels(identity_id, h, labels: LabelSet) -> list[str]:
     """Per-commit statuses aligned with the History's h.sha."""
     intervals = labels.periods.get(identity_id)
     if intervals:
-        return [HIRED if hired else VOLUNTEER for hired in _hired(h, intervals).tolist()]
+        return [HIRED if hired else VOLUNTEER for hired in _hired(h, intervals)]
     status = labels.entries.get(identity_id)
     if status is None:
         raise UnlabeledIdentityError(f"identity {identity_id!r} has no label")

@@ -1,17 +1,20 @@
 """Classifiers: logistic regression, CART, random forest.
 
 All three expose probability predictions of the hired class through
-predict_proba. The fitted models, and the model files, are paydev.model's,
-which needs no numpy. This package imports no numpy either: a tree or a
-forest fits without it, and the logit functions (fit_logit, loss_and_grad,
-predict_logit, sigmoid), which need it, load paydev.ml.logit on first use.
+predict_proba. The fitted models, and the model files, are paydev.model's.
+This package imports no numpy: each fit and each predictor runs through
+paydev.native's kernels on stdlib arrays.
 """
 
 from __future__ import annotations
 
-from paydev.ml.dataset import Dataset, as_numpy, check_training, impute_median, make_dataset
+from array import array
+
+from paydev.errors import ColumnMismatchError
+from paydev.ml.dataset import Dataset, as_rows, check_training, impute_median, make_dataset, matrix
 from paydev.ml.forest import fit_forest, fit_tree, forest_seed, predict_forest, predict_tree
 from paydev.ml.introspect import introspect, root_split_feature
+from paydev.ml.logit import fit_logit, loss_and_grad, predict_logit, sigmoid
 from paydev.model import (
     ForestModel,
     LogitModel,
@@ -22,14 +25,12 @@ from paydev.model import (
     save_model,
 )
 
-_LOGIT = ("fit_logit", "loss_and_grad", "predict_logit", "sigmoid")
-
 __all__ = [
     "Dataset",
     "ForestModel",
     "LogitModel",
     "TreeModel",
-    "as_numpy",
+    "as_rows",
     "check_training",
     "fit_forest",
     "fit_logit",
@@ -40,7 +41,9 @@ __all__ = [
     "load_model",
     "loss_and_grad",
     "make_dataset",
+    "matrix",
     "model_kind",
+    "predict_logit",
     "predict_proba",
     "root_split_feature",
     "save_model",
@@ -48,32 +51,22 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    if name in _LOGIT:
-        from paydev.ml import logit
-
-        return getattr(logit, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def predict_proba(model, X, columns=None):
-    """P(hired) per row of X (a numpy matrix, or rows of floats), as a numpy
-    vector; columns, when given, are matched to the model's."""
-    import numpy as np
-
-    X = np.asarray(X, dtype=np.float64)
+    """P(hired) per row of X (a 2-D buffer of doubles, see matrix(), or a
+    sequence of rows), as an array("d"); columns, when given, are matched to
+    the model's."""
+    values, n, p = as_rows(X)
     if columns is not None:
-        X = X[:, column_order(columns, model.columns)]
-    elif X.shape[1] != len(model.columns):
-        from paydev.errors import ColumnMismatchError
-
+        order = column_order(columns, model.columns)
+        p = len(columns)
+        values = array("d", [values[i + j] for i in range(0, n * p, p) for j in order])
+    elif p not in (None, len(model.columns)):
         raise ColumnMismatchError(
-            missing={f"column {i}" for i in range(X.shape[1], len(model.columns))},
-            extra={f"column {i}" for i in range(len(model.columns), X.shape[1])},
+            missing={f"column {i}" for i in range(p, len(model.columns))},
+            extra={f"column {i}" for i in range(len(model.columns), p)},
         )
+    X = matrix(values, len(model.columns))
     if isinstance(model, LogitModel):
-        from paydev.ml.logit import predict_logit
-
         return predict_logit(model, X)
     if isinstance(model, TreeModel):
         return predict_tree(model, X)

@@ -1,10 +1,11 @@
 """Training data.
 
 A Dataset holds one representation, stdlib arrays: X is an array("d") of
-its rows one after another, y an array("b") of labels. numpy views them
-without a copy (as_numpy) where it runs, so fitting a tree or a forest
-needs no numpy. impute_median fills a Dataset's missing values through
-native.impute_median.
+its rows one after another, y an array("b") of labels. matrix() views such
+rows as an (n, p) memoryview without a copy, which len() counts in rows and
+numpy views as a matrix, and as_rows() takes them back, so no fit and no
+predictor needs numpy. impute_median fills a Dataset's missing values
+through native.impute_median.
 """
 
 from __future__ import annotations
@@ -27,31 +28,53 @@ class Dataset:
     ids: list[str]
 
 
+def matrix(values: array, p: int) -> memoryview:
+    """`values`, an array("d") of rows of p values one after another, as an
+    (n, p) memoryview over it, without a copy; no rows give an empty 1-D
+    view, as a shape holds no 0."""
+    view = memoryview(values)
+    return view.cast("B").cast("d", (len(values) // p, p)) if values else view
+
+
+def as_rows(X):
+    """(values, n, p): X, a 2-D buffer of doubles (a matrix() view or a
+    float64 numpy matrix) or a sequence of n rows of p values each, as an
+    array("d") of its rows one after another; p is None for no rows. A
+    matrix() view gives back its own array, not a copy."""
+    try:
+        view = memoryview(X)
+    except TypeError:
+        view = None
+    if view is not None and view.ndim == 2 and view.format == "d" and view.c_contiguous:
+        (n, p), values = view.shape, view.obj
+        if not (type(values) is array and values.typecode == "d" and len(values) == n * p):
+            values = array("d")
+            if n * p:  # memoryview casts no shape holding a 0
+                values.frombytes(view.cast("B"))
+        return values, n, p
+    rows = [[float(v) for v in row] for row in X]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError("rows of unequal length")
+    return array("d", [v for row in rows for v in row]), len(rows), widths.pop() if rows else None
+
+
 def make_dataset(X, y, columns, ids) -> Dataset:
-    """A Dataset of X, a numpy matrix or a sequence of rows, each with one
-    value per column, and the labels y."""
-    if hasattr(X, "dtype"):  # numpy: one conversion, no per-value objects
-        if X.ndim != 2:
-            raise ValueError("X and y shapes disagree")
-        n, widths, X = X.shape[0], {X.shape[1]}, X.astype("d").tobytes()
+    """A Dataset of the labels y and X: an array("d") of their rows one
+    after another (kept, not copied), a 2-D buffer of doubles, or a
+    sequence of rows, each with one value per column."""
+    p = len(columns)
+    if type(X) is array and X.typecode == "d":
+        n = len(X) // p if p else len(y)
+        width = p if n * p == len(X) else None
     else:
-        rows = list(X)
-        n, widths, X = len(rows), {len(row) for row in rows}, [v for row in rows for v in row]
+        X, n, width = as_rows(X)
     if n != len(y):
         raise ValueError("X and y shapes disagree")
-    if widths - {len(columns)}:
+    if width != p and n:
         raise ValueError("column names do not match X width")
-    y = array("b", y.astype("b").tobytes() if hasattr(y, "dtype") else y)
-    return Dataset(X=array("d", X), y=y, columns=list(columns), ids=list(ids))
-
-
-def as_numpy(data: Dataset):
-    """(X, y): data.X as an (n, p) float64 matrix and data.y as an int8
-    vector, numpy views of its arrays."""
-    import numpy as np
-
-    X = np.frombuffer(data.X, dtype=np.float64).reshape(len(data.y), len(data.columns))
-    return X, np.frombuffer(data.y, dtype=np.int8)
+    y = y if type(y) is array and y.typecode == "b" else array("b", map(int, y))
+    return Dataset(X=X, y=y, columns=list(columns), ids=list(ids))
 
 
 def check_training(data: Dataset) -> None:

@@ -18,11 +18,10 @@ is a pure function of (seed, data).
 from __future__ import annotations
 
 import math
-from array import array
 
 from paydev import native
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, check_training, impute_median
+from paydev.ml.dataset import Dataset, as_rows, check_training, impute_median
 from paydev.model import ForestModel, Nodes, TreeModel, tree_proba
 
 
@@ -60,12 +59,11 @@ def fit_forest(data: Dataset, n_trees=500, mtry=None, seed=0, bootstrap=True) ->
 
 
 def predict_forest(model, X):
-    """P(hired) per row of the float64 numpy matrix X under a TreeModel or
-    ForestModel: the mean of the trees' leaf probabilities, accumulated in
-    tree order (tree_proba)."""
-    import numpy as np
-
-    return np.asarray(tree_proba(model, array("d", X.tobytes()), len(X)))
+    """P(hired) per row of X, a matrix() view of rows in the model's columns,
+    under a TreeModel or ForestModel, as an array("d"): the mean of the
+    trees' leaf probabilities, accumulated in tree order (tree_proba)."""
+    values, n, _ = as_rows(X)
+    return tree_proba(model, values, n)
 
 
 # The same function under a second name, which paydev.ml.predict_proba calls

@@ -1,17 +1,19 @@
-"""The numpy twins of the compiled fit and of the compiled forest predictor.
+"""The numpy twins of the compiled fit, of the compiled forest predictor and
+of the compiled fold draws.
 
 paydev.native grows trees: its compiled grow_forest grows a whole forest,
 or one CART, in one call, searching splits in C over each feature's rows
 sorted once per fit, with each tree's bootstrap and node features drawn in
 C from numpy's own SeedSequence and PCG64; its impute_median and seed_state
-fill a matrix's missing values and derive forest seeds. The twins here,
-grow_forest_py, impute_median_py and seed_state_py, give the same bytes
-through numpy: paydev.native binds them without the compiled library, and
-its compiled grow_forest hands them a forest it declines because numpy
-draws it otherwise. grow_forest_py grows each tree node by node through
-best_split, the numpy split search below. Either way the trees come out
-as one node table, the array("q") and array("d") buffers of
-paydev.model.Nodes.
+fill a matrix's missing values and derive forest seeds, and its fold_draws
+shuffles each class for evaluation's folds. The twins here,
+grow_forest_py, impute_median_py, seed_state_py and fold_draws_py, give
+the same bytes through numpy: paydev.native binds them without the
+compiled library, and its compiled grow_forest hands them a forest it
+declines because numpy draws it otherwise. grow_forest_py grows each tree
+node by node through best_split, the numpy split search below. Either way
+the trees come out as one node table, the array("q") and array("d")
+buffers of paydev.model.Nodes.
 
 forest_sum_py, the twin of native.forest_sum, scores a whole forest, or one
 CART, tree by tree over that table (tree_proba) after filling the missing
@@ -211,6 +213,18 @@ def impute_median_py(X, p):
 def seed_state_py(entropy, n_words):
     """native.seed_state through numpy."""
     return np.random.SeedSequence(entropy=list(entropy)).generate_state(n_words).tolist()
+
+
+def fold_draws_py(entropy, sizes, k):
+    """native.fold_draws through numpy."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=list(entropy)))
+    out = []
+    for m in sizes:
+        order = np.arange(m, dtype=np.int64)
+        rng.shuffle(order)
+        out += order.tolist()
+        out.append(int(rng.integers(k)))
+    return out
 
 
 def tree_proba(nodes, X, t=0) -> np.ndarray:

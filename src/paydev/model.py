@@ -13,10 +13,9 @@ arrays; load_model joins them into one table.
 
 tree_proba scores a tree or forest, for predict_rows and for paydev.ml's
 predictors alike, through native.forest_sum, which fills missing values as
-it walks; the compiled one needs no numpy, so `paydev predict --features`
-with such a model runs without it. predict_rows scores rows as
-read_features_csv gives them; a logit model is scored by
-paydev.ml.predict_proba.
+it walks; native.logit_proba scores a logit. Neither needs numpy where the
+library is loaded, so `paydev predict` runs without it. predict_rows scores
+rows as read_features_csv gives them.
 """
 
 from __future__ import annotations
@@ -185,18 +184,15 @@ def tree_proba(model, X, n_rows):
 
 
 def predict_rows(model, rows, columns):
-    """P(hired) of each row (a list of floats in `columns` order) under
+    """P(hired) of each row (a sequence of floats in `columns` order) under
     `model`, with the columns matched to the model's by name and each
-    missing (nan) value replaced by the model's imputed one."""
-    if isinstance(model, LogitModel):
-        import numpy as np
-
-        from paydev import ml
-
-        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
-        return ml.predict_proba(model, X, columns=columns)
+    missing (nan) value replaced by the model's imputed one: by
+    native.logit_proba for a logit, tree_proba otherwise."""
     order = column_order(columns, model.columns)
-    return tree_proba(model, array("d", [row[j] for row in rows for j in order]), len(rows))
+    X = array("d", [row[j] for row in rows for j in order])
+    if isinstance(model, LogitModel):
+        return native.logit_proba(model, X, len(rows))
+    return tree_proba(model, X, len(rows))
 
 
 def _check_unique(names, where, line=None):

@@ -14,13 +14,16 @@ it up as native.<kernel> when they call it. grow_forest grows a whole
 forest, or one CART, in one call, after impute_median, each tree drawing
 from seed_state's SeedSequence and PCG64, into one node table, the arrays
 paydev.model.Nodes holds; a forest the library declines grows in the twin.
-forest_sum scores that table's own buffers and imputes as it walks. These
-four have numpy twins, paydev.ml.kernels' <kernel>_py. The History pass,
-sort_histories, local_calendar and activity, has Python twins in
-paydev.features. A twin's module is imported at its first lookup, so this
-module loads no numpy: with the library a tree or forest `paydev train` or
-`paydev predict --features` runs without it, as `paydev ingest`,
-`identities` and `features` always do; their columns are stdlib arrays.
+forest_sum scores that table's own buffers and imputes as it walks, and
+fold_draws draws evaluation's folds from the same generator. These five
+have numpy twins, paydev.ml.kernels' <kernel>_py. The History pass,
+sort_histories, local_calendar and activity, and commit_rows have Python
+twins in paydev.features; logit_fit and logit_proba, the logistic
+regression's fit and scorer, in paydev.ml.logit; auc in paydev.evaluation.
+A twin's module is imported at its first lookup, so this module loads no
+numpy: with the library every command but `paydev synth` runs without it,
+as `paydev ingest`, `identities` and `features` always do; their columns
+are stdlib arrays.
 
 Both scanners follow one protocol: the C scanners share one signature and
 the driver _runs, which yields each run of items (canonical lines or
@@ -68,7 +71,7 @@ def _load():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.seed_state.argtypes = [ptr, i64, ptr, i64]
     lib.seed_state.restype = None
-    lib.draws.argtypes = [ptr, i64, i64, i64, i64, ptr, ptr]
+    lib.draws.argtypes = [ptr, i64, i64, i64, i64, ptr, ptr, ptr]
     lib.draws.restype = ctypes.c_int
     lib.impute_median.argtypes = [ptr, i64, i64, ptr, ptr]
     lib.impute_median.restype = ctypes.c_int
@@ -85,7 +88,13 @@ def _load():
     lib.sort_histories.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr]
     lib.local_calendar.argtypes = [ptr, ptr, i64, ptr]
     lib.activity.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
-    for fn in (lib.sort_histories, lib.local_calendar, lib.activity):
+    lib.commit_rows.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.commit_rows.restype = None
+    lib.logit_fit.argtypes = [ptr, i64, i64, ptr, f64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.logit_proba.argtypes = [ptr, i64, i64, *[ptr] * 4, f64, ptr]
+    lib.logit_proba.restype = None
+    lib.auc.argtypes = [ptr, ptr, i64, ptr]
+    for fn in (lib.sort_histories, lib.local_calendar, lib.activity, lib.logit_fit, lib.auc):
         fn.restype = ctypes.c_int
     if not generator_ok(lib):
         raise RuntimeError("the library's generator fails numpy's known draws")
@@ -224,46 +233,63 @@ def _c_seed_state(entropy, n_words):
     return out.tolist()
 
 
-DRAWS = ("raw", "uint32", "bootstrap", "choice")
+DRAWS = ("raw", "uint32", "bootstrap", "choice", "shuffle")
 
 
-def draws(entropy, kind, n=0, k=0, library=None):
+def draws(entropy, kind, n=0, k=0, library=None, sizes=()):
     """(draws, state after) of numpy's default_rng(SeedSequence(entropy)),
     from the generator of `library`, by default the loaded one: kind "raw"
     gives k next_uint64 values, "uint32" k next_uint32 values, "bootstrap"
-    np.sort(rng.integers(0, n, size=n)) and "choice" rng.choice(n, k,
-    replace=False) where numpy takes Floyd's algorithm. state lists the high
-    and low 64 bits of the PCG64 state and inc, has_uint32 and uinteger.
-    ValueError for a count below 0, a choice of more than n, and a bootstrap
-    of 2**32 rows or more, which numpy draws otherwise."""
-    if n < 0 or k < 0 or (kind == "choice" and k > n):
-        raise ValueError("draws: n and k must be >= 0, and a choice k <= n")
-    if kind == "bootstrap" and n - 1 >= 2**32 - 1:
-        raise ValueError("draws: numpy draws a bootstrap of 2**32 rows or more otherwise")
-    words, size = _words(entropy), n if kind == "bootstrap" else k
-    out, state = array("Q", bytes(8 * size)), array("Q", bytes(48))
+    np.sort(rng.integers(0, n, size=n)), "choice" rng.choice(n, k,
+    replace=False) where numpy takes Floyd's algorithm, and "shuffle", for
+    each m of `sizes`, a = np.arange(m); rng.shuffle(a) and then
+    rng.integers(k): a's values, then the integer. state lists the high and
+    low 64 bits of the PCG64 state and inc, has_uint32 and uinteger.
+    ValueError for a count below 0, a choice of more than n, a shuffle into
+    no fold, and where numpy draws otherwise: a bootstrap of 2**32 rows or
+    more, a shuffle of more than 2**32 values or into 2**32 folds or more."""
+    sizes = array("q", sizes)
+    if n < 0 or k < 0 or (kind == "choice" and k > n) or (sizes and min(sizes) < 0):
+        raise ValueError("draws: n, k and sizes must be >= 0, and a choice k <= n")
+    if kind == "shuffle" and k < 1:
+        raise ValueError("draws: a shuffle needs at least one fold")
+    if (kind == "bootstrap" and n >= 2**32) or (kind == "shuffle" and (
+            k >= 2**32 or sizes and max(sizes) > 2**32)):
+        raise ValueError("draws: numpy draws so many rows or folds otherwise")
+    size = {"bootstrap": n, "shuffle": sum(sizes) + len(sizes)}.get(kind, k)
+    n = len(sizes) if kind == "shuffle" else n
+    words, out, state = _words(entropy), array("Q", bytes(8 * size)), array("Q", bytes(48))
     library = lib if library is None else library
     if library.draws(words.buffer_info()[0], len(words), DRAWS.index(kind), n, k,
-                     out.buffer_info()[0], state.buffer_info()[0]):
+                     sizes.buffer_info()[0], out.buffer_info()[0], state.buffer_info()[0]):
         raise MemoryError("draws")
     return out.tolist(), state.tolist()
 
 
+def _c_fold_draws(entropy, sizes, k):
+    """numpy's draws for stratified folds from default_rng(SeedSequence(
+    entropy)), as draws' kind "shuffle" gives them: for each class of m
+    rows, the order rng.shuffle gives np.arange(m), then rng.integers(k)."""
+    return draws(entropy, "shuffle", k=k, sizes=sizes)[0]
+
+
 # numpy's draws from default_rng(SeedSequence([2018, 1])): its first two raw
-# values, choice(40, 6, replace=False) and its sorted bootstrap of 10 rows
+# values, choice(40, 6, replace=False), its sorted bootstrap of 10 rows, and
+# the shuffles of np.arange(6) and np.arange(4), each followed by integers(3)
 KNOWN_DRAWS = {
-    "raw": [1810956789399191930, 8989135104660027435],
-    "choice": [39, 31, 3, 21, 18, 11],
-    "bootstrap": [0, 3, 4, 4, 4, 5, 7, 8, 9, 9],
+    "raw": ([1810956789399191930, 8989135104660027435], dict(k=2)),
+    "choice": ([39, 31, 3, 21, 18, 11], dict(n=40, k=6)),
+    "bootstrap": ([0, 3, 4, 4, 4, 5, 7, 8, 9, 9], dict(n=10)),
+    "shuffle": ([1, 4, 0, 3, 5, 2, 2, 2, 1, 0, 3, 1], dict(k=3, sizes=[6, 4])),
 }
 
 
 def generator_ok(library):
     """Whether the generator of `library` gives numpy's known draws (see
-    KNOWN_DRAWS), which every compiled forest relies on; _load refuses a
-    library whose generator does not."""
-    return all(draws([2018, 1], kind, n, k, library)[0] == KNOWN_DRAWS[kind]
-               for kind, n, k in (("raw", 0, 2), ("choice", 40, 6), ("bootstrap", 10, 0)))
+    KNOWN_DRAWS), which every compiled forest and every fold relies on;
+    _load refuses a library whose generator does not."""
+    return all(draws([2018, 1], kind, library=library, **args)[0] == known
+               for kind, (known, args) in KNOWN_DRAWS.items())
 
 
 def _c_impute_median(X, p):
@@ -402,6 +428,86 @@ def _c_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
     return (period, days, weeks, reals[0], commits, *reals[1:], top, beginning, length, end)
 
 
+def _doubles(values):
+    """`values` as an array("d"); an array("d") itself is kept, not copied."""
+    return values if type(values) is array and values.typecode == "d" else array("d", values)
+
+
+def _c_commit_rows(ts, hour, weekday, lines, fill):
+    """The 15 features.COMMIT_FEATURE_COLUMNS of each commit of a History,
+    from its columns, row after row as an array("d"), in one call to the
+    library's commit_rows; fill holds the developer's loc_per_commit, for
+    NaN lines, its timediff, for the first commit, and its six shares."""
+    columns = [int_column(c) for c in (ts, hour, weekday)]
+    lines, fill = _doubles(lines), _doubles(fill)
+    n = len(columns[0])
+    if any(len(c) != n for c in (*columns, lines)) or len(fill) != 8:
+        raise ValueError("commit_rows: the columns differ in length, or fill is not 8 values")
+    out = array("d", bytes(120 * n))
+    lib.commit_rows(n, *_addresses(*columns, lines, fill, out))
+    return out
+
+
+def _c_logit_fit(X, y, p, l2, max_iter, tol):
+    """(mean, scale, w, loss history, n_iter, converged) of the logistic
+    regression of y (array("b"), 0 or 1) on X (array("d") of len(y) rows of p
+    values, no NaN), in one call to the library's logit_fit: each column's
+    mean and scale, the p coefficients and then the intercept in w (all
+    array("d")), and the losses as a list. w is None, and nothing is fitted,
+    when a column's mean or scale is not finite."""
+    n = len(y)
+    if not (type(X) is array and X.typecode == "d" and type(y) is array and y.typecode == "b"
+            and len(X) == n * p):
+        raise TypeError("logit_fit needs X as array('d') of len(y) rows and y as array('b')")
+    max_iter = min(max_iter, 2**62)
+    mean, scale, w, info = (array(t, bytes(8 * size)) for t, size in (
+        ("d", p), ("d", p), ("d", p + 1), ("q", 3)))
+    cap = min(max(max_iter, 0), 256) + 1
+    while True:  # once more, with room for every loss, after a fit of more than cap - 1 steps
+        history = array("d", bytes(8 * cap))
+        status = lib.logit_fit(X.buffer_info()[0], n, p, y.buffer_info()[0], l2, max_iter, tol,
+                               *_addresses(mean, scale, w, history), cap, info.buffer_info()[0])
+        if status == -1:
+            raise MemoryError("logit_fit")
+        if status == -2:
+            return mean, scale, None, [], 0, False
+        if info[2] <= cap:
+            return mean, scale, w, history[:info[2]].tolist(), info[0], bool(info[1])
+        cap = info[2]
+
+
+def _c_logit_proba(model, X, n_rows):
+    """P(hired) per row of X (an array("d") of n_rows rows in the columns of
+    the LogitModel `model`) as an array("d"), in one call to the library's
+    logit_proba; a NaN in column j takes model.impute[j]."""
+    vectors = [_doubles(v) for v in (model.impute, model.mean, model.scale, model.coef)]
+    p = len(vectors[0])
+    if type(X) is not array or X.typecode != "d":
+        raise TypeError("logit_proba needs X as array('d')")
+    if any(len(v) != p for v in vectors) or len(X) != n_rows * p:
+        raise ValueError("logit_proba: rows or model vectors of unequal length")
+    out = array("d", bytes(8 * n_rows))
+    lib.logit_proba(X.buffer_info()[0], n_rows, p, *_addresses(*vectors), model.intercept,
+                    out.buffer_info()[0])
+    return out
+
+
+def _c_auc(scores, labels):
+    """roc_auc's AUC of scores (array("d")) against labels (array("b"); 1 is
+    positive, any other value negative), both classes present, in one call
+    to the library's auc."""
+    if not (type(scores) is array and scores.typecode == "d" and type(labels) is array
+            and labels.typecode == "b" and len(scores) == len(labels)):
+        raise TypeError("auc needs scores as array('d') and labels as array('b') of one length")
+    out = array("d", [0.0])
+    status = lib.auc(*_addresses(scores, labels), len(scores), out.buffer_info()[0])
+    if status == -1:
+        raise MemoryError("auc")
+    if status:
+        raise ValueError("auc needs both classes")
+    return out[0]
+
+
 try:
     lib = _load()
 except (OSError, RuntimeError):
@@ -410,10 +516,14 @@ except (OSError, RuntimeError):
 BACKEND = "python" if lib is None else "c"
 
 # The module of each kernel's twin, named <kernel>_py there: numpy's for the
-# fit and the forest predictor, Python's for the History pass.
-_TWINS = dict.fromkeys(("impute_median", "grow_forest", "seed_state", "forest_sum"),
-                       "paydev.ml.kernels")
-_TWINS.update(dict.fromkeys(("sort_histories", "local_calendar", "activity"), "paydev.features"))
+# generator's draws, the forest fit and the forest predictor; Python's for
+# the History pass, the commit rows, the logit and the AUC.
+_TWINS = dict.fromkeys(("impute_median", "grow_forest", "seed_state", "forest_sum",
+                        "fold_draws"), "paydev.ml.kernels")
+_TWINS.update(dict.fromkeys(("sort_histories", "local_calendar", "activity", "commit_rows"),
+                            "paydev.features"))
+_TWINS.update(dict.fromkeys(("logit_fit", "logit_proba"), "paydev.ml.logit"))
+_TWINS["auc"] = "paydev.evaluation"
 
 if lib is None:
     # every line, or every record's offset, is declined to the Python reader
@@ -427,7 +537,9 @@ if lib is None:
         twin = globals()[name] = getattr(importlib.import_module(_TWINS[name]), f"{name}_py")
         return twin
 else:
-    impute_median, grow_forest, seed_state, forest_sum = (
-        _c_impute_median, _c_grow_forest, _c_seed_state, _c_forest_sum)
-    sort_histories, local_calendar, activity = _c_sort_histories, _c_local_calendar, _c_activity
+    impute_median, grow_forest, seed_state, forest_sum, fold_draws = (
+        _c_impute_median, _c_grow_forest, _c_seed_state, _c_forest_sum, _c_fold_draws)
+    sort_histories, local_calendar, activity, commit_rows = (
+        _c_sort_histories, _c_local_calendar, _c_activity, _c_commit_rows)
+    logit_fit, logit_proba, auc = _c_logit_fit, _c_logit_proba, _c_auc
     scan_canonical, scan_git_log = _c_scan_canonical, _c_scan_git_log

@@ -1,9 +1,10 @@
+import importlib
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from paydev import features, native
+from paydev import native
 from paydev.features import histories
 from paydev.identity import Identity
 from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
@@ -31,20 +32,27 @@ def make_record(
     )
 
 
-# True: the compiled History pass; False: its Python twin
-HISTORY_MODES = (True, False) if native.BACKEND == "c" else (False,)
+# True: the kernels native binds (the compiled ones with the library);
+# False: their twins
+HISTORY_MODES = KERNEL_MODES = (True, False) if native.BACKEND == "c" else (False,)
 
 
 @contextmanager
-def compiled_histories(on):
-    """features.histories, to_local and developer_features on the compiled
-    History pass (`on`, which native binds with the library), or on its
-    Python twin."""
+def twins(*names):
+    """native's kernels `names` bound to their twins (<name>_py in the
+    module native._TWINS names) while the block runs."""
     with pytest.MonkeyPatch.context() as mp:
-        if not on:
-            for name in ("sort_histories", "local_calendar", "activity"):
-                mp.setattr(native, name, getattr(features, f"{name}_py"))
+        for name in names:
+            module = importlib.import_module(native._TWINS[name])
+            mp.setattr(native, name, getattr(module, f"{name}_py"))
         yield
+
+
+def compiled_histories(on):
+    """features.histories, to_local, developer_features and commit_features
+    on the compiled History pass and commit rows (`on`, which native binds
+    with the library), or on their Python twins."""
+    return twins(*() if on else ("sort_histories", "local_calendar", "activity", "commit_rows"))
 
 
 def sha_of(i: int) -> str:

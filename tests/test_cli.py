@@ -1236,12 +1236,13 @@ def test_predict_column_mismatch_exit_4(predict_inputs, tmp_path, capsys, kind, 
     assert not out.exists()
 
 
-# predict --features with a tree or a forest model, in one fresh interpreter in
-# the directory of the models: per model, whether numpy was loaded after it
+# predict --features with a logit, a tree or a forest model, in one fresh
+# interpreter in the directory of the models: per model, whether numpy was
+# loaded after it
 PREDICT_SCRIPT = """
 import sys
 from paydev import cli, native
-for kind in ("rpart", "forest-7"):
+for kind in ("logit", "rpart", "forest-7"):
     argv = ["predict", f"{kind}.json", "--features", "f.csv", "--out", sys.argv[1] + kind]
     assert cli.main(argv) == 0, kind
     print(kind, "numpy" in sys.modules)
@@ -1252,7 +1253,8 @@ print(native.BACKEND)
 @pytest.mark.parametrize("backend", ["c", "python"])
 def test_predict_tree_or_forest_imports_no_numpy(predict_inputs, tmp_path, backend):
     """With the compiled library numpy stays unloaded; the fallback (no cc on
-    PATH and an empty library cache) writes the same bytes."""
+    PATH and an empty library cache) loads it for a tree or forest, not for
+    a logit, and writes the same bytes."""
     if backend == "c" and native.BACKEND != "c":
         pytest.skip("no compiled library")
     d, _ = predict_inputs
@@ -1263,13 +1265,57 @@ def test_predict_tree_or_forest_imports_no_numpy(predict_inputs, tmp_path, backe
     r = subprocess.run([sys.executable, "-c", PREDICT_SCRIPT, f"{tmp_path}/fresh-"], cwd=d,
                        env=env, capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == [f"rpart {backend == 'python'}",
+    assert r.stdout.splitlines() == ["logit False", f"rpart {backend == 'python'}",
                                      f"forest-7 {backend == 'python'}", backend]
-    for kind in ("rpart", "forest-7"):
+    for kind in ("logit", "rpart", "forest-7"):
         here = tmp_path / f"here-{kind}"
         assert run_cli("predict", str(d / f"{kind}.json"), "--features", str(d / "f.csv"),
                        "--out", str(here)) == 0
         assert (tmp_path / f"fresh-{kind}").read_bytes() == here.read_bytes()
+
+
+# evaluate, commits, logit train and predict (a developer-feature model with
+# --features and --records, a commit-feature model with --records), in one
+# fresh interpreter with the compiled library: none of them loads numpy
+STUDY_SCRIPT = """
+import sys
+from paydev import cli
+runs = (
+    ["evaluate", "r.jsonl", "--labels", "l.csv", "--min-commits", "20", "--folds", "3",
+     "--repeats", "1", "--forest-trees", "5", "--out", "report.json"],
+    ["commits", "r.jsonl", "--labels", "l.csv", "--min-commits", "20", "--forest-trees", "5",
+     "--out", "commits.json"],
+    ["features", "r.jsonl", "--out", "f.csv"],
+    ["train", "f.csv", "--labels", "l.csv", "--classifier", "logit", "--out", "logit.json"],
+    ["predict", "logit.json", "--features", "f.csv", "--out", "p.csv"],
+    ["predict", "logit.json", "--records", "r.jsonl", "--out", "pr.csv"],
+    ["train", "cf.csv", "--labels", "l.csv", "--classifier", "logit", "--out", "clogit.json"],
+    ["predict", "clogit.json", "--records", "r.jsonl", "--out", "cpr.csv"],
+)
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+"""
+
+
+def test_study_commands_import_no_numpy(tmp_path):
+    if native.BACKEND != "c":
+        pytest.skip("no compiled library")
+    assert run_cli("synth", "--out", str(tmp_path / "r.jsonl"), "--labels-out",
+                   str(tmp_path / "l.csv"), "--seed", "7", "--devs", "24", "--commits-low", "30",
+                   "--commits-high", "60") == 0
+    ids = [row[0] for row in csv.reader((tmp_path / "l.csv").read_text().splitlines()[1:])]
+    (tmp_path / "cf.csv").write_text("\n".join(
+        [",".join(["identity", *features.COMMIT_FEATURE_COLUMNS])]
+        + [",".join([ident_id, *(str((i * 7 + k) % 5) for k in range(15))])
+           for i, ident_id in enumerate(ids)]) + "\n")
+    r = subprocess.run([sys.executable, "-c", STUDY_SCRIPT], cwd=tmp_path,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    n_commits = len((tmp_path / "r.jsonl").read_text().splitlines())
+    assert len((tmp_path / "cpr.csv").read_text().splitlines()) == n_commits + 1
+    assert json.loads((tmp_path / "commits.json").read_text())["all_commits"]["cells"]
 
 
 class TestProductFilter:

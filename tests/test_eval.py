@@ -1,9 +1,12 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import history_of, make_record, sha_of
+from conftest import KERNEL_MODES, history_of, make_record, sha_of, twins
+from paydev import evaluation, native
 from paydev.errors import SingleClassError, StratificationError
 from paydev.evaluation import (
     Cell,
@@ -23,6 +26,7 @@ from paydev.ml import fit_logit, fit_tree, make_dataset
 
 from oracle_auc import pairwise_auc
 from oracle_calendar import local_civil
+from oracle_kfold import numpy_stratified_kfold
 
 
 class TestRocAuc:
@@ -72,6 +76,41 @@ class TestRocAuc:
         base = roc_auc(scores, labels)
         assert roc_auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
         assert roc_auc(3 * scores + 7, labels) == pytest.approx(base, abs=1e-12)
+
+
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
+                    st.floats(allow_nan=False, width=64))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_auc_kernels_match_pairwise_oracle(data):
+    """The compiled AUC and its twin give the pairwise oracle's value bit for
+    bit: with ties, signed zeros, infinities, all-equal scores and n = 2."""
+    n = data.draw(st.integers(2, 60))
+    scores = data.draw(st.lists(_SCORES, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        scores = [scores[0]] * n
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = data.draw(st.permutations([0, 1]))
+    expected = pairwise_auc(scores, labels)
+    for on in KERNEL_MODES:
+        with twins(*() if on else ("auc",)):
+            assert native.auc(array("d", scores), array("b", labels)) == expected
+            assert roc_auc(scores, labels) == expected
+
+
+def test_report_mean_and_sd_sum_as_numpy():
+    """EvalReport.aggregate's mean and sd equal np.mean and np.std bit for
+    bit, for 1 to 300 cells, where a sum in order differs."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 301):
+        for values in (rng.random(n), rng.random(n) * 10.0 ** rng.uniform(-6, 6, n)):
+            cells = [Cell("c", 0, i, v, v, v, 0, 0, 0, 0) for i, v in enumerate(values.tolist())]
+            agg = EvalReport(cells=cells, config={}).aggregate()["c"]
+            assert agg["auc_mean"] == agg["precision_mean"] == np.mean(values), n
+            assert agg["auc_sd"] == agg["recall_sd"] == (np.std(values) if n > 1 else 0.0), n
+    assert evaluation.pairwise_sum([-0.0] * 9) == np.add.reduce(np.array([-0.0] * 9))
 
 
 class TestPrecisionRecall:
@@ -140,6 +179,26 @@ class TestStratifiedKFold:
                 for fold in folds[0]:
                     got = int((labels[fold] == cls).sum())
                     assert abs(got - ideal) <= 1.0
+
+
+    @pytest.mark.parametrize("seed", [1, 2**32, 2**70])
+    @pytest.mark.parametrize("on", KERNEL_MODES)
+    def test_matches_numpy_folds(self, seed, on):
+        """The folds numpy's Generator dealt, from the compiled generator and
+        from its twin: two or three classes, n up to 10,000, k from 2 to 10,
+        several repeats."""
+        rng = np.random.default_rng(seed % 2**32)
+        cases = [(n, k) for k in range(2, 11) for n in (2 * k, 3 * k + 1, 97)]
+        cases += [(1000, 3), (10_000, 10), (10_000, 2)]
+        for n, k in cases:
+            labels = rng.integers(0, 2 if n < 97 else 3, size=n)
+            labels[:2 * k] = np.arange(2 * k) % (2 if n < 97 else 3)
+            if np.bincount(labels).min() < k:
+                continue
+            with twins(*() if on else ("fold_draws",)):
+                got = stratified_kfold(n, labels.tolist(), k=k, repeats=3, seed=seed)
+            assert [[f.tolist() for f in r] for r in got] == numpy_stratified_kfold(
+                n, labels, k, 3, seed), (n, k)
 
 
 class TestCrossValidate:
@@ -222,7 +281,7 @@ class TestBaselines:
 
     def test_officehours_thresholds(self):
         commits = self._commits_by_id()
-        assert commit_flags(commits["dev1"], ())[1].mean() == pytest.approx(0.6)
+        assert np.mean(commit_flags(commits["dev1"], ())[1]) == pytest.approx(0.6)
         cells = _baselines(commits, ["dev1", "dev2"], [1, 0])
         assert [cells["50%officehours"].tp, cells["50%officehours"].fp] == [1, 0]
         assert [cells["95%officehours"].tp, cells["95%officehours"].fp] == [0, 0]
@@ -231,7 +290,7 @@ class TestBaselines:
         commits = self._commits_by_id()
         cells = _baselines(commits, ["dev1", "dev2"], [1, 0])
         assert [cells["email"].tp, cells["email"].fp] == [0, 1]
-        assert commit_flags(commits["dev2"], ("mozilla.com",))[0].mean() == pytest.approx(0.5)
+        assert np.mean(commit_flags(commits["dev2"], ("mozilla.com",))[0]) == pytest.approx(0.5)
 
     def test_allhired_recall_one_auc_half(self):
         cell = _baselines(self._commits_by_id(), ["dev1", "dev2"], [1, 0])["allhired"]

@@ -166,6 +166,11 @@ class TestMedians:
             assert median(xs) == pytest.approx(expected, rel=1e-15)
 
 
+def _rows(X, columns):
+    """The flat array("d") X as a numpy matrix of rows of len(columns)."""
+    return np.asarray(X).reshape(-1, len(columns))
+
+
 class TestMatrix:
     def _features(self, fixture_commits):
         return {"dev": developer_features(history_of(fixture_commits))}
@@ -174,14 +179,14 @@ class TestMatrix:
         X, ids, columns = feature_matrix(self._features(fixture_commits), "all")
         assert columns == FEATURE_COLUMNS
         assert len(columns) == 16
-        assert X.shape == (1, 16)
+        assert _rows(X, columns).shape == (1, 16)
         assert ids == ["dev"]
 
     def test_no_volume_12_columns(self, fixture_commits):
         X, _, columns = feature_matrix(self._features(fixture_commits), "no_volume")
         assert len(columns) == 12
         assert set(FEATURE_COLUMNS) - set(columns) == {"commits", "days", "weeks", "period"}
-        assert X.shape == (1, 12)
+        assert _rows(X, columns).shape == (1, 12)
 
     def test_rows_sorted_by_id(self, fixture_commits):
         feats = developer_features(history_of(fixture_commits))
@@ -196,13 +201,14 @@ class TestMatrix:
         assert columns == FEATURE_COLUMNS
         assert ids == ["dev"]
         direct, _, _ = feature_matrix(self._features(fixture_commits), "all")
-        assert np.allclose(X, direct, atol=1e-6)
+        assert np.allclose(X, _rows(direct, columns), atol=1e-6)
 
 
 class TestCommitFeatures:
     def test_flags(self, fixture_commits):
         aggregates = developer_features(history_of(fixture_commits))
         X, shas, columns = commit_features(history_of(fixture_commits))
+        X = _rows(X, columns)
         assert columns == COMMIT_FEATURE_COLUMNS
         assert X.shape == (4, len(columns))
         sat = X[2]  # Sat 22:00
@@ -218,11 +224,13 @@ class TestCommitFeatures:
     def test_first_commit_uses_aggregate_timediff(self, fixture_commits):
         aggregates = developer_features(history_of(fixture_commits))
         X, _, columns = commit_features(history_of(fixture_commits))
+        X = _rows(X, columns)
         assert X[0][columns.index("time_since_prev")] == pytest.approx(aggregates.timediff)
 
     def test_flag_sums_match_aggregate_shares(self, fixture_commits):
         aggregates = developer_features(history_of(fixture_commits))
         X, _, columns = commit_features(history_of(fixture_commits))
+        X = _rows(X, columns)
         col = {c: i for i, c in enumerate(columns)}
         n = len(X)
         assert X[:, col["weekend_flag"]].sum() == aggregates.weekend * n
@@ -237,6 +245,7 @@ class TestCommitFeatures:
         ]
         aggregates = developer_features(history_of(recs))
         X, _, columns = commit_features(history_of(recs))
+        X = _rows(X, columns)
         assert X[1][columns.index("loc")] == aggregates.loc_per_commit == 8.0
 
     def test_columns_match_calendar_oracle(self, rng):
@@ -256,6 +265,7 @@ class TestCommitFeatures:
         ]
         aggregates = developer_features(history_of(commits))
         X, shas, columns = commit_features(history_of(commits))
+        X = _rows(X, columns)
         by_sha = {c.sha: c for c in commits}
         col = {c: i for i, c in enumerate(columns)}
         assert len(shas) == len(commits)
@@ -312,6 +322,7 @@ class TestHistory:
         by_sha = {c.sha: c for c in commits}
         assert h.sha == [c.sha for c in sorted(commits, key=lambda c: (c.timestamp_utc, c.sha))]
         X, shas, columns = commit_features(h)
+        X = _rows(X, columns)
         assert shas == h.sha
         hours = [local_civil(by_sha[sha].timestamp_utc, by_sha[sha].tz_offset_minutes)[3]
                  for sha in h.sha]
@@ -382,9 +393,9 @@ _commits = st.lists(
 
 @pytest.mark.skipif(native.BACKEND != "c", reason="needs the compiled library")
 class TestCompiledTwin:
-    """The compiled History pass and its Python twin give the same columns,
-    byte for byte (NaN included), the same developer features and the same
-    errors."""
+    """The compiled History pass and commit rows and their Python twins give
+    the same columns, byte for byte (NaN included), the same developer
+    features and commit rows, and the same errors."""
 
     @given(_commits)
     @settings(max_examples=150, deadline=None)
@@ -401,7 +412,8 @@ class TestCompiledTwin:
             with compiled_histories(on):
                 hs = histories(identities, table)
                 got.append({i: (h.sha, h.email, _columns(h),
-                                developer_features(h) if h.sha else None)
+                                developer_features(h) if h.sha else None,
+                                commit_features(h)[0].tobytes() if h.sha else None)
                             for i, h in hs.items()})
         assert got[0] == got[1]
         weekend = hs["id3"]

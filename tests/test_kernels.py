@@ -331,6 +331,29 @@ def test_c_choice_matches_generator_choice():
 
 
 @needs_cc
+def test_c_shuffle_matches_generator_shuffle():
+    """draws' kind "shuffle" (the folds' draws): per group of m values,
+    Generator.shuffle of np.arange(m) and then Generator.integers(k), with
+    the state after, across the masks' edges and up to 2**32 - 1 folds."""
+    groups = [[], [0], [1], [2], [3, 4], [5, 17, 1], [256, 257], [1000, 65_537], [2, 3] * 20]
+    for seed, sizes in enumerate(groups):
+        for k in (1, 2, 3, 10, 2**31, 2**32 - 1):
+            got, state = native.draws([seed, 5], "shuffle", k=k, sizes=sizes)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+            expected = []
+            for m in sizes:
+                order = np.arange(m)
+                rng.shuffle(order)
+                expected += [*order.tolist(), int(rng.integers(k))]
+            assert got == expected, (sizes, k)
+            assert state == _state(rng), (sizes, k)
+    for bad in (dict(k=0, sizes=[3]), dict(k=2**32, sizes=[3]), dict(k=2, sizes=[2**32 + 1]),
+                dict(k=2, sizes=[-1])):
+        with pytest.raises(ValueError):
+            native.draws([0], "shuffle", **bad)
+
+
+@needs_cc
 def test_c_choice_differs_where_numpy_shuffles_a_range():
     """p > 10,000 and k > p // 50: numpy shuffles a whole range, which the C
     draw does not repeat, so the compiled grower declines such forests."""
@@ -354,8 +377,14 @@ from paydev.ml import kernels
 
 assert native.lib is None and native.BACKEND == kernels.BACKEND == "python", native.BACKEND
 assert native.scan_canonical is iter and native.scan_git_log is native.record_offsets
-twins = dict.fromkeys(["impute_median", "grow_forest", "seed_state", "forest_sum"], kernels)
-twins.update(dict.fromkeys(["sort_histories", "local_calendar", "activity"], features))
+from paydev import evaluation
+from paydev.ml import logit
+
+twins = dict.fromkeys(["impute_median", "grow_forest", "seed_state", "forest_sum", "fold_draws"],
+                      kernels)
+twins.update(dict.fromkeys(["sort_histories", "local_calendar", "activity", "commit_rows"],
+                           features))
+twins.update(logit_fit=logit, logit_proba=logit, auc=evaluation)
 for name, module in twins.items():
     assert getattr(native, name) is getattr(module, name + "_py"), name
 sys.exit(cli.main(sys.argv[1:]))
@@ -521,11 +550,17 @@ def test_python_fallback_without_compiler_gives_same_bytes(tmp_path):
              "--forest-trees", "10", "--out", f"model-{backend}.json"],
             ["train", "f.csv", "--labels", "labels.csv", "--classifier", "rpart",
              "--out", f"tree-{backend}.json"],
+            ["commits", "records.jsonl", "--labels", "labels.csv", "--min-commits", "20",
+             "--forest-trees", "5", "--out", f"commits-{backend}.json"],
+            ["train", "f.csv", "--labels", "labels.csv", "--classifier", "logit",
+             "--out", f"logit-{backend}.json"],
+            ["predict", f"logit-{backend}.json", "--records", "records.jsonl",
+             "--out", f"predict-{backend}.json"],
         ]
         for argv in runs:
             r = _python(cli + argv, home, path, tmp_path)
             assert r.returncode == 0, r.stderr
             assert f"# kernel: {backend}\n" in r.stderr
         outputs[backend] = [(tmp_path / f"{kind}-{backend}.json").read_bytes()
-                            for kind in ("report", "model", "tree")]
+                            for kind in ("report", "model", "tree", "commits", "logit", "predict")]
     assert outputs["python"] == outputs["c"]

@@ -291,7 +291,7 @@ class TestPredictContract:
         X, y = _separable(rng, 100)
         model = fit_forest(_dataset(X, y), n_trees=10, seed=1)
         p = predict_proba(model, rng.normal(size=(200, 2)) * 5)
-        assert ((p >= 0) & (p <= 1)).all()
+        assert all(0 <= v <= 1 for v in p)
 
 
 class TestIntrospectAndSerialize:

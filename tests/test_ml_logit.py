@@ -1,8 +1,18 @@
+from array import array
+from io import StringIO
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from paydev.ml import fit_logit, loss_and_grad, make_dataset, predict_proba
+from conftest import KERNEL_MODES, twins
+from paydev import native
+from paydev.errors import SchemaError
+from paydev.ml import fit_logit, loss_and_grad, make_dataset, predict_proba, save_model
 from paydev.ml.logit import LogitModel, sigmoid
+
+LOGIT_KERNELS = ("logit_fit", "logit_proba")
 
 
 def _dataset(X, y):
@@ -100,6 +110,17 @@ class TestFit:
         with pytest.warns(RuntimeWarning):
             fit_logit(_dataset(X, y), l2=0.0, max_iter=5, tol=1e-14)
 
+    @pytest.mark.parametrize("on", KERNEL_MODES)
+    def test_spread_past_the_largest_double_refused(self, on):
+        """A column whose squared deviations overflow has no finite scale: the
+        fit names it and fits nothing."""
+        X = np.array([[1.0, -1.5e308 if i % 2 else 1.5e308] for i in range(10)])
+        y = np.array([0, 1] * 5)
+        columns = ["ok", "wide"]
+        data = make_dataset(X, y, columns, [str(i) for i in range(10)])
+        with twins(*() if on else LOGIT_KERNELS), pytest.raises(SchemaError, match="'wide'"):
+            fit_logit(data)
+
     def test_scale_invariance_of_predictions(self, rng):
         X = rng.normal(size=(60, 4))
         y = (X[:, 1] > 0).astype(int)
@@ -119,7 +140,7 @@ class TestFit:
         y = (rng.random(50) < 0.4).astype(int)
         model = fit_logit(_dataset(X, y))
         p = predict_proba(model, rng.normal(size=(200, 3)) * 100)
-        assert ((p >= 0) & (p <= 1)).all()
+        assert all(0 <= v <= 1 for v in p)
 
 
 def test_introspect_ranks_tied_coefficients_in_column_order():
@@ -136,3 +157,54 @@ def test_introspect_ranks_tied_coefficients_in_column_order():
     lines = introspect(model).splitlines()
     assert [line.split()[0] for line in lines[1:-1]] == ["b", "d", "a", "c", "e", "f"]
     assert lines[-1] == "  intercept +0.2500"
+
+
+_SPECIAL = (np.nan, -0.0, 0.0)
+
+
+@pytest.mark.skipif(native.BACKEND != "c", reason="compiled logit not in use")
+@settings(max_examples=150, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(data=st.data())
+def test_compiled_and_twin_logit_give_the_same_model_bytes(data):
+    """fit_logit and predict_proba through the compiled logit and through
+    its stdlib twin: the same model file, probabilities, warning, or
+    refusal, with NaN (imputed), constant, collinear and huge columns, any
+    ridge, step count and tolerance. A failing example is reported as
+    drawn."""
+    import warnings
+
+    n, p = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 5))
+    cells = st.one_of(st.sampled_from(_SPECIAL), st.integers(-3, 3).map(float),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    X = np.array(data.draw(st.lists(cells, min_size=n * p, max_size=n * p))).reshape(n, p)
+    if p > 1 and data.draw(st.booleans()):
+        X[:, 1] = 2.0 * X[:, 0]  # collinear
+    if data.draw(st.integers(0, 3)) == 0:  # a huge value, whose square may overflow
+        X[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))] = data.draw(
+            st.sampled_from([1e300, -1e300, 1e154, 1e20]))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    params = dict(l2=data.draw(st.sampled_from([0.0, 1e-8, 1e-3, 1.0])),
+                  max_iter=data.draw(st.integers(0, 30)),
+                  tol=data.draw(st.sampled_from([1e-14, 1e-8, 1e-2])))
+    dataset = _dataset(X, y)
+    results = []
+    for on in (True, False):
+        with twins(*() if on else LOGIT_KERNELS), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                model = fit_logit(dataset, **params)
+            except SchemaError as exc:
+                results.append(str(exc))
+                continue
+            out = StringIO()
+            try:
+                save_model(model, out)
+            except ValueError:  # a NaN or infinite weight, which no file holds
+                pass
+            results.append((out.getvalue(), model.coef.tobytes(),
+                            array("d", [model.intercept, *model.loss_history]).tobytes(),
+                            [str(w.message) for w in caught],
+                            predict_proba(model, X).tobytes()))
+    assert results[0] == results[1]

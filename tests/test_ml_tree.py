@@ -164,7 +164,7 @@ class TestPredict:
         y = (rng.random(80) < 0.3).astype(int)
         model = fit_tree(_dataset(X, y), minsplit=5)
         p = predict_proba(model, rng.normal(size=(300, 3)) * 10)
-        assert ((p >= 0) & (p <= 1)).all()
+        assert all(0 <= v <= 1 for v in p)
 
 
 class TestIntrospect:

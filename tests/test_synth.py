@@ -101,5 +101,6 @@ class TestSeparability:
         spec = spec_with_profiles(_small_spec(n_devs=30), "overlapping")
         records, labels = generate_synthetic_corpus(spec, seed=4)
         data = _dataset(records, labels)
-        X, y = ml.as_numpy(data)
+        X = np.asarray(data.X).reshape(len(data.y), len(data.columns))
+        y = np.asarray(data.y)
         assert roc_auc(X[:, data.columns.index("weekend")], y) < 0.5
