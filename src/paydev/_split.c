@@ -12,11 +12,14 @@
  * column's missing values with its median. The split search keeps the numpy
  * search's (kernels.best_split) order of work and int64 score expression,
  * so the trees are bit-identical (build without FMA contraction or
- * fast-math). A forest of n rows over p features holds p * n 16-byte
- * entries and its presort's p * n row numbers while it grows. Functions
- * return 0 (grow_forest: the node count), -1 when out of memory, -2 when a
- * node index is out of range, -3 when a label is neither 0 nor 1, -4 where
- * numpy would draw otherwise.
+ * fast-math). Its trees grow on up to 4 threads, each taking the next tree
+ * with its own scratch space, and land in tree order, so the thread count
+ * changes no byte. A forest of n rows over p features holds the presort's p
+ * * n 8-byte entries, and each thread p * n more, while it grows.
+ * Functions return 0 (grow_forest: the node count), -1 when out of memory,
+ * -2 when a node index is out of range, -3 when a label is neither 0 nor 1,
+ * -4 where the entries cannot number the rows or numpy would draw
+ * otherwise.
  *
  * scan_canonical and scan_git_log, two grammars over one scanning protocol,
  * read the canonical lines and the git-log records that the Python readers
@@ -35,6 +38,8 @@
  * from libm, as Python's math module takes them. */
 
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -349,53 +354,71 @@ static uint64_t sort_key(double v)
     return bits >> 63 ? ~bits : bits | (uint64_t)1 << 63;
 }
 
-/* order[k * n ..) = the rows 0..n-1 in ascending order of column k of X
- * (n x p, row after row), equal values in row order: an LSD radix sort of
- * the column's keys with 8-bit digits that skips each digit all rows share.
- * keys and rows hold 2n entries of scratch each. */
-static void presort(const double *X, int64_t n, int64_t p, int64_t *order, uint64_t *keys,
-                    int64_t *rows)
+/* A sort key and what travels with it through radix_sort */
+typedef struct { uint64_t key, val; } Pair;
+
+/* Sorts a[0..n) by key, equal keys in their order: an LSD radix sort with
+ * 8-bit digits that skips each digit all keys share, through the n pairs of
+ * scratch at `to`. Returns where the sorted pairs are, a or to. */
+static Pair *radix_sort(Pair *a, Pair *to, int64_t n)
+{
+    int64_t count[8][256] = {{0}};
+    for (int64_t i = 0; i < n; i++)
+        for (int d = 0; d < 8; d++)
+            count[d][a[i].key >> 8 * d & 255]++;
+    for (int d = 0; d < 8 && n > 0; d++) {
+        int64_t *c = count[d];
+        if (c[a[0].key >> 8 * d & 255] == n)
+            continue;
+        for (int64_t b = 0, at = 0; b < 256; b++) {
+            int64_t size = c[b];
+            c[b] = at;
+            at += size;
+        }
+        for (int64_t i = 0; i < n; i++)
+            to[c[a[i].key >> 8 * d & 255]++] = a[i];
+        Pair *t = a;
+        a = to;
+        to = t;
+    }
+    return a;
+}
+
+/* One of a tree's rows in one feature's order, as rank << 32 | row << 1 | y:
+ * rank numbers the feature's distinct sort keys from 0 up, so -0.0 and 0.0
+ * share a rank, and every NaN shares the last one. Rows fit in 31 bits. */
+typedef uint64_t Entry;
+#define RANK(e) ((e) >> 32)
+#define ROW(e) ((int64_t)((e) >> 1 & 0x7fffffff))
+
+/* sorted[k * n ..) = the entries of the rows 0..n-1, each once, in ascending
+ * order of column k of X (n x p, row after row), equal values in row order.
+ * pairs holds 2n pairs of scratch. */
+static void presort(const double *X, int64_t n, int64_t p, const int8_t *y, Entry *sorted,
+                    Pair *pairs)
 {
     for (int64_t k = 0; k < p && n > 0; k++) {
-        int64_t count[8][256] = {{0}};
-        uint64_t *key = keys, *key_to = keys + n, *kt;
-        int64_t *row = rows, *row_to = rows + n, *rt;
-        for (int64_t r = 0; r < n; r++) {
-            key[r] = sort_key(X[r * p + k]);
-            row[r] = r;
-            for (int d = 0; d < 8; d++)
-                count[d][key[r] >> 8 * d & 255]++;
+        for (int64_t r = 0; r < n; r++)
+            pairs[r] = (Pair){sort_key(X[r * p + k]), (uint64_t)r << 1 | (uint64_t)y[r]};
+        const Pair *a = radix_sort(pairs, pairs + n, n);
+        Entry *e = sorted + k * n;
+        uint64_t rank = 0;
+        e[0] = a[0].val;
+        for (int64_t i = 1; i < n; i++) {
+            rank += a[i].key != a[i - 1].key;
+            e[i] = rank << 32 | a[i].val;
         }
-        for (int d = 0; d < 8; d++) {
-            int64_t *c = count[d];
-            if (c[key[0] >> 8 * d & 255] == n)
-                continue;
-            for (int64_t b = 0, at = 0; b < 256; b++) {
-                int64_t size = c[b];
-                c[b] = at;
-                at += size;
-            }
-            for (int64_t i = 0; i < n; i++) {
-                int64_t to = c[key[i] >> 8 * d & 255]++;
-                key_to[to] = key[i];
-                row_to[to] = row[i];
-            }
-            kt = key, key = key_to, key_to = kt;
-            rt = row, row = row_to, row_to = rt;
-        }
-        memcpy(order + k * n, row, n * sizeof(int64_t));
     }
 }
 
 typedef struct { int64_t node, start, end, depth; } Job;
 
-/* One of a tree's rows in one feature's order: its value, and row << 1 | y */
-typedef struct { double v; int64_t ry; } Entry;
-
-/* The scratch space of one tree of n rows over p features, which every tree
- * of a forest reuses: how often the tree holds each row, its entries, its
- * node arrays (capacity 2n - 1) and its importance */
+/* The scratch space of one thread that grows trees of n rows over p
+ * features, which each of its trees reuses: its seed words, how often the
+ * tree holds each row, its entries, its node arrays (capacity 2n - 1) and
+ * its importance */
 typedef struct {
+    uint32_t *entropy;
     int64_t *copies, *feats, *feature, *left, *right, *count, *npos;
     double *threshold, *importance;
     Entry *ent, *tmp;
@@ -403,16 +426,55 @@ typedef struct {
     Job *stack;
 } Scratch;
 
+static void free_scratch(Scratch *s)
+{
+    void *parts[] = {s->entropy, s->copies, s->feats, s->feature, s->left, s->right, s->count,
+                     s->npos, s->threshold, s->importance, s->ent, s->tmp, s->goes_left,
+                     s->seen, s->stack};
+    for (size_t k = 0; k < sizeof(parts) / sizeof(parts[0]); k++)
+        free(parts[k]);
+}
+
+/* Allocates s for trees of n rows over p features, seeded from n_seed
+ * words and the tree's number; 0, or -1 when out of memory, with s freed. */
+static int alloc_scratch(Scratch *s, int64_t n, int64_t p, int64_t n_seed)
+{
+    int64_t cap = n > 0 ? n : 1, wide = p > 0 ? p : 1;
+    *s = (Scratch){
+        .entropy = malloc((n_seed + 2) * sizeof(uint32_t)),
+        .copies = malloc(cap * sizeof(int64_t)),
+        .feats = malloc(wide * sizeof(int64_t)),
+        .feature = malloc(2 * cap * sizeof(int64_t)),
+        .left = malloc(2 * cap * sizeof(int64_t)),
+        .right = malloc(2 * cap * sizeof(int64_t)),
+        .count = malloc(2 * cap * sizeof(int64_t)),
+        .npos = malloc(2 * cap * sizeof(int64_t)),
+        .threshold = malloc(2 * cap * sizeof(double)),
+        .importance = malloc(wide * sizeof(double)),
+        .ent = malloc((wide * cap + 2) * sizeof(Entry)),
+        .tmp = malloc(cap * sizeof(Entry)),
+        .goes_left = malloc(cap),
+        .seen = calloc(wide, 1),
+        .stack = malloc((cap + 1) * sizeof(Job)),  /* live jobs hold disjoint rows */
+    };
+    if (s->entropy && s->copies && s->feats && s->feature && s->left && s->right && s->count
+        && s->npos && s->threshold && s->importance && s->ent && s->tmp && s->goes_left
+        && s->seen && s->stack)
+        return 0;
+    free_scratch(s);
+    return -1;
+}
+
 static int cmp_int64(const void *a, const void *b)
 {
     int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
     return (x > y) - (x < y);
 }
 
-/* Grows one tree over the rows of X (n x p) that s->copies counts, n in all,
- * into s's node arrays, and returns its node count; the split gains go to
- * s->importance. order[k * n ..) lists the rows in ascending order of
- * feature k (in any order among equal values, NaN last). maxdepth < 0 means
+/* Grows one tree over the rows of X (n x p, labels y) that s->copies
+ * counts, n in all, into s's node arrays, and returns its node count; the
+ * split gains go to s->importance. sorted[k * n ..) holds presort's entries
+ * of the rows in ascending order of feature k. maxdepth < 0 means
  * unbounded. rng NULL searches every feature at every node; otherwise each
  * node draws mtry < p features from rng, as
  * np.sort(rng.choice(p, mtry, replace=False)) would. Preorder DFS with the
@@ -422,14 +484,14 @@ static int cmp_int64(const void *a, const void *b)
  * feature k's order, each as often as the tree holds it. A node owns the
  * same span of every feature's entries, so its split search reads each
  * candidate feature's span in sorted order, and a kept split
- * stable-partitions every span by the side each row goes to. Only distinct
- * neighbouring values are split between, and the order among equal values
- * changes neither the counts nor the threshold there, so the splits are
- * those of kernels.best_split, and its int64 score expression is kept. A
- * NaN is not split from the NaN after it, where `<=` could not tell them
- * apart. */
+ * stable-partitions every span by the side each row goes to. Only
+ * neighbouring entries of distinct ranks are split between, so a NaN is not
+ * split from the NaN after it, where `<=` could not tell them apart; the
+ * order among equal values changes neither the counts nor the threshold
+ * there, which is taken from the two rows' values in X. So the splits are
+ * those of kernels.best_split, and its int64 score expression is kept. */
 static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
-                         const int64_t *order, int64_t minsplit, double cp, int64_t maxdepth,
+                         const Entry *sorted, int64_t minsplit, double cp, int64_t maxdepth,
                          int64_t mtry, pcg64 *rng, Scratch *s)
 {
     int64_t cap = n > 0 ? n : 1, *feats = s->feats, *feature = s->feature, *left = s->left,
@@ -444,16 +506,15 @@ static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
         pos_root += s->copies[r] * y[r];
     for (int64_t k = 0; k < p; k++) {
         Entry *e = ent + k * cap;
-        for (const int64_t *r = order + k * n, *end = r + n; r < end; r++) {
+        for (const Entry *x = sorted + k * n, *end = x + n; x < end; x++) {
             /* most rows are held 0, 1 or 2 times, so two copies are written
              * without a branch; later entries overwrite the copies a row does
              * not need (after the last feature, 2 spare entries take them) */
-            Entry x = {X[*r * p + k], *r << 1 | y[*r]};
-            int64_t c = s->copies[*r];
-            e[0] = x;
-            e[1] = x;
+            int64_t c = s->copies[ROW(*x)];
+            e[0] = *x;
+            e[1] = *x;
             for (int64_t t = 2; t < c; t++)
-                e[t] = x;
+                e[t] = *x;
             e += c;
         }
         importance[k] = 0.0;
@@ -479,24 +540,26 @@ static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
             qsort(feats, mtry, sizeof(int64_t), cmp_int64);
         }
 
-        /* ties break to the lowest feature, then the lowest threshold */
-        int64_t f = -1;
-        double thr = 0.0, child_score = node_score(nn, pos);
+        /* ties break to the lowest feature, then the lowest threshold; the
+         * rows up to `at` of the best feature go left */
+        int64_t f = -1, at = 0, pos_l = 0;
+        double child_score = node_score(nn, pos);
         for (int64_t k = 0; k < mtry; k++) {
             const Entry *e = ent + feats[k] * cap + job.start;
-            if (e[0].v == e[nn - 1].v)  /* constant in this node */
+            if (RANK(e[0]) == RANK(e[nn - 1]))  /* constant in this node */
                 continue;
             int64_t pl = 0;
             for (int64_t i = 0; i + 1 < nn; i++) {
-                pl += e[i].ry & 1;
-                if (e[i].v == e[i + 1].v || isnan(e[i].v))
+                pl += e[i] & 1;
+                if (RANK(e[i]) == RANK(e[i + 1]))
                     continue;
                 int64_t nl = i + 1, ql = nl - pl, nr = nn - nl, pr = pos - pl, qr = neg - ql;
                 double score = (double)(nl * nl - pl * pl - ql * ql) / (double)nl
                              + (double)(nr * nr - pr * pr - qr * qr) / (double)nr;
                 if (score < child_score) {
                     f = feats[k];
-                    thr = threshold_between(e[i].v, e[i + 1].v);
+                    at = i;
+                    pos_l = pl;
                     child_score = score;
                 }
             }
@@ -505,14 +568,8 @@ static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
             continue;
 
         const Entry *e = ent + f * cap + job.start;
-        int64_t nl = 0, pos_l = 0;
-        for (int64_t i = 0; i < nn; i++) {
-            int64_t go = e[i].v <= thr;
-            goes_left[e[i].ry >> 1] = (uint8_t)go;
-            nl += go;
-            pos_l += go & e[i].ry;
-        }
-        int64_t nr = nn - nl, pos_r = pos - pos_l;
+        double thr = threshold_between(X[ROW(e[at]) * p + f], X[ROW(e[at + 1]) * p + f]);
+        int64_t nl = at + 1, nr = nn - nl, pos_r = pos - pos_l;
 
         /* rpart-style pruning: relative misclassification improvement >= cp */
         int64_t err_node = nn - (pos > neg ? pos : neg);
@@ -521,21 +578,25 @@ static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
         if (root_err > 0 && (double)(err_node - err_children) / (double)root_err < cp)
             continue;
 
-        /* stable partition of every feature's span: the left rows keep their
-         * order in place, the rest follow in order. The split feature's span
-         * is partitioned already. A feature constant in this node is constant
-         * in every node below it, where the search skips it, so its span is
-         * left as it is. */
+        /* stable partition of every feature's span, without a branch: the
+         * left rows keep their order in place, the rest follow in order. The
+         * split feature's span is partitioned already. A feature constant in
+         * this node is constant in every node below it, where the search
+         * skips it, so its span is left as it is. */
+        for (int64_t i = 0; i < nn; i++)
+            goes_left[ROW(e[i])] = i < nl;
         for (int64_t k = 0; k < p; k++) {
             Entry *span = ent + k * cap + job.start;
-            if (k == f || span[0].v == span[nn - 1].v)
+            if (k == f || RANK(span[0]) == RANK(span[nn - 1]))
                 continue;
             int64_t l = 0, r = 0;
             for (int64_t i = 0; i < nn; i++) {
-                if (goes_left[span[i].ry >> 1])
-                    span[l++] = span[i];
-                else
-                    tmp[r++] = span[i];
+                Entry x = span[i];
+                int64_t g = goes_left[ROW(x)];
+                span[l] = x;
+                tmp[r] = x;
+                l += g;
+                r += 1 - g;
             }
             memcpy(span + l, tmp, r * sizeof(Entry));
         }
@@ -561,159 +622,181 @@ static int64_t grow_tree(const double *X, int64_t n, int64_t p, const int8_t *y,
     return m;
 }
 
-/* The node arrays of a forest's trees, one tree after another (each tree
- * numbers its nodes from 0), as the int64 or double arrays col[0..6):
- * feature, threshold, left, right, count and npos, m nodes in all, and
- * col[6] = roots, where roots[t] is tree t's first node and roots[trees] = m.
- * Every array is malloc'd and grows as trees are appended. */
-typedef struct {
-    void *col[7];
-    int64_t m, cap, trees, roots_cap;
-} Table;
-
-static void *enlarged(void *a, int64_t n, int *failed)
-{
-    void *b = realloc(a, n * 8);
-    *failed |= b == NULL;
-    return b == NULL ? a : b;
-}
-
-/* Appends the m nodes of s to t as one more tree. */
-static int append_tree(Table *t, const Scratch *s, int64_t m)
-{
-    int failed = 0;
-    if (t->m + m > t->cap) {
-        int64_t cap = 2 * t->cap > t->m + m ? 2 * t->cap : t->m + m;
-        for (int k = 0; k < 6; k++)
-            t->col[k] = enlarged(t->col[k], cap, &failed);
-        if (failed)
-            return -1;
-        t->cap = cap;
-    }
-    if (t->trees + 2 > t->roots_cap) {
-        int64_t cap = 2 * t->roots_cap > t->trees + 2 ? 2 * t->roots_cap : t->trees + 2;
-        t->col[6] = enlarged(t->col[6], cap, &failed);
-        if (failed)
-            return -1;
-        t->roots_cap = cap;
-    }
-    const void *from[6] = {s->feature, s->threshold, s->left, s->right, s->count, s->npos};
-    for (int k = 0; k < 6; k++)
-        memcpy((char *)t->col[k] + 8 * t->m, from[k], 8 * m);
-    int64_t *roots = t->col[6];
-    roots[t->trees] = t->m;
-    t->m += m;
-    roots[++t->trees] = t->m;
-    return 0;
-}
-
-/* Grows n_trees trees over the n x p matrix X (row after row) with labels y
- * and returns their node count; out[0..7) gets the Table's arrays, which
- * free_table frees. Tree t draws from numpy's
- * default_rng(SeedSequence([seed, t])), seed given as its n_seed uint32
- * words: its bootstrap rows np.sort(rng.integers(0, n, size=n)) (without
- * bootstrap, every row once), then at each node np.sort(rng.choice(p, mtry,
- * replace=False)) for mtry < p; a tree that searches every feature and takes
- * every row draws nothing. importance[0..p) gets the mean over the trees of
- * each tree's split gains, added up in tree order. Declines (-4) a forest
- * whose draws numpy makes otherwise: a bootstrap of n >= 2**32 rows, or mtry
- * > p / 50 features of p > 10000. */
-int64_t grow_forest(const double *X, int64_t n, int64_t p, const int8_t *y, int64_t n_trees,
-                    const uint32_t *seed, int64_t n_seed, int64_t bootstrap, int64_t mtry,
-                    int64_t minsplit, double cp, int64_t maxdepth, double *importance,
-                    void **out)
-{
-    int drawn = mtry < p;
-    if ((bootstrap && n - 1 >= (int64_t)UINT32_MAX) || (drawn && p > 10000 && mtry > p / 50))
-        return -4;
-    for (int64_t r = 0; r < n; r++)
-        if (y[r] != 0 && y[r] != 1)
-            return -3;
-    int64_t cap = n > 0 ? n : 1, wide = p > 0 ? p : 1, m = -1;
-    Scratch s = {0};
-    Table t = {0};
-    uint32_t *entropy = malloc((n_seed + 2) * sizeof(uint32_t));
-    int64_t *order = malloc(wide * cap * sizeof(int64_t));
-    uint64_t *keys = malloc(2 * cap * sizeof(uint64_t));
-    int64_t *rows = malloc(2 * cap * sizeof(int64_t));
-    s.copies = malloc(cap * sizeof(int64_t));
-    s.feats = malloc(wide * sizeof(int64_t));
-    int64_t **ints[] = {&s.feature, &s.left, &s.right, &s.count, &s.npos};
-    for (int k = 0; k < 5; k++)
-        *ints[k] = malloc(2 * cap * sizeof(int64_t));
-    s.threshold = malloc(2 * cap * sizeof(double));
-    s.importance = malloc(wide * sizeof(double));
-    s.ent = malloc((wide * cap + 2) * sizeof(Entry));
-    s.tmp = malloc(cap * sizeof(Entry));
-    s.goes_left = malloc(cap);
-    s.seen = calloc(wide, 1);
-    s.stack = malloc((cap + 1) * sizeof(Job));  /* live jobs hold disjoint rows */
-    if (entropy == NULL || order == NULL || keys == NULL || rows == NULL || s.copies == NULL
-        || s.feats == NULL || s.feature == NULL || s.left == NULL || s.right == NULL
-        || s.count == NULL || s.npos == NULL || s.threshold == NULL || s.importance == NULL
-        || s.ent == NULL || s.tmp == NULL || s.goes_left == NULL || s.seen == NULL
-        || s.stack == NULL)
-        goto done;
-
-    presort(X, n, p, order, keys, rows);
-    memcpy(entropy, seed, n_seed * sizeof(uint32_t));
-    for (int64_t k = 0; k < p; k++)
-        importance[k] = 0.0;
-    for (int64_t tree = 0; tree < n_trees; tree++) {
-        pcg64 rng;
-        int64_t words = n_seed;
-        entropy[words++] = (uint32_t)tree;
-        if (tree >> 32)
-            entropy[words++] = (uint32_t)(tree >> 32);
-        if (bootstrap || drawn)
-            pcg64_seed(&rng, entropy, words);
-        if (bootstrap)
-            draw_rows(&rng, n, s.copies);
-        else
-            for (int64_t r = 0; r < n; r++)
-                s.copies[r] = 1;
-        int64_t nodes = grow_tree(X, n, p, y, order, minsplit, cp, maxdepth, drawn ? mtry : p,
-                                  drawn ? &rng : NULL, &s);
-        if (append_tree(&t, &s, nodes))
-            goto done;
-        for (int64_t k = 0; k < p; k++)
-            importance[k] += s.importance[k];
-    }
-    for (int64_t k = 0; k < p; k++)
-        importance[k] /= (double)n_trees;
-    m = t.m;
-
-done:
-    free(entropy);
-    free(order);
-    free(keys);
-    free(rows);
-    free(s.copies);
-    free(s.feats);
-    for (int k = 0; k < 5; k++)
-        free(*ints[k]);
-    free(s.threshold);
-    free(s.importance);
-    free(s.ent);
-    free(s.tmp);
-    free(s.goes_left);
-    free(s.seen);
-    free(s.stack);
-    for (int k = 0; k < 7; k++) {
-        if (m < 0) {
-            free(t.col[k]);
-            t.col[k] = NULL;
-        }
-        out[k] = t.col[k];
-    }
-    return m;
-}
-
 /* Frees the node table that grow_forest hands out. */
 void free_table(void **col)
 {
     for (int k = 0; k < 7; k++)
         free(col[k]);
+}
+
+/* grow_forest's threads: at most this many grow one forest */
+#define MAX_THREADS 4
+
+/* One grown tree: its m nodes' feature, threshold, left, right, count and
+ * npos arrays, one after another, then its importance vector */
+typedef struct {
+    int64_t m;
+    char *block;
+} Grown;
+
+/* What the threads growing one forest share: the fit, the next tree to
+ * take, each tree grown, and whether an allocation failed */
+typedef struct {
+    const double *X;
+    const int8_t *y;
+    const Entry *sorted;
+    int64_t n, p, n_trees, n_seed, mtry, minsplit, maxdepth, bootstrap, drawn;
+    double cp;
+    Grown *grown;
+    atomic_int_fast64_t next;
+    atomic_int failed;
+} Forest;
+
+/* One thread: the forest it grows trees of, and its own scratch space,
+ * whose entropy starts with the forest's seed words */
+typedef struct {
+    Forest *forest;
+    Scratch s;
+} Worker;
+
+/* One thread's work: takes the forest's next tree t until none is left or
+ * an allocation fails anywhere, seeds it from [seed, t], draws its
+ * bootstrap and grows it into grown[t]. */
+static void *grow_trees(void *arg)
+{
+    Forest *F = ((Worker *)arg)->forest;
+    Scratch *s = &((Worker *)arg)->s;
+    int64_t tree;
+    while (!atomic_load(&F->failed) && (tree = atomic_fetch_add(&F->next, 1)) < F->n_trees) {
+        pcg64 rng;
+        int64_t words = F->n_seed;
+        s->entropy[words++] = (uint32_t)tree;
+        if (tree >> 32)
+            s->entropy[words++] = (uint32_t)(tree >> 32);
+        if (F->bootstrap || F->drawn)
+            pcg64_seed(&rng, s->entropy, words);
+        if (F->bootstrap)
+            draw_rows(&rng, F->n, s->copies);
+        else
+            for (int64_t r = 0; r < F->n; r++)
+                s->copies[r] = 1;
+        int64_t m = grow_tree(F->X, F->n, F->p, F->y, F->sorted, F->minsplit, F->cp,
+                              F->maxdepth, F->drawn ? F->mtry : F->p, F->drawn ? &rng : NULL, s);
+        char *block = malloc((6 * m + F->p) * 8);
+        if (block == NULL) {
+            atomic_store(&F->failed, 1);
+            break;
+        }
+        const void *from[7] = {s->feature, s->threshold, s->left, s->right, s->count, s->npos,
+                               s->importance};
+        for (int k = 0; k < 7; k++)
+            memcpy(block + 8 * m * k, from[k], 8 * (k < 6 ? m : F->p));
+        F->grown[tree] = (Grown){m, block};
+    }
+    return NULL;
+}
+
+/* Grows n_trees trees over the n x p matrix X (row after row) with labels y
+ * and returns their node count. out[0..7) gets the node table, which
+ * free_table frees: the int64 or double arrays feature, threshold, left,
+ * right, count and npos, one tree after another (each tree numbers its nodes
+ * from 0), and roots, where roots[t] is tree t's first node and
+ * roots[n_trees] the node count. Tree t draws from numpy's
+ * default_rng(SeedSequence([seed, t])), seed given as its n_seed uint32
+ * words: its bootstrap rows np.sort(rng.integers(0, n, size=n)) (without
+ * bootstrap, every row once), then at each node np.sort(rng.choice(p, mtry,
+ * replace=False)) for mtry < p; a tree that searches every feature and takes
+ * every row draws nothing. importance[0..p) gets the mean over the trees of
+ * each tree's split gains, added up in tree order. After one presort, up to
+ * `threads` threads (at most MAX_THREADS and one per tree; the calling one
+ * among them) each take the next tree; as every tree draws from its own
+ * generator and lands in tree order, their number changes no byte. Declines
+ * (-4) n > 2**31 - 1 rows, which entries cannot number, and a forest whose
+ * draws numpy makes otherwise: mtry > p / 50 features of p > 10000. */
+int64_t grow_forest(const double *X, int64_t n, int64_t p, const int8_t *y, int64_t n_trees,
+                    const uint32_t *seed, int64_t n_seed, int64_t bootstrap, int64_t mtry,
+                    int64_t minsplit, double cp, int64_t maxdepth, int64_t threads,
+                    double *importance, void **out)
+{
+    int64_t drawn = mtry < p;
+    if (n > INT32_MAX || (drawn && p > 10000 && mtry > p / 50))
+        return -4;
+    for (int64_t r = 0; r < n; r++)
+        if (y[r] != 0 && y[r] != 1)
+            return -3;
+    int64_t cap = n > 0 ? n : 1, m = 0;
+    Forest F = {.X = X, .y = y, .n = n, .p = p, .n_trees = n_trees, .n_seed = n_seed,
+                .mtry = mtry, .minsplit = minsplit, .maxdepth = maxdepth,
+                .bootstrap = bootstrap, .drawn = drawn, .cp = cp};
+    atomic_init(&F.next, 0);
+    atomic_init(&F.failed, 0);
+    Entry *sorted = malloc((p > 0 ? p : 1) * cap * sizeof(Entry));
+    Pair *pairs = malloc(2 * cap * sizeof(Pair));
+    F.grown = calloc(n_trees, sizeof(Grown));
+    if (sorted && pairs && F.grown) {
+        presort(X, n, p, y, sorted, pairs);
+        F.sorted = sorted;
+    }
+    free(pairs);
+
+    /* every thread's scratch space is allocated here, in the calling thread */
+    Worker w[MAX_THREADS];
+    pthread_t id[MAX_THREADS];
+    int64_t workers = threads < n_trees ? threads : n_trees, ready = 0, started = 1;
+    workers = workers < 1 ? 1 : workers > MAX_THREADS ? MAX_THREADS : workers;
+    while (ready < workers && F.sorted != NULL && alloc_scratch(&w[ready].s, n, p, n_seed) == 0) {
+        w[ready].forest = &F;
+        memcpy(w[ready++].s.entropy, seed, n_seed * sizeof(uint32_t));
+    }
+    if (ready < workers) {
+        atomic_store(&F.failed, 1);
+    } else {
+        while (started < workers
+               && pthread_create(&id[started], NULL, grow_trees, &w[started]) == 0)
+            started++;
+        grow_trees(&w[0]);
+        for (int64_t k = 1; k < started; k++)
+            pthread_join(id[k], NULL);
+    }
+    for (int64_t k = 0; k < ready; k++)
+        free_scratch(&w[k].s);
+    free(sorted);
+
+    int failed = atomic_load(&F.failed);
+    for (int64_t t = 0; t < n_trees && !failed; t++)
+        m += F.grown[t].m;
+    for (int k = 0; k < 7; k++)
+        out[k] = failed ? NULL : malloc(8 * (k < 6 ? m : n_trees + 1));
+    for (int k = 0; k < 7; k++)
+        failed |= out[k] == NULL;
+    for (int64_t k = 0; k < p; k++)
+        importance[k] = 0.0;
+    int64_t *roots = out[6];
+    for (int64_t t = 0, at = 0; F.grown != NULL && t < n_trees; t++) {
+        Grown g = F.grown[t];
+        if (!failed) {
+            for (int k = 0; k < 6; k++)
+                memcpy((char *)out[k] + 8 * at, g.block + 8 * g.m * k, 8 * g.m);
+            const double *gain = (const double *)(g.block + 48 * g.m);
+            for (int64_t k = 0; k < p; k++)
+                importance[k] += gain[k];
+            roots[t] = at;
+            at += g.m;
+        }
+        free(g.block);
+    }
+    free(F.grown);
+    if (failed) {
+        for (int k = 0; k < 7; k++) {
+            free(out[k]);
+            out[k] = NULL;
+        }
+        return -1;
+    }
+    roots[n_trees] = m;
+    for (int64_t k = 0; k < p; k++)
+        importance[k] /= (double)n_trees;
+    return m;
 }
 
 /* out[r] = the mean over trees, summed in tree order, of pos / n at the leaf
@@ -1489,22 +1572,20 @@ int auc(const double *scores, const int8_t *labels, int64_t n, double *out)
         n_pos += labels[i] == 1;
     if (n_pos == 0 || n_pos == n)
         return -2;
-    int64_t *order = malloc(n * sizeof(int64_t)), *rows = malloc(2 * n * sizeof(int64_t));
-    uint64_t *keys = malloc(2 * n * sizeof(uint64_t));
-    if (order == NULL || rows == NULL || keys == NULL) {
-        free(order), free(rows), free(keys);
+    Pair *pairs = malloc(2 * n * sizeof(Pair));
+    if (pairs == NULL)
         return -1;
-    }
-    presort(scores, n, 1, order, keys, rows);
+    for (int64_t i = 0; i < n; i++)
+        pairs[i] = (Pair){sort_key(scores[i]), labels[i] == 1};
+    const Pair *a = radix_sort(pairs, pairs + n, n);
     double rank_sum = 0.0;
     for (int64_t i = 0, j; i < n; i = j) {
-        uint64_t key = sort_key(scores[order[i]]);
         int64_t pos = 0;
-        for (j = i; j < n && sort_key(scores[order[j]]) == key; j++)
-            pos += labels[order[j]] == 1;
+        for (j = i; j < n && a[j].key == a[i].key; j++)
+            pos += (int64_t)a[j].val;
         rank_sum += (double)pos * ((double)(i + 1 + j) / 2.0);
     }
-    free(order), free(rows), free(keys);
+    free(pairs);
     *out = (rank_sum - (double)(n_pos * (n_pos + 1)) / 2.0) / (double)(n_pos * (n - n_pos));
     return 0;
 }

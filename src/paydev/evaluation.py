@@ -332,7 +332,7 @@ def per_commit_experiment(
     commits); both follow the classifiers with the allpaid, email and
     officehours commit baselines.
     """
-    labeled = [i for i, h in histories.items() if lab.resolve_status(i, h, label_set) is not None]
+    labeled = [i for i in histories if i in label_set]  # each resolves its periods once, below
     if not labeled:
         raise SingleClassError("no labeled developers")
     labeled.sort(key=lambda i: (-len(histories[i].ts), i))

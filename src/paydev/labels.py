@@ -24,6 +24,11 @@ class LabelSet:
     entries: dict[str, str] = field(default_factory=dict)
     periods: dict[str, list[tuple[date, date | None]]] = field(default_factory=dict)
 
+    def __contains__(self, identity_id):
+        """Whether the identity has a status or hired periods, that is,
+        whether resolve_status gives it a status."""
+        return identity_id in self.entries or identity_id in self.periods
+
 
 def _parse_date(text, lineno):
     try:

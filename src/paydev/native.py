@@ -12,8 +12,9 @@ Each kernel is bound here once, to its compiled wrapper (_c_<kernel>) with
 the library, else to its twin, which gives the same results; callers look
 it up as native.<kernel> when they call it. grow_forest grows a whole
 forest, or one CART, in one call, after impute_median, each tree drawing
-from seed_state's SeedSequence and PCG64, into one node table, the arrays
-paydev.model.Nodes holds; a forest the library declines grows in the twin.
+from seed_state's SeedSequence and PCG64, on one thread per core
+(_grow_threads), into one node table, the arrays paydev.model.Nodes holds;
+a forest the library declines grows in the twin.
 forest_sum scores that table's own buffers and imputes as it walks, and
 fold_draws draws evaluation's folds from the same generator. These five
 have numpy twins, paydev.ml.kernels' <kernel>_py. The History pass,
@@ -50,7 +51,7 @@ from array import array
 LOCAL_MIN, LOCAL_MAX = -62135596800, 253402300799
 
 # no -march/-ffast-math: the compiled grower must match the Python one bit for bit
-_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off"]
+_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-pthread"]
 
 
 def _load():
@@ -75,8 +76,8 @@ def _load():
     lib.draws.restype = ctypes.c_int
     lib.impute_median.argtypes = [ptr, i64, i64, ptr, ptr]
     lib.impute_median.restype = ctypes.c_int
-    lib.grow_forest.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, i64, f64, i64, ptr,
-                                ptr]
+    lib.grow_forest.argtypes = [ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, i64, f64, i64, i64,
+                                ptr, ptr]
     lib.grow_forest.restype = i64
     lib.free_table.argtypes = [ptr]
     lib.free_table.restype = None
@@ -314,12 +315,25 @@ def _take(address, count, typecode):
     return out
 
 
+def _grow_threads(n_trees):
+    """The threads grow_forest grows n_trees trees on: one per core this
+    process may run on, at most one per tree; the library caps them at 4.
+    The count changes no byte of the forest."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, n_trees)
+
+
 def _c_grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdepth):
     """(table, importance) in one call to the library's grow_forest: the
     node table of n_trees trees, its seven arrays in NODE_ARRAYS order
     (paydev.model.Nodes' array("q") and array("d") buffers), and the mean of
     their importance vectors, an array("d"). A forest the library declines,
-    because numpy draws it otherwise, grows in kernels.grow_forest_py. X, an
+    because numpy draws it otherwise or its rows are too many for the
+    library's entries, grows in kernels.grow_forest_py. The trees grow on
+    _grow_threads(n_trees) threads, which changes no byte. X, an
     array("d"), holds the rows, p values each, one after another, and y, an
     array("b"), their labels, 0 or 1. Tree t draws from numpy's
     default_rng(SeedSequence([seed, t])): its bootstrap rows when bootstrap
@@ -338,7 +352,7 @@ def _c_grow_forest(X, y, p, n_trees, seed, bootstrap, mtry, minsplit, cp, maxdep
     table = (ctypes.c_void_p * 7)()
     m = lib.grow_forest(X.buffer_info()[0], n, p, y.buffer_info()[0], n_trees,
                         words.buffer_info()[0], len(words), bool(bootstrap), mtry, minsplit, cp,
-                        depth, importance.buffer_info()[0], table)
+                        depth, _grow_threads(n_trees), importance.buffer_info()[0], table)
     if m == -4:
         from paydev.ml import kernels
 

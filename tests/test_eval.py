@@ -1,4 +1,5 @@
 from array import array
+from datetime import date
 
 import numpy as np
 import pytest
@@ -376,6 +377,27 @@ class TestPerCommitExperiment:
             self._histories(commits_by_id), label_set, specs, coverage=1.0, seed=1
         )
         assert rest_report.cells == []
+
+    def test_dated_developers_resolve_their_periods_once(self, rng, monkeypatch):
+        """Each developer with hired periods has them resolved once, for its
+        per-commit labels; a developer without a label is left out."""
+        from paydev import labels
+
+        commits_by_id, label_set = self._setup(rng)
+        for ident_id in ("dev0", "dev1", "dev5"):  # commits fall on 2017-01-02 .. 2017-02-04
+            del label_set.entries[ident_id]
+            label_set.periods[ident_id] = [(date(2017, 1, 1), date(2017, 1, 20))]
+        del label_set.entries["dev7"]
+        calls, hired = [], labels._hired
+        monkeypatch.setattr(labels, "_hired", lambda h, spans: calls.append(h) or hired(h, spans))
+        all_report, _ = per_commit_experiment(
+            self._histories(commits_by_id), label_set,
+            {"rpart": lambda d, _: fit_tree(d, minsplit=5)}, coverage=0.5, seed=1
+        )
+        assert len(calls) == 3
+        allpaid = next(c for c in all_report.cells if c.classifier == "allpaid")
+        assert allpaid.tp + allpaid.fp == sum(
+            len(c) for ident_id, c in commits_by_id.items() if ident_id != "dev7")
 
     def test_single_class_training_rejected(self, rng):
         commits_by_id, label_set = self._setup(rng, n_devs=4)

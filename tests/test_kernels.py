@@ -1,3 +1,4 @@
+import ctypes
 import os
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ from paydev.model import TREE_ARRAYS, Nodes
 SRC = Path(__file__).resolve().parent.parent / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 needs_grower = pytest.mark.skipif(native.BACKEND != "c", reason="compiled grower not in use")
+THREADS = (1, 2, 4)  # thread counts the compiled grower is tested on; 4 is its cap
 
 
 def _arrays(X, y):
@@ -182,9 +184,47 @@ class TestGrowerEquivalence:
             X = np.ascontiguousarray(values[rng.integers(0, 4, size=(n, p))])
             X[:, trial % p] = 1.0
             y = ((X.sum(axis=1) + rng.integers(0, 3, size=n)) > p + 1).astype(np.int8)
-            for mtry in (1, p // 2 + 1, p):
-                _assert_same_forest(*_grow_both(X, y, seed=trial, n_trees=2, bootstrap=True,
-                                                mtry=mtry, minsplit=2, cp=0.0, maxdepth=None))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(native, "_grow_threads", lambda n_trees: THREADS[trial % 3])
+                for mtry in (1, p // 2 + 1, p):
+                    _assert_same_forest(*_grow_both(X, y, seed=trial, n_trees=3, bootstrap=True,
+                                                    mtry=mtry, minsplit=2, cp=0.0,
+                                                    maxdepth=None))
+
+    def test_thread_count_changes_no_byte(self, rng, monkeypatch):
+        """Forests grown on 1, 2 and the cap of threads have the same node
+        table and importance: with more trees than threads, fewer trees than
+        threads, one tree, and as a CART (one tree, every row and feature)."""
+        X, y = _random_problem(rng, n=600, p=6, duplicates=True)
+        forests = [dict(n_trees=9, bootstrap=True, mtry=2), dict(n_trees=3, bootstrap=True, mtry=3),
+                   dict(n_trees=1, bootstrap=True, mtry=2), dict(n_trees=1, minsplit=20, cp=0.01)]
+        for params in forests:
+            params = dict(dict(seed=4, bootstrap=False, mtry=6, minsplit=2, cp=0.0), **params)
+            grown = []
+            for threads in THREADS:
+                monkeypatch.setattr(native, "_grow_threads", lambda n_trees: threads)
+                table, importance = native.grow_forest(*_arrays(X, y), 6, maxdepth=None,
+                                                       **params)
+                grown.append([column.tobytes() for column in (*table, importance)])
+            assert grown[0] == grown[1] == grown[2], params
+
+    def test_rows_past_31_bits_declined_before_any_read(self):
+        """An entry numbers its row in 31 bits, so the library declines
+        (-4, left to the twin) 2**31 rows before it reads X or y, which
+        hold one value each here, y's an invalid label."""
+        X, y, importance = array("d", [0.0]), array("b", [2]), array("d", [0.0])
+        words = array("I", [0])
+        table = (ctypes.c_void_p * 7)()
+        assert native.lib.grow_forest(X.buffer_info()[0], 2**31, 1, y.buffer_info()[0], 1,
+                                      words.buffer_info()[0], 1, 1, 1, 2, 0.0, -1, 1,
+                                      importance.buffer_info()[0], table) == -4
+        assert not any(table)
+
+    def test_more_trees_than_memory_raises_memory_error(self):
+        X, y = _arrays(np.ones((4, 2)), [0, 1, 0, 1])
+        with pytest.raises(MemoryError):
+            native.grow_forest(X, y, 2, n_trees=2**61, seed=0, bootstrap=True, mtry=1,
+                               minsplit=2, cp=0.0, maxdepth=None)
 
     def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower(self):
         """Between 1 + 2**-52 and the next double the midpoint rounds up to
@@ -472,8 +512,9 @@ def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
     """fit_forest through the compiled pass and through kernels' twins:
     the same model file (or both refused), node arrays and importance, with
     NaN and all-NaN columns, signed zeros and infinities, with and without
-    bootstrap, for every mtry up to p. A failing example is reported as
-    drawn: shrinking its n * p matrix took over five minutes."""
+    bootstrap, for every mtry up to p, the compiled forest on 1, 2 or the
+    cap of threads. A failing example is reported as drawn: shrinking its
+    n * p matrix took over five minutes."""
     from io import StringIO
 
     from paydev.ml import fit_forest, make_dataset, save_model
@@ -488,9 +529,11 @@ def test_compiled_and_twin_forests_give_the_same_model_bytes(data):
     y[:2] = (0, 1)
     params = dict(n_trees=data.draw(st.integers(1, 4)), mtry=data.draw(st.integers(1, p)),
                   seed=data.draw(st.integers(0, 2**70)), bootstrap=data.draw(st.booleans()))
+    threads = data.draw(st.sampled_from(THREADS))
     models, forests = [], []
     for twins in (False, True):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "_grow_threads", lambda n_trees: threads)
             if twins:
                 for name in ("impute_median", "grow_forest", "seed_state"):
                     mp.setattr(native, name, getattr(kernels, f"{name}_py"))
