@@ -332,7 +332,7 @@ def per_commit_experiment(
     commits); both follow the classifiers with the allpaid, email and
     officehours commit baselines.
     """
-    labeled = [i for i in histories if i in label_set]  # each resolves its periods once, below
+    labeled = [i for i in histories if i in label_set]  # commit_labels resolves periods, once
     if not labeled:
         raise SingleClassError("no labeled developers")
     labeled.sort(key=lambda i: (-len(histories[i].ts), i))
