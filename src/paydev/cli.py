@@ -42,6 +42,7 @@ import os
 import shlex
 import sys
 import tempfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import fields, replace
 
@@ -347,7 +348,11 @@ def _labeled_features(path, label_set):
         )
     rows = [i for i, ident_id in enumerate(ids) if ident_id in label_set.entries]
     y = [1 if label_set.entries[ids[i]] == lab.HIRED else 0 for i in rows]
-    return ml.make_dataset([X[i] for i in rows], y, columns, [ids[i] for i in rows])
+    p = len(columns)
+    labeled = array("d")
+    for i in rows:
+        labeled += X[i * p:i * p + p]
+    return ml.make_dataset(labeled, y, columns, [ids[i] for i in rows])
 
 
 def _classifiers(cfg: Config):
@@ -499,7 +504,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     """Scores the rows of a features CSV, or those computed from canonical
-    records, with paydev.model.predict_rows, which needs no numpy where the
+    records, with paydev.model.predict_proba, which needs no numpy where the
     compiled library is loaded."""
     from paydev import model as mdl
 
@@ -508,26 +513,25 @@ def cmd_predict(args) -> int:
         model = mdl.load_model(f)
     if args.features:
         with _open_input(args.features) as f:
-            rows, row_ids, columns = mdl.read_features_csv(f)
+            X, row_ids, columns = mdl.read_features_csv(f)
     else:
         from paydev import features as feat
 
         commits = _read_records(args.records)
         histories = feat.histories(_load_identities(args, commits), commits)
-        rows, row_ids = [], []
-        if list(model.columns) == feat.COMMIT_FEATURE_COLUMNS:
-            columns, p = feat.COMMIT_FEATURE_COLUMNS, len(feat.COMMIT_FEATURE_COLUMNS)
+        if set(model.columns) == set(feat.COMMIT_FEATURE_COLUMNS):
+            columns, X, row_ids = feat.COMMIT_FEATURE_COLUMNS, array("d"), []
             for h in histories.values():
-                X, shas, _ = feat.commit_features(h)
-                rows += (X[i:i + p] for i in range(0, len(X), p))
+                rows, shas, _ = feat.commit_features(h)
+                X += rows
                 row_ids += shas
         else:
             features_by_id = feat.compute_features(histories)
             # score with the model's own columns (e.g. a no_volume model)
             columns = [c for c in feat.FEATURE_COLUMNS if c in model.columns]
             row_ids = sorted(features_by_id)
-            rows = [[float(getattr(features_by_id[i], c)) for c in columns] for i in row_ids]
-    probabilities = mdl.predict_rows(model, rows, columns)
+            X = array("d", [float(getattr(features_by_id[i], c)) for i in row_ids for c in columns])
+    probabilities = mdl.predict_proba(model, X, len(row_ids), columns)
 
     def writer(f):
         out = csv.writer(f, lineterminator="\n")  # quotes an id with a comma or quote

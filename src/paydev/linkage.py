@@ -55,7 +55,7 @@ def load_product_map(fileobj) -> dict[int, str]:
             raise SchemaError(f"invalid issue id {row[0]!r}", line=lineno) from None
         if issue in mapping:
             raise SchemaError(f"duplicate issue id {issue}", line=lineno)
-        mapping[issue] = row[1]
+        mapping[issue] = row[1].strip()
     return mapping
 
 

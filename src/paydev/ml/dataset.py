@@ -3,9 +3,9 @@
 A Dataset holds one representation, stdlib arrays: X is an array("d") of
 its rows one after another, y an array("b") of labels. matrix() views such
 rows as an (n, p) memoryview without a copy, which len() counts in rows and
-numpy views as a matrix, and as_rows() takes them back, so no fit and no
-predictor needs numpy. impute_median fills a Dataset's missing values
-through native.impute_median.
+numpy views as a matrix, and as_rows() takes them, or any 2-D buffer of
+doubles, back, so no fit and no predictor needs numpy. impute_median fills
+a Dataset's missing values through native.impute_median.
 """
 
 from __future__ import annotations
@@ -37,32 +37,27 @@ def matrix(values: array, p: int) -> memoryview:
 
 
 def as_rows(X):
-    """(values, n, p): X, a 2-D buffer of doubles (a matrix() view or a
-    float64 numpy matrix) or a sequence of n rows of p values each, as an
-    array("d") of its rows one after another; p is None for no rows. A
-    matrix() view gives back its own array, not a copy."""
-    try:
-        view = memoryview(X)
-    except TypeError:
-        view = None
-    if view is not None and view.ndim == 2 and view.format == "d" and view.c_contiguous:
-        (n, p), values = view.shape, view.obj
-        if not (type(values) is array and values.typecode == "d" and len(values) == n * p):
-            values = array("d")
-            if n * p:  # memoryview casts no shape holding a 0
-                values.frombytes(view.cast("B"))
-        return values, n, p
-    rows = [[float(v) for v in row] for row in X]
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise ValueError("rows of unequal length")
-    return array("d", [v for row in rows for v in row]), len(rows), widths.pop() if rows else None
+    """(values, n, p): X, a 2-D buffer of doubles (a matrix() view, or a
+    float64 numpy matrix of any memory layout), as an array("d") of its rows
+    one after another; an empty 1-D buffer, which matrix() gives for no
+    rows, is no rows, with p None. A matrix() view gives back its own array,
+    not a copy."""
+    view = memoryview(X)
+    if view.format == "d" and view.ndim == 1 and not len(view):
+        return array("d"), 0, None
+    if view.format != "d" or view.ndim != 2:
+        raise TypeError("rows must be a 2-D buffer of doubles")
+    (n, p), values = view.shape, view.obj
+    if not (view.c_contiguous and type(values) is array and values.typecode == "d"
+            and len(values) == n * p):
+        values = array("d", view.tobytes())  # in row order, whatever the layout
+    return values, n, p
 
 
 def make_dataset(X, y, columns, ids) -> Dataset:
     """A Dataset of the labels y and X: an array("d") of their rows one
-    after another (kept, not copied), a 2-D buffer of doubles, or a
-    sequence of rows, each with one value per column."""
+    after another (kept, not copied) or a 2-D buffer of doubles, each row
+    with one value per column."""
     p = len(columns)
     if type(X) is array and X.typecode == "d":
         n = len(X) // p if p else len(y)

@@ -1,5 +1,5 @@
 """CART and random forest. Each grows in one native.grow_forest call, whose
-node table (paydev.model.Nodes) the model keeps and paydev.model.tree_proba
+node table (paydev.model.Nodes) the model keeps and paydev.model.predict_proba
 scores.
 
 A CART is a binary tree grown by greedy Gini minimization, as a forest of
@@ -22,7 +22,7 @@ import math
 from paydev import native
 from paydev.errors import SchemaError
 from paydev.ml.dataset import Dataset, as_rows, check_training, impute_median
-from paydev.model import ForestModel, Nodes, TreeModel, tree_proba
+from paydev.model import ForestModel, Nodes, TreeModel, predict_proba
 
 
 def forest_seed(seed_parts) -> int:
@@ -58,14 +58,10 @@ def fit_forest(data: Dataset, n_trees=500, mtry=None, seed=0, bootstrap=True) ->
                        seed=seed, bootstrap=bootstrap, importance=importance)
 
 
-def predict_forest(model, X):
+def predict_forest(model: ForestModel, X):
     """P(hired) per row of X, a matrix() view of rows in the model's columns,
-    under a TreeModel or ForestModel, as an array("d"): the mean of the
-    trees' leaf probabilities, accumulated in tree order (tree_proba)."""
+    under a forest, as an array("d"), by paydev.model.predict_proba. A
+    tracer that wraps paydev.ml.predict_forest counts the forests' rows
+    here."""
     values, n, _ = as_rows(X)
-    return tree_proba(model, values, n)
-
-
-# The same function under a second name, which paydev.ml.predict_proba calls
-# for a CART: a tracer that wraps paydev.ml.predict_forest sees forests only.
-predict_tree = predict_forest
+    return predict_proba(model, values, n, model.columns)

@@ -71,8 +71,8 @@ def _loss_grad(w, columns, y, l2):
 def loss_and_grad(w, X1, y, l2):
     """Penalized negative log-likelihood and its gradient (an array("d")).
 
-    w has the intercept as its last entry; X1 (a 2-D buffer of doubles or a
-    sequence of rows) carries a trailing column of ones. The intercept is
+    w has the intercept as its last entry; X1 (a 2-D buffer of doubles)
+    carries a trailing column of ones. The intercept is
     not penalized.
     """
     values, _, q = as_rows(X1)
@@ -207,10 +207,3 @@ def fit_logit(data: Dataset, l2=1e-8, max_iter=100, tol=1e-8) -> LogitModel:
         n_iter=n_iter,
         loss_history=history,
     )
-
-
-def predict_logit(model: LogitModel, X) -> array:
-    """P(hired) per row of X, a 2-D buffer of doubles or a sequence of rows
-    in the model's columns, as an array("d")."""
-    values, n, _ = as_rows(X)
-    return native.logit_proba(model, values, n)

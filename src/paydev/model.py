@@ -11,11 +11,12 @@ starting with the magic string PAYDEVMODEL/2; floats serialize via repr so
 save/load round-trips exactly. Each tree is an object of its six node
 arrays; load_model joins them into one table.
 
-tree_proba scores a tree or forest, for predict_rows and for paydev.ml's
-predictors alike, through native.forest_sum, which fills missing values as
-it walks; native.logit_proba scores a logit. Neither needs numpy where the
-library is loaded, so `paydev predict` runs without it. predict_rows scores
-rows as read_features_csv gives them.
+predict_proba scores every model, for `paydev predict` and for paydev.ml's
+predictors alike, over one layout: an array("d") of rows one after another,
+as read_features_csv gives them. A logit goes to native.logit_proba, a CART
+or forest to native.forest_sum, and both fill missing values as they score.
+Neither needs numpy where the library is loaded, so `paydev predict` runs
+without it.
 """
 
 from __future__ import annotations
@@ -145,16 +146,19 @@ def column_order(columns, model_columns) -> list[int]:
 
 
 def read_features_csv(fileobj):
-    """Read a features CSV into (rows, ids, columns): one list of floats per
-    identity, in file order, where nan marks a missing value; no header
-    name and no id may repeat."""
+    """Read a features CSV into (X, ids, columns): X an array("d") of one row
+    per identity, in file order, one row after another, where nan marks a
+    missing value; the header names at least one feature column, and no
+    header name and no id may repeat."""
     reader = csv_rows(fileobj)
     header = next(reader, None)
     if not header or header[0] != "identity":
         raise SchemaError("features CSV must start with an 'identity' column", line=1)
+    if len(header) == 1:
+        raise SchemaError("features CSV names no feature column", line=1)
     _check_unique(header, "features CSV", line=1)
     columns = header[1:]
-    ids, rows, seen = [], [], set()
+    X, ids, seen = array("d"), [], set()
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -170,29 +174,26 @@ def read_features_csv(fileobj):
             raise SchemaError("non-numeric feature value", line=lineno) from None
         if any(math.isinf(v) for v in values):  # nan means missing and is imputed
             raise SchemaError("infinite feature value", line=lineno)
-        rows.append(values)
-    return rows, ids, columns
+        X.extend(values)
+    return X, ids, columns
 
 
-def tree_proba(model, X, n_rows):
-    """P(hired) per row under a TreeModel or ForestModel, as an array("d"):
-    the mean over its trees, summed in tree order, of the leaf probability
-    pos/n. X is an array("d") of n_rows rows in the model's column order;
-    a NaN in column f takes model.impute[f]. Every tree and forest is
-    scored here, by native.forest_sum."""
-    return native.forest_sum(model.nodes, model.impute, X, n_rows)
-
-
-def predict_rows(model, rows, columns):
-    """P(hired) of each row (a sequence of floats in `columns` order) under
-    `model`, with the columns matched to the model's by name and each
-    missing (nan) value replaced by the model's imputed one: by
-    native.logit_proba for a logit, tree_proba otherwise."""
+def predict_proba(model, X, n_rows, columns):
+    """P(hired) of each of the n_rows rows of X, an array("d") of rows in
+    `columns` order one after another, under `model`, as an array("d"). The
+    columns are matched to the model's by name (ColumnMismatchError where
+    they differ), and the rows gathered into the model's order only where
+    it differs. A logit is scored by native.logit_proba; a CART or forest by
+    native.forest_sum, the mean over its trees, summed in tree order, of
+    the leaf probability pos/n. A NaN in a column takes the model's imputed
+    value."""
     order = column_order(columns, model.columns)
-    X = array("d", [row[j] for row in rows for j in order])
-    if isinstance(model, LogitModel):
-        return native.logit_proba(model, X, len(rows))
-    return tree_proba(model, X, len(rows))
+    p = len(order)
+    if order != list(range(p)):
+        X = array("d", [X[i + j] for i in range(0, n_rows * p, p) for j in order])
+    if model_kind(model) == "logit":
+        return native.logit_proba(model, X, n_rows)
+    return native.forest_sum(model.nodes, model.impute, X, n_rows)
 
 
 def _check_unique(names, where, line=None):
@@ -324,8 +325,8 @@ def load_model(fileobj):
         raise SchemaError(f"not a {MAGIC} model file")
     kind = obj.get("kind")
     columns = _get(obj, "columns", list)
-    if not all(isinstance(c, str) for c in columns):
-        raise SchemaError("model file: 'columns' must be a list of names")
+    if not columns or not all(isinstance(c, str) for c in columns):
+        raise SchemaError("model file: 'columns' must be a non-empty list of names")
     _check_unique(columns, "model file")
     p = len(columns)
     params = _get(obj, "params", dict)

@@ -40,6 +40,16 @@ SMALL_EVAL = ["--min-commits", "20", "--folds", "3", "--repeats", "2",
               "--forest-trees", "20"]
 
 
+def _write_commit_features(path, labels):
+    """A features CSV of the per-commit columns, one row of small integers
+    per labelled identity, to train a per-commit model on."""
+    ids = [row[0] for row in csv.reader(labels.read_text().splitlines()[1:])]
+    path.write_text("\n".join(
+        [",".join(["identity", *features.COMMIT_FEATURE_COLUMNS])]
+        + [",".join([ident_id, *(str((i * 7 + k) % 5) for k in range(15))])
+           for i, ident_id in enumerate(ids)]) + "\n")
+
+
 def _identity_sizes(records, tmp_path):
     """Commit count per merged identity of the records."""
     idmap = tmp_path / "sizes.jsonl"
@@ -709,6 +719,64 @@ class TestTrainPredict:
                        "--out", str(from_csv)) == 0
         assert from_records.read_bytes() == from_csv.read_bytes()
 
+    def test_predict_from_records_per_commit_model_in_any_column_order(self, corpus, tmp_path):
+        """A model of the per-commit columns in another order scores each
+        commit's row, as the same model in the trained order does."""
+        records, labels = corpus
+        csv_path, model_path = tmp_path / "cf.csv", tmp_path / "m.json"
+        _write_commit_features(csv_path, labels)
+        assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
+                       "randomforest", "--forest-trees", "5", "--out", str(model_path)) == 0
+        model = json.loads(model_path.read_text())
+        p = len(model["columns"])
+        model["columns"].reverse()
+        for key in ("impute", "importance"):
+            model["payload"][key].reverse()
+        for tree in model["payload"]["trees"]:
+            tree["feature"] = [f if f < 0 else p - 1 - f for f in tree["feature"]]
+        reversed_path = tmp_path / "reversed.json"
+        reversed_path.write_text(json.dumps(model))
+        outputs = []
+        for path in (model_path, reversed_path):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run_cli("predict", str(path), "--records", str(records),
+                           "--out", str(out)) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert len(lines) == len(records.read_text().splitlines()) + 1
+        assert len({line.split(",")[1] for line in lines[1:]}) > 1
+
+    @pytest.mark.parametrize("command", ["logit", "rpart", "randomforest", "evaluate", "predict"])
+    def test_no_feature_column_exit_3(self, corpus, tmp_path, capsys, command):
+        """A features CSV that holds only its identity column, and a model
+        file of no columns, are schema faults that write nothing."""
+        records, labels = corpus
+        csv_path, out = tmp_path / "f.csv", tmp_path / "out"
+        ids = [row[0] for row in csv.reader(labels.read_text().splitlines()[1:])]
+        csv_path.write_text("identity\n" + "".join(f"{ident_id}\n" for ident_id in ids))
+        if command == "evaluate":
+            argv = ["evaluate", "--features", str(csv_path), "--labels", str(labels), *SMALL_EVAL]
+            message = "features CSV names no feature column (line 1)"
+        elif command == "predict":
+            assert run_cli("features", str(records), "--out", str(csv_path)) == 0
+            model_path = tmp_path / "m.json"
+            model_path.write_text(json.dumps({
+                "magic": "PAYDEVMODEL/2", "kind": "logit", "columns": [], "params": {},
+                "payload": {"coef": [], "intercept": 0.0, "mean": [], "scale": [], "impute": [],
+                            "converged": True, "n_iter": 0, "loss_history": []}}))
+            argv = ["predict", str(model_path), "--features", str(csv_path)]
+            message = "'columns' must be a non-empty list of names"
+        else:
+            argv = ["train", str(csv_path), "--labels", str(labels), "--classifier", command]
+            message = "features CSV names no feature column (line 1)"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("columns", ["developer", "commit"])
     def test_predict_from_records_without_commits(self, corpus, tmp_path, columns):
         """A records file with no commits scores no rows, with a developer-
@@ -718,11 +786,7 @@ class TestTrainPredict:
         if columns == "developer":
             assert run_cli("features", str(records), "--out", str(csv_path)) == 0
         else:
-            ids = [row[0] for row in csv.reader(labels.read_text().splitlines()[1:])]
-            csv_path.write_text("\n".join(
-                [",".join(["identity", *features.COMMIT_FEATURE_COLUMNS])]
-                + [",".join([ident_id, *(str((i * 7 + k) % 5) for k in range(15))])
-                   for i, ident_id in enumerate(ids)]) + "\n")
+            _write_commit_features(csv_path, labels)
         model_path, empty, preds = tmp_path / "m.json", tmp_path / "e.jsonl", tmp_path / "p.csv"
         assert run_cli("train", str(csv_path), "--labels", str(labels), "--classifier",
                        "logit", "--out", str(model_path)) == 0
@@ -1213,8 +1277,9 @@ def test_predict_writes_what_predict_proba_gives(predict_inputs, tmp_path, monke
     with open(d / f"{kind}.json") as f:
         model = ml.load_model(f)
     X = np.array([[np.nan if v is None else v for v in values] for _, values in shuffled])
+    X = X[:, [columns.index(c) for c in model.columns]]  # back into the model's order
     monkeypatch.setattr(native, "forest_sum", kernels.forest_sum_py)  # the numpy twin scores
-    p = ml.predict_proba(model, X, columns=columns)
+    p = ml.predict_proba(model, X)
     assert out.read_text() == "id,probability,class\n" + "".join(
         f"{ident},{v:.6f},{'hired' if v >= 0.5 else 'volunteer'}\n"
         for (ident, _), v in zip(rows, p))
@@ -1304,11 +1369,7 @@ def test_study_commands_import_no_numpy(tmp_path):
     assert run_cli("synth", "--out", str(tmp_path / "r.jsonl"), "--labels-out",
                    str(tmp_path / "l.csv"), "--seed", "7", "--devs", "24", "--commits-low", "30",
                    "--commits-high", "60") == 0
-    ids = [row[0] for row in csv.reader((tmp_path / "l.csv").read_text().splitlines()[1:])]
-    (tmp_path / "cf.csv").write_text("\n".join(
-        [",".join(["identity", *features.COMMIT_FEATURE_COLUMNS])]
-        + [",".join([ident_id, *(str((i * 7 + k) % 5) for k in range(15))])
-           for i, ident_id in enumerate(ids)]) + "\n")
+    _write_commit_features(tmp_path / "cf.csv", tmp_path / "l.csv")
     r = subprocess.run([sys.executable, "-c", STUDY_SCRIPT], cwd=tmp_path,
                        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
                        timeout=300)

@@ -201,7 +201,7 @@ class TestMatrix:
         assert columns == FEATURE_COLUMNS
         assert ids == ["dev"]
         direct, _, _ = feature_matrix(self._features(fixture_commits), "all")
-        assert np.allclose(X, _rows(direct, columns), atol=1e-6)
+        assert np.allclose(_rows(X, columns), _rows(direct, columns), atol=1e-6)
 
 
 class TestCommitFeatures:

@@ -45,6 +45,16 @@ class TestProductMap:
         mapping = load_product_map(io.StringIO("issue_id,product\n10,Firefox\n11,Core\n"))
         assert mapping == {10: "Firefox", 11: "Core"}
 
+    def test_cells_stripped(self):
+        """The product cell, like the issue id and the header cells, is read
+        without its surrounding spaces, so it matches a `products=` value."""
+        mapping = load_product_map(io.StringIO("issue_id, product\n123456, Firefox \n"))
+        assert mapping == {123456: "Firefox"}
+        records = Commits.from_records([make_record(sha=sha_of(0), message="Bug 123456 - x")])
+        kept, report = filter_by_products(records, extract_links(records), mapping, {"Firefox"})
+        assert [r.sha for r in rows(kept)] == [sha_of(0)]
+        assert report.disallowed == 0
+
     def test_bad_header(self):
         with pytest.raises(SchemaError):
             load_product_map(io.StringIO("id,product\n"))

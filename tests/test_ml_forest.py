@@ -22,7 +22,7 @@ from paydev.ml import (
 )
 from paydev.ml.kernels import tree_proba
 from paydev.model import TREE_ARRAYS, ForestModel, join_trees
-from paydev.model import tree_proba as score_trees
+from paydev.model import predict_proba as score_rows
 
 
 def _dataset(X, y, columns=None):
@@ -157,7 +157,7 @@ class TestCompiledGrower:
 
 
 def _loop_sum(trees, X):
-    """The tree_proba loop that paydev.model.tree_proba replaces."""
+    """The tree_proba loop that paydev.model.predict_proba replaces."""
     total = np.zeros(len(X))
     for tree in trees:
         total += tree_proba(tree, X)
@@ -178,13 +178,14 @@ def _forest(trees, impute):
 
 @pytest.mark.skipif(kernels.BACKEND != "c", reason="compiled kernel not built")
 class TestForestSum:
-    """paydev.model.tree_proba, which imputes as it walks, gives the bytes
+    """paydev.model.predict_proba, which imputes as it walks, gives the bytes
     of the tree_proba loop over the matrix with its NaNs filled first,
     divided by the number of trees."""
 
     def _score(self, trees, X, impute=None):
         impute = array("d", [0.0]) * X.shape[1] if impute is None else impute
-        return score_trees(_forest(trees, impute), array("d", X.tobytes()), len(X))
+        forest = _forest(trees, impute)
+        return score_rows(forest, array("d", X.tobytes()), len(X), forest.columns)
 
     def _assert_same(self, trees, X, impute=None):
         filled = X if impute is None else np.where(np.isnan(X), np.asarray(impute), X)
@@ -253,7 +254,7 @@ class TestForestSum:
         monkeypatch.setattr(native, "lib", SimpleNamespace(
             forest_sum=lambda *args: calls.append(args) or lib.forest_sum(*args)))
         for model in (fitted, load_model(io.StringIO(buf.getvalue()))):
-            expected = score_trees(model, array("d", X.tobytes()), len(X))
+            expected = score_rows(model, array("d", X.tobytes()), len(X), model.columns)
             addresses = [column.buffer_info()[0] for column in vars(model.nodes).values()]
             assert len(addresses) == 7 and set(addresses) <= set(calls[-1])
             assert expected.tobytes() == predict_proba(model, X).tobytes()
@@ -276,15 +277,15 @@ class TestPredictContract:
         X, y = _separable(rng, 60)
         model = fit_forest(_dataset(X, y, columns=["a", "b"]), n_trees=2, seed=1)
         with pytest.raises(ColumnMismatchError) as exc:
-            predict_proba(model, rng.normal(size=(5, 3)), columns=["a", "b", "c"])
+            score_rows(model, array("d", rng.normal(size=(5, 3)).tobytes()), 5, ["a", "b", "c"])
         assert "c" in str(exc.value)
 
     def test_column_reorder_allowed(self, rng):
         X, y = _separable(rng, 60)
         model = fit_forest(_dataset(X, y, columns=["a", "b"]), n_trees=2, seed=1)
         Xt = rng.normal(size=(5, 2))
-        direct = predict_proba(model, Xt, columns=["a", "b"])
-        swapped = predict_proba(model, Xt[:, [1, 0]], columns=["b", "a"])
+        direct = score_rows(model, array("d", Xt.tobytes()), 5, ["a", "b"])
+        swapped = score_rows(model, array("d", Xt[:, [1, 0]].tobytes()), 5, ["b", "a"])
         assert np.array_equal(direct, swapped)
 
     def test_probabilities_in_unit_interval(self, rng):
