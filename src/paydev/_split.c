@@ -28,9 +28,11 @@
  *
  * sort_histories, local_calendar and activity are the History pass of
  * features.histories, to_local and developer_features: they sort and gather
- * each identity's commits, calendar them in local time and compute one
- * History's developer features, giving bit for bit what their Python twins
- * in paydev.features give; commit_rows gives each commit's feature row.
+ * each identity's commits, calendar them in local time (day, hour and
+ * weekday) and compute one History's developer features, giving bit for bit
+ * what their Python twins in paydev.features give; commit_rows gives each
+ * commit's feature row. impute_median and activity take every median
+ * through middle.
  *
  * logit_fit and logit_proba fit and score the logistic regression, and auc
  * ranks scores for roc_auc, each repeating its stdlib twin operation for
@@ -288,11 +290,26 @@ static double select_kth(double *v, int64_t n, int64_t k)
     return v[k];
 }
 
-/* out = X (n x p, row after row) with each NaN of column k replaced by
- * median[k], the median of the column's other values (0.0 where there are
- * none). The two middle values a and b give (0.0 + a + b) / 2, np.median's
- * value (its sum turns -0.0 into 0.0), where that sum is finite, and
+/* The median of v[0..c), none of them NaN, reordering v; 0.0 where c is 0.
+ * The two middle values a and b give (0.0 + a + b) / 2, np.median's value
+ * (its sum turns -0.0 into 0.0), where that sum is finite, and
  * a / 2 + b / 2, which stays finite, where it is not. */
+static double middle(double *v, int64_t c)
+{
+    if (c < 1)
+        return 0.0;
+    double b = select_kth(v, c, c / 2), a = b;
+    if (c % 2 == 0) {  /* a: the largest value below rank c / 2 */
+        a = v[0];
+        for (int64_t i = 1; i < c / 2; i++)
+            a = v[i] > a ? v[i] : a;
+    }
+    double total = 0.0 + a + b;
+    return isfinite(total) ? total / 2 : a / 2 + b / 2;
+}
+
+/* out = X (n x p, row after row) with each NaN of column k replaced by
+ * median[k], the middle of the column's other values. */
 int impute_median(const double *X, int64_t n, int64_t p, double *out, double *median)
 {
     double *v = malloc((n > 0 ? n : 1) * sizeof(double));
@@ -303,17 +320,7 @@ int impute_median(const double *X, int64_t n, int64_t p, double *out, double *me
         for (int64_t r = 0; r < n; r++)
             if (!isnan(X[r * p + k]))
                 v[c++] = X[r * p + k];
-        median[k] = 0.0;
-        if (c > 0) {
-            double b = select_kth(v, c, c / 2), a = b;
-            if (c % 2 == 0) {  /* a: the largest value below rank c / 2 */
-                a = v[0];
-                for (int64_t i = 1; i < c / 2; i++)
-                    a = v[i] > a ? v[i] : a;
-            }
-            double total = 0.0 + a + b;
-            median[k] = isfinite(total) ? total / 2 : a / 2 + b / 2;
-        }
+        median[k] = middle(v, c);
         for (int64_t r = 0; r < n; r++)
             out[r * p + k] = isnan(X[r * p + k]) ? median[k] : X[r * p + k];
     }
@@ -1147,29 +1154,10 @@ int sort_histories(int64_t *rows, int64_t n, const int64_t *sizes, int64_t n_ids
     return 0;
 }
 
-/* The proleptic Gregorian year of day z (days since 1970-01-01), and the
- * day of 1 January of year y (H. Hinnant's civil-calendar algorithms). */
-static int64_t year_of(int64_t z)
-{
-    z += 719468;
-    int64_t era = (z >= 0 ? z : z - 146096) / 146097, doe = z - era * 146097;
-    int64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
-    int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    return yoe + era * 400 + ((5 * doy + 2) / 153 >= 10);  /* January or February */
-}
-
-static int64_t january_first(int64_t y)
-{
-    y -= 1;  /* the Gregorian cycle starts in March */
-    int64_t era = (y >= 0 ? y : y - 399) / 400, yoe = y - era * 400;
-    return era * 146097 + yoe * 365 + yoe / 4 - yoe / 100 + 306 - 719468;
-}
-
-/* The civil calendar of ts[k] shifted by off[k] minutes, for k < n, as five
- * rows of cal: day (since 1970-01-01), hour, weekday (Monday = 0), ISO year
- * and ISO week, the week of its Thursday. Returns 0, -1 when an offset is
- * outside +-1440 (checked first, for every k), -2 when a local time falls
- * outside years 1-9999. */
+/* The civil calendar of ts[k] shifted by off[k] minutes, for k < n, as three
+ * rows of cal: day (since 1970-01-01), hour and weekday (Monday = 0).
+ * Returns 0, -1 when an offset is outside +-1440 (checked first, for every
+ * k), -2 when a local time falls outside years 1-9999. */
 int local_calendar(const int64_t *ts, const int64_t *off, int64_t n, int64_t *cal)
 {
     for (int64_t k = 0; k < n; k++)
@@ -1181,21 +1169,11 @@ int local_calendar(const int64_t *ts, const int64_t *off, int64_t n, int64_t *ca
         if (local < LOCAL_MIN || local > LOCAL_MAX)
             return -2;
         int64_t day = local / 86400 - (local % 86400 < 0);
-        int64_t weekday = ((day + 3) % 7 + 7) % 7, thursday = day + 3 - weekday;
-        int64_t year = year_of(thursday);
         cal[k] = day;
         cal[n + k] = (local - 86400 * day) / 3600;
-        cal[2 * n + k] = weekday;
-        cal[3 * n + k] = year;
-        cal[4 * n + k] = (thursday - january_first(year)) / 7 + 1;
+        cal[2 * n + k] = ((day + 3) % 7 + 7) % 7;
     }
     return 0;
-}
-
-static int cmp_double(const void *a, const void *b)
-{
-    double x = *(const double *)a, y = *(const double *)b;
-    return (x > y) - (x < y);
 }
 
 /* The number of distinct values of v[0..n), n >= 1, sorted in place. */
@@ -1223,14 +1201,14 @@ static int64_t nearest_rank(const int64_t *bucket, int64_t m, int64_t pct)
  * (ts in ascending order; lines NaN for a binary-only commit): ints gets
  * period, days, weeks, commits, most_active_hour, beginning_regular,
  * length_regular and end_regular; reals gets timediff, loc_per_commit and the
- * weekend, night, morning, afternoon, evening and office shares. Medians of
- * an even count are the mean of the two middle values; the regular window
- * runs between the nearest-rank 10th and 90th percentiles of the weekday
- * (Monday-Friday) hours, 0 to 0 without any. Returns 0, -1 when out of
- * memory, -2 when n < 1 or an hour is outside 0-23. */
+ * weekend, night, morning, afternoon, evening and office shares. A week is
+ * counted by its Monday, day - weekday, so that weeks are ISO weeks. Medians
+ * of an even count are the mean of the two middle values (middle); the
+ * regular window runs between the nearest-rank 10th and 90th percentiles of
+ * the weekday (Monday-Friday) hours, 0 to 0 without any. Returns 0, -1 when
+ * out of memory, -2 when n < 1 or an hour is outside 0-23. */
 int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *hour,
-             const int64_t *weekday, const int64_t *iso_year, const int64_t *iso_week,
-             const double *lines, int64_t *ints, double *reals)
+             const int64_t *weekday, const double *lines, int64_t *ints, double *reals)
 {
     if (n < 1)
         return -2;
@@ -1245,10 +1223,10 @@ int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *ho
         }
     }
     int64_t *v = malloc(n * sizeof(int64_t));
-    double *loc = malloc(n * sizeof(double));
-    if (v == NULL || loc == NULL) {
+    double *x = malloc(n * sizeof(double));
+    if (v == NULL || x == NULL) {
         free(v);
-        free(loc);
+        free(x);
         return -1;
     }
 
@@ -1261,7 +1239,7 @@ int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *ho
     ints[0] = hi - lo;
     ints[1] = distinct(v, n);
     for (int64_t k = 0; k < n; k++)
-        v[k] = iso_year[k] * 100 + iso_week[k];
+        v[k] = day[k] - weekday[k];
     ints[2] = distinct(v, n);
     ints[3] = n;
     int64_t top = 0;
@@ -1274,19 +1252,19 @@ int activity(int64_t n, const int64_t *ts, const int64_t *day, const int64_t *ho
     ints[6] = end - begin;
     ints[7] = end;
 
-    /* the median gap between neighbouring commits, in days */
+    /* the median gap between neighbouring commits, in days, and the median
+     * changed lines: both finite and >= 0, so middle's 0.0 + a + b is the
+     * twin's a + b */
     for (int64_t k = 0; k + 1 < n; k++)
-        v[k] = ts[k + 1] - ts[k];
-    qsort(v, n - 1, sizeof(int64_t), cmp_int64);
-    reals[0] = n > 1 ? (v[(n - 2) / 2] / 86400.0 + v[(n - 1) / 2] / 86400.0) / 2 : 0.0;
+        x[k] = (double)(ts[k + 1] - ts[k]) / 86400.0;
+    reals[0] = middle(x, n - 1);
     int64_t m = 0;
     for (int64_t k = 0; k < n; k++)
         if (!isnan(lines[k]))
-            loc[m++] = lines[k];
-    qsort(loc, m, sizeof(double), cmp_double);
-    reals[1] = m ? (loc[(m - 1) / 2] + loc[m / 2]) / 2 : 0.0;
+            x[m++] = lines[k];
+    reals[1] = middle(x, m);
     free(v);
-    free(loc);
+    free(x);
 
     int64_t night = 0, morning = 0, afternoon = 0, evening = 0, office = 0;
     for (int h = 0; h < 24; h++) {

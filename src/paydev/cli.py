@@ -519,7 +519,8 @@ def cmd_predict(args) -> int:
 
         commits = _read_records(args.records)
         histories = feat.histories(_load_identities(args, commits), commits)
-        if set(model.columns) == set(feat.COMMIT_FEATURE_COLUMNS):
+        # the two column sets are disjoint: any per-commit column means commit rows
+        if not set(model.columns).isdisjoint(feat.COMMIT_FEATURE_COLUMNS):
             columns, X, row_ids = feat.COMMIT_FEATURE_COLUMNS, array("d"), []
             for h in histories.values():
                 rows, shas, _ = feat.commit_features(h)

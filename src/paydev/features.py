@@ -78,14 +78,11 @@ class LocalCalendar(NamedTuple):
     day: array  # days since 1970-01-01
     hour: array
     weekday: array  # Monday=0 .. Sunday=6
-    iso_year: array
-    iso_week: array
 
 
 def to_local(ts_utc, offset_minutes) -> LocalCalendar:
-    """Civil decomposition of each ts_utc shifted by its offset_minutes (two
-    int sequences of one length); the ISO year is that of the week's
-    Thursday.
+    """Civil day, hour and weekday of each ts_utc shifted by its
+    offset_minutes (two int sequences of one length).
 
     Every local instant must fall in years 1-9999 (see native.LOCAL_MIN and
     LOCAL_MAX); the readers reject records outside them. ValueError names an
@@ -119,42 +116,22 @@ def sort_histories_py(rows, sizes, timestamp, offset, added, deleted):
             array("d", [float(a) + float(d) if a >= 0 and d >= 0 else nan for a, d in pairs]))
 
 
-def _year_of(z):
-    """The proleptic Gregorian year of day z (days since 1970-01-01), by H.
-    Hinnant's civil-calendar algorithm, as _split.c computes it."""
-    era, doe = divmod(z + 719468, 146097)
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    return yoe + era * 400 + ((5 * doy + 2) // 153 >= 10)  # January or February
-
-
-def _january_first(year):
-    """The day (since 1970-01-01) of 1 January of `year`."""
-    era, yoe = divmod(year - 1, 400)  # the Gregorian cycle starts in March
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + 306 - 719468
-
-
 def local_calendar_py(ts, offset):
     """native.local_calendar in Python."""
     if len(offset) != len(ts):
         raise ValueError("local_calendar: ts and offset differ in length")
     if any(o < -1440 or o > 1440 for o in offset):
         raise ValueError("tz offset out of range")
-    cal = tuple(array("q") for _ in range(5))
-    day_of, hour_of, weekday_of, year_of, week_of = (c.append for c in cal)
+    cal = tuple(array("q") for _ in range(3))
+    day_of, hour_of, weekday_of = (c.append for c in cal)
     for t, o in zip(ts, offset):
         local = t + 60 * o
         if not LOCAL_MIN <= local <= LOCAL_MAX:
             raise ValueError("local time outside years 1-9999")
         day, secs = divmod(local, 86400)
-        weekday = (day + 3) % 7
-        thursday = day + 3 - weekday  # its ISO week's Thursday names the ISO year
-        year = _year_of(thursday)
         day_of(day)
         hour_of(secs // 3600)
-        weekday_of(weekday)
-        year_of(year)
-        week_of((thursday - _january_first(year)) // 7 + 1)
+        weekday_of((day + 3) % 7)
     return cal
 
 
@@ -172,10 +149,10 @@ def _nearest_rank(bucket, pct):
             return hour
 
 
-def activity_py(ts, day, hour, weekday, iso_year, iso_week, lines):
+def activity_py(ts, day, hour, weekday, lines):
     """native.activity in Python."""
     n = len(ts)
-    if any(len(c) != n for c in (day, hour, weekday, iso_year, iso_week, lines)):
+    if any(len(c) != n for c in (day, hour, weekday, lines)):
         raise ValueError("activity: the columns differ in length")
     if not n or min(hour) < 0 or max(hour) > 23:
         raise ValueError("activity needs at least one commit, each at an hour 0-23")
@@ -190,8 +167,7 @@ def activity_py(ts, day, hour, weekday, iso_year, iso_week, lines):
     beginning, end = (_nearest_rank(work, 10), _nearest_rank(work, 90)) if working else (0, 0)
     shares = (n - working, sum(every[:6]), sum(every[6:12]), sum(every[12:18]),
               sum(every[18:]), sum(every[8:17]))
-    return (max(day) - min(day), len(set(day)),
-            len({y * 100 + w for y, w in zip(iso_year, iso_week)}),
+    return (max(day) - min(day), len(set(day)), len({d - w for d, w in zip(day, weekday)}),
             _median([g / 86400.0 for g in gaps]) if gaps else 0.0, n,
             _median(locs) if locs else 0.0, *(count / n for count in shares),
             every.index(max(every)), beginning, end - beginning, end)

@@ -88,7 +88,7 @@ def _load():
         scan.restype = i64
     lib.sort_histories.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr]
     lib.local_calendar.argtypes = [ptr, ptr, i64, ptr]
-    lib.activity.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.activity.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.commit_rows.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.commit_rows.restype = None
     lib.logit_fit.argtypes = [ptr, i64, i64, ptr, f64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
@@ -405,30 +405,29 @@ def _c_sort_histories(rows, sizes, timestamp, offset, added, deleted):
 
 
 def _c_local_calendar(ts, offset):
-    """The day (since 1970-01-01), hour, weekday (Monday = 0), ISO year and
-    ISO week of each ts shifted by its offset in minutes, as five
-    array("q"), in one call to the library's local_calendar. ValueError
-    when an offset is outside +-1440 (checked first) or a local time
-    outside years 1-9999."""
+    """The day (since 1970-01-01), hour and weekday (Monday = 0) of each ts
+    shifted by its offset in minutes, as three array("q"), in one call to
+    the library's local_calendar. ValueError when an offset is outside
+    +-1440 (checked first) or a local time outside years 1-9999."""
     ts, offset = int_column(ts), int_column(offset)
     n = len(ts)
     if len(offset) != n:
         raise ValueError("local_calendar: ts and offset differ in length")
-    cal = array("q", bytes(40 * n))
+    cal = array("q", bytes(24 * n))
     status = lib.local_calendar(*_addresses(ts, offset), n, cal.buffer_info()[0])
     if status == -1:
         raise ValueError("tz offset out of range")
     if status:
         raise ValueError("local time outside years 1-9999")
-    return tuple(cal[k * n:(k + 1) * n] for k in range(5))
+    return tuple(cal[k * n:(k + 1) * n] for k in range(3))
 
 
-def _c_activity(ts, day, hour, weekday, iso_year, iso_week, lines):
+def _c_activity(ts, day, hour, weekday, lines):
     """The 16 developer features of one History, from its columns, in
     features.DeveloperFeatures order, in one call to the library's
     activity."""
-    columns = [int_column(c) for c in (ts, day, hour, weekday, iso_year, iso_week)]
-    lines = lines if type(lines) is array and lines.typecode == "d" else array("d", lines)
+    columns = [int_column(c) for c in (ts, day, hour, weekday)]
+    lines = _doubles(lines)
     n = len(columns[0])
     if any(len(c) != n for c in (*columns, lines)):
         raise ValueError("activity: the columns differ in length")

@@ -747,6 +747,25 @@ class TestTrainPredict:
         assert len(lines) == len(records.read_text().splitlines()) + 1
         assert len({line.split(",")[1] for line in lines[1:]}) > 1
 
+    def test_predict_from_records_partial_per_commit_model_exit_4(self, corpus, tmp_path,
+                                                                  capsys):
+        """A model of 14 of the 15 per-commit columns is matched against the
+        commit rows, and names only the column it lacks."""
+        records, labels = corpus
+        full, slim, model_path = tmp_path / "cf.csv", tmp_path / "cf14.csv", tmp_path / "m.json"
+        _write_commit_features(full, labels)
+        lacked = features.COMMIT_FEATURE_COLUMNS[-1]
+        slim.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in full.read_text().splitlines()))
+        assert run_cli("train", str(slim), "--labels", str(labels), "--classifier", "logit",
+                       "--out", str(model_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run_cli("predict", str(model_path), "--records", str(records),
+                       "--out", str(out)) == 4
+        assert f"(extra: {lacked})" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["logit", "rpart", "randomforest", "evaluate", "predict"])
     def test_no_feature_column_exit_3(self, corpus, tmp_path, capsys, command):
         """A features CSV that holds only its identity column, and a model

@@ -47,6 +47,15 @@ FIXTURE_EXPECTED = {
 }
 
 
+# (local dates of a History, its number of ISO weeks)
+_WEEK_EDGES = [
+    ([(2020, 12, 31), (2021, 1, 3)], 1),  # both in 2020-W53
+    ([(2021, 1, 3), (2021, 1, 4)], 2),
+    ([(1, 1, 1), (1, 1, 7)], 1),  # 0001-01-01 is a Monday
+    ([(9999, 12, 27), (9999, 12, 31)], 1),
+]
+
+
 class TestDeveloperFeatures:
     def test_fixture_exact(self, fixture_commits):
         feats = developer_features(history_of(fixture_commits))
@@ -113,9 +122,8 @@ class TestDeveloperFeatures:
             assert developer_features(history_of(shuffled)) == base
 
     def test_matches_oracle_on_random_histories(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(1, 60))
-            commits = [
+        drawn = [
+            ([
                 make_record(
                     sha=sha_of(i),
                     timestamp_utc=int(rng.integers(1.4e9, 1.6e9)),
@@ -123,8 +131,23 @@ class TestDeveloperFeatures:
                     lines_added=int(rng.integers(-1, 300)),
                     lines_deleted=int(rng.integers(-1, 200)),
                 )
-                for i in range(n)
-            ]
+                for i in range(int(rng.integers(1, 60)))
+            ], None)
+            for _ in range(40)
+        ]
+        # weeks at ISO-year boundaries and at the ends of years 1-9999: each
+        # date's local midnight and the second before the next, under offsets
+        # that put the UTC instant on the day before or after
+        for dates, weeks in _WEEK_EDGES:
+            assert len({date(*d).isocalendar()[:2] for d in dates}) == weeks
+            days = [(date(*d) - date(1970, 1, 1)).days for d in dates]
+            for off in (0, 1440, -1440):
+                drawn.append(([
+                    make_record(sha=sha_of(2 * k + late),
+                                timestamp_utc=86400 * day + 86399 * late - 60 * off,
+                                tz_offset_minutes=off)
+                    for k, day in enumerate(days) for late in (0, 1)], weeks))
+        for commits, weeks in drawn:
             oracle = brute_force_features(
                 [
                     (c.sha, c.timestamp_utc, c.tz_offset_minutes, c.lines_added,
@@ -137,6 +160,7 @@ class TestDeveloperFeatures:
                     feats = developer_features(history_of(commits))
                 for name, expected in oracle.items():
                     assert getattr(feats, name) == pytest.approx(expected, abs=1e-12), name
+                assert weeks is None or feats.weeks == weeks
 
     def test_share_sums_to_one(self, rng):
         for _ in range(20):
