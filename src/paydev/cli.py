@@ -167,9 +167,11 @@ def _build_config(args) -> Config:
     return cfg
 
 
-def _read_records(path):
+def _read_records(path, message=False):
+    """The Commits of a canonical records file, with their messages only
+    when `message` (the product filter reads them)."""
     with _open_binary(path) as (f, name):
-        return read_canonical(f, name)
+        return read_canonical(f, name, message=message)
 
 
 def _apply_product_filter(commits, args, cfg):
@@ -222,7 +224,7 @@ def _load_identities(args, commits, kept=None):
 
 def _study_records(args, cfg):
     """The Commits the product filter keeps, and their identities."""
-    commits = _read_records(args.records)
+    commits = _read_records(args.records, message=bool(getattr(args, "product_map", None)))
     kept = _apply_product_filter(commits, args, cfg)
     return kept, _load_identities(args, commits, kept)
 

@@ -12,11 +12,12 @@ canonical JSON lines, read through one protocol (see paydev.native): the
 format's scanner hands back runs of records it has read, in the writer's
 exact layout with values the per-record checks accept, and hands back
 every other record (every record without the compiled library) on its
-own. One column builder, _Table, collects both and checks a run's shas for
-duplicates, in record order. A record handed back on its own is parsed and
-checked by the format's per-record code, which alone raises errors; either
-way an error names the first faulty record, with the message, type and
-location that per-record code gives.
+own. One column builder, _Table, collects both, with one str object per
+distinct name and email, and checks a run's shas for duplicates, in record
+order. A record handed back on its own is parsed and checked by the
+format's per-record code, which alone raises errors; either way an error
+names the first faulty record, with the message, type and location that
+per-record code gives.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class Commits:
     stdlib array("q") int64 buffers for timestamp_utc, tz_offset_minutes,
     lines_added and lines_deleted (-1 when the commit touched only binary
     content), so that reading, writing and merging commits and building
-    their Histories needs no numpy. Commits() is the empty table."""
+    their Histories needs no numpy. Commits() is the empty table, and the
+    constructor copies the string columns it is given. A table the readers
+    build holds one str object per distinct name and per distinct email, and
+    its messages are empty unless the reader was asked for them."""
 
     __slots__ = CANONICAL_FIELDS
 
@@ -102,6 +106,15 @@ class Commits:
     def from_records(cls, records) -> Commits:
         """The table of a sequence of CommitRecords."""
         return cls(*([getattr(r, name) for r in records] for name in CANONICAL_FIELDS))
+
+    @classmethod
+    def _adopt(cls, columns) -> Commits:
+        """The table whose columns, in CANONICAL_FIELDS order, are the lists
+        and array("q")s `columns` themselves, not copies."""
+        table = cls.__new__(cls)
+        for name, column in zip(CANONICAL_FIELDS, columns, strict=True):
+            setattr(table, name, column)
+        return table
 
     def __len__(self) -> int:
         return len(self.sha)
@@ -219,21 +232,27 @@ def _parse_numstat(body: bytes, offset: int, index: int):
 
 class _Table:
     """The columns of a Commits table as a reader fills them, in record
-    order, and the set of shas they hold. Without `message` (a git-log
-    export has none) it holds the first seven CANONICAL_FIELDS, and the
+    order, and the set of shas they hold. Every name and email goes through
+    one dict, so that the table holds one object per distinct string.
+    Without `message` (a git-log export has none, and only the product
+    filter reads them) it holds the first seven CANONICAL_FIELDS, and the
     table's messages are empty."""
 
-    def __init__(self, message=True):
+    def __init__(self, message):
         kinds = _KINDS if message else _KINDS[:7]
         self.columns = tuple(array("q") if kind is int else [] for kind in kinds)
-        self.strings = self.columns[:3] + self.columns[7:]  # in a scanned run's order
         self.seen: set[str] = set()
+        self.interned: dict[str, str] = {}  # each distinct name and email, as itself
 
     def add(self, row):
-        """One record's values, in CANONICAL_FIELDS order; the reader has
-        checked that its sha is new."""
-        self.seen.add(row[0])
-        for column, value in zip(self.columns, row):
+        """One record's values, in CANONICAL_FIELDS order (the message, if
+        any, dropped without `message`); the reader has checked that its sha
+        is new."""
+        sha, name, email, *rest = row
+        self.seen.add(sha)
+        intern = self.interned.setdefault
+        for column, value in zip(self.columns, (sha, intern(name, name), intern(email, email),
+                                                *rest)):
             column.append(value)
 
     def add_run(self, run, lineno=None):
@@ -241,28 +260,34 @@ class _Table:
         when the format's errors name no line); raises DuplicateShaError at
         its first sha seen before. Returns the run's length."""
         ints, strings = run
-        k = len(self.strings)
+        n = len(ints[0])
+        k = len(strings) // n  # the strings of one item: sha, name, email and any message
         shas = strings[0::k]
         before = len(self.seen)
         self.seen.update(shas)
-        if len(self.seen) != before + len(shas):
+        if len(self.seen) != before + n:
             earlier = set(self.columns[0])
             for i, sha in enumerate(shas):
                 if sha in earlier:
                     raise DuplicateShaError(f"duplicate commit id {sha}",
                                             line=None if lineno is None else lineno + i)
                 earlier.add(sha)
-        for j, column in enumerate(self.strings):
-            column += strings[j::k]
+        intern = self.interned.setdefault
+        self.columns[0].extend(shas)
+        for j in (1, 2):
+            values = strings[j::k]
+            self.columns[j].extend(map(intern, values, values))
         for column, values in zip(self.columns[3:7], ints):
             column += values
-        return len(shas)
+        if len(self.columns) > 7:
+            self.columns[7].extend(strings[3::k])
+        return n
 
     def commits(self) -> Commits:
         columns = self.columns
         if len(columns) < len(CANONICAL_FIELDS):
             columns += ([""] * len(columns[0]),)
-        return Commits(*columns)
+        return Commits._adopt(columns)
 
 
 def parse_git_log(stream) -> Commits:
@@ -384,13 +409,16 @@ def _line_row(raw, name, seen, lineno):
     return _checked_row(obj, seen, lineno)
 
 
-def read_canonical(fileobj, name="input") -> Commits:
+def read_canonical(fileobj, name="input", message=False) -> Commits:
     """Read the canonical JSON lines of a binary file into a Commits table;
     blank lines are skipped. `name` names the file in the error a line that
-    is not UTF-8 raises. A line native.scan_canonical declines (blank,
-    escaped, non-ASCII, other spacing or key order, faulty, or the final
-    line without a line feed) is decoded, parsed and checked by _line_row."""
-    table = _Table()
+    is not UTF-8 raises. The table keeps the messages only with `message`
+    (their one reader is the product filter); else they are empty, but each
+    one is checked all the same, so a file fails the same way either way.
+    A line native.scan_canonical declines (blank, escaped, non-ASCII, other
+    spacing or key order, faulty, or the final line without a line feed) is
+    decoded, parsed and checked by _line_row."""
+    table = _Table(message)
     lineno = 0
     for item in native.scan_canonical(fileobj):
         if type(item) is not bytes:

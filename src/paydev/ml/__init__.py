@@ -12,8 +12,8 @@ from paydev import model as mdl
 from paydev.errors import ColumnMismatchError
 from paydev.ml.dataset import Dataset, as_rows, check_training, impute_median, make_dataset, matrix
 from paydev.ml.forest import fit_forest, fit_tree, forest_seed, predict_forest
-from paydev.ml.introspect import introspect, root_split_feature
-from paydev.ml.logit import fit_logit, loss_and_grad, sigmoid
+from paydev.ml.introspect import introspect
+from paydev.ml.logit import fit_logit
 from paydev.model import (
     ForestModel,
     LogitModel,
@@ -37,15 +37,12 @@ __all__ = [
     "impute_median",
     "introspect",
     "load_model",
-    "loss_and_grad",
     "make_dataset",
     "matrix",
     "model_kind",
     "predict_forest",
     "predict_proba",
-    "root_split_feature",
     "save_model",
-    "sigmoid",
 ]
 
 

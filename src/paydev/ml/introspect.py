@@ -35,12 +35,6 @@ def _tree_lines(tree: Nodes, columns, lines):
         stack += ((right[i], depth + 1), (left[i], depth + 1))
 
 
-def root_split_feature(model: TreeModel) -> str | None:
-    """Name of the first splitting feature, None for a single-leaf tree."""
-    f = int(model.nodes.feature[0])
-    return None if f < 0 else model.columns[f]
-
-
 def _ranked(values):
     """The column indices by value, largest first, ties in column order."""
     return sorted(range(len(values)), key=lambda j: (-values[j], j))

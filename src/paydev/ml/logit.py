@@ -22,7 +22,7 @@ from operator import add, mul, sub
 
 from paydev import native
 from paydev.errors import SchemaError
-from paydev.ml.dataset import Dataset, as_rows, check_training, impute_median
+from paydev.ml.dataset import Dataset, check_training, impute_median
 from paydev.model import LogitModel
 
 LN2 = 0.6931471805599453
@@ -46,12 +46,6 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid(z) -> array:
-    """1 / (1 + exp(-z)) per value of z, as an array("d"); exp never
-    overflows."""
-    return array("d", map(_sigmoid, map(float, z)))
-
-
 def _loss_grad(w, columns, y, l2):
     """(loss, gradient, margins) at the weights w of the rows whose columns
     are `columns` (the last all ones), with labels y: _split.c's loss_grad."""
@@ -66,19 +60,6 @@ def _loss_grad(w, columns, y, l2):
         ridge += w[j] * w[j]
         grad[j] += l2 * w[j]
     return loss + 0.5 * l2 * ridge, grad, z
-
-
-def loss_and_grad(w, X1, y, l2):
-    """Penalized negative log-likelihood and its gradient (an array("d")).
-
-    w has the intercept as its last entry; X1 (a 2-D buffer of doubles)
-    carries a trailing column of ones. The intercept is
-    not penalized.
-    """
-    values, _, q = as_rows(X1)
-    columns = [values[j::q] for j in range(q or 0)]
-    loss, grad, _ = _loss_grad([float(v) for v in w], columns, [float(v) for v in y], l2)
-    return loss, array("d", grad)
 
 
 def _small(grad, tol):

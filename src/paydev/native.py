@@ -102,7 +102,7 @@ def _load():
     return lib
 
 
-BLOCK_BYTES = 1 << 20  # the canonical scanner reads whole lines in blocks of about this size
+BLOCK_BYTES = 1 << 18  # the canonical scanner reads whole lines in blocks of about this size
 RUN_RECORDS = 1 << 14  # a scanner call takes at most this many lines or records
 
 
@@ -113,8 +113,9 @@ def _runs(scan, data, pos, declined):
     declined(data, pos), whose second is where the next item starts. ints
     holds the run's timestamp_utc, tz_offset_minutes, lines_added and
     lines_deleted, each an array("q"); strings lists the strings the scanner
-    copies out, item by item. A run ends early when its strings fill
-    BLOCK_BYTES; an item whose strings alone do not fit is declined."""
+    copies out, item by item, decoded straight from its text buffer. A run
+    ends early when its strings fill BLOCK_BYTES; an item whose strings
+    alone do not fit is declined."""
     end = len(data)
     text_cap = min(BLOCK_BYTES, end)  # the strings of `data` take no more bytes than it
     ints = array("q", [0]) * (4 * RUN_RECORDS)  # four rows of RUN_RECORDS
@@ -124,7 +125,7 @@ def _runs(scan, data, pos, declined):
     while pos < end:
         n = scan(data, pos, end, RUN_RECORDS, ints_at, text, text_cap, info)
         if n:  # each string ends with a line feed; the last one is dropped before the split
-            strings = ctypes.string_at(text, info[1] - 1).decode("ascii").split("\n")
+            strings = str(memoryview(text)[:info[1] - 1], "ascii").split("\n")
             yield tuple(ints[k * RUN_RECORDS:k * RUN_RECORDS + n] for k in range(4)), strings
             pos = info[0]
         else:

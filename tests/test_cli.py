@@ -352,6 +352,27 @@ class TestEncodingFaults:
         assert "lone surrogate (line 4)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["identities"],
+        ["features"],
+        ["features", "--product-map", "{pm}", "--config", "{cfg}"],
+    ])
+    def test_lone_surrogate_message_exit_3(self, corpus, tmp_path, capsys, argv):
+        """A message is checked whether or not the command keeps it (only
+        the product filter reads messages)."""
+        records, _ = corpus
+        lines = records.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"message": "', '"message": "\\ud800', 1)
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        bad.write_text("".join(lines))
+        pm, cfg = tmp_path / "pm.csv", tmp_path / "c.cfg"
+        pm.write_text("issue_id,product\n1,Firefox\n")
+        cfg.write_text("products=Firefox\n")
+        argv = [a.format(pm=pm, cfg=cfg) for a in argv]
+        assert run_cli(argv[0], str(bad), *argv[1:], "--out", str(out)) == 3
+        assert "field 'message' holds a lone surrogate (line 4)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_json_report_and_determinism(self, corpus, tmp_path):

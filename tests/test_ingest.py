@@ -2,7 +2,7 @@ import io
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import date
 
 import numpy as np
@@ -51,8 +51,8 @@ def canonical_bytes(records):
     return buf.getvalue().encode("utf-8")
 
 
-def read_bytes(data):
-    return read_canonical(io.BytesIO(data))
+def read_bytes(data, message=True):
+    return read_canonical(io.BytesIO(data), message=message)
 
 
 def record_bytes(sha, name="Alice", email="A@X.COM", at=1483348800,
@@ -378,6 +378,58 @@ class TestCanonical:
     def test_duplicate_sha_rejected(self):
         with pytest.raises(DuplicateShaError):
             read_bytes(canonical_bytes([make_record(), make_record()]))
+
+
+def _one_object_per_string(column):
+    return len({id(s) for s in column}) == len(set(column))
+
+
+class TestLeanTable:
+    """Both readers hold one str object per distinct name and per distinct
+    email, and read_canonical keeps the messages only with message=True,
+    whether a line is scanned or read on its own."""
+
+    # "Zoë" is not ASCII, so the scanner declines its lines; the lines span
+    # more than one block
+    RECORDS = [make_record(sha=sha_of(i), author_name=("Ann", "Bob", "Zoë")[i % 3],
+                           author_email=("ann@x.org", "bob@x.org")[i % 2],
+                           message=f"Bug {i} - change {i}")
+               for i in range(native.BLOCK_BYTES // 200 + 10)]
+
+    @pytest.mark.parametrize("on", SCANNER_MODES)
+    @pytest.mark.parametrize("message", [False, True])
+    def test_canonical(self, on, message):
+        data = canonical_bytes(self.RECORDS)
+        assert len(data) > native.BLOCK_BYTES
+        with scanning(on):  # without message=True, the messages are dropped
+            commits = read_canonical(io.BytesIO(data), **({"message": True} if message else {}))
+        assert rows(commits) == (self.RECORDS if message
+                                 else [replace(r, message="") for r in self.RECORDS])
+        assert _one_object_per_string(commits.author_name)
+        assert _one_object_per_string(commits.author_email)
+
+    @pytest.mark.parametrize("on", SCANNER_MODES)
+    def test_git_log(self, on):
+        # each email in two spellings, which lowercase to one
+        data = b"\n".join(record_bytes(sha_of(i), name=("Ann", "Bob", "Zoë")[i % 3],
+                                        email=("Ann@X.org", "ann@x.org", "BOB@x.org")[i % 3])
+                          for i in range(300))
+        with scanning(on):
+            commits = parse_git_log(data)
+        assert set(commits.author_email) == {"ann@x.org", "bob@x.org"}
+        assert len(commits) == 300 and commits.message == [""] * 300
+        assert _one_object_per_string(commits.author_name)
+        assert _one_object_per_string(commits.author_email)
+
+    def test_lone_surrogate_in_a_message_not_kept(self):
+        line = json.dumps(asdict(make_record(sha=sha_of(3), message="\ud800")))
+        assert "\\ud800" in line
+        data = canonical_bytes(self.RECORDS[:3]) + line.encode() + b"\n"
+        got = _read_outcome(data)
+        assert got == (SchemaError, "field 'message' holds a lone surrogate (line 4)", 4)
+        for on in SCANNER_MODES:
+            with scanning(on):
+                assert _outcome(lambda: read_bytes(data, message=False)) == got
 
 
 # ---------------------------------------------------------------- hostile files

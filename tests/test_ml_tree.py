@@ -11,7 +11,6 @@ from paydev.ml import (
     load_model,
     make_dataset,
     predict_proba,
-    root_split_feature,
     save_model,
 )
 from paydev import native
@@ -172,7 +171,7 @@ class TestIntrospect:
         X = rng.normal(size=(100, 2))
         y = (X[:, 1] > 0).astype(int)
         model = fit_tree(_dataset(X, y, columns=["other", "weekend"]), minsplit=5)
-        assert root_split_feature(model) == "weekend"
+        assert model.columns[model.nodes.feature[0]] == "weekend"
         assert "weekend" in introspect(model).splitlines()[1]
 
     def test_single_leaf_report(self, rng):
