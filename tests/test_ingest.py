@@ -410,7 +410,7 @@ class TestLeanTable:
 
     @pytest.mark.parametrize("on", SCANNER_MODES)
     def test_git_log(self, on):
-        # each email in two spellings, which lowercase to one
+        # ann@x.org in two spellings, which lowercase to one
         data = b"\n".join(record_bytes(sha_of(i), name=("Ann", "Bob", "Zoë")[i % 3],
                                         email=("Ann@X.org", "ann@x.org", "BOB@x.org")[i % 3])
                           for i in range(300))
