@@ -44,7 +44,7 @@ import sys
 import tempfile
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from paydev import native
 from paydev.config import Config, apply_overrides, load_config, validate
@@ -195,25 +195,21 @@ def _apply_product_filter(commits, args, cfg):
 
 def _load_identities(args, commits, kept=None):
     """Identities over the `kept` Commits (default: all of them): the
-    --identities map, whose every sha must be in `commits` and which loses
-    the commits not kept and then the identities left with none, or else
-    identities merged afresh from `kept`."""
+    --identities map read against `commits`, each identity's rows moved to
+    their rows in `kept` and those not kept dropped, then the identities
+    left with none; or else identities merged afresh from `kept`."""
     from paydev import identity as ident_mod
 
     kept = commits if kept is None else kept
     if getattr(args, "identities", None):
         with _open_input(args.identities) as f:
-            identities = read_identity_map(f)
-        known = set(commits.sha)
-        for ident in identities:
-            missing = ident.commit_shas - known
-            if missing:
-                raise SchemaError(f"identity {ident.id!r} names commit {min(missing)}, "
-                                  "which no record has")
+            identities = read_identity_map(f, commits)
         if kept is not commits:
-            kept_shas = set(kept.sha)
-            identities = [replace(i, commit_shas=i.commit_shas & kept_shas) for i in identities]
-            identities = [i for i in identities if i.commit_shas]
+            kept_row = dict(zip(kept.sha, range(len(kept))))
+            for ident in identities:
+                ident.rows = [kept_row[sha] for sha in map(commits.sha.__getitem__, ident.rows)
+                              if sha in kept_row]
+            identities = [i for i in identities if i.rows]
         return identities
     overrides = []
     if getattr(args, "overrides", None):
@@ -229,24 +225,29 @@ def _study_records(args, cfg):
     return kept, _load_identities(args, commits, kept)
 
 
-def write_identity_map(identities, fileobj) -> None:
+def write_identity_map(identities, commits, fileobj) -> None:
+    """Identity-map JSONL, one line per identity: its id, its sorted names
+    and emails, and the shas of the rows of `commits` it owns, which are in
+    sha order already."""
     for ident in identities:
         obj = {
             "id": ident.id,
             "names": sorted(ident.names),
             "emails": sorted(ident.emails),
-            "commit_shas": sorted(ident.commit_shas),
+            "commit_shas": [commits.sha[r] for r in ident.rows],
         }
         fileobj.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_identity_map(fileobj):
-    """Identities from identity-map JSONL: one object per line with a string
-    id and lists of strings names, emails and commit_shas (at least one
-    sha). No id may repeat, no sha may belong to two identities and no
-    string may hold a lone surrogate."""
+def read_identity_map(fileobj, commits):
+    """Identities owning rows of the Commits `commits`, from identity-map
+    JSONL: one object per line with a string id and lists of strings names,
+    emails and commit_shas (at least one sha). Every sha must be in
+    `commits`, no id may repeat, no sha may belong to two identities and no
+    string may hold a lone surrogate; the line that breaks a rule is named."""
     from paydev.identity import Identity
 
+    row_of = dict(zip(commits.sha, range(len(commits))))
     identities, ids, owner_of = [], set(), {}
     for lineno, line in enumerate(fileobj, start=1):
         if not line.strip():
@@ -279,19 +280,17 @@ def read_identity_map(fileobj):
         if ident_id in ids:
             raise SchemaError(f"identity {ident_id!r} repeated", line=lineno)
         ids.add(ident_id)
-        for sha in obj["commit_shas"]:
-            owner = owner_of.setdefault(sha, ident_id)
+        shas = sorted(set(obj["commit_shas"]))
+        rows = list(map(row_of.get, shas))
+        if None in rows:
+            raise SchemaError(f"identity {ident_id!r} names commit {shas[rows.index(None)]}, "
+                              "which no record has", line=lineno)
+        for row in rows:
+            owner = owner_of.setdefault(row, ident_id)
             if owner != ident_id:
-                raise SchemaError(f"commit {sha} is under identities {owner!r} and "
-                                  f"{ident_id!r}", line=lineno)
-        identities.append(
-            Identity(
-                id=ident_id,
-                names=set(obj["names"]),
-                emails=set(obj["emails"]),
-                commit_shas=set(obj["commit_shas"]),
-            )
-        )
+                raise SchemaError(f"commit {commits.sha[row]} is under identities {owner!r} "
+                                  f"and {ident_id!r}", line=lineno)
+        identities.append(Identity(ident_id, set(obj["names"]), set(obj["emails"]), rows))
     return identities
 
 
@@ -434,17 +433,18 @@ def cmd_identities(args) -> int:
     from paydev import identity as ident_mod
 
     _build_config(args)
-    identities = _load_identities(args, _read_records(args.records))
+    commits = _read_records(args.records)
+    identities = _load_identities(args, commits)
     report = ident_mod.identity_report(identities)
     if args.out:
-        _atomic_write(args.out, lambda f: write_identity_map(identities, f))
+        _atomic_write(args.out, lambda f: write_identity_map(identities, commits, f))
         out = sys.stdout
     else:
-        write_identity_map(identities, sys.stdout)
+        write_identity_map(identities, commits, sys.stdout)
         out = sys.stderr
     print(f"{'identity':<40} {'aliases':>7} {'commits':>7}", file=out)
-    for ident_id, aliases, commits in report:
-        print(f"{ident_id:<40} {aliases:>7} {commits:>7}", file=out)
+    for ident_id, aliases, count in report:
+        print(f"{ident_id:<40} {aliases:>7} {count:>7}", file=out)
     return 0
 
 

@@ -173,32 +173,17 @@ def activity_py(ts, day, hour, weekday, lines):
             every.index(max(every)), beginning, end - beginning, end)
 
 
-def _owned_rows(identities, commits):
-    """The rows of `commits` each identity owns, in sha order, identity
-    after identity, and how many each owns. The sha index is freed on
-    return, before histories makes its full-size arrays, which keeps the
-    peak memory of a command where it was when each identity was built
-    alone."""
-    row_of = {sha: row for row, sha in enumerate(commits.sha)}
-    rows, sizes = [], []
-    for ident in identities:
-        shas = sorted(ident.commit_shas)
-        rows += map(row_of.__getitem__, shas)
-        sizes.append(len(shas))
-    return rows, sizes
-
-
 def histories(identities, commits) -> dict[str, History]:
     """Each identity's History, keyed by identity id, in the order of
-    `identities`; every sha an identity owns must be in the Commits table.
+    `identities`, each of which owns rows of the Commits table `commits`.
 
     One sort_histories call sorts every identity's rows by timestamp and
     gathers their columns, and one to_local call calendars them all; each
     History takes its slice of those arrays."""
-    rows, sizes = _owned_rows(identities, commits)
+    sizes = [len(ident.rows) for ident in identities]
     rows, ts, offset, lines = native.sort_histories(
-        rows, sizes, commits.timestamp_utc, commits.tz_offset_minutes, commits.lines_added,
-        commits.lines_deleted)
+        [row for ident in identities for row in ident.rows], sizes, commits.timestamp_utc,
+        commits.tz_offset_minutes, commits.lines_added, commits.lines_deleted)
     local = to_local(ts, offset)
     out, start = {}, 0
     for ident, size in zip(identities, sizes):

@@ -29,12 +29,14 @@ def normalize_name(name: str) -> str:
 
 @dataclass
 class Identity:
-    """A merged developer: alias sets plus the commits they own."""
+    """A merged developer: alias sets plus the commits they own, as the
+    rows of the Commits table the identity was built against, in sha order
+    (histories sorts them stably by timestamp, so ties keep that order)."""
 
     id: str
     names: set[str] = field(default_factory=set)
     emails: set[str] = field(default_factory=set)
-    commit_shas: set[str] = field(default_factory=set)
+    rows: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,6 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def _identity_id(names, emails, commit_shas) -> str:
-    if emails:
-        return min(emails)
-    if names:
-        return min(names)
-    return min(commit_shas)
-
-
 def merge_identities(commits, overrides=()) -> list[Identity]:
     """Partition Commits into identities; see the module docstring.
 
@@ -108,29 +102,29 @@ def merge_identities(commits, overrides=()) -> list[Identity]:
             split_by_name.setdefault(normalize_name(key), i)
             split_by_email.setdefault(key, i)
 
-    shas_by_alias = {}
-    for sha, alias in zip(commits.sha, zip(commits.author_name, commits.author_email)):
-        shas_by_alias.setdefault(alias, []).append(sha)
+    rows_by_alias = {}
+    for row, alias in enumerate(zip(commits.author_name, commits.author_email)):
+        rows_by_alias.setdefault(alias, []).append(row)
 
     # One DSU node per alias: its split rule's, else its name's joined to
     # its email's. Empty strings must not link, so a commit with neither
     # a name nor an email gets a node of its own.
     dsu = _DSU()
-    aliases = []  # (node, normalized name, email, shas)
-    for (raw_name, email), shas in shas_by_alias.items():
+    aliases = []  # (node, normalized name, email, rows)
+    for (raw_name, email), rows in rows_by_alias.items():
         name = normalize_name(raw_name)
         rule_idx = split_by_name.get(name, split_by_email.get(email))
         if rule_idx is not None:
-            aliases.append((("s", rule_idx), name, email, shas))
+            aliases.append((("s", rule_idx), name, email, rows))
         elif name or email:
             node = ("n", name) if name else ("e", email)
             if name and email:
                 dsu.union(node, ("e", email))
             else:
                 dsu.find(node)
-            aliases.append((node, name, email, shas))
+            aliases.append((node, name, email, rows))
         else:
-            aliases.extend((("c", sha), name, email, (sha,)) for sha in shas)
+            aliases.extend((("c", row), name, email, (row,)) for row in rows)
 
     if split_keys:
         names, emails = {a[1] for a in aliases}, {a[2] for a in aliases}
@@ -147,7 +141,7 @@ def merge_identities(commits, overrides=()) -> list[Identity]:
                 dsu.union(nodes[0], node)
 
     components = {}
-    for node, name, email, shas in aliases:
+    for node, name, email, rows in aliases:
         root = dsu.find(node)
         ident = components.get(root)
         if ident is None:
@@ -156,11 +150,12 @@ def merge_identities(commits, overrides=()) -> list[Identity]:
             ident.names.add(name)
         if email:
             ident.emails.add(email)
-        ident.commit_shas.update(shas)
+        ident.rows += rows
 
     result = list(components.values())
     for ident in result:
-        ident.id = _identity_id(ident.names, ident.emails, ident.commit_shas)
+        ident.rows.sort(key=commits.sha.__getitem__)
+        ident.id = min(ident.emails or ident.names or [commits.sha[ident.rows[0]]])
     result.sort(key=lambda i: i.id)
     for a, b in zip(result, result[1:]):
         if a.id == b.id:
@@ -174,7 +169,7 @@ def merge_identities(commits, overrides=()) -> list[Identity]:
 def identity_report(identities) -> list[tuple[str, int, int]]:
     """Rows of (id, alias count, commit count), most commits first."""
     rows = [
-        (ident.id, len(ident.names) + len(ident.emails), len(ident.commit_shas))
+        (ident.id, len(ident.names) + len(ident.emails), len(ident.rows))
         for ident in identities
     ]
     rows.sort(key=lambda r: (-r[2], r[0]))

@@ -78,43 +78,40 @@ class CommitRecord:
     message: str
 
 
+def _str_column(values):
+    """`values` as a list; a list itself is kept, not copied."""
+    return values if type(values) is list else list(values)
+
+
 class Commits:
     """Commit metadata as one table, one entry per commit in each column:
     lists of str for sha, author_name, author_email and message, and
     stdlib array("q") int64 buffers for timestamp_utc, tz_offset_minutes,
     lines_added and lines_deleted (-1 when the commit touched only binary
     content), so that reading, writing and merging commits and building
-    their Histories needs no numpy. Commits() is the empty table, and the
-    constructor copies the string columns it is given. A table the readers
-    build holds one str object per distinct name and per distinct email, and
-    its messages are empty unless the reader was asked for them."""
+    their Histories needs no numpy. Commits() is the empty table; the
+    constructor keeps a column given as a list or an array("q") itself, and
+    copies any other sequence. A table the readers build holds one str
+    object per distinct name and per distinct email, and its messages are
+    empty unless the reader was asked for them."""
 
     __slots__ = CANONICAL_FIELDS
 
     def __init__(self, sha=(), author_name=(), author_email=(), timestamp_utc=(),
                  tz_offset_minutes=(), lines_added=(), lines_deleted=(), message=()):
-        self.sha = list(sha)
-        self.author_name = list(author_name)
-        self.author_email = list(author_email)
+        self.sha = _str_column(sha)
+        self.author_name = _str_column(author_name)
+        self.author_email = _str_column(author_email)
         self.timestamp_utc = native.int_column(timestamp_utc)
         self.tz_offset_minutes = native.int_column(tz_offset_minutes)
         self.lines_added = native.int_column(lines_added)
         self.lines_deleted = native.int_column(lines_deleted)
-        self.message = list(message)
+        self.message = _str_column(message)
 
     @classmethod
     def from_records(cls, records) -> Commits:
         """The table of a sequence of CommitRecords."""
         return cls(*([getattr(r, name) for r in records] for name in CANONICAL_FIELDS))
-
-    @classmethod
-    def _adopt(cls, columns) -> Commits:
-        """The table whose columns, in CANONICAL_FIELDS order, are the lists
-        and array("q")s `columns` themselves, not copies."""
-        table = cls.__new__(cls)
-        for name, column in zip(CANONICAL_FIELDS, columns, strict=True):
-            setattr(table, name, column)
-        return table
 
     def __len__(self) -> int:
         return len(self.sha)
@@ -287,7 +284,7 @@ class _Table:
         columns = self.columns
         if len(columns) < len(CANONICAL_FIELDS):
             columns += ([""] * len(columns[0]),)
-        return Commits._adopt(columns)
+        return Commits(*columns)
 
 
 def parse_git_log(stream) -> Commits:

@@ -85,7 +85,7 @@ def study_filter(identities, min_commits: int = 100):
     """Identities with strictly more than min_commits commits."""
     if min_commits < 1:
         raise ValueError("min_commits must be >= 1")
-    return [i for i in identities if len(i.commit_shas) > min_commits]
+    return [i for i in identities if len(i.rows) > min_commits]
 
 
 _EPOCH = date(1970, 1, 1).toordinal()

@@ -78,10 +78,21 @@ def loss_and_grad(w, X1, y, l2):
     return loss, grad
 
 
+def owning(ident_id, commits, rows):
+    """The Identity `ident_id` owning the given rows of the Commits table
+    `commits`, in the sha order an Identity keeps them in."""
+    return Identity(ident_id, rows=sorted(rows, key=commits.sha.__getitem__))
+
+
+def shas_of(ident, commits):
+    """The shas of the rows of the Commits table `commits` an Identity owns."""
+    return [commits.sha[r] for r in ident.rows]
+
+
 def history_of(records):
     """The History of a list of CommitRecords as one identity's commits."""
     commits = Commits.from_records(records)
-    return histories([Identity("dev", commit_shas=set(commits.sha))], commits)["dev"]
+    return histories([owning("dev", commits, range(len(commits)))], commits)["dev"]
 
 
 @pytest.fixture

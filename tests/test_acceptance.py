@@ -331,8 +331,7 @@ def test_criterion_10_introspection():
     from paydev.ingest import Commits
 
     identities = merge_identities(Commits.from_records(records))
-    by_sha = {r.sha: r for r in records}
-    feats = compute_features({i.id: history_of([by_sha[s] for s in i.commit_shas])
+    feats = compute_features({i.id: history_of([records[r] for r in i.rows])
                               for i in identities})
     X, ids, columns = feature_matrix(feats, "all")
     y = [1 if labels[i] == "hired" else 0 for i in ids]

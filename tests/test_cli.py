@@ -1489,7 +1489,8 @@ class TestProductFilter:
         for extra in ([], product_args):
             assert run_cli("features", str(records), "--identities", str(bad_map),
                            *extra, "--out", str(tmp_path / "f.csv")) == 3
-            assert "f" * 40 in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "f" * 40 in err and "(line 2)" in err, err
         # a malformed second line, or one that contradicts the first
         first, second = (json.loads(line) for line in ident_map.read_text().splitlines()[:2])
         for bad in (5, {"id": 1}, {"names": 5}, {"commit_shas": [[1]]},

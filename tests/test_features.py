@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HISTORY_MODES, compiled_histories, history_of, make_record, sha_of
+from conftest import HISTORY_MODES, compiled_histories, history_of, make_record, owning, sha_of
 from oracle_calendar import local_civil
 from oracle_features import brute_force_features
 from paydev.labels import commit_labels, load_labels
@@ -366,14 +366,12 @@ class TestHistory:
         commits = _tied_commits(rng, n=90)
         rng.shuffle(commits)
         table = Commits.from_records(commits)
-        owners = {c.sha: f"id{k % 4}" for k, c in enumerate(commits)}
-        identities = [Identity(f"id{k}", commit_shas={s for s, o in owners.items()
-                                                       if o == f"id{k}"}) for k in (2, 0, 3, 1)]
+        identities = [owning(f"id{k}", table, range(k, len(table), 4)) for k in (2, 0, 3, 1)]
         identities.append(Identity("none"))
         got = histories(identities, table)
         assert list(got) == ["id2", "id0", "id3", "id1", "none"]
         for ident in identities:
-            alone = history_of([c for c in commits if c.sha in ident.commit_shas])
+            alone = history_of([commits[r] for r in ident.rows])
             h = got[ident.id]
             assert (h.sha, h.email, _columns(h)) == (alone.sha, alone.email, _columns(alone))
             if h.sha:
@@ -383,8 +381,7 @@ class TestHistory:
         """Writing one History's column changes no other History's."""
         commits = _tied_commits(rng)
         table = Commits.from_records(commits)
-        identities = [Identity(f"id{k}", commit_shas={c.sha for c in commits[k::2]})
-                      for k in (0, 1)]
+        identities = [owning(f"id{k}", table, range(k, len(table), 2)) for k in (0, 1)]
         first, second = histories(identities, table).values()
         before = _columns(second)
         for column in (first.ts, first.lines, *first.local):
@@ -429,8 +426,8 @@ class TestCompiledTwin:
                                lines_added=added, lines_deleted=deleted)
                    for i, (owner, local, off, added, deleted) in enumerate(drawn)]
         table = Commits.from_records(records)
-        identities = [Identity(f"id{k}", commit_shas={sha_of(i) for i, c in enumerate(drawn)
-                                                      if c[0] == k}) for k in range(4)]
+        identities = [owning(f"id{k}", table, [i for i, c in enumerate(drawn) if c[0] == k])
+                      for k in range(4)]
         got = []
         for on in (True, False):
             with compiled_histories(on):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, sha_of
+from conftest import make_record, sha_of, shas_of
 from paydev.errors import IdentityClashError, OverrideConflictError, SchemaError
 from paydev.identity import (
     OverrideRule,
@@ -129,9 +129,9 @@ class TestMerge:
         idents = merge_identities(records_from_pairs(pairs), rules)
         assert len(idents) == 2
         split = next(i for i in idents if "N2" in i.names)
-        assert split.commit_shas == {sha_of(2)}
+        assert split.rows == [2]
         other = next(i for i in idents if i is not split)
-        assert other.commit_shas == {sha_of(0), sha_of(1)}
+        assert other.rows == [0, 1]
         assert other.emails == {"a@x.com", "b@y.org"}
 
     def test_merge_override_unions(self):
@@ -176,9 +176,9 @@ class TestMerge:
                                       [OverrideRule(kind="split", keys=(key,))])
             assert not capsys.readouterr().err
             by_id = {i.id: i for i in idents}
-            assert by_id["z@y.org"].commit_shas == {sha_of(2)}
+            assert by_id["z@y.org"].rows == [2]
             assert by_id["z@y.org"].names == {"Alice B"}
-            assert by_id["c@x.com"].commit_shas == {sha_of(0), sha_of(1)}
+            assert by_id["c@x.com"].rows == [0, 1]
 
     def test_split_sharing_an_address_clashes(self):
         pairs = [("N1", "a@x.com"), ("N2", "a@x.com")] * 3
@@ -187,7 +187,7 @@ class TestMerge:
             merge_identities(records, [OverrideRule(kind="split", keys=("N2",))])
         # the suggested fix: list the address in the split rule
         idents = merge_identities(records, [OverrideRule(kind="split", keys=("N2", "a@x.com"))])
-        assert [(i.id, len(i.commit_shas)) for i in idents] == [("a@x.com", 6)]
+        assert [(i.id, len(i.rows)) for i in idents] == [("a@x.com", 6)]
 
     def test_name_equal_to_an_address_clashes(self):
         records = records_from_pairs([("a@x.com", ""), ("Bob", "a@x.com")])
@@ -214,14 +214,18 @@ def alias_pairs(draw):
 
 
 class TestProperties:
-    @given(alias_pairs())
+    @given(alias_pairs(), st.permutations(range(25)))
     @settings(max_examples=200, deadline=None)
-    def test_partition_and_oracle(self, pairs):
-        records = records_from_pairs(pairs)
-        idents = merge_identities(records)
-        # partition: every commit in exactly one identity
-        all_shas = [sha for i in idents for sha in i.commit_shas]
-        assert sorted(all_shas) == sorted(r.sha for r in records)
+    def test_partition_and_oracle(self, pairs, order):
+        # shas out of row order, so that sha order and row order differ
+        commits = Commits.from_records([make_record(sha=sha_of(order[i]), author_name=name,
+                                                    author_email=email)
+                                        for i, (name, email) in enumerate(pairs)])
+        idents = merge_commits(commits)
+        # partition: every row in exactly one identity, each identity's rows in sha order
+        assert sorted(r for i in idents for r in i.rows) == list(range(len(commits)))
+        for ident in idents:
+            assert shas_of(ident, commits) == sorted(shas_of(ident, commits))
         # key sets equal brute-force connected components
         got = {frozenset(("n",) + (n,) for n in i.names) | frozenset(("e", e) for e in i.emails)
                for i in idents}
@@ -239,16 +243,14 @@ class TestProperties:
         for ident in idents:
             name = min(ident.names) if ident.names else ""
             email = ident.id if "@" in ident.id else ""
-            for _ in ident.commit_shas:
+            for _ in ident.rows:
                 again_records.append(
                     make_record(sha=sha_of(1000 + counter), author_name=name,
                                 author_email=email)
                 )
                 counter += 1
         again = merge_identities(again_records)
-        assert sorted(len(i.commit_shas) for i in again) == sorted(
-            len(i.commit_shas) for i in idents
-        )
+        assert sorted(len(i.rows) for i in again) == sorted(len(i.rows) for i in idents)
         assert len(again) == len(idents)
 
 
@@ -291,10 +293,10 @@ class TestOverrideOracle:
             with pytest.raises(IdentityClashError):
                 merge_identities(records, rules)
             return
-        idents = merge_identities(records, rules)
-        all_shas = [sha for i in idents for sha in i.commit_shas]
-        assert sorted(all_shas) == sorted(r.sha for r in records)
-        assert {(frozenset(i.names), frozenset(i.emails), frozenset(i.commit_shas))
+        commits = Commits.from_records(records)
+        idents = merge_commits(commits, rules)
+        assert sorted(r for i in idents for r in i.rows) == list(range(len(commits)))
+        assert {(frozenset(i.names), frozenset(i.emails), frozenset(shas_of(i, commits)))
                 for i in idents} == expected
         assert sorted(i.id for i in idents) == sorted(ids)
 

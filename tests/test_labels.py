@@ -70,9 +70,7 @@ class TestLoad:
 
 
 def _identity(n_commits):
-    return Identity(
-        id="a@x", emails={"a@x"}, commit_shas={sha_of(i) for i in range(n_commits)}
-    )
+    return Identity(id="a@x", emails={"a@x"}, rows=list(range(n_commits)))
 
 
 class TestStudyFilter:

@@ -20,8 +20,7 @@ def _small_spec(**kw):
 
 def _dataset(records, labels, mode="all"):
     identities = merge_identities(Commits.from_records(records))
-    by_sha = {r.sha: r for r in records}
-    feats = compute_features({i.id: history_of([by_sha[s] for s in i.commit_shas])
+    feats = compute_features({i.id: history_of([records[r] for r in i.rows])
                               for i in identities})
     X, ids, columns = feature_matrix(feats, mode)
     y = [1 if labels[i] == "hired" else 0 for i in ids]
