@@ -167,62 +167,48 @@ def _build_config(args) -> Config:
     return cfg
 
 
-def _read_records(path, message=False):
-    """The Commits of a canonical records file, with their messages only
-    when `message` (the product filter reads them)."""
-    with _open_binary(path) as (f, name):
-        return read_canonical(f, name, message=message)
+def _study_records(args, cfg):
+    """The Commits of the canonical records file that the --product-map
+    filter keeps (all of them without one), and their identities: the
+    --identities map read against every record, each identity's rows moved
+    to the kept table and the identities left with none dropped; or else
+    identities merged afresh from the kept table."""
+    filtering = bool(getattr(args, "product_map", None))
+    with _open_binary(args.records) as (f, name):  # the filter alone reads messages
+        commits = kept = read_canonical(f, name, message=filtering)
+    if filtering:
+        from paydev import linkage
 
-
-def _apply_product_filter(commits, args, cfg):
-    if not getattr(args, "product_map", None):
-        return commits
-    from paydev import linkage
-
-    if not cfg.products:
-        raise SchemaError("--product-map given but config lists no products")
-    with _open_input(args.product_map) as f:
-        product_map = linkage.load_product_map(f)
-    links = linkage.extract_links(commits)
-    kept, report = linkage.filter_by_products(commits, links, product_map, set(cfg.products))
-    print(
-        f"# products: total={report.total} linked={report.linked} kept={report.kept} "
-        f"unmapped={report.unmapped} disallowed={report.disallowed}",
-        file=sys.stderr,
-    )
-    return kept
-
-
-def _load_identities(args, commits, kept=None):
-    """Identities over the `kept` Commits (default: all of them): the
-    --identities map read against `commits`, each identity's rows moved to
-    their rows in `kept` and those not kept dropped, then the identities
-    left with none; or else identities merged afresh from `kept`."""
-    from paydev import identity as ident_mod
-
-    kept = commits if kept is None else kept
+        if not cfg.products:
+            raise SchemaError("--product-map given but config lists no products")
+        with _open_input(args.product_map) as f:
+            product_map = linkage.load_product_map(f)
+        rows, report = linkage.filter_by_products(commits.message, product_map,
+                                                  set(cfg.products))
+        print(
+            f"# products: total={report.total} linked={report.linked} kept={report.kept} "
+            f"unmapped={report.unmapped} disallowed={report.disallowed}",
+            file=sys.stderr,
+        )
+        kept = commits.take(rows)
     if getattr(args, "identities", None):
         with _open_input(args.identities) as f:
             identities = read_identity_map(f, commits)
-        if kept is not commits:
-            kept_row = dict(zip(kept.sha, range(len(kept))))
+        if filtering:
+            new_row = array("q", [-1]) * len(commits)  # each row's in `kept`, or -1
+            for i, row in enumerate(rows):
+                new_row[row] = i
             for ident in identities:
-                ident.rows = [kept_row[sha] for sha in map(commits.sha.__getitem__, ident.rows)
-                              if sha in kept_row]
+                ident.rows = [r for r in map(new_row.__getitem__, ident.rows) if r >= 0]
             identities = [i for i in identities if i.rows]
-        return identities
+        return kept, identities
+    from paydev import identity as ident_mod
+
     overrides = []
     if getattr(args, "overrides", None):
         with _open_input(args.overrides) as f:
             overrides = ident_mod.parse_overrides(f)
-    return ident_mod.merge_identities(kept, overrides)
-
-
-def _study_records(args, cfg):
-    """The Commits the product filter keeps, and their identities."""
-    commits = _read_records(args.records, message=bool(getattr(args, "product_map", None)))
-    kept = _apply_product_filter(commits, args, cfg)
-    return kept, _load_identities(args, commits, kept)
+    return kept, ident_mod.merge_identities(kept, overrides)
 
 
 def write_identity_map(identities, commits, fileobj) -> None:
@@ -432,9 +418,7 @@ def cmd_ingest(args) -> int:
 def cmd_identities(args) -> int:
     from paydev import identity as ident_mod
 
-    _build_config(args)
-    commits = _read_records(args.records)
-    identities = _load_identities(args, commits)
+    commits, identities = _study_records(args, _build_config(args))
     report = ident_mod.identity_report(identities)
     if args.out:
         _atomic_write(args.out, lambda f: write_identity_map(identities, commits, f))
@@ -510,7 +494,7 @@ def cmd_predict(args) -> int:
     compiled library is loaded."""
     from paydev import model as mdl
 
-    _build_config(args)
+    cfg = _build_config(args)
     with _open_input(args.model) as f:
         model = mdl.load_model(f)
     if args.features:
@@ -519,8 +503,8 @@ def cmd_predict(args) -> int:
     else:
         from paydev import features as feat
 
-        commits = _read_records(args.records)
-        histories = feat.histories(_load_identities(args, commits), commits)
+        commits, identities = _study_records(args, cfg)
+        histories = feat.histories(identities, commits)
         # the two column sets are disjoint: any per-commit column means commit rows
         if not set(model.columns).isdisjoint(feat.COMMIT_FEATURE_COLUMNS):
             columns, X, row_ids = feat.COMMIT_FEATURE_COLUMNS, array("d"), []

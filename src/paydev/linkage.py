@@ -1,4 +1,5 @@
-"""Link commits to issue ids found in their messages and filter by product.
+"""Link each commit to the issue of its message's first `bug NNN` reference,
+and keep the rows whose issue maps to an allowed product.
 
 Product data comes from an offline CSV (issue_id,product); there is no
 issue-tracker client here.
@@ -11,30 +12,17 @@ from dataclasses import dataclass
 
 from paydev.errors import SchemaError, csv_rows
 
-# 3-9 digits keeps prose like "bug 42" and version strings out at scale.
-_ISSUE_RE = re.compile(r"bug[ \t]*#?[ \t]*([0-9]{3,9})", re.IGNORECASE)
+# An id of 3-9 digits, the first not 0, keeps prose like "bug 42" or "bug
+# 007" and version strings out at scale; a reference starts a word ("debug
+# 1234" is none) and ends its digits ("Bug 1234567890" is none).
+_ISSUE_RE = re.compile(r"\bbug[ \t]*#?[ \t]*([1-9][0-9]{2,8})(?![0-9])", re.IGNORECASE)
 
 
-def extract_issue_ids(message: str) -> list[int]:
-    """All issue ids referenced in a message, first occurrence kept."""
-    out = []
-    seen = set()
-    for m in _ISSUE_RE.finditer(message):
-        issue = int(m.group(1))
-        if issue not in seen:
-            seen.add(issue)
-            out.append(issue)
-    return out
-
-
-def extract_links(commits) -> dict[str, list[int]]:
-    """Map sha -> issue ids for every commit; empty lists are omitted."""
-    links = {}
-    for sha, message in zip(commits.sha, commits.message):
-        ids = extract_issue_ids(message)
-        if ids:
-            links[sha] = ids
-    return links
+def primary_issue(message: str) -> int | None:
+    """The issue id of a message's first reference, which alone links the
+    commit, or None."""
+    m = _ISSUE_RE.search(message)
+    return None if m is None else int(m.group(1))
 
 
 def load_product_map(fileobj) -> dict[int, str]:
@@ -49,9 +37,12 @@ def load_product_map(fileobj) -> dict[int, str]:
             continue
         if len(row) != 2:
             raise SchemaError("expected two columns", line=lineno)
+        cell = row[0].strip()
         try:
-            issue = int(row[0])
-        except ValueError:
+            if not (cell.isascii() and cell.isdigit()):  # int() takes "+1", "1_0", "-7", "٣"
+                raise ValueError
+            issue = int(cell)
+        except ValueError:  # or more digits than int() converts
             raise SchemaError(f"invalid issue id {row[0]!r}", line=lineno) from None
         if issue in mapping:
             raise SchemaError(f"duplicate issue id {issue}", line=lineno)
@@ -68,19 +59,19 @@ class LinkageReport:
     disallowed: int
 
 
-def filter_by_products(commits, links, product_map, allowed):
-    """Keep commits whose primary (first) issue link maps to an allowed
-    product. Returns (kept Commits, LinkageReport)."""
+def filter_by_products(messages, product_map, allowed):
+    """The rows whose message's primary issue maps to an allowed product,
+    in ascending order, and the LinkageReport."""
     if not allowed:
         raise ValueError("allowed product set must be nonempty")
     kept = []
     linked = unmapped = disallowed = 0
-    for row, sha in enumerate(commits.sha):
-        ids = links.get(sha)
-        if not ids:
+    for row, message in enumerate(messages):
+        issue = primary_issue(message)
+        if issue is None:
             continue
         linked += 1
-        product = product_map.get(ids[0])
+        product = product_map.get(issue)
         if product is None:
             unmapped += 1
         elif product not in allowed:
@@ -88,10 +79,10 @@ def filter_by_products(commits, links, product_map, allowed):
         else:
             kept.append(row)
     report = LinkageReport(
-        total=len(commits),
+        total=len(messages),
         linked=linked,
         kept=len(kept),
         unmapped=unmapped,
         disallowed=disallowed,
     )
-    return commits.take(kept), report
+    return kept, report

@@ -1420,7 +1420,7 @@ def test_study_commands_import_no_numpy(tmp_path):
 
 
 class TestProductFilter:
-    def test_product_map_filters_commits(self, tmp_path):
+    def test_product_map_filters_commits(self, tmp_path, capsys):
         from io import StringIO
 
         from conftest import make_record, sha_of
@@ -1445,6 +1445,41 @@ class TestProductFilter:
         lines = out.read_text().splitlines()
         assert len(lines) == 2  # header + one identity
         assert lines[1].split(",")[5] == "2"  # commits column: 2 kept
+        # an issue id int() reads but that is not ASCII digits
+        pm.write_text("issue_id,product\n100,Firefox\n+101,Firefox\n")
+        assert run_cli("features", str(rec_path), "--product-map", str(pm),
+                       "--config", str(cfg), "--out", str(out)) == 3
+        assert "invalid issue id '+101' (line 3)" in capsys.readouterr().err
+
+    def test_identity_whose_commits_are_all_dropped_is_dropped(self, tmp_path):
+        """An --identities map identity that owns no kept commit gets no row,
+        and the run succeeds."""
+        from io import StringIO
+
+        from conftest import make_record, sha_of
+        from paydev.ingest import Commits, write_canonical
+
+        records = [make_record(sha=sha_of(i), message=f"Bug {100 + i} - x",
+                               author_name="Kept" if i < 2 else "Dropped",
+                               author_email="kept@x" if i < 2 else "dropped@x")
+                   for i in range(4)]
+        buf = StringIO()
+        write_canonical(Commits.from_records(records), buf)
+        rec_path = tmp_path / "r.jsonl"
+        rec_path.write_text(buf.getvalue())
+        ident_map = tmp_path / "identities.jsonl"
+        assert run_cli("identities", str(rec_path), "--out", str(ident_map)) == 0
+        assert len(ident_map.read_text().splitlines()) == 2
+        pm = tmp_path / "products.csv"
+        pm.write_text("issue_id,product\n100,Firefox\n101,Firefox\n102,Other\n103,Other\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("products=Firefox\n")
+        out = tmp_path / "f.csv"
+        assert run_cli("features", str(rec_path), "--product-map", str(pm), "--config", str(cfg),
+                       "--identities", str(ident_map), "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["kept@x"]
+        assert lines[1].split(",")[5] == "2"
 
     @pytest.fixture
     def filtered_corpus(self, corpus, tmp_path):
