@@ -44,7 +44,6 @@ import sys
 import tempfile
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields
 
 from paydev import native
 from paydev.config import Config, apply_overrides, load_config, validate
@@ -160,7 +159,7 @@ def _build_config(args) -> Config:
         with _open_input(args.config) as f:
             cfg = load_config(f)
     # every Config field the command has a flag for
-    overrides = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
+    overrides = {name: getattr(args, name) for name in Config._fields if hasattr(args, name)}
     cfg = validate(apply_overrides(cfg, **overrides))
     print(f"# config: {cfg.echo()}", file=sys.stderr)
     print(f"# kernel: {native.BACKEND}", file=sys.stderr)
@@ -703,6 +702,15 @@ def main(argv=None) -> int:
             parser.error("predict: give exactly one of --features and --records")
         if args.identities and not args.records:
             parser.error("predict: --identities needs --records")
+    if args.command == "synth":
+        if args.devs < 1:
+            parser.error("synth: --devs must be at least 1")
+        if args.commits_low < 1:
+            parser.error("synth: --commits-low must be at least 1")
+        if args.commits_high < args.commits_low:
+            parser.error("synth: --commits-high must be at least --commits-low")
+        if not 0 <= args.hired_share <= 1:  # NaN too
+            parser.error("synth: --hired-share must be in [0, 1]")
     try:
         for path in (args.out, getattr(args, "labels_out", None)):
             if path:

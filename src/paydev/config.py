@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from paydev.errors import SchemaError
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
+    """The settings; each one's type is its default's type."""
+
     seed: int = 1
     min_commits: int = 100
     feature_mode: str = "all"  # all | no_volume
@@ -29,22 +30,17 @@ class Config:
 
     def echo(self) -> str:
         parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, tuple):
                 value = ",".join(value)
-            parts.append(f"{f.name}={value}")
+            parts.append(f"{name}={value}")
         return " ".join(parts)
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in zip(self._fields, self)}
 
 
-_TUPLE_FIELDS = {"email_domains", "products"}
 _POSITIVE_FIELDS = {
     "seed",
     "min_commits",
@@ -64,24 +60,19 @@ _INT64_FIELDS = ("tree_minsplit", "tree_maxdepth", "forest_trees", "forest_mtry"
 
 
 def _coerce(name: str, raw: str, line=None):
-    kind = Config.__dataclass_fields__[name].type
+    kind = type(Config._field_defaults[name])
     try:
-        if name in _TUPLE_FIELDS:
+        if kind is tuple:
             return tuple(v.strip() for v in raw.split(",") if v.strip())
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise SchemaError(f"bad value for {name}: {raw!r}", line=line) from None
 
 
 def validate(cfg: Config) -> Config:
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for name, value in zip(cfg._fields, cfg):
         if isinstance(value, float) and not math.isfinite(value):
-            raise SchemaError(f"config field {f.name} must be finite, got {value}")
+            raise SchemaError(f"config field {name} must be finite, got {value}")
     for name in _POSITIVE_FIELDS:
         if getattr(cfg, name) <= 0:
             raise SchemaError(f"config field {name} must be positive")
@@ -102,7 +93,6 @@ def validate(cfg: Config) -> Config:
 def load_config(fileobj) -> Config:
     """Apply `key=value` lines (# comments allowed) on top of the defaults."""
     cfg = Config()
-    known = {f.name for f in fields(Config)}
     for lineno, line in enumerate(fileobj, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -111,13 +101,13 @@ def load_config(fileobj) -> Config:
         key = key.strip()
         if not sep:
             raise SchemaError("expected key=value", line=lineno)
-        if key not in known:
+        if key not in Config._fields:
             raise SchemaError(f"unknown config key {key!r}", line=lineno)
-        cfg = replace(cfg, **{key: _coerce(key, raw.strip(), line=lineno)})
+        cfg = cfg._replace(**{key: _coerce(key, raw.strip(), line=lineno)})
     return cfg
 
 
 def apply_overrides(cfg: Config, **overrides) -> Config:
     """Non-None keyword overrides win over the config file."""
     updates = {key: value for key, value in overrides.items() if value is not None}
-    return replace(cfg, **updates) if updates else cfg
+    return cfg._replace(**updates) if updates else cfg

@@ -326,62 +326,52 @@ def per_commit_experiment(
 
     histories maps each studied identity id to its History, and classifiers
     each report name to fit(data, seed_parts) as in cross_validate. The
-    training set is the smallest prefix of developers (by commit count
-    descending, id ascending) whose commits reach `coverage` of the total.
-    Returns (report over all commits, report over held-out developers'
-    commits); both follow the classifiers with the allpaid, email and
-    officehours commit baselines.
+    labelled developers' commits form one table, developer after developer
+    by commit count descending, id ascending. The training rows are the
+    table's first rows up to a cut: the commits of the smallest prefix of
+    developers that reach `coverage` of the total. Returns (report over the
+    whole table, report over the held-out rows from the cut on); both follow
+    the classifiers with the allpaid, email and officehours commit
+    baselines.
     """
     labeled = [i for i in histories if i in label_set]  # commit_labels resolves periods, once
     if not labeled:
         raise SingleClassError("no labeled developers")
     labeled.sort(key=lambda i: (-len(histories[i].ts), i))
     total = sum(len(histories[i].ts) for i in labeled)
-    train_devs, cum = [], 0
+    cut = 0  # the training developers' commits
     for ident_id in labeled:
-        train_devs.append(ident_id)
-        cum += len(histories[ident_id].ts)
-        if cum >= coverage * total:
+        cut += len(histories[ident_id].ts)
+        if cut >= coverage * total:
             break
-    held_out = labeled[len(train_devs):]
 
-    per_dev = {}  # identity id -> (X, y, shas, email flags, office-hours flags)
+    X, y, shas, email, office = array("d"), array("b"), [], array("b"), array("b")
     for ident_id in labeled:
         h = histories[ident_id]
-        X, shas, _ = feat.commit_features(h)
-        statuses = lab.commit_labels(ident_id, h, label_set)
-        per_dev[ident_id] = (X, array("b", bytes(map(lab.HIRED.__eq__, statuses))), shas,
-                             *commit_flags(h, domains))
+        X_i, shas_i, _ = feat.commit_features(h)
+        X += X_i
+        y += array("b", bytes(map(lab.HIRED.__eq__, lab.commit_labels(ident_id, h, label_set))))
+        shas += shas_i
+        email_i, office_i = commit_flags(h, domains)
+        email += email_i
+        office += office_i
+    p = len(feat.COMMIT_FEATURE_COLUMNS)
 
-    def build(devs):
-        X, y, shas, email, office = array("d"), array("b"), [], array("b"), array("b")
-        for i in devs:
-            X_i, y_i, shas_i, email_i, office_i = per_dev[i]
-            X += X_i
-            y += y_i
-            shas += shas_i
-            email += email_i
-            office += office_i
-        data = ml.make_dataset(X, y, feat.COMMIT_FEATURE_COLUMNS, shas)
-        return data, email, office
-
-    train_data, _, _ = build(train_devs)
-    if len(set(train_data.y)) < 2:
+    train = ml.make_dataset(X[:cut * p], y[:cut], feat.COMMIT_FEATURE_COLUMNS, shas[:cut])
+    if len(set(train.y)) < 2:
         raise SingleClassError("training developers carry a single class")
-    models = {name: fit(train_data, (seed, 0, 0)) for name, fit in classifiers.items()}
+    models = {name: fit(train, (seed, 0, 0)) for name, fit in classifiers.items()}
 
-    def report(devs):
+    def report(X, y, email, office):
         cells = []
-        if devs:
-            data, email, office = build(devs)
-            X = ml.matrix(data.X, len(data.columns))
+        if y:
+            rows = ml.matrix(X, p)
             for name, model in models.items():
-                scores = ml.predict_proba(model, X)
-                cells.append(_cell_from_scores(name, 0, 0, scores, data.y))
-            allpaid = array("b", [1]) * len(data.y)
+                cells.append(_cell_from_scores(name, 0, 0, ml.predict_proba(model, rows), y))
+            allpaid = array("b", [1]) * len(y)
             for name, flags in (("allpaid", allpaid), ("email", email), ("officehours", office)):
-                cells.append(_cell_from_scores(name, 0, 0, array("d", flags.tolist()), data.y,
-                                               flags))
+                cells.append(_cell_from_scores(name, 0, 0, array("d", flags.tolist()), y, flags))
         return EvalReport(cells=cells, config=dict(config or {}))
 
-    return report(labeled), report(held_out)
+    return (report(X, y, email, office),
+            report(X[cut * p:], y[cut:], email[cut:], office[cut:]))

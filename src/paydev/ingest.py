@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -60,22 +59,6 @@ CANONICAL_FIELDS = (
 _KINDS = (str, str, str, int, int, int, int, str)  # of each field, in CANONICAL_FIELDS order
 
 INT64_MAX = 2**63 - 1  # line counts must fit the table's int64 columns
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """One commit's metadata, as synth generates it (see Commits.from_records).
-    lines_added/lines_deleted are -1 when the commit touched only binary
-    content."""
-
-    sha: str
-    author_name: str
-    author_email: str
-    timestamp_utc: int
-    tz_offset_minutes: int
-    lines_added: int
-    lines_deleted: int
-    message: str
 
 
 def _str_column(values):

@@ -9,14 +9,28 @@ enough that classifiers stay clearly below perfect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 
 import numpy as np
 
-from paydev.ingest import CommitRecord
-
 EPOCH = date(1970, 1, 1)
+
+
+@dataclass(frozen=True)
+class CommitRecord:
+    """One commit's metadata, as the generator makes it (see
+    ingest.Commits.from_records). lines_added/lines_deleted are -1 when the
+    commit touched only binary content."""
+
+    sha: str
+    author_name: str
+    author_email: str
+    timestamp_utc: int
+    tz_offset_minutes: int
+    lines_added: int
+    lines_deleted: int
+    message: str
 
 
 @dataclass(frozen=True)
@@ -76,13 +90,7 @@ def spec_with_profiles(spec: SynthSpec, preset: str) -> SynthSpec:
     if preset == "separable":
         return spec
     if preset == "overlapping":
-        return SynthSpec(
-            **{
-                **{f: getattr(spec, f) for f in spec.__dataclass_fields__},
-                "hired": OVERLAPPING_PROFILES["hired"],
-                "volunteer": OVERLAPPING_PROFILES["volunteer"],
-            }
-        )
+        return replace(spec, **OVERLAPPING_PROFILES)
     raise ValueError(f"unknown profile preset {preset!r}")
 
 

@@ -7,7 +7,8 @@ import pytest
 from paydev import native
 from paydev.features import histories
 from paydev.identity import Identity
-from paydev.ingest import CANONICAL_FIELDS, CommitRecord, Commits
+from paydev.ingest import CANONICAL_FIELDS, Commits
+from paydev.synth import CommitRecord
 
 
 def make_record(

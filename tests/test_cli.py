@@ -77,6 +77,26 @@ class TestSynthAndIngest:
                            "--commits-high", "20") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--devs", "0"], "--devs"),
+        (["--devs", "-3"], "--devs"),
+        (["--commits-low", "0", "--commits-high", "0"], "--commits-low"),
+        (["--commits-low", "-5", "--commits-high", "3"], "--commits-low"),
+        (["--commits-low", "50", "--commits-high", "10"], "--commits-high"),
+        (["--hired-share", "1.5"], "--hired-share"),
+        (["--hired-share", "-0.1"], "--hired-share"),
+        (["--hired-share", "nan"], "--hired-share"),
+    ])
+    def test_synth_rejects_out_of_range_sizes(self, tmp_path, capsys, flags, flag):
+        """A size synth cannot generate from is a usage error, before any
+        file is written."""
+        out, labels = tmp_path / "r.jsonl", tmp_path / "l.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--out", str(out), "--labels-out", str(labels), *flags)
+        assert exc.value.code == 2
+        assert f"synth: {flag} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ingest_file_and_help_documents_git(self, tmp_path, capsys):
         export = tmp_path / "log.bin"
         sha = "a" * 40

@@ -370,6 +370,26 @@ class TestPerCommitExperiment:
         total = sum(len(c) for c in commits_by_id.values())
         assert allpaid.tp + allpaid.fp == total  # evaluated on every commit
 
+    def test_trains_on_the_prefix_developers_commits(self, rng):
+        """dev0 and dev1 have 50 commits, the rest 30 each: half of the 280
+        commits takes dev0..dev3 in activity order, ties by id, whatever
+        order the histories come in; the other developers are held out."""
+        commits_by_id, label_set = self._setup(rng)
+        histories = dict(reversed(self._histories(commits_by_id).items()))
+        trained = []
+
+        def fit(data, _):
+            trained.append(data.ids)
+            return fit_tree(data, minsplit=5)
+
+        _, rest_report = per_commit_experiment(histories, label_set, {"rpart": fit},
+                                               coverage=0.5, seed=1)
+        prefix = ["dev0", "dev1", "dev2", "dev3"]
+        assert trained == [[sha for i in prefix for sha in histories[i].sha]]
+        allpaid = next(c for c in rest_report.cells if c.classifier == "allpaid")
+        assert allpaid.tp + allpaid.fp == sum(
+            len(c) for ident_id, c in commits_by_id.items() if ident_id not in prefix)
+
     def test_coverage_one_trains_on_everyone(self, rng):
         commits_by_id, label_set = self._setup(rng, n_devs=4)
         specs = {"rpart": lambda d, _: fit_tree(d, minsplit=5)}

@@ -20,12 +20,12 @@ from paydev.ingest import (
     CANONICAL_FIELDS,
     LOCAL_MAX,
     LOCAL_MIN,
-    CommitRecord,
     Commits,
     parse_git_log,
     read_canonical,
     write_canonical,
 )
+from paydev.synth import CommitRecord
 
 SHA_A = "a" * 40
 SHA_B = "b" * 40
